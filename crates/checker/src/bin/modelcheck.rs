@@ -210,6 +210,17 @@ fn main() -> ExitCode {
         &mut ok,
     );
     expect_caught(
+        "errs/ResolveAfterError",
+        &ErrModel::with_bug(
+            2,
+            3,
+            FaultAt::Reader { after: 1 },
+            ErrBug::ResolveAfterError,
+        ),
+        &ex,
+        &mut ok,
+    );
+    expect_caught(
         "errs/SwallowError",
         &ErrModel::with_bug(2, 3, FaultAt::Reader { after: 1 }, ErrBug::SwallowError),
         &ex,

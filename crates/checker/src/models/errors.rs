@@ -1,27 +1,32 @@
 //! Model of the streaming pool's **first-error shutdown** protocol.
 //!
-//! Mirrors the hardened error paths of `StreamingRasterJoin::execute`'s
-//! pool arm (`stream.rs`): the reader can fail (I/O error or contained
-//! panic) by enqueueing `(seq, Err)` and stopping; a worker can fail by
-//! publishing an `Err` under its claimed sequence tag (containment
-//! guarantees *something* is always published — a worker that dies
-//! silently would wedge the reorder buffer); the consumer folds strictly
-//! ascending until the first error pops, then shuts the pipeline down by
-//! dropping the result receiver and its ring handle so every other
-//! thread unblocks and exits.
+//! Mirrors the hardened error paths of `StreamingRasterJoin::scan`'s pool
+//! arm (`stream.rs`): the consumer checks the scan's canvases out once,
+//! before the first chunk, and keeps them for the whole scan; the reader
+//! can fail (I/O error or contained panic) by enqueueing `(seq, Err)` and
+//! stopping; a worker — which only decodes and bins, and holds no canvas
+//! — can fail by publishing an `Err` under its claimed sequence tag
+//! (containment guarantees *something* is always published — a worker
+//! that dies silently would wedge the reorder buffer); the consumer
+//! blends deltas strictly ascending until the first error pops, then
+//! shuts the pipeline down by dropping the result receiver and its ring
+//! handle so every other thread unblocks and exits. Only a scan that saw
+//! no error resolves its canvases; every scan releases them, once.
 //!
 //! # Checked invariants
 //!
 //! * **always terminates** — no fault placement may deadlock the
 //!   pipeline (the explorer reports any stuck state);
-//! * **error wins over partial results** — nothing folds after the first
-//!   error pops, and an injected error is always reported (a scan that
-//!   swallows one would serve a silent partial aggregate);
-//! * **deterministic error prefix** — what *did* fold before the error
+//! * **error wins over partial results** — nothing blends after the first
+//!   error pops, a canvas that is missing chunks is **never resolved**,
+//!   and an injected error is always reported (a scan that swallows one
+//!   would serve a silent partial aggregate);
+//! * **deterministic error prefix** — what *did* blend before the error
 //!   is exactly chunks `0..err_seq`, the same prefix every schedule;
-//! * **canvas accounting** — every canvas acquired by a worker is
-//!   released by shutdown, even on the error paths;
-//! * **chunk conservation** — every chunk the reader fetched is folded,
+//! * **canvas accounting** — the canvases are acquired once and released
+//!   once on every exit: the healthy one, the error paths and the
+//!   cancellation;
+//! * **chunk conservation** — every chunk the reader fetched is blended,
 //!   discarded by the shutdown, or still accounted in a buffer: none
 //!   vanish.
 //!
@@ -43,11 +48,11 @@ pub enum FaultAt {
     /// `(after + 1, Err)` and stops, like a read error or a contained
     /// reader panic.
     Reader { after: u64 },
-    /// The worker that claims sequence `on_seq` fails mid-join: its
-    /// contained decode+join yields an `Err` result, still published
+    /// The worker that claims sequence `on_seq` fails mid-chunk: its
+    /// contained decode+bin yields an `Err` result, still published
     /// under the claimed tag.
     Worker { on_seq: u64 },
-    /// The consumer abandons the scan after `after_folds` folds
+    /// The consumer abandons the scan after `after_folds` blends
     /// (downstream cancellation) and runs the same shutdown.
     ConsumerCancel { after_folds: usize },
 }
@@ -58,12 +63,16 @@ pub enum ErrBug {
     /// Faithful model of the production shutdown.
     #[default]
     None,
-    /// The consumer keeps folding results that pop after the first
+    /// The consumer keeps blending deltas that pop after the first
     /// error (the `while first_err.is_none()` guard dropped): partial
     /// results win over the error.
     FoldAfterError,
-    /// A failing worker skips its canvas release on the error path.
+    /// The consumer's error exit skips the release of the scan's resident
+    /// canvases (a checkout that is not handed back by the early return).
     LeakCanvasOnError,
+    /// The consumer runs the polygon pass even though the scan failed:
+    /// it resolves a canvas that is missing chunks.
+    ResolveAfterError,
     /// A worker drops an `Err` stolen off the ring instead of
     /// forwarding it: the scan ends clean-but-short — a silent partial
     /// aggregate reported as success.
@@ -81,20 +90,20 @@ type ChunkRes = Result<u64, ()>;
 enum WorkerState {
     /// Waiting to steal the next fetched chunk off the ring.
     Steal,
-    /// Holding a finished (or failed) chunk, about to publish it.
-    /// `canvas` marks whether this result holds a pool canvas (a stolen
-    /// `Ok` chunk being joined — forwarded reader errors never do).
+    /// Holding a binned (or failed) chunk, about to publish it.
     Publish {
         seq: u64,
         res: ChunkRes,
-        canvas: bool,
     },
     Finished,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConsumerState {
-    /// Joining the sample chunk (seq 0) on the consumer thread.
+    /// Checking the scan's canvases out of the pool.
+    Acquire,
+    /// Binning and blending the sample chunk (seq 0) on the consumer
+    /// thread.
     Sample,
     /// Popping the reorder buffer / receiving results.
     Drain,
@@ -105,6 +114,10 @@ enum ConsumerState {
     DropRing,
     /// Waiting for the reader and every worker to finish (scope join).
     Join,
+    /// The one polygon pass — reached by a scan that saw no error only.
+    Resolve,
+    /// Handing the canvases back: the tail of every exit.
+    Release,
     Finished,
 }
 
@@ -132,8 +145,11 @@ pub struct ErrModel {
     sent_err: bool,
 
     worker_states: Vec<WorkerState>,
-    /// Canvases acquired by workers and not yet released.
+    /// Canvas sets the consumer acquired so far / holds right now.
+    acquired: u32,
     canvases: usize,
+    /// The consumer ran the polygon pass.
+    resolved: bool,
     /// Ok chunks a worker discarded because the consumer had already
     /// shut the result channel.
     discarded_ok: u64,
@@ -188,12 +204,14 @@ impl ErrModel {
             sent_ok: 0,
             sent_err: false,
             worker_states: vec![WorkerState::Steal; workers],
+            acquired: 0,
             canvases: 0,
+            resolved: false,
             discarded_ok: 0,
             failed_ok: 0,
             worker_errored: false,
-            consumer: ConsumerState::Sample,
-            reorder: Reorder::new(0),
+            consumer: ConsumerState::Acquire,
+            reorder: Reorder::new(1),
             folded: Vec::new(),
             first_err: false,
             cancelled: false,
@@ -222,6 +240,11 @@ impl ErrModel {
             FaultAt::Worker { on_seq } => Some(on_seq),
             _ => None,
         }
+    }
+
+    /// The scan ends in an error (or the cancellation), not a result.
+    fn failed(&self) -> bool {
+        self.first_err || self.cancelled
     }
 
     fn fold(&mut self, chunk: u64) {
@@ -285,10 +308,9 @@ impl ErrModel {
         match self.worker_states[w] {
             WorkerState::Steal => match self.work.try_recv() {
                 TryRecv::Got((seq, Ok(chunk))) => {
-                    // Decode + join: the worker acquires a canvas. The
-                    // injected worker fault fails this seq's join; the
-                    // contained panic still publishes under the tag.
-                    self.canvases += 1;
+                    // Decode + bin. The injected worker fault fails this
+                    // seq; the contained panic still publishes under the
+                    // tag.
                     let res = if self.fault == (FaultAt::Worker { on_seq: seq }) {
                         self.worker_errored = true;
                         self.failed_ok += 1;
@@ -296,11 +318,7 @@ impl ErrModel {
                     } else {
                         Ok(chunk)
                     };
-                    self.worker_states[w] = WorkerState::Publish {
-                        seq,
-                        res,
-                        canvas: true,
-                    };
+                    self.worker_states[w] = WorkerState::Publish { seq, res };
                     Step::Ran
                 }
                 TryRecv::Got((seq, Err(()))) => {
@@ -308,11 +326,7 @@ impl ErrModel {
                         // Seeded bug: the error is dropped on the floor.
                         return Step::Ran;
                     }
-                    self.worker_states[w] = WorkerState::Publish {
-                        seq,
-                        res: Err(()),
-                        canvas: false,
-                    };
+                    self.worker_states[w] = WorkerState::Publish { seq, res: Err(()) };
                     Step::Ran
                 }
                 TryRecv::Empty => Step::Blocked,
@@ -321,43 +335,39 @@ impl ErrModel {
                     Step::Ran
                 }
             },
-            WorkerState::Publish { seq, res, canvas } => {
-                // Release the canvas at publish — on the error path too,
-                // unless the seeded leak bug is armed.
-                if canvas && !(res.is_err() && self.bug == ErrBug::LeakCanvasOnError) {
-                    debug_assert!(self.canvases > 0);
-                    self.canvases -= 1;
+            WorkerState::Publish { seq, res } => match self.results.try_send((seq, res)) {
+                TrySend::Sent => {
+                    self.worker_states[w] = WorkerState::Steal;
+                    Step::Ran
                 }
-                match self.results.try_send((seq, res)) {
-                    TrySend::Sent => {
-                        self.worker_states[w] = WorkerState::Steal;
-                        Step::Ran
+                TrySend::Full => unreachable!("result channel is unbounded"),
+                TrySend::Closed => {
+                    // Consumer already shut down: the deltas (and an
+                    // in-flight error, when the consumer cancelled) are
+                    // deliberately discarded; the worker exits.
+                    if res.is_ok() {
+                        self.discarded_ok += 1;
                     }
-                    TrySend::Full => unreachable!("result channel is unbounded"),
-                    TrySend::Closed => {
-                        // Consumer already shut down: the result (and an
-                        // in-flight error, when the consumer cancelled)
-                        // is deliberately discarded; the worker exits.
-                        if res.is_ok() {
-                            self.discarded_ok += 1;
-                        }
-                        self.worker_finish(w);
-                        Step::Ran
-                    }
+                    self.worker_finish(w);
+                    Step::Ran
                 }
-            }
+            },
             WorkerState::Finished => Step::Done,
         }
     }
 
     fn step_consumer(&mut self) -> Step {
         match self.consumer {
+            ConsumerState::Acquire => {
+                self.acquired += 1;
+                self.canvases += 1;
+                self.consumer = ConsumerState::Sample;
+                Step::Ran
+            }
             ConsumerState::Sample => {
-                // The sample chunk is seq 0, joined on the consumer
-                // thread while the pool already runs behind it.
+                // The sample chunk is seq 0, binned and blended on the
+                // consumer thread while the pool already runs behind it.
                 self.fold(0);
-                let _ = self.reorder.insert(0, Ok(0));
-                let _ = self.reorder.pop_next(); // advance past seq 0
                 self.consumer = ConsumerState::Drain;
                 Step::Ran
             }
@@ -414,11 +424,32 @@ impl ErrModel {
                     .iter()
                     .all(|s| *s == WorkerState::Finished);
                 if self.reader_finished && workers_done {
-                    self.consumer = ConsumerState::Finished;
+                    // `return Err(..)` skips the resolve; the healthy
+                    // path falls through to it.
+                    self.consumer = if self.failed() && self.bug != ErrBug::ResolveAfterError {
+                        ConsumerState::Release
+                    } else {
+                        ConsumerState::Resolve
+                    };
                     Step::Ran
                 } else {
                     Step::Blocked
                 }
+            }
+            ConsumerState::Resolve => {
+                self.resolved = true;
+                self.consumer = ConsumerState::Release;
+                Step::Ran
+            }
+            ConsumerState::Release => {
+                // The canvases drop with the scan's frame, whichever way
+                // it is left — unless the seeded leak is armed.
+                if !(self.failed() && self.bug == ErrBug::LeakCanvasOnError) {
+                    debug_assert!(self.canvases > 0);
+                    self.canvases -= 1;
+                }
+                self.consumer = ConsumerState::Finished;
+                Step::Ran
             }
             ConsumerState::Finished => Step::Done,
         }
@@ -469,11 +500,21 @@ impl Model for ErrModel {
     }
 
     fn check_final(&self) -> Result<(), String> {
-        if self.canvases != 0 {
+        if self.canvases != 0 || self.acquired != 1 {
             return Err(format!(
-                "{} canvas(es) never returned to the pool after shutdown",
-                self.canvases
+                "{} canvas set(s) never returned to the pool after shutdown \
+                 ({} acquired)",
+                self.canvases, self.acquired
             ));
+        }
+        // Only a scan that blended every chunk may draw its polygons.
+        let failed = self.failed();
+        if self.resolved == failed {
+            return Err(if failed {
+                "resolved a partial canvas: the polygon pass ran after the scan failed".into()
+            } else {
+                "a healthy scan never resolved its canvases".into()
+            });
         }
         // An injected error must be reported — unless the consumer
         // cancelled first, in which case the cancellation is the result.

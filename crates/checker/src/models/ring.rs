@@ -1,26 +1,35 @@
-//! Model of the streaming pool's seq-tagged ring + reorder buffer.
+//! Model of the streaming pool's seq-tagged ring, reorder buffer and
+//! resident canvas.
 //!
-//! Mirrors `StreamingRasterJoin::execute`'s pool path (`stream.rs`):
+//! Mirrors `StreamingRasterJoin::scan`'s pool arm (`stream.rs`):
 //!
 //! * **reader** (thread 0) — fetches chunks `1..=chunks`, tagging each
 //!   with its sequence number, into a bounded work ring
 //!   (`mpsc::sync_channel` of capacity `workers + 1`), then drops its
 //!   sender;
 //! * **workers** (threads `1..=workers`) — steal the next fetched chunk
-//!   off the shared ring, "join" it (one step), and send `(seq, chunk)`
-//!   down the unbounded result channel; on ring disconnect they drop
-//!   their result sender and finish;
-//! * **consumer** (last thread) — processes the sample chunk (seq 0)
-//!   first, exactly like the production consumer, then drains the result
-//!   channel through a [`Reorder`] buffer, folding strictly in ascending
-//!   sequence order.
+//!   off the shared ring, decode and *bin* it (one step) and send the
+//!   chunk's `(seq, deltas)` down the unbounded result channel. They hold
+//!   no canvas. On ring disconnect they drop their result sender and
+//!   finish;
+//! * **consumer** (last thread) — acquires the scan's canvas once, bins
+//!   and blends the sample chunk (seq 0) itself, exactly like the
+//!   production consumer, then drains the result channel through a
+//!   [`Reorder`] buffer, blending deltas into the canvas strictly in
+//!   ascending sequence order; when the channel closes it resolves the
+//!   canvas once and releases it.
 //!
 //! # Checked invariants
 //!
-//! * every chunk is folded **exactly once** (none lost, none duplicated);
-//! * the fold order is **ascending chunk order** — the bitwise-determinism
-//!   precondition: `AggregateMerger` folds f32/f64 sums, so a reordered
-//!   fold would change results run-to-run;
+//! * every chunk's deltas are blended **exactly once** (none lost, none
+//!   duplicated);
+//! * the blend order is **ascending chunk order** — the
+//!   bitwise-determinism precondition: every pixel's f32 sum accumulates
+//!   across chunks, so a reordered blend would change results run-to-run.
+//!   The model's canvas is an order-sensitive digest of what was blended,
+//!   and what the resolve reads must equal the sequential scan's;
+//! * the canvas is acquired once, **resolved once, after the last chunk**,
+//!   and released once;
 //! * the pipeline never deadlocks (ring capacity vs. worker count).
 //!
 //! # Seeded bugs (mutation gate)
@@ -37,16 +46,16 @@ pub enum RingBug {
     /// Faithful model of the production pool.
     #[default]
     None,
-    /// A worker swallows the result of chunk `.0` (sends nothing): the
-    /// "lost chunk" bug. The fold must come up short.
+    /// A worker swallows the deltas of chunk `.0` (sends nothing): the
+    /// "lost chunk" bug. The canvas must come up short.
     LoseChunk(u64),
     /// The reader fails to advance the sequence counter after chunk `.0`,
     /// so two distinct chunks carry the same tag: the "dropped seq tag"
-    /// bug. One of them can never be folded in order.
+    /// bug. One of them can never be blended in order.
     ReuseSeq(u64),
-    /// The consumer folds results in *arrival* order, bypassing the
+    /// The consumer blends deltas in *arrival* order, bypassing the
     /// reorder buffer: the "out-of-order fold" bug. Any schedule where a
-    /// later chunk finishes first breaks ascending fold order.
+    /// later chunk is binned first breaks ascending blend order.
     FoldArrivalOrder,
 }
 
@@ -54,7 +63,7 @@ pub enum RingBug {
 enum WorkerState {
     /// Waiting to steal the next fetched chunk off the ring.
     Steal,
-    /// Holding a decoded+joined chunk, about to send its result.
+    /// Holding a decoded+binned chunk, about to send its deltas.
     Send { seq: u64, chunk: u64 },
     /// Ring disconnected; result sender dropped.
     Finished,
@@ -79,19 +88,45 @@ pub struct RingModel {
 
     worker_states: Vec<WorkerState>,
 
-    /// Consumer state: the sample chunk (seq 0) is processed first.
-    sample_processed: bool,
+    /// Consumer program counter.
+    consumer: ConsumerState,
     reorder: Reorder<u64>,
-    consumer_finished: bool,
-    /// Chunk ids in fold order — the observable output.
+    /// Chunk ids in blend order — the observable output.
     pub folded: Vec<u64>,
+    /// Canvas acquisitions so far, and whether one is held right now.
+    acquired: u32,
+    held: bool,
+    /// What each resolve read: [`digest`] of the canvas at that moment.
+    resolved: Vec<u64>,
     /// Set when a seq tag collides in the reorder buffer (duplicate tag).
     tag_collision: bool,
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ConsumerState {
+    /// Checking the scan's canvas out of the pool.
+    Acquire,
+    /// Binning and blending the sample chunk (seq 0).
+    Sample,
+    /// Popping the reorder buffer / receiving binned chunks.
+    Drain,
+    /// Every worker finished: the one polygon pass.
+    Resolve,
+    /// Handing the canvas back.
+    Release,
+    Finished,
+}
+
+/// The canvas as the resolve sees it: an order-sensitive digest of the
+/// chunks blended so far (f32 sums do not reassociate, so neither does
+/// this).
+fn digest(blended: &[u64]) -> u64 {
+    blended.iter().fold(7, |acc, &c| acc * 31 + c + 1)
+}
+
 impl RingModel {
-    /// `workers` pool workers joining `chunks` streamed chunks (plus the
-    /// sample chunk 0 the consumer joins itself). Ring capacity is
+    /// `workers` pool workers binning `chunks` streamed chunks (plus the
+    /// sample chunk 0 the consumer bins itself). Ring capacity is
     /// `workers + 1`, the production floor.
     pub fn new(workers: usize, chunks: u64) -> Self {
         Self::with_bug(workers, chunks, RingBug::None)
@@ -109,10 +144,12 @@ impl RingModel {
             next_seq: 1,
             reader_finished: false,
             worker_states: vec![WorkerState::Steal; workers],
-            sample_processed: false,
-            reorder: Reorder::new(0),
-            consumer_finished: false,
+            consumer: ConsumerState::Acquire,
+            reorder: Reorder::new(1),
             folded: Vec::new(),
+            acquired: 0,
+            held: false,
+            resolved: Vec::new(),
             tag_collision: false,
         }
     }
@@ -121,6 +158,8 @@ impl RingModel {
         self.workers + 1
     }
 
+    /// A binned chunk reaches the consumer: blend whatever is now in
+    /// order into the canvas.
     fn fold(&mut self, seq: u64, chunk: u64) {
         if self.bug == RingBug::FoldArrivalOrder {
             // Seeded bug: bypass the reorder buffer.
@@ -169,8 +208,8 @@ impl RingModel {
         match self.worker_states[w] {
             WorkerState::Steal => match self.work.try_recv() {
                 TryRecv::Got((seq, chunk)) => {
-                    // Decode + single-threaded join happen here; the next
-                    // step publishes the result.
+                    // Decode + single-threaded bin happen here; the next
+                    // step publishes the deltas.
                     self.worker_states[w] = WorkerState::Send { seq, chunk };
                     Step::Ran
                 }
@@ -195,26 +234,42 @@ impl RingModel {
     }
 
     fn step_consumer(&mut self) -> Step {
-        if self.consumer_finished {
-            return Step::Done;
-        }
-        if !self.sample_processed {
-            // The sample chunk is seq 0, joined on the consumer thread
-            // while the pool already runs behind it.
-            self.sample_processed = true;
-            self.fold(0, 0);
-            return Step::Ran;
-        }
-        match self.results.try_recv() {
-            TryRecv::Got((seq, chunk)) => {
-                self.fold(seq, chunk);
+        match self.consumer {
+            ConsumerState::Acquire => {
+                self.acquired += 1;
+                self.held = true;
+                self.consumer = ConsumerState::Sample;
                 Step::Ran
             }
-            TryRecv::Empty => Step::Blocked,
-            TryRecv::Disconnected => {
-                self.consumer_finished = true;
+            ConsumerState::Sample => {
+                // The sample chunk is seq 0, binned and blended on the
+                // consumer thread while the pool already runs behind it.
+                self.folded.push(0);
+                self.consumer = ConsumerState::Drain;
                 Step::Ran
             }
+            ConsumerState::Drain => match self.results.try_recv() {
+                TryRecv::Got((seq, chunk)) => {
+                    self.fold(seq, chunk);
+                    Step::Ran
+                }
+                TryRecv::Empty => Step::Blocked,
+                TryRecv::Disconnected => {
+                    self.consumer = ConsumerState::Resolve;
+                    Step::Ran
+                }
+            },
+            ConsumerState::Resolve => {
+                self.resolved.push(digest(&self.folded));
+                self.consumer = ConsumerState::Release;
+                Step::Ran
+            }
+            ConsumerState::Release => {
+                self.held = false;
+                self.consumer = ConsumerState::Finished;
+                Step::Ran
+            }
+            ConsumerState::Finished => Step::Done,
         }
     }
 }
@@ -238,7 +293,7 @@ impl Model for RingModel {
         if self.tag_collision {
             return Err("sequence tag collision: two chunks carried the same seq".into());
         }
-        // Fold order must be ascending at all times — chunk ids are
+        // Blend order must be ascending at all times — chunk ids are
         // assigned in fetch order, so ascending chunk id == chunk order.
         if self.folded.windows(2).any(|w| w[0] >= w[1]) {
             return Err(format!(
@@ -259,6 +314,19 @@ impl Model for RingModel {
         }
         if self.reorder.pending_len() != 0 {
             return Err("chunks stranded in the reorder buffer".into());
+        }
+        if self.resolved != [digest(&expect)] {
+            return Err(format!(
+                "resolve mismatch: {} resolve(s) read {:?}, expected one over the sequential canvas",
+                self.resolved.len(),
+                self.resolved
+            ));
+        }
+        if self.acquired != 1 || self.held {
+            return Err(format!(
+                "canvas accounting: acquired {} time(s), still held: {}",
+                self.acquired, self.held
+            ));
         }
         Ok(())
     }

@@ -3,7 +3,8 @@
 //! a model and fails unless exploration finds a violating schedule.
 //!
 //! These are the three bugs named in the acceptance criteria — lost
-//! chunk, out-of-order fold, double-recycled FBO — plus the rest of the
+//! chunk, out-of-order fold (deltas blended into the resident canvas in
+//! arrival order), double-recycled FBO — plus the rest of the
 //! seeded-bug inventory, so a scheduler regression that silently shrinks
 //! the explored space breaks the build here rather than hiding forever.
 
@@ -134,6 +135,21 @@ fn gate_leaked_canvas_on_error_is_caught() {
         "never returned to the pool",
         "errors/LeakCanvasOnError",
     );
+}
+
+#[test]
+fn gate_resolve_after_error_is_caught() {
+    for fault in [
+        FaultAt::Reader { after: 1 },
+        FaultAt::Worker { on_seq: 2 },
+        FaultAt::ConsumerCancel { after_folds: 2 },
+    ] {
+        assert_caught(
+            &ErrModel::with_bug(2, 3, fault, ErrBug::ResolveAfterError),
+            "resolved a partial canvas",
+            &format!("errors/ResolveAfterError under {fault:?}"),
+        );
+    }
 }
 
 #[test]

@@ -138,7 +138,8 @@ fn merge_holes(outer: &[Point], holes: &[&Ring]) -> Vec<Point> {
         let (start, hp) = rightmost(hole);
         // Find the visible outer-ring vertex: the one minimizing distance to
         // hp among vertices to the right whose connecting segment crosses no
-        // current ring edge. Fall back to plain nearest if none qualifies.
+        // current ring edge and leaves the vertex through the ring's
+        // interior angle. Fall back to plain nearest if none qualifies.
         let mut best: Option<usize> = None;
         let mut best_d = f64::INFINITY;
         for (i, &op) in ring.iter().enumerate() {
@@ -146,7 +147,7 @@ fn merge_holes(outer: &[Point], holes: &[&Ring]) -> Vec<Point> {
                 continue;
             }
             let d = op.distance_sq(hp);
-            if d < best_d && bridge_is_clear(&ring, hp, op) {
+            if d < best_d && locally_inside(&ring, i, hp) && bridge_is_clear(&ring, hp, op) {
                 best_d = d;
                 best = Some(i);
             }
@@ -176,6 +177,23 @@ fn merge_holes(outer: &[Point], holes: &[&Ring]) -> Vec<Point> {
         ring = spliced;
     }
     ring
+}
+
+/// Does the segment from `ring[i]` towards `target` leave the vertex
+/// through the interior angle of the CCW ring at position `i`? An earlier
+/// bridge puts its endpoints on the ring twice, once on either side of the
+/// bridge; only the occurrence whose interior angle contains the new bridge
+/// keeps the spliced ring from crossing itself.
+fn locally_inside(ring: &[Point], i: usize, target: Point) -> bool {
+    let n = ring.len();
+    let (prev, cur, next) = (ring[(i + n - 1) % n], ring[i], ring[(i + 1) % n]);
+    let left_of_in = signed_area2(prev, cur, target) > 0.0;
+    let left_of_out = signed_area2(cur, next, target) > 0.0;
+    if signed_area2(prev, cur, next) > 0.0 {
+        left_of_in && left_of_out
+    } else {
+        left_of_in || left_of_out
+    }
 }
 
 fn bridge_is_clear(ring: &[Point], a: Point, b: Point) -> bool {
@@ -332,6 +350,47 @@ mod tests {
         assert!(!tris.iter().any(|t| t.contains(Point::new(4.0, 4.0))));
         // Ring interior must be covered.
         assert!(tris.iter().any(|t| t.contains(Point::new(1.0, 1.0))));
+    }
+
+    /// The second hole's nearest visible vertex is the first hole's
+    /// bridge vertex, which sits on the merged ring twice; bridging to the
+    /// occurrence on the wrong side of the first bridge makes the ring
+    /// cross itself and the ear clipper cover a hole.
+    #[test]
+    fn hole_bridging_to_an_earlier_bridge_vertex_keeps_the_area() {
+        let ring =
+            |pts: &[(f64, f64)]| Ring::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect());
+        let outer = [(0.0, 0.0), (30.0, 0.0), (30.0, 10.0), (0.0, 10.0)];
+        let right = [(15.0, 1.0), (16.0, 6.0), (14.5, 1.5)];
+        let left = [(6.0, 6.0), (8.0, 6.0), (8.0, 8.0), (6.0, 8.0)];
+        for flip in [1.0, -1.0] {
+            // Mirrored in y as well, so the first bridge leaves its vertex
+            // on either side of the second.
+            let m = |pts: &[(f64, f64)]| {
+                ring(
+                    &pts.iter()
+                        .map(|&(x, y)| (x, 5.0 + flip * (y - 5.0)))
+                        .collect::<Vec<_>>(),
+                )
+            };
+            let p = Polygon::with_holes(4, m(&outer), vec![m(&right), m(&left)]);
+            let tris = triangulate_polygon(&p);
+            assert!(
+                (total_area(&tris) - p.area()).abs() < 1e-9,
+                "flip {flip}: area {} vs {}",
+                total_area(&tris),
+                p.area()
+            );
+            for c in [
+                Point::new(7.0, 5.0 + flip * 2.0),
+                Point::new(15.2, 5.0 - flip * 2.0),
+            ] {
+                assert!(
+                    !tris.iter().any(|t| t.contains(c)),
+                    "flip {flip}: hole covered at {c:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -140,6 +140,19 @@ pub struct BinnedBatch {
 }
 
 impl BinnedBatch {
+    /// A batch over a one-tile canvas whose caller placed the points
+    /// itself (the accurate join, which must test each pixel against its
+    /// boundary FBO before deciding whether the point blends at all).
+    /// `values` is empty for COUNT-only queries, else as long as `idx`.
+    pub fn single_tile(idx: Vec<u32>, values: Vec<f32>) -> Self {
+        assert!(values.is_empty() || values.len() == idx.len());
+        BinnedBatch {
+            offsets: vec![0, idx.len() as u32],
+            idx,
+            values,
+        }
+    }
+
     /// Total entries across all tiles (= points accepted by some tile).
     pub fn len(&self) -> usize {
         self.idx.len()

@@ -96,6 +96,28 @@ impl PointFbo {
         }
     }
 
+    /// Blend a run of pre-binned fragments in slice order with plain
+    /// adds: the caller holds the canvas exclusively, so no atomics are
+    /// needed and every pixel's f32 sum accumulates in exactly the order
+    /// given. Bitwise-equal to calling [`PointFbo::blend_add_idx`] per
+    /// entry from one thread.
+    pub fn blend_in_order(&mut self, idx: &[u32], values: Option<&[f32]>) {
+        match values {
+            Some(values) => {
+                for (&pix, &v) in idx.iter().zip(values) {
+                    *self.counts[pix as usize].get_mut() += 1;
+                    let cell = self.sums[pix as usize].get_mut();
+                    *cell = (f32::from_bits(*cell) + v).to_bits();
+                }
+            }
+            None => {
+                for &pix in idx {
+                    *self.counts[pix as usize].get_mut() += 1;
+                }
+            }
+        }
+    }
+
     /// Count channel of one pixel.
     #[inline]
     pub fn count_at(&self, x: u32, y: u32) -> u32 {
@@ -359,22 +381,21 @@ impl ShardSet {
 /// across `glClear` calls rather than reallocating textures.
 ///
 /// Both free lists sit behind `parking_lot` mutexes, so a prepared
-/// executor shared across the streaming chunk pool's workers hands out
-/// buffers safely: each worker `acquire`s a private FBO (or
-/// [`ShardSet`]) for the tile it is blending, and ownership is exclusive
-/// until `release` — the locks guard only the free lists, never the
-/// pixels, so concurrent chunks never contend on buffer contents.
+/// executor shared across threads hands out buffers safely: whoever
+/// `acquire`s an FBO (or [`ShardSet`]) owns it exclusively until
+/// `release` — the locks guard only the free lists, never the pixels.
+/// A streamed scan checks a whole tiling out at once and keeps it until
+/// its polygon pass is done ([`FboPool::acquire_resident`]).
 #[derive(Default)]
 pub struct FboPool {
     fbos: parking_lot::Mutex<Vec<PointFbo>>,
     shards: parking_lot::Mutex<Vec<ShardSet>>,
     /// Buffers handed out and not yet released (FBOs + shard sets
-    /// together). Error-path accounting: after a scan shuts down on the
-    /// non-panic error paths this must be zero — a worker that exits
-    /// without returning its canvas has wedged it in a channel or a dead
-    /// thread. (A *contained panic* mid-pass instead drops its canvas
-    /// during unwind — memory-safe, but deliberately never recycled — so
-    /// the counter then records the forfeited buffer.)
+    /// together). Error-path accounting: after a scan shuts down — on any
+    /// path — this must be zero. ([`ResidentCanvases`] releases in `Drop`,
+    /// so an error return or an unwind hands its canvases back; a bare
+    /// [`FboPool::acquire`] dropped by a panic mid-pass is memory-safe
+    /// but never recycled, and the counter then records the forfeit.)
     outstanding: AtomicUsize,
 }
 
@@ -384,9 +405,9 @@ impl FboPool {
     }
 
     /// Buffers currently acquired but not released (or forfeited by a
-    /// contained panic). Zero whenever no render pass is in flight; the
-    /// streaming executor's error-path tests assert it returns to zero
-    /// after a failed scan drains.
+    /// panic). Zero whenever no render pass or streamed scan is in
+    /// flight; the streaming executor's error-path tests assert it
+    /// returns to zero after a failed scan drains.
     pub fn outstanding(&self) -> usize {
         self.outstanding.load(Ordering::Acquire)
     }
@@ -414,6 +435,18 @@ impl FboPool {
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
+    /// One cleared canvas per tile of `tiles`, held until the returned set
+    /// drops (see [`ResidentCanvases`]).
+    pub fn acquire_resident(&self, tiles: &[crate::Viewport]) -> ResidentCanvases<'_> {
+        ResidentCanvases {
+            pool: self,
+            fbos: tiles
+                .iter()
+                .map(|vp| self.acquire(vp.width, vp.height))
+                .collect(),
+        }
+    }
+
     /// A cleared shard set covering `pixels`, with `shards` shards
     /// (clamped to [`ShardSet::MAX_SHARDS`]).
     pub fn acquire_shards(&self, pixels: usize, shards: usize) -> ShardSet {
@@ -436,6 +469,40 @@ impl FboPool {
     pub fn release_shards(&self, set: ShardSet) {
         self.shards.lock().push(set);
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The canvases of a whole tiling, checked out of an [`FboPool`] for the
+/// length of a streamed scan: chunk after chunk blends into them and the
+/// polygon pass reads them once at the end. Dropping the set — on the
+/// success path, an early error return or an unwind alike — hands every
+/// canvas back to the pool, so the scan has no exit that strands one.
+pub struct ResidentCanvases<'p> {
+    pool: &'p FboPool,
+    fbos: Vec<PointFbo>,
+}
+
+impl ResidentCanvases<'_> {
+    /// Apply one chunk's deltas: tile `t`'s entries blend into canvas `t`
+    /// in entry (= row) order.
+    pub fn blend(&mut self, deltas: &crate::bin::BinnedBatch) {
+        for (ti, fbo) in self.fbos.iter_mut().enumerate() {
+            let (idx, values) = deltas.tile(ti);
+            fbo.blend_in_order(idx, values);
+        }
+    }
+
+    /// The canvas of tile `ti`.
+    pub fn tile(&self, ti: usize) -> &PointFbo {
+        &self.fbos[ti]
+    }
+}
+
+impl Drop for ResidentCanvases<'_> {
+    fn drop(&mut self) {
+        for fbo in self.fbos.drain(..) {
+            self.pool.release(fbo);
+        }
     }
 }
 
@@ -691,6 +758,51 @@ mod tests {
         // Both shapes now pooled; each comes back on request.
         assert_eq!(pool.acquire(4, 4).width(), 4);
         assert_eq!(pool.acquire(8, 4).width(), 8);
+    }
+
+    /// The exclusive blend is the atomic blend from one thread, bit for
+    /// bit — in an order where f32 addition does not reassociate — and
+    /// the resident set returns to the pool when it drops.
+    #[test]
+    fn resident_canvases_blend_in_entry_order_and_release_on_drop() {
+        let idx = [5u32, 2, 5, 5, 2];
+        let values = [1e8f32, 0.5, 1.0, -1e8, 0.0];
+        let reference = PointFbo::new(4, 2);
+        for (&pix, &v) in idx.iter().zip(&values) {
+            reference.blend_add_idx(pix as usize, v);
+        }
+        assert_ne!(reference.sum_at(1, 1), 1.0, "order-sensitive by design");
+
+        let pool = FboPool::new();
+        let tiles = [crate::Viewport::new(
+            raster_geom::BBox::new(
+                raster_geom::Point::new(0.0, 0.0),
+                raster_geom::Point::new(4.0, 2.0),
+            ),
+            4,
+            2,
+        )];
+        let mut canvases = pool.acquire_resident(&tiles);
+        assert_eq!(pool.outstanding(), 1);
+        // Two chunks' worth of deltas, in chunk order.
+        canvases.blend(&crate::BinnedBatch::single_tile(
+            idx[..2].to_vec(),
+            values[..2].to_vec(),
+        ));
+        canvases.blend(&crate::BinnedBatch::single_tile(
+            idx[2..].to_vec(),
+            values[2..].to_vec(),
+        ));
+        let got = canvases.tile(0);
+        for (x, y) in [(1, 1), (2, 0), (0, 0)] {
+            assert_eq!(got.count_at(x, y), reference.count_at(x, y));
+            assert_eq!(got.sum_at(x, y).to_bits(), reference.sum_at(x, y).to_bits());
+        }
+        // COUNT-only deltas carry no values.
+        canvases.blend(&crate::BinnedBatch::single_tile(vec![0, 0], Vec::new()));
+        assert_eq!(canvases.tile(0).count_at(0, 0), 2);
+        drop(canvases);
+        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod viewport;
 
 pub use bin::{bin_points, BinnedBatch, CanvasTiling, RasterConfig, SHARD_MIN_DENSITY};
 pub use device::{Device, DeviceConfig, TransferStats};
-pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ShardSet};
+pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
 pub use mrt::MrtFbo;
 pub use ssbo::{AtomicF64Array, AtomicU64Array};
 pub use viewport::Viewport;

@@ -14,8 +14,15 @@
 //!    on boundary pixels are discarded (their points were handled in step
 //!    2); interior fragments fold the FBO partial aggregates into the
 //!    result.
+//!
+//! Like the bounded executor, the prepared form splits into *bin* (step 2
+//! for one chunk: boundary points PIP-tested into a partial result,
+//! interior points emitted as pixel deltas — [`AccurateRasterJoin::bin`]),
+//! *blend*, and *resolve* (step 3 — [`AccurateRasterJoin::resolve`]);
+//! [`AccurateRasterJoin::execute_prepared`] fuses bin and blend into one
+//! parallel point pass, the streaming scan keeps them apart.
 
-use crate::query::{result_slots, JoinOutput, Query};
+use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query, StagedPartials};
 use crate::stats::ExecStats;
 use raster_data::filter::passes;
 use raster_data::PointTable;
@@ -26,7 +33,9 @@ use raster_gpu::raster::{
     rasterize_segment_conservative, rasterize_segment_thick_outline, rasterize_triangle_spans,
 };
 use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
-use raster_gpu::{BoundaryFbo, Device, FboPool, RasterConfig, Viewport};
+use raster_gpu::{
+    BinnedBatch, BoundaryFbo, Device, FboPool, PointFbo, RasterConfig, ResidentCanvases, Viewport,
+};
 use raster_index::{AssignMode, GridIndex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -82,9 +91,9 @@ impl Default for AccurateRasterJoin {
 /// Polygon-side state reusable across point batches/chunks of one query
 /// (the accurate counterpart of [`crate::bounded::PreparedBounded`]): the
 /// triangulation, canvas viewport, conservative boundary FBO and grid
-/// index. Chunked scans (`raster-join::stream`, §7.7) call
-/// [`AccurateRasterJoin::prepare`] once and
-/// [`AccurateRasterJoin::execute_prepared`] per chunk.
+/// index. The streamed scan (`raster-join::stream`, §7.7) calls
+/// [`AccurateRasterJoin::prepare`] once, [`AccurateRasterJoin::bin`] per
+/// chunk and [`AccurateRasterJoin::resolve`] at the end.
 pub struct PreparedAccurate<'a> {
     polys: &'a [Polygon],
     state: Option<AccurateState>,
@@ -104,7 +113,42 @@ struct AccurateState {
     index: GridIndex,
 }
 
+/// Where Procedure AccuratePoints sends one point that survived the
+/// filter and landed on the canvas.
+enum Placed {
+    /// On an outline pixel: resolved exactly by [`join_point`].
+    Boundary(Point),
+    /// Anywhere else: blends into the point FBO at this linear pixel
+    /// index with this value.
+    Interior(u32, f32),
+}
+
+impl AccurateState {
+    #[inline]
+    fn place(&self, points: &PointTable, i: usize, query: &Query) -> Option<Placed> {
+        if !query.predicates.is_empty() && !passes(points, i, &query.predicates) {
+            return None;
+        }
+        let p = points.point(i);
+        let (x, y) = self.vp.pixel_of(p)?;
+        Some(if self.boundary.is_boundary(x, y) {
+            Placed::Boundary(p)
+        } else {
+            let v = query.aggregate.attr().map_or(0.0, |a| points.attr(a)[i]);
+            Placed::Interior(y * self.vp.width + x, v)
+        })
+    }
+}
+
 impl PreparedAccurate<'_> {
+    /// The (single) cleared canvas of this preparation, held until the
+    /// returned set drops — what a streamed scan blends every chunk's
+    /// [`ChunkDeltas`] into before [`AccurateRasterJoin::resolve`].
+    pub fn canvases(&self) -> ResidentCanvases<'_> {
+        let tiles = self.state.as_ref().map(|s| std::slice::from_ref(&s.vp));
+        self.pool.acquire_resident(tiles.unwrap_or(&[]))
+    }
+
     /// Wall time of the one-off conservative outline pass. It is part of
     /// *processing* time in one-shot execution (unlike triangulation and
     /// index build, which §7.1 excludes); a chunk loop must charge it
@@ -114,8 +158,7 @@ impl PreparedAccurate<'_> {
     }
 
     /// Canvases checked out of this preparation's pool right now. Zero
-    /// between passes; the streaming error-path tests assert it drains
-    /// back to zero after a failed scan.
+    /// between passes and after a streamed scan, however it ended.
     pub fn outstanding_canvases(&self) -> usize {
         self.pool.outstanding()
     }
@@ -228,9 +271,9 @@ impl AccurateRasterJoin {
         out
     }
 
-    /// Execute against a prepared polygon side (chunked scans reuse the
-    /// preparation — including the outline pass — across every chunk).
-    /// The outline pass is *not* charged here; see
+    /// Execute against a prepared polygon side (callers running their own
+    /// chunk loop reuse the preparation — including the outline pass —
+    /// across every chunk). The outline pass is *not* charged here; see
     /// [`PreparedAccurate::outline_time`].
     pub fn execute_prepared(
         &self,
@@ -242,8 +285,6 @@ impl AccurateRasterJoin {
         device.reset_stats();
         let mut stats = ExecStats::default();
         let nslots = prepared.nslots;
-        let counts = AtomicU64Array::new(nslots);
-        let sums = AtomicF64Array::new(nslots);
         let Some(state) = prepared.state.as_ref() else {
             return JoinOutput {
                 counts: Vec::new(),
@@ -251,9 +292,10 @@ impl AccurateRasterJoin {
                 stats,
             };
         };
+        let counts = AtomicU64Array::new(nslots);
+        let sums = AtomicF64Array::new(nslots);
         let polys = prepared.polys;
-        let (tris, vp, boundary, index) = (&state.tris, &state.vp, &state.boundary, &state.index);
-        let (w, h) = (vp.width, vp.height);
+        let (vp, index) = (&state.vp, &state.index);
         stats.triangulation = prepared.triangulation;
         stats.index_build = prepared.index_build;
 
@@ -261,18 +303,15 @@ impl AccurateRasterJoin {
 
         // Step 2: point pass (compute-shader style), batched out-of-core.
         let agg_attr = query.aggregate.attr();
-        let attrs_up = query.attrs_uploaded();
-        let point_bytes = PointTable::point_bytes(attrs_up);
+        let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
         let per_batch = self
             .batch_points
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
         let pip_tests = AtomicU64::new(0);
-        let fragments = AtomicU64::new(0);
-        let preds = &query.predicates;
         let pool = &prepared.pool;
-        let fbo = pool.acquire(w, h);
-        let pixels = w as usize * h as usize;
+        let fbo = pool.acquire(vp.width, vp.height);
+        let pixels = vp.pixel_count();
 
         let point_stage0 = Instant::now();
         let mut start = 0usize;
@@ -280,7 +319,8 @@ impl AccurateRasterJoin {
             let end = (start + per_batch).min(points.len());
             device.record_upload(((end - start) * point_bytes) as u64);
             stats.batches += 1;
-            let survivors = crate::bounded::estimate_survivors(points, start, end, preds, vp);
+            let survivors =
+                crate::bounded::estimate_survivors(points, start, end, &query.predicates, vp);
             if self.config.use_shards(survivors, pixels, self.workers) {
                 // Sharded interior blend: each shard worker scans its
                 // point subrange privately; boundary points take the
@@ -296,18 +336,15 @@ impl AccurateRasterJoin {
                     .collect();
                 shards.accumulate_with(end - start, |shard, rel| {
                     let i = start + rel;
-                    if !preds.is_empty() && !passes(points, i, preds) {
-                        return None;
+                    match state.place(points, i, query)? {
+                        Placed::Boundary(p) => {
+                            let t =
+                                join_point(index, polys, p, i, agg_attr, points, &counts, &sums);
+                            pip_by_shard[shard * PAD].fetch_add(t, Ordering::Relaxed);
+                            None
+                        }
+                        Placed::Interior(pix, v) => Some((pix, v)),
                     }
-                    let p = points.point(i);
-                    let (x, y) = vp.pixel_of(p)?;
-                    if boundary.is_boundary(x, y) {
-                        let t = join_point(index, polys, p, i, agg_attr, points, &counts, &sums);
-                        pip_by_shard[shard * PAD].fetch_add(t, Ordering::Relaxed);
-                        return None;
-                    }
-                    let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
-                    Some((y * w + x, v))
                 });
                 for slot in pip_by_shard.iter().step_by(PAD) {
                     pip_tests.fetch_add(slot.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -320,19 +357,14 @@ impl AccurateRasterJoin {
                 parallel_ranges(end - start, self.workers, |s, e| {
                     let mut local_pip = 0u64;
                     for i in (start + s)..(start + e) {
-                        if !preds.is_empty() && !passes(points, i, preds) {
-                            continue;
-                        }
-                        let p = points.point(i);
-                        let Some((x, y)) = vp.pixel_of(p) else {
-                            continue;
-                        };
-                        if boundary.is_boundary(x, y) {
-                            local_pip +=
-                                join_point(index, polys, p, i, agg_attr, points, &counts, &sums);
-                        } else {
-                            let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
-                            fbo.blend_add(x, y, v);
+                        match state.place(points, i, query) {
+                            Some(Placed::Boundary(p)) => {
+                                local_pip += join_point(
+                                    index, polys, p, i, agg_attr, points, &counts, &sums,
+                                );
+                            }
+                            Some(Placed::Interior(pix, v)) => fbo.blend_add_idx(pix as usize, v),
+                            None => {}
                         }
                     }
                     pip_tests.fetch_add(local_pip, Ordering::Relaxed);
@@ -345,16 +377,134 @@ impl AccurateRasterJoin {
             stats.batches = 1;
         }
 
-        // Step 3: polygon pass, discarding boundary fragments. Spans keep
-        // the scan sequential; the boundary test stays per pixel.
+        // Step 3: polygon pass over the one canvas.
+        let (mut counts, mut sums) = (counts.to_vec(), sums.to_vec());
         let polygon_stage0 = Instant::now();
+        stats.fragments = self.draw_triangles(state, &fbo, &mut counts, &mut sums);
+        stats.polygon_stage += polygon_stage0.elapsed();
+        stats.passes += 1;
+        stats.processing = proc0.elapsed();
+        pool.release(fbo);
+
+        device.record_download((nslots * 16) as u64);
+        let ts = device.stats();
+        stats.upload_bytes = ts.bytes_up;
+        stats.download_bytes = ts.bytes_down;
+        stats.transfer = device.modelled_transfer_time();
+        stats.pip_tests = pip_tests.load(Ordering::Relaxed);
+
+        JoinOutput {
+            counts,
+            sums,
+            stats,
+        }
+    }
+
+    /// *Bin* one chunk (step 2 without the blend): one thread walks the
+    /// rows in order, PIP-tests boundary-pixel points into the chunk's
+    /// partial result and emits every interior point as a `(pixel, value)`
+    /// delta. Nothing here touches a canvas, so the streaming scan's pool
+    /// workers run it concurrently; row order in, row order out.
+    pub fn bin(
+        &self,
+        prepared: &PreparedAccurate<'_>,
+        points: &PointTable,
+        query: &Query,
+    ) -> ChunkDeltas {
+        let t0 = Instant::now();
+        let agg_attr = query.aggregate.attr();
+        let counts = AtomicU64Array::new(prepared.nslots);
+        let sums = AtomicF64Array::new(prepared.nslots);
+        let (mut idx, mut values) = (Vec::new(), Vec::new());
+        let mut pip_tests = 0u64;
+        if let Some(state) = prepared.state.as_ref() {
+            for i in 0..points.len() {
+                match state.place(points, i, query) {
+                    Some(Placed::Boundary(p)) => {
+                        pip_tests += join_point(
+                            &state.index,
+                            prepared.polys,
+                            p,
+                            i,
+                            agg_attr,
+                            points,
+                            &counts,
+                            &sums,
+                        );
+                    }
+                    Some(Placed::Interior(pix, v)) => {
+                        idx.push(pix);
+                        if agg_attr.is_some() {
+                            values.push(v);
+                        }
+                    }
+                    None => {}
+                }
+            }
+        }
+        let dt = t0.elapsed();
+        ChunkDeltas {
+            binned: BinnedBatch::single_tile(idx, values),
+            partial: JoinOutput {
+                counts: counts.to_vec(),
+                sums: sums.to_vec(),
+                stats: ExecStats {
+                    processing: dt,
+                    point_stage: dt,
+                    batches: 1,
+                    pip_tests,
+                    ..ExecStats::default()
+                },
+            },
+        }
+    }
+
+    /// *Resolve* the canvas every chunk's deltas were blended into
+    /// ([`PreparedAccurate::canvases`]): step 3, once, at this executor's
+    /// width. Counts and sums come out the same at any width.
+    pub fn resolve(
+        &self,
+        prepared: &PreparedAccurate<'_>,
+        canvases: &ResidentCanvases<'_>,
+    ) -> JoinOutput {
+        let mut out = JoinOutput {
+            counts: vec![0; prepared.nslots],
+            sums: vec![0.0; prepared.nslots],
+            stats: ExecStats::default(),
+        };
+        let Some(state) = prepared.state.as_ref() else {
+            return out;
+        };
+        let t0 = Instant::now();
+        out.stats.fragments =
+            self.draw_triangles(state, canvases.tile(0), &mut out.counts, &mut out.sums);
+        out.stats.polygon_stage = t0.elapsed();
+        out.stats.processing = out.stats.polygon_stage;
+        out.stats.passes = 1;
+        out
+    }
+
+    /// Step 3 (Procedure AccuratePolygons): fold the FBO over every
+    /// triangle, discarding boundary fragments. Spans keep the scan
+    /// sequential; the boundary test stays per pixel. Per-triangle totals
+    /// reach the slots in triangle order. Returns the fragments visited.
+    fn draw_triangles(
+        &self,
+        state: &AccurateState,
+        fbo: &PointFbo,
+        counts: &mut [u64],
+        sums: &mut [f64],
+    ) -> u64 {
+        let (tris, vp, boundary) = (&state.tris, &state.vp, &state.boundary);
+        let (w, h) = (vp.width, vp.height);
+        let staged = StagedPartials::new(tris.len());
+        let fragments = AtomicU64::new(0);
         let tri_block = block_for(tris.len(), self.workers);
         parallel_dynamic(tris.len(), self.workers, tri_block, |ti| {
             let t = &tris[ti];
             let a = vp.to_screen(t.a);
             let b = vp.to_screen(t.b);
             let c = vp.to_screen(t.c);
-            let id = t.poly_id as usize;
             let mut frags = 0u64;
             let mut cnt_acc = 0u64;
             let mut sum_acc = 0f64;
@@ -374,34 +524,13 @@ impl AccurateRasterJoin {
                     }
                 }
             });
-            if cnt_acc > 0 {
-                counts.add(id, cnt_acc);
-            }
-            if sum_acc != 0.0 {
-                sums.add(id, sum_acc);
-            }
+            staged.put(ti, cnt_acc, sum_acc);
             if frags > 0 {
                 fragments.fetch_add(frags, Ordering::Relaxed);
             }
         });
-        stats.polygon_stage += polygon_stage0.elapsed();
-        stats.passes += 1;
-        stats.processing = proc0.elapsed();
-        pool.release(fbo);
-
-        device.record_download((nslots * 16) as u64);
-        let ts = device.stats();
-        stats.upload_bytes = ts.bytes_up;
-        stats.download_bytes = ts.bytes_down;
-        stats.transfer = device.modelled_transfer_time();
-        stats.pip_tests = pip_tests.load(Ordering::Relaxed);
-        stats.fragments = fragments.load(Ordering::Relaxed);
-
-        JoinOutput {
-            counts: counts.to_vec(),
-            sums: sums.to_vec(),
-            stats,
-        }
+        staged.fold_into(|ti| tris[ti].poly_id as usize, counts, sums);
+        fragments.load(Ordering::Relaxed)
     }
 }
 
@@ -646,6 +775,29 @@ mod tests {
         }
         assert_eq!(merged, one.counts);
         assert!(prepared.outline_time() > std::time::Duration::ZERO);
+    }
+
+    /// Counties with islands: a county lying inside another county's hole
+    /// must not score for the surrounding one. Points are drawn over
+    /// every holed county's box, so they land on the holes, the islands in
+    /// them and the ring around them.
+    #[test]
+    fn exact_on_counties_with_islands_in_holes() {
+        use raster_data::polygons::us_counties;
+        let polys = us_counties();
+        let mut pts = PointTable::with_capacity(0, &[]);
+        for (k, holed) in polys.iter().filter(|p| !p.holes().is_empty()).enumerate() {
+            let part = uniform_points(150, &holed.bbox(), 0x15_1A5D + k as u64);
+            for i in 0..part.len() {
+                pts.push(part.point(i), &[]);
+            }
+        }
+        let dev = Device::default();
+        let exact = AccurateRasterJoin::new(2).execute(&pts, &polys, &Query::count(), &dev);
+        let reference =
+            crate::index_join::IndexJoin::cpu_single().execute(&pts, &polys, &Query::count(), &dev);
+        assert!(reference.total_count() as usize >= pts.len() / 2);
+        assert_eq!(exact.counts, reference.counts);
     }
 
     #[test]

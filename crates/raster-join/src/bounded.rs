@@ -14,6 +14,15 @@
 //! and the two steps re-run per tile (Fig. 5). Points are uploaded to the
 //! device exactly once per batch regardless of the tile count (§5).
 //!
+//! The prepared executor is three pieces: *bin* a run of points into
+//! per-tile `(pixel index, value)` deltas ([`BoundedRasterJoin::bin`]),
+//! *blend* deltas into a canvas, and *resolve* a canvas through the
+//! polygon pass ([`BoundedRasterJoin::resolve`]).
+//! [`BoundedRasterJoin::execute_prepared`] runs them per (batch × tile)
+//! with one canvas alive at a time; the streaming scan
+//! (`raster-join::stream`) bins every chunk, blends the deltas in chunk
+//! order into canvases it keeps for the whole scan, and resolves once.
+//!
 //! Two execution paths exist per batch, selected by [`RasterConfig`]:
 //!
 //! * **Binned** (default) — `raster_gpu::bin_points` classifies every
@@ -25,7 +34,7 @@
 //!   hardware pipeline: every tile pass re-filters and re-transforms the
 //!   whole batch, O(points × tiles). Kept for the ablation bench.
 
-use crate::query::{result_slots, JoinOutput, Query};
+use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query, StagedPartials};
 use crate::stats::ExecStats;
 use raster_data::filter::passes;
 use raster_data::PointTable;
@@ -34,8 +43,7 @@ use raster_geom::{BBox, Point, Polygon};
 use raster_gpu::bin::{bin_points, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, parallel_ranges, timed};
 use raster_gpu::raster::rasterize_polygon_spans;
-use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
-use raster_gpu::{Device, FboPool, PointFbo, RasterConfig, Viewport};
+use raster_gpu::{Device, FboPool, PointFbo, RasterConfig, ResidentCanvases, Viewport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -105,12 +113,6 @@ impl Default for BoundedRasterJoin {
     }
 }
 
-/// Polygon-side state reusable across point batches/chunks of one query:
-/// the triangulation plus the ε-derived canvas tiling. The paper
-/// processes polygons once per query regardless of how many point batches
-/// stream through (§5); callers running their own chunk loop (e.g. the
-/// disk-resident scan of §7.7) should [`BoundedRasterJoin::prepare`] once
-/// and reuse.
 /// One polygon's rings (outer + holes) in world coordinates, ready for
 /// scanline rasterization.
 struct PolyRings {
@@ -118,15 +120,22 @@ struct PolyRings {
     rings: Vec<Vec<Point>>,
 }
 
+/// Polygon-side state reusable across point batches/chunks of one query:
+/// the polygon rings plus the ε-derived canvas tiling. The paper
+/// processes polygons once per query regardless of how many point batches
+/// stream through (§5); callers running their own chunk loop (e.g. the
+/// disk-resident scan of §7.7) should [`BoundedRasterJoin::prepare`] once
+/// and reuse.
 pub struct PreparedBounded {
     polys: Vec<PolyRings>,
     tiling: Option<CanvasTiling>,
     nslots: usize,
     preparation: std::time::Duration,
-    /// FBO/shard recycling shared across every chunk executed against
-    /// this preparation: a streamed scan would otherwise reallocate (and
-    /// page-fault) the full canvas once per chunk — hundreds of MB at
-    /// fine ε — outside any timer.
+    /// FBO/shard recycling shared across every pass executed against
+    /// this preparation: a caller's chunk loop would otherwise reallocate
+    /// (and page-fault) the full canvas once per chunk — hundreds of MB
+    /// at fine ε — outside any timer. A streamed scan checks the whole
+    /// tiling out once ([`PreparedBounded::canvases`]).
     pool: FboPool,
 }
 
@@ -136,10 +145,22 @@ impl PreparedBounded {
     }
 
     /// Canvases checked out of this preparation's pool right now. Zero
-    /// between passes; the streaming error-path tests assert it drains
-    /// back to zero after a failed scan.
+    /// between [`BoundedRasterJoin::execute_prepared`] passes and after a
+    /// streamed scan, however it ended.
     pub fn outstanding_canvases(&self) -> usize {
         self.pool.outstanding()
+    }
+
+    /// One cleared canvas per tile, in the tile order of
+    /// [`ChunkDeltas::binned`], held until the returned set drops — what a
+    /// streamed scan blends every chunk's deltas into before
+    /// [`BoundedRasterJoin::resolve`]. Empty without polygons.
+    pub fn canvases(&self) -> ResidentCanvases<'_> {
+        self.pool.acquire_resident(self.tiles())
+    }
+
+    fn tiles(&self) -> &[Viewport] {
+        self.tiling.as_ref().map_or(&[], |t| &t.tiles)
     }
 }
 
@@ -232,12 +253,12 @@ impl BoundedRasterJoin {
         device.reset_stats();
         let mut stats = ExecStats::default();
         let nslots = prepared.nslots;
-        let counts = AtomicU64Array::new(nslots);
-        let sums = AtomicF64Array::new(nslots);
+        let mut counts = vec![0u64; nslots];
+        let mut sums = vec![0f64; nslots];
         let Some(tiling) = prepared.tiling.as_ref() else {
             return JoinOutput {
-                counts: counts.to_vec(),
-                sums: sums.to_vec(),
+                counts,
+                sums,
                 stats,
             };
         };
@@ -251,7 +272,6 @@ impl BoundedRasterJoin {
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
         let agg_attr = query.aggregate.attr();
-        let fragments = AtomicU64::new(0);
         let pool = &prepared.pool;
 
         let proc0 = Instant::now();
@@ -268,21 +288,7 @@ impl BoundedRasterJoin {
             // — so binning there would only pay the staging buffer.
             let binned = if self.config.binning && tiling.tile_count() > 1 {
                 let t0 = Instant::now();
-                let preds = &query.predicates;
-                let b = bin_points(
-                    tiling,
-                    end - start,
-                    self.workers,
-                    agg_attr.is_some(),
-                    |rel| {
-                        let i = start + rel;
-                        if !preds.is_empty() && !passes(points, i, preds) {
-                            return None;
-                        }
-                        let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
-                        Some((points.point(i), v))
-                    },
-                );
+                let b = bin_range(tiling, points, start, end, query, self.workers);
                 let dt = t0.elapsed();
                 stats.binning += dt;
                 stats.point_stage += dt;
@@ -326,15 +332,14 @@ impl BoundedRasterJoin {
                     ),
                 });
                 stats.point_stage += point_stage;
-                timed(&mut stats.polygon_stage, || {
+                stats.fragments += timed(&mut stats.polygon_stage, || {
                     self.draw_polygons(
                         &prepared.polys,
                         vp,
                         &fbo,
                         agg_attr.is_some(),
-                        &counts,
-                        &sums,
-                        &fragments,
+                        &mut counts,
+                        &mut sums,
                     )
                 });
                 pool.release(fbo);
@@ -354,13 +359,77 @@ impl BoundedRasterJoin {
         stats.upload_bytes = ts.bytes_up;
         stats.download_bytes = ts.bytes_down;
         stats.transfer = device.modelled_transfer_time();
-        stats.fragments = fragments.load(Ordering::Relaxed);
 
         JoinOutput {
-            counts: counts.to_vec(),
-            sums: sums.to_vec(),
+            counts,
+            sums,
             stats,
         }
+    }
+
+    /// *Bin* one chunk: filter and transform every point once, on the
+    /// calling thread, into per-tile deltas in row order. The streaming
+    /// scan's chunk-pool workers run this and nothing else of the join, so
+    /// the entry order — hence every pixel's f32 blend order — is the
+    /// table's row order at any pool width.
+    pub fn bin(
+        &self,
+        prepared: &PreparedBounded,
+        points: &PointTable,
+        query: &Query,
+    ) -> ChunkDeltas {
+        let t0 = Instant::now();
+        let binned = match &prepared.tiling {
+            Some(tiling) => bin_range(tiling, points, 0, points.len(), query, 1),
+            None => BinnedBatch::single_tile(Vec::new(), Vec::new()),
+        };
+        let dt = t0.elapsed();
+        ChunkDeltas {
+            partial: JoinOutput {
+                counts: Vec::new(),
+                sums: Vec::new(),
+                stats: ExecStats {
+                    processing: dt,
+                    binning: dt,
+                    point_stage: dt,
+                    binned_points: binned.len() as u64,
+                    batches: 1,
+                    ..ExecStats::default()
+                },
+            },
+            binned,
+        }
+    }
+
+    /// *Resolve* the canvases every chunk's deltas were blended into
+    /// ([`PreparedBounded::canvases`]): one polygon pass per tile at this
+    /// executor's width. Counts and sums come out the same at any width.
+    pub fn resolve(
+        &self,
+        prepared: &PreparedBounded,
+        canvases: &ResidentCanvases<'_>,
+        query: &Query,
+    ) -> JoinOutput {
+        let mut out = JoinOutput {
+            counts: vec![0; prepared.nslots],
+            sums: vec![0.0; prepared.nslots],
+            stats: ExecStats::default(),
+        };
+        let t0 = Instant::now();
+        for (ti, vp) in prepared.tiles().iter().enumerate() {
+            out.stats.fragments += self.draw_polygons(
+                &prepared.polys,
+                vp,
+                canvases.tile(ti),
+                query.aggregate.attr().is_some(),
+                &mut out.counts,
+                &mut out.sums,
+            );
+            out.stats.passes += 1;
+        }
+        out.stats.polygon_stage = t0.elapsed();
+        out.stats.processing = out.stats.polygon_stage;
+        out
     }
 
     /// Step I via the binner: replay tile `ti`'s pre-transformed entries.
@@ -462,24 +531,23 @@ impl BoundedRasterJoin {
 
     /// Step II (Procedure DrawPolygons): scan-convert each polygon over
     /// the FBO and fold the pixel partial aggregates into its result
-    /// slot. Accumulation is local per polygon, so a single atomic update
-    /// per polygon reaches the SSBO.
-    #[allow(clippy::too_many_arguments)]
+    /// slot. Accumulation is local per polygon; the per-polygon totals
+    /// reach the slots in polygon order. Returns the fragments visited.
     fn draw_polygons(
         &self,
         polys: &[PolyRings],
         vp: &Viewport,
         fbo: &PointFbo,
         needs_sums: bool,
-        counts: &AtomicU64Array,
-        sums: &AtomicF64Array,
-        fragments: &AtomicU64,
-    ) {
+        counts: &mut [u64],
+        sums: &mut [f64],
+    ) -> u64 {
         let (w, h) = (vp.width, vp.height);
+        let staged = StagedPartials::new(polys.len());
+        let fragments = AtomicU64::new(0);
         let block = block_for(polys.len(), self.workers);
         parallel_dynamic(polys.len(), self.workers, block, |pi| {
             let poly = &polys[pi];
-            let id = poly.id as usize;
             // Vertex stage: transform the rings to screen space.
             let screen: Vec<Vec<(f64, f64)>> = poly
                 .rings
@@ -504,17 +572,36 @@ impl BoundedRasterJoin {
                     cnt_acc += fbo.span_count(y, x0, x1);
                 });
             }
-            if cnt_acc > 0 {
-                counts.add(id, cnt_acc);
-            }
-            if sum_acc != 0.0 {
-                sums.add(id, sum_acc);
-            }
+            staged.put(pi, cnt_acc, sum_acc);
             if frags > 0 {
                 fragments.fetch_add(frags, Ordering::Relaxed);
             }
         });
+        staged.fold_into(|pi| polys[pi].id as usize, counts, sums);
+        fragments.load(Ordering::Relaxed)
     }
+}
+
+/// Classify rows `[start, end)` of `points` into the tiles of `tiling`:
+/// the predicate filter and the world→pixel transform, once per point.
+fn bin_range(
+    tiling: &CanvasTiling,
+    points: &PointTable,
+    start: usize,
+    end: usize,
+    query: &Query,
+    workers: usize,
+) -> BinnedBatch {
+    let preds = &query.predicates;
+    let agg_attr = query.aggregate.attr();
+    bin_points(tiling, end - start, workers, agg_attr.is_some(), |rel| {
+        let i = start + rel;
+        if !preds.is_empty() && !passes(points, i, preds) {
+            return None;
+        }
+        let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
+        Some((points.point(i), v))
+    })
 }
 
 /// Bounding box of the polygon data set — the `w × h` of §4.2.

@@ -27,10 +27,21 @@
 //! worker count (`1 + MERGE_CONTENTION·(w−1)` — more shards to fold),
 //! and fixed per-pass/per-batch overheads plus the storage-byte term stay
 //! serial (one paced reader). Which stages shard at all depends on the
-//! *intra-chunk* worker count ([`intra_workers`]): streaming chunks run
-//! their join single-threaded inside the chunk pool (the determinism
-//! rule in `stream.rs`), so their shard gate is evaluated at one worker
-//! and never engages.
+//! *intra-chunk* worker count ([`intra_workers`]).
+//!
+//! # Streamed scans
+//!
+//! A streamed scan (`stored_row_bytes > 0`, see `stream.rs`) draws its
+//! polygons once: pool workers only *bin* chunks, the consumer blends the
+//! deltas serially into canvases it keeps for the whole scan, and one
+//! polygon pass resolves them at the end. The model follows: [`W_FRAG`],
+//! [`W_CLEAR_PX`] and [`W_PASS`] are charged once per scan however many
+//! chunks the table splits into (chunk count only moves [`W_BATCH`]),
+//! [`W_BLEND`] does not amortize over the pool, [`W_FRAG`] amortizes over
+//! the resolve width (`plan.workers`), and the shard gate is evaluated at
+//! one worker and never engages. [`stage_split`] divides such a feature
+//! vector into what a chunk observes and what the resolve observes, so
+//! the executor's feedback compares like with like.
 
 use super::{Plan, Variant};
 use crate::query::Query;
@@ -122,13 +133,19 @@ pub const PARALLEL_EFFICIENCY: f64 = 0.85;
 /// `1 + MERGE_CONTENTION·(workers − 1)`.
 pub const MERGE_CONTENTION: f64 = 0.6;
 
-/// The worker count the *join inside one unit of work* runs at. Streaming
-/// workloads (`stored_row_bytes > 0`) parallelize across chunks, not
-/// within them — every chunk executes single-threaded so f32 blend order
-/// (hence AVG sums) is bitwise identical at any pool size — while
-/// in-memory workloads fan the batch itself out over `plan.workers`.
+/// Does this workload stream off disk (one polygon pass per scan) rather
+/// than join an in-memory table (one per batch)?
+pub fn streamed(wl: &Workload) -> bool {
+    wl.stored_row_bytes > 0.0
+}
+
+/// The worker count the point stage of one unit of work runs at. Streamed
+/// scans parallelize across chunks, not within them — every chunk is
+/// binned single-threaded and blended by the one consumer, so f32 blend
+/// order (hence AVG sums) is the table's row order at any pool size —
+/// while in-memory workloads fan the batch itself out over `plan.workers`.
 pub fn intra_workers(plan: &Plan, wl: &Workload) -> usize {
-    if wl.stored_row_bytes > 0.0 {
+    if streamed(wl) {
         1
     } else {
         plan.workers.max(1)
@@ -259,6 +276,8 @@ impl Workload {
 pub struct PlanShape {
     pub tiles: u32,
     pub batches: u32,
+    /// Render passes: canvas tiles × batches in memory, canvas tiles
+    /// alone for a streamed scan (accurate: outline + polygon pass).
     pub passes: u32,
     /// Total canvas pixels (all tiles of one batch).
     pub pixels: f64,
@@ -276,6 +295,9 @@ fn fragments(area: f64, perimeter: f64, pixel_side: f64) -> f64 {
 /// The execution shape a plan implies for a workload.
 pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     let batches = wl.n_points.div_ceil(plan.batch_points.max(1)).max(1) as u32;
+    // Canvases are cleared and folded per batch in memory, once per scan
+    // when streamed.
+    let polygon_rounds = if streamed(wl) { 1 } else { batches };
     let max_dim = device.config().max_fbo_dim;
     let intra = intra_workers(plan, wl);
     match plan.variant {
@@ -294,7 +316,7 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
             PlanShape {
                 tiles,
                 batches,
-                passes: tiles * batches,
+                passes: tiles * polygon_rounds,
                 pixels,
                 sharded,
             }
@@ -363,6 +385,9 @@ pub fn features_for(
     let surv = n * wl.surviving;
     let batches = sh.batches as f64;
     let tiles = sh.tiles as f64;
+    let streamed = streamed(wl);
+    // How often the canvases are cleared and the polygons drawn.
+    let polygon_rounds = if streamed { 1.0 } else { batches };
     let mut f = [0.0; NWEIGHTS];
     f[W_BATCH] = batches;
     f[W_PASS] = sh.passes as f64;
@@ -373,12 +398,12 @@ pub fn features_for(
     match plan.variant {
         Variant::Bounded => {
             let side = pixel_side_for_epsilon(wl.epsilon);
-            // DrawPolygons re-runs per (tile × batch); the tile split
-            // keeps total fragments resolution-bound, but every batch
-            // folds the full fragment volume again.
-            f[W_FRAG] = fragments(wl.area, wl.perimeter, side) * batches;
-            // FBOs are cleared per (tile × batch) on acquire.
-            f[W_CLEAR_PX] = sh.pixels * batches;
+            // In memory DrawPolygons re-runs per (tile × batch): the tile
+            // split keeps total fragments resolution-bound, but every
+            // batch clears the canvases and folds the full fragment
+            // volume again. A streamed scan does both once.
+            f[W_FRAG] = fragments(wl.area, wl.perimeter, side) * polygon_rounds;
+            f[W_CLEAR_PX] = sh.pixels * polygon_rounds;
             let binned = plan.config.binning && sh.tiles > 1;
             if binned {
                 // One filter scan per batch over its own points; survivors
@@ -430,7 +455,8 @@ pub fn features_for(
     // stages amortize over the pool, the shard merge grows with it, and
     // fixed per-pass/per-batch overheads plus the paced storage read stay
     // serial. Uniform in everything but `plan.workers`, so relative plan
-    // ranking at a fixed worker count is unchanged.
+    // ranking at a fixed worker count is unchanged. A streamed scan's
+    // blend is the one consumer applying deltas in chunk order: serial.
     let w = plan.workers.max(1) as f64;
     let amort = 1.0 + PARALLEL_EFFICIENCY * (w - 1.0);
     for slot in [
@@ -443,10 +469,27 @@ pub fn features_for(
         W_POINT_ACC,
         W_DECODE_VAL,
     ] {
-        f[slot] /= amort;
+        if !(streamed && slot == W_BLEND) {
+            f[slot] /= amort;
+        }
     }
     f[W_MERGE_PX] *= 1.0 + MERGE_CONTENTION * (w - 1.0);
     f
+}
+
+/// Split a streamed scan's features by the stage that observes them:
+/// `.0` is the point stage a chunk pays (filter, bin, blend, PIP, batch
+/// overhead), `.1` the polygon stage the scan pays once (canvas clear,
+/// outline, fragments, passes). Fetch and decode are in neither — they
+/// run off the join's critical path, overlapped by the reader and pool.
+pub fn stage_split(f: &[f64; NWEIGHTS]) -> ([f64; NWEIGHTS], [f64; NWEIGHTS]) {
+    let (mut point, mut polygon) = (*f, [0.0; NWEIGHTS]);
+    for slot in [W_CLEAR_PX, W_FRAG, W_OUTLINE_PX, W_PASS] {
+        polygon[slot] = std::mem::take(&mut point[slot]);
+    }
+    point[W_READ_BYTE] = 0.0;
+    point[W_DECODE_VAL] = 0.0;
+    (point, polygon)
 }
 
 #[cfg(test)]
@@ -597,9 +640,9 @@ mod tests {
 
     #[test]
     fn streaming_chunks_never_shard() {
-        // A stored (streaming) workload executes each chunk at one
-        // intra-chunk worker, so the shard gate must stay closed however
-        // dense the data and however wide the pool.
+        // A stored (streaming) workload bins each chunk on one worker and
+        // blends on the one consumer, so the shard gate must stay closed
+        // however dense the data and however wide the pool.
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
         let mut wl = Workload::assumed(50_000_000, &polys, &q);
@@ -609,6 +652,93 @@ mod tests {
         wl.stored_row_bytes = 20.0;
         assert_eq!(intra_workers(&p, &wl), 1);
         assert!(!shape(&p, &wl, &dev).sharded);
+    }
+
+    /// A streamed scan draws its polygons once, so its polygon terms must
+    /// not move with the chunk count — only the per-batch overhead does —
+    /// while the in-memory join pays them per batch.
+    #[test]
+    fn streamed_polygon_terms_are_flat_in_chunk_count() {
+        let polys = synthetic_polygons(8, &nyc_extent(), 3);
+        let q = Query::count().with_epsilon(12.0);
+        let in_memory = Workload::assumed(2_000_000, &polys, &q);
+        let streamed = Workload {
+            stored_row_bytes: 20.0,
+            ..in_memory
+        };
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
+        let few = plan_w(Variant::Bounded, true, true, 250_000, 2);
+        let many = plan_w(Variant::Bounded, true, true, 31_250, 2);
+        let (sh_few, sh_many) = (shape(&few, &streamed, &dev), shape(&many, &streamed, &dev));
+        assert_eq!((sh_few.batches, sh_many.batches), (8, 64));
+        assert!(sh_few.tiles > 1);
+        assert_eq!(sh_few.passes, sh_few.tiles);
+        assert_eq!(sh_many.passes, sh_few.passes);
+        let (f_few, f_many) = (
+            features(&few, &streamed, &dev),
+            features(&many, &streamed, &dev),
+        );
+        for slot in [W_FRAG, W_CLEAR_PX, W_PASS] {
+            assert!(f_few[slot] > 0.0);
+            assert_eq!(f_few[slot], f_many[slot], "{}", WEIGHT_NAMES[slot]);
+        }
+        assert_eq!(f_many[W_BATCH], 8.0 * f_few[W_BATCH]);
+        // The same two plans in memory pay the polygon side per batch.
+        let (m_few, m_many) = (
+            features(&few, &in_memory, &dev),
+            features(&many, &in_memory, &dev),
+        );
+        for slot in [W_FRAG, W_CLEAR_PX, W_PASS] {
+            assert_eq!(m_many[slot], 8.0 * m_few[slot], "{}", WEIGHT_NAMES[slot]);
+            assert_eq!(m_few[slot], 8.0 * f_few[slot], "{}", WEIGHT_NAMES[slot]);
+        }
+    }
+
+    /// The streamed blend is the one consumer applying deltas in chunk
+    /// order; the resolve runs at the plan's width.
+    #[test]
+    fn streamed_blend_is_serial_and_the_resolve_is_not() {
+        let polys = synthetic_polygons(8, &nyc_extent(), 3);
+        let q = Query::count().with_epsilon(12.0);
+        let wl = Workload {
+            stored_row_bytes: 20.0,
+            ..Workload::assumed(2_000_000, &polys, &q)
+        };
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
+        let f1 = features(&plan_w(Variant::Bounded, true, true, 250_000, 1), &wl, &dev);
+        let f4 = features(&plan_w(Variant::Bounded, true, true, 250_000, 4), &wl, &dev);
+        let amort = 1.0 + PARALLEL_EFFICIENCY * 3.0;
+        assert_eq!(f4[W_BLEND], f1[W_BLEND]);
+        assert_eq!(f4[W_BIN], f1[W_BIN] / amort);
+        assert_eq!(f4[W_FRAG], f1[W_FRAG] / amort);
+    }
+
+    #[test]
+    fn stage_split_partitions_what_the_join_pays() {
+        let polys = synthetic_polygons(8, &nyc_extent(), 3);
+        let q = Query::count().with_epsilon(12.0);
+        let wl = Workload {
+            stored_row_bytes: 20.0,
+            decode_cols: 3.0,
+            ..Workload::assumed(2_000_000, &polys, &q)
+        };
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
+        for variant in [Variant::Bounded, Variant::Accurate] {
+            let f = features(&plan_w(variant, true, false, 250_000, 2), &wl, &dev);
+            let (point, polygon) = stage_split(&f);
+            for slot in 0..NWEIGHTS {
+                let off_path = slot == W_READ_BYTE || slot == W_DECODE_VAL;
+                assert!(point[slot] == 0.0 || polygon[slot] == 0.0);
+                assert_eq!(
+                    point[slot] + polygon[slot],
+                    if off_path { 0.0 } else { f[slot] },
+                    "{}",
+                    WEIGHT_NAMES[slot]
+                );
+            }
+            assert!(polygon[W_FRAG] > 0.0 && polygon[W_PASS] > 0.0 && point[W_BLEND] > 0.0);
+            assert!(f[W_READ_BYTE] > 0.0 && f[W_DECODE_VAL] > 0.0);
+        }
     }
 
     #[test]

@@ -25,9 +25,12 @@
 //! steps from the available pool down to 1, costed with the
 //! amortization/contention scaling in [`cost`]), costs each with the
 //! per-stage model of [`cost`], and ranks them. For streaming scans the
-//! chosen `Plan::workers` is the *chunk pool* width (each chunk's join
-//! runs single-threaded — see `stream.rs`); for in-memory execution it is
-//! the intra-batch fan-out.
+//! chosen `Plan::workers` is the *chunk pool* width and the width of the
+//! scan's one polygon pass (each chunk is binned single-threaded and
+//! blended in chunk order — see `stream.rs`), and the batch size is a
+//! memory/latency choice only: the polygon side costs the same at any
+//! chunk count. For in-memory execution `workers` is the intra-batch
+//! fan-out.
 //!
 //! # Cost model and calibration
 //!

@@ -5,15 +5,23 @@
 //! Each executor fills an [`ExecStats`] so the bench harness can print the
 //! same decomposition.
 //!
-//! # Parallel executions
+//! # Streamed scans
 //!
-//! Under the streaming chunk pool (`stream.rs`), per-stage timers
-//! (`binning`, `shard_merge`, `point_stage`, `polygon_stage`) fold
-//! additively across workers, so they report *cumulative worker time*
-//! and may sum past wall clock when chunks overlap. The headline split
-//! stays wall-clock honest instead: `processing` is the union of the
-//! intervals during which ≥ 1 worker was decoding or joining, and `disk`
-//! is the remaining stall, so `total()` still tracks elapsed time.
+//! A streamed scan (`stream.rs`) bins its chunks on a pool, blends their
+//! deltas on one consumer into canvases it keeps for the whole scan and
+//! draws the polygons once. In its merged stats:
+//!
+//! * the point-stage timers (`binning`, `point_stage`) fold additively
+//!   across chunks and workers, so they report *cumulative worker time*
+//!   and may sum past wall clock when chunks overlap; `batches` counts
+//!   chunks;
+//! * `polygon_stage` and `fragments` come from the one resolve — reported
+//!   once, not once per chunk — and `passes` is the canvas tile count
+//!   (not tiles × chunks), plus one for the accurate outline pass;
+//! * the headline split stays wall-clock honest: `processing` is the
+//!   union of the intervals during which planning ran or ≥ 1 thread was
+//!   decoding, binning, blending or resolving, and `disk` is the rest of
+//!   the scan's wall clock, so `total()` still tracks elapsed time.
 
 use std::time::Duration;
 
@@ -54,7 +62,8 @@ pub struct ExecStats {
     pub polygon_stage: Duration,
     /// Out-of-core point batches executed (§5).
     pub batches: u32,
-    /// Rendering passes (canvas tiles × batches) executed (Fig. 5).
+    /// Rendering passes executed (Fig. 5): canvas tiles × batches in
+    /// memory, canvas tiles alone for a streamed scan.
     pub passes: u32,
     /// Point-in-polygon tests performed (the cost the paper eliminates).
     pub pip_tests: u64,

@@ -1,82 +1,91 @@
 //! Streaming out-of-core executor: the §7.7 disk-resident scan grown
-//! into a planner-driven, pipelined subsystem.
+//! into a planner-driven, pipelined subsystem that draws its polygons
+//! once.
 //!
 //! The paper's disk-resident experiment (§7.7 / Fig. 13) "simply reads
 //! data from disk as and when required to transfer to the GPU" — a
 //! blocking reader: every chunk is read, then processed, then the next
-//! read starts, so the disk sits idle while the join runs and the join
-//! sits idle while the disk runs. [`StreamingRasterJoin`] keeps that
-//! blocking loop as the paper-faithful ablation arm (`prefetch: false`)
-//! and grows two pipelined paths on top of it, selected by the planner's
-//! chosen worker count:
+//! read starts. Its §5 batching rule blends every point batch into the
+//! FBO and runs the polygon pass once. [`StreamingRasterJoin`] does both
+//! across chunks: the prepared executors split into *bin* (a chunk →
+//! per-tile `(pixel, value)` deltas, [`ChunkDeltas`]), *blend* (deltas →
+//! canvas) and *resolve* (canvas → polygon pass → [`JoinOutput`]); every
+//! chunk is binned, its deltas blended **in chunk order** into canvases
+//! acquired once and kept resident for the whole scan
+//! ([`raster_gpu::ResidentCanvases`]), and one resolve at the end draws
+//! the polygons. The blocking loop stays as the paper-faithful ablation
+//! arm (`prefetch: false`); the planner's chosen worker count selects
+//! between the two pipelined arms:
 //!
 //! ```text
-//! blocking (§7.7 arm):   [fetch+decode] → [join] → [fetch+decode] → …
+//! blocking (§7.7 arm):   [fetch+decode] → [bin, blend] → [fetch+decode] → …
 //!
 //! 1 worker, prefetch:    reader thread:  [fetch+decode k+1 … k+R] ─┐
-//!                        this thread:    [join k] ←────────────────┘
+//!                        this thread:    [bin, blend k] ←──────────┘
 //!
 //! pool (workers ≥ 2):    reader thread:  [paced fetch] → ring of
 //!                                        encoded chunks (seq-tagged)
 //!                        W pool workers: steal next chunk →
-//!                                        [decode] → [join, intra=1,
-//!                                        fresh per-chunk Device]
-//!                        this thread:    [join sample (seq 0)], then
-//!                                        reorder buffer → fold in
-//!                                        ascending seq through the
-//!                                        merger + planner feedback
+//!                                        [decode] → [bin] → deltas
+//!                        this thread:    [bin sample (seq 0)], then
+//!                                        reorder buffer → blend deltas in
+//!                                        ascending seq into the resident
+//!                                        canvases + planner feedback
+//!
+//! every arm, at the end: [resolve: one polygon pass per canvas tile,
+//!                         at the scan's full width] → result
 //! ```
 //!
-//! The single-consumer paths overlap the reads of chunks *k+1 … k+R*
+//! The single-consumer arms overlap the reads of chunks *k+1 … k+R*
 //! with the processing of chunk *k* via a bounded *readahead ring*
 //! ([`DEFAULT_READAHEAD`] decoded chunks deep,
-//! [`StreamingRasterJoin::with_readahead`]) — the storage/compute
-//! pipelining that SPADE-style disk-resident engines show is where
-//! out-of-core spatial aggregation wins. The pool path additionally
-//! overlaps the *processing* of several chunks with each other: column
-//! decode moves from the reader onto the pool (the reader paces raw
-//! fetches only), and each worker decodes and joins whole chunks
-//! concurrently with its peers.
+//! [`StreamingRasterJoin::with_readahead`]). The pool arm additionally
+//! overlaps the decode and bin of several chunks with each other and with
+//! the consumer's blend: pool workers hold no canvas and run no polygon
+//! work, so chunk size is a pure memory/latency choice — a scan costs the
+//! same polygon pass in 9 chunks or 64.
 //!
 //! # Determinism
 //!
-//! Every chunk joins with **intra-chunk workers = 1 in all modes** —
-//! parallelism lives at chunk granularity only. Each chunk's counts and
-//! sums are therefore bitwise-reproducible, and the consumer folds
-//! finished chunks through the [`AggregateMerger`] **in ascending chunk
-//! order** (a reorder buffer holds early finishers), so the merged
-//! counts are bit-identical and the merged float sums bitwise-equal
-//! across pool sizes {1, 2, 4, …}, the prefetch arm and the blocking
-//! arm. The planner's per-chunk feedback folds in the same order, so
-//! calibration walks are reproducible too. The cost model encodes the
-//! same rule: [`cost::intra_workers`] pins streaming plans (workloads
-//! with `stored_row_bytes > 0`) to intra-chunk width 1, which also keeps
-//! the shard path off ([`RasterConfig::use_shards`] wants intra-chunk
-//! contention), while [`Plan`]'s `workers` dimension — enumerated and
-//! costed with contention-aware amortization — becomes the chunk-pool
-//! width.
+//! Each chunk is binned by **one thread in row order**, and the one
+//! consumer applies the deltas **in ascending chunk order** (a reorder
+//! buffer holds early finishers) with plain adds on canvases it owns
+//! exclusively. Every pixel's f32 sum therefore accumulates in the
+//! table's row order — whatever the pool width, the arm, the file format
+//! **or the chunk size** — and the resolve stages per-polygon partials
+//! and adds them to the result slots in polygon order at any width. A
+//! bounded streamed result is bitwise-identical across all of those and
+//! equal to `BoundedRasterJoin { workers: 1 }` on the in-memory table
+//! (one batch). The accurate variant's boundary-pixel points skip the
+//! canvas: each chunk's exact partial result folds through the
+//! [`AggregateMerger`] in the same ascending order, so accurate results
+//! are bitwise-identical across widths and arms at equal chunk size. The
+//! planner's feedback folds in that order too, so calibration walks are
+//! reproducible. The cost model encodes the same shape
+//! ([`cost::streamed`]): polygon terms once per scan, a serial blend, no
+//! shard path, and [`Plan`]'s `workers` as the pool and resolve width.
 //!
-//! The concurrency invariants behind this guarantee — every chunk folded
-//! exactly once, in ascending sequence order, at any worker interleaving
-//! — are enumerated in `docs/INVARIANTS.md` and model-checked
-//! exhaustively by `crates/checker` (run
-//! `cargo run --release -p checker --bin modelcheck`), whose ring model
-//! is a step-for-step small model of this reader → ring → workers →
-//! reorder-buffer pipeline.
+//! The concurrency invariants behind this guarantee — every chunk's
+//! deltas applied exactly once, in ascending sequence order, at any
+//! worker interleaving; canvases acquired once and released once on
+//! every exit; nothing resolved after an error — are enumerated in
+//! `docs/INVARIANTS.md` and model-checked exhaustively by
+//! `crates/checker` (run
+//! `cargo run --release -p checker --bin modelcheck`), whose ring and
+//! error models are step-for-step small models of this reader → ring →
+//! workers → reorder-buffer → canvas pipeline.
 //!
 //! # Sizing: readahead vs. workers
 //!
 //! The ring and the pool size multiply the peak in-flight footprint:
-//! the pool holds up to `max(readahead, workers+1)` fetched-but-unjoined
+//! the pool holds up to `max(readahead, workers+1)` fetched-but-unbinned
 //! chunks (a shallow readahead is widened so the ring can feed every
-//! worker), plus one chunk decoding or joining per worker, plus whatever
-//! early finishers the reorder buffer holds while an older chunk is
-//! still in flight. Readahead rides out per-chunk *read* jitter against
-//! the modelled disk; workers ride out per-chunk *processing* jitter and
-//! buy genuine multi-core overlap — on a single-core box the pool
-//! degenerates gracefully (the busy-interval union equals the sum of
-//! busy spans, and 1-worker scans keep the historical pipeline
-//! bit-for-bit).
+//! worker), plus one chunk decoding or binning per worker, plus whatever
+//! early finishers' deltas (4–8 bytes a surviving point) the reorder
+//! buffer holds while an older chunk is still in flight — and exactly
+//! one canvas per tile, whatever the width. Readahead rides out per-chunk
+//! *read* jitter against the modelled disk; workers ride out per-chunk
+//! *decode and bin* jitter and buy genuine multi-core overlap.
 //!
 //! The executor is planner-driven end to end:
 //!
@@ -90,14 +99,14 @@
 //!    batch model);
 //! 3. the polygon side is prepared once
 //!    ([`crate::BoundedRasterJoin::prepare`] /
-//!    [`crate::AccurateRasterJoin::prepare`])
-//!    and every chunk runs `execute_prepared`;
-//! 4. per-chunk outputs fold through the shared
-//!    [`AggregateMerger`] — the §5 distributive-aggregate combination
-//!    rule (counts and sums both; AVG derives from the merged
-//!    accumulators) — and each chunk's predicted-vs-actual processing
-//!    time feeds the planner's calibration, which persists across
-//!    processes when a calibration path is configured
+//!    [`crate::AccurateRasterJoin::prepare`]), every chunk runs the
+//!    executor's `bin`, and the scan ends in one `resolve`;
+//! 4. per-chunk partial results and stats fold through the shared
+//!    [`AggregateMerger`], the resolve's output last; each chunk's
+//!    predicted-vs-actual *point-stage* time and the resolve's
+//!    *polygon-stage* time ([`cost::stage_split`]) feed the planner's
+//!    calibration, which persists across processes when a calibration
+//!    path is configured
 //!    ([`StreamingRasterJoin::with_calibration_path`]).
 //!
 //! SQL runs straight off disk through the same loop: a query whose FROM
@@ -135,32 +144,35 @@
 //!
 //! # Accounting
 //!
-//! The merged [`ExecStats`](crate::ExecStats)' `disk` field is the time
-//! the *chunk loop actually waited* for data: with the blocking reader
-//! that is the full read time; with prefetching it is only the residual
-//! stall (first chunk plus whatever the reader could not hide), so
-//! `stats.total()` tracks the real wall clock and the prefetch win shows
-//! up as a shrinking `disk` component. The pool path generalizes the
-//! same split: `processing` becomes the *busy-interval union* — wall
-//! time during which at least one worker was decoding or joining — and
-//! `disk` its complement (the sample read plus the time the whole pool
-//! starved for data), so `total()` still tracks the real wall clock and
-//! chunk-level overlap shows up the same way prefetch overlap always
-//! has. Per-stage timers (`point_stage`, `binning`, `shard_merge`, …)
-//! stay cumulative *across* workers and can sum past `processing` when
-//! chunks overlap. The reader thread's own wall time is reported
-//! separately as [`StreamOutput::read_time`].
+//! In every arm the merged [`ExecStats`](crate::ExecStats)' `processing`
+//! is a *busy-interval union* (`BusyUnion`): wall time during which
+//! planning ran or at least one thread was decoding or binning a chunk,
+//! blending its deltas, acquiring the canvases or resolving them — so the
+//! consumer's blend and the final polygon pass are inside it. `disk` is
+//! the rest of the scan's wall clock: opening the file, the sample read,
+//! and whatever time the pipeline starved for data (with the blocking
+//! reader that is every read; with prefetching only what the reader could
+//! not hide), so `stats.total()` tracks the real wall clock and overlap
+//! shows up as a shrinking `disk` component. Polygon preparation stays
+//! outside both, reported as `triangulation`/`index_build` as in §7.1
+//! (the accurate outline pass counts as processing, once). Per-stage
+//! timers (`point_stage`, `binning`, …) stay cumulative *across* workers
+//! and can sum past `processing` when chunks overlap; `polygon_stage`,
+//! `fragments` and `passes` come from the one resolve. The reader's own
+//! wall time is reported separately as [`StreamOutput::read_time`].
 
+use crate::accurate::{AccurateRasterJoin, PreparedAccurate};
+use crate::bounded::{BoundedRasterJoin, PreparedBounded};
 use crate::containment;
 use crate::optimizer::{cost, AutoRasterJoin, Plan, Variant, Workload};
-use crate::query::{result_slots, AggregateMerger, JoinOutput, Query};
+use crate::query::{result_slots, AggregateMerger, ChunkDeltas, JoinOutput, Query};
 use crate::sql::{file_source, parse_query, ParseError};
 use raster_data::disk::{table_schema, ChunkedReader, ColumnIo, EncodedChunk, FaultRecovery};
 use raster_data::faults;
 use raster_data::PointTable;
 use raster_geom::Polygon;
-use raster_gpu::exec::default_workers;
-use raster_gpu::{Device, RasterConfig};
+use raster_gpu::exec::{default_workers, timed};
+use raster_gpu::{Device, RasterConfig, ResidentCanvases};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -200,8 +212,8 @@ pub const DEFAULT_READAHEAD: usize = 3;
 /// One streamed query's result and provenance.
 #[derive(Debug, Clone)]
 pub struct StreamOutput {
-    /// Merged counts/sums/stats over all chunks (see module docs for the
-    /// `disk` accounting).
+    /// The resolved counts/sums plus stats merged over all chunks and the
+    /// resolve (see module docs for the `processing`/`disk` accounting).
     pub output: JoinOutput,
     /// The plan the chunk loop executed.
     pub plan: Plan,
@@ -212,8 +224,7 @@ pub struct StreamOutput {
     pub chunks: u32,
     /// Chunk-pool width the scan actually ran with: the plan's worker
     /// count capped by the executor's configured parallelism; 1 means
-    /// the historical single-consumer pipeline (always 1 in blocking
-    /// mode).
+    /// a single-consumer arm (always 1 in blocking mode).
     pub pool_workers: usize,
     /// Total rows streamed.
     pub rows: u64,
@@ -324,8 +335,14 @@ struct ScanSetup {
     rows: u64,
     sample: PointTable,
     sample_read: Duration,
+    /// Time spent summarising the workload and ranking the plan space.
+    planning: Duration,
     wl: Workload,
     plan: Plan,
+    /// The width the scan resolves at and, when prefetching, pools at: the
+    /// planner's chosen worker count capped by this executor's configured
+    /// parallelism.
+    width: usize,
     chunk_rows: usize,
     /// The query with attribute indices remapped onto the projected
     /// table's column order (identical to the caller's query when
@@ -335,21 +352,25 @@ struct ScanSetup {
     projection: Option<Vec<usize>>,
 }
 
-/// One (possibly paced) read: pulls the next chunk and, when a modelled
-/// disk bandwidth is set, sleeps out the remainder of the chunk's
+/// One (possibly paced) read: `pull`s the next item off the reader and,
+/// when a modelled disk bandwidth is set, sleeps out the remainder of its
 /// modelled read time. Pacing charges the bytes the reader *actually
 /// fetched* — compressed files are charged their compressed bytes, which
-/// is exactly where the compression win comes from — and the chunk's
+/// is exactly where the compression win comes from. With
+/// [`ChunkedReader::next_chunk`] (the single-consumer arms) the chunk's
 /// decode time counts toward the same budget, so decompression hides
-/// under the modelled disk whenever it is cheaper than the read it
-/// saved. Returns the chunk and the read's effective duration.
-fn paced_next(
+/// under the modelled disk whenever it is cheaper than the read it saved;
+/// with [`ChunkedReader::fetch_chunk`] (the pool) only the raw read sits
+/// inside the budget and decode overlaps binning on the workers. Returns
+/// the item and the read's effective duration.
+fn paced<T>(
     reader: &mut ChunkedReader,
     bandwidth: Option<f64>,
-) -> io::Result<Option<(PointTable, Duration)>> {
+    pull: impl FnOnce(&mut ChunkedReader) -> io::Result<Option<T>>,
+) -> io::Result<Option<(T, Duration)>> {
     let before = reader.bytes_read();
     let t0 = Instant::now();
-    let Some(chunk) = reader.next_chunk()? else {
+    let Some(item) = pull(reader)? else {
         return Ok(None);
     };
     let mut dt = t0.elapsed();
@@ -361,43 +382,69 @@ fn paced_next(
             dt = t0.elapsed();
         }
     }
-    Ok(Some((chunk, dt)))
+    Ok(Some((item, dt)))
 }
 
-/// [`paced_next`]'s fetch-only sibling for the chunk-parallel pool: pulls
-/// the next *encoded* chunk and paces the bytes actually fetched, leaving
-/// decode to a pool worker. Only the raw read sits inside the modelled
-/// disk budget here — decode overlaps processing on the workers, which is
-/// exactly the overlap the pool exists to buy (the single-consumer paths
-/// keep decode inside the budget via [`paced_next`], preserving their
-/// historical accounting).
-fn paced_fetch(
-    reader: &mut ChunkedReader,
+/// What a reader hands back when it is done: bytes fetched, decode time,
+/// per-column I/O and the retry/degradation counters.
+type ReaderTally = (u64, Duration, Vec<ColumnIo>, FaultRecovery);
+
+fn tally(reader: &ChunkedReader) -> ReaderTally {
+    (
+        reader.bytes_read(),
+        reader.decode_time(),
+        reader.column_io().to_vec(),
+        reader.recovery().clone(),
+    )
+}
+
+/// The background reader's loop, shared by both pipelined arms: `pull`
+/// one paced item after another and `send` each — or the error that ends
+/// the loop — down the ring until the table ends or `send` reports that
+/// nobody listens any more. The loop runs contained: a panic inside it
+/// (or the `stream.reader` failpoint's panic kind) becomes one more error
+/// on the ring, taking the same first-error shutdown path as an I/O
+/// failure.
+fn read_ahead<T>(
+    mut reader: ChunkedReader,
     bandwidth: Option<f64>,
-) -> io::Result<Option<(EncodedChunk, Duration)>> {
-    let before = reader.bytes_read();
-    let t0 = Instant::now();
-    let Some(enc) = reader.fetch_chunk()? else {
-        return Ok(None);
-    };
-    let mut dt = t0.elapsed();
-    if let Some(bw) = bandwidth {
-        let bytes = reader.bytes_read() - before;
-        let target = Duration::from_secs_f64(bytes as f64 / bw);
-        if dt < target {
-            std::thread::sleep(target - dt);
-            dt = t0.elapsed();
+    pull: fn(&mut ChunkedReader) -> io::Result<Option<T>>,
+    mut send: impl FnMut(io::Result<(T, Duration)>) -> bool,
+) -> ReaderTally {
+    let ran = containment::contained(|| loop {
+        if let Some(kind) = faults::hit(faults::STREAM_READER) {
+            if kind == faults::FaultKind::Panic {
+                panic!("injected fault: stream.reader");
+            }
+            send(Err(faults::io_error(kind)));
+            break;
         }
+        match paced(&mut reader, bandwidth, pull) {
+            Ok(Some(pair)) => {
+                if !send(Ok(pair)) {
+                    break; // consumer bailed
+                }
+            }
+            Ok(None) => break,
+            Err(e) => {
+                send(Err(e));
+                break;
+            }
+        }
+    });
+    if let Err(msg) = ran {
+        send(Err(containment::panic_error(msg)));
     }
-    Ok(Some((enc, dt)))
+    tally(&reader)
 }
 
-/// Busy-interval union for the pool path's `disk` accounting: the total
-/// wall time during which *at least one* worker was decoding or joining a
-/// chunk. `wall − covered()` is then the time the whole pool sat starved
-/// for data — the multi-worker generalization of the single-consumer
-/// recv-stall measurement (with one worker the union degenerates to the
-/// sum of its busy spans and the residual is exactly the old stall).
+/// Busy-interval union behind `stats.processing`: the total wall time
+/// during which *at least one* thread was working on the scan — a pool
+/// worker decoding or binning a chunk, the consumer blending deltas or
+/// resolving the canvases. The scan's wall clock minus `covered()` is then
+/// the time the whole pipeline sat starved for data (with one thread the
+/// union degenerates to the sum of its busy spans and the residual is
+/// exactly its wait for the reader).
 struct BusyUnion {
     inner: parking_lot::Mutex<BusyState>,
 }
@@ -451,12 +498,12 @@ impl BusyUnion {
     }
 }
 
-/// The pool consumer's reorder buffer: finished chunks arrive in
-/// whatever order the workers complete them and leave strictly in
-/// ascending sequence order, so the serial fold (merger + planner
+/// The pool consumer's reorder buffer: binned chunks arrive in whatever
+/// order the workers complete them and leave strictly in ascending
+/// sequence order, so the serial blend (canvases + merger + planner
 /// feedback) sees the same chunk order as the sequential loop.
 ///
-/// The release protocol — no chunk lost, duplicated, or folded out of
+/// The release protocol — no chunk lost, duplicated, or applied out of
 /// order, at any worker interleaving — is model-checked exhaustively by
 /// `crates/checker`'s ring model (its `Reorder` shim mirrors this type
 /// step for step); see `docs/INVARIANTS.md`.
@@ -490,20 +537,87 @@ impl<T> ReorderBuffer<T> {
     }
 }
 
-/// A pool worker's finished chunk, travelling back to the folding
-/// consumer tagged with its sequence number.
+/// A pool worker's binned chunk, travelling back to the blending consumer
+/// tagged with its sequence number. It refers to no canvas: a worker that
+/// fails or is discarded by a shutdown has nothing to give back.
 struct ChunkDone {
-    out: JoinOutput,
-    /// Calibration key + raw predicted cost for the planner feedback fold
-    /// (computed on the worker; *fed* by the consumer in chunk order so
-    /// the calibration walk is deterministic).
-    key: usize,
+    deltas: ChunkDeltas,
+    /// Raw predicted point-stage cost for the planner feedback (computed
+    /// on the worker; *fed* by the consumer in chunk order so the
+    /// calibration walk is deterministic).
     raw: f64,
     /// The reader-side paced fetch time of this chunk.
     fetch: Duration,
     /// Worker-side decode wall time and its per-stored-column split.
     decode: Duration,
     col_decode: Vec<Duration>,
+}
+
+/// The plan's executor with its polygon side prepared: the *bin* and
+/// *resolve* pieces the scan is built from (*blend* is
+/// [`ResidentCanvases::blend`]).
+enum Pieces<'a> {
+    Bounded(BoundedRasterJoin, PreparedBounded),
+    Accurate(AccurateRasterJoin, PreparedAccurate<'a>),
+}
+
+impl<'a> Pieces<'a> {
+    /// Prepare `plan`'s executor (the same plan→executor mapping as
+    /// `Plan::execute`) to resolve at `width` workers.
+    fn prepare(
+        plan: &Plan,
+        width: usize,
+        polys: &'a [Polygon],
+        query: &Query,
+        device: &Device,
+    ) -> Self {
+        match plan.variant {
+            Variant::Bounded => {
+                let mut exec = plan.bounded_executor(plan.batch_points);
+                exec.workers = width;
+                let prepared = exec.prepare(polys, query.epsilon, device);
+                Pieces::Bounded(exec, prepared)
+            }
+            Variant::Accurate => {
+                let mut exec = plan.accurate_executor(plan.batch_points);
+                exec.workers = width;
+                let prepared = exec.prepare(polys, device);
+                Pieces::Accurate(exec, prepared)
+            }
+        }
+    }
+
+    fn bin(&self, chunk: &PointTable, query: &Query) -> ChunkDeltas {
+        match self {
+            Pieces::Bounded(exec, p) => exec.bin(p, chunk, query),
+            Pieces::Accurate(exec, p) => exec.bin(p, chunk, query),
+        }
+    }
+
+    fn canvases(&self) -> ResidentCanvases<'_> {
+        match self {
+            Pieces::Bounded(_, p) => p.canvases(),
+            Pieces::Accurate(_, p) => p.canvases(),
+        }
+    }
+
+    fn resolve(&self, canvases: &ResidentCanvases<'_>, query: &Query) -> JoinOutput {
+        #[cfg(test)]
+        drain_tests::RESOLVES.with(|n| n.set(n.get() + 1));
+        match self {
+            Pieces::Bounded(exec, p) => exec.resolve(p, canvases, query),
+            Pieces::Accurate(exec, p) => exec.resolve(p, canvases),
+        }
+    }
+
+    /// The accurate variant's one-off conservative outline pass, drawn
+    /// during preparation but counted as processing, once per query.
+    fn outline_time(&self) -> Duration {
+        match self {
+            Pieces::Bounded(..) => Duration::ZERO,
+            Pieces::Accurate(_, p) => p.outline_time(),
+        }
+    }
 }
 
 /// The streaming out-of-core operator (see module docs).
@@ -677,10 +791,12 @@ impl StreamingRasterJoin {
 
         // Sample chunk: read synchronously (it doubles as chunk #1), then
         // summarise and plan.
-        let (sample, sample_read) = match paced_next(&mut reader, self.disk_bandwidth)? {
-            Some((chunk, dt)) => (chunk, dt),
-            None => (PointTable::default(), Duration::ZERO),
-        };
+        let (sample, sample_read) =
+            match paced(&mut reader, self.disk_bandwidth, ChunkedReader::next_chunk)? {
+                Some((chunk, dt)) => (chunk, dt),
+                None => (PointTable::default(), Duration::ZERO),
+            };
+        let plan0 = Instant::now();
         let wl = Workload {
             n_points: rows as usize,
             stored_row_bytes,
@@ -692,6 +808,7 @@ impl StreamingRasterJoin {
             .plan_summary(&wl, &exec_query, device)
             .best()
             .plan;
+        let planning = plan0.elapsed();
         let chunk_rows = self.chunk_size_for(&plan, &exec_query, device);
         reader.set_chunk_rows(chunk_rows);
         Ok(ScanSetup {
@@ -699,7 +816,9 @@ impl StreamingRasterJoin {
             rows,
             sample,
             sample_read,
+            planning,
             wl,
+            width: plan.workers.min(self.workers.max(1)),
             plan,
             chunk_rows,
             exec_query,
@@ -722,405 +841,293 @@ impl StreamingRasterJoin {
         query: &Query,
         device: &Device,
     ) -> Result<StreamOutput, StreamError> {
+        let wall0 = Instant::now();
+        let setup = self.open_and_plan(path, polys, query, device)?;
+        // Prepare the polygon side once, at the width the scan resolves
+        // (and, when prefetching, pools) at.
+        let prep0 = Instant::now();
+        let pieces = Pieces::prepare(&setup.plan, setup.width, polys, &setup.exec_query, device);
+        let preparation = prep0.elapsed();
+        let mut out = self.scan(setup, &pieces, result_slots(polys), device)?;
+        // `scan` reports the busy union; the rest of the wall clock —
+        // opening, the sample read, starving for data — is `disk`, and
+        // polygon preparation is in neither (see the module docs).
+        let stats = &mut out.output.stats;
+        stats.disk = wall0
+            .elapsed()
+            .saturating_sub(preparation + stats.processing);
+        if matches!(pieces, Pieces::Accurate(..)) {
+            stats.processing += pieces.outline_time();
+            stats.polygon_stage += pieces.outline_time();
+            stats.passes += 1;
+        }
+        Ok(out)
+    }
+
+    /// The chunk loop over an opened, planned table and a prepared polygon
+    /// side: bin every chunk, blend the deltas in chunk order into
+    /// canvases held for the whole scan, resolve once. Every exit returns
+    /// the canvases to `pieces`' pool; only the success path resolves.
+    fn scan(
+        &self,
+        setup: ScanSetup,
+        pieces: &Pieces<'_>,
+        nslots: usize,
+        device: &Device,
+    ) -> Result<StreamOutput, StreamError> {
         let ScanSetup {
             mut reader,
             rows,
             sample,
             sample_read,
+            planning,
             wl,
             plan,
+            width,
             chunk_rows,
             exec_query,
             projection,
-        } = self.open_and_plan(path, polys, query, device)?;
-        // Every chunk below is a *projected* table, so the remapped
-        // query addresses it (identical to `query` when pruning is off).
+        } = setup;
+        // Every chunk below is a *projected* table, so the remapped query
+        // addresses it (identical to the caller's when pruning is off).
         let query = &exec_query;
 
-        // Prepare the polygon side once; every chunk is one device batch
-        // (the executors come from the same plan→executor mapping as
-        // `Plan::execute`, with the chunk as the batch size).
-        //
-        // Determinism rule: every chunk joins with intra-chunk workers=1
-        // in *all* modes. Parallelism comes from the chunk pool below
-        // processing several chunks at once; within a chunk the join is
-        // single-threaded, so each chunk's counts and sums are
-        // bitwise-reproducible, and the ordered fold then makes the whole
-        // scan's output bitwise-identical across pool sizes and the
-        // blocking arm. The planner costs the same rule
-        // (`cost::intra_workers` pins streaming plans to intra=1), which
-        // also disables the shard path — `RasterConfig::use_shards` needs
-        // intra-chunk workers > 1 to have contention worth deflecting.
-        let mut bounded = plan.bounded_executor(chunk_rows);
-        bounded.workers = 1;
-        let mut accurate = plan.accurate_executor(chunk_rows);
-        accurate.workers = 1;
-        enum Prepared<'a> {
-            Bounded(crate::bounded::PreparedBounded),
-            Accurate(crate::accurate::PreparedAccurate<'a>),
-        }
-        let prepared = match plan.variant {
-            Variant::Bounded => Prepared::Bounded(bounded.prepare(polys, query.epsilon, device)),
-            Variant::Accurate => Prepared::Accurate(accurate.prepare(polys, device)),
-        };
-
-        // The calibration snapshot for raw (uncorrected) per-chunk costs;
-        // feedback only moves the per-key corrections, so a snapshot
-        // taken once stays the right baseline for the whole scan.
+        // The calibration snapshot for raw (uncorrected) costs; feedback
+        // only moves the per-key corrections, so a snapshot taken once
+        // stays the right baseline for the whole scan. Streamed plans
+        // never shard, so one effective key covers every observation.
         let cal = self.planner.calibration();
-        let mut merger = AggregateMerger::new(result_slots(polys));
+        let key = cost::effective_key(&plan, &wl, device);
+        let mut merger = AggregateMerger::new(nslots);
+        let busy = BusyUnion::new();
         let mut read_time = sample_read;
-        // Time the loop observably waited for data; the sample read is a
-        // wait in both modes.
-        let mut stall = sample_read;
-        // Reader-side byte/decode accounting; covers the sample read now,
-        // finalized from wherever the reader ends up (the prefetch thread
-        // hands its counters back on join).
-        let mut read_bytes = reader.bytes_read();
-        let mut decode_time = reader.decode_time();
-        let mut column_io = reader.column_io().to_vec();
-        // Retry/degradation counters; the reader threads hand their final
-        // tallies back on join, superseding this open-time snapshot.
-        let mut recovery = reader.recovery().clone();
+        // Reader-side bytes, decode time, per-column I/O and recovery
+        // counters; covers the sample read now, superseded by wherever the
+        // reader ends up (the reader threads hand theirs back on join).
+        let mut reader_tally = tally(&reader);
 
-        // One chunk's join + its planner-feedback ingredients, against an
-        // explicit device so pool workers can substitute a fresh one.
-        // Captures only `Sync` state — safe to share across the pool.
-        let run_chunk_on = |chunk: &PointTable, dev: &Device| -> (JoinOutput, usize, f64) {
-            let out = match &prepared {
-                Prepared::Bounded(p) => bounded.execute_prepared(p, chunk, query, dev),
-                Prepared::Accurate(p) => accurate.execute_prepared(p, chunk, query, dev),
-            };
+        // The transfer ledger: every chunk uploads its points once, the
+        // result slots come back once after the resolve.
+        device.reset_stats();
+        let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
+        // *Bin* one chunk and price its point stage. Captures only `Sync`
+        // state and touches no canvas — safe to run across the pool.
+        let bin_chunk = |chunk: &PointTable| -> (ChunkDeltas, f64) {
+            device.record_upload((chunk.len() * point_bytes) as u64);
+            let deltas = pieces.bin(chunk, query);
             let chunk_wl = Workload {
                 n_points: chunk.len(),
                 ..wl
             };
-            let sh = cost::shape(&plan, &chunk_wl, dev);
-            let mut features = cost::features_for(&plan, &chunk_wl, dev, &sh);
-            // The accurate variant's outline pass is a per-query one-off
-            // that `execute_prepared` (rightly) does not re-run per
-            // chunk; its feature must not be charged against per-chunk
-            // actuals or every chunk would observe biased-low and drag
-            // the plan key's correction down.
-            features[cost::W_OUTLINE_PX] = 0.0;
-            // Read and decode happen off the join's critical path (the
-            // reader thread or a pool worker overlaps them with other
-            // chunks' processing), so they are not in the measured
-            // per-chunk processing either.
-            features[cost::W_READ_BYTE] = 0.0;
-            features[cost::W_DECODE_VAL] = 0.0;
-            (out, cost::effective_key_of(&plan, &sh), cal.raw(&features))
-        };
-        // The serial fold: planner feedback + merger, always called in
-        // ascending chunk order (the pool's reorder buffer guarantees it)
-        // so calibration walks and merged sums are deterministic.
-        let mut absorb = |out: JoinOutput, key: usize, raw: f64| {
-            self.planner.feed(key, raw, out.stats.processing);
-            merger.fold(&out);
+            let (point_stage, _) = cost::stage_split(&cost::features(&plan, &chunk_wl, device));
+            (deltas, cal.raw(&point_stage))
         };
 
-        // Chunk-pool width: the planner's chosen worker count, capped by
-        // this executor's configured parallelism. Blocking mode and
-        // width ≤ 1 take the historical single-consumer paths, which keep
-        // chunk decode inside the paced-disk budget; the pool paces raw
-        // fetches only and lets decode overlap processing on the workers.
-        let pool_workers = if self.prefetch {
-            plan.workers.min(self.workers.max(1))
-        } else {
-            1
-        };
-        // Pool-mode (wall, busy-union) pair for the finale's accounting.
-        let mut pool_times: Option<(Duration, Duration)> = None;
+        // Chunk-pool width: the scan's width when prefetching. Blocking
+        // mode and width ≤ 1 take the single-consumer arms.
+        let pool_workers = if self.prefetch { width } else { 1 };
+        let mut chunks = 0;
 
         if !sample.is_empty() {
-            // Defer the sample chunk's processing until after the reader
-            // thread is spawned, so the read of chunk #2 overlaps it.
-            if self.prefetch && pool_workers > 1 {
+            // One cleared canvas per tile, held until this block ends —
+            // by the resolve below or by any `?`/`return` on the way.
+            let mut acquire = Duration::ZERO;
+            let mut canvases = busy.track(|| timed(&mut acquire, || pieces.canvases()));
+            // *Blend* one chunk's deltas + planner feedback + merger,
+            // always called in ascending chunk order (the pool's reorder
+            // buffer guarantees it) so every pixel's f32 sum, the
+            // calibration walk and the merged partials are deterministic.
+            let mut absorb = |(mut deltas, raw): (ChunkDeltas, f64)| {
+                busy.track(|| {
+                    let stats = &mut deltas.partial.stats;
+                    let mut blend = Duration::ZERO;
+                    timed(&mut blend, || canvases.blend(&deltas.binned));
+                    stats.point_stage += blend;
+                    stats.processing += blend;
+                    self.planner.feed(key, raw, stats.processing);
+                    merger.fold(&deltas.partial);
+                })
+            };
+
+            // The sample chunk's processing is deferred until after the
+            // reader thread is spawned, so the read of chunk #2 overlaps it.
+            let bandwidth = self.disk_bandwidth;
+            if pool_workers > 1 {
                 // Chunk-parallel pool. Three stages:
                 //   reader thread — paced fetch of *encoded* chunks
                 //     (I/O only) into a bounded ring;
                 //   pool workers  — steal the next fetched chunk, decode
-                //     it and run the single-threaded join against a
-                //     fresh per-chunk Device (the transfer ledger is the
-                //     one piece of cross-chunk mutable device state);
-                //   this thread   — processes the sample chunk (seq 0),
-                //     then folds finished chunks in ascending sequence
-                //     through the merger and planner feedback.
-                let bandwidth = self.disk_bandwidth;
+                //     and bin it;
+                //   this thread   — bins the sample chunk (seq 0), then
+                //     blends binned chunks in ascending sequence.
                 // The ring must hold at least one fetched chunk per
                 // worker plus one spare, or a shallow readahead setting
                 // would starve the pool it is supposed to feed.
                 let ring = self.readahead.max(1).max(pool_workers + 1);
-                let busy = BusyUnion::new();
-                let wall0 = Instant::now();
                 type Fetched = (u64, io::Result<(EncodedChunk, Duration)>);
                 let (work_tx, work_rx) = mpsc::sync_channel::<Fetched>(ring);
                 let work_rx = Arc::new(parking_lot::Mutex::new(work_rx));
                 let (res_tx, res_rx) = mpsc::channel::<(u64, io::Result<ChunkDone>)>();
+                // The chunks' decode runs on the workers; the reader only
+                // saw the sample's.
+                let mut pool_decode = Duration::ZERO;
+                let mut pool_cols: Vec<Duration> = Vec::new();
 
-                let (first_err, bytes, sample_decode, cols, rec, pool_read, pool_decode, pool_cols) =
-                    crossbeam::thread::scope(|s| {
-                        // Reader: fetch + pace only; decode runs on the
-                        // pool. Hands its byte/per-column counters back.
-                        // The fetch loop runs contained: a panic inside
-                        // the reader (or the `stream.reader` failpoint's
-                        // panic kind) becomes one more error on the ring,
-                        // taking the same first-error shutdown path as an
-                        // I/O failure.
-                        let reader_handle = s.spawn(move |_| {
-                            let mut seq = 1u64; // the sample is seq 0
-                            let ran = containment::contained(|| loop {
-                                if let Some(kind) = faults::hit(faults::STREAM_READER) {
-                                    if kind == faults::FaultKind::Panic {
-                                        panic!("injected fault: stream.reader");
-                                    }
-                                    let _ = work_tx.send((seq, Err(faults::io_error(kind))));
-                                    break;
-                                }
-                                match paced_fetch(&mut reader, bandwidth) {
-                                    Ok(Some(pair)) => {
-                                        if work_tx.send((seq, Ok(pair))).is_err() {
-                                            break; // pool bailed
+                let first_err = crossbeam::thread::scope(|s| {
+                    // Reader: fetch + pace only, tagging each chunk (or
+                    // the error that ends the scan) with the next seq;
+                    // the sample is seq 0.
+                    let reader_handle = s.spawn(move |_| {
+                        let mut seq = 1u64;
+                        read_ahead(reader, bandwidth, ChunkedReader::fetch_chunk, |fetched| {
+                            let tag = seq;
+                            seq += u64::from(fetched.is_ok());
+                            work_tx.send((tag, fetched)).is_ok()
+                        })
+                    });
+                    for _ in 0..pool_workers {
+                        let work_rx = Arc::clone(&work_rx);
+                        let res_tx = res_tx.clone();
+                        let (busy, bin_chunk) = (&busy, &bin_chunk);
+                        s.spawn(move |_| loop {
+                            // Work stealing at chunk granularity:
+                            // whichever worker goes idle first takes the
+                            // next fetched chunk off the shared ring (a
+                            // blocking recv under a mutex — the queue
+                            // itself is the steal point).
+                            let Ok((seq, fetched)) = work_rx.lock().recv() else {
+                                break; // reader hung up, ring drained
+                            };
+                            // Contained decode+bin: a panicking worker
+                            // still sends *something* for its claimed seq
+                            // — otherwise the consumer's reorder buffer
+                            // would wait on that seq forever and the query
+                            // would either hang or resolve a silent
+                            // partial aggregate.
+                            let done = match containment::contained(|| {
+                                fetched.and_then(|(enc, fetch)| {
+                                    match faults::hit(faults::STREAM_WORKER) {
+                                        Some(faults::FaultKind::Panic) => {
+                                            panic!("injected fault: stream.worker")
                                         }
-                                        seq += 1;
+                                        Some(kind) => return Err(faults::io_error(kind)),
+                                        None => {}
                                     }
-                                    Ok(None) => break,
-                                    Err(e) => {
-                                        let _ = work_tx.send((seq, Err(e)));
-                                        break;
-                                    }
-                                }
-                            });
-                            if let Err(msg) = ran {
-                                let _ = work_tx.send((seq, Err(containment::panic_error(msg))));
-                            }
-                            (
-                                reader.bytes_read(),
-                                reader.decode_time(),
-                                reader.column_io().to_vec(),
-                                reader.recovery().clone(),
-                            )
-                        });
-                        for _ in 0..pool_workers {
-                            let work_rx = Arc::clone(&work_rx);
-                            let res_tx = res_tx.clone();
-                            let busy = &busy;
-                            let run_chunk_on = &run_chunk_on;
-                            let dev_cfg = device.config();
-                            s.spawn(move |_| loop {
-                                // Work stealing at chunk granularity:
-                                // whichever worker goes idle first takes
-                                // the next fetched chunk off the shared
-                                // ring (a blocking recv under a mutex —
-                                // the queue itself is the steal point).
-                                let Ok((seq, fetched)) = work_rx.lock().recv() else {
-                                    break; // reader hung up, ring drained
-                                };
-                                // Contained decode+join: a panicking
-                                // worker still sends *something* for its
-                                // claimed seq — otherwise the consumer's
-                                // reorder buffer would wait on that seq
-                                // forever and the query would either hang
-                                // or fold a silent partial aggregate.
-                                let done = match containment::contained(|| {
-                                    fetched.and_then(|(enc, fetch)| {
-                                        match faults::hit(faults::STREAM_WORKER) {
-                                            Some(faults::FaultKind::Panic) => {
-                                                panic!("injected fault: stream.worker")
+                                    busy.track(|| {
+                                        enc.decode().map(|dec| {
+                                            let (deltas, raw) = bin_chunk(&dec.table);
+                                            ChunkDone {
+                                                deltas,
+                                                raw,
+                                                fetch,
+                                                decode: dec.decode_time,
+                                                col_decode: dec.col_decode,
                                             }
-                                            Some(kind) => return Err(faults::io_error(kind)),
-                                            None => {}
-                                        }
-                                        busy.track(|| {
-                                            enc.decode().map(|dec| {
-                                                let dev = Device::new(dev_cfg);
-                                                let (out, key, raw) =
-                                                    run_chunk_on(&dec.table, &dev);
-                                                ChunkDone {
-                                                    out,
-                                                    key,
-                                                    raw,
-                                                    fetch,
-                                                    decode: dec.decode_time,
-                                                    col_decode: dec.col_decode,
-                                                }
-                                            })
                                         })
                                     })
-                                }) {
-                                    Ok(done) => done,
-                                    Err(msg) => Err(containment::panic_error(msg)),
-                                };
-                                if res_tx.send((seq, done)).is_err() {
-                                    break; // consumer bailed
-                                }
-                            });
-                        }
-                        drop(res_tx);
-
-                        // The sample is seq 0: processed here, inside the
-                        // busy union, while the pool already fetches and
-                        // joins chunks 1…R behind it.
-                        let sample_done = busy.track(|| {
-                            let (out, key, raw) = run_chunk_on(&sample, device);
-                            ChunkDone {
-                                out,
-                                key,
-                                raw,
-                                fetch: Duration::ZERO,
-                                decode: Duration::ZERO,
-                                col_decode: Vec::new(),
+                                })
+                            }) {
+                                Ok(done) => done,
+                                Err(msg) => Err(containment::panic_error(msg)),
+                            };
+                            if res_tx.send((seq, done)).is_err() {
+                                break; // consumer bailed
                             }
                         });
+                    }
+                    drop(res_tx);
 
-                        // Ordered fold: the reorder buffer releases chunks
-                        // in ascending seq, so merged sums, calibration
-                        // feedback and error precedence are identical to
-                        // the sequential loop's.
-                        let mut pending: ReorderBuffer<io::Result<ChunkDone>> =
-                            ReorderBuffer::new(0);
-                        pending.insert(0, Ok(sample_done));
-                        let mut first_err: Option<io::Error> = None;
-                        let mut pool_read = Duration::ZERO;
-                        let mut pool_decode = Duration::ZERO;
-                        let mut pool_cols: Vec<Duration> = Vec::new();
-                        loop {
-                            while first_err.is_none() {
-                                match pending.pop_next() {
-                                    Some(Ok(done)) => {
-                                        pool_read += done.fetch;
-                                        pool_decode += done.decode;
-                                        for (ci, d) in done.col_decode.iter().enumerate() {
-                                            if pool_cols.len() <= ci {
-                                                pool_cols.resize(ci + 1, Duration::ZERO);
-                                            }
-                                            pool_cols[ci] += *d;
+                    // The sample is seq 0: binned and blended here while
+                    // the pool already fetches and bins chunks 1…R behind
+                    // it.
+                    absorb(busy.track(|| bin_chunk(&sample)));
+
+                    // Ordered blend: the reorder buffer releases chunks in
+                    // ascending seq, so the canvases, calibration feedback
+                    // and error precedence are identical to the
+                    // sequential loop's.
+                    let mut pending: ReorderBuffer<io::Result<ChunkDone>> = ReorderBuffer::new(1);
+                    let mut first_err: Option<io::Error> = None;
+                    loop {
+                        while first_err.is_none() {
+                            match pending.pop_next() {
+                                Some(Ok(done)) => {
+                                    read_time += done.fetch;
+                                    pool_decode += done.decode;
+                                    for (ci, d) in done.col_decode.iter().enumerate() {
+                                        if pool_cols.len() <= ci {
+                                            pool_cols.resize(ci + 1, Duration::ZERO);
                                         }
-                                        absorb(done.out, done.key, done.raw);
+                                        pool_cols[ci] += *d;
                                     }
-                                    Some(Err(e)) => first_err = Some(e),
-                                    None => break,
+                                    absorb((done.deltas, done.raw));
                                 }
-                            }
-                            if first_err.is_some() {
-                                break;
-                            }
-                            match res_rx.recv() {
-                                Ok((seq, done)) => {
-                                    pending.insert(seq, done);
-                                }
-                                Err(_) => break, // every worker finished
+                                Some(Err(e)) => first_err = Some(e),
+                                None => break,
                             }
                         }
-                        // Unblock the pipeline before the scope joins:
-                        // dropping the receivers fails the workers' sends,
-                        // the workers exit and drop their ring handles,
-                        // and the reader's ring send then fails too.
-                        drop(res_rx);
-                        drop(work_rx);
-                        // The reader loop itself is contained, so a join
-                        // error here means the panic escaped the fetch
-                        // loop (e.g. inside the counter hand-back). Fold
-                        // it into the error slot instead of aborting; the
-                        // counters are unknowable, so they stay zero.
-                        let (bytes, sample_decode, cols, rec) = match reader_handle.join() {
-                            Ok(counters) => counters,
-                            Err(p) => {
-                                let msg = containment::panic_msg(p.as_ref());
-                                first_err.get_or_insert_with(|| containment::panic_error(msg));
-                                (0, Duration::ZERO, Vec::new(), FaultRecovery::default())
+                        if first_err.is_some() {
+                            break;
+                        }
+                        match res_rx.recv() {
+                            Ok((seq, done)) => {
+                                pending.insert(seq, done);
                             }
-                        };
-                        (
-                            first_err,
-                            bytes,
-                            sample_decode,
-                            cols,
-                            rec,
-                            pool_read,
-                            pool_decode,
-                            pool_cols,
-                        )
-                    })
-                    .map_err(|p| {
-                        // A pool worker's spawn closure unwound outside
-                        // its contained region; crossbeam re-raises it at
-                        // scope exit. Surface it typed.
-                        StreamError::WorkerPanicked(containment::panic_msg(p.as_ref()))
-                    })?;
+                            Err(_) => break, // every worker finished
+                        }
+                    }
+                    // Unblock the pipeline before the scope joins:
+                    // dropping the receivers fails the workers' sends, the
+                    // workers exit and drop their ring handles, and the
+                    // reader's ring send then fails too.
+                    drop(res_rx);
+                    drop(work_rx);
+                    // The reader loop itself is contained, so a join error
+                    // here means the panic escaped it (e.g. inside the
+                    // tally). Fold it into the error slot instead of
+                    // aborting; the counters are unknowable.
+                    match reader_handle.join() {
+                        Ok((bytes, sample_decode, mut cols, rec)) => {
+                            for (c, d) in cols.iter_mut().zip(&pool_cols) {
+                                c.decode_time += *d;
+                            }
+                            reader_tally = (bytes, sample_decode + pool_decode, cols, rec);
+                        }
+                        Err(p) => {
+                            let msg = containment::panic_msg(p.as_ref());
+                            first_err.get_or_insert_with(|| containment::panic_error(msg));
+                        }
+                    }
+                    first_err
+                })
+                .map_err(|p| {
+                    // A pool worker's spawn closure unwound outside its
+                    // contained region; crossbeam re-raises it at scope
+                    // exit. Surface it typed.
+                    StreamError::WorkerPanicked(containment::panic_msg(p.as_ref()))
+                })?;
                 if let Some(e) = first_err {
                     return Err(e.into());
                 }
-                recovery = rec;
-                read_time += pool_read;
-                read_bytes = bytes;
-                // The reader only saw the sample decode; the chunks'
-                // decode ran on the workers.
-                decode_time = sample_decode + pool_decode;
-                column_io = cols;
-                for (ci, d) in pool_cols.iter().enumerate() {
-                    if let Some(c) = column_io.get_mut(ci) {
-                        c.decode_time += *d;
-                    }
-                }
-                pool_times = Some((wall0.elapsed(), busy.covered()));
             } else if self.prefetch {
-                let bandwidth = self.disk_bandwidth;
                 // The readahead ring: a bounded channel holding up to
                 // `readahead` decoded chunks, with one more always in
-                // flight inside the reader — several pruned chunk reads
-                // stay ahead of the join instead of the old two slots.
+                // flight inside the reader. The reader thread reads AND
+                // decodes: decompression of chunk k+1 overlaps the
+                // processing of chunk k just like the read itself does.
                 let (tx, rx) =
                     mpsc::sync_channel::<io::Result<(PointTable, Duration)>>(self.readahead.max(1));
-                // The reader thread reads AND decodes: decompression of
-                // chunk k+1 overlaps the join processing of chunk k just
-                // like the read itself does. It hands its cumulative
-                // byte/decode/per-column counters back when it finishes.
                 let handle = std::thread::spawn(move || {
-                    // Contained like the pool reader: a panic becomes one
-                    // more error on the ring and the consumer below turns
-                    // it into a typed `WorkerPanicked`.
-                    let ran = containment::contained(|| loop {
-                        if let Some(kind) = faults::hit(faults::STREAM_READER) {
-                            if kind == faults::FaultKind::Panic {
-                                panic!("injected fault: stream.reader");
-                            }
-                            let _ = tx.send(Err(faults::io_error(kind)));
-                            break;
-                        }
-                        match paced_next(&mut reader, bandwidth) {
-                            Ok(Some(pair)) => {
-                                if tx.send(Ok(pair)).is_err() {
-                                    break; // consumer bailed
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                break;
-                            }
-                        }
-                    });
-                    if let Err(msg) = ran {
-                        let _ = tx.send(Err(containment::panic_error(msg)));
-                    }
-                    (
-                        reader.bytes_read(),
-                        reader.decode_time(),
-                        reader.column_io().to_vec(),
-                        reader.recovery().clone(),
-                    )
+                    read_ahead(reader, bandwidth, ChunkedReader::next_chunk, |read| {
+                        tx.send(read).is_ok()
+                    })
                 });
-                let (out, key, raw) = run_chunk_on(&sample, device);
-                absorb(out, key, raw);
+                absorb(busy.track(|| bin_chunk(&sample)));
                 loop {
-                    let w0 = Instant::now();
                     match rx.recv() {
                         Ok(Ok((chunk, dt))) => {
-                            stall += w0.elapsed();
                             read_time += dt;
-                            let (out, key, raw) = run_chunk_on(&chunk, device);
-                            absorb(out, key, raw);
+                            absorb(busy.track(|| bin_chunk(&chunk)));
                         }
                         Ok(Err(e)) => {
                             drop(rx);
@@ -1130,66 +1137,49 @@ impl StreamingRasterJoin {
                         Err(_) => break, // reader finished and hung up
                     }
                 }
-                let (bytes, decode, cols, rec) = match handle.join() {
-                    Ok(counters) => counters,
-                    Err(p) => {
-                        return Err(StreamError::WorkerPanicked(containment::panic_msg(
-                            p.as_ref(),
-                        )));
-                    }
-                };
-                read_bytes = bytes;
-                decode_time = decode;
-                column_io = cols;
-                recovery = rec;
+                reader_tally = handle
+                    .join()
+                    .map_err(|p| StreamError::WorkerPanicked(containment::panic_msg(p.as_ref())))?;
             } else {
                 // Paper-faithful §7.7: read, then process, strictly
                 // alternating on one buffer.
-                let (out, key, raw) = run_chunk_on(&sample, device);
-                absorb(out, key, raw);
-                while let Some((chunk, dt)) = paced_next(&mut reader, self.disk_bandwidth)? {
+                absorb(busy.track(|| bin_chunk(&sample)));
+                while let Some((chunk, dt)) =
+                    paced(&mut reader, bandwidth, ChunkedReader::next_chunk)?
+                {
                     read_time += dt;
-                    stall += dt;
-                    let (out, key, raw) = run_chunk_on(&chunk, device);
-                    absorb(out, key, raw);
+                    absorb(busy.track(|| bin_chunk(&chunk)));
                 }
-                read_bytes = reader.bytes_read();
-                decode_time = reader.decode_time();
-                column_io = reader.column_io().to_vec();
-                recovery = reader.recovery().clone();
+                reader_tally = tally(&reader);
             }
-        }
 
-        let chunks = merger.chunks();
-        // One save for the whole scan (feed() deliberately does not
-        // autosave per chunk); best-effort like execute()'s autosave.
-        if chunks > 0 {
+            // *Resolve*: every chunk is in the canvases; draw the polygons
+            // once, at the scan's full width, and hand the canvases back.
+            let resolved = busy.track(|| pieces.resolve(&canvases, query));
+            drop(canvases);
+            device.record_download((nslots * 16) as u64);
+            let (_, polygon_stage) = cost::stage_split(&cost::features(&plan, &wl, device));
+            self.planner.feed(
+                key,
+                cal.raw(&polygon_stage),
+                acquire + resolved.stats.processing + pieces.outline_time(),
+            );
+            chunks = merger.chunks();
+            merger.fold(&resolved);
+            // One save for the whole scan (feed() deliberately does not
+            // autosave per chunk); best-effort like execute()'s autosave.
             let _ = self.planner.persist();
         }
+
         let mut output = merger.finish();
-        output.stats.disk = stall;
-        if let Some((wall, covered)) = pool_times {
-            // Pool accounting (see module docs): `processing` is the
-            // busy-interval union — wall time during which at least one
-            // worker was decoding or joining — and `disk` its complement:
-            // the sample read plus the wall time the whole pool starved
-            // for data. `total()` then still tracks the real wall clock
-            // (sample_read + wall + modelled transfer), and chunk-level
-            // overlap shows up exactly like prefetch overlap always has:
-            // as a shrinking `disk` component. The per-stage timers
-            // (`point_stage`, `binning`, `shard_merge`, …) remain
-            // cumulative across workers, so they sum over `processing`
-            // when chunks overlapped.
-            output.stats.processing = covered;
-            output.stats.disk = sample_read + wall.saturating_sub(covered);
-        }
-        if let Prepared::Accurate(p) = &prepared {
-            // The one-off conservative outline pass is processing time,
-            // charged exactly once per query (not per chunk).
-            output.stats.processing += p.outline_time();
-            output.stats.polygon_stage += p.outline_time();
-            output.stats.passes += 1;
-        }
+        // Per-chunk `processing` summed worker time; the scan reports the
+        // wall-clock union instead (see the module docs).
+        output.stats.processing = planning + busy.covered();
+        let ledger = device.stats();
+        output.stats.upload_bytes = ledger.bytes_up;
+        output.stats.download_bytes = ledger.bytes_down;
+        output.stats.transfer = device.modelled_transfer_time();
+        let (read_bytes, decode_time, column_io, recovery) = reader_tally;
         Ok(StreamOutput {
             output,
             plan,
@@ -1305,19 +1295,20 @@ impl StreamingRasterJoin {
                 "blocking reader"
             }
         );
-        // The same width computation as `execute`: the planner's chosen
-        // worker count capped by the executor's configured parallelism.
-        let pool_workers = if self.prefetch {
-            setup.plan.workers.min(self.workers.max(1))
-        } else {
-            1
-        };
+        let pool_workers = if self.prefetch { setup.width } else { 1 };
         let _ = writeln!(
             out,
             "  workers: {} chunk-pool worker(s) (planner chose {}, executor caps at {})",
             pool_workers,
             setup.plan.workers,
             self.workers.max(1)
+        );
+        let shape = cost::shape(&setup.plan, &setup.wl, device);
+        let _ = writeln!(
+            out,
+            "  polygon pass: once per scan, over {} resident canvas tile(s) at {} worker(s) \
+             (chunks only bin and blend)",
+            shape.tiles, setup.width
         );
         match &setup.projection {
             Some(p) => {
@@ -1405,6 +1396,11 @@ impl StreamingRasterJoin {
     }
 }
 
+/// Failing scans against a visible preparation: canvases drain on every
+/// exit, and only a healthy scan resolves.
+#[cfg(test)]
+mod drain_tests;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1448,11 +1444,12 @@ mod tests {
         let blocking = StreamingRasterJoin::new(2).blocking();
         let b = blocking.execute(&path, &polys, &q, &dev).unwrap();
         assert_eq!(b.output.counts, reference.counts);
-        // Blocking mode's loop-visible wait is the full read time by
-        // construction. (The prefetch arm's wait-vs-read relation is a
-        // scheduling property, asserted only in the paced bench where
-        // the margin is orders of magnitude above scheduler noise.)
-        assert_eq!(b.output.stats.disk, b.read_time);
+        // Blocking mode's loop-visible wait covers the full read time by
+        // construction: no read overlaps a busy span. (The prefetch arm's
+        // wait-vs-read relation is a scheduling property, asserted only
+        // in the paced bench where the margin is orders of magnitude
+        // above scheduler noise.)
+        assert!(b.output.stats.disk >= b.read_time);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1512,6 +1509,11 @@ mod tests {
         let f = fixed.execute(&path, &polys, &q, &dev).unwrap();
         assert_eq!(f.chunk_rows, 997);
         assert_eq!(f.output.counts, s.output.counts);
+        // The polygons are drawn once per scan, however it is chunked.
+        assert!(f.chunks > s.chunks);
+        assert_eq!(f.output.stats.batches, f.chunks);
+        assert_eq!(f.output.stats.passes, s.output.stats.passes);
+        assert_eq!(f.output.stats.fragments, s.output.stats.fragments);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1542,8 +1544,8 @@ mod tests {
         let s = stream.execute(&path, &polys, &q, &dev).unwrap();
         assert_eq!(
             stream.planner().calibration().observations,
-            s.chunks as u64,
-            "every chunk must feed the calibration"
+            s.chunks as u64 + 1,
+            "every chunk's point stage and the one resolve must feed the calibration"
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1565,8 +1567,8 @@ mod tests {
         let second = StreamingRasterJoin::new(2).with_calibration_path(&cal_path);
         assert_eq!(
             second.planner().calibration().observations,
-            s.chunks as u64,
-            "per-chunk feedback must persist across streaming instances"
+            s.chunks as u64 + 1,
+            "the scan's feedback must persist across streaming instances"
         );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&cal_path).ok();
@@ -1753,8 +1755,10 @@ mod tests {
         assert!(text.contains("columns: x, y, fare"), "{text}");
         assert!(text.contains("pruned 4 of 5 attribute column(s)"), "{text}");
         assert!(text.contains("readahead 3 chunk(s)"), "{text}");
-        // The chosen chunk-pool width is part of the streaming plan.
+        // The chosen chunk-pool width is part of the streaming plan, and
+        // so is the single polygon pass.
         assert!(text.contains("workers:"), "{text}");
+        assert!(text.contains("polygon pass: once per scan"), "{text}");
         assert!(
             text.contains("executor caps at 2"),
             "workers line should show the executor cap: {text}"

@@ -69,9 +69,15 @@ impl Fixture {
     }
 
     fn run(&self, width: usize) -> Result<StreamOutput, StreamError> {
-        StreamingRasterJoin::new(width)
-            .with_chunk_rows(451)
-            .execute(&self.path, &self.polys, &self.q, &self.dev)
+        self.run_observed(width).0
+    }
+
+    /// [`Fixture::run`] plus the observations the scan fed its planner:
+    /// one per chunk blended into the canvases, one for the resolve.
+    fn run_observed(&self, width: usize) -> (Result<StreamOutput, StreamError>, u64) {
+        let stream = StreamingRasterJoin::new(width).with_chunk_rows(451);
+        let res = stream.execute(&self.path, &self.polys, &self.q, &self.dev);
+        (res, stream.planner().calibration().observations)
     }
 
     /// Healthy baseline at `width`, under a counting-only guard so the
@@ -302,16 +308,69 @@ fn recovery_counters_report_absorbed_faults() {
     assert_bitwise(&reread, &healthy, "re-read scan");
 }
 
-/// The canvas pool drains on error paths: after executing chunks
-/// against a preparation, no canvases remain checked out — the counter
-/// the streaming shutdown relies on actually returns to zero.
+/// An errored scan never resolves a partial canvas. The scan feeds its
+/// planner once per chunk it blends and once for the resolve, and the
+/// chunks blended before an error at seq *e* are exactly `0..e`, so a
+/// failed scan's observation count is *e* — one more would be the
+/// polygon pass run over a canvas that is missing chunks. Reader faults
+/// strike at a known seq at any width; a worker site that fails every hit
+/// fails seq 1 wherever the pool is engaged.
+#[test]
+fn errored_scans_resolve_nothing() {
+    let fx = Fixture::new(2, "no-resolve");
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let mut results = Vec::new();
+    for &width in &WIDTHS {
+        for (spec, blended) in [
+            ("stream.reader@1=eof", 1),
+            ("stream.reader@3=notfound", 3),
+            ("stream.reader@2=panic", 2),
+            ("stream.worker%1=corrupt", 1),
+            ("stream.worker%1=panic", 1),
+        ] {
+            let _g = faults::install(spec).unwrap();
+            results.push((width, spec, blended, fx.run_observed(width)));
+        }
+    }
+    std::panic::set_hook(prev);
+
+    for (width, spec, blended, (res, observations)) in results {
+        let ctx = format!("width={width} spec={spec}");
+        match res {
+            Err(e) => {
+                assert_typed(&e, &ctx);
+                assert_eq!(
+                    observations, blended,
+                    "{ctx}: a failed scan observes its blended chunks and no resolve"
+                );
+            }
+            // The worker site only fires when the planner engages the
+            // chunk-parallel pool; elsewhere the scan is clean.
+            Ok(out) => {
+                assert!(spec.starts_with("stream.worker"), "{ctx}");
+                assert_eq!(out.pool_workers, 1, "{ctx}");
+                assert_eq!(observations, u64::from(out.chunks) + 1, "{ctx}");
+            }
+        }
+    }
+}
+
+/// Canvases drain on every path. In memory a pass acquires and releases
+/// per tile; a streamed scan checks the whole tiling out once
+/// (`PreparedBounded::canvases`), blends chunk after chunk into it and
+/// gives it back when the set drops — after the resolve, on an early
+/// error return, or while a panic unwinds. (The scan itself is held to
+/// this against its own preparation in `raster-join`'s
+/// `stream::drain_tests`.)
 #[test]
 fn canvas_pool_outstanding_drains_to_zero() {
     let extent = nyc_extent();
     let polys = synthetic_polygons(6, &extent, 0xC4A05);
     let pts = TaxiModel::default().generate(2_000, 0xC4A05);
     let fare = pts.attr_index("fare").unwrap();
-    let q = Query::avg(fare).with_epsilon(150.0);
+    // ε = 30 m at a 2048² limit: a 2×2-tile canvas.
+    let q = Query::avg(fare).with_epsilon(30.0);
     let dev = Device::new(DeviceConfig::small(
         1_500 * PointTable::point_bytes(2),
         2048,
@@ -327,4 +386,51 @@ fn canvas_pool_outstanding_drains_to_zero() {
             "every acquired canvas must be returned after a pass"
         );
     }
+
+    // The streamed shape: resident for the scan, resolved once.
+    let whole = join.execute_prepared(&prepared, &pts, &q, &dev);
+    let mut canvases = prepared.canvases();
+    let tiles = prepared.outstanding_canvases();
+    assert!(tiles > 1, "the fixture must tile");
+    for start in (0..pts.len()).step_by(700) {
+        let chunk = pts.slice(start, (start + 700).min(pts.len()));
+        canvases.blend(&join.bin(&prepared, &chunk, &q).binned);
+        assert_eq!(prepared.outstanding_canvases(), tiles, "held across chunks");
+    }
+    let resolved = join.resolve(&prepared, &canvases, &q);
+    drop(canvases);
+    assert_eq!(
+        prepared.outstanding_canvases(),
+        0,
+        "released after the resolve"
+    );
+    assert_eq!(resolved.counts, whole.counts);
+    assert_eq!(resolved.stats.passes as usize, tiles);
+
+    // An error mid-scan: the early return drops the set.
+    let failing_scan = || -> std::io::Result<()> {
+        let mut canvases = prepared.canvases();
+        canvases.blend(&join.bin(&prepared, &pts, &q).binned);
+        Err(std::io::Error::other("reader failed"))
+    };
+    assert!(failing_scan().is_err());
+    assert_eq!(
+        prepared.outstanding_canvases(),
+        0,
+        "released on the error path"
+    );
+
+    // A panic mid-scan: the unwind drops the set.
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let panicked = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _canvases = prepared.canvases();
+            panic!("mid-scan");
+        })
+        .join()
+    });
+    std::panic::set_hook(prev);
+    assert!(panicked.is_err());
+    assert_eq!(prepared.outstanding_canvases(), 0, "released by the unwind");
 }

@@ -3,9 +3,12 @@
 //! the in-memory join it decomposes — counts bit-identical, sums within
 //! the f32 reassociation tolerance documented on `ShardSet` — across
 //! every `RasterConfig`, odd chunk boundaries (chunk sizes that don't
-//! divide the table), empty tables, and predicate + AVG queries; and the
-//! prefetching reader must be a pure latency optimisation (identical
-//! results to the paper-faithful blocking reader).
+//! divide the table), empty tables, and predicate + AVG queries; the
+//! prefetching reader and the chunk pool must be pure latency
+//! optimisations (bitwise-identical to the paper-faithful blocking
+//! reader); and because a streamed scan blends every pixel in row order
+//! and draws its polygons once, a bounded scan must be *bitwise* the
+//! one-batch in-memory 1-worker join whatever the chunk size.
 
 use proptest::prelude::*;
 use raster_join_repro::data::codec::FormatError;
@@ -35,6 +38,33 @@ fn assert_sums_close(got: &[f64], want: &[f64]) -> Result<(), TestCaseError> {
         );
     }
     Ok(())
+}
+
+/// The operator a scan ran, minus the worker count: widths may
+/// legitimately change the planner's pick (serial stages amortize
+/// differently), and only like plans are comparable bitwise.
+fn operator(s: &StreamOutput) -> String {
+    let d = s.plan.describe();
+    d[..d.rfind(", workers=").unwrap()].to_string()
+}
+
+/// What a bounded streamed scan must equal bit for bit at any width, arm,
+/// format and chunk size: the in-memory join of the same pipeline config
+/// on one worker, the whole table as one batch (`dev` must hold it).
+fn in_memory_one_worker(
+    s: &StreamOutput,
+    pts: &PointTable,
+    polys: &[Polygon],
+    q: &Query,
+    dev: &Device,
+) -> JoinOutput {
+    let out = BoundedRasterJoin::with_config(1, s.plan.config).execute(pts, polys, q, dev);
+    assert_eq!(out.stats.batches, 1, "the reference must be one batch");
+    out
+}
+
+fn is_bounded(s: &StreamOutput) -> bool {
+    s.plan.variant == raster_join_repro::join::Variant::Bounded
 }
 
 proptest! {
@@ -109,15 +139,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// The chunk-parallel pool is a pure latency optimisation. For every
-    /// pipeline config, storage format (v1/v2/v3) and odd chunk size:
-    /// at each pool width the prefetching pool and the paper-faithful
-    /// blocking loop execute the *same* plan and must agree **bitwise**
-    /// (counts and f64 sums — intra-chunk joins are single-threaded and
-    /// the fold is chunk-ordered, so nothing reassociates); across pool
-    /// widths the outputs stay bitwise-equal whenever the planner kept
-    /// the same operator; and counts always match the in-memory
-    /// execution of the chosen plan.
+    /// The chunk-parallel pool is a pure latency optimisation and chunk
+    /// size a pure memory/latency choice. For every pipeline config,
+    /// storage format (v1/v2/v3) and chunk size (odd, one row, larger
+    /// than the table): at each pool width the prefetching pool and the
+    /// paper-faithful blocking loop execute the *same* plan and must
+    /// agree **bitwise** (counts and f64 sums — every chunk is binned in
+    /// row order and applied in chunk order, so nothing reassociates);
+    /// across pool widths the outputs stay bitwise-equal whenever the
+    /// planner kept the same operator; a bounded scan is bitwise the
+    /// in-memory 1-worker join — hence the same at every chunk size; and
+    /// counts always match the in-memory execution of the chosen plan.
     #[test]
     fn chunk_pool_is_bitwise_equal_to_sequential_across_widths(
         seed in any::<u64>(),
@@ -137,8 +169,10 @@ proptest! {
         if with_pred {
             q = q.with_predicates(vec![Predicate::new(hour, CmpOp::Lt, 84.0)]);
         }
+        // Room for the whole table, so a chunk can be larger than it and
+        // the in-memory reference is one batch.
         let dev = Device::new(DeviceConfig::small(
-            2_000 * PointTable::point_bytes(2),
+            8_000 * PointTable::point_bytes(2),
             2048,
         ));
         let path = tmp(&format!("pool-{seed:x}-{npts}-{chunk}"));
@@ -148,56 +182,61 @@ proptest! {
             _ => write_table_compressed(&path, &pts, 1_100).unwrap(),
         }
         let config = RasterConfig { binning, sharding };
-        let mk = |w: usize| {
-            StreamingRasterJoin::new(w)
-                .with_config_override(config)
-                .with_chunk_rows(chunk)
-        };
-        // The operator minus the worker count: widths may legitimately
-        // change the planner's pick (serial stages amortize differently),
-        // and only like plans are comparable bitwise.
-        let sig = |s: &StreamOutput| {
-            let d = s.plan.describe();
-            d[..d.rfind(", workers=").unwrap()].to_string()
-        };
 
-        let base = mk(1).execute(&path, &polys, &q, &dev).unwrap();
-        prop_assert_eq!(base.pool_workers, 1);
-        for w in [2usize, 4] {
-            let pool = mk(w).execute(&path, &polys, &q, &dev).unwrap();
-            let blocking = mk(w).blocking().execute(&path, &polys, &q, &dev).unwrap();
-            // Same planner inputs ⇒ same plan; prefetch/pool is pure
-            // execution strategy.
-            prop_assert_eq!(sig(&pool), sig(&blocking), "width {}", w);
-            prop_assert_eq!(blocking.pool_workers, 1);
-            prop_assert!(pool.pool_workers <= w);
-            prop_assert_eq!(pool.pool_workers, pool.plan.workers.min(w));
-            // Pool ≡ sequential, bitwise.
-            prop_assert_eq!(&pool.output.counts, &blocking.output.counts, "width {}", w);
-            prop_assert_eq!(&pool.output.sums, &blocking.output.sums, "width {}", w);
-            prop_assert_eq!(pool.chunks, blocking.chunks);
-            prop_assert_eq!(pool.rows as usize, npts);
-            // Cross-width: bitwise whenever the operator agrees.
-            if sig(&pool) == sig(&base) {
-                prop_assert_eq!(&pool.output.counts, &base.output.counts, "width {}", w);
-                prop_assert_eq!(&pool.output.sums, &base.output.sums, "width {}", w);
+        for chunk in [chunk, 1, npts + 13] {
+            let mk = |w: usize| {
+                StreamingRasterJoin::new(w)
+                    .with_config_override(config)
+                    .with_chunk_rows(chunk)
+            };
+            let base = mk(1).execute(&path, &polys, &q, &dev).unwrap();
+            prop_assert_eq!(base.pool_workers, 1);
+            prop_assert_eq!(base.chunk_rows, chunk);
+            for w in [2usize, 4] {
+                let pool = mk(w).execute(&path, &polys, &q, &dev).unwrap();
+                let blocking = mk(w).blocking().execute(&path, &polys, &q, &dev).unwrap();
+                // Same planner inputs ⇒ same plan; prefetch/pool is pure
+                // execution strategy.
+                prop_assert_eq!(operator(&pool), operator(&blocking), "width {}", w);
+                prop_assert_eq!(blocking.pool_workers, 1);
+                prop_assert!(pool.pool_workers <= w);
+                prop_assert_eq!(pool.pool_workers, pool.plan.workers.min(w));
+                // Pool ≡ sequential, bitwise.
+                prop_assert_eq!(&pool.output.counts, &blocking.output.counts, "width {}", w);
+                prop_assert_eq!(&pool.output.sums, &blocking.output.sums, "width {}", w);
+                prop_assert_eq!(pool.chunks, blocking.chunks);
+                prop_assert_eq!(pool.rows as usize, npts);
+                // Cross-width: bitwise whenever the operator agrees.
+                if operator(&pool) == operator(&base) {
+                    prop_assert_eq!(&pool.output.counts, &base.output.counts, "width {}", w);
+                    prop_assert_eq!(&pool.output.sums, &base.output.sums, "width {}", w);
+                }
+                // In-memory reference for the pool's own plan: counts
+                // bit-identical; a bounded scan is bitwise the 1-worker
+                // join (so equal at every chunk size), an accurate one
+                // within the chunk-reassociation tolerance.
+                let reference = pool.plan.execute(&pts, &polys, &q, &dev);
+                prop_assert_eq!(&pool.output.counts, &reference.counts, "width {}", w);
+                if is_bounded(&pool) {
+                    let one = in_memory_one_worker(&pool, &pts, &polys, &q, &dev);
+                    prop_assert_eq!(&pool.output.counts, &one.counts, "chunk {} width {}", chunk, w);
+                    prop_assert_eq!(&pool.output.sums, &one.sums, "chunk {} width {}", chunk, w);
+                } else {
+                    assert_sums_close(&pool.output.sums, &reference.sums)?;
+                }
             }
-            // In-memory reference for the pool's own plan: counts
-            // bit-identical, sums within the chunk-reassociation
-            // tolerance.
-            let reference = pool.plan.execute(&pts, &polys, &q, &dev);
-            prop_assert_eq!(&pool.output.counts, &reference.counts, "width {}", w);
-            assert_sums_close(&pool.output.sums, &reference.sums)?;
         }
         std::fs::remove_file(&path).ok();
     }
 }
 
-/// The pinned determinism matrix (ISSUE 6 acceptance): all four
-/// `RasterConfig`s × pool widths {1, 2, 4} × the blocking arm, at a fixed
-/// seed and an odd chunk size, produce counts bit-identical and sums
-/// bitwise-equal whenever the chosen operator agrees — and the width-1
-/// scan *is* the historical single-consumer pipeline (`pool_workers` 1).
+/// The pinned determinism matrix: all four `RasterConfig`s × pool widths
+/// {1, 2, 4} × the blocking arm × chunk sizes (odd, one row, larger than
+/// the table), on a one-tile and a 3×3-tile canvas, at a fixed seed.
+/// Pool and blocking agree bitwise at every cell; across widths whenever
+/// the chosen operator agrees; and every bounded cell equals the one
+/// in-memory 1-worker join — so bounded results are the same bits at
+/// every chunk size.
 #[test]
 fn worker_matrix_is_deterministic_for_every_config() {
     let extent = nyc_extent();
@@ -208,55 +247,56 @@ fn worker_matrix_is_deterministic_for_every_config() {
     let q = Query::avg(fare)
         .with_epsilon(60.0)
         .with_predicates(vec![Predicate::new(hour, CmpOp::Lt, 100.0)]);
-    let dev = Device::new(DeviceConfig::small(
-        1_500 * PointTable::point_bytes(2),
-        2048,
-    ));
     let path = tmp("worker-matrix");
     write_table(&path, &pts).unwrap();
 
-    for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
-        let config = RasterConfig { binning, sharding };
-        let run = |w: usize, blocking: bool| {
-            let mut s = StreamingRasterJoin::new(w)
-                .with_config_override(config)
-                .with_chunk_rows(997);
-            if blocking {
-                s = s.blocking();
-            }
-            s.execute(&path, &polys, &q, &dev).unwrap()
-        };
-        let base = run(1, false);
-        assert_eq!(base.pool_workers, 1, "{config:?}");
-        let strip = |s: &StreamOutput| {
-            let d = s.plan.describe();
-            d[..d.rfind(", workers=").unwrap()].to_string()
-        };
-        for w in [2usize, 4] {
-            let pool = run(w, false);
-            let blocking = run(w, true);
-            // Same width ⇒ same plan; pool vs blocking is pure execution
-            // strategy and must agree bitwise, counts and sums.
-            assert_eq!(strip(&pool), strip(&blocking), "{config:?} w={w}");
-            assert_eq!(
-                pool.output.counts, blocking.output.counts,
-                "{config:?} w={w}"
-            );
-            assert_eq!(
-                pool.output.sums, blocking.output.sums,
-                "{config:?} w={w}: bitwise sums"
-            );
-            assert_eq!(pool.chunks, blocking.chunks);
-            // Cross-width: bitwise whenever the planner kept the operator.
-            if strip(&pool) == strip(&base) {
-                assert_eq!(pool.output.counts, base.output.counts, "{config:?} w={w}");
-                assert_eq!(
-                    pool.output.sums, base.output.sums,
-                    "{config:?} w={w}: bitwise sums vs width 1"
-                );
+    let mut bounded_cells = 0;
+    for max_fbo in [2048, 512] {
+        let dev = Device::new(DeviceConfig::small(
+            8_000 * PointTable::point_bytes(2),
+            max_fbo,
+        ));
+        for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
+            let config = RasterConfig { binning, sharding };
+            for chunk in [997usize, 1, 6_500] {
+                let ctx = format!("fbo={max_fbo} {config:?} chunk={chunk}");
+                let run = |w: usize, blocking: bool| {
+                    let mut s = StreamingRasterJoin::new(w)
+                        .with_config_override(config)
+                        .with_chunk_rows(chunk);
+                    if blocking {
+                        s = s.blocking();
+                    }
+                    s.execute(&path, &polys, &q, &dev).unwrap()
+                };
+                let base = run(1, false);
+                assert_eq!(base.pool_workers, 1, "{ctx}");
+                for w in [1usize, 2, 4] {
+                    let pool = run(w, false);
+                    let blocking = run(w, true);
+                    // Same width ⇒ same plan; pool vs blocking is pure
+                    // execution strategy and must agree bitwise.
+                    assert_eq!(operator(&pool), operator(&blocking), "{ctx} w={w}");
+                    assert_eq!(pool.output.counts, blocking.output.counts, "{ctx} w={w}");
+                    assert_eq!(pool.output.sums, blocking.output.sums, "{ctx} w={w}");
+                    assert_eq!(pool.chunks, blocking.chunks);
+                    // Cross-width: bitwise whenever the planner kept the
+                    // operator.
+                    if operator(&pool) == operator(&base) {
+                        assert_eq!(pool.output.counts, base.output.counts, "{ctx} w={w}");
+                        assert_eq!(pool.output.sums, base.output.sums, "{ctx} w={w}");
+                    }
+                    if is_bounded(&pool) {
+                        bounded_cells += 1;
+                        let one = in_memory_one_worker(&pool, &pts, &polys, &q, &dev);
+                        assert_eq!(pool.output.counts, one.counts, "{ctx} w={w}");
+                        assert_eq!(pool.output.sums, one.sums, "{ctx} w={w}: bitwise sums");
+                    }
+                }
             }
         }
     }
+    assert!(bounded_cells > 0, "the matrix never ran the bounded join");
     std::fs::remove_file(&path).ok();
 }
 
