@@ -341,9 +341,16 @@ fn main() {
     let builtin = Calibration::builtin();
     let mut results: Vec<CellResult> = Vec::new();
     for (cell, m) in cells.iter().zip(&grid) {
+        // The planner's pick at the width the grid was measured at (phase
+        // 4 scores the width choice): on a cell whose cost is mostly fixed
+        // per-pass overhead — a sparse canvas held as pixel runs — a
+        // narrower pool can rank first, and no run of it exists to score.
         let choose = |cal: &Calibration| -> Plan {
             plan_workload(&m.wl, &m.query, &m.device, cal, workers, 2048, 1024, None)
-                .best()
+                .candidates
+                .iter()
+                .find(|c| c.plan.workers == workers)
+                .expect("the full-width plans are always enumerated")
                 .plan
         };
         // Distinct config labels can resolve to the identical physical

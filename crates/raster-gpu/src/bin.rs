@@ -48,8 +48,9 @@ use raster_geom::Point;
 pub struct RasterConfig {
     /// Bin points to canvas tiles once per batch instead of rescanning the
     /// whole batch per tile. Consumers skip binning on single-tile
-    /// canvases, where the direct blend already touches each point once
-    /// and the staging buffer would be pure overhead.
+    /// canvases dense enough to stay a [`crate::PointFbo`], where the
+    /// direct blend already touches each point once and the staging
+    /// buffer would be pure overhead.
     pub binning: bool,
     /// Blend point fragments into private per-worker shards merged after
     /// the scan, instead of atomics on the shared FBO.
@@ -78,6 +79,39 @@ impl Default for RasterConfig {
 /// the entry density, while the merge cost is flat in it.
 pub const SHARD_MIN_DENSITY: f64 = 0.5;
 
+/// Below this many entries per pixel a binned tile is held as sorted
+/// pixel runs ([`crate::PixelRuns`]) instead of a dense [`crate::PointFbo`].
+/// A dense tile costs per *pixel* — allocate, fault in or clear, fold
+/// every covered pixel — and a runs tile per *entry* — sort, collapse,
+/// one search per polygon span — so the cheaper canvas flips with the
+/// density.
+///
+/// Placed by `bench_binning`'s density sweep (`BENCH_binning.json`,
+/// `density_sweep` / `runs_crossover`; one ε = 20 m tile of 4102², 2
+/// workers; ranges over five quick runs, the committed file is the one
+/// closest to their medians). Against a *fresh* dense canvas — what every
+/// one-shot query pays — runs are faster at every swept density through
+/// 1/8 (COUNT 23–26 vs 35–44 ms there), and SUM stays 3–4× faster
+/// through 1/4 (59–93 vs 265–334 ms: the sum plane's first touch). At
+/// 1/4 the one-shot COUNT is the crossover — 43–56 vs 43–64 ms as one
+/// tile of many, 66–97 vs 76–111 ms as a 1-tile canvas that must be
+/// binned first, one run of five losing — and at 1/2 the dense 1-tile
+/// COUNT wins every run (118–191 vs 149–222 ms). Against a canvas
+/// *recycled* by a prepared loop runs hold through 1/8 (COUNT 23–26 vs
+/// 25–32 ms) and SUM ties at 1/4, but the COUNT pass loses 43–56 to
+/// 34–48 ms at 1/4. The gate sits at the one-shot COUNT crossover; a
+/// prepared COUNT loop gives up at most that fifth to a quarter between
+/// 1/8 and 1/4.
+///
+/// The sweep is one large tile at two workers. Through the executor at
+/// other shapes (CHANGES.md, PR 13): the SUM side holds everywhere (a
+/// one-shot SUM at 0.24 per pixel is 1.0–3.8× faster on runs from 500²
+/// to 4100², one worker or two), while a one-shot COUNT between 1/8 and
+/// 1/4 gives back up to half on canvases small enough to sit in cache
+/// (≤ 1000²: 0.5–2 ms) or on a single worker (2000²: 28 vs 21 ms; 4100²:
+/// 139 vs 117) — the price of deciding from entry and pixel counts alone.
+pub const RUNS_MAX_DENSITY: f64 = 0.25;
+
 impl RasterConfig {
     /// The pre-binning pipeline: per-tile rescans + atomic FBO blending.
     pub fn naive() -> Self {
@@ -95,6 +129,16 @@ impl RasterConfig {
     /// [`SHARD_MIN_DENSITY`] for the density crossover).
     pub fn use_shards(&self, entries: usize, pixels: usize, workers: usize) -> bool {
         self.sharding && workers > 1 && entries as f64 >= SHARD_MIN_DENSITY * pixels as f64
+    }
+
+    /// The canvas-representation gate, shared by the bounded executor and
+    /// the planner's cost model: is a tile of `pixels` pixels receiving
+    /// `entries` binned entries sparse enough to be held as pixel runs
+    /// (see [`RUNS_MAX_DENSITY`])? Runs are built from the binner's
+    /// output, so a config that rescans per tile never takes them — the
+    /// literal pipeline stays the ablation reference.
+    pub fn use_runs(&self, entries: usize, pixels: usize) -> bool {
+        self.binning && (entries as f64) < RUNS_MAX_DENSITY * pixels as f64
     }
 }
 

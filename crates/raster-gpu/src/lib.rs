@@ -14,6 +14,9 @@
 //!   (the paper's `Fpt` count/sum FBO and the boundary FBO), plus the
 //!   sharded accumulation path ([`framebuffer::ShardSet`]) and the
 //!   allocation-recycling [`framebuffer::FboPool`];
+//! * [`runs`] — the sparse canvas representation: a tile's binned entries
+//!   as sorted pixel runs ([`runs::PixelRuns`]), read by the polygon pass
+//!   through the same [`runs::SpanSource`] calls as the dense FBO;
 //! * [`raster`] — point, triangle (pixel-center sampling + top-left fill
 //!   rule, i.e. the OpenGL rasterization contract the error analysis of
 //!   §4.2 depends on) and conservative rasterization (§6.1 uses the
@@ -30,12 +33,16 @@ pub mod framebuffer;
 pub mod image;
 pub mod mrt;
 pub mod raster;
+pub mod runs;
 pub mod ssbo;
 pub mod viewport;
 
-pub use bin::{bin_points, BinnedBatch, CanvasTiling, RasterConfig, SHARD_MIN_DENSITY};
+pub use bin::{
+    bin_points, BinnedBatch, CanvasTiling, RasterConfig, RUNS_MAX_DENSITY, SHARD_MIN_DENSITY,
+};
 pub use device::{Device, DeviceConfig, TransferStats};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
 pub use mrt::MrtFbo;
+pub use runs::{PixelRuns, SpanSource};
 pub use ssbo::{AtomicF64Array, AtomicU64Array};
 pub use viewport::Viewport;

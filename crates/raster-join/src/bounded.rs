@@ -33,6 +33,35 @@
 //! * **Rescan** (`RasterConfig::naive`) — the literal translation of the
 //!   hardware pipeline: every tile pass re-filters and re-transforms the
 //!   whole batch, O(points × tiles). Kept for the ablation bench.
+//!
+//! # Two canvas representations
+//!
+//! The canvas resolution follows ε (§4.2), so a fine ε leaves most pixels
+//! empty: the taxi canvas at ε = 10 m holds 0.03 points per pixel. A
+//! binned tile is therefore held one of two ways:
+//!
+//! * **dense** — a [`PointFbo`] from the preparation's pool: acquire (or
+//!   clear), blend, fold every covered pixel. Costs per pixel.
+//! * **runs** — [`PixelRuns`]: the tile's binned entries sorted by pixel
+//!   and collapsed, searched per polygon span. Costs per entry; nothing
+//!   is sized by pixels.
+//!
+//! [`BoundedRasterJoin::execute_prepared`] picks per (batch × tile) with
+//! [`RasterConfig::use_runs`] — the tile's exact entry count after
+//! binning against its pixel count; on a one-tile canvas, which is only
+//! binned to become runs, the batch's row count stands in as the upper
+//! bound — and `ExecStats::runs_passes` says how often it chose runs.
+//! There is no option: the planner mirrors the same function
+//! (`optimizer::cost::shape`). Both canvases answer the polygon pass
+//! through [`SpanSource`] with the same counts, and a runs tile's f32
+//! pixel sums accumulate in row order at any worker count, so they are
+//! bitwise the streamed scan's and the 1-worker dense join's, where a
+//! dense tile blended by several workers is CAS-ordered (≤ 1e-6
+//! relative). Runs are built from the binner's output, so the rescan
+//! path never takes them: `RasterConfig::naive()` stays the literal
+//! pipeline every other path is compared against. Neither does the
+//! streaming scan — its resident canvases accumulate across chunks —
+//! nor the accurate join.
 
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query, StagedPartials};
 use crate::stats::ExecStats;
@@ -43,7 +72,9 @@ use raster_geom::{BBox, Point, Polygon};
 use raster_gpu::bin::{bin_points, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, parallel_ranges, timed};
 use raster_gpu::raster::rasterize_polygon_spans;
-use raster_gpu::{Device, FboPool, PointFbo, RasterConfig, ResidentCanvases, Viewport};
+use raster_gpu::{
+    Device, FboPool, PixelRuns, PointFbo, RasterConfig, ResidentCanvases, SpanSource, Viewport,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -272,7 +303,8 @@ impl BoundedRasterJoin {
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
         let agg_attr = query.aggregate.attr();
-        let pool = &prepared.pool;
+        let needs_sums = agg_attr.is_some();
+        let (polys, pool) = (&prepared.polys, &prepared.pool);
 
         let proc0 = Instant::now();
         let mut start = 0usize;
@@ -285,8 +317,13 @@ impl BoundedRasterJoin {
             // tiles once, instead of rescanning the batch per tile below.
             // A single-tile canvas has no rescan to eliminate — the direct
             // blend already filters and transforms each point exactly once
-            // — so binning there would only pay the staging buffer.
-            let binned = if self.config.binning && tiling.tile_count() > 1 {
+            // — so it is binned only to be held as pixel runs, which the
+            // batch's row count (an upper bound on its entries) decides.
+            let rows = end - start;
+            let binned = if self.config.binning
+                && (tiling.tile_count() > 1
+                    || self.config.use_runs(rows, tiling.full.pixel_count()))
+            {
                 let t0 = Instant::now();
                 let b = bin_range(tiling, points, start, end, query, self.workers);
                 let dt = t0.elapsed();
@@ -314,35 +351,44 @@ impl BoundedRasterJoin {
             };
 
             for (ti, vp) in tiling.tiles.iter().enumerate() {
-                let fbo = pool.acquire(vp.width, vp.height);
-                let mut point_stage = std::time::Duration::ZERO;
-                timed(&mut point_stage, || match &binned {
-                    Some(b) => self.draw_points_binned(b, ti, vp, &fbo, pool, &mut stats),
-                    None => self.draw_points(
-                        points,
-                        start,
-                        end,
-                        query,
-                        agg_attr,
-                        vp,
-                        est_tile_entries,
-                        &fbo,
-                        pool,
-                        &mut stats,
-                    ),
-                });
-                stats.point_stage += point_stage;
-                stats.fragments += timed(&mut stats.polygon_stage, || {
-                    self.draw_polygons(
-                        &prepared.polys,
-                        vp,
-                        &fbo,
-                        agg_attr.is_some(),
-                        &mut counts,
-                        &mut sums,
-                    )
-                });
-                pool.release(fbo);
+                // The canvas gate: a binned tile's exact entry count
+                // against its pixel count.
+                let sparse = binned
+                    .as_ref()
+                    .map(|b| b.tile(ti))
+                    .filter(|(idx, _)| self.config.use_runs(idx.len(), vp.pixel_count()));
+                if let Some((idx, vals)) = sparse {
+                    let runs = timed(&mut stats.point_stage, || {
+                        PixelRuns::build(idx, vals, vp.width, vp.height, self.workers)
+                    });
+                    stats.fragments += timed(&mut stats.polygon_stage, || {
+                        self.draw_polygons(polys, vp, &runs, needs_sums, &mut counts, &mut sums)
+                    });
+                    stats.runs_passes += 1;
+                } else {
+                    let fbo = pool.acquire(vp.width, vp.height);
+                    let mut point_stage = std::time::Duration::ZERO;
+                    timed(&mut point_stage, || match &binned {
+                        Some(b) => self.draw_points_binned(b, ti, vp, &fbo, pool, &mut stats),
+                        None => self.draw_points(
+                            points,
+                            start,
+                            end,
+                            query,
+                            agg_attr,
+                            vp,
+                            est_tile_entries,
+                            &fbo,
+                            pool,
+                            &mut stats,
+                        ),
+                    });
+                    stats.point_stage += point_stage;
+                    stats.fragments += timed(&mut stats.polygon_stage, || {
+                        self.draw_polygons(polys, vp, &fbo, needs_sums, &mut counts, &mut sums)
+                    });
+                    pool.release(fbo);
+                }
                 stats.passes += 1;
             }
 
@@ -530,14 +576,15 @@ impl BoundedRasterJoin {
     }
 
     /// Step II (Procedure DrawPolygons): scan-convert each polygon over
-    /// the FBO and fold the pixel partial aggregates into its result
-    /// slot. Accumulation is local per polygon; the per-polygon totals
-    /// reach the slots in polygon order. Returns the fragments visited.
-    fn draw_polygons(
+    /// the canvas — dense FBO or pixel runs — and fold the pixel partial
+    /// aggregates into its result slot. Accumulation is local per
+    /// polygon; the per-polygon totals reach the slots in polygon order.
+    /// Returns the fragments visited.
+    fn draw_polygons<S: SpanSource>(
         &self,
         polys: &[PolyRings],
         vp: &Viewport,
-        fbo: &PointFbo,
+        canvas: &S,
         needs_sums: bool,
         counts: &mut [u64],
         sums: &mut [f64],
@@ -561,7 +608,7 @@ impl BoundedRasterJoin {
             if needs_sums {
                 rasterize_polygon_spans(&ring_refs, w, h, |y, x0, x1| {
                     frags += (x1 - x0) as u64;
-                    let (cnt, sum) = fbo.span_totals(y, x0, x1);
+                    let (cnt, sum) = canvas.span_totals(y, x0, x1);
                     cnt_acc += cnt;
                     sum_acc += sum;
                 });
@@ -569,7 +616,7 @@ impl BoundedRasterJoin {
                 // COUNT query: the vectorized count-only scan.
                 rasterize_polygon_spans(&ring_refs, w, h, |y, x0, x1| {
                     frags += (x1 - x0) as u64;
-                    cnt_acc += fbo.span_count(y, x0, x1);
+                    cnt_acc += canvas.span_count(y, x0, x1);
                 });
             }
             staged.put(pi, cnt_acc, sum_acc);
@@ -853,18 +900,53 @@ mod tests {
         assert_eq!(out.stats.binned_points, 8);
     }
 
-    /// Single-tile canvases skip the binner entirely: the direct blend
-    /// already touches each point exactly once.
+    /// A single-tile canvas dense enough to stay an FBO skips the binner
+    /// entirely: the direct blend already touches each point exactly once.
     #[test]
     fn single_tile_canvas_skips_binning() {
         let polys = grid_polys();
-        let pts = points_in_quadrants();
+        // 57² pixels at ε = 0.5; 1024 rows sit above the runs gate.
+        let mut pts = PointTable::with_capacity(1024, &["v"]);
+        let eight = points_in_quadrants();
+        for _ in 0..128 {
+            for i in 0..eight.len() {
+                pts.push(eight.point(i), &[eight.attr(0)[i]]);
+            }
+        }
         let q = Query::count().with_epsilon(0.5);
         let out = BoundedRasterJoin::new(4).execute(&pts, &polys, &q, &Device::default());
         assert_eq!(out.stats.passes, 1, "canvas must be a single tile");
-        assert_eq!(out.counts, vec![1, 2, 3, 2]);
+        assert_eq!(out.counts, vec![128, 256, 384, 256]);
+        assert_eq!(out.stats.runs_passes, 0);
         assert_eq!(out.stats.binned_points, 0);
         assert_eq!(out.stats.binning, std::time::Duration::ZERO);
+    }
+
+    /// The canvas gate: a sparse tile is binned and held as pixel runs —
+    /// one tile or many — with the dense join's counts; the rescan
+    /// config never takes runs; and the sums on runs tiles are the same
+    /// bits at any worker count.
+    #[test]
+    fn sparse_tiles_are_held_as_runs() {
+        let polys = grid_polys();
+        let pts = points_in_quadrants(); // 8 points over 57² / 566² pixels
+        for (eps, max_dim) in [(0.5, 8192), (0.05, 128)] {
+            let q = Query::sum(0).with_epsilon(eps);
+            let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, max_dim));
+            let one = BoundedRasterJoin::new(1).execute(&pts, &polys, &q, &dev);
+            assert_eq!(one.stats.runs_passes, one.stats.passes, "ε={eps}");
+            assert_eq!(one.stats.binned_points, 8);
+            assert_eq!(one.counts, vec![1, 2, 3, 2]);
+            assert_eq!(one.sums, vec![1.0, 5.0, 15.0, 15.0]);
+            let four = BoundedRasterJoin::new(4).execute(&pts, &polys, &q, &dev);
+            assert_eq!(four.stats.runs_passes, four.stats.passes);
+            assert_eq!((&four.counts, &four.sums), (&one.counts, &one.sums));
+            let naive = BoundedRasterJoin::naive(4).execute(&pts, &polys, &q, &dev);
+            assert_eq!(naive.stats.runs_passes, 0);
+            assert_eq!(naive.stats.passes, one.stats.passes);
+            assert_eq!(naive.stats.fragments, one.stats.fragments);
+            assert_eq!(naive.counts, one.counts);
+        }
     }
 
     /// Binned + sharded out-of-core batching still matches single-batch.

@@ -15,8 +15,11 @@
 //! once and replays survivors per tile, the rescan path re-filters the
 //! whole batch per tile, the sharding density gate
 //! ([`raster_gpu::RasterConfig::use_shards`]) decides whether the shard
-//! merge runs,
-//! and single-tile canvases skip binning entirely.
+//! merge runs, the canvas gate ([`raster_gpu::RasterConfig::use_runs`])
+//! decides whether an in-memory bounded plan holds its tiles as sorted
+//! pixel runs — then nothing is charged per pixel: no clear, no
+//! per-pixel fold, a sort per surviving point instead of a blend — and
+//! single-tile canvases that stay dense skip binning entirely.
 //!
 //! # The worker-count dimension
 //!
@@ -283,6 +286,9 @@ pub struct PlanShape {
     pub pixels: f64,
     /// Whether the sharding density gate is predicted to engage.
     pub sharded: bool,
+    /// Whether the canvas gate is predicted to hold the tiles as pixel
+    /// runs (in-memory bounded plans only; see `bounded.rs`).
+    pub runs: bool,
 }
 
 /// Estimated polygon fragments at a given pixel side: interior area
@@ -306,12 +312,29 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
             let tiles = w.div_ceil(max_dim) * h.div_ceil(max_dim);
             let pixels = w as f64 * h as f64;
             let tile_px = pixels / tiles as f64;
-            let surv_per_tile = wl.n_points as f64 * wl.surviving / batches as f64 / tiles as f64;
+            let rows_per_batch = wl.n_points as f64 / batches as f64;
+            let surv_per_tile = rows_per_batch * wl.surviving / tiles as f64;
+            // Mirrors the executor's canvas gate, through the function it
+            // calls: a tile's surviving entries against its pixels, or —
+            // on a one-tile canvas, which is binned only to become runs —
+            // the batch's row count. A streamed scan keeps dense resident
+            // canvases whatever the density.
+            let gate_entries = if tiles > 1 {
+                surv_per_tile
+            } else {
+                rows_per_batch
+            };
+            let runs = !streamed(wl)
+                && plan
+                    .config
+                    .use_runs(gate_entries as usize, tile_px as usize);
             // Mirrors the executor: with binning on, a single-tile canvas
-            // skips both the binner and the shard path; a single blending
-            // worker never shards; the density gate then applies per tile.
+            // skips the shard path (and, unless it is held as runs, the
+            // binner); a single blending worker never shards; a runs tile
+            // has no FBO to merge into; the density gate then applies per
+            // tile.
             let shard_possible =
-                plan.config.sharding && intra > 1 && !(plan.config.binning && tiles <= 1);
+                plan.config.sharding && intra > 1 && !runs && !(plan.config.binning && tiles <= 1);
             let sharded = shard_possible && surv_per_tile >= SHARD_MIN_DENSITY * tile_px;
             PlanShape {
                 tiles,
@@ -319,6 +342,7 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
                 passes: tiles * polygon_rounds,
                 pixels,
                 sharded,
+                runs,
             }
         }
         Variant::Accurate => {
@@ -338,6 +362,7 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
                 passes: 2,
                 pixels,
                 sharded,
+                runs: false,
             }
         }
     }
@@ -345,11 +370,11 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
 
 /// The *effective* pipeline a plan resolves to on a workload, encoded
 /// like [`Plan::key`] plus a [`worker_bucket`] stride: binning is skipped
-/// on single-tile canvases and the sharding density gate may not engage,
-/// so distinct configs can collapse to the identical execution. The bench
-/// evaluation compares decisions by effective pipeline rather than by
-/// label, so noise between physically identical runs never scores as a
-/// planner error. The worker bucket keeps online feedback separated per
+/// on dense single-tile canvases and the sharding density gate may not
+/// engage, so distinct configs can collapse to the identical execution.
+/// The bench evaluation compares decisions by effective pipeline rather
+/// than by label, so noise between physically identical runs never
+/// scores as a planner error. The worker bucket keeps online feedback separated per
 /// pool size — the cost model's amortization error is systematic in the
 /// worker count, and a shared scale would smear it across counts.
 pub fn effective_key(plan: &Plan, wl: &Workload, device: &Device) -> usize {
@@ -358,13 +383,28 @@ pub fn effective_key(plan: &Plan, wl: &Workload, device: &Device) -> usize {
 
 /// [`effective_key`] for an already-computed shape.
 pub fn effective_key_of(plan: &Plan, sh: &PlanShape) -> usize {
-    let binning = matches!(plan.variant, Variant::Bounded) && plan.config.binning && sh.tiles > 1;
+    let binning = matches!(plan.variant, Variant::Bounded) && binned(plan, sh);
     let v = match plan.variant {
         Variant::Bounded => 0,
         Variant::Accurate => 4,
     };
     v + (binning as usize) * 2 + sh.sharded as usize + 8 * worker_bucket(plan.workers)
 }
+
+/// Does a bounded plan of this shape go through the binner? Mirrors the
+/// executor: multi-tile canvases always, a one-tile canvas only to be held
+/// as pixel runs.
+fn binned(plan: &Plan, sh: &PlanShape) -> bool {
+    plan.config.binning && (sh.tiles > 1 || sh.runs)
+}
+
+/// What sorting and collapsing one surviving entry into pixel runs costs,
+/// in blends of one entry into a warm dense FBO ([`W_BLEND`] units) — the
+/// runs build stands where the blend stood. Measured on 2 M taxi entries
+/// over one 4102² / 8192² tile at 1 and 2 workers: 2.5–2.8 blends for
+/// COUNT entries, 1.15–1.3 with values (the f32 CAS makes the blend
+/// itself dearer).
+pub const RUNS_SORT_BLENDS: f64 = 2.0;
 
 /// The feature vector of one plan over one workload: how many times each
 /// pipeline stage runs.
@@ -398,14 +438,23 @@ pub fn features_for(
     match plan.variant {
         Variant::Bounded => {
             let side = pixel_side_for_epsilon(wl.epsilon);
-            // In memory DrawPolygons re-runs per (tile × batch): the tile
-            // split keeps total fragments resolution-bound, but every
-            // batch clears the canvases and folds the full fragment
-            // volume again. A streamed scan does both once.
-            f[W_FRAG] = fragments(wl.area, wl.perimeter, side) * polygon_rounds;
-            f[W_CLEAR_PX] = sh.pixels * polygon_rounds;
-            let binned = plan.config.binning && sh.tiles > 1;
-            if binned {
+            if sh.runs {
+                // Pixel runs: no canvas to clear, and the polygon pass
+                // searches once per span (the outline band of
+                // `fragments`) instead of walking the interior pixels;
+                // every surviving point is sorted instead of blended.
+                f[W_FRAG] = wl.perimeter / side * polygon_rounds;
+                f[W_BLEND] = surv * RUNS_SORT_BLENDS;
+            } else {
+                // In memory DrawPolygons re-runs per (tile × batch): the
+                // tile split keeps total fragments resolution-bound, but
+                // every batch clears the canvases and folds the full
+                // fragment volume again. A streamed scan does both once.
+                f[W_FRAG] = fragments(wl.area, wl.perimeter, side) * polygon_rounds;
+                f[W_CLEAR_PX] = sh.pixels * polygon_rounds;
+                f[W_BLEND] = surv;
+            }
+            if binned(plan, sh) {
                 // One filter scan per batch over its own points; survivors
                 // staged once and replayed once.
                 f[W_FILTER] = n;
@@ -414,7 +463,6 @@ pub fn features_for(
                 // Rescan: every tile pass re-filters the whole batch.
                 f[W_FILTER] = n * tiles;
             }
-            f[W_BLEND] = surv;
             if sh.sharded {
                 // Each tile's shard set folds its pixels once per batch.
                 f[W_MERGE_PX] = sh.pixels * batches;
@@ -547,7 +595,9 @@ mod tests {
     fn rescan_refilters_per_tile_but_binned_does_not() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
-        let wl = Workload::assumed(1_000_000, &polys, &q);
+        // 50 M points over the 6836² canvas: ≈ 1 per pixel, a dense canvas
+        // (a sparse one is held as runs — `runs_gate_mirrors_the_executor`).
+        let wl = Workload::assumed(50_000_000, &polys, &q);
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
         // One worker: feature values are raw stage counts (no
         // amortization), so the exact-count assertions below hold.
@@ -568,7 +618,7 @@ mod tests {
         );
         assert!(sh.tiles > 1, "ε=12 over NYC must tile at max_fbo=2048");
         assert_eq!(rescan[W_FILTER], binned[W_FILTER] * sh.tiles as f64);
-        assert_eq!(binned[W_BIN], 1_000_000.0);
+        assert_eq!(binned[W_BIN], 50_000_000.0);
         assert_eq!(rescan[W_BIN], 0.0);
         assert_eq!(binned[W_BLEND], rescan[W_BLEND]);
     }
@@ -597,15 +647,17 @@ mod tests {
     fn batch_size_drives_batch_and_pass_features() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
-        let wl = Workload::assumed(1_000_000, &polys, &q);
+        // Dense at either batch size (≥ 0.5 points per pixel of the 6836²
+        // canvas), so both plans clear and fold an FBO per batch.
+        let wl = Workload::assumed(100_000_000, &polys, &q);
         let dev = Device::default();
         let one = shape(&plan(Variant::Bounded, true, true, usize::MAX), &wl, &dev);
-        let four = shape(&plan(Variant::Bounded, true, true, 250_000), &wl, &dev);
+        let four = shape(&plan(Variant::Bounded, true, true, 25_000_000), &wl, &dev);
         assert_eq!(one.batches, 1);
         assert_eq!(four.batches, 4);
         assert_eq!(four.passes, 4 * four.tiles);
         let f1 = features(&plan(Variant::Bounded, true, true, usize::MAX), &wl, &dev);
-        let f4 = features(&plan(Variant::Bounded, true, true, 250_000), &wl, &dev);
+        let f4 = features(&plan(Variant::Bounded, true, true, 25_000_000), &wl, &dev);
         assert!(f4[W_BATCH] > f1[W_BATCH]);
         assert!(f4[W_CLEAR_PX] > f1[W_CLEAR_PX]);
     }
@@ -660,15 +712,19 @@ mod tests {
     #[test]
     fn streamed_polygon_terms_are_flat_in_chunk_count() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
-        let q = Query::count().with_epsilon(12.0);
-        let in_memory = Workload::assumed(2_000_000, &polys, &q);
+        // ε = 100 m: an 821² canvas in 4 tiles of ≤ 512², dense in memory
+        // at either batch size (the in-memory half below compares dense
+        // canvases, which pay per batch; a streamed scan's are dense at
+        // any density).
+        let q = Query::count().with_epsilon(100.0);
+        let in_memory = Workload::assumed(16_000_000, &polys, &q);
         let streamed = Workload {
             stored_row_bytes: 20.0,
             ..in_memory
         };
-        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
-        let few = plan_w(Variant::Bounded, true, true, 250_000, 2);
-        let many = plan_w(Variant::Bounded, true, true, 31_250, 2);
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 512));
+        let few = plan_w(Variant::Bounded, true, true, 2_000_000, 2);
+        let many = plan_w(Variant::Bounded, true, true, 250_000, 2);
         let (sh_few, sh_many) = (shape(&few, &streamed, &dev), shape(&many, &streamed, &dev));
         assert_eq!((sh_few.batches, sh_many.batches), (8, 64));
         assert!(sh_few.tiles > 1);
@@ -711,6 +767,116 @@ mod tests {
         assert_eq!(f4[W_BLEND], f1[W_BLEND]);
         assert_eq!(f4[W_BIN], f1[W_BIN] / amort);
         assert_eq!(f4[W_FRAG], f1[W_FRAG] / amort);
+    }
+
+    /// FNV-1a over the feature bits of a grid of *streamed* workloads —
+    /// sparse and dense canvases, one tile and many, every config, batch
+    /// size and width, both variants.
+    fn streamed_feature_digest() -> u64 {
+        let polys = synthetic_polygons(8, &nyc_extent(), 3);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for max_fbo in [2048, 8192] {
+            let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, max_fbo));
+            for n in [50_000usize, 2_000_000, 8_000_000] {
+                for eps in [5.0, 12.0, 60.0, 3000.0] {
+                    for (surviving, stored_row_bytes, decode_cols) in
+                        [(1.0, 20.0, 0.0), (0.3, 8.5, 3.0)]
+                    {
+                        let wl = Workload {
+                            surviving,
+                            stored_row_bytes,
+                            decode_cols,
+                            ..Workload::assumed(n, &polys, &Query::count().with_epsilon(eps))
+                        };
+                        assert!(streamed(&wl));
+                        for variant in [Variant::Bounded, Variant::Accurate] {
+                            for (binning, sharding) in
+                                [(false, false), (true, false), (false, true), (true, true)]
+                            {
+                                for batch in [250_000, usize::MAX] {
+                                    for workers in [1, 2, 4] {
+                                        let p = plan_w(variant, binning, sharding, batch, workers);
+                                        for x in features(&p, &wl, &dev) {
+                                            for b in x.to_bits().to_le_bytes() {
+                                                h = (h ^ b as u64)
+                                                    .wrapping_mul(0x0000_0100_0000_01b3);
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// The canvas gate is an in-memory decision: a streamed scan keeps
+    /// dense resident canvases at any density, so its features must be
+    /// bit for bit what they were before pixel runs existed. The digest
+    /// was taken by running `streamed_feature_digest` on the parent
+    /// commit (7fcaa11); a change that means to move streamed features
+    /// re-takes it.
+    #[test]
+    fn streamed_features_are_what_they_were_before_runs() {
+        assert_eq!(streamed_feature_digest(), STREAMED_DIGEST_AT_PARENT);
+    }
+    const STREAMED_DIGEST_AT_PARENT: u64 = 0x0c2e_6e3c_27a4_e5ad;
+
+    /// In memory the planner mirrors the executor's canvas gate: a sparse
+    /// canvas — one tile (row-count bound) or many (surviving entries per
+    /// tile) — is costed as pixel runs, with nothing charged per pixel
+    /// and the sort charged per surviving point; a dense one is costed as
+    /// before; rescan configs and streamed scans never take runs.
+    #[test]
+    fn runs_gate_mirrors_the_executor() {
+        let polys = synthetic_polygons(8, &nyc_extent(), 3);
+        let dev = Device::default();
+        let binned = plan_w(Variant::Bounded, true, true, usize::MAX, 1);
+        let rescan = plan_w(Variant::Bounded, false, false, usize::MAX, 1);
+        // ε = 10 m over NYC: 8203² pixels in 4 tiles; 2 M points = 0.03/px.
+        // ε = 20 m: one 4102² tile, 0.12/px. ε = 100 m: 821², 3/px.
+        for (eps, tiles, runs) in [(10.0, 4, true), (20.0, 1, true), (100.0, 1, false)] {
+            let q = Query::count().with_epsilon(eps);
+            let wl = Workload {
+                surviving: 0.5,
+                ..Workload::assumed(2_000_000, &polys, &q)
+            };
+            let sh = shape(&binned, &wl, &dev);
+            assert_eq!((sh.tiles, sh.runs), (tiles, runs), "ε={eps}");
+            let rows_per_tile = 2_000_000 / tiles as usize;
+            assert_eq!(
+                runs,
+                binned
+                    .config
+                    .use_runs(rows_per_tile, sh.pixels as usize / tiles as usize)
+            );
+            let f = features(&binned, &wl, &dev);
+            let g = features(&rescan, &wl, &dev);
+            assert!(!shape(&rescan, &wl, &dev).runs);
+            assert!(g[W_CLEAR_PX] > 0.0 && g[W_BLEND] == 1_000_000.0);
+            if runs {
+                assert_eq!(f[W_CLEAR_PX], 0.0, "ε={eps}");
+                assert_eq!(
+                    f[W_BIN], 1_000_000.0,
+                    "a runs canvas is binned at any tile count"
+                );
+                assert_eq!(f[W_BLEND], 1_000_000.0 * RUNS_SORT_BLENDS);
+                assert!(f[W_FRAG] > 0.0 && f[W_FRAG] < g[W_FRAG] / 10.0);
+                assert_eq!(effective_key(&binned, &wl, &dev), 2, "bounded_binned");
+            } else {
+                // A dense one-tile canvas skips the binner, as before.
+                assert_eq!(f, g, "ε={eps}");
+            }
+            let on_disk = Workload {
+                stored_row_bytes: 20.0,
+                ..wl
+            };
+            assert!(!shape(&binned, &on_disk, &dev).runs);
+            assert!(features(&binned, &on_disk, &dev)[W_CLEAR_PX] > 0.0);
+        }
     }
 
     #[test]

@@ -318,6 +318,7 @@ pub fn plan_workload(
                         passes: 0,
                         pixels: 0.0,
                         sharded: false,
+                        runs: false,
                     },
                 };
             }

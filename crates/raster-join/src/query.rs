@@ -302,6 +302,7 @@ impl AggregateMerger {
         s.polygon_stage += o.polygon_stage;
         s.batches += o.batches;
         s.passes += o.passes;
+        s.runs_passes += o.runs_passes;
         s.pip_tests += o.pip_tests;
         s.fragments += o.fragments;
         s.materialized_pairs += o.materialized_pairs;

@@ -394,8 +394,11 @@ pub fn explain_query_calibrated(
     ));
     out.push_str(&format!("  operator: {}\n", best.plan.describe()));
     out.push_str(&format!(
-        "  layout: {} batch(es) x {} tile(s), {} render pass(es)\n",
-        best.shape.batches, best.shape.tiles, best.shape.passes
+        "  layout: {} batch(es) x {} tile(s), {} render pass(es), canvas: {}\n",
+        best.shape.batches,
+        best.shape.tiles,
+        best.shape.passes,
+        if best.shape.runs { "runs" } else { "dense" }
     ));
     let fmt_best = |v: Variant| {
         choice
@@ -606,6 +609,27 @@ mod tests {
         .is_ok());
     }
 
+    /// In-memory EXPLAIN names the canvas the executor's gate will pick:
+    /// 1 M points over the ε = 10 m canvas (8203², 0.015 per pixel) are
+    /// held as pixel runs, 200 M (3 per pixel) as a dense FBO.
+    #[test]
+    fn explain_names_the_canvas() {
+        use raster_data::polygons::synthetic_polygons;
+        let polys = synthetic_polygons(6, &raster_data::generators::nyc_extent(), 40);
+        for (n, canvas) in [(1_000_000, "canvas: runs"), (200_000_000, "canvas: dense")] {
+            let plan = explain_query(
+                "EXPLAIN SELECT COUNT(*) FROM P, R WHERE P.loc INSIDE R.geometry GROUP BY R.id",
+                &schema(),
+                n,
+                &polys,
+                &raster_gpu::Device::default(),
+            )
+            .unwrap();
+            assert!(plan.contains("BOUNDED"), "{plan}");
+            assert!(plan.contains(canvas), "{plan}");
+        }
+    }
+
     #[test]
     fn explain_reports_config_selectivity_and_calibration() {
         use raster_data::generators::TaxiModel;
@@ -624,9 +648,11 @@ mod tests {
         .unwrap();
         assert!(plan.contains("selectivity: 0.1"), "{plan}");
         assert!(plan.contains("sampled"), "{plan}");
-        // The selective predicate flips the choice to ACCURATE (the
-        // surviving points no longer amortise bounded's canvas costs).
-        assert!(plan.contains("ACCURATE raster join [sharding="), "{plan}");
+        // The survivors leave the ε = 10 m canvas nearly empty, so it is
+        // held as pixel runs and costs nothing per pixel: the selective
+        // predicate shrinks the bounded plan with the points it drops.
+        assert!(plan.contains("BOUNDED raster join [binning=on"), "{plan}");
+        assert!(plan.contains("canvas: runs"), "{plan}");
         assert!(plan.contains("batch="), "{plan}");
         assert!(plan.contains("candidate plan(s)"), "{plan}");
         assert!(plan.contains("builtin constants"), "{plan}");

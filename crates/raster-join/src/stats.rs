@@ -41,8 +41,8 @@ pub struct ExecStats {
     /// Bytes shipped device→host (results, materialized pairs).
     pub download_bytes: u64,
     /// Wall-clock time binning points to canvas tiles (subset of
-    /// `processing`; zero when binning is disabled or the canvas has a
-    /// single tile batch path).
+    /// `processing`; zero when binning is disabled or a single-tile
+    /// canvas dense enough to stay an FBO skips the binner).
     pub binning: Duration,
     /// Wall-clock time merging per-worker shards into the point FBO
     /// (subset of `processing`; zero when sharding is disabled).
@@ -51,9 +51,10 @@ pub struct ExecStats {
     /// the binner across all batches).
     pub binned_points: u64,
     /// Wall-clock time of the point stage — filtering, transforming and
-    /// blending points into the FBO, including binning/shard time (subset
-    /// of `processing`; recorded per run by the planner's calibration
-    /// bench as a sanity check on the fitted stage weights).
+    /// blending points into the FBO, or binning and sorting them into
+    /// pixel runs, including binning/shard time (subset of `processing`;
+    /// recorded per run by the planner's calibration bench as a sanity
+    /// check on the fitted stage weights).
     pub point_stage: Duration,
     /// Wall-clock time of the polygon stage — scan-converting polygons
     /// and folding pixel partials into result slots (subset of
@@ -65,6 +66,11 @@ pub struct ExecStats {
     /// Rendering passes executed (Fig. 5): canvas tiles × batches in
     /// memory, canvas tiles alone for a streamed scan.
     pub passes: u32,
+    /// Of `passes`, those whose canvas tile was held as sorted pixel runs
+    /// (`raster_gpu::PixelRuns`) rather than a dense FBO — the bounded
+    /// executor's density gate at work. Zero for streamed scans, rescan
+    /// configs and the accurate join.
+    pub runs_passes: u32,
     /// Point-in-polygon tests performed (the cost the paper eliminates).
     pub pip_tests: u64,
     /// Polygon fragments processed by the fragment shader.

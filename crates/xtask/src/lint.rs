@@ -87,6 +87,7 @@ pub const NO_CLOCK_PATHS: &[&str] = &[
     "crates/raster-gpu/src/framebuffer.rs",
     "crates/raster-gpu/src/bin.rs",
     "crates/raster-gpu/src/raster.rs",
+    "crates/raster-gpu/src/runs.rs",
     "crates/raster-gpu/src/viewport.rs",
     "crates/raster-join/src/query.rs",
 ];

@@ -5,10 +5,17 @@
 //! Counts must be **identical** (integer accumulation is order-free);
 //! sums must agree within f32 reassociation tolerance (the shard merge
 //! reorders f32 additions — see `raster_gpu::framebuffer::ShardSet`).
+//!
+//! A binned tile is held either as a dense `PointFbo` or as sorted pixel
+//! runs (`raster_gpu::PixelRuns`): the runs must answer every span query
+//! with the bits of a dense canvas blended in entry order, and on tiles
+//! held as runs the executor's sums must not depend on the worker count.
 
 use proptest::prelude::*;
 use raster_join_repro::data::polygons::synthetic_polygons;
-use raster_join_repro::gpu::RasterConfig;
+use raster_join_repro::gpu::{
+    bin_points, CanvasTiling, PixelRuns, PointFbo, RasterConfig, SpanSource,
+};
 use raster_join_repro::prelude::*;
 
 /// Bounded joins under all four config combinations.
@@ -154,6 +161,129 @@ proptest! {
         let outs = run_matrix(&pts, &polys, &q, &dev, 4);
         assert_equivalent(&outs, "batched workload")?;
         prop_assert!(outs[0].stats.batches >= 1);
+    }
+}
+
+/// Span queries worth asking of a `width`-pixel row: random ones plus the
+/// corners — empty spans, the full row, the first and the last pixel.
+fn probe_spans(width: u32, rng: &mut impl rand::Rng) -> Vec<(u32, u32)> {
+    let mut spans = vec![
+        (0, 0),
+        (width, width),
+        (0, width),
+        (0, 1),
+        (width - 1, width),
+    ];
+    for _ in 0..6 {
+        let x0 = rng.gen_range(0..=width);
+        spans.push((x0, rng.gen_range(x0..=width)));
+    }
+    spans
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Runs ≡ dense at the span level: for random extents, tile splits,
+    /// predicates, clustered points (empty tiles and rows) and hot pixels
+    /// carrying values whose f32 sum depends on the order, the runs built
+    /// from `BinnedBatch::tile` — at any worker count — answer
+    /// `span_count` / `span_totals` exactly as a `PointFbo` filled by
+    /// `blend_in_order`, sums compared by bits.
+    #[test]
+    fn runs_answer_spans_like_a_dense_canvas(
+        seed in any::<u64>(),
+        x0 in -1000.0f64..1000.0,
+        y0 in -1000.0f64..1000.0,
+        w in 10.0f64..5000.0,
+        h in 10.0f64..5000.0,
+        res in 20u32..150,
+        max_dim in 16u32..96,
+        npts in 0usize..3000,
+        spread in 0.05f64..1.0,
+        threshold in -100.0f64..50.0,
+        hot in 0usize..40,
+        workers in 1usize..5,
+        with_values in any::<bool>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let extent = BBox::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
+        let tiling = CanvasTiling::new(Viewport::new(extent, res, (res * 2) / 3 + 1), max_dim);
+        let mut pts = random_points(npts, &extent, seed, spread);
+        // Hot pixels: many entries on a handful of points, with values
+        // that cancel only in one order.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0407);
+        if !pts.is_empty() {
+            for k in 0..hot {
+                let at = pts.point(rng.gen_range(0..pts.len()));
+                pts.push(at, &[[1e8f32, 1.0, -1e8][k % 3]]);
+            }
+        }
+        let binned = bin_points(&tiling, pts.len(), workers, with_values, |i| {
+            let v = pts.attr(0)[i];
+            (v as f64 > threshold || v.abs() >= 1e8).then(|| (pts.point(i), v))
+        });
+        for (ti, vp) in tiling.tiles.iter().enumerate() {
+            let (idx, vals) = binned.tile(ti);
+            let runs = PixelRuns::build(idx, vals, vp.width, vp.height, workers);
+            let mut fbo = PointFbo::new(vp.width, vp.height);
+            fbo.blend_in_order(idx, vals);
+            let mut distinct = idx.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert_eq!(runs.run_count(), distinct.len());
+            for y in 0..vp.height {
+                for (a, b) in probe_spans(vp.width, &mut rng) {
+                    prop_assert_eq!(runs.span_count(y, a, b), fbo.span_count(y, a, b));
+                    let (rc, rs) = runs.span_totals(y, a, b);
+                    let (fc, fs) = fbo.span_totals(y, a, b);
+                    prop_assert_eq!(rc, fc, "tile {} row {} [{}, {})", ti, y, a, b);
+                    prop_assert_eq!(
+                        rs.to_bits(), fs.to_bits(),
+                        "tile {} row {} [{}, {}): {} vs {}", ti, y, a, b, rs, fs
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs ≡ dense at the executor level, on a canvas sparse enough to
+    /// take runs (a tile the cluster fills may still go dense): counts
+    /// equal the rescan reference — `naive()`, which never takes runs —
+    /// and sums agree with it within f32 reassociation; when every tile
+    /// is held as runs the sums are bitwise-identical at workers
+    /// {1, 2, 4}, every pixel accumulating in row order at any width.
+    /// (Dense tiles against the rescan are the config matrix above.)
+    #[test]
+    fn runs_tiles_are_width_independent_and_match_the_rescan(
+        seed in any::<u64>(),
+        npts in 0usize..1500,
+        max_dim in 48u32..400,
+        spread in 0.1f64..1.0,
+        threshold in -100.0f64..0.0,
+    ) {
+        let extent = BBox::new(Point::new(-300.0, 50.0), Point::new(900.0, 1000.0));
+        let polys = synthetic_polygons(6, &extent, seed);
+        let pts = random_points(npts, &extent, seed ^ 0xabc, spread);
+        // ≈ 340 × 270 pixels: at most 1500 points stay far below the gate.
+        let q = Query::sum(0)
+            .with_epsilon(5.0)
+            .with_predicates(vec![Predicate::new(0, CmpOp::Gt, threshold as f32)]);
+        let dev = Device::new(DeviceConfig::small(3 << 30, max_dim));
+        let one = BoundedRasterJoin::new(1).execute(&pts, &polys, &q, &dev);
+        let naive = BoundedRasterJoin::naive(3).execute(&pts, &polys, &q, &dev);
+        prop_assert_eq!(naive.stats.runs_passes, 0);
+        prop_assert!(one.stats.runs_passes > 0, "the sparse canvas must take runs");
+        prop_assert_eq!(&one.counts, &naive.counts);
+        assert_equivalent(&[naive, one.clone()], "runs vs rescan")?;
+        for workers in [2, 4] {
+            let wide = BoundedRasterJoin::new(workers).execute(&pts, &polys, &q, &dev);
+            prop_assert_eq!(wide.stats.runs_passes, one.stats.runs_passes);
+            prop_assert_eq!(&wide.counts, &one.counts);
+            if one.stats.runs_passes == one.stats.passes {
+                prop_assert_eq!(&wide.sums, &one.sums, "workers={}", workers);
+            }
+        }
     }
 }
 

@@ -236,7 +236,11 @@ proptest! {
 /// Pool and blocking agree bitwise at every cell; across widths whenever
 /// the chosen operator agrees; and every bounded cell equals the one
 /// in-memory 1-worker join — so bounded results are the same bits at
-/// every chunk size.
+/// every chunk size. The canvases here are sparse (6 000 points over
+/// ≈ 1366² pixels), so with binning on that in-memory join holds its
+/// tiles as pixel runs while the streamed scan blends dense resident
+/// canvases: runs ≡ dense bitwise, and the in-memory runs join itself is
+/// the same bits at widths {1, 2, 4}.
 #[test]
 fn worker_matrix_is_deterministic_for_every_config() {
     let extent = nyc_extent();
@@ -250,7 +254,7 @@ fn worker_matrix_is_deterministic_for_every_config() {
     let path = tmp("worker-matrix");
     write_table(&path, &pts).unwrap();
 
-    let mut bounded_cells = 0;
+    let (mut bounded_cells, mut runs_cells) = (0, 0);
     for max_fbo in [2048, 512] {
         let dev = Device::new(DeviceConfig::small(
             8_000 * PointTable::point_bytes(2),
@@ -258,6 +262,24 @@ fn worker_matrix_is_deterministic_for_every_config() {
         ));
         for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
             let config = RasterConfig { binning, sharding };
+            let in_memory = |w: usize| {
+                BoundedRasterJoin::with_config(w, config).execute(&pts, &polys, &q, &dev)
+            };
+            let one = in_memory(1);
+            assert_eq!(
+                one.stats.runs_passes > 0,
+                binning,
+                "fbo={max_fbo} {config:?}"
+            );
+            if one.stats.runs_passes == one.stats.passes {
+                runs_cells += 1;
+                for w in [2, 4] {
+                    let wide = in_memory(w);
+                    assert_eq!(wide.stats.runs_passes, wide.stats.passes);
+                    assert_eq!(wide.counts, one.counts, "fbo={max_fbo} {config:?} w={w}");
+                    assert_eq!(wide.sums, one.sums, "fbo={max_fbo} {config:?} w={w}");
+                }
+            }
             for chunk in [997usize, 1, 6_500] {
                 let ctx = format!("fbo={max_fbo} {config:?} chunk={chunk}");
                 let run = |w: usize, blocking: bool| {
@@ -297,6 +319,10 @@ fn worker_matrix_is_deterministic_for_every_config() {
         }
     }
     assert!(bounded_cells > 0, "the matrix never ran the bounded join");
+    assert_eq!(
+        runs_cells, 4,
+        "both binning configs on both canvases take runs"
+    );
     std::fs::remove_file(&path).ok();
 }
 
