@@ -65,6 +65,7 @@ pub fn table1(_scale: Scale) -> Report {
     );
     r.note("paper: NYC 260 polys → 20ms tri, 10ms GPU / 0.57s mCPU / 2.15s 1CPU index");
     r.note("paper: US 3945 polys → 0.66s tri, 14ms GPU / 23.3s mCPU / 37.1s 1CPU index");
+    r.note("triangulation is the paper's GPU-side cost; the raster joins here scan-convert rings and no longer pay it");
     let w = default_workers();
     for (name, polys, gpu_dim, cpu_dim) in [
         ("NYC-260", workloads::neighborhoods(), 1024u32, 1024u32),

@@ -1,9 +1,16 @@
 //! The polygon grid index (§6.1 "Polygon Index").
+//!
+//! The build enumerates each polygon's cells **once**, in parallel over
+//! polygons, into a list of row spans; the paper's two passes (count →
+//! prefix sum → scatter) then read the stored lists, polygon by polygon
+//! in slice order. Nothing in the CSR depends on thread timing: every
+//! cell's candidate list is in slice order — ascending in polygon id for
+//! the id-ordered sets the joins index — at any worker count.
 
 use raster_geom::{BBox, Point, Polygon};
+use raster_gpu::exec::{block_for, parallel_dynamic};
 use raster_gpu::raster::rasterize_segment_conservative;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// How polygons are assigned to grid cells during the build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,94 +32,99 @@ pub struct GridIndex {
     entries: Vec<u32>,
 }
 
-/// Enumerate the grid cells a polygon is assigned to under `mode`,
-/// invoking `f(cx, cy)` once per cell.
+/// A run of consecutive cells of one grid row: `len` cells from linear
+/// cell index `start` (`cy * nx + cx`).
+type CellSpan = (u32, u32);
+
+/// The grid cells `poly` is assigned to under `mode`, as row spans in
+/// ascending cell order, each cell once.
 ///
 /// Exact mode uses the decomposition: a cell intersects the polygon iff
 /// the boundary passes through it (found by conservative rasterization of
 /// every edge onto the cell grid) or it lies fully inside (its center is
 /// interior — found row by row from the even–odd crossings of the
-/// boundary with the row's center line). This is O(boundary cells +
-/// interior cells + rows × vertices), versus O(MBR cells × vertices) for
-/// per-cell polygon clipping.
-fn for_each_cell(
-    poly: &Polygon,
-    extent: &BBox,
-    nx: u32,
-    ny: u32,
-    mode: AssignMode,
-    mut f: impl FnMut(u32, u32),
-) {
+/// boundary with the row's center line). Both kinds are marked in one
+/// byte mask over the polygon's own cell box, whose runs are the spans.
+/// This is O(box cells + rows × vertices), versus O(MBR cells × vertices)
+/// for per-cell polygon clipping.
+fn cell_spans(poly: &Polygon, extent: &BBox, nx: u32, ny: u32, mode: AssignMode) -> Vec<CellSpan> {
     let cw = extent.width() / nx as f64;
     let ch = extent.height() / ny as f64;
+    // The polygon's cell box: the cells its MBR overlaps, clamped to the
+    // grid.
     let b = poly.bbox();
-    let clamp_x = |v: f64| (v.floor().max(0.0) as u32).min(nx - 1);
-    let clamp_y = |v: f64| (v.floor().max(0.0) as u32).min(ny - 1);
-    let cx0 = clamp_x((b.min.x - extent.min.x) / cw);
-    let cy0 = clamp_y((b.min.y - extent.min.y) / ch);
-    let cx1 = clamp_x((b.max.x - extent.min.x) / cw);
-    let cy1 = clamp_y((b.max.y - extent.min.y) / ch);
+    let cell = |v: f64, n: u32| (v.floor().max(0.0) as u32).min(n - 1);
+    let cx0 = cell((b.min.x - extent.min.x) / cw, nx);
+    let cx1 = cell((b.max.x - extent.min.x) / cw, nx);
+    let cy0 = cell((b.min.y - extent.min.y) / ch, ny);
+    let cy1 = cell((b.max.y - extent.min.y) / ch, ny);
+    let bw = (cx1 - cx0 + 1) as usize;
+    if mode == AssignMode::Mbr {
+        return (cy0..=cy1).map(|cy| (cy * nx + cx0, bw as u32)).collect();
+    }
+    let mut mask = vec![0u8; bw * (cy1 - cy0 + 1) as usize];
 
-    match mode {
-        AssignMode::Mbr => {
-            for cy in cy0..=cy1 {
-                for cx in cx0..=cx1 {
-                    f(cx, cy);
+    // Boundary cells: supercover traversal of every edge in grid
+    // coordinates. (The traversal can overshoot a segment that ends on a
+    // cell corner and walk on past the box; no cell out there intersects
+    // the polygon.)
+    let edges = poly.all_edges();
+    let to_grid = |p: Point| ((p.x - extent.min.x) / cw, (p.y - extent.min.y) / ch);
+    for &(ea, eb) in &edges {
+        rasterize_segment_conservative(to_grid(ea), to_grid(eb), nx, ny, |x, y| {
+            if (cx0..=cx1).contains(&x) && (cy0..=cy1).contains(&y) {
+                mask[(y - cy0) as usize * bw + (x - cx0) as usize] = 1;
+            }
+        });
+    }
+
+    let clamp_x = |v: f64| cell(v, nx).clamp(cx0, cx1);
+    let mut spans = Vec::new();
+    let mut xs: Vec<f64> = Vec::new();
+    for cy in cy0..=cy1 {
+        let row = &mut mask[(cy - cy0) as usize * bw..][..bw];
+        // Interior cells: even–odd crossings of the boundary with the
+        // row-center line give the inside intervals; cells whose centers
+        // fall inside are fully interior, or boundary cells already
+        // marked.
+        let line_y = extent.min.y + (cy as f64 + 0.5) * ch;
+        xs.clear();
+        for &(p, q) in &edges {
+            if (p.y > line_y) != (q.y > line_y) {
+                let t = (line_y - p.y) / (q.y - p.y);
+                xs.push(p.x + t * (q.x - p.x));
+            }
+        }
+        xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        for pair in xs.chunks_exact(2) {
+            // Cells whose center x ∈ (pair[0], pair[1]).
+            let k0 = clamp_x(((pair[0] - extent.min.x) / cw - 0.5).ceil());
+            let k1 = clamp_x(((pair[1] - extent.min.x) / cw - 0.5).floor());
+            for cx in k0..=k1 {
+                let center_x = extent.min.x + (cx as f64 + 0.5) * cw;
+                if center_x > pair[0] && center_x < pair[1] {
+                    row[(cx - cx0) as usize] = 1;
                 }
             }
         }
-        AssignMode::Exact => {
-            let mut cells: HashSet<(u32, u32)> = HashSet::new();
-            // Boundary cells: supercover traversal of every edge in grid
-            // coordinates.
-            let to_grid = |p: Point| ((p.x - extent.min.x) / cw, (p.y - extent.min.y) / ch);
-            for (ea, eb) in poly.all_edges() {
-                let ga = to_grid(ea);
-                let gb = to_grid(eb);
-                rasterize_segment_conservative(ga, gb, nx, ny, |x, y| {
-                    cells.insert((x, y));
-                });
+        // The row's runs of marked cells.
+        let mut x = 0;
+        while x < bw {
+            if row[x] == 0 {
+                x += 1;
+                continue;
             }
-            // Interior cells: per row, even–odd crossings of the boundary
-            // with the row-center line give the inside intervals; cells
-            // whose centers fall inside are fully interior or boundary
-            // (the set dedups).
-            let edges = poly.all_edges();
-            let mut xs: Vec<f64> = Vec::new();
-            for cy in cy0..=cy1 {
-                let line_y = extent.min.y + (cy as f64 + 0.5) * ch;
-                xs.clear();
-                for &(p, q) in &edges {
-                    if (p.y > line_y) != (q.y > line_y) {
-                        let t = (line_y - p.y) / (q.y - p.y);
-                        xs.push(p.x + t * (q.x - p.x));
-                    }
-                }
-                xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                for pair in xs.chunks_exact(2) {
-                    // Cells whose center x ∈ (pair[0], pair[1]).
-                    let gx0 = (pair[0] - extent.min.x) / cw - 0.5;
-                    let gx1 = (pair[1] - extent.min.x) / cw - 0.5;
-                    let k0 = clamp_x(gx0.ceil());
-                    let k1 = clamp_x(gx1.floor());
-                    for cx in k0..=k1 {
-                        let center_x = extent.min.x + (cx as f64 + 0.5) * cw;
-                        if center_x > pair[0] && center_x < pair[1] {
-                            cells.insert((cx, cy));
-                        }
-                    }
-                }
-            }
-            for (cx, cy) in cells {
-                f(cx, cy);
-            }
+            let run = row[x..].iter().take_while(|&&m| m != 0).count();
+            spans.push((cy * nx + cx0 + x as u32, run as u32));
+            x += run;
         }
     }
+    spans
 }
 
 impl GridIndex {
     /// Build the index over `polys` with an `nx`×`ny` grid spanning
-    /// `extent`, using `workers` threads for both passes.
+    /// `extent`, enumerating cells on `workers` threads.
     pub fn build(
         polys: &[Polygon],
         extent: BBox,
@@ -123,43 +135,44 @@ impl GridIndex {
     ) -> Self {
         assert!(nx > 0 && ny > 0);
         let ncells = nx as usize * ny as usize;
-        let counts: Vec<AtomicU32> = (0..ncells).map(|_| AtomicU32::new(0)).collect();
 
-        // Pass 1: count entries per cell (the size-estimation pass).
-        raster_gpu::exec::parallel_ranges(polys.len(), workers, |s, e| {
-            for poly in &polys[s..e] {
-                for_each_cell(poly, &extent, nx, ny, mode, |cx, cy| {
-                    counts[(cy * nx + cx) as usize].fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        // Each polygon's cells, enumerated once.
+        let lists: Vec<OnceLock<Vec<CellSpan>>> = polys.iter().map(|_| OnceLock::new()).collect();
+        let block = block_for(polys.len(), workers);
+        parallel_dynamic(polys.len(), workers, block, |pi| {
+            let spans = cell_spans(&polys[pi], &extent, nx, ny, mode);
+            lists[pi]
+                .set(spans)
+                .expect("each polygon is enumerated once");
         });
+        let cells_of = |pi: usize| {
+            let spans = lists[pi].get().expect("every polygon was enumerated");
+            spans
+                .iter()
+                .flat_map(|&(start, len)| start as usize..(start + len) as usize)
+        };
 
-        // Prefix sum → offsets.
+        // Pass 1: count entries per cell, then prefix sum → offsets.
         let mut offsets = vec![0u32; ncells + 1];
-        for i in 0..ncells {
-            offsets[i + 1] = offsets[i] + counts[i].load(Ordering::Relaxed);
-        }
-        let total = offsets[ncells] as usize;
-
-        // Pass 2: scatter polygon IDs using per-cell atomic cursors.
-        let cursors: Vec<AtomicU32> = offsets[..ncells]
-            .iter()
-            .map(|&o| AtomicU32::new(o))
-            .collect();
-        let entries: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(u32::MAX)).collect();
-        raster_gpu::exec::parallel_ranges(polys.len(), workers, |s, e| {
-            for poly in &polys[s..e] {
-                for_each_cell(poly, &extent, nx, ny, mode, |cx, cy| {
-                    let slot = cursors[(cy * nx + cx) as usize].fetch_add(1, Ordering::Relaxed);
-                    entries[slot as usize].store(poly.id(), Ordering::Relaxed);
-                });
+        for pi in 0..polys.len() {
+            for c in cells_of(pi) {
+                offsets[c + 1] += 1;
             }
-        });
+        }
+        for c in 0..ncells {
+            offsets[c + 1] += offsets[c];
+        }
 
-        let entries: Vec<u32> = entries
-            .into_iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
+        // Pass 2: scatter polygon IDs in slice order through per-cell
+        // cursors.
+        let mut cursors = offsets[..ncells].to_vec();
+        let mut entries = vec![u32::MAX; offsets[ncells] as usize];
+        for (pi, poly) in polys.iter().enumerate() {
+            for c in cells_of(pi) {
+                entries[cursors[c] as usize] = poly.id();
+                cursors[c] += 1;
+            }
+        }
         GridIndex {
             extent,
             nx,
@@ -218,6 +231,10 @@ impl GridIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use raster_geom::Ring;
+    use std::collections::HashSet;
 
     fn polys() -> Vec<Polygon> {
         vec![
@@ -330,20 +347,173 @@ mod tests {
 
     #[test]
     fn single_threaded_and_parallel_builds_agree() {
-        let a = GridIndex::build(&polys(), extent(), 16, 16, AssignMode::Exact, 1);
-        let b = GridIndex::build(&polys(), extent(), 16, 16, AssignMode::Exact, 8);
-        assert_eq!(a.entry_count(), b.entry_count());
-        // Candidate *sets* per probe cell must match (order may differ).
-        for gy in 0..16 {
-            for gx in 0..16 {
-                let p = Point::new(gx as f64 * 6.25 + 3.0, gy as f64 * 6.25 + 3.0);
-                let mut ca: Vec<u32> = a.candidates(p).to_vec();
-                let mut cb: Vec<u32> = b.candidates(p).to_vec();
-                ca.sort_unstable();
-                cb.sort_unstable();
-                assert_eq!(ca, cb, "cell ({gx},{gy})");
+        for mode in [AssignMode::Mbr, AssignMode::Exact] {
+            let a = GridIndex::build(&polys(), extent(), 16, 16, mode, 1);
+            let b = GridIndex::build(&polys(), extent(), 16, 16, mode, 8);
+            // Not just the same candidate sets: the same order in every
+            // cell, ascending in polygon id.
+            assert_eq!(a.offsets, b.offsets, "{mode:?}");
+            assert_eq!(a.entries, b.entries, "{mode:?}");
+            for c in 0..256 {
+                let list = &b.entries[b.offsets[c] as usize..b.offsets[c + 1] as usize];
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "{mode:?} cell {c}");
             }
         }
+    }
+
+    /// The enumeration `build` ran before it kept row spans: every cell
+    /// into a hash set, boundary cells from the conservative traversal,
+    /// interior cells from the row crossings. Kept as the reference
+    /// [`cell_spans`] must equal cell for cell.
+    fn reference_cells(
+        poly: &Polygon,
+        extent: &BBox,
+        nx: u32,
+        ny: u32,
+        mode: AssignMode,
+    ) -> (HashSet<(u32, u32)>, usize) {
+        let cw = extent.width() / nx as f64;
+        let ch = extent.height() / ny as f64;
+        let b = poly.bbox();
+        let clamp_x = |v: f64| (v.floor().max(0.0) as u32).min(nx - 1);
+        let clamp_y = |v: f64| (v.floor().max(0.0) as u32).min(ny - 1);
+        let cx0 = clamp_x((b.min.x - extent.min.x) / cw);
+        let cy0 = clamp_y((b.min.y - extent.min.y) / ch);
+        let cx1 = clamp_x((b.max.x - extent.min.x) / cw);
+        let cy1 = clamp_y((b.max.y - extent.min.y) / ch);
+        let mut cells = HashSet::new();
+        if mode == AssignMode::Mbr {
+            for cy in cy0..=cy1 {
+                cells.extend((cx0..=cx1).map(|cx| (cx, cy)));
+            }
+            return (cells, 0);
+        }
+        let to_grid = |p: Point| ((p.x - extent.min.x) / cw, (p.y - extent.min.y) / ch);
+        let edges = poly.all_edges();
+        for &(ea, eb) in &edges {
+            rasterize_segment_conservative(to_grid(ea), to_grid(eb), nx, ny, |x, y| {
+                cells.insert((x, y));
+            });
+        }
+        for cy in cy0..=cy1 {
+            let line_y = extent.min.y + (cy as f64 + 0.5) * ch;
+            let mut xs: Vec<f64> = edges
+                .iter()
+                .filter(|(p, q)| (p.y > line_y) != (q.y > line_y))
+                .map(|(p, q)| p.x + (line_y - p.y) / (q.y - p.y) * (q.x - p.x))
+                .collect();
+            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for pair in xs.chunks_exact(2) {
+                let k0 = clamp_x(((pair[0] - extent.min.x) / cw - 0.5).ceil());
+                let k1 = clamp_x(((pair[1] - extent.min.x) / cw - 0.5).floor());
+                for cx in k0..=k1 {
+                    let center_x = extent.min.x + (cx as f64 + 0.5) * cw;
+                    if center_x > pair[0] && center_x < pair[1] {
+                        cells.insert((cx, cy));
+                    }
+                }
+            }
+        }
+        // The one intended difference: where the traversal overshoots a
+        // segment that ends on a cell corner it walks on past the
+        // polygon's cell box (`polys()[2]` on the 1024 grid does); those
+        // cells cannot intersect the polygon and are not assigned.
+        let all = cells.len();
+        cells.retain(|&(x, y)| (cx0..=cx1).contains(&x) && (cy0..=cy1).contains(&y));
+        let overshoot = all - cells.len();
+        (cells, overshoot)
+    }
+
+    /// A star-shaped ring of `n` vertices around `(cx, cy)` with radii in
+    /// `[r0, r1]` — concave wherever neighbouring radii differ.
+    fn star(rng: &mut StdRng, cx: f64, cy: f64, r0: f64, r1: f64, n: usize) -> Ring {
+        let pts = (0..n).map(|i| {
+            let a = i as f64 / n as f64 * std::f64::consts::TAU;
+            let r = rng.gen_range(r0..r1);
+            Point::new(cx + r * a.cos(), cy + r * a.sin())
+        });
+        Ring::new(pts.collect())
+    }
+
+    #[test]
+    fn cell_spans_equal_the_hash_set_enumeration() {
+        let mut rng = StdRng::seed_from_u64(0x6121D);
+        let mut shapes = polys();
+        // The concave "U" of `exact_handles_concave_polygons`.
+        shapes.push(Polygon::from_coords(
+            0,
+            vec![
+                (10.0, 10.0),
+                (90.0, 10.0),
+                (90.0, 90.0),
+                (60.0, 90.0),
+                (60.0, 40.0),
+                (40.0, 40.0),
+                (40.0, 90.0),
+                (10.0, 90.0),
+            ],
+        ));
+        // Slivers thinner than a cell of every grid below, axis-aligned
+        // and diagonal.
+        shapes.push(Polygon::from_coords(
+            0,
+            vec![(3.0, 41.3), (97.0, 41.3), (97.0, 41.32), (3.0, 41.32)],
+        ));
+        shapes.push(Polygon::from_coords(
+            0,
+            vec![(5.0, 5.0), (95.0, 93.0), (95.0, 93.03), (5.0, 5.03)],
+        ));
+        // Clipped by the extent on each side, and wholly outside it.
+        shapes.push(Polygon::from_coords(
+            0,
+            vec![(-30.0, 20.0), (40.0, -25.0), (130.0, 60.0), (50.0, 140.0)],
+        ));
+        shapes.push(Polygon::from_coords(
+            0,
+            vec![(110.0, 10.0), (150.0, 10.0), (130.0, 70.0)],
+        ));
+        // Random concave polygons, some with a hole, some overhanging the
+        // extent.
+        for k in 0..24 {
+            let (cx, cy) = (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+            let r = rng.gen_range(2.0..45.0);
+            let n = rng.gen_range(3..40);
+            let outer = star(&mut rng, cx, cy, 0.5 * r, r, n);
+            let holes = if k % 2 == 0 {
+                vec![star(&mut rng, cx, cy, 0.1 * r, 0.4 * r, 7)]
+            } else {
+                Vec::new()
+            };
+            shapes.push(Polygon::with_holes(0, outer, holes));
+        }
+        let mut overshoot = 0;
+        for dim in [8u32, 16, 100, 1024] {
+            for mode in [AssignMode::Mbr, AssignMode::Exact] {
+                for (si, shape) in shapes.iter().enumerate() {
+                    let (nx, ny) = (dim, dim / 2 + 3);
+                    let (want, past_box) = reference_cells(shape, &extent(), nx, ny, mode);
+                    overshoot += past_box;
+                    let spans = cell_spans(shape, &extent(), nx, ny, mode);
+                    let got: Vec<(u32, u32)> = spans
+                        .iter()
+                        .flat_map(|&(start, len)| start..start + len)
+                        .map(|c| (c % nx, c / nx))
+                        .collect();
+                    assert_eq!(
+                        got.len(),
+                        want.len(),
+                        "{mode:?} {dim} shape {si}: a cell twice"
+                    );
+                    assert_eq!(
+                        got.into_iter().collect::<HashSet<_>>(),
+                        want,
+                        "{mode:?} {dim} shape {si}"
+                    );
+                    assert!(spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+                }
+            }
+        }
+        assert!(overshoot > 0, "the overshoot case is still covered");
     }
 
     #[test]

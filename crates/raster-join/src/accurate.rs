@@ -10,10 +10,20 @@
 //!    boundary pixels are resolved exactly via the grid index + PIP
 //!    (Procedure JoinPoint); all other points blend into the point FBO as
 //!    in the bounded variant.
-//! 3. **Draw polygons** (Procedure AccuratePolygons) — polygon fragments
-//!    on boundary pixels are discarded (their points were handled in step
-//!    2); interior fragments fold the FBO partial aggregates into the
-//!    result.
+//! 3. **Draw polygons** (Procedure AccuratePolygons) — the bounded
+//!    variant's polygon pass (`polygon_pass.rs`) over the same
+//!    canvas. It is exact without the paper's per-fragment boundary
+//!    discard and without triangles, and tests pin both reasons:
+//!    * step 2 never blends a point that lands on a boundary pixel —
+//!      `Placed::Boundary` goes to `join_point` in the fused pass, the
+//!      sharded pass and [`AccurateRasterJoin::bin`] alike — so the canvas
+//!      holds nothing there and folding those pixels adds zero (debug
+//!      builds assert it);
+//!    * the outline marks every pixel an edge touches, so any other pixel
+//!      is wholly inside or wholly outside each polygon, its center at
+//!      least half a pixel from every edge: even–odd scanline coverage of
+//!      the rings is the triangulation's there, and `Polygon::contains`
+//!      for every point of the pixel.
 //!
 //! Like the bounded executor, the prepared form splits into *bin* (step 2
 //! for one chunk: boundary points PIP-tested into a partial result,
@@ -22,16 +32,14 @@
 //! [`AccurateRasterJoin::execute_prepared`] fuses bin and blend into one
 //! parallel point pass, the streaming scan keeps them apart.
 
-use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query, StagedPartials};
+use crate::polygon_pass::{draw_polygons, PolyRings};
+use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::filter::passes;
 use raster_data::PointTable;
-use raster_geom::triangulate::{triangulate_all, Triangle};
 use raster_geom::{Point, Polygon};
 use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, parallel_ranges};
-use raster_gpu::raster::{
-    rasterize_segment_conservative, rasterize_segment_thick_outline, rasterize_triangle_spans,
-};
+use raster_gpu::raster::{rasterize_segment_conservative, rasterize_segment_thick_outline};
 use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
 use raster_gpu::{
     BinnedBatch, BoundaryFbo, Device, FboPool, PointFbo, RasterConfig, ResidentCanvases, Viewport,
@@ -90,7 +98,7 @@ impl Default for AccurateRasterJoin {
 
 /// Polygon-side state reusable across point batches/chunks of one query
 /// (the accurate counterpart of [`crate::bounded::PreparedBounded`]): the
-/// triangulation, canvas viewport, conservative boundary FBO and grid
+/// polygon rings, canvas viewport, conservative boundary FBO and grid
 /// index. The streamed scan (`raster-join::stream`, §7.7) calls
 /// [`AccurateRasterJoin::prepare`] once, [`AccurateRasterJoin::bin`] per
 /// chunk and [`AccurateRasterJoin::resolve`] at the end.
@@ -98,7 +106,8 @@ pub struct PreparedAccurate<'a> {
     polys: &'a [Polygon],
     state: Option<AccurateState>,
     nslots: usize,
-    triangulation: std::time::Duration,
+    /// Ring extraction, reported as `ExecStats::triangulation`.
+    preparation: std::time::Duration,
     index_build: std::time::Duration,
     outline: std::time::Duration,
     /// FBO/shard recycling shared across every chunk executed against
@@ -107,7 +116,7 @@ pub struct PreparedAccurate<'a> {
 }
 
 struct AccurateState {
-    tris: Vec<Triangle>,
+    rings: Vec<PolyRings>,
     vp: Viewport,
     boundary: BoundaryFbo,
     index: GridIndex,
@@ -138,6 +147,18 @@ impl AccurateState {
             Placed::Interior(y * self.vp.width + x, v)
         })
     }
+
+    /// What makes the paper's per-fragment discard of step 3 redundant:
+    /// no boundary pixel of `fbo` has received a point.
+    fn boundary_pixels_hold_nothing(&self, fbo: &PointFbo) -> bool {
+        let (w, h) = (self.vp.width, self.vp.height);
+        (0..h).all(|y| {
+            (0..w).all(|x| {
+                !self.boundary.is_boundary(x, y)
+                    || (fbo.count_at(x, y) == 0 && fbo.sum_at(x, y) == 0.0)
+            })
+        })
+    }
 }
 
 impl PreparedAccurate<'_> {
@@ -150,9 +171,9 @@ impl PreparedAccurate<'_> {
     }
 
     /// Wall time of the one-off conservative outline pass. It is part of
-    /// *processing* time in one-shot execution (unlike triangulation and
-    /// index build, which §7.1 excludes); a chunk loop must charge it
-    /// exactly once, not per chunk.
+    /// *processing* time in one-shot execution (unlike ring extraction and
+    /// index build, the polygon processing §7.1 excludes); a chunk loop
+    /// must charge it exactly once, not per chunk.
     pub fn outline_time(&self) -> std::time::Duration {
         self.outline
     }
@@ -172,9 +193,9 @@ impl AccurateRasterJoin {
         }
     }
 
-    /// Triangulate, build the grid index and draw the conservative
-    /// outline pass — everything that depends only on the polygons and
-    /// can be reused across point chunks.
+    /// Extract the polygon rings, build the grid index and draw the
+    /// conservative outline pass — everything that depends only on the
+    /// polygons and can be reused across point chunks.
     pub fn prepare<'a>(&self, polys: &'a [Polygon], device: &Device) -> PreparedAccurate<'a> {
         let nslots = result_slots(polys);
         if polys.is_empty() {
@@ -182,15 +203,15 @@ impl AccurateRasterJoin {
                 polys,
                 state: None,
                 nslots,
-                triangulation: std::time::Duration::ZERO,
+                preparation: std::time::Duration::ZERO,
                 index_build: std::time::Duration::ZERO,
                 outline: std::time::Duration::ZERO,
                 pool: FboPool::new(),
             };
         }
         let t0 = Instant::now();
-        let tris = triangulate_all(polys);
-        let triangulation = t0.elapsed();
+        let rings = PolyRings::extract(polys);
+        let preparation = t0.elapsed();
 
         let extent = crate::bounded::polygon_extent(polys);
         let dim = self.canvas_dim.min(device.config().max_fbo_dim);
@@ -238,13 +259,13 @@ impl AccurateRasterJoin {
         PreparedAccurate {
             polys,
             state: Some(AccurateState {
-                tris,
+                rings,
                 vp,
                 boundary,
                 index,
             }),
             nslots,
-            triangulation,
+            preparation,
             index_build,
             outline,
             pool: FboPool::new(),
@@ -294,14 +315,55 @@ impl AccurateRasterJoin {
         };
         let counts = AtomicU64Array::new(nslots);
         let sums = AtomicF64Array::new(nslots);
-        let polys = prepared.polys;
-        let (vp, index) = (&state.vp, &state.index);
-        stats.triangulation = prepared.triangulation;
+        stats.triangulation = prepared.preparation;
         stats.index_build = prepared.index_build;
 
         let proc0 = Instant::now();
+        let pool = &prepared.pool;
+        let fbo = pool.acquire(state.vp.width, state.vp.height);
+        let point_stage0 = Instant::now();
+        stats.pip_tests = self.draw_points(
+            prepared, state, points, query, device, &fbo, &counts, &sums, &mut stats,
+        );
+        stats.point_stage = point_stage0.elapsed();
 
-        // Step 2: point pass (compute-shader style), batched out-of-core.
+        // Step 3: polygon pass over the one canvas.
+        let mut out = JoinOutput {
+            counts: counts.to_vec(),
+            sums: sums.to_vec(),
+            stats,
+        };
+        self.fold_canvas(state, &fbo, query, &mut out);
+        out.stats.processing = proc0.elapsed();
+        pool.release(fbo);
+
+        device.record_download((nslots * 16) as u64);
+        let ts = device.stats();
+        out.stats.upload_bytes = ts.bytes_up;
+        out.stats.download_bytes = ts.bytes_down;
+        out.stats.transfer = device.modelled_transfer_time();
+        out
+    }
+
+    /// Step 2 (Procedure AccuratePoints, compute-shader style), batched
+    /// out-of-core: boundary-pixel points are PIP-tested into `counts` /
+    /// `sums`, every other point blends into `fbo`. Returns the PIP tests
+    /// made.
+    #[allow(clippy::too_many_arguments)]
+    fn draw_points(
+        &self,
+        prepared: &PreparedAccurate<'_>,
+        state: &AccurateState,
+        points: &PointTable,
+        query: &Query,
+        device: &Device,
+        fbo: &PointFbo,
+        counts: &AtomicU64Array,
+        sums: &AtomicF64Array,
+        stats: &mut ExecStats,
+    ) -> u64 {
+        let (polys, pool) = (prepared.polys, &prepared.pool);
+        let (vp, index) = (&state.vp, &state.index);
         let agg_attr = query.aggregate.attr();
         let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
         let per_batch = self
@@ -309,11 +371,7 @@ impl AccurateRasterJoin {
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
         let pip_tests = AtomicU64::new(0);
-        let pool = &prepared.pool;
-        let fbo = pool.acquire(vp.width, vp.height);
         let pixels = vp.pixel_count();
-
-        let point_stage0 = Instant::now();
         let mut start = 0usize;
         while start < points.len() {
             let end = (start + per_batch).min(points.len());
@@ -338,8 +396,7 @@ impl AccurateRasterJoin {
                     let i = start + rel;
                     match state.place(points, i, query)? {
                         Placed::Boundary(p) => {
-                            let t =
-                                join_point(index, polys, p, i, agg_attr, points, &counts, &sums);
+                            let t = join_point(index, polys, p, i, agg_attr, points, counts, sums);
                             pip_by_shard[shard * PAD].fetch_add(t, Ordering::Relaxed);
                             None
                         }
@@ -350,7 +407,7 @@ impl AccurateRasterJoin {
                     pip_tests.fetch_add(slot.load(Ordering::Relaxed), Ordering::Relaxed);
                 }
                 let t0 = Instant::now();
-                shards.merge_into(&fbo, self.workers);
+                shards.merge_into(fbo, self.workers);
                 stats.shard_merge += t0.elapsed();
                 pool.release_shards(shards);
             } else {
@@ -359,9 +416,8 @@ impl AccurateRasterJoin {
                     for i in (start + s)..(start + e) {
                         match state.place(points, i, query) {
                             Some(Placed::Boundary(p)) => {
-                                local_pip += join_point(
-                                    index, polys, p, i, agg_attr, points, &counts, &sums,
-                                );
+                                local_pip +=
+                                    join_point(index, polys, p, i, agg_attr, points, counts, sums);
                             }
                             Some(Placed::Interior(pix, v)) => fbo.blend_add_idx(pix as usize, v),
                             None => {}
@@ -372,32 +428,10 @@ impl AccurateRasterJoin {
             }
             start = end;
         }
-        stats.point_stage = point_stage0.elapsed();
         if points.is_empty() {
             stats.batches = 1;
         }
-
-        // Step 3: polygon pass over the one canvas.
-        let (mut counts, mut sums) = (counts.to_vec(), sums.to_vec());
-        let polygon_stage0 = Instant::now();
-        stats.fragments = self.draw_triangles(state, &fbo, &mut counts, &mut sums);
-        stats.polygon_stage += polygon_stage0.elapsed();
-        stats.passes += 1;
-        stats.processing = proc0.elapsed();
-        pool.release(fbo);
-
-        device.record_download((nslots * 16) as u64);
-        let ts = device.stats();
-        stats.upload_bytes = ts.bytes_up;
-        stats.download_bytes = ts.bytes_down;
-        stats.transfer = device.modelled_transfer_time();
-        stats.pip_tests = pip_tests.load(Ordering::Relaxed);
-
-        JoinOutput {
-            counts,
-            sums,
-            stats,
-        }
+        pip_tests.load(Ordering::Relaxed)
     }
 
     /// *Bin* one chunk (step 2 without the blend): one thread walks the
@@ -466,71 +500,45 @@ impl AccurateRasterJoin {
         &self,
         prepared: &PreparedAccurate<'_>,
         canvases: &ResidentCanvases<'_>,
+        query: &Query,
     ) -> JoinOutput {
         let mut out = JoinOutput {
             counts: vec![0; prepared.nslots],
             sums: vec![0.0; prepared.nslots],
             stats: ExecStats::default(),
         };
-        let Some(state) = prepared.state.as_ref() else {
-            return out;
-        };
-        let t0 = Instant::now();
-        out.stats.fragments =
-            self.draw_triangles(state, canvases.tile(0), &mut out.counts, &mut out.sums);
-        out.stats.polygon_stage = t0.elapsed();
-        out.stats.processing = out.stats.polygon_stage;
-        out.stats.passes = 1;
+        if let Some(state) = prepared.state.as_ref() {
+            self.fold_canvas(state, canvases.tile(0), query, &mut out);
+            out.stats.processing = out.stats.polygon_stage;
+        }
         out
     }
 
-    /// Step 3 (Procedure AccuratePolygons): fold the FBO over every
-    /// triangle, discarding boundary fragments. Spans keep the scan
-    /// sequential; the boundary test stays per pixel. Per-triangle totals
-    /// reach the slots in triangle order. Returns the fragments visited.
-    fn draw_triangles(
+    /// Step 3 (Procedure AccuratePolygons): the shared polygon pass over
+    /// the point canvas, onto `out`'s accumulators.
+    fn fold_canvas(
         &self,
         state: &AccurateState,
         fbo: &PointFbo,
-        counts: &mut [u64],
-        sums: &mut [f64],
-    ) -> u64 {
-        let (tris, vp, boundary) = (&state.tris, &state.vp, &state.boundary);
-        let (w, h) = (vp.width, vp.height);
-        let staged = StagedPartials::new(tris.len());
-        let fragments = AtomicU64::new(0);
-        let tri_block = block_for(tris.len(), self.workers);
-        parallel_dynamic(tris.len(), self.workers, tri_block, |ti| {
-            let t = &tris[ti];
-            let a = vp.to_screen(t.a);
-            let b = vp.to_screen(t.b);
-            let c = vp.to_screen(t.c);
-            let mut frags = 0u64;
-            let mut cnt_acc = 0u64;
-            let mut sum_acc = 0f64;
-            rasterize_triangle_spans([a, b, c], w, h, |y, x0, x1| {
-                frags += (x1 - x0) as u64;
-                for x in x0..x1 {
-                    if boundary.is_boundary(x, y) {
-                        continue; // discarded: handled exactly in step 2
-                    }
-                    let cnt = fbo.count_at(x, y);
-                    if cnt > 0 {
-                        cnt_acc += cnt as u64;
-                        let s = fbo.sum_at(x, y);
-                        if s != 0.0 {
-                            sum_acc += s as f64;
-                        }
-                    }
-                }
-            });
-            staged.put(ti, cnt_acc, sum_acc);
-            if frags > 0 {
-                fragments.fetch_add(frags, Ordering::Relaxed);
-            }
-        });
-        staged.fold_into(|ti| tris[ti].poly_id as usize, counts, sums);
-        fragments.load(Ordering::Relaxed)
+        query: &Query,
+        out: &mut JoinOutput,
+    ) {
+        debug_assert!(
+            state.boundary_pixels_hold_nothing(fbo),
+            "step 2 blended a point into a boundary pixel"
+        );
+        let t0 = Instant::now();
+        out.stats.fragments = draw_polygons(
+            &state.rings,
+            &state.vp,
+            fbo,
+            query.aggregate.attr().is_some(),
+            self.workers,
+            &mut out.counts,
+            &mut out.sums,
+        );
+        out.stats.polygon_stage = t0.elapsed();
+        out.stats.passes = 1;
     }
 }
 
@@ -793,11 +801,100 @@ mod tests {
             }
         }
         let dev = Device::default();
-        let exact = AccurateRasterJoin::new(2).execute(&pts, &polys, &Query::count(), &dev);
         let reference =
             crate::index_join::IndexJoin::cpu_single().execute(&pts, &polys, &Query::count(), &dev);
         assert!(reference.total_count() as usize >= pts.len() / 2);
-        assert_eq!(exact.counts, reference.counts);
+        for workers in [1, 2, 4] {
+            let exact =
+                AccurateRasterJoin::new(workers).execute(&pts, &polys, &Query::count(), &dev);
+            assert_eq!(exact.counts, reference.counts, "{workers} workers");
+        }
+    }
+
+    /// The benchmark's exact workload in small: taxi points over the
+    /// neighborhoods, held to the single-core index join at every width.
+    #[test]
+    fn exact_on_taxi_points_over_neighborhoods() {
+        let polys = raster_data::polygons::nyc_neighborhoods();
+        let pts = TaxiModel::default().generate(200_000, 11);
+        let dev = Device::default();
+        let reference =
+            crate::index_join::IndexJoin::cpu_single().execute(&pts, &polys, &Query::count(), &dev);
+        for workers in [1, 2, 4] {
+            let exact =
+                AccurateRasterJoin::new(workers).execute(&pts, &polys, &Query::count(), &dev);
+            assert_eq!(exact.counts, reference.counts, "{workers} workers");
+        }
+    }
+
+    /// Why step 3 needs no per-fragment discard: whichever way step 2
+    /// runs — fused atomic blend, sharded blend, or `bin` then
+    /// `ResidentCanvases::blend` — no boundary pixel receives a point.
+    #[test]
+    fn boundary_pixels_hold_nothing_after_every_point_pass() {
+        let extent = nyc_extent();
+        let polys = synthetic_polygons(8, &extent, 71);
+        let pts = TaxiModel::default().generate(40_000, 72);
+        let q = Query::sum(pts.attr_index("fare").unwrap());
+        let dev = Device::default();
+        // 128²: dense enough for the shard gate, as in
+        // `sharded_blend_stays_exact`.
+        let fused = AccurateRasterJoin {
+            workers: 4,
+            canvas_dim: 128,
+            index_dim: 64,
+            config: raster_gpu::RasterConfig::naive(),
+            ..Default::default()
+        };
+        let sharded = AccurateRasterJoin {
+            config: raster_gpu::RasterConfig::default(),
+            ..fused
+        };
+        let prepared = fused.prepare(&polys, &dev);
+        let state = prepared.state.as_ref().unwrap();
+        let boundary_points = (0..pts.len())
+            .filter(|&i| matches!(state.place(&pts, i, &q), Some(Placed::Boundary(_))))
+            .count();
+        assert!(
+            boundary_points > 100,
+            "the canvas must put points on outlines"
+        );
+
+        for join in [&fused, &sharded] {
+            let fbo = PointFbo::new(state.vp.width, state.vp.height);
+            let (counts, sums) = (
+                AtomicU64Array::new(prepared.nslots),
+                AtomicF64Array::new(prepared.nslots),
+            );
+            let mut stats = ExecStats::default();
+            join.draw_points(
+                &prepared, state, &pts, &q, &dev, &fbo, &counts, &sums, &mut stats,
+            );
+            let sharding = join.config.sharding;
+            assert_eq!(stats.shard_merge > std::time::Duration::ZERO, sharding);
+            assert!(fbo.total_count() > 0);
+            assert!(
+                state.boundary_pixels_hold_nothing(&fbo),
+                "sharding={sharding}"
+            );
+        }
+
+        let mut canvases = prepared.canvases();
+        for start in (0..pts.len()).step_by(9_000) {
+            let chunk = pts.slice(start, (start + 9_000).min(pts.len()));
+            canvases.blend(&fused.bin(&prepared, &chunk, &q).binned);
+        }
+        assert!(canvases.tile(0).total_count() > 0);
+        assert!(state.boundary_pixels_hold_nothing(canvases.tile(0)));
+
+        // The check is not vacuous: one point on an outline pixel fails it.
+        let (x, y) = (0..state.vp.width)
+            .flat_map(|x| (0..state.vp.height).map(move |y| (x, y)))
+            .find(|&(x, y)| state.boundary.is_boundary(x, y))
+            .unwrap();
+        let fbo = PointFbo::new(state.vp.width, state.vp.height);
+        fbo.blend_add(x, y, 0.0);
+        assert!(!state.boundary_pixels_hold_nothing(&fbo));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! 1. **DrawPoints** — every point passing the filter predicates is
 //!    transformed to screen space and additively blended into the point
 //!    FBO (`count += 1`, `sum += a_i`).
-//! 2. **DrawPolygons** — triangulated polygons are rasterized
-//!    (pixel-center sampling); each fragment folds its pixel's partial
-//!    aggregates into the polygon's result slot.
+//! 2. **DrawPolygons** — polygons are scan-converted (pixel-center
+//!    sampling, `polygon_pass.rs`); each fragment folds its pixel's
+//!    partial aggregates into the polygon's result slot.
 //!
 //! The canvas resolution realises the ε-bound of §4.2 (pixel diagonal =
 //! ε); when it exceeds the device FBO limit the canvas splits into tiles
@@ -53,29 +53,26 @@
 //! bound — and `ExecStats::runs_passes` says how often it chose runs.
 //! There is no option: the planner mirrors the same function
 //! (`optimizer::cost::shape`). Both canvases answer the polygon pass
-//! through [`SpanSource`] with the same counts, and a runs tile's f32
-//! pixel sums accumulate in row order at any worker count, so they are
-//! bitwise the streamed scan's and the 1-worker dense join's, where a
-//! dense tile blended by several workers is CAS-ordered (≤ 1e-6
+//! through [`raster_gpu::SpanSource`] with the same counts, and a runs
+//! tile's f32 pixel sums accumulate in row order at any worker count, so
+//! they are bitwise the streamed scan's and the 1-worker dense join's,
+//! where a dense tile blended by several workers is CAS-ordered (≤ 1e-6
 //! relative). Runs are built from the binner's output, so the rescan
 //! path never takes them: `RasterConfig::naive()` stays the literal
 //! pipeline every other path is compared against. Neither does the
 //! streaming scan — its resident canvases accumulate across chunks —
 //! nor the accurate join.
 
-use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query, StagedPartials};
+use crate::polygon_pass::{draw_polygons, PolyRings};
+use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::filter::passes;
 use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
-use raster_geom::{BBox, Point, Polygon};
+use raster_geom::{BBox, Polygon};
 use raster_gpu::bin::{bin_points, BinnedBatch, CanvasTiling};
-use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, parallel_ranges, timed};
-use raster_gpu::raster::rasterize_polygon_spans;
-use raster_gpu::{
-    Device, FboPool, PixelRuns, PointFbo, RasterConfig, ResidentCanvases, SpanSource, Viewport,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
+use raster_gpu::exec::{default_workers, parallel_ranges, timed};
+use raster_gpu::{Device, FboPool, PixelRuns, PointFbo, RasterConfig, ResidentCanvases, Viewport};
 use std::time::Instant;
 
 // The sharding density gate lives on `RasterConfig::use_shards` so the
@@ -142,13 +139,6 @@ impl Default for BoundedRasterJoin {
             batch_points: None,
         }
     }
-}
-
-/// One polygon's rings (outer + holes) in world coordinates, ready for
-/// scanline rasterization.
-struct PolyRings {
-    id: u32,
-    rings: Vec<Vec<Point>>,
 }
 
 /// Polygon-side state reusable across point batches/chunks of one query:
@@ -221,27 +211,11 @@ impl BoundedRasterJoin {
         }
     }
 
-    /// Extract polygon rings and derive the canvas tiling for `epsilon`.
-    ///
-    /// The paper triangulates here (§3) because GPUs only rasterize
-    /// triangles; the software rasterizer scan-converts polygons directly
-    /// with identical pixel-center coverage (see
-    /// `raster_gpu::raster::rasterize_polygon_spans`), so preparation is
-    /// just ring extraction. The ablation bench keeps the triangle path
-    /// for comparison.
+    /// Extract polygon rings (the whole of polygon preparation: see
+    /// `polygon_pass.rs`) and derive the canvas tiling for `epsilon`.
     pub fn prepare(&self, polys: &[Polygon], epsilon: f64, device: &Device) -> PreparedBounded {
         let t0 = Instant::now();
-        let prepared_polys: Vec<PolyRings> = polys
-            .iter()
-            .map(|p| {
-                let mut rings = Vec::with_capacity(1 + p.holes().len());
-                rings.push(p.outer().points().to_vec());
-                for h in p.holes() {
-                    rings.push(h.points().to_vec());
-                }
-                PolyRings { id: p.id(), rings }
-            })
-            .collect();
+        let prepared_polys = PolyRings::extract(polys);
         let preparation = t0.elapsed();
         let tiling = if polys.is_empty() {
             None
@@ -272,7 +246,7 @@ impl BoundedRasterJoin {
         self.execute_prepared(&prepared, points, query, device)
     }
 
-    /// Execute against pre-triangulated polygons (chunked scans reuse the
+    /// Execute against a prepared polygon side (chunked scans reuse the
     /// preparation across every chunk).
     pub fn execute_prepared(
         &self,
@@ -362,7 +336,15 @@ impl BoundedRasterJoin {
                         PixelRuns::build(idx, vals, vp.width, vp.height, self.workers)
                     });
                     stats.fragments += timed(&mut stats.polygon_stage, || {
-                        self.draw_polygons(polys, vp, &runs, needs_sums, &mut counts, &mut sums)
+                        draw_polygons(
+                            polys,
+                            vp,
+                            &runs,
+                            needs_sums,
+                            self.workers,
+                            &mut counts,
+                            &mut sums,
+                        )
                     });
                     stats.runs_passes += 1;
                 } else {
@@ -385,7 +367,15 @@ impl BoundedRasterJoin {
                     });
                     stats.point_stage += point_stage;
                     stats.fragments += timed(&mut stats.polygon_stage, || {
-                        self.draw_polygons(polys, vp, &fbo, needs_sums, &mut counts, &mut sums)
+                        draw_polygons(
+                            polys,
+                            vp,
+                            &fbo,
+                            needs_sums,
+                            self.workers,
+                            &mut counts,
+                            &mut sums,
+                        )
                     });
                     pool.release(fbo);
                 }
@@ -463,11 +453,12 @@ impl BoundedRasterJoin {
         };
         let t0 = Instant::now();
         for (ti, vp) in prepared.tiles().iter().enumerate() {
-            out.stats.fragments += self.draw_polygons(
+            out.stats.fragments += draw_polygons(
                 &prepared.polys,
                 vp,
                 canvases.tile(ti),
                 query.aggregate.attr().is_some(),
+                self.workers,
                 &mut out.counts,
                 &mut out.sums,
             );
@@ -573,59 +564,6 @@ impl BoundedRasterJoin {
                 }
             }
         });
-    }
-
-    /// Step II (Procedure DrawPolygons): scan-convert each polygon over
-    /// the canvas — dense FBO or pixel runs — and fold the pixel partial
-    /// aggregates into its result slot. Accumulation is local per
-    /// polygon; the per-polygon totals reach the slots in polygon order.
-    /// Returns the fragments visited.
-    fn draw_polygons<S: SpanSource>(
-        &self,
-        polys: &[PolyRings],
-        vp: &Viewport,
-        canvas: &S,
-        needs_sums: bool,
-        counts: &mut [u64],
-        sums: &mut [f64],
-    ) -> u64 {
-        let (w, h) = (vp.width, vp.height);
-        let staged = StagedPartials::new(polys.len());
-        let fragments = AtomicU64::new(0);
-        let block = block_for(polys.len(), self.workers);
-        parallel_dynamic(polys.len(), self.workers, block, |pi| {
-            let poly = &polys[pi];
-            // Vertex stage: transform the rings to screen space.
-            let screen: Vec<Vec<(f64, f64)>> = poly
-                .rings
-                .iter()
-                .map(|r| r.iter().map(|&p| vp.to_screen(p)).collect())
-                .collect();
-            let ring_refs: Vec<&[(f64, f64)]> = screen.iter().map(|r| r.as_slice()).collect();
-            let mut frags = 0u64;
-            let mut cnt_acc = 0u64;
-            let mut sum_acc = 0f64;
-            if needs_sums {
-                rasterize_polygon_spans(&ring_refs, w, h, |y, x0, x1| {
-                    frags += (x1 - x0) as u64;
-                    let (cnt, sum) = canvas.span_totals(y, x0, x1);
-                    cnt_acc += cnt;
-                    sum_acc += sum;
-                });
-            } else {
-                // COUNT query: the vectorized count-only scan.
-                rasterize_polygon_spans(&ring_refs, w, h, |y, x0, x1| {
-                    frags += (x1 - x0) as u64;
-                    cnt_acc += canvas.span_count(y, x0, x1);
-                });
-            }
-            staged.put(pi, cnt_acc, sum_acc);
-            if frags > 0 {
-                fragments.fetch_add(frags, Ordering::Relaxed);
-            }
-        });
-        staged.fold_into(|pi| polys[pi].id as usize, counts, sums);
-        fragments.load(Ordering::Relaxed)
     }
 }
 

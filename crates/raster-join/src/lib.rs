@@ -6,13 +6,16 @@
 //!
 //! * [`bounded::BoundedRasterJoin`] — the approximate raster join of
 //!   §4.1–4.2: points are additively blended into an FBO, polygons are
-//!   triangulated and rasterized over it, and per-pixel partial aggregates
-//!   are folded into the per-polygon result array. Accuracy is governed by
+//!   scan-converted over it, and per-pixel partial aggregates are folded
+//!   into the per-polygon result array (the paper triangulates first, as
+//!   a GPU must; triangulation is kept for the GPU-faithful ablation and
+//!   the periphery operators). Accuracy is governed by
 //!   an ε Hausdorff bound translated into canvas resolution; canvases
 //!   larger than the FBO limit are split into multiple render passes.
 //! * [`accurate::AccurateRasterJoin`] — the exact variant of §4.3: polygon
 //!   outlines are drawn conservatively into a boundary FBO and only points
-//!   landing on boundary pixels take the index + point-in-polygon path.
+//!   landing on boundary pixels take the index + point-in-polygon path;
+//!   the rest is the bounded variant's polygon pass over the same canvas.
 //! * [`index_join::IndexJoin`] — the §6.2 baseline (grid index + PIP for
 //!   every point) in GPU-style parallel, multi-core CPU and single-core
 //!   CPU flavours.
@@ -40,6 +43,7 @@ pub mod minmax;
 pub mod moments;
 pub mod multi;
 pub mod optimizer;
+mod polygon_pass;
 pub mod quantize;
 pub mod query;
 pub mod ranges;

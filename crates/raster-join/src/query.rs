@@ -184,49 +184,6 @@ pub struct ChunkDeltas {
     pub partial: JoinOutput,
 }
 
-/// Per-item partial aggregates of a parallel polygon pass. Workers write
-/// each item's `(count, sum)` to its own cell; [`StagedPartials::fold_into`]
-/// then adds them to the result slots serially, in item order, so a slot
-/// fed by several items (a polygon's triangles, polygons sharing an id)
-/// sums in the same order at any worker count.
-pub(crate) struct StagedPartials {
-    counts: raster_gpu::AtomicU64Array,
-    sums: raster_gpu::AtomicF64Array,
-}
-
-impl StagedPartials {
-    pub(crate) fn new(items: usize) -> Self {
-        StagedPartials {
-            counts: raster_gpu::AtomicU64Array::new(items),
-            sums: raster_gpu::AtomicF64Array::new(items),
-        }
-    }
-
-    /// Record item `i`'s partial (each item is put at most once).
-    pub(crate) fn put(&self, i: usize, count: u64, sum: f64) {
-        if count > 0 {
-            self.counts.add(i, count);
-        }
-        if sum != 0.0 {
-            self.sums.add(i, sum);
-        }
-    }
-
-    /// Add item `i`'s partial to slot `slot_of(i)`, for `i` ascending.
-    pub(crate) fn fold_into(
-        &self,
-        slot_of: impl Fn(usize) -> usize,
-        counts: &mut [u64],
-        sums: &mut [f64],
-    ) {
-        for i in 0..self.counts.len() {
-            let slot = slot_of(i);
-            counts[slot] += self.counts.get(i);
-            sums[slot] += self.sums.get(i);
-        }
-    }
-}
-
 /// Shared sizing rule: the result arrays are indexed by polygon ID, so
 /// their length is `max(id) + 1`.
 pub fn result_slots(polys: &[raster_geom::Polygon]) -> usize {

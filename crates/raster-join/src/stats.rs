@@ -80,7 +80,9 @@ pub struct ExecStats {
     /// Candidate pairs produced by the filtering step (two-step baseline
     /// only): MBR hits handed to refinement, before PIP pruning.
     pub candidate_pairs: u64,
-    /// Time spent triangulating polygons (reported separately, Table 1).
+    /// Polygon preparation, reported separately (Table 1): ring
+    /// extraction in the raster joins; triangulation only in the
+    /// periphery operators (`lod`, `moments`, `multi`, `temporal`).
     pub triangulation: Duration,
     /// Time spent building the polygon index (reported separately, Table 1).
     pub index_build: Duration,

@@ -606,7 +606,7 @@ impl<'a> Pieces<'a> {
         drain_tests::RESOLVES.with(|n| n.set(n.get() + 1));
         match self {
             Pieces::Bounded(exec, p) => exec.resolve(p, canvases, query),
-            Pieces::Accurate(exec, p) => exec.resolve(p, canvases),
+            Pieces::Accurate(exec, p) => exec.resolve(p, canvases, query),
         }
     }
 

@@ -27,9 +27,14 @@
 //! |                   | ([`NO_JOIN_EXPECT_PATHS`]) never `.expect()` — a    |
 //! |                   | panicked pool thread must surface as a typed        |
 //! |                   | `StreamError::WorkerPanicked`, not abort the scan   |
+//! | `no-triangulate-join` | the planner-reachable joins                     |
+//! |                   | ([`NO_TRIANGULATE_PATHS`]) never name `triangulate` |
+//! |                   | — they scan-convert rings; a 1 s call on the        |
+//! |                   | counties must not come back unnoticed               |
 //!
-//! `#[cfg(test)]` regions are exempt from the panic and clock rules
-//! (tests may time things and unwrap freely) but **not** from the unsafe
+//! `#[cfg(test)]` regions are exempt from the panic, clock and
+//! triangulation rules (tests may time things, unwrap freely and hold the
+//! joins against a triangulation) but **not** from the unsafe
 //! rules: unsafe test code still wants an audit trail.
 
 use std::fs;
@@ -105,6 +110,21 @@ pub const CATCH_UNWIND_ALLOWLIST: &[&str] = &["crates/raster-join/src/containmen
 /// `StreamError::WorkerPanicked`, never abort mid-scan. Prefix matches
 /// like [`NO_CLOCK_PATHS`].
 pub const NO_JOIN_EXPECT_PATHS: &[&str] = &["crates/raster-join/src/"];
+
+/// The joins the planner, SQL and the streaming scan can reach: they
+/// scan-convert polygon rings (`raster-join/src/polygon_pass.rs`) and may
+/// not name `triangulate` (`triangulate_all`, `triangulate_polygon`, the
+/// module). Triangulation stays with the periphery operators, the ablation
+/// bench and `experiments.rs` Table 1. Prefix matches like
+/// [`NO_CLOCK_PATHS`].
+pub const NO_TRIANGULATE_PATHS: &[&str] = &[
+    "crates/raster-join/src/accurate.rs",
+    "crates/raster-join/src/bounded.rs",
+    "crates/raster-join/src/polygon_pass.rs",
+    "crates/raster-join/src/stream.rs",
+    "crates/raster-join/src/query.rs",
+    "crates/raster-join/src/optimizer/",
+];
 
 /// How far above an `unsafe` token the contiguous `// SAFETY:` comment
 /// block may start.
@@ -373,6 +393,7 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
     let no_clock = NO_CLOCK_PATHS.iter().any(|p| path_matches(rel, p));
     let catch_allowed = rel.starts_with("vendor/") || CATCH_UNWIND_ALLOWLIST.contains(&rel);
     let no_join_expect = NO_JOIN_EXPECT_PATHS.iter().any(|p| path_matches(rel, p));
+    let no_triangulate = NO_TRIANGULATE_PATHS.iter().any(|p| path_matches(rel, p));
     let needs_forbid = FORBID_UNSAFE_ROOTS.contains(&rel);
     let needs_deny_op = DENY_UNSAFE_OP_ROOTS.contains(&rel);
 
@@ -473,6 +494,21 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
                 rule: "no-clock-result",
                 message: "wall-clock read in result-affecting code — timing must \
                           never influence query results (stream.rs determinism rule)"
+                    .into(),
+            });
+        }
+
+        // A substring match on purpose: `triangulate_all` and
+        // `triangulate_polygon` count, the `triangulation` stats field
+        // does not.
+        if no_triangulate && !in_test[idx] && code.contains("triangulate") {
+            out.push(Violation {
+                file: rel.into(),
+                line: lineno,
+                rule: "no-triangulate-join",
+                message: "`triangulate` in a planner-reachable join — the raster \
+                          joins scan-convert polygon rings (polygon_pass.rs); \
+                          triangulation belongs to the periphery and the benches"
                     .into(),
             });
         }
@@ -758,6 +794,28 @@ mod tests {
         assert!(lint_source("crates/raster-join/src/stream.rs", test_src).is_empty());
         let src = "fn f(h: std::thread::JoinHandle<()>) { h.join().expect(\"x\"); }\n";
         assert!(lint_source("crates/raster-gpu/src/exec.rs", src).is_empty());
+    }
+
+    #[test]
+    fn triangulate_in_a_planner_reachable_join_fails() {
+        let src = "use raster_geom::triangulate::triangulate_all;\nfn f(p: &[Polygon]) { let _ = triangulate_all(p); }\n";
+        for rel in [
+            "crates/raster-join/src/accurate.rs",
+            "crates/raster-join/src/optimizer/cost.rs",
+        ] {
+            let v = lint_source(rel, src);
+            assert_eq!(v.len(), 2, "{rel}: {v:?}");
+            assert!(v.iter().all(|v| v.rule == "no-triangulate-join"));
+        }
+    }
+
+    #[test]
+    fn triangulate_in_periphery_tests_comments_and_stats_is_fine() {
+        let src = "use raster_geom::triangulate::triangulate_all;\n";
+        assert!(lint_source("crates/raster-join/src/lod.rs", src).is_empty());
+        assert!(lint_source("crates/bench/src/experiments.rs", src).is_empty());
+        let ok = "// the paper triangulates here\nfn f(s: &mut ExecStats) { s.triangulation = d; }\n#[cfg(test)]\nmod tests {\n    use raster_geom::triangulate::triangulate_all;\n}\n";
+        assert!(lint_source("crates/raster-join/src/bounded.rs", ok).is_empty());
     }
 
     #[test]

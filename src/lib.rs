@@ -15,9 +15,13 @@
 //!
 //! by *drawing* both relations on a canvas: points are blended into a
 //! framebuffer holding per-pixel partial aggregates, polygons are
-//! triangulated and rasterized over it, and each polygon fragment folds
-//! its pixel's partial aggregate into the polygon's result slot — no join
+//! rasterized over it, and each polygon fragment folds its pixel's
+//! partial aggregate into the polygon's result slot — no join
 //! materialization and (in the bounded variant) no point-in-polygon tests.
+//! The paper triangulates its polygons because a GPU draws only
+//! triangles; the software pipeline here scan-converts them directly, in
+//! both raster joins, and keeps triangulation for the GPU-faithful
+//! ablation and the periphery operators.
 //!
 //! This facade crate re-exports the whole workspace:
 //!

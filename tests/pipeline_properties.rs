@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use raster_join_repro::data::csv::{read_csv, write_csv, CsvSpec};
 use raster_join_repro::data::disk::{write_table, ChunkedReader};
 use raster_join_repro::geom::proj::LocalProjection;
+use raster_join_repro::geom::{triangulate_polygon, Triangle};
 use raster_join_repro::gpu::raster::{rasterize_triangle, rasterize_triangle_spans, ScreenTri};
 use raster_join_repro::prelude::*;
 use std::collections::HashSet;
@@ -155,5 +156,148 @@ proptest! {
         prop_assert_eq!(q.predicates.len(), 1);
         prop_assert_eq!(q.predicates[0].attr, attr);
         prop_assert!((q.predicates[0].value - val).abs() < 1e-6);
+    }
+}
+
+/// The coverage the exact join's polygon pass rests on, checked for one
+/// polygon on one canvas: on every pixel the conservative outline does
+/// **not** mark, scanline coverage of the rings, the union of the
+/// triangulation's spans and `Polygon::contains(pixel center)` are the
+/// same set, and neither rasterizer covers such a pixel twice. (On marked
+/// pixels the three may differ — that is what the outline is for.)
+/// Returns the unmarked pixels found covered.
+fn assert_interior_coverage_agrees(poly: &Polygon, tris: &[Triangle], vp: &Viewport) -> usize {
+    use raster_join_repro::gpu::raster::{rasterize_polygon_spans, rasterize_segment_conservative};
+    use std::collections::HashMap;
+
+    let (w, h) = (vp.width, vp.height);
+    let mut outline = HashSet::new();
+    for (a, b) in poly.all_edges() {
+        rasterize_segment_conservative(vp.to_screen(a), vp.to_screen(b), w, h, |x, y| {
+            outline.insert((x, y));
+        });
+    }
+    let add = |cover: &mut HashMap<(u32, u32), u32>, y: u32, x0: u32, x1: u32| {
+        for x in (x0..x1).filter(|&x| !outline.contains(&(x, y))) {
+            *cover.entry((x, y)).or_insert(0) += 1;
+        }
+    };
+
+    let rings: Vec<Vec<(f64, f64)>> = std::iter::once(poly.outer())
+        .chain(poly.holes())
+        .map(|r| r.points().iter().map(|&p| vp.to_screen(p)).collect())
+        .collect();
+    let ring_refs: Vec<&[(f64, f64)]> = rings.iter().map(|r| r.as_slice()).collect();
+    let mut by_scanline = HashMap::new();
+    rasterize_polygon_spans(&ring_refs, w, h, |y, x0, x1| {
+        add(&mut by_scanline, y, x0, x1)
+    });
+
+    let mut by_triangles = HashMap::new();
+    for t in tris {
+        let tri = [vp.to_screen(t.a), vp.to_screen(t.b), vp.to_screen(t.c)];
+        rasterize_triangle_spans(tri, w, h, |y, x0, x1| add(&mut by_triangles, y, x0, x1));
+    }
+    assert!(
+        by_scanline.values().all(|&n| n == 1),
+        "scanline covers a pixel twice"
+    );
+    assert!(
+        by_triangles.values().all(|&n| n == 1),
+        "triangles cover a pixel twice"
+    );
+    assert_eq!(
+        by_scanline,
+        by_triangles,
+        "polygon {} on {w}x{h}",
+        poly.id()
+    );
+
+    // `contains` over the polygon's pixel box, one pixel of margin —
+    // every pixel of a small box, an odd stride through a large one (a
+    // county of 3 000 vertices spans 10⁵ pixels at 2048²).
+    let b = poly.bbox();
+    let (lo, hi) = (vp.to_screen(b.min), vp.to_screen(b.max));
+    let span = |a: f64, b: f64, n: u32| {
+        let lo = (a.min(b).floor() - 1.0).max(0.0) as u32;
+        lo..((a.max(b).ceil() + 1.0).max(0.0) as u32).min(n)
+    };
+    let (xs, ys) = (span(lo.0, hi.0, w), span(lo.1, hi.1, h));
+    let area = xs.len() * ys.len();
+    let budget = 4_000_000 / poly.vertex_count().max(1);
+    for i in (0..area).step_by((area / budget.max(1)) | 1) {
+        let (x, y) = (
+            xs.start + (i % xs.len()) as u32,
+            ys.start + (i / xs.len()) as u32,
+        );
+        if !outline.contains(&(x, y)) {
+            assert_eq!(
+                poly.contains(vp.pixel_center(x, y)),
+                by_scanline.contains_key(&(x, y)),
+                "polygon {} pixel ({x}, {y}) on {w}x{h}",
+                poly.id()
+            );
+        }
+    }
+    by_scanline.len()
+}
+
+#[test]
+fn interior_coverage_needs_no_triangles_on_random_polygons() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0xC0FE);
+    let extent = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
+    // Star-shaped rings: concave wherever neighbouring radii differ.
+    let mut star = |cx: f64, cy: f64, r0: f64, r1: f64, n: usize| {
+        let pts = (0..n).map(|i| {
+            let a = i as f64 / n as f64 * std::f64::consts::TAU;
+            let r = rng.gen_range(r0..r1);
+            Point::new(cx + r * a.cos(), cy + r * a.sin())
+        });
+        Ring::new(pts.collect())
+    };
+    let mut covered = 0;
+    for k in 0..12u32 {
+        let (cx, cy) = (20.0 + 5.0 * k as f64, 75.0 - 4.0 * k as f64);
+        let r = 4.0 + 1.3 * k as f64;
+        let outer = star(cx, cy, 0.5 * r, r, 5 + 3 * k as usize);
+        let holes = match k % 3 {
+            0 => Vec::new(),
+            1 => vec![star(cx, cy, 0.1 * r, 0.4 * r, 6)],
+            _ => vec![
+                star(cx - 0.2 * r, cy, 0.05 * r, 0.15 * r, 5),
+                star(cx + 0.2 * r, cy, 0.05 * r, 0.15 * r, 7),
+            ],
+        };
+        let poly = Polygon::with_holes(k, outer, holes);
+        let tris = triangulate_polygon(&poly);
+        for dim in [64, 257, 1024, 2048] {
+            let vp = Viewport::new(extent, dim, dim);
+            covered += assert_interior_coverage_agrees(&poly, &tris, &vp);
+        }
+    }
+    assert!(covered > 100_000, "only {covered} interior pixels checked");
+}
+
+#[test]
+fn interior_coverage_needs_no_triangles_on_the_stand_in_sets() {
+    use raster_join_repro::data::polygons::{nyc_neighborhoods, us_counties};
+    use raster_join_repro::join::bounded::polygon_extent;
+    for (polys, step) in [(nyc_neighborhoods(), 13), (us_counties(), 197)] {
+        let extent = polygon_extent(&polys);
+        // A stride through the set plus the first holed polygons (the
+        // counties with islands).
+        let holed = polys.iter().filter(|p| !p.holes().is_empty()).take(8);
+        let mut covered = 0;
+        for poly in polys.iter().step_by(step).chain(holed) {
+            let tris = triangulate_polygon(poly);
+            for dim in [64, 512, 2048] {
+                let (w, h) = Viewport::canvas_for_extent(&extent, dim);
+                let vp = Viewport::new(extent, w, h);
+                covered += assert_interior_coverage_agrees(poly, &tris, &vp);
+            }
+        }
+        assert!(covered > 10_000, "only {covered} interior pixels checked");
     }
 }
