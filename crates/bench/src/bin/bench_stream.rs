@@ -22,13 +22,13 @@
 //!    `retweets` never leaves the disk — with counts bit-identical and
 //!    sums exactly equal; per-column `column_io` attributes the win.
 //! 4. **Chunk-parallel pool**: the pruned cell with a chunk pool of
-//!    ≥ 4 workers against the forced-sequential 1-worker scan. On a
-//!    multi-core box the pool overlaps the decode+join of several chunks
-//!    and the speedup lands in disk+processing; on a single-core box it
-//!    degenerates to ~1x. The pool must agree **bitwise** (counts and
-//!    sums) with the blocking arm at the same width — the sequential
-//!    execution of the identical plan — and counts must match the
-//!    in-memory reference bit-for-bit.
+//!    ≥ 4 workers against the same pool with one worker (`sequential`:
+//!    one protocol at two widths). On a multi-core box the pool overlaps
+//!    the decode+join of several chunks and the speedup lands in
+//!    disk+processing; on a single-core box it degenerates to ~1x. The
+//!    pool must agree **bitwise** (counts and sums) with the blocking
+//!    arm at the same width — the sequential execution of the identical
+//!    plan — and counts must match the in-memory reference bit-for-bit.
 //! 5. **Chunk-size grid**: fixed chunk sizes (fractions of the device
 //!    budget) against the planner-chosen chunk, to verify the planner's
 //!    batch model is a sound chunk-size oracle (within 20% of the best
@@ -287,8 +287,8 @@ fn main() {
     }
 
     // -------------------------------------------------- chunk-parallel arm
-    // The pruned cell again, chunk pool of ≥ 4 workers vs the forced
-    // 1-worker sequential scan (both paced, both pruned).
+    // The pruned cell again, chunk pool of ≥ 4 workers vs the same pool
+    // with one worker (both paced, both pruned).
     let par_workers = workers.max(4);
     let par_stream =
         |w: usize| StreamingRasterJoin::new(w).with_disk_bandwidth(MODELLED_DISK_BANDWIDTH);

@@ -13,7 +13,7 @@ use checker::models::{
 use checker::sched::{Explorer, Model, Report};
 use std::process::ExitCode;
 
-/// Acceptance floor: distinct interleavings per clean model at width ≥ 2.
+/// Acceptance floor: distinct interleavings per clean model.
 const MIN_INTERLEAVINGS: usize = 1000;
 
 fn explore_clean<M: Model>(name: &str, model: &M, ex: &Explorer, ok: &mut bool) -> Report {
@@ -74,6 +74,14 @@ fn main() -> ExitCode {
 
     println!("model checker: exhaustive bounded-preemption exploration");
     println!("clean models (must pass every schedule, ≥ {MIN_INTERLEAVINGS} interleavings):");
+    // Width 1 is the same protocol with one worker — what every
+    // prefetching scan runs when the planner picks one.
+    explore_clean(
+        "ring  w=1 chunks=4  p=3",
+        &RingModel::new(1, 4),
+        &ex,
+        &mut ok,
+    );
     explore_clean(
         "ring  w=2 chunks=3  p=3",
         &RingModel::new(2, 3),
@@ -139,6 +147,12 @@ fn main() -> ExitCode {
     explore_clean(
         "errs  w=2 cancel@2  p=3",
         &ErrModel::new(2, 3, FaultAt::ConsumerCancel { after_folds: 2 }),
+        &ex,
+        &mut ok,
+    );
+    explore_clean(
+        "errs  w=1 worker@2  p=3",
+        &ErrModel::new(1, 4, FaultAt::Worker { on_seq: 2 }),
         &ex,
         &mut ok,
     );

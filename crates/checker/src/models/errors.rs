@@ -1,7 +1,9 @@
 //! Model of the streaming pool's **first-error shutdown** protocol.
 //!
-//! Mirrors the hardened error paths of `StreamingRasterJoin::scan`'s pool
-//! arm (`stream.rs`): the consumer checks the scan's canvases out once,
+//! Mirrors the hardened error paths of the threaded scan of
+//! `StreamingRasterJoin::scan` (`stream.rs`), any width ≥ 1, on the ring
+//! of `workers + 1` — the tightest `max(DEFAULT_READAHEAD, workers + 1)`
+//! gets: the consumer checks the scan's canvases out once,
 //! before the first chunk, and keeps them for the whole scan; the reader
 //! can fail (I/O error or contained panic) by enqueueing `(seq, Err)` and
 //! stopping; a worker — which only decodes and bins, and holds no canvas

@@ -1,12 +1,15 @@
 //! Model of the streaming pool's seq-tagged ring, reorder buffer and
 //! resident canvas.
 //!
-//! Mirrors `StreamingRasterJoin::scan`'s pool arm (`stream.rs`):
+//! Mirrors the threaded scan of `StreamingRasterJoin::scan` (`stream.rs`),
+//! which every prefetching scan runs at any width ≥ 1:
 //!
 //! * **reader** (thread 0) — fetches chunks `1..=chunks`, tagging each
 //!   with its sequence number, into a bounded work ring
-//!   (`mpsc::sync_channel` of capacity `workers + 1`), then drops its
-//!   sender;
+//!   (`mpsc::sync_channel`), then drops its sender. The model's ring
+//!   holds `workers + 1`, the tightest production ever runs: production
+//!   sizes it `max(DEFAULT_READAHEAD, workers + 1)`, and a deeper ring
+//!   only lets the reader block later;
 //! * **workers** (threads `1..=workers`) — steal the next fetched chunk
 //!   off the shared ring, decode and *bin* it (one step) and send the
 //!   chunk's `(seq, deltas)` down the unbounded result channel. They hold

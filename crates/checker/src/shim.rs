@@ -8,7 +8,7 @@
 //! | shim                | production primitive                               |
 //! |---------------------|----------------------------------------------------|
 //! | [`Chan::bounded`]   | `std::sync::mpsc::sync_channel` (the seq-tagged    |
-//! |                     | work ring, capacity `max(readahead, workers+1)`)   |
+//! |                     | work ring, `max(DEFAULT_READAHEAD, workers+1)`)    |
 //! | [`Chan::unbounded`] | `std::sync::mpsc::channel` (the result channel)    |
 //! | [`Gate`]            | `crossbeam::thread::scope` join (workers must all  |
 //! |                     | arrive before the scope's tail code runs)          |

@@ -9,6 +9,13 @@
 //! prefetching streaming executor that overlaps these reads with join
 //! processing lives in `raster-join::stream`.)
 //!
+//! There is one read path, in two halves: [`ChunkedReader::fetch_chunk`]
+//! does the I/O — positioned reads, byte accounting, structural
+//! validation — and hands out the chunk's bytes as an [`EncodedChunk`];
+//! [`EncodedChunk::decode`] turns them into a [`PointTable`] on whatever
+//! thread holds them. [`ChunkedReader::next_chunk`] is the two composed
+//! on the calling thread.
+//!
 //! Three format versions share the magic prefix and differ in the
 //! trailing version byte (see [`crate::codec`] for the full v2/v3 layout
 //! and the forward-compat rule):
@@ -17,16 +24,18 @@
 //!   chunk is read with one *positioned* read per column (`pread`-style
 //!   on Unix), issued in ascending file-offset order; when a single chunk
 //!   covers the whole remainder — the `read_table` whole-file load — this
-//!   degenerates to one sequential pass over the data section. Column
-//!   bytes are decoded straight into the final column `Vec`s
-//!   ([`PointTable::from_columns`]) through one reused scratch buffer.
+//!   degenerates to one sequential pass over the data section. Each
+//!   column's bytes are copied out of the reused read buffer into the
+//!   chunk, then converted straight into the final column `Vec`
+//!   ([`PointTable::from_columns`]) and freed, column by column.
 //! * **v2** (`RJPTBL02`, [`write_table_compressed_v2`]) — chunked
 //!   compressed columns: the data section is a sequence of stored-chunk
 //!   blocks, each holding every column of its row range encoded with the
 //!   per-chunk codec choice of [`crate::codec`]. A block is fetched with
-//!   a single positioned read and decoded column-wise; [`ChunkedReader`]
-//!   re-slices stored chunks to whatever delivery chunk size the caller
-//!   asked for, so v1 and v2 files behave identically above this module.
+//!   a single positioned read and decoded column-wise, once, however
+//!   many delivery chunks share it; [`ChunkedReader`] re-slices stored
+//!   chunks to whatever delivery chunk size the caller asked for, so v1
+//!   and v2 files behave identically above this module.
 //! * **v3** (`RJPTBL03`, [`write_table_compressed`]) — v2's blocks behind
 //!   a *per-column* chunk directory: the header records the encoded byte
 //!   length of every column entry of every stored chunk, so the reader
@@ -75,7 +84,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const MAGIC: u64 = 0x524a_5054_424c_3031;
@@ -829,28 +838,24 @@ struct ChunkSchema {
 
 /// One stored block's *needed* column entries, fetched but not decoded:
 /// `(stored_col, codec, payload)` in stored order. Shared (`Arc`) between
-/// the delivery chunks that straddle it — each decodes its own copy, so
-/// the bytes are read and charged once even though a straddled block is
-/// decoded twice.
+/// the delivery chunks that straddle it, so the bytes are read and
+/// charged once — and decoded once: whichever chunk asks first fills
+/// `decoded`, the others copy their rows out of it (a failed decode is
+/// kept too: every chunk sharing the block reports it).
 #[derive(Debug)]
 pub struct EncodedBlock {
     rows: usize,
     cols: Vec<(usize, u8, Box<[u8]>)>,
+    decoded: OnceLock<Result<PointTable, FormatError>>,
 }
 
-/// One segment of an encoded delivery chunk.
+/// One segment of an encoded delivery chunk: `take` rows starting at
+/// `skip` of a (possibly shared) encoded block.
 #[derive(Debug)]
-enum Segment {
-    /// Rows already decoded by an earlier [`ChunkedReader::next_chunk`]
-    /// call on the same reader (e.g. the streaming executor's sample
-    /// chunk leaves a partially-consumed decoded block behind).
-    Decoded(PointTable),
-    /// `take` rows starting at `skip` of a shared encoded block.
-    Block {
-        block: Arc<EncodedBlock>,
-        skip: usize,
-        take: usize,
-    },
+struct Segment {
+    block: Arc<EncodedBlock>,
+    skip: usize,
+    take: usize,
 }
 
 /// The raw bytes of one delivery chunk, fetched from disk but not yet
@@ -873,8 +878,7 @@ enum EncodedRows {
         /// Materialized attribute payloads, ascending stored order.
         attrs: Vec<Box<[u8]>>,
     },
-    /// v2/v3: slices of (shared) encoded stored blocks, plus any decoded
-    /// rows left pending by an earlier `next_chunk` on the same reader.
+    /// v2/v3: slices of (shared) encoded stored blocks.
     Segments(Vec<Segment>),
 }
 
@@ -897,19 +901,24 @@ impl EncodedChunk {
 
     /// Decode into a [`PointTable`]. CPU-only (no I/O): safe to run on a
     /// worker thread while the reader fetches further chunks. A block
-    /// shared with a neighbouring chunk is decoded by both — bytes are
-    /// charged once at fetch, decode time per decode.
+    /// shared with a neighbouring chunk is decoded by whichever of the
+    /// two gets here first, and charged to it; a block no other chunk
+    /// holds — every whole-block chunk — decodes by value, uncached.
     pub fn decode(self) -> io::Result<DecodedChunk> {
         let t0 = Instant::now();
         let mut col_decode = vec![Duration::ZERO; self.schema.stored_cols];
         let names: Vec<&str> = self.schema.attr_names.iter().map(|s| s.as_str()).collect();
         let table = match self.data {
+            // Each raw column is freed as soon as it is converted, so a
+            // whole-file chunk (`read_table`) never holds the file twice.
             EncodedRows::Raw { xs, ys, attrs } => {
                 let tc = Instant::now();
-                let xs: Vec<f64> = xs.chunks_exact(8).map(codec::le_f64).collect();
+                let xs_vals: Vec<f64> = xs.chunks_exact(8).map(codec::le_f64).collect();
+                drop(xs);
                 col_decode[0] = tc.elapsed();
                 let tc = Instant::now();
-                let ys: Vec<f64> = ys.chunks_exact(8).map(codec::le_f64).collect();
+                let ys_vals: Vec<f64> = ys.chunks_exact(8).map(codec::le_f64).collect();
+                drop(ys);
                 col_decode[1] = tc.elapsed();
                 let mut attr_vals = Vec::with_capacity(attrs.len());
                 for (i, raw) in attrs.into_iter().enumerate() {
@@ -917,34 +926,46 @@ impl EncodedChunk {
                     attr_vals.push(raw.chunks_exact(4).map(codec::le_f32).collect::<Vec<f32>>());
                     col_decode[self.schema.mat_stored[i]] += tc.elapsed();
                 }
-                PointTable::from_columns(xs, ys, &names, attr_vals)
+                PointTable::from_columns(xs_vals, ys_vals, &names, attr_vals)
             }
             EncodedRows::Segments(segs) => {
-                let mut out: Option<PointTable> = None;
-                for seg in segs {
-                    let part = match seg {
-                        Segment::Decoded(t) => t,
-                        Segment::Block { block, skip, take } => {
-                            let n = block.rows;
-                            let mut xs = Vec::new();
-                            let mut ys = Vec::new();
-                            let mut attr_vals = Vec::with_capacity(block.cols.len());
-                            for (c, codec_id, payload) in &block.cols {
-                                let tc = Instant::now();
-                                match c {
-                                    0 => xs = codec::decode_f64s(*codec_id, n, payload)?,
-                                    1 => ys = codec::decode_f64s(*codec_id, n, payload)?,
-                                    _ => attr_vals.push(codec::decode_f32s(*codec_id, n, payload)?),
-                                }
-                                col_decode[*c] += tc.elapsed();
+                let mut decode_block = |block: &EncodedBlock| {
+                    let mut xs = Vec::new();
+                    let mut ys = Vec::new();
+                    let mut attr_vals = Vec::with_capacity(block.cols.len());
+                    for (c, codec_id, payload) in &block.cols {
+                        let tc = Instant::now();
+                        match c {
+                            0 => xs = codec::decode_f64s(*codec_id, block.rows, payload)?,
+                            1 => ys = codec::decode_f64s(*codec_id, block.rows, payload)?,
+                            _ => {
+                                attr_vals.push(codec::decode_f32s(*codec_id, block.rows, payload)?)
                             }
-                            let full = PointTable::from_columns(xs, ys, &names, attr_vals);
-                            if skip == 0 && take == full.len() {
+                        }
+                        col_decode[*c] += tc.elapsed();
+                    }
+                    Ok(PointTable::from_columns(xs, ys, &names, attr_vals))
+                };
+                let mut out: Option<PointTable> = None;
+                for Segment { block, skip, take } in segs {
+                    let part = match Arc::try_unwrap(block) {
+                        Ok(mut block) => {
+                            let full = match block.decoded.take() {
+                                Some(decoded) => decoded?,
+                                None => decode_block(&block)?,
+                            };
+                            if take == full.len() {
                                 full
                             } else {
                                 full.slice(skip, skip + take)
                             }
                         }
+                        Err(shared) => shared
+                            .decoded
+                            .get_or_init(|| decode_block(&shared))
+                            .as_ref()
+                            .map_err(Clone::clone)?
+                            .slice(skip, skip + take),
                     };
                     match &mut out {
                         Some(o) => o.extend(&part),
@@ -972,26 +993,22 @@ pub struct ChunkedReader {
     meta: TableMeta,
     cursor: u64,
     chunk_rows: usize,
-    /// Reused raw-byte buffer: one column (v1), one stored block (v2) or
-    /// one needed-column run (v3) at a time is decoded through it, so a
-    /// chunk's footprint is its own storage plus this single scratch
-    /// allocation.
+    /// Reused raw-byte buffer every positioned read lands in: one column
+    /// (v1), one stored block (v2) or one needed-column run (v3) at a
+    /// time, copied out into the chunk being fetched.
     scratch: Vec<u8>,
-    /// v2/v3: index of the next stored block to fetch.
+    /// v2/v3: index of the next stored block to fetch. With
+    /// `enc_pending` this is the reader's whole position.
     next_block: usize,
     /// v2/v3: file offset of each stored block (prefix sums of the chunk
     /// directory, computed once — a scan must not re-sum the prefix per
     /// fetch, which would be O(blocks²) over the whole file).
     block_offsets: Vec<u64>,
-    /// v2/v3: decoded stored chunk not yet fully delivered, plus the rows
-    /// of it already taken.
-    pending: Option<(PointTable, usize)>,
-    /// v2/v3: *encoded* stored block not yet fully handed out by
+    /// v2/v3: stored block `next_block - 1`, not yet fully handed out by
     /// [`Self::fetch_chunk`], plus the rows of it already taken.
     enc_pending: Option<(Arc<EncodedBlock>, usize)>,
-    /// Shared column layout handed to every [`EncodedChunk`] (built on
-    /// first use).
-    chunk_schema: Option<Arc<ChunkSchema>>,
+    /// Shared column layout handed to every [`EncodedChunk`].
+    chunk_schema: Arc<ChunkSchema>,
     /// Attribute columns to materialize (sorted, deduped); `None` = all.
     projection: Option<Vec<usize>>,
     /// The attribute columns actually materialized, ascending (the
@@ -1097,6 +1114,14 @@ impl ChunkedReader {
             block_offsets.push(at);
             at += len;
         }
+        let chunk_schema = Arc::new(ChunkSchema {
+            attr_names: mat_attrs
+                .iter()
+                .map(|&c| meta.attr_names[c].clone())
+                .collect(),
+            mat_stored: mat_attrs.iter().map(|&c| 2 + c).collect(),
+            stored_cols: meta.stored_cols(),
+        });
         Ok(ChunkedReader {
             file,
             meta,
@@ -1105,9 +1130,8 @@ impl ChunkedReader {
             scratch: Vec::new(),
             next_block: 0,
             block_offsets,
-            pending: None,
             enc_pending: None,
-            chunk_schema: None,
+            chunk_schema,
             projection,
             mat_attrs,
             needed,
@@ -1142,16 +1166,18 @@ impl ChunkedReader {
     }
 
     /// Bytes fetched from disk so far: raw column bytes for v1 files,
-    /// compressed block bytes for v2 — the quantity a bandwidth-bound
-    /// scan actually pays for (and the one the modelled-disk pacing
-    /// charges).
+    /// compressed block bytes for v2, the needed column entries for v3 —
+    /// the quantity a bandwidth-bound scan actually pays for (and the one
+    /// the modelled-disk pacing charges).
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 
-    /// Cumulative time spent decoding column bytes into values — codec
-    /// decode for v2/v3 blocks, bulk little-endian conversion for v1
-    /// columns; a subset of the wall time `next_chunk` calls took.
+    /// Cumulative time [`Self::next_chunk`] spent decoding column bytes
+    /// into values — codec decode for v2/v3 blocks, bulk little-endian
+    /// conversion for v1 columns — the sum of the per-column
+    /// [`ColumnIo::decode_time`]s. Chunks handed out encoded
+    /// ([`Self::fetch_chunk`]) report theirs through [`DecodedChunk`].
     pub fn decode_time(&self) -> Duration {
         self.decode_time
     }
@@ -1210,108 +1236,43 @@ impl ChunkedReader {
         }
     }
 
-    /// Read the next chunk, or `None` at end of data.
+    /// Read the next chunk, or `None` at end of data: [`Self::fetch_chunk`]
+    /// then [`EncodedChunk::decode`] on the calling thread, the decode
+    /// time charged to this reader's counters.
     ///
-    /// * v1: one positioned read per *materialized* column in ascending
-    ///   offset order (pruned columns are skipped entirely); when the
-    ///   chunk covers the whole remainder this is a single sequential
-    ///   pass over the rest of the data the scan touches.
-    /// * v2/v3: stored blocks are fetched with positioned reads (v3
-    ///   prunes down to the needed column entries) and decoded; the
-    ///   decoded rows are re-sliced to the requested delivery chunk size
-    ///   (a stored chunk that exactly fills the request is handed over
-    ///   without copying).
+    /// A chunk that decodes as corrupt is read again, once — the bytes
+    /// may have been caught mid-write — before the typed error stands:
+    /// the reader rewinds to where the call found it, re-fetches the
+    /// block it held half handed out, and fetches and decodes once more.
+    /// Durable on-disk corruption yields the same bytes, and the same
+    /// error, on the re-read.
     pub fn next_chunk(&mut self) -> io::Result<Option<PointTable>> {
-        if self.meta.is_compressed() {
-            return self.next_chunk_v2();
-        }
-        if self.cursor >= self.meta.rows {
+        let (cursor, next_block) = (self.cursor, self.next_block);
+        let taken = self.enc_pending.as_ref().map(|(_, taken)| *taken);
+        let Some(enc) = self.fetch_chunk()? else {
             return Ok(None);
-        }
-        let n = (self.meta.rows - self.cursor).min(self.chunk_rows as u64) as usize;
-
-        let raw = self.read_at(self.meta.xs_offset() + self.cursor * 8, n * 8)?;
-        let t0 = Instant::now();
-        let xs: Vec<f64> = raw.chunks_exact(8).map(codec::le_f64).collect();
-        let dt = t0.elapsed();
-        self.col_io[0].decode_time += dt;
-        self.decode_time += dt;
-        let raw = self.read_at(self.meta.ys_offset() + self.cursor * 8, n * 8)?;
-        let t0 = Instant::now();
-        let ys: Vec<f64> = raw.chunks_exact(8).map(codec::le_f64).collect();
-        let dt = t0.elapsed();
-        self.col_io[1].decode_time += dt;
-        self.decode_time += dt;
-        self.col_io[0].bytes_read += (n * 8) as u64;
-        self.col_io[1].bytes_read += (n * 8) as u64;
-
-        let mut attr_vals: Vec<Vec<f32>> = Vec::with_capacity(self.mat_attrs.len());
-        for i in 0..self.mat_attrs.len() {
-            let c = self.mat_attrs[i];
-            let raw = self.read_at(self.meta.attr_offset(c) + self.cursor * 4, n * 4)?;
-            let t0 = Instant::now();
-            attr_vals.push(raw.chunks_exact(4).map(codec::le_f32).collect());
-            let dt = t0.elapsed();
-            self.col_io[2 + c].decode_time += dt;
-            self.decode_time += dt;
-            self.col_io[2 + c].bytes_read += (n * 4) as u64;
-        }
-        self.bytes_read += (n * (16 + 4 * self.mat_attrs.len())) as u64;
-
-        let names: Vec<&str> = self
-            .mat_attrs
-            .iter()
-            .map(|&c| self.meta.attr_names[c].as_str())
-            .collect();
-        self.cursor += n as u64;
-        Ok(Some(PointTable::from_columns(xs, ys, &names, attr_vals)))
-    }
-
-    /// v2 delivery: assemble up to `chunk_rows` rows from the pending
-    /// decoded stored chunk and as many further blocks as needed.
-    fn next_chunk_v2(&mut self) -> io::Result<Option<PointTable>> {
-        let mut out: Option<PointTable> = None;
-        let mut need = self.chunk_rows;
-        while need > 0 {
-            // Drain the pending decoded chunk first.
-            if let Some((table, taken)) = self.pending.take() {
-                let left = table.len() - taken;
-                if left == 0 {
-                    // Exhausted; fall through to fetch the next block.
-                } else if taken == 0 && left <= need && out.is_none() {
-                    // Whole stored chunk fits the request: hand it over
-                    // without copying.
-                    need -= left;
-                    out = Some(table);
-                    continue;
-                } else {
-                    let take = left.min(need);
-                    let slice = table.slice(taken, taken + take);
-                    match &mut out {
-                        Some(o) => o.extend(&slice),
-                        None => out = Some(slice),
-                    }
-                    need -= take;
-                    if taken + take < table.len() {
-                        self.pending = Some((table, taken + take));
-                    }
-                    continue;
+        };
+        let dec = match enc.decode() {
+            Err(e) if is_corrupt(&e) => {
+                self.recovery.block_rereads += 1;
+                (self.cursor, self.next_block) = (cursor, next_block);
+                self.enc_pending = None;
+                if let Some(taken) = taken {
+                    let block = self.fetch_block_encoded_recovering(next_block - 1)?;
+                    self.enc_pending = Some((block, taken));
+                }
+                match self.fetch_chunk()? {
+                    Some(enc) => enc.decode()?,
+                    None => return Err(e),
                 }
             }
-            if self.next_block >= self.meta.chunk_lens.len() {
-                break;
-            }
-            let table = self.fetch_block_recovering(self.next_block)?;
-            self.next_block += 1;
-            self.pending = Some((table, 0));
+            dec => dec?,
+        };
+        for (io, dt) in self.col_io.iter_mut().zip(&dec.col_decode) {
+            io.decode_time += *dt;
+            self.decode_time += *dt;
         }
-        match out {
-            Some(t) if !t.is_empty() => {
-                self.cursor += t.len() as u64;
-                Ok(Some(t))
-            }
-            _ => Ok(None),
-        }
+        Ok(Some(dec.table))
     }
 
     /// Rows held by stored block `idx` (the last block may be short).
@@ -1320,48 +1281,11 @@ impl ChunkedReader {
         (self.meta.rows - rows_before).min(self.meta.chunk_rows) as usize
     }
 
-    /// Names of the materialized attribute columns, in stored order.
-    fn mat_names(&self) -> Vec<&str> {
-        self.mat_attrs
-            .iter()
-            .map(|&c| self.meta.attr_names[c].as_str())
-            .collect()
-    }
-
-    /// Fetch stored block `idx`. v3 issues positioned reads only for the
-    /// needed column entries (adjacent entries coalesce into one read);
-    /// v2 blocks are only addressable whole, so the full block is fetched
-    /// and pruned columns merely skip their decode. A v3 file whose
-    /// directory was rebuilt at open uses the whole-block path too — its
-    /// per-entry walk re-validates every header against the block instead
-    /// of trusting the reconstructed directory.
-    fn fetch_block(&mut self, idx: usize) -> io::Result<PointTable> {
-        if self.meta.version >= 3 && !self.recovery.dir_rebuilt {
-            self.fetch_block_v3(idx)
-        } else {
-            self.fetch_block_full(idx)
-        }
-    }
-
-    /// [`Self::fetch_block`] with torn-read recovery: a block whose first
-    /// read validates or decodes as corrupt is re-read once — the bytes
-    /// may have been caught mid-write — before the typed error stands.
-    /// Durable on-disk corruption yields the same bytes, and the same
-    /// error, on the re-read.
-    fn fetch_block_recovering(&mut self, idx: usize) -> io::Result<PointTable> {
-        match self.fetch_block(idx) {
-            Err(e) if is_corrupt(&e) => {
-                self.recovery.block_rereads += 1;
-                self.fetch_block(idx)
-            }
-            r => r,
-        }
-    }
-
-    /// [`Self::fetch_block_encoded`] with the same single-re-read
-    /// torn-read recovery as [`Self::fetch_block_recovering`]. Corruption
-    /// only detectable at decode time is handled by the caller re-reading
-    /// through this same path.
+    /// [`Self::fetch_block_encoded`] with torn-read recovery: a block
+    /// whose first read fails its structural validation is re-read once
+    /// before the typed error stands. Corruption only detectable at decode
+    /// time is [`Self::next_chunk`]'s to re-read; a caller that decodes
+    /// elsewhere gets it typed.
     fn fetch_block_encoded_recovering(&mut self, idx: usize) -> io::Result<Arc<EncodedBlock>> {
         match self.fetch_block_encoded(idx) {
             Err(e) if is_corrupt(&e) => {
@@ -1390,209 +1314,44 @@ impl ChunkedReader {
         }
     }
 
-    /// v2 path: one positioned read for the whole block, then walk its
-    /// column entries, decoding the needed ones. All payload lengths are
-    /// validated against the block, so a corrupted directory or payload
-    /// yields a typed error, not a panic or a garbage table.
-    fn fetch_block_full(&mut self, idx: usize) -> io::Result<PointTable> {
-        let offset = self.block_offsets[idx];
-        let len = self.meta.chunk_lens[idx] as usize;
-        let n = self.block_rows(idx);
-        let stored_cols = self.meta.stored_cols();
-        self.bytes_read += len as u64;
-
-        // Fill scratch with the block, then walk its column entries.
-        self.read_at(offset, len)?;
-        self.block_fault()?;
-        let mut at = 0usize;
-        let mut next_col = |scratch: &[u8]| -> io::Result<(u8, std::ops::Range<usize>)> {
-            if at + 5 > len {
-                return Err(
-                    FormatError::Corrupt("chunk block ends mid column header".into()).into(),
-                );
-            }
-            let codec = scratch[at];
-            let plen = codec::le_u32(&scratch[at + 1..at + 5]) as usize;
-            if at + 5 + plen > len {
-                return Err(FormatError::Corrupt(
-                    "column payload runs past its chunk block".into(),
-                )
-                .into());
-            }
-            let range = at + 5..at + 5 + plen;
-            at += 5 + plen;
-            Ok((codec, range))
-        };
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut attr_vals = Vec::with_capacity(self.mat_attrs.len());
-        for col in 0..stored_cols {
-            let (c, r) = next_col(&self.scratch)?;
-            let entry = 5 + r.len() as u64;
-            if self.needed[col] {
-                let t0 = Instant::now();
-                match col {
-                    0 => xs = codec::decode_f64s(c, n, &self.scratch[r])?,
-                    1 => ys = codec::decode_f64s(c, n, &self.scratch[r])?,
-                    _ => attr_vals.push(codec::decode_f32s(c, n, &self.scratch[r])?),
-                }
-                let dt = t0.elapsed();
-                self.col_io[col].decode_time += dt;
-                self.decode_time += dt;
-            }
-            self.col_io[col].bytes_read += entry;
-        }
-        if at != len {
-            return Err(FormatError::Corrupt(format!(
-                "chunk block has {} trailing bytes after its last column",
-                len - at
-            ))
-            .into());
-        }
-        let names = self.mat_names();
-        Ok(PointTable::from_columns(xs, ys, &names, attr_vals))
-    }
-
-    /// v3 path: the per-column directory locates every column entry, so
-    /// only the needed entries are fetched — adjacent needed entries
-    /// coalesce into a single positioned read, and a pruned column's
-    /// bytes (however garbled) are never touched.
-    fn fetch_block_v3(&mut self, idx: usize) -> io::Result<PointTable> {
-        let sc = self.meta.stored_cols();
-        let n = self.block_rows(idx);
-        let lens: Vec<u64> = self.meta.col_lens[idx * sc..(idx + 1) * sc]
-            .iter()
-            .map(|&l| l as u64)
-            .collect();
-
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut attr_vals: Vec<Vec<f32>> = Vec::with_capacity(self.mat_attrs.len());
-
-        let mut col = 0usize;
-        let mut entry_off = self.block_offsets[idx];
-        while col < sc {
-            if !self.needed[col] {
-                entry_off += lens[col];
-                col += 1;
-                continue;
-            }
-            // Coalesce the run of adjacent needed entries into one read.
-            let run_start = col;
-            let run_off = entry_off;
-            let mut run_len = 0u64;
-            while col < sc && self.needed[col] {
-                run_len += lens[col];
-                entry_off += lens[col];
-                col += 1;
-            }
-            self.read_at(run_off, run_len as usize)?;
-            self.block_fault()?;
-            self.bytes_read += run_len;
-            // Walk the entries inside the run.
-            let mut at = 0usize;
-            for (c, &entry_len) in lens.iter().enumerate().take(col).skip(run_start) {
-                let entry = entry_len as usize;
-                let codec_id = self.scratch[at];
-                let plen = codec::le_u32(&self.scratch[at + 1..at + 5]) as usize;
-                if plen + 5 != entry {
-                    return Err(FormatError::Corrupt(
-                        "column payload length disagrees with the chunk directory".into(),
-                    )
-                    .into());
-                }
-                let payload = at + 5..at + entry;
-                let t0 = Instant::now();
-                match c {
-                    0 => xs = codec::decode_f64s(codec_id, n, &self.scratch[payload])?,
-                    1 => ys = codec::decode_f64s(codec_id, n, &self.scratch[payload])?,
-                    _ => attr_vals.push(codec::decode_f32s(codec_id, n, &self.scratch[payload])?),
-                }
-                let dt = t0.elapsed();
-                self.col_io[c].bytes_read += entry as u64;
-                self.col_io[c].decode_time += dt;
-                self.decode_time += dt;
-                at += entry;
-            }
-        }
-        let names = self.mat_names();
-        Ok(PointTable::from_columns(xs, ys, &names, attr_vals))
-    }
-
-    /// The shared column layout of this scan's encoded chunks.
-    fn schema(&mut self) -> Arc<ChunkSchema> {
-        self.chunk_schema
-            .get_or_insert_with(|| {
-                Arc::new(ChunkSchema {
-                    attr_names: self
-                        .mat_attrs
-                        .iter()
-                        .map(|&c| self.meta.attr_names[c].clone())
-                        .collect(),
-                    mat_stored: self.mat_attrs.iter().map(|&c| 2 + c).collect(),
-                    stored_cols: self.meta.stored_cols(),
-                })
-            })
-            .clone()
-    }
-
     /// Fetch the next delivery chunk's bytes *without decoding them* —
     /// the I/O half of [`Self::next_chunk`], for callers that decode on a
-    /// worker pool ([`EncodedChunk::decode`]). Interleaves correctly with
-    /// `next_chunk` on the same reader (a partially-delivered decoded
-    /// block carries over as a pre-decoded segment). Byte counters
-    /// (`bytes_read`, per-column I/O) are charged here; decode time is
-    /// reported by [`EncodedChunk::decode`] instead of the reader.
+    /// worker pool ([`EncodedChunk::decode`]); the two interleave freely
+    /// on one reader. Byte counters (`bytes_read`, per-column I/O) are
+    /// charged here; decode time is reported by [`EncodedChunk::decode`]
+    /// instead of the reader.
+    ///
+    /// * v1: one positioned read per *materialized* column in ascending
+    ///   offset order (pruned columns are skipped entirely); when the
+    ///   chunk covers the whole remainder this is a single sequential
+    ///   pass over the rest of the data the scan touches.
+    /// * v2/v3: stored blocks are fetched with positioned reads (v3
+    ///   prunes down to the needed column entries) and re-sliced to the
+    ///   requested delivery chunk size; a stored block that exactly fills
+    ///   the request is decoded and handed over without copying.
     pub fn fetch_chunk(&mut self) -> io::Result<Option<EncodedChunk>> {
         if !self.meta.is_compressed() {
             return self.fetch_chunk_v1();
         }
         let mut segs: Vec<Segment> = Vec::new();
         let mut got = 0usize;
-        let mut need = self.chunk_rows;
-        while need > 0 {
-            // Decoded rows left behind by a next_chunk call come first.
-            if let Some((table, taken)) = self.pending.take() {
-                let left = table.len() - taken;
-                if left > 0 {
-                    let take = left.min(need);
-                    if taken == 0 && take == table.len() {
-                        segs.push(Segment::Decoded(table));
-                    } else {
-                        segs.push(Segment::Decoded(table.slice(taken, taken + take)));
-                        if taken + take < table.len() {
-                            self.pending = Some((table, taken + take));
-                        }
-                    }
-                    need -= take;
-                    got += take;
-                    continue;
+        while got < self.chunk_rows {
+            // The block left half handed out first, then fresh blocks.
+            let (block, skip) = match self.enc_pending.take() {
+                Some(pending) => pending,
+                None if self.next_block >= self.meta.chunk_lens.len() => break,
+                None => {
+                    let block = self.fetch_block_encoded_recovering(self.next_block)?;
+                    self.next_block += 1;
+                    (block, 0)
                 }
+            };
+            let take = (block.rows - skip).min(self.chunk_rows - got);
+            if skip + take < block.rows {
+                self.enc_pending = Some((Arc::clone(&block), skip + take));
             }
-            // Then the pending encoded block, then fresh blocks.
-            if let Some((block, taken)) = self.enc_pending.take() {
-                let left = block.rows - taken;
-                if left > 0 {
-                    let take = left.min(need);
-                    segs.push(Segment::Block {
-                        block: Arc::clone(&block),
-                        skip: taken,
-                        take,
-                    });
-                    if taken + take < block.rows {
-                        self.enc_pending = Some((block, taken + take));
-                    }
-                    need -= take;
-                    got += take;
-                    continue;
-                }
-            }
-            if self.next_block >= self.meta.chunk_lens.len() {
-                break;
-            }
-            let block = self.fetch_block_encoded_recovering(self.next_block)?;
-            self.next_block += 1;
-            self.enc_pending = Some((block, 0));
+            segs.push(Segment { block, skip, take });
+            got += take;
         }
         if got == 0 {
             return Ok(None);
@@ -1601,12 +1360,12 @@ impl ChunkedReader {
         Ok(Some(EncodedChunk {
             rows: got,
             data: EncodedRows::Segments(segs),
-            schema: self.schema(),
+            schema: Arc::clone(&self.chunk_schema),
         }))
     }
 
-    /// v1 fetch: the positioned column reads of [`Self::next_chunk`],
-    /// keeping the bytes raw for a deferred bulk LE conversion.
+    /// v1 fetch: one positioned read per materialized column, the bytes
+    /// kept raw for [`EncodedChunk::decode`]'s bulk LE conversion.
     fn fetch_chunk_v1(&mut self) -> io::Result<Option<EncodedChunk>> {
         if self.cursor >= self.meta.rows {
             return Ok(None);
@@ -1631,16 +1390,29 @@ impl ChunkedReader {
         }
         self.bytes_read += (n * (16 + 4 * self.mat_attrs.len())) as u64;
         self.cursor += n as u64;
+        if self.cursor >= self.meta.rows {
+            // Nothing left to read: free the buffer, so a whole-file chunk
+            // (`read_table`) decodes beside no spare column.
+            self.scratch = Vec::new();
+        }
         Ok(Some(EncodedChunk {
             rows: n,
             data: EncodedRows::Raw { xs, ys, attrs },
-            schema: self.schema(),
+            schema: Arc::clone(&self.chunk_schema),
         }))
     }
 
-    /// Fetch stored block `idx` keeping the needed column entries encoded
-    /// — the I/O half of [`Self::fetch_block`], with identical positioned
-    /// reads, byte accounting and structural validation.
+    /// Fetch stored block `idx`, keeping the needed column entries
+    /// encoded. v3 issues positioned reads only for the needed column
+    /// entries (adjacent entries coalesce into one read, and a pruned
+    /// column's bytes — however garbled — are never touched); v2 blocks
+    /// are only addressable whole, so the full block is fetched and
+    /// pruned columns are merely not kept. A v3 file whose directory was
+    /// rebuilt at open uses the whole-block path too — its per-entry walk
+    /// re-validates every header against the block instead of trusting
+    /// the reconstructed directory. All payload lengths are validated
+    /// against the block (or the directory), so a corrupted directory or
+    /// payload yields a typed error, not a panic or a garbage table.
     fn fetch_block_encoded(&mut self, idx: usize) -> io::Result<Arc<EncodedBlock>> {
         let n = self.block_rows(idx);
         let sc = self.meta.stored_cols();
@@ -1720,7 +1492,11 @@ impl ChunkedReader {
                 .into());
             }
         }
-        Ok(Arc::new(EncodedBlock { rows: n, cols }))
+        Ok(Arc::new(EncodedBlock {
+            rows: n,
+            cols,
+            decoded: OnceLock::new(),
+        }))
     }
 }
 
@@ -2351,6 +2127,8 @@ mod tests {
 
     #[test]
     fn fetch_then_decode_matches_next_chunk_in_every_format() {
+        // `next_chunk` is `fetch_chunk` + `decode`, so both are held to
+        // the source table and to each other's byte counters.
         let t = sample(1_003);
         let v1 = tmp("fetch-v1.bin");
         let v2 = tmp("fetch-v2.binz");
@@ -2362,12 +2140,15 @@ mod tests {
             for delivery in [7usize, 399, 400, 401, 5000] {
                 let (direct, direct_bytes) = scan_projected(path, delivery, None);
                 let (fetched, fetched_bytes) = scan_fetched(path, delivery, None);
-                assert_eq!(direct, fetched, "{path:?} delivery {delivery}");
+                assert_eq!(direct, t, "{path:?} delivery {delivery}");
+                assert_eq!(fetched, t, "{path:?} delivery {delivery}");
                 assert_eq!(direct_bytes, fetched_bytes, "{path:?} delivery {delivery}");
             }
             // Projection pushdown flows through the fetch path too.
             let (direct, db) = scan_projected(path, 333, Some(&[1]));
             let (fetched, fb) = scan_fetched(path, 333, Some(&[1]));
+            assert_eq!(direct.attr_names(), vec!["bb"], "{path:?} projected");
+            assert_eq!(direct.attr(0), t.attr(1), "{path:?} projected");
             assert_eq!(direct, fetched, "{path:?} projected");
             assert_eq!(db, fb, "{path:?} projected");
         }
@@ -2379,8 +2160,8 @@ mod tests {
     #[test]
     fn fetch_chunk_interleaves_with_next_chunk() {
         // The streaming executor reads a small decoded sample chunk, then
-        // switches to encoded fetches: rows the sample left behind in a
-        // partially-delivered decoded block must carry over.
+        // switches to encoded fetches: the rows the sample left behind in
+        // a half handed out block must carry over.
         let t = sample(1_000);
         type Writer = fn(&Path, &PointTable, usize) -> io::Result<()>;
         let writers: [(&str, Writer); 2] = [

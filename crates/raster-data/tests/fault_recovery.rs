@@ -145,6 +145,50 @@ fn decode_fault_recovers_via_block_reread() {
 }
 
 #[test]
+fn decode_fault_on_a_half_delivered_block_rewinds_and_recovers() {
+    // The failing decode is the first to touch a block an earlier, still
+    // undecoded fetch left half handed out: the re-read must put that
+    // block back at the row it had reached, not at its start.
+    let path = tmp("decode-fault-pending.bin");
+    let t = sample(400);
+    write_table_compressed(&path, &t, 256).unwrap();
+    let _g = faults::install("codec.decode@1=corrupt").unwrap();
+    let mut r = ChunkedReader::open(&path, 100).unwrap();
+    let first = r.fetch_chunk().unwrap().unwrap();
+    let mut rest = PointTable::with_capacity(0, &["a", "bb"]);
+    while let Some(c) = r.next_chunk().unwrap() {
+        rest.extend(&c);
+    }
+    assert_eq!(first.rows(), 100);
+    assert_eq!(rest, t.slice(100, 400));
+    assert_eq!(r.recovery().block_rereads, 1);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_straddled_block_is_decoded_once() {
+    // 301-row chunks over 256-row blocks: three of the four blocks are
+    // shared by two chunks, all fetched before the first is decoded.
+    let path = tmp("decode-once.bin");
+    let t = sample(1_000);
+    write_table_compressed(&path, &t, 256).unwrap();
+    let _g = faults::install("").unwrap();
+    let mut r = ChunkedReader::open(&path, 301).unwrap();
+    let mut chunks = Vec::new();
+    while let Some(enc) = r.fetch_chunk().unwrap() {
+        chunks.push(enc);
+    }
+    let mut whole = PointTable::with_capacity(0, &["a", "bb"]);
+    for enc in chunks {
+        whole.extend(&enc.decode().unwrap().table);
+    }
+    assert_eq!(whole, t);
+    // 4 stored blocks × 4 stored columns, however the chunks cut them.
+    assert_eq!(faults::hit_count(faults::CODEC_DECODE), 16);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn v1_scans_ignore_the_block_failpoint() {
     // v1 raw columns carry no redundancy, so corruption there would be
     // undetectable; the block failpoint deliberately has no v1 hook and a

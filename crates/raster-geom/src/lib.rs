@@ -24,7 +24,6 @@ pub mod point;
 pub mod polygon;
 pub mod predicates;
 pub mod proj;
-pub mod simplify;
 pub mod triangulate;
 pub mod validate;
 pub mod voronoi;

@@ -13,17 +13,15 @@
 //! chunk is binned, its deltas blended **in chunk order** into canvases
 //! acquired once and kept resident for the whole scan
 //! ([`raster_gpu::ResidentCanvases`]), and one resolve at the end draws
-//! the polygons. The blocking loop stays as the paper-faithful ablation
-//! arm (`prefetch: false`); the planner's chosen worker count selects
-//! between the two pipelined arms:
+//! the polygons. There are two arms: the blocking loop stays as the
+//! paper-faithful ablation (`prefetch: false`), and every other scan runs
+//! the chunk pool, at whatever width the planner chose — width 1 is the
+//! same reader → ring → worker → reorder-buffer protocol with one worker:
 //!
 //! ```text
 //! blocking (§7.7 arm):   [fetch+decode] → [bin, blend] → [fetch+decode] → …
 //!
-//! 1 worker, prefetch:    reader thread:  [fetch+decode k+1 … k+R] ─┐
-//!                        this thread:    [bin, blend k] ←──────────┘
-//!
-//! pool (workers ≥ 2):    reader thread:  [paced fetch] → ring of
+//! pool (workers ≥ 1):    reader thread:  [paced fetch] → ring of
 //!                                        encoded chunks (seq-tagged)
 //!                        W pool workers: steal next chunk →
 //!                                        [decode] → [bin] → deltas
@@ -32,18 +30,19 @@
 //!                                        ascending seq into the resident
 //!                                        canvases + planner feedback
 //!
-//! every arm, at the end: [resolve: one polygon pass per canvas tile,
+//! both arms, at the end: [resolve: one polygon pass per canvas tile,
 //!                         at the scan's full width] → result
 //! ```
 //!
-//! The single-consumer arms overlap the reads of chunks *k+1 … k+R*
-//! with the processing of chunk *k* via a bounded *readahead ring*
-//! ([`DEFAULT_READAHEAD`] decoded chunks deep,
-//! [`StreamingRasterJoin::with_readahead`]). The pool arm additionally
-//! overlaps the decode and bin of several chunks with each other and with
-//! the consumer's blend: pool workers hold no canvas and run no polygon
-//! work, so chunk size is a pure memory/latency choice — a scan costs the
-//! same polygon pass in 9 chunks or 64.
+//! The pool overlaps the reads of the chunks ahead with the processing
+//! of chunk *k* via a bounded ring of fetched chunks, and the decode and
+//! bin of several chunks with each other and with the consumer's blend:
+//! pool workers hold no canvas and run no polygon work, so chunk size is
+//! a pure memory/latency choice — a scan costs the same polygon pass in 9
+//! chunks or 64. Both arms read through the one
+//! [`ChunkedReader::fetch_chunk`] → [`EncodedChunk::decode`] path; the
+//! blocking arm (and the planning sample) compose the two on this thread
+//! as [`ChunkedReader::next_chunk`].
 //!
 //! # Determinism
 //!
@@ -75,17 +74,19 @@
 //! error models are step-for-step small models of this reader → ring →
 //! workers → reorder-buffer → canvas pipeline.
 //!
-//! # Sizing: readahead vs. workers
+//! # Sizing: the ring and the workers
 //!
 //! The ring and the pool size multiply the peak in-flight footprint:
-//! the pool holds up to `max(readahead, workers+1)` fetched-but-unbinned
-//! chunks (a shallow readahead is widened so the ring can feed every
-//! worker), plus one chunk decoding or binning per worker, plus whatever
-//! early finishers' deltas (4–8 bytes a surviving point) the reorder
-//! buffer holds while an older chunk is still in flight — and exactly
-//! one canvas per tile, whatever the width. Readahead rides out per-chunk
-//! *read* jitter against the modelled disk; workers ride out per-chunk
-//! *decode and bin* jitter and buy genuine multi-core overlap.
+//! the pool holds up to `max(DEFAULT_READAHEAD, workers + 1)`
+//! fetched-but-unbinned chunks (one per worker plus a spare, so the ring
+//! can feed every worker, and never fewer than [`DEFAULT_READAHEAD`]),
+//! one more inside the reader, plus one chunk decoding or binning per
+//! worker, plus whatever early finishers' deltas (4–8 bytes a surviving
+//! point) the reorder buffer holds while an older chunk is still in
+//! flight — and exactly one canvas per tile, whatever the width. The ring
+//! rides out per-chunk *read* jitter against the modelled disk; workers
+//! ride out per-chunk *decode and bin* jitter and buy genuine multi-core
+//! overlap.
 //!
 //! The executor is planner-driven end to end:
 //!
@@ -115,9 +116,9 @@
 //! and streams via [`StreamingRasterJoin::execute_sql`].
 //!
 //! Compressed tables (`raster_data::disk::write_table_compressed`, format
-//! v2/v3) stream through the identical loop: the reader decodes stored
-//! chunk blocks transparently, the prefetch thread overlaps that decode
-//! with both the next read and the join processing, the modelled disk
+//! v2/v3) stream through the identical loop: stored chunk blocks are
+//! decoded transparently, the pool overlaps that decode with both the
+//! next read and the join processing, the modelled disk
 //! charges the *compressed* bytes (that is the whole win — the §7.7
 //! experiment is bandwidth-bound), and the planner's workload carries the
 //! storage profile ([`Workload`]'s `stored_row_bytes`/`decode_cols`) so
@@ -144,7 +145,7 @@
 //!
 //! # Accounting
 //!
-//! In every arm the merged [`ExecStats`](crate::ExecStats)' `processing`
+//! In both arms the merged [`ExecStats`](crate::ExecStats)' `processing`
 //! is a *busy-interval union* (`BusyUnion`): wall time during which
 //! planning ran or at least one thread was decoding or binning a chunk,
 //! blending its deltas, acquiring the canvases or resolving them — so the
@@ -194,19 +195,19 @@ const SAMPLE_ROWS: usize = 4096;
 /// **disk : processing ratio** — the quantity Fig. 13 actually reports —
 /// faithful even though this box's page cache serves reads at RAM speed.
 /// Unlike the PCIe transfer model (a ledger entry), disk pacing must
-/// consume *real wall time* — the prefetch arm exists precisely to hide
+/// consume *real wall time* — the pool's reader exists precisely to hide
 /// it behind processing — so paced reads sleep out the remainder of
 /// their modelled duration.
 pub const MODELLED_DISK_BANDWIDTH: f64 = 1.5e9 / raster_gpu::device::SIM_SLOWDOWN;
 
-/// Default depth of the prefetch readahead ring: how many decoded chunks
-/// the background reader may buffer ahead of the join
-/// ([`StreamingRasterJoin::with_readahead`] overrides per scan). One more
-/// chunk is always in flight inside the reader itself, so depth 3 keeps
-/// up to 4 pruned chunk reads ahead of processing — enough to ride out
-/// per-chunk processing jitter against the modelled disk without
-/// buffering an unbounded slice of the table in memory (peak extra
-/// footprint ≈ `readahead + 1` decoded chunks).
+/// Least depth of the pool's ring of fetched, still encoded chunks the
+/// background reader may buffer ahead of the workers; a pool wider than
+/// this runs a ring of `workers + 1`, so every worker can be fed with one
+/// chunk to spare. One more chunk is always in flight inside the reader
+/// itself, so depth 3 keeps up to 4 pruned chunk reads ahead of
+/// processing — enough to ride out per-chunk processing jitter against
+/// the modelled disk without buffering an unbounded slice of the table in
+/// memory.
 pub const DEFAULT_READAHEAD: usize = 3;
 
 /// One streamed query's result and provenance.
@@ -223,22 +224,27 @@ pub struct StreamOutput {
     /// Chunks processed (including the sampled first chunk).
     pub chunks: u32,
     /// Chunk-pool width the scan actually ran with: the plan's worker
-    /// count capped by the executor's configured parallelism; 1 means
-    /// a single-consumer arm (always 1 in blocking mode).
+    /// count capped by the executor's configured parallelism — a pool of
+    /// one worker at width 1; always 1 in blocking mode, whose one loop
+    /// decodes and bins on the calling thread.
     pub pool_workers: usize,
     /// Total rows streamed.
     pub rows: u64,
-    /// Reader-side wall time summed over all `next_chunk` calls —
-    /// overlapped with processing when prefetching, so it can exceed the
-    /// loop's `stats.disk` wait time.
+    /// Reader-side wall time summed over every (paced) chunk read: the
+    /// pool's `fetch_chunk` calls — overlapped with processing, so it can
+    /// exceed the loop's `stats.disk` wait time — or the blocking loop's
+    /// `next_chunk` calls, decode included.
     pub read_time: Duration,
-    /// Bytes actually fetched from storage: the raw data section for v1
-    /// files, the compressed blocks for v2 (the §7.7 experiment is
-    /// bandwidth-bound, so this is the quantity compression shrinks).
+    /// Bytes actually fetched from storage: the raw columns for v1
+    /// files, the compressed blocks for v2, the needed column entries for
+    /// v3 (the §7.7 experiment is bandwidth-bound, so this is the
+    /// quantity compression and pruning shrink).
     pub read_bytes: u64,
-    /// Time the reader spent decompressing chunk blocks (zero for raw
-    /// files) — overlapped with join processing in prefetch mode, and
-    /// with the modelled disk budget in both modes.
+    /// Time spent turning fetched bytes into column values — codec decode
+    /// for v2/v3, the bulk little-endian conversion for v1 — on the pool
+    /// workers (summed across them, overlapped with reads and with other
+    /// chunks' binning) or, in blocking mode and for the sample, on the
+    /// calling thread.
     pub decode_time: Duration,
     /// Attribute columns the scan materialized, ascending stored indices
     /// (`None` when pruning was off — every column was read).
@@ -339,10 +345,16 @@ struct ScanSetup {
     planning: Duration,
     wl: Workload,
     plan: Plan,
-    /// The width the scan resolves at and, when prefetching, pools at: the
-    /// planner's chosen worker count capped by this executor's configured
-    /// parallelism.
+    /// The width the scan resolves at: the planner's chosen worker count
+    /// capped by this executor's configured parallelism.
     width: usize,
+    /// Chunk-pool workers: `width` when prefetching, 1 for the blocking
+    /// loop. What `scan` runs, `explain` prints and
+    /// [`StreamOutput::pool_workers`] reports.
+    pool_workers: usize,
+    /// Depth of the pool's ring of fetched chunks; 0 for the blocking
+    /// loop, which reads nothing ahead.
+    ring: usize,
     chunk_rows: usize,
     /// The query with attribute indices remapped onto the projected
     /// table's column order (identical to the caller's query when
@@ -357,12 +369,12 @@ struct ScanSetup {
 /// modelled read time. Pacing charges the bytes the reader *actually
 /// fetched* — compressed files are charged their compressed bytes, which
 /// is exactly where the compression win comes from. With
-/// [`ChunkedReader::next_chunk`] (the single-consumer arms) the chunk's
-/// decode time counts toward the same budget, so decompression hides
-/// under the modelled disk whenever it is cheaper than the read it saved;
-/// with [`ChunkedReader::fetch_chunk`] (the pool) only the raw read sits
-/// inside the budget and decode overlaps binning on the workers. Returns
-/// the item and the read's effective duration.
+/// [`ChunkedReader::next_chunk`] (the blocking arm and the sample) the
+/// chunk's decode time counts toward the same budget, so decompression
+/// hides under the modelled disk whenever it is cheaper than the read it
+/// saved; with [`ChunkedReader::fetch_chunk`] (the pool) only the raw read
+/// sits inside the budget and decode overlaps binning on the workers.
+/// Returns the item and the read's effective duration.
 fn paced<T>(
     reader: &mut ChunkedReader,
     bandwidth: Option<f64>,
@@ -398,18 +410,16 @@ fn tally(reader: &ChunkedReader) -> ReaderTally {
     )
 }
 
-/// The background reader's loop, shared by both pipelined arms: `pull`
-/// one paced item after another and `send` each — or the error that ends
-/// the loop — down the ring until the table ends or `send` reports that
-/// nobody listens any more. The loop runs contained: a panic inside it
-/// (or the `stream.reader` failpoint's panic kind) becomes one more error
-/// on the ring, taking the same first-error shutdown path as an I/O
-/// failure.
-fn read_ahead<T>(
+/// The pool's background reader loop: fetch one paced, still encoded chunk
+/// after another and `send` each — or the error that ends the loop — down
+/// the ring until the table ends or `send` reports that nobody listens any
+/// more. The loop runs contained: a panic inside it (or the
+/// `stream.reader` failpoint's panic kind) becomes one more error on the
+/// ring, taking the same first-error shutdown path as an I/O failure.
+fn read_ahead(
     mut reader: ChunkedReader,
     bandwidth: Option<f64>,
-    pull: fn(&mut ChunkedReader) -> io::Result<Option<T>>,
-    mut send: impl FnMut(io::Result<(T, Duration)>) -> bool,
+    mut send: impl FnMut(io::Result<(EncodedChunk, Duration)>) -> bool,
 ) -> ReaderTally {
     let ran = containment::contained(|| loop {
         if let Some(kind) = faults::hit(faults::STREAM_READER) {
@@ -419,7 +429,7 @@ fn read_ahead<T>(
             send(Err(faults::io_error(kind)));
             break;
         }
-        match paced(&mut reader, bandwidth, pull) {
+        match paced(&mut reader, bandwidth, ChunkedReader::fetch_chunk) {
             Ok(Some(pair)) => {
                 if !send(Ok(pair)) {
                     break; // consumer bailed
@@ -624,13 +634,9 @@ impl<'a> Pieces<'a> {
 pub struct StreamingRasterJoin {
     pub workers: usize,
     /// Overlap disk reads with join processing via a background reader
-    /// thread (the default). `false` is the paper-faithful §7.7 blocking
-    /// reader, kept as the ablation arm.
+    /// thread feeding the chunk pool (the default). `false` is the
+    /// paper-faithful §7.7 blocking reader, kept as the ablation arm.
     pub prefetch: bool,
-    /// Depth of the prefetch readahead ring: decoded chunks the reader
-    /// may buffer ahead of the join ([`DEFAULT_READAHEAD`]); clamped to
-    /// ≥ 1. Ignored in blocking mode.
-    pub readahead: usize,
     /// Materialize only the columns the query touches (the default).
     /// `false` reads every column — the full-scan ablation arm.
     pub prune_columns: bool,
@@ -649,7 +655,6 @@ impl Default for StreamingRasterJoin {
         StreamingRasterJoin {
             workers: default_workers(),
             prefetch: true,
-            readahead: DEFAULT_READAHEAD,
             prune_columns: true,
             chunk_rows: None,
             disk_bandwidth: None,
@@ -672,12 +677,6 @@ impl StreamingRasterJoin {
     /// The §7.7 blocking reader (builder form).
     pub fn blocking(mut self) -> Self {
         self.prefetch = false;
-        self
-    }
-
-    /// Set the readahead ring depth (builder form; clamped to ≥ 1).
-    pub fn with_readahead(mut self, depth: usize) -> Self {
-        self.readahead = depth.max(1);
         self
     }
 
@@ -811,6 +810,14 @@ impl StreamingRasterJoin {
         let planning = plan0.elapsed();
         let chunk_rows = self.chunk_size_for(&plan, &exec_query, device);
         reader.set_chunk_rows(chunk_rows);
+        let width = plan.workers.min(self.workers.max(1));
+        // The ring must hold at least one fetched chunk per worker plus
+        // one spare, or it would starve the pool it is supposed to feed.
+        let (pool_workers, ring) = if self.prefetch {
+            (width, DEFAULT_READAHEAD.max(width + 1))
+        } else {
+            (1, 0)
+        };
         Ok(ScanSetup {
             reader,
             rows,
@@ -818,7 +825,9 @@ impl StreamingRasterJoin {
             sample_read,
             planning,
             wl,
-            width: plan.workers.min(self.workers.max(1)),
+            width,
+            pool_workers,
+            ring,
             plan,
             chunk_rows,
             exec_query,
@@ -883,7 +892,9 @@ impl StreamingRasterJoin {
             planning,
             wl,
             plan,
-            width,
+            width: _,
+            pool_workers,
+            ring,
             chunk_rows,
             exec_query,
             projection,
@@ -923,9 +934,6 @@ impl StreamingRasterJoin {
             (deltas, cal.raw(&point_stage))
         };
 
-        // Chunk-pool width: the scan's width when prefetching. Blocking
-        // mode and width ≤ 1 take the single-consumer arms.
-        let pool_workers = if self.prefetch { width } else { 1 };
         let mut chunks = 0;
 
         if !sample.is_empty() {
@@ -952,18 +960,14 @@ impl StreamingRasterJoin {
             // The sample chunk's processing is deferred until after the
             // reader thread is spawned, so the read of chunk #2 overlaps it.
             let bandwidth = self.disk_bandwidth;
-            if pool_workers > 1 {
-                // Chunk-parallel pool. Three stages:
+            if self.prefetch {
+                // Chunk-parallel pool, at any width ≥ 1. Three stages:
                 //   reader thread — paced fetch of *encoded* chunks
                 //     (I/O only) into a bounded ring;
                 //   pool workers  — steal the next fetched chunk, decode
                 //     and bin it;
                 //   this thread   — bins the sample chunk (seq 0), then
                 //     blends binned chunks in ascending sequence.
-                // The ring must hold at least one fetched chunk per
-                // worker plus one spare, or a shallow readahead setting
-                // would starve the pool it is supposed to feed.
-                let ring = self.readahead.max(1).max(pool_workers + 1);
                 type Fetched = (u64, io::Result<(EncodedChunk, Duration)>);
                 let (work_tx, work_rx) = mpsc::sync_channel::<Fetched>(ring);
                 let work_rx = Arc::new(parking_lot::Mutex::new(work_rx));
@@ -979,7 +983,7 @@ impl StreamingRasterJoin {
                     // the sample is seq 0.
                     let reader_handle = s.spawn(move |_| {
                         let mut seq = 1u64;
-                        read_ahead(reader, bandwidth, ChunkedReader::fetch_chunk, |fetched| {
+                        read_ahead(reader, bandwidth, |fetched| {
                             let tag = seq;
                             seq += u64::from(fetched.is_ok());
                             work_tx.send((tag, fetched)).is_ok()
@@ -1109,37 +1113,6 @@ impl StreamingRasterJoin {
                 if let Some(e) = first_err {
                     return Err(e.into());
                 }
-            } else if self.prefetch {
-                // The readahead ring: a bounded channel holding up to
-                // `readahead` decoded chunks, with one more always in
-                // flight inside the reader. The reader thread reads AND
-                // decodes: decompression of chunk k+1 overlaps the
-                // processing of chunk k just like the read itself does.
-                let (tx, rx) =
-                    mpsc::sync_channel::<io::Result<(PointTable, Duration)>>(self.readahead.max(1));
-                let handle = std::thread::spawn(move || {
-                    read_ahead(reader, bandwidth, ChunkedReader::next_chunk, |read| {
-                        tx.send(read).is_ok()
-                    })
-                });
-                absorb(busy.track(|| bin_chunk(&sample)));
-                loop {
-                    match rx.recv() {
-                        Ok(Ok((chunk, dt))) => {
-                            read_time += dt;
-                            absorb(busy.track(|| bin_chunk(&chunk)));
-                        }
-                        Ok(Err(e)) => {
-                            drop(rx);
-                            let _ = handle.join();
-                            return Err(e.into());
-                        }
-                        Err(_) => break, // reader finished and hung up
-                    }
-                }
-                reader_tally = handle
-                    .join()
-                    .map_err(|p| StreamError::WorkerPanicked(containment::panic_msg(p.as_ref())))?;
             } else {
                 // Paper-faithful §7.7: read, then process, strictly
                 // alternating on one buffer.
@@ -1284,22 +1257,17 @@ impl StreamingRasterJoin {
             out,
             "  chunk: {} row(s), readahead {} chunk(s) ({})",
             setup.chunk_rows,
-            if self.prefetch {
-                self.readahead.max(1)
-            } else {
-                0
-            },
+            setup.ring,
             if self.prefetch {
                 "prefetching reader"
             } else {
                 "blocking reader"
             }
         );
-        let pool_workers = if self.prefetch { setup.width } else { 1 };
         let _ = writeln!(
             out,
             "  workers: {} chunk-pool worker(s) (planner chose {}, executor caps at {})",
-            pool_workers,
+            setup.pool_workers,
             setup.plan.workers,
             self.workers.max(1)
         );
@@ -1445,7 +1413,7 @@ mod tests {
         let b = blocking.execute(&path, &polys, &q, &dev).unwrap();
         assert_eq!(b.output.counts, reference.counts);
         // Blocking mode's loop-visible wait covers the full read time by
-        // construction: no read overlaps a busy span. (The prefetch arm's
+        // construction: no read overlaps a busy span. (The pool arm's
         // wait-vs-read relation is a scheduling property, asserted only
         // in the paced bench where the margin is orders of magnitude
         // above scheduler noise.)
@@ -1715,30 +1683,6 @@ mod tests {
     }
 
     #[test]
-    fn readahead_ring_depth_is_result_invariant() {
-        let pts = TaxiModel::default().generate(12_000, 330);
-        let polys = synthetic_polygons(6, &nyc_extent(), 331);
-        let q = Query::count().with_epsilon(30.0);
-        let dev = small_device(1_500, 0, 8192);
-        let path = tmp("ring.bin");
-        write_table(&path, &pts).unwrap();
-        let base = StreamingRasterJoin::new(2)
-            .with_readahead(1)
-            .execute(&path, &polys, &q, &dev)
-            .unwrap();
-        assert_eq!(StreamingRasterJoin::default().readahead, DEFAULT_READAHEAD);
-        for depth in [2usize, 4, 8] {
-            let s = StreamingRasterJoin::new(2)
-                .with_readahead(depth)
-                .execute(&path, &polys, &q, &dev)
-                .unwrap();
-            assert_eq!(s.output.counts, base.output.counts, "depth {depth}");
-            assert_eq!(s.chunks, base.chunks);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn explain_shows_pruned_columns_and_predicted_bytes() {
         use raster_data::disk::write_table_compressed;
         let pts = TaxiModel::default().generate(6_000, 340);
@@ -1764,7 +1708,7 @@ mod tests {
             "workers line should show the executor cap: {text}"
         );
         assert!(text.contains(", workers="), "{text}");
-        // Blocking mode always runs the single-consumer loop.
+        // Blocking mode always runs the one inline loop.
         let blocking = StreamingRasterJoin::new(2)
             .blocking()
             .explain(&path, &polys, &q, &dev)

@@ -5,8 +5,8 @@
 //! preparation they can still see afterwards. The faults here are in the
 //! data (a garbled block of a required column), not in the process-wide
 //! failpoint table, so the other unit tests' scans never see them: the
-//! single-consumer arms meet the block in the reader, the pool meets it
-//! on a worker.
+//! blocking arm meets the block in its reader (which re-reads it once,
+//! to no avail), the pool meets it on a worker, at every width.
 
 use super::*;
 use raster_data::disk::{table_meta, write_table_compressed};
@@ -51,7 +51,7 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
     bytes[off as usize] = 99;
     std::fs::write(&garbled, &bytes).unwrap();
 
-    // Failures met on a pool worker / in a single-consumer arm's reader.
+    // Failures met on a pool worker / in the blocking arm's reader.
     let (mut on_worker, mut in_reader) = (0, 0);
     for exact in [false, true] {
         for width in [1usize, 2, 4] {
@@ -66,7 +66,7 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
                     if exact {
                         setup.plan.variant = Variant::Accurate;
                     }
-                    let pooled = !blocking && setup.width > 1;
+                    let pooled = !blocking;
                     let pieces =
                         Pieces::prepare(&setup.plan, setup.width, &polys, &setup.exec_query, &dev);
                     let before = RESOLVES.with(Cell::get);

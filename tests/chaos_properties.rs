@@ -29,8 +29,7 @@ fn tmp(tag: &str) -> PathBuf {
     p
 }
 
-/// Pool widths under test. Width 1 exercises the single-consumer
-/// prefetch path, widths 2/4 the chunk-parallel pool.
+/// Pool widths under test: the chunk pool with one, two and four workers.
 const WIDTHS: [usize; 3] = [1, 2, 4];
 
 struct Fixture {
@@ -130,14 +129,14 @@ enum Expect {
     /// Fails wherever the site fires; the raw v1 format never reaches
     /// it (no compressed blocks / decodes), so v1 recovers trivially.
     FailsUnlessRaw,
-    /// Outcome may depend on which pipeline arm hits the site (e.g.
-    /// worker-side decode vs. recovering reader-side fetch); both
-    /// outcomes are sound, and both sides of the invariant are checked.
-    Either,
 }
 
 /// The chaos matrix: every failpoint site, transient and hard kinds,
 /// swept across widths and formats against per-width healthy baselines.
+/// Every spec has one outcome at every width: the planning sample is read
+/// by `next_chunk`, which re-reads a block that decodes as corrupt
+/// (`codec.decode@1`), and every later chunk is decoded by a pool worker,
+/// where a fault is a typed error.
 #[test]
 fn chaos_sweep_recovers_bitwise_or_fails_typed() {
     let cases: &[(&str, Expect)] = &[
@@ -149,12 +148,12 @@ fn chaos_sweep_recovers_bitwise_or_fails_typed() {
         ("disk.open@1=notfound", Expect::Fails),
         ("disk.block@1=corrupt", Expect::Recovers),
         ("disk.block%1=corrupt", Expect::FailsUnlessRaw),
-        ("codec.decode@1=corrupt", Expect::Either),
+        ("codec.decode@1=corrupt", Expect::Recovers),
         ("codec.decode%1=corrupt", Expect::FailsUnlessRaw),
         ("stream.reader@1=eof", Expect::Fails),
         ("stream.reader@2=notfound", Expect::Fails),
-        ("stream.worker@1=corrupt", Expect::Either),
-        ("stream.worker%2=eof", Expect::Either),
+        ("stream.worker@1=corrupt", Expect::Fails),
+        ("stream.worker%2=eof", Expect::Fails),
     ];
 
     for fmt in 0u8..3 {
@@ -184,8 +183,6 @@ fn chaos_sweep_recovers_bitwise_or_fails_typed() {
                         assert_eq!(fmt, 0, "{ctx}: v2/v3 must fail here");
                         assert_bitwise(&out, &healthy, &ctx);
                     }
-                    (Expect::Either, Ok(out)) => assert_bitwise(&out, &healthy, &ctx),
-                    (Expect::Either, Err(e)) => assert_typed(&e, &ctx),
                 }
             }
         }
@@ -258,17 +255,7 @@ fn injected_panics_are_contained_as_typed_errors() {
     for (width, site, res) in results {
         let ctx = format!("width={width} spec={site}");
         match res {
-            // The worker site only fires when the planner engages the
-            // chunk-parallel pool; a prefetch-path run at width 1 is a
-            // clean scan and must then be correct.
-            Ok(out) => {
-                assert!(
-                    site.starts_with("stream.worker"),
-                    "{ctx}: a reader panic can never yield results"
-                );
-                let healthy = fx.baseline(width);
-                assert_bitwise(&out, &healthy, &ctx);
-            }
+            Ok(_) => panic!("{ctx}: an injected panic can never yield results"),
             Err(StreamError::WorkerPanicked(msg)) => {
                 assert!(
                     msg.contains("injected fault"),
@@ -314,7 +301,7 @@ fn recovery_counters_report_absorbed_faults() {
 /// failed scan's observation count is *e* — one more would be the
 /// polygon pass run over a canvas that is missing chunks. Reader faults
 /// strike at a known seq at any width; a worker site that fails every hit
-/// fails seq 1 wherever the pool is engaged.
+/// fails seq 1.
 #[test]
 fn errored_scans_resolve_nothing() {
     let fx = Fixture::new(2, "no-resolve");
@@ -345,13 +332,7 @@ fn errored_scans_resolve_nothing() {
                     "{ctx}: a failed scan observes its blended chunks and no resolve"
                 );
             }
-            // The worker site only fires when the planner engages the
-            // chunk-parallel pool; elsewhere the scan is clean.
-            Ok(out) => {
-                assert!(spec.starts_with("stream.worker"), "{ctx}");
-                assert_eq!(out.pool_workers, 1, "{ctx}");
-                assert_eq!(observations, u64::from(out.chunks) + 1, "{ctx}");
-            }
+            Ok(_) => panic!("{ctx}: a faulted scan returned a result"),
         }
     }
 }

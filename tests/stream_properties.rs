@@ -4,11 +4,12 @@
 //! the f32 reassociation tolerance documented on `ShardSet` — across
 //! every `RasterConfig`, odd chunk boundaries (chunk sizes that don't
 //! divide the table), empty tables, and predicate + AVG queries; the
-//! prefetching reader and the chunk pool must be pure latency
-//! optimisations (bitwise-identical to the paper-faithful blocking
-//! reader); and because a streamed scan blends every pixel in row order
-//! and draws its polygons once, a bounded scan must be *bitwise* the
-//! one-batch in-memory 1-worker join whatever the chunk size.
+//! chunk pool — the one threaded arm, whatever its width — must be a
+//! pure latency optimisation (bitwise-identical to the paper-faithful
+//! blocking reader); and because a streamed scan blends every pixel in
+//! row order and draws its polygons once, a bounded scan must be
+//! *bitwise* the one-batch in-memory 1-worker join whatever the chunk
+//! size.
 
 use proptest::prelude::*;
 use raster_join_repro::data::codec::FormatError;
