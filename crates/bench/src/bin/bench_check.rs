@@ -293,27 +293,28 @@ fn check_bench(
             check_ratios(
                 rows,
                 bench,
-                "within_15pct_fraction",
+                "builtin_within_15pct_fraction",
                 HigherIsBetter,
                 tol,
                 &baseline,
                 &fresh,
             );
-            // Calibrated-vs-best measured total: the decision-quality
-            // headline, as a machine-portable ratio.
+            // What the shipped (built-in) planner picked vs. the best
+            // measured, in total: the decision-quality headline, as a
+            // machine-portable ratio.
             let derived = |s: &str| -> Option<f64> {
-                let cal = extract_numbers(s, "calibrated_total_ms").first().copied()?;
+                let picked = extract_numbers(s, "builtin_total_ms").first().copied()?;
                 let best = extract_numbers(s, "best_total_ms").first().copied()?;
-                (best > 0.0).then_some(cal / best)
+                (best > 0.0).then_some(picked / best)
             };
             match (derived(&baseline), derived(&fresh)) {
                 (Some(b), Some(f)) => {
-                    let pseudo_b = format!("{{\"calibrated_over_best\": {b}}}");
-                    let pseudo_f = format!("{{\"calibrated_over_best\": {f}}}");
+                    let pseudo_b = format!("{{\"builtin_over_best\": {b}}}");
+                    let pseudo_f = format!("{{\"builtin_over_best\": {f}}}");
                     check_ratios(
                         rows,
                         bench,
-                        "calibrated_over_best",
+                        "builtin_over_best",
                         LowerIsBetter,
                         tol,
                         &pseudo_b,
@@ -322,20 +323,13 @@ fn check_bench(
                 }
                 _ => rows.push(Row {
                     bench,
-                    metric: "calibrated_over_best".into(),
+                    metric: "builtin_over_best".into(),
                     baseline: "?".into(),
                     fresh: "?".into(),
                     status: Status::Missing,
                     detail: "totals missing".into(),
                 }),
             }
-            check_flags(
-                rows,
-                bench,
-                "calibrated_never_worse_than_builtin",
-                &baseline,
-                &fresh,
-            );
         }
         "stream" => {
             for key in [

@@ -1,40 +1,31 @@
 #![forbid(unsafe_code)]
-//! `bench_planner` — planner calibration + decision-quality benchmark.
+//! `bench_planner` — decision-quality benchmark for the planner that
+//! ships, and for a fit of its weights to this machine.
 //!
 //! Three phases over a micro-workload grid (points × ε × selectivity ×
 //! memory budget on the NYC-like extent):
 //!
-//! 1. **Measure** every plan key ({bounded × binning × sharding} ∪
-//!    {accurate × sharding}) on every cell, best-of-`--reps` processing
-//!    time, recording the planner's feature vectors alongside.
+//! 1. **Measure** what the planner chooses between — {bounded, accurate}
+//!    × pool width {1, 2, 4} — on every cell, best-of-`--reps` processing
+//!    time, recording the planner's feature vectors alongside (plus four
+//!    raw/compressed scan rows for the disk features).
 //! 2. **Fit** the cost-model weights from those samples
-//!    (`Calibration::fit`) and serialize the calibration (`--calibration
-//!    PATH`, default `planner_calibration.json`).
-//! 3. **Feed back & evaluate**: an [`AutoRasterJoin`] loaded with the
-//!    fitted calibration executes each cell once (folding
-//!    predicted-vs-actual into the per-key corrections), then its
-//!    decisions are scored against the measured grid — and against the
-//!    uncalibrated constant-weight model — into `BENCH_planner.json`.
+//!    (`Calibration::fit`).
+//! 3. **Score** two weight sets against the measured grid: the
+//!    **built-in** constants — what every entry point plans under — and
+//!    the **fit**. Per cell, at the widest measured width the box's
+//!    default pool covers ([`raster_gpu::exec::default_workers`], so
+//!    `RJ_WORKERS=4 bench_planner` scores the 4-worker column), each set's
+//!    pick is compared with the best measured variant; `worker_choice`
+//!    tabulates the width each set picks from a 4-worker budget next to
+//!    the picked variant's ms at 1 / 2 / 4.
 //!
-//! The headline summary reports the fraction of cells where the
-//! calibrated planner's pick is within 15% of the best measured plan,
-//! and whether it ever does worse than the built-in constants.
-//!
-//! A fourth phase exercises the plan space's **worker dimension**: each
-//! small in-core cell's favourite pipeline is measured at 1/2/4 workers,
-//! the (predicted, actual) pairs are folded into the per-worker-bucket
-//! corrections, and the planner then chooses with a 4-worker budget. The
-//! chosen widths land in `worker_choice` in the JSON — on a multi-core
-//! box the amortized stages open the pool up, on a single core the
-//! feedback learns that extra threads buy nothing and keeps pipelines
-//! narrow; either way the width is a per-cell decision, not a constant.
-//!
-//! The worker budget for the measured grid follows
-//! [`raster_gpu::exec::default_workers`], so `RJ_WORKERS=4 bench_planner`
-//! exercises the multi-worker plan space on any box.
+//! The fit is scored on the grid it was fitted from, so its row is an
+//! upper bound on what re-fitting could buy; the built-in row is the
+//! planner queries actually run. Both land in `BENCH_planner.json`.
 //!
 //! ```text
-//! bench_planner [--quick] [--reps N] [--out PATH] [--calibration PATH]
+//! bench_planner [--quick] [--reps N] [--out PATH]
 //! ```
 
 use bench::arg_value;
@@ -42,13 +33,16 @@ use raster_data::filter::{CmpOp, Predicate};
 use raster_data::generators::{nyc_extent, TaxiModel};
 use raster_data::polygons::synthetic_polygons;
 use raster_data::PointTable;
-use raster_gpu::{Device, DeviceConfig, RasterConfig};
+use raster_gpu::{Device, DeviceConfig};
 use raster_join::optimizer::{
-    effective_key, features, plan_workload, Calibration, Plan, Variant, Workload, KEY_NAMES,
-    NWEIGHTS,
+    features, plan_workload, Calibration, Plan, Variant, Workload, NWEIGHTS, WEIGHT_NAMES,
 };
-use raster_join::{AutoRasterJoin, Query};
+use raster_join::{PlanChoice, Query};
 use std::fmt::Write as _;
+
+/// The pool widths every cell is measured at; the last is the budget
+/// `worker_choice` plans under.
+const WIDTHS: [usize; 3] = [1, 2, 4];
 
 struct Cell {
     label: String,
@@ -59,63 +53,39 @@ struct Cell {
     budget_points: Option<usize>,
 }
 
-struct CellResult {
-    label: String,
-    n: usize,
-    epsilon: f64,
-    selective: bool,
-    tiles: u32,
-    batches: u32,
-    /// (key name, measured ms, calibrated predicted ms, point-stage ms,
-    /// polygon-stage ms). The stage breakdown comes from the executors'
-    /// `ExecStats` calibration timers.
-    measured: Vec<(&'static str, f64, f64, f64, f64)>,
-    best_key: &'static str,
-    best_ms: f64,
-    calibrated_key: &'static str,
-    calibrated_ms: f64,
-    builtin_key: &'static str,
-    builtin_ms: f64,
-    within_15pct: bool,
+/// One measured (variant, width) of one cell.
+struct Run {
+    plan: Plan,
+    secs: f64,
+    /// Stage breakdown of the best rep (the `ExecStats` timers).
+    point_ms: f64,
+    polygon_ms: f64,
 }
 
-/// One phase-4 decision: the width the planner spends on one cell's
-/// pipeline after seeing it measured at every candidate width.
-struct WorkerChoice {
-    label: String,
-    key: &'static str,
-    chosen_workers: usize,
-    /// Best-of-`reps` processing ms at 1 / 2 / 4 workers.
-    measured_ms: [f64; 3],
+/// One cell's workload and its measured runs: `WIDTHS` × {bounded,
+/// accurate}.
+struct Measured {
+    wl: Workload,
+    query: Query,
+    device: Device,
+    runs: Vec<Run>,
 }
 
-/// The measured plan keys: every bounded config plus accurate ± sharding.
-fn measured_plans(batch: usize, workers: usize) -> Vec<Plan> {
-    let mut plans = Vec::new();
-    for (binning, sharding) in [(false, false), (false, true), (true, false), (true, true)] {
-        plans.push(Plan {
-            variant: Variant::Bounded,
-            config: RasterConfig { binning, sharding },
-            batch_points: batch,
-            canvas_dim: 2048,
-            index_dim: 1024,
-            workers,
-        });
+impl Measured {
+    fn ms(&self, variant: Variant, workers: usize) -> f64 {
+        let run = self
+            .runs
+            .iter()
+            .find(|r| r.plan.variant == variant && r.plan.workers == workers)
+            .expect("every variant is measured at every width");
+        run.secs * 1e3
     }
-    for sharding in [false, true] {
-        plans.push(Plan {
-            variant: Variant::Accurate,
-            config: RasterConfig {
-                binning: false,
-                sharding,
-            },
-            batch_points: batch,
-            canvas_dim: 2048,
-            index_dim: 1024,
-            workers,
-        });
+
+    /// What `cal` ranks for this cell from a pool of `workers`.
+    fn plan(&self, cal: &Calibration, workers: usize) -> PlanChoice {
+        let (wl, query, device) = (&self.wl, &self.query, &self.device);
+        plan_workload(wl, query, device, cal, workers, 2048, 1024)
     }
-    plans
 }
 
 fn main() {
@@ -126,19 +96,20 @@ fn main() {
         .unwrap_or(2usize)
         .max(1);
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_planner.json".to_string());
-    let cal_path =
-        arg_value(&args, "--calibration").unwrap_or_else(|| "planner_calibration.json".to_string());
 
     let sizes: &[usize] = if quick {
         &[40_000, 120_000]
     } else {
         &[150_000, 600_000]
     };
-    // ε=200 → a 411² single-tile canvas dense enough to engage the shard
-    // merge; ε=50 → 1641², single tile, gate off; ε=12 → 6834², 16 tiles.
+    // ε=200 → a 411² single-tile canvas; ε=50 → 1641², single tile;
+    // ε=12 → 6834², 16 tiles.
     let epsilons = [200.0f64, 50.0, 12.0];
     let max_fbo = 2048u32;
+    // Decisions are scored at the widest measured width the box's default
+    // pool covers.
     let workers = raster_gpu::exec::default_workers();
+    let score_width = *WIDTHS.iter().rfind(|&&w| w <= workers).unwrap_or(&1);
 
     let mut cells: Vec<Cell> = Vec::new();
     for &n in sizes {
@@ -179,14 +150,6 @@ fn main() {
     let hour = full.attr_index("hour").expect("taxi hour attr");
 
     // ---------------------------------------------------- phase 1: measure
-    struct Measured {
-        wl: Workload,
-        query: Query,
-        device: Device,
-        /// Per plan: (plan, best seconds, point-stage ms, polygon-stage
-        /// ms of the best rep — the ExecStats calibration timers).
-        runs: Vec<(Plan, f64, f64, f64)>,
-    }
     let mut grid: Vec<Measured> = Vec::new();
     let mut samples: Vec<([f64; NWEIGHTS], f64)> = Vec::new();
     for cell in &cells {
@@ -207,31 +170,42 @@ fn main() {
         let capacity = device.points_per_batch(PointTable::point_bytes(query.attrs_uploaded()));
         let wl = Workload::sample(&pts, &polys, &query);
         let mut runs = Vec::new();
-        for plan in measured_plans(capacity, workers) {
-            let mut best = f64::INFINITY;
-            let (mut point_ms, mut polygon_ms) = (0.0, 0.0);
-            for _ in 0..reps {
-                let out = plan.execute(&pts, &polys, &query, &device);
-                // The quantity the model predicts: processing time
-                // (polygon preprocessing excluded as in §7.1).
-                let secs = out.stats.processing.as_secs_f64();
-                if secs < best {
-                    best = secs;
-                    point_ms = out.stats.point_stage.as_secs_f64() * 1e3;
-                    polygon_ms = out.stats.polygon_stage.as_secs_f64() * 1e3;
+        for workers in WIDTHS {
+            for variant in [Variant::Bounded, Variant::Accurate] {
+                let plan = Plan {
+                    variant,
+                    batch_points: capacity,
+                    canvas_dim: 2048,
+                    index_dim: 1024,
+                    workers,
+                };
+                let mut run = Run {
+                    plan,
+                    secs: f64::INFINITY,
+                    point_ms: 0.0,
+                    polygon_ms: 0.0,
+                };
+                for _ in 0..reps {
+                    let out = plan.execute(&pts, &polys, &query, &device);
+                    // The quantity the model predicts: processing time
+                    // (polygon preprocessing excluded as in §7.1).
+                    let secs = out.stats.processing.as_secs_f64();
+                    if secs < run.secs {
+                        run.secs = secs;
+                        run.point_ms = out.stats.point_stage.as_secs_f64() * 1e3;
+                        run.polygon_ms = out.stats.polygon_stage.as_secs_f64() * 1e3;
+                    }
                 }
+                samples.push((features(&plan, &wl, &device), run.secs));
+                eprintln!(
+                    "{:<22} {variant:<8?} w{workers} {:>8.1} ms (pt {:.1} / poly {:.1})",
+                    cell.label,
+                    run.secs * 1e3,
+                    run.point_ms,
+                    run.polygon_ms
+                );
+                runs.push(run);
             }
-            let f = features(&plan, &wl, &device);
-            samples.push((f, best));
-            eprintln!(
-                "{:<22} {:<24} {:>8.1} ms (pt {:.1} / poly {:.1})",
-                cell.label,
-                plan.key_name(),
-                best * 1e3,
-                point_ms,
-                polygon_ms
-            );
-            runs.push((plan, best, point_ms, polygon_ms));
         }
         grid.push(Measured {
             wl,
@@ -297,449 +271,169 @@ fn main() {
     }
 
     // -------------------------------------------------------- phase 2: fit
-    let mut fitted = Calibration::fit(&samples).expect("calibration fit");
-    eprintln!(
-        "fitted {} weights from {} samples",
-        NWEIGHTS, fitted.samples
-    );
-    // Replay every measured run through the feedback loop: the
-    // per-pipeline corrections start from the whole grid's residuals
-    // (e.g. a systematically underpredicted shard merge) instead of 1.0.
-    for m in &grid {
-        for (plan, secs, _, _) in &m.runs {
-            let f = features(plan, &m.wl, &m.device);
-            let raw = fitted.raw(&f);
-            fitted.observe(effective_key(plan, &m.wl, &m.device), raw, *secs);
-        }
-    }
-    eprintln!(
-        "replayed {} observations into the calibration",
-        fitted.observations
-    );
+    let fitted = Calibration::fit(&samples).expect("calibration fit");
+    eprintln!("fitted {NWEIGHTS} weights from {} samples", fitted.samples);
 
-    // ----------------------------------------- phase 3: feedback + evaluate
-    let auto = AutoRasterJoin::with_calibration(fitted.clone());
-    for (cell, m) in cells.iter().zip(&grid) {
-        let pts = full.prefix(cell.n);
-        let (plan, out) = auto.execute(&pts, &polys, &m.query, &m.device);
-        eprintln!(
-            "feedback {:<22} ran {:<24} {:>8.1} ms",
-            cell.label,
-            plan.key_name(),
-            out.stats.processing.as_secs_f64() * 1e3
-        );
-    }
-    let calibrated = auto.calibration();
-    calibrated
-        .save(std::path::Path::new(&cal_path))
-        .expect("write calibration");
-    eprintln!("wrote {cal_path}");
-    // Round-trip sanity: the serialized calibration must load.
-    let reloaded = Calibration::load(std::path::Path::new(&cal_path)).expect("reload calibration");
-    assert_eq!(reloaded.samples, calibrated.samples);
-
-    let builtin = Calibration::builtin();
-    let mut results: Vec<CellResult> = Vec::new();
-    for (cell, m) in cells.iter().zip(&grid) {
-        // The planner's pick at the width the grid was measured at (phase
-        // 4 scores the width choice): on a cell whose cost is mostly fixed
-        // per-pass overhead — a sparse canvas held as pixel runs — a
-        // narrower pool can rank first, and no run of it exists to score.
-        let choose = |cal: &Calibration| -> Plan {
-            plan_workload(&m.wl, &m.query, &m.device, cal, workers, 2048, 1024, None)
-                .candidates
-                .iter()
-                .find(|c| c.plan.workers == workers)
-                .expect("the full-width plans are always enumerated")
-                .plan
-        };
-        // Distinct config labels can resolve to the identical physical
-        // execution (binning skipped on one tile, shard gate not
-        // engaged); merge measurements by effective pipeline so noise
-        // between identical runs never scores as a planner error.
-        let mut by_pipeline: std::collections::HashMap<usize, f64> =
-            std::collections::HashMap::new();
-        for (p, s, _, _) in &m.runs {
-            let k = effective_key(p, &m.wl, &m.device);
-            let e = by_pipeline.entry(k).or_insert(f64::INFINITY);
-            *e = e.min(*s);
-        }
-        let measured_ms_of =
-            |plan: &Plan| -> f64 { by_pipeline[&effective_key(plan, &m.wl, &m.device)] * 1e3 };
-        let cal_plan = choose(&calibrated);
-        let builtin_plan = choose(&builtin);
-        let (&best_key, &best_secs) = by_pipeline
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("runs");
-        let best_ms = best_secs * 1e3;
-        let calibrated_ms = measured_ms_of(&cal_plan);
-        let builtin_ms = measured_ms_of(&builtin_plan);
-        let within = calibrated_ms <= best_ms * 1.15;
-        let measured: Vec<(&'static str, f64, f64, f64, f64)> = m
-            .runs
-            .iter()
-            .map(|(p, s, point_ms, polygon_ms)| {
-                let predicted_ms = calibrated.predict(
-                    effective_key(p, &m.wl, &m.device),
-                    &features(p, &m.wl, &m.device),
-                ) * 1e3;
-                (p.key_name(), s * 1e3, predicted_ms, *point_ms, *polygon_ms)
-            })
-            .collect();
-        let sh = plan_workload(
-            &m.wl,
-            &m.query,
-            &m.device,
-            &calibrated,
-            workers,
-            2048,
-            1024,
-            None,
-        )
-        .best()
-        .shape;
-        results.push(CellResult {
-            label: cell.label.clone(),
-            n: cell.n,
-            epsilon: cell.epsilon,
-            selective: cell.selective,
-            tiles: sh.tiles,
-            batches: sh.batches,
-            measured,
-            best_key: KEY_NAMES[best_key],
-            best_ms,
-            calibrated_key: cal_plan.key_name(),
-            calibrated_ms,
-            builtin_key: builtin_plan.key_name(),
-            builtin_ms,
-            within_15pct: within,
-        });
-    }
-
-    // ------------------------------------------ phase 4: worker choice
-    // Sweep each cell's favourite pipeline across pool widths, feed the
-    // measurements back per worker bucket (`effective_key` strides by
-    // bucket), then let the planner spend a 4-worker budget. A cell
-    // chooses width w1 over w4 exactly when its serial fraction
-    // `raw(w1)/raw(w4)` sits below its pipeline family's learned
-    // `scale(w4)/scale(w1)` threshold. Two details matter for
-    // stability: the observation rounds interleave *cells* inside each
-    // width block (a per-cell sweep would leave every family threshold
-    // dominated by the ALPHA-EMA recency of the cell just measured,
-    // parking every cell at a self-made near-tie), and all choices are
-    // made only after every observation is in, so each cell is judged
-    // against the same converged thresholds. Width is a per-cell
-    // decision — `feedback_differentiates_worker_counts_across_cells`
-    // in the optimizer pins the divergence deterministically. On a
-    // single-core box every width performs the same work plus
-    // time-slicing overhead, so the honest converged choice here is
-    // one worker everywhere: the planner refusing to spend threads
-    // that do not pay. The tiny quarter-size cells ride along to give
-    // the family thresholds spread on real multi-core hardware, where
-    // compute-bound cells open the pool and overhead-bound ones stay
-    // narrow.
-    let worker_budget = 4usize;
-    let mut wcal = calibrated.clone();
-    let widths = [1usize, 2, 4];
-    struct SweepCell {
-        label: String,
-        pts: PointTable,
-        wl: Workload,
-        query: Query,
-        base: Plan,
-    }
-    // All sweep cells are in-core; they share the in-core grid device.
-    let sweep_device = Device::new(DeviceConfig::small(3 << 30, max_fbo));
-    let mut sweep: Vec<SweepCell> = Vec::new();
-    for (cell, m) in cells
-        .iter()
-        .zip(&grid)
-        .filter(|(c, _)| c.n == sizes[0] && c.budget_points.is_none())
-    {
-        let base = plan_workload(
-            &m.wl,
-            &m.query,
-            &sweep_device,
-            &calibrated,
-            1,
-            2048,
-            1024,
-            None,
-        )
-        .best()
-        .plan;
-        sweep.push(SweepCell {
-            label: cell.label.clone(),
-            pts: full.prefix(cell.n),
-            wl: m.wl,
-            query: m.query.clone(),
-            base,
-        });
-    }
-    for &epsilon in &epsilons {
-        let n = sizes[0] / 4;
-        let pts = full.prefix(n);
-        let query = Query::count().with_epsilon(epsilon);
-        let wl = Workload::sample(&pts, &polys, &query);
-        let base = plan_workload(&wl, &query, &sweep_device, &calibrated, 1, 2048, 1024, None)
-            .best()
-            .plan;
-        sweep.push(SweepCell {
-            label: format!("n{}k_eps{}_tiny", n / 1000, epsilon),
-            pts,
-            wl,
-            query,
-            base,
-        });
-    }
-    let mut measured = vec![[f64::INFINITY; 3]; sweep.len()];
-    // Several alternating rounds per width: the wider buckets start with
-    // no correction history (the measured grid ran at the box default),
-    // and the ALPHA-EMA needs a handful of observations before a
-    // systematically over-optimistic amortization estimate stops
-    // winning by default.
-    for round in 0..3 {
-        for i in 0..widths.len() {
-            let slot = if round % 2 == 0 {
-                i
-            } else {
-                widths.len() - 1 - i
-            };
-            let w = widths[slot];
-            for (ci, sc) in sweep.iter().enumerate() {
-                let mut plan = sc.base;
-                plan.workers = w;
-                for _ in 0..reps {
-                    let out = plan.execute(&sc.pts, &polys, &sc.query, &sweep_device);
-                    let secs = out.stats.processing.as_secs_f64();
-                    let raw = wcal.raw(&features(&plan, &sc.wl, &sweep_device));
-                    wcal.observe(effective_key(&plan, &sc.wl, &sweep_device), raw, secs);
-                    measured[ci][slot] = measured[ci][slot].min(secs * 1e3);
-                }
-            }
-        }
-    }
-    let mut wchoices: Vec<WorkerChoice> = Vec::new();
-    for (ci, sc) in sweep.iter().enumerate() {
-        // Closed feedback loop at full budget: the width sweep only
-        // taught the corrections about the base pipeline's family, so
-        // the first budget-4 choice can escape into a family with no
-        // correction history (typically a sharded variant whose
-        // amortized raw cost looks free). Execute whatever the planner
-        // picks and feed the measurement back until the choice is
-        // stable — an unmeasured family earns its corrections the
-        // moment it is chosen.
-        let mut chosen = plan_workload(
-            &sc.wl,
-            &sc.query,
-            &sweep_device,
-            &wcal,
-            worker_budget,
-            2048,
-            1024,
-            None,
-        )
-        .best()
-        .plan;
-        for _ in 0..4 {
-            for _ in 0..reps {
-                let out = chosen.execute(&sc.pts, &polys, &sc.query, &sweep_device);
-                let secs = out.stats.processing.as_secs_f64();
-                let raw = wcal.raw(&features(&chosen, &sc.wl, &sweep_device));
-                wcal.observe(effective_key(&chosen, &sc.wl, &sweep_device), raw, secs);
-            }
-            let next = plan_workload(
-                &sc.wl,
-                &sc.query,
-                &sweep_device,
-                &wcal,
-                worker_budget,
-                2048,
-                1024,
-                None,
-            )
-            .best()
-            .plan;
-            if next == chosen {
-                break;
-            }
-            chosen = next;
-        }
-        eprintln!(
-            "worker choice {:<22} {} worker(s) for {:<24} (1w {:.1} / 2w {:.1} / 4w {:.1} ms)",
-            sc.label,
-            chosen.workers,
-            chosen.key_name(),
-            measured[ci][0],
-            measured[ci][1],
-            measured[ci][2]
-        );
-        wchoices.push(WorkerChoice {
-            label: sc.label.clone(),
-            key: chosen.key_name(),
-            chosen_workers: chosen.workers,
-            measured_ms: measured[ci],
-        });
-    }
-    let distinct_widths: std::collections::BTreeSet<usize> =
-        wchoices.iter().map(|c| c.chosen_workers).collect();
-    eprintln!(
-        "worker choice: {} distinct width(s) across {} cells with a {}-worker budget",
-        distinct_widths.len(),
-        wchoices.len(),
-        worker_budget
-    );
-
-    let json = render_json(
-        &results,
-        &wchoices,
-        worker_budget,
-        &calibrated,
-        quick,
-        reps,
-        workers,
-    );
+    // ------------------------------------------------------ phase 3: score
+    let sets = [("builtin", Calibration::builtin()), ("fitted", fitted)];
+    let json = render_json(&cells, &grid, &sets, score_width, quick, reps, workers);
     std::fs::write(&out_path, &json).expect("write BENCH_planner.json");
     eprintln!("wrote {out_path}");
-
-    let within = results.iter().filter(|r| r.within_15pct).count();
-    let never_worse = results
-        .iter()
-        .all(|r| r.calibrated_ms <= r.builtin_ms * 1.000001);
-    eprintln!(
-        "calibrated within 15% of best on {}/{} cells; never worse than builtin: {}",
-        within,
-        results.len(),
-        never_worse
-    );
+    for (set, cal) in &sets {
+        let (within, total_ms, best_total_ms) = score(&grid, cal, score_width);
+        eprintln!(
+            "{set:<7} within 15% of best on {within}/{} cells at width {score_width}; \
+             {total_ms:.2} ms picked vs {best_total_ms:.2} ms best",
+            grid.len()
+        );
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One weight set's pick for a cell at `width`: the variant of its
+/// top-ranked plan of that width, and what that variant measured.
+fn pick(m: &Measured, cal: &Calibration, width: usize) -> (Variant, f64) {
+    let choice = m.plan(cal, width);
+    let full_width = choice.candidates.iter().find(|c| c.plan.workers == width);
+    let variant = full_width.expect("enumerated").plan.variant;
+    (variant, m.ms(variant, width))
+}
+
+fn best(m: &Measured, width: usize) -> (Variant, f64) {
+    [Variant::Bounded, Variant::Accurate]
+        .map(|v| (v, m.ms(v, width)))
+        .into_iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("two variants")
+}
+
+/// A weight set's decisions summed over the grid: cells whose pick is
+/// within 15 % of the best measured, total picked ms, total best ms.
+fn score(grid: &[Measured], cal: &Calibration, width: usize) -> (usize, f64, f64) {
+    grid.iter()
+        .fold((0, 0.0, 0.0), |(within, total, best_total), m| {
+            let (ms, best_ms) = (pick(m, cal, width).1, best(m, width).1);
+            let ok = usize::from(ms <= best_ms * 1.15);
+            (within + ok, total + ms, best_total + best_ms)
+        })
+}
+
 fn render_json(
-    results: &[CellResult],
-    wchoices: &[WorkerChoice],
-    worker_budget: usize,
-    calibrated: &Calibration,
+    cells: &[Cell],
+    grid: &[Measured],
+    sets: &[(&str, Calibration); 2],
+    score_width: usize,
     quick: bool,
     reps: usize,
     workers: usize,
 ) -> String {
+    let fitted = &sets[1].1;
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"bench\": \"planner\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"reps\": {reps},");
-    let _ = writeln!(s, "  \"workers\": {workers},");
+    let _ = writeln!(
+        s,
+        "  \"workers\": {workers}, \"score_width\": {score_width},"
+    );
     s.push_str("  \"cells\": [\n");
-    for (i, r) in results.iter().enumerate() {
+    for (i, (cell, m)) in cells.iter().zip(grid).enumerate() {
+        let shape = m.plan(fitted, score_width).best().shape;
         let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"label\": \"{}\",", r.label);
+        let _ = writeln!(s, "      \"label\": \"{}\",", cell.label);
         let _ = writeln!(
             s,
             "      \"points\": {}, \"epsilon\": {}, \"selective\": {}, \
              \"tiles\": {}, \"batches\": {},",
-            r.n, r.epsilon, r.selective, r.tiles, r.batches
+            cell.n, cell.epsilon, cell.selective, shape.tiles, shape.batches
         );
         s.push_str("      \"plans\": [");
-        for (j, (key, ms, pred_ms, pt_ms, poly_ms)) in r.measured.iter().enumerate() {
+        for (j, r) in m.runs.iter().enumerate() {
             let _ = write!(
                 s,
-                "{}{{\"key\": \"{key}\", \"measured_ms\": {ms:.2}, \"predicted_ms\": {pred_ms:.2}, \
-                 \"point_stage_ms\": {pt_ms:.2}, \"polygon_stage_ms\": {poly_ms:.2}}}",
-                if j == 0 { "" } else { ", " }
+                "{}{{\"variant\": \"{:?}\", \"workers\": {}, \"measured_ms\": {:.2}, \
+                 \"fitted_ms\": {:.2}, \"point_stage_ms\": {:.2}, \"polygon_stage_ms\": {:.2}}}",
+                if j == 0 { "" } else { ", " },
+                r.plan.variant,
+                r.plan.workers,
+                r.secs * 1e3,
+                fitted.raw(&features(&r.plan, &m.wl, &m.device)) * 1e3,
+                r.point_ms,
+                r.polygon_ms
             );
         }
         s.push_str("],\n");
-        let _ = writeln!(
-            s,
-            "      \"best\": {{\"key\": \"{}\", \"ms\": {:.2}}},",
-            r.best_key, r.best_ms
-        );
-        let _ = writeln!(
-            s,
-            "      \"calibrated\": {{\"key\": \"{}\", \"ms\": {:.2}, \"within_15pct\": {}}},",
-            r.calibrated_key, r.calibrated_ms, r.within_15pct
-        );
-        let _ = writeln!(
-            s,
-            "      \"builtin\": {{\"key\": \"{}\", \"ms\": {:.2}}}",
-            r.builtin_key, r.builtin_ms
-        );
+        let (best_variant, best_ms) = best(m, score_width);
         let _ = write!(
             s,
-            "    }}{}",
-            if i + 1 < results.len() { ",\n" } else { "\n" }
+            "      \"best\": {{\"variant\": \"{best_variant:?}\", \"ms\": {best_ms:.2}}}"
+        );
+        for (set, cal) in sets {
+            let (variant, ms) = pick(m, cal, score_width);
+            let _ = write!(
+                s,
+                ",\n      \"{set}\": {{\"variant\": \"{variant:?}\", \"ms\": {ms:.2}, \
+                 \"within_15pct\": {}}}",
+                ms <= best_ms * 1.15
+            );
+        }
+        let _ = write!(
+            s,
+            "\n    }}{}",
+            if i + 1 < cells.len() { ",\n" } else { "\n" }
         );
     }
     s.push_str("  ],\n");
 
-    let distinct: std::collections::BTreeSet<usize> =
-        wchoices.iter().map(|c| c.chosen_workers).collect();
+    // What each weight set spends a pool of the widest measured width on,
+    // next to what its variant measured at every width.
+    let budget = WIDTHS[WIDTHS.len() - 1];
     s.push_str("  \"worker_choice\": {\n");
-    let _ = writeln!(s, "    \"budget\": {worker_budget},");
+    let _ = writeln!(s, "    \"budget\": {budget},");
     s.push_str("    \"cells\": [");
-    for (i, c) in wchoices.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}{{\"label\": \"{}\", \"key\": \"{}\", \"chosen_workers\": {}, \
-             \"ms_w1\": {:.2}, \"ms_w2\": {:.2}, \"ms_w4\": {:.2}}}",
-            if i == 0 { "" } else { ", " },
-            c.label,
-            c.key,
-            c.chosen_workers,
-            c.measured_ms[0],
-            c.measured_ms[1],
-            c.measured_ms[2]
-        );
-    }
-    s.push_str("],\n");
-    let _ = writeln!(s, "    \"distinct_worker_counts\": {}", distinct.len());
-    s.push_str("  },\n");
-
-    let within = results.iter().filter(|r| r.within_15pct).count();
-    let never_worse = results
-        .iter()
-        .all(|r| r.calibrated_ms <= r.builtin_ms * 1.000001);
-    let sum = |f: fn(&CellResult) -> f64| -> f64 { results.iter().map(f).sum() };
-    s.push_str("  \"summary\": {\n");
-    let _ = writeln!(s, "    \"cells\": {},", results.len());
-    let _ = writeln!(s, "    \"calibrated_within_15pct\": {within},");
-    let _ = writeln!(
-        s,
-        "    \"within_15pct_fraction\": {:.3},",
-        within as f64 / results.len().max(1) as f64
-    );
-    let _ = writeln!(
-        s,
-        "    \"best_total_ms\": {:.2}, \"calibrated_total_ms\": {:.2}, \"builtin_total_ms\": {:.2},",
-        sum(|r| r.best_ms),
-        sum(|r| r.calibrated_ms),
-        sum(|r| r.builtin_ms)
-    );
-    let _ = writeln!(
-        s,
-        "    \"calibrated_never_worse_than_builtin\": {never_worse},"
-    );
-    let _ = writeln!(s, "    \"worker_choice_distinct\": {},", distinct.len());
-    let _ = writeln!(
-        s,
-        "    \"fit_samples\": {}, \"observations\": {}",
-        calibrated.samples, calibrated.observations
-    );
-    s.push_str("  },\n");
-    // The full calibration document, inline, for the artifact reader.
-    s.push_str("  \"calibration\": ");
-    let cal_json = calibrated.to_json();
-    for (i, line) in cal_json.trim_end().lines().enumerate() {
-        if i > 0 {
-            s.push_str("  ");
+    let mut first = true;
+    for (cell, m) in cells.iter().zip(grid) {
+        for (set, cal) in sets {
+            let chosen = m.plan(cal, budget).best().plan;
+            let _ = write!(
+                s,
+                "{}{{\"label\": \"{}\", \"weights\": \"{set}\", \"variant\": \"{:?}\", \
+                 \"chosen_workers\": {}, \"ms_w1\": {:.2}, \"ms_w2\": {:.2}, \"ms_w4\": {:.2}}}",
+                if first { "" } else { ", " },
+                cell.label,
+                chosen.variant,
+                chosen.workers,
+                m.ms(chosen.variant, WIDTHS[0]),
+                m.ms(chosen.variant, WIDTHS[1]),
+                m.ms(chosen.variant, WIDTHS[2])
+            );
+            first = false;
         }
-        s.push_str(line);
-        s.push('\n');
     }
-    s.pop();
-    s.push('\n');
-    s.push_str("}\n");
+    s.push_str("]\n  },\n");
+
+    let [(b_within, b_ms, best_ms), (f_within, f_ms, _)] =
+        [0, 1].map(|i| score(grid, &sets[i].1, score_width));
+    let n = grid.len().max(1) as f64;
+    s.push_str("  \"summary\": {\n");
+    let _ = writeln!(s, "    \"cells\": {},", grid.len());
+    let _ = writeln!(
+        s,
+        "    \"builtin_within_15pct_fraction\": {:.3}, \"fitted_within_15pct_fraction\": {:.3},",
+        b_within as f64 / n,
+        f_within as f64 / n
+    );
+    let _ = writeln!(
+        s,
+        "    \"best_total_ms\": {best_ms:.2}, \"builtin_total_ms\": {b_ms:.2}, \
+         \"fitted_total_ms\": {f_ms:.2},"
+    );
+    let _ = writeln!(s, "    \"fit_samples\": {}", fitted.samples);
+    s.push_str("  },\n");
+    s.push_str("  \"fitted_weights\": {");
+    for (j, (name, w)) in WEIGHT_NAMES.iter().zip(fitted.weights.0).enumerate() {
+        let _ = write!(s, "{}\"{name}\": {w:e}", if j == 0 { "" } else { ", " });
+    }
+    s.push_str("}\n}\n");
     s
 }

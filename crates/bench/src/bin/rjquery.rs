@@ -15,8 +15,8 @@
 //! # no --points: generate a synthetic taxi workload of N points
 //! rjquery --generate 1000000 --polygons 32 --sql "..." --epsilon 20
 //!
-//! # prefix the SQL with EXPLAIN to print the §8 optimizer's plan instead
-//! # of executing
+//! # prefix the SQL with EXPLAIN to print the plan `--auto` would run under
+//! # the same --epsilon and --workers, instead of executing
 //! rjquery --generate 1000000 --sql "EXPLAIN SELECT COUNT(*) FROM P, R \
 //!         WHERE P.loc INSIDE R.geometry GROUP BY R.id"
 //!
@@ -292,10 +292,24 @@ fn main() {
     };
     let polys = synthetic_polygons(args.polygons, &nyc_extent(), 1);
     let device = Device::default();
+    // One planner for EXPLAIN and `--auto`, so the first describes the
+    // second.
+    let mut auto = AutoRasterJoin::default();
+    if let Some(w) = args.workers {
+        auto.workers = w;
+    }
 
     // EXPLAIN: print the optimizer's plan and stop.
     if is_explain {
-        match raster_join::sql::explain_query(&args.sql, &points, points.len(), &polys, &device) {
+        match raster_join::sql::explain_query(
+            &args.sql,
+            &points,
+            points.len(),
+            &polys,
+            &device,
+            Some(args.epsilon),
+            &auto,
+        ) {
             Ok(plan) => {
                 print!("{plan}");
                 return;
@@ -316,10 +330,6 @@ fn main() {
     };
 
     let (label, out) = if args.auto {
-        let mut auto = AutoRasterJoin::default();
-        if let Some(w) = args.workers {
-            auto.workers = w;
-        }
         let (plan, out) = auto.execute(&points, &polys, &query, &device);
         (format!("auto → {}", plan.describe()), out)
     } else if args.exact {

@@ -757,15 +757,14 @@ pub fn ablations(scale: Scale) -> Report {
 
 // --------------------------------------------------------------- Planner
 
-/// Beyond-the-paper §8 extension: the feedback-calibrated planner's
-/// decisions across an ε/selectivity sweep — predicted vs measured cost
-/// of the chosen plan, and the measured cost of the best alternative
-/// variant it rejected.
+/// Beyond-the-paper §8 extension: the planner's decisions across an
+/// ε/selectivity sweep — predicted vs measured cost of the chosen plan,
+/// and the predicted cost of the best alternative variant it rejected.
 pub fn planner(scale: Scale) -> Report {
     use raster_join::optimizer::Variant;
     use raster_join::AutoRasterJoin;
     let mut r = Report::new(
-        "Planner: feedback-calibrated decisions (Taxi ⋈ Neighborhoods)",
+        "Planner: cost-based decisions (Taxi ⋈ Neighborhoods)",
         &[
             "epsilon m",
             "selective",
@@ -775,8 +774,7 @@ pub fn planner(scale: Scale) -> Report {
             "rejected variant",
         ],
     );
-    r.note("the planner ranks {variant × RasterConfig × batch} per query; online");
-    r.note("feedback folds each run's predicted-vs-actual ratio back in.");
+    r.note("the planner ranks {variant × batch × workers} per query.");
     r.note("predicted costs are in the builtin model's abstract units (not ms) —");
     r.note("run bench_planner for a calibration fitted to seconds.");
     let n = scale.apply(300_000);
@@ -815,11 +813,6 @@ pub fn planner(scale: Scale) -> Report {
             rejected_cost,
         ]);
     }
-    let cal = auto.calibration();
-    r.note(format!(
-        "calibration after sweep: {} observation(s), unit {:.3e} s/op",
-        cal.observations, cal.unit
-    ));
     r
 }
 

@@ -1,11 +1,15 @@
 //! Model of `FboPool` recycle/reuse (`raster-gpu/framebuffer.rs`).
 //!
-//! Production shape: the prepared executor shared by the streaming pool's
-//! workers owns one `FboPool`; each worker `acquire`s a canvas (recycled
-//! off the free list and cleared, or freshly allocated), blends into it
-//! with exclusive ownership, and `release`s it back. The free-list lock
-//! guards only the list — never the pixels — so the safety story is
-//! entirely the acquire/release discipline:
+//! Production shape, as it was before PR 12: the prepared executor shared
+//! by the streaming pool's workers owns one `FboPool`; each worker
+//! `acquire`s a canvas (recycled off the free list and cleared, or freshly
+//! allocated), blends into it with exclusive ownership, and `release`s it
+//! back. (Since PR 12 the pool's workers only decode and bin and hold no
+//! canvas — the consumer checks the canvases out once per scan, see the
+//! `ring` and `errors` models — so this model checks the `FboPool`
+//! contract itself, not a protocol the streamed scan still runs.) The
+//! free-list lock guards only the list — never the pixels — so the safety
+//! story is entirely the acquire/release discipline:
 //!
 //! * a canvas on the free list is owned by **nobody** (no double-recycle);
 //! * an acquired canvas is owned by **exactly one** worker until released

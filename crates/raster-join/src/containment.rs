@@ -20,7 +20,7 @@
 //! workers own their chunk exclusively (`EncodedChunk` by value, a fresh
 //! per-chunk `Device`), the cross-thread channels transfer ownership
 //! rather than sharing it, `parking_lot` mutexes do not poison, and the
-//! one fold that mutates cross-chunk state (merger + planner feedback)
+//! one fold that mutates cross-chunk state (canvases + merger)
 //! runs on the consumer thread *outside* any contained region. A canvas
 //! held by a panicking worker is dropped, not leaked back into the
 //! `FboPool` free list mid-write.

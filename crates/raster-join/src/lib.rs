@@ -62,7 +62,7 @@ pub use materializing::MaterializingJoin;
 pub use minmax::MinMaxRasterJoin;
 pub use moments::{MomentsOutput, MomentsQuery, MomentsRasterJoin};
 pub use multi::{MultiBoundedRasterJoin, MultiQuery};
-pub use optimizer::{AutoRasterJoin, Calibration, Decision, Plan, PlanChoice, Variant};
+pub use optimizer::{AutoRasterJoin, Calibration, Plan, PlanChoice, Variant};
 pub use query::{Aggregate, AggregateMerger, JoinOutput, Query};
 pub use raster_gpu::RasterConfig;
 pub use sampling::{SamplingJoin, SamplingOutput};

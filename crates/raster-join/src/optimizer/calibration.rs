@@ -1,29 +1,5 @@
-//! Calibration: fitting the cost-model weights from measured executions
-//! and folding per-query predicted-vs-actual feedback back in.
-//!
-//! # File format
-//!
-//! A calibration serializes to a small flat JSON document (written by
-//! `bench_planner`, loaded with [`Calibration::load`]):
-//!
-//! ```json
-//! {
-//!   "version": 1,
-//!   "samples": 48,
-//!   "observations": 10,
-//!   "unit": 1.0e-7,
-//!   "weights": { "filter": 2.1e-9, "bin": ..., ... },
-//!   "scale": { "bounded_rescan": 1.0, "bounded_binned_sharded": ..., ... }
-//! }
-//! ```
-//!
-//! `weights` holds one entry per [`WEIGHT_NAMES`] slot (seconds per
-//! feature unit once fitted). `scale` holds one multiplicative correction
-//! per plan key ([`KEY_NAMES`]) maintained by the online feedback loop;
-//! `unit` is the running global units→seconds factor the per-key
-//! corrections are measured against. Every key is optional on load —
-//! missing entries keep their built-in value — so the format is
-//! forward-compatible with added stages.
+//! Calibration: the cost-model weights, built in or fitted from measured
+//! executions.
 //!
 //! # Fitting
 //!
@@ -31,98 +7,24 @@
 //! over (feature-vector, measured-seconds) samples: columns are
 //! normalised, the normal equations solved by Gaussian elimination, and
 //! negative weights clamped to zero with one re-solve over the remaining
-//! columns (a single active-set step — enough for 12 well-scaled
+//! columns (a single active-set step — enough for 14 well-scaled
 //! features). Feature columns never exercised by the sample grid fall
 //! back to the built-in constant converted at the fitted unit rate, so an
 //! uncalibrated stage still costs something plausible.
 //!
-//! # Online feedback
-//!
-//! [`Calibration::observe`] receives each executed plan's raw predicted
-//! cost and measured seconds. It maintains `unit` as an EMA of the
-//! global seconds-per-unit ratio and, per plan key, an EMA of the
-//! *residual* ratio relative to `unit`. Predictions are multiplied by the
-//! plan key's residual, so systematic per-pipeline bias (e.g. a machine
-//! whose shard merge is unusually slow) corrects within a few queries
-//! without disturbing the fitted weights.
+//! Every entry point plans under [`Calibration::builtin`]; `bench_planner`
+//! fits a calibration on its measured grid and scores both, so the two
+//! weight sets can be compared on the same runs.
 
-use super::cost::{Weights, NWEIGHTS, WEIGHT_NAMES};
-use std::io;
-use std::path::Path;
+use super::cost::{Weights, NWEIGHTS};
 
-/// Plan-key count: {Bounded, Accurate} × binning × sharding × worker
-/// bucket. The accurate variant ignores binning, but the encoding stays
-/// uniform. Online corrections are attributed to the *effective* pipeline
-/// (`cost::effective_key`) — binning skipped on single-tile canvases, the
-/// shard gate possibly not engaging — so labels that resolve to the same
-/// execution share one correction. The worker bucket
-/// (`cost::worker_bucket`: 1 / 2–3 / 4–7 / 8+) strides the key by 8, so
-/// the amortization model's systematic error at one pool size never
-/// contaminates the correction learned at another.
-pub const NKEYS: usize = 32;
-
-/// Stable names for plan keys — `variant*4 + binning*2 + sharding`, then
-/// a `_w2`/`_w4`/`_w8` suffix per worker bucket (bare names are the
-/// single-worker bucket, which keeps pre-worker-dimension calibration
-/// files loading into the right slots).
-pub const KEY_NAMES: [&str; NKEYS] = [
-    "bounded_rescan",
-    "bounded_rescan_sharded",
-    "bounded_binned",
-    "bounded_binned_sharded",
-    "accurate",
-    "accurate_sharded",
-    "accurate_binned",
-    "accurate_binned_sharded",
-    "bounded_rescan_w2",
-    "bounded_rescan_sharded_w2",
-    "bounded_binned_w2",
-    "bounded_binned_sharded_w2",
-    "accurate_w2",
-    "accurate_sharded_w2",
-    "accurate_binned_w2",
-    "accurate_binned_sharded_w2",
-    "bounded_rescan_w4",
-    "bounded_rescan_sharded_w4",
-    "bounded_binned_w4",
-    "bounded_binned_sharded_w4",
-    "accurate_w4",
-    "accurate_sharded_w4",
-    "accurate_binned_w4",
-    "accurate_binned_sharded_w4",
-    "bounded_rescan_w8",
-    "bounded_rescan_sharded_w8",
-    "bounded_binned_w8",
-    "bounded_binned_sharded_w8",
-    "accurate_w8",
-    "accurate_sharded_w8",
-    "accurate_binned_w8",
-    "accurate_binned_sharded_w8",
-];
-
-/// EMA step for the online feedback loop.
-const ALPHA: f64 = 0.3;
-
-/// Serialized format version.
-pub const CALIBRATION_VERSION: u32 = 1;
-
-/// The planner's knowledge: fitted (or built-in) stage weights plus the
-/// online per-plan-key corrections.
+/// The planner's knowledge: fitted (or built-in) stage weights.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     pub weights: Weights,
-    /// Multiplicative correction per plan key, updated by feedback.
-    pub scale: [f64; NKEYS],
-    /// Cumulative mean units→seconds factor across all observations —
-    /// the common denominator per-key residuals are measured against
-    /// (rankings only depend on the per-key residuals, which stay
-    /// comparable precisely because this denominator is burst-stable).
-    pub unit: f64,
     /// Number of measured samples the weights were fitted from (0 ⇒
     /// built-in constants).
     pub samples: u32,
-    /// Number of predicted-vs-actual observations folded back in.
-    pub observations: u64,
 }
 
 impl Default for Calibration {
@@ -132,54 +34,22 @@ impl Default for Calibration {
 }
 
 impl Calibration {
-    /// The uncalibrated fallback: hand-tuned constants, neutral scales.
+    /// The uncalibrated fallback: the hand-tuned constants.
     pub fn builtin() -> Self {
         Calibration {
             weights: Weights::BUILTIN,
-            scale: [1.0; NKEYS],
-            unit: 1.0,
             samples: 0,
-            observations: 0,
         }
     }
 
-    /// Has any measurement informed this calibration?
+    /// Were the weights fitted from measurements?
     pub fn is_calibrated(&self) -> bool {
-        self.samples > 0 || self.observations > 0
+        self.samples > 0
     }
 
-    /// Raw model cost (no per-key correction) of a feature vector.
+    /// Model cost of a feature vector.
     pub fn raw(&self, feats: &[f64; NWEIGHTS]) -> f64 {
         self.weights.dot(feats)
-    }
-
-    /// Corrected predicted cost for a plan with key `key`.
-    pub fn predict(&self, key: usize, feats: &[f64; NWEIGHTS]) -> f64 {
-        self.raw(feats) * self.scale[key.min(NKEYS - 1)]
-    }
-
-    /// Fold one execution's predicted-vs-actual outcome back in (simple
-    /// online reweighting). `predicted_raw` is the *uncorrected* model
-    /// cost; `actual_secs` the measured processing time.
-    pub fn observe(&mut self, key: usize, predicted_raw: f64, actual_secs: f64) {
-        // NaN or non-positive values carry no usable signal.
-        let usable = |x: f64| x.is_finite() && x > 0.0;
-        if !usable(predicted_raw) || !usable(actual_secs) {
-            return;
-        }
-        let r = actual_secs / predicted_raw;
-        // The global unit is a *cumulative* mean of r, not a recency EMA:
-        // it is the common denominator every per-key residual is measured
-        // against, so it must stay put when one plan family is observed
-        // in a burst. A recency-weighted unit would chase the burst
-        // (r/unit → 1), letting a slow newly-explored plan wash out its
-        // own penalty while silently devaluing every other key's stored
-        // scale.
-        self.observations += 1;
-        self.unit += (r - self.unit) / self.observations as f64;
-        let residual = r / self.unit.max(1e-300);
-        let k = key.min(NKEYS - 1);
-        self.scale[k] = (self.scale[k] * (1.0 - ALPHA) + residual * ALPHA).clamp(0.05, 20.0);
     }
 
     /// Fit weights from `(features, measured_seconds)` samples. Returns
@@ -251,104 +121,9 @@ impl Calibration {
         }
         Some(Calibration {
             weights: Weights(w),
-            scale: [1.0; NKEYS],
-            unit: 1.0,
             samples: samples.len() as u32,
-            observations: 0,
         })
     }
-
-    // ------------------------------------------------------------ ser/de
-
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"version\": {},", CALIBRATION_VERSION);
-        let _ = writeln!(s, "  \"samples\": {},", self.samples);
-        let _ = writeln!(s, "  \"observations\": {},", self.observations);
-        let _ = writeln!(s, "  \"unit\": {:e},", self.unit);
-        s.push_str("  \"weights\": {");
-        for (j, name) in WEIGHT_NAMES.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\"{}\": {:e}",
-                if j == 0 { "" } else { ", " },
-                name,
-                self.weights.0[j]
-            );
-        }
-        s.push_str("},\n  \"scale\": {");
-        for (k, name) in KEY_NAMES.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\"{}\": {:e}",
-                if k == 0 { "" } else { ", " },
-                name,
-                self.scale[k]
-            );
-        }
-        s.push_str("}\n}\n");
-        s
-    }
-
-    /// Parse the flat JSON document written by [`Calibration::to_json`].
-    /// Unknown keys are ignored; missing keys keep built-in values.
-    pub fn from_json(json: &str) -> Result<Calibration, String> {
-        if let Some(v) = extract_number(json, "version") {
-            if v as u32 > CALIBRATION_VERSION {
-                return Err(format!("unsupported calibration version {v}"));
-            }
-        }
-        let mut cal = Calibration::builtin();
-        let mut any = false;
-        for (j, name) in WEIGHT_NAMES.iter().enumerate() {
-            if let Some(v) = extract_number(json, name) {
-                cal.weights.0[j] = v;
-                any = true;
-            }
-        }
-        for (k, name) in KEY_NAMES.iter().enumerate() {
-            if let Some(v) = extract_number(json, name) {
-                cal.scale[k] = v;
-            }
-        }
-        if let Some(v) = extract_number(json, "unit") {
-            cal.unit = v;
-        }
-        if let Some(v) = extract_number(json, "samples") {
-            cal.samples = v as u32;
-        }
-        if let Some(v) = extract_number(json, "observations") {
-            cal.observations = v as u64;
-        }
-        if !any {
-            return Err("no weight entries found".into());
-        }
-        Ok(cal)
-    }
-
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    pub fn load(path: &Path) -> io::Result<Calibration> {
-        let text = std::fs::read_to_string(path)?;
-        Calibration::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// Extract the number following `"key":` in a flat JSON document. All our
-/// keys are globally unique, so no nesting tracking is needed.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Ridge least squares over the `active` feature columns with per-column
@@ -488,100 +263,11 @@ mod tests {
     }
 
     #[test]
-    fn observe_corrects_systematic_bias() {
-        let mut cal = Calibration::builtin();
-        // Key 3's pipeline consistently runs 4x the global rate.
-        for _ in 0..50 {
-            cal.observe(0, 1000.0, 1.0e-3);
-            cal.observe(3, 1000.0, 4.0e-3);
-        }
-        assert!(cal.observations == 100);
-        assert!(
-            cal.scale[3] > 1.5 * cal.scale[0],
-            "key 3 must be scaled up relative to key 0 ({} vs {})",
-            cal.scale[3],
-            cal.scale[0]
-        );
-        // Rankings flip accordingly.
-        let mut f = [0.0; NWEIGHTS];
-        f[super::super::cost::W_BLEND] = 1000.0;
-        assert!(cal.predict(3, &f) > cal.predict(0, &f));
-    }
-
-    #[test]
-    fn observe_burst_does_not_dilute_penalty() {
-        // A newly-explored slow pipeline observed in a *burst* (as the
-        // planner's closed feedback loop does when it escapes into an
-        // unmeasured family) must still end up penalized relative to a
-        // well-measured fast key. With a recency-EMA unit the burst
-        // would drag the denominator to its own level and the residual
-        // would collapse toward 1.
-        let mut cal = Calibration::builtin();
-        for _ in 0..40 {
-            cal.observe(0, 1000.0, 1.0e-3);
-        }
-        for _ in 0..8 {
-            cal.observe(3, 1000.0, 3.0e-3);
-        }
-        assert!(
-            cal.scale[3] > 1.5 * cal.scale[0],
-            "burst-observed slow key must stay penalized ({} vs {})",
-            cal.scale[3],
-            cal.scale[0]
-        );
-        let mut f = [0.0; NWEIGHTS];
-        f[super::super::cost::W_BLEND] = 1000.0;
-        assert!(cal.predict(3, &f) > 1.5 * cal.predict(0, &f));
-    }
-
-    #[test]
-    fn observe_ignores_degenerate_inputs() {
-        let mut cal = Calibration::builtin();
-        cal.observe(0, 0.0, 1.0);
-        cal.observe(0, 1.0, 0.0);
-        cal.observe(0, -1.0, 1.0);
-        assert_eq!(cal.observations, 0);
-        assert_eq!(cal, Calibration::builtin());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut cal = Calibration::builtin();
-        cal.samples = 48;
-        cal.weights.0[0] = 2.25e-9;
-        cal.weights.0[11] = 7.5e-8;
-        cal.scale[3] = 1.75;
-        cal.observe(2, 100.0, 1e-4);
-        let json = cal.to_json();
-        let back = Calibration::from_json(&json).expect("parse");
-        assert_eq!(back.samples, cal.samples);
-        assert_eq!(back.observations, cal.observations);
-        for j in 0..NWEIGHTS {
-            assert!(
-                (back.weights.0[j] - cal.weights.0[j]).abs()
-                    <= 1e-12 * cal.weights.0[j].abs().max(1e-30),
-                "weight {j}"
-            );
-        }
-        for k in 0..NKEYS {
-            assert!((back.scale[k] - cal.scale[k]).abs() <= 1e-12 * cal.scale[k].abs());
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(Calibration::from_json("{}").is_err());
-        assert!(Calibration::from_json("not json at all").is_err());
-        // Future versions refused, current accepted.
-        let v999 = "{\"version\": 999, \"weights\": {\"filter\": 1.0}}";
-        assert!(Calibration::from_json(v999).is_err());
-    }
-
-    #[test]
     fn builtin_is_not_calibrated() {
-        let mut cal = Calibration::builtin();
-        assert!(!cal.is_calibrated());
-        cal.observe(0, 1.0, 1.0);
-        assert!(cal.is_calibrated());
+        assert!(!Calibration::builtin().is_calibrated());
+        let mut f = [0.0; NWEIGHTS];
+        f[super::super::cost::W_BLEND] = 1000.0;
+        let fitted = Calibration::fit(&[(f, 1e-3), (f, 1.1e-3)]).expect("fit");
+        assert!(fitted.is_calibrated());
     }
 }

@@ -11,15 +11,16 @@
 //! reproduction's Fig. 8/12a measurements) or fitted from measured
 //! [`crate::ExecStats`] by the calibration pass (`bench_planner`).
 //!
-//! The features mirror the PR-1 pipeline exactly: binning scans the batch
-//! once and replays survivors per tile, the rescan path re-filters the
-//! whole batch per tile, the sharding density gate
-//! ([`raster_gpu::RasterConfig::use_shards`]) decides whether the shard
-//! merge runs, the canvas gate ([`raster_gpu::RasterConfig::use_runs`])
-//! decides whether an in-memory bounded plan holds its tiles as sorted
-//! pixel runs — then nothing is charged per pixel: no clear, no
-//! per-pixel fold, a sort per surviving point instead of a blend — and
-//! single-tile canvases that stay dense skip binning entirely.
+//! The features mirror the one pipeline the planner's executors run
+//! (`RasterConfig::default()`) by evaluating the executors' own gates:
+//! binning scans the batch once and replays survivors per tile, the
+//! sharding density gate ([`raster_gpu::RasterConfig::use_shards`])
+//! decides whether the shard merge runs, the canvas gate
+//! ([`raster_gpu::RasterConfig::use_runs`]) decides whether an in-memory
+//! bounded plan holds its tiles as sorted pixel runs — then nothing is
+//! charged per pixel: no clear, no per-pixel fold, a sort per surviving
+//! point instead of a blend — and single-tile canvases that stay dense
+//! skip binning entirely.
 //!
 //! # The worker-count dimension
 //!
@@ -42,9 +43,7 @@
 //! chunks the table splits into (chunk count only moves [`W_BATCH`]),
 //! [`W_BLEND`] does not amortize over the pool, [`W_FRAG`] amortizes over
 //! the resolve width (`plan.workers`), and the shard gate is evaluated at
-//! one worker and never engages. [`stage_split`] divides such a feature
-//! vector into what a chunk observes and what the resolve observes, so
-//! the executor's feedback compares like with like.
+//! one worker and never engages.
 
 use super::{Plan, Variant};
 use crate::query::Query;
@@ -52,12 +51,13 @@ use raster_data::filter::passes;
 use raster_data::PointTable;
 use raster_geom::hausdorff::{pixel_side_for_epsilon, resolution_for_epsilon};
 use raster_geom::{BBox, Polygon};
-use raster_gpu::{Device, SHARD_MIN_DENSITY};
+use raster_gpu::{Device, RasterConfig, SHARD_MIN_DENSITY};
 
 /// Number of per-stage cost terms.
 pub const NWEIGHTS: usize = 14;
 
-/// Stable names for the weight slots — the keys of the calibration file.
+/// Stable names for the weight slots — the keys of `bench_planner`'s
+/// `fitted_weights`.
 pub const WEIGHT_NAMES: [&str; NWEIGHTS] = [
     "filter",
     "bin",
@@ -97,9 +97,8 @@ pub const W_DECODE_VAL: usize = 13; // per stored value decompressed (compressed
 pub struct Weights(pub [f64; NWEIGHTS]);
 
 impl Weights {
-    /// The hand-tuned fallback, in abstract point-op units: a blended
-    /// point costs 1. Used until a calibration is fitted; online feedback
-    /// then scales whole plans, not individual weights.
+    /// The hand-tuned constants, in abstract point-op units: a blended
+    /// point costs 1.
     pub const BUILTIN: Weights = Weights([
         0.3,    // filter: predicate eval + early reject
         0.7,    // bin: classify + stage one entry
@@ -152,18 +151,6 @@ pub fn intra_workers(plan: &Plan, wl: &Workload) -> usize {
         1
     } else {
         plan.workers.max(1)
-    }
-}
-
-/// Calibration key bucket for a worker count: 1 / 2–3 / 4–7 / 8+. Worker
-/// counts in one bucket share a per-pipeline correction scale, so online
-/// feedback learned at one pool size never pollutes another's.
-pub fn worker_bucket(workers: usize) -> usize {
-    match workers {
-        0 | 1 => 0,
-        2..=3 => 1,
-        4..=7 => 2,
-        _ => 3,
     }
 }
 
@@ -306,6 +293,9 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     let polygon_rounds = if streamed(wl) { 1 } else { batches };
     let max_dim = device.config().max_fbo_dim;
     let intra = intra_workers(plan, wl);
+    // The pipeline every planned executor runs (`Plan::bounded_executor`,
+    // `Plan::accurate_executor`), whose gates are evaluated below.
+    let config = RasterConfig::default();
     match plan.variant {
         Variant::Bounded => {
             let (w, h) = resolution_for_epsilon(&wl.extent, wl.epsilon);
@@ -324,17 +314,12 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
             } else {
                 rows_per_batch
             };
-            let runs = !streamed(wl)
-                && plan
-                    .config
-                    .use_runs(gate_entries as usize, tile_px as usize);
-            // Mirrors the executor: with binning on, a single-tile canvas
-            // skips the shard path (and, unless it is held as runs, the
-            // binner); a single blending worker never shards; a runs tile
-            // has no FBO to merge into; the density gate then applies per
-            // tile.
-            let shard_possible =
-                plan.config.sharding && intra > 1 && !runs && !(plan.config.binning && tiles <= 1);
+            let runs = !streamed(wl) && config.use_runs(gate_entries as usize, tile_px as usize);
+            // Mirrors the executor: a single-tile canvas skips the shard
+            // path (and, unless it is held as runs, the binner); a single
+            // blending worker never shards; a runs tile has no FBO to
+            // merge into; the density gate then applies per tile.
+            let shard_possible = intra > 1 && !runs && tiles > 1;
             let sharded = shard_possible && surv_per_tile >= SHARD_MIN_DENSITY * tile_px;
             PlanShape {
                 tiles,
@@ -351,9 +336,7 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
                 raster_gpu::Viewport::canvas_for_extent(&wl.extent, plan.canvas_dim.min(max_dim));
             let pixels = w as f64 * h as f64;
             let surv_per_batch = wl.n_points as f64 * wl.surviving / batches as f64;
-            let sharded = plan
-                .config
-                .use_shards(surv_per_batch as usize, pixels as usize, intra);
+            let sharded = config.use_shards(surv_per_batch as usize, pixels as usize, intra);
             PlanShape {
                 tiles: 1,
                 batches,
@@ -368,34 +351,11 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     }
 }
 
-/// The *effective* pipeline a plan resolves to on a workload, encoded
-/// like [`Plan::key`] plus a [`worker_bucket`] stride: binning is skipped
-/// on dense single-tile canvases and the sharding density gate may not
-/// engage, so distinct configs can collapse to the identical execution.
-/// The bench evaluation compares decisions by effective pipeline rather
-/// than by label, so noise between physically identical runs never
-/// scores as a planner error. The worker bucket keeps online feedback separated per
-/// pool size — the cost model's amortization error is systematic in the
-/// worker count, and a shared scale would smear it across counts.
-pub fn effective_key(plan: &Plan, wl: &Workload, device: &Device) -> usize {
-    effective_key_of(plan, &shape(plan, wl, device))
-}
-
-/// [`effective_key`] for an already-computed shape.
-pub fn effective_key_of(plan: &Plan, sh: &PlanShape) -> usize {
-    let binning = matches!(plan.variant, Variant::Bounded) && binned(plan, sh);
-    let v = match plan.variant {
-        Variant::Bounded => 0,
-        Variant::Accurate => 4,
-    };
-    v + (binning as usize) * 2 + sh.sharded as usize + 8 * worker_bucket(plan.workers)
-}
-
 /// Does a bounded plan of this shape go through the binner? Mirrors the
 /// executor: multi-tile canvases always, a one-tile canvas only to be held
 /// as pixel runs.
-fn binned(plan: &Plan, sh: &PlanShape) -> bool {
-    plan.config.binning && (sh.tiles > 1 || sh.runs)
+fn binned(sh: &PlanShape) -> bool {
+    sh.tiles > 1 || sh.runs
 }
 
 /// What sorting and collapsing one surviving entry into pixel runs costs,
@@ -413,8 +373,8 @@ pub fn features(plan: &Plan, wl: &Workload, device: &Device) -> [f64; NWEIGHTS] 
 }
 
 /// [`features`] for an already-computed shape (the planner derives the
-/// shape once per candidate and reuses it here, for the effective key and
-/// for the reported layout).
+/// shape once per candidate and reuses it here and for the reported
+/// layout).
 pub fn features_for(
     plan: &Plan,
     wl: &Workload,
@@ -424,7 +384,6 @@ pub fn features_for(
     let n = wl.n_points as f64;
     let surv = n * wl.surviving;
     let batches = sh.batches as f64;
-    let tiles = sh.tiles as f64;
     let streamed = streamed(wl);
     // How often the canvases are cleared and the polygons drawn.
     let polygon_rounds = if streamed { 1.0 } else { batches };
@@ -454,14 +413,11 @@ pub fn features_for(
                 f[W_CLEAR_PX] = sh.pixels * polygon_rounds;
                 f[W_BLEND] = surv;
             }
-            if binned(plan, sh) {
-                // One filter scan per batch over its own points; survivors
-                // staged once and replayed once.
-                f[W_FILTER] = n;
+            // One filter scan per batch over its own points; when binned,
+            // survivors are staged once and replayed once.
+            f[W_FILTER] = n;
+            if binned(sh) {
                 f[W_BIN] = surv;
-            } else {
-                // Rescan: every tile pass re-filters the whole batch.
-                f[W_FILTER] = n * tiles;
             }
             if sh.sharded {
                 // Each tile's shard set folds its pixels once per batch.
@@ -525,42 +481,16 @@ pub fn features_for(
     f
 }
 
-/// Split a streamed scan's features by the stage that observes them:
-/// `.0` is the point stage a chunk pays (filter, bin, blend, PIP, batch
-/// overhead), `.1` the polygon stage the scan pays once (canvas clear,
-/// outline, fragments, passes). Fetch and decode are in neither — they
-/// run off the join's critical path, overlapped by the reader and pool.
-pub fn stage_split(f: &[f64; NWEIGHTS]) -> ([f64; NWEIGHTS], [f64; NWEIGHTS]) {
-    let (mut point, mut polygon) = (*f, [0.0; NWEIGHTS]);
-    for slot in [W_CLEAR_PX, W_FRAG, W_OUTLINE_PX, W_PASS] {
-        polygon[slot] = std::mem::take(&mut point[slot]);
-    }
-    point[W_READ_BYTE] = 0.0;
-    point[W_DECODE_VAL] = 0.0;
-    (point, polygon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use raster_data::filter::{CmpOp, Predicate};
     use raster_data::generators::{nyc_extent, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
-    use raster_gpu::RasterConfig;
 
-    // Fixed at 4 workers (not `default_workers()`): the shard gate needs
-    // a multi-worker blend to engage at all, and the tests must not
-    // depend on the host's core count.
-    fn plan_w(
-        variant: Variant,
-        binning: bool,
-        sharding: bool,
-        batch: usize,
-        workers: usize,
-    ) -> Plan {
+    fn plan_w(variant: Variant, batch: usize, workers: usize) -> Plan {
         Plan {
             variant,
-            config: RasterConfig { binning, sharding },
             batch_points: batch,
             canvas_dim: 2048,
             index_dim: 1024,
@@ -568,8 +498,11 @@ mod tests {
         }
     }
 
-    fn plan(variant: Variant, binning: bool, sharding: bool, batch: usize) -> Plan {
-        plan_w(variant, binning, sharding, batch, 4)
+    // Fixed at 4 workers (not `default_workers()`): the shard gate needs
+    // a multi-worker blend to engage at all, and the tests must not
+    // depend on the host's core count.
+    fn plan(variant: Variant, batch: usize) -> Plan {
+        plan_w(variant, batch, 4)
     }
 
     #[test]
@@ -591,36 +524,30 @@ mod tests {
         assert!((open.selectivity - 1.0).abs() < 1e-9);
     }
 
+    /// A dense multi-tile canvas goes through the binner: one filter scan
+    /// over the batch, every survivor staged once and blended once —
+    /// whatever the tile count.
     #[test]
-    fn rescan_refilters_per_tile_but_binned_does_not() {
+    fn dense_multi_tile_plans_filter_once_and_bin() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
         // 50 M points over the 6836² canvas: ≈ 1 per pixel, a dense canvas
         // (a sparse one is held as runs — `runs_gate_mirrors_the_executor`).
-        let wl = Workload::assumed(50_000_000, &polys, &q);
+        let wl = Workload {
+            surviving: 0.5,
+            ..Workload::assumed(50_000_000, &polys, &q)
+        };
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
         // One worker: feature values are raw stage counts (no
         // amortization), so the exact-count assertions below hold.
-        let binned = features(
-            &plan_w(Variant::Bounded, true, false, usize::MAX, 1),
-            &wl,
-            &dev,
-        );
-        let rescan = features(
-            &plan_w(Variant::Bounded, false, false, usize::MAX, 1),
-            &wl,
-            &dev,
-        );
-        let sh = shape(
-            &plan_w(Variant::Bounded, true, false, usize::MAX, 1),
-            &wl,
-            &dev,
-        );
+        let p = plan_w(Variant::Bounded, usize::MAX, 1);
+        let sh = shape(&p, &wl, &dev);
         assert!(sh.tiles > 1, "ε=12 over NYC must tile at max_fbo=2048");
-        assert_eq!(rescan[W_FILTER], binned[W_FILTER] * sh.tiles as f64);
-        assert_eq!(binned[W_BIN], 50_000_000.0);
-        assert_eq!(rescan[W_BIN], 0.0);
-        assert_eq!(binned[W_BLEND], rescan[W_BLEND]);
+        assert!(!sh.runs);
+        let f = features(&p, &wl, &dev);
+        assert_eq!(f[W_FILTER], 50_000_000.0);
+        assert_eq!(f[W_BIN], 25_000_000.0);
+        assert_eq!(f[W_BLEND], 25_000_000.0);
     }
 
     #[test]
@@ -631,11 +558,11 @@ mod tests {
         let sparse = Workload::assumed(1_000, &polys, &q);
         // max_fbo 2048 tiles the ε=12 canvas (~6836²) into 16 tiles.
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
-        let p = plan(Variant::Bounded, true, true, usize::MAX);
+        let p = plan(Variant::Bounded, usize::MAX);
         assert!(shape(&p, &dense, &dev).sharded);
         assert!(!shape(&p, &sparse, &dev).sharded);
-        // Binning on + single tile ⇒ no shard path, no matter the density
-        // (the executor skips the binner there).
+        // Single tile ⇒ no shard path, no matter the density (the
+        // executor skips the binner there).
         let coarse = Workload::assumed(50_000_000, &polys, &Query::count().with_epsilon(500.0));
         let sh = shape(&p, &coarse, &dev);
         assert_eq!(sh.tiles, 1);
@@ -651,13 +578,13 @@ mod tests {
         // canvas), so both plans clear and fold an FBO per batch.
         let wl = Workload::assumed(100_000_000, &polys, &q);
         let dev = Device::default();
-        let one = shape(&plan(Variant::Bounded, true, true, usize::MAX), &wl, &dev);
-        let four = shape(&plan(Variant::Bounded, true, true, 25_000_000), &wl, &dev);
+        let one = shape(&plan(Variant::Bounded, usize::MAX), &wl, &dev);
+        let four = shape(&plan(Variant::Bounded, 25_000_000), &wl, &dev);
         assert_eq!(one.batches, 1);
         assert_eq!(four.batches, 4);
         assert_eq!(four.passes, 4 * four.tiles);
-        let f1 = features(&plan(Variant::Bounded, true, true, usize::MAX), &wl, &dev);
-        let f4 = features(&plan(Variant::Bounded, true, true, 25_000_000), &wl, &dev);
+        let f1 = features(&plan(Variant::Bounded, usize::MAX), &wl, &dev);
+        let f4 = features(&plan(Variant::Bounded, 25_000_000), &wl, &dev);
         assert!(f4[W_BATCH] > f1[W_BATCH]);
         assert!(f4[W_CLEAR_PX] > f1[W_CLEAR_PX]);
     }
@@ -668,16 +595,8 @@ mod tests {
         let q = Query::count().with_epsilon(12.0);
         let wl = Workload::assumed(50_000_000, &polys, &q);
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
-        let f1 = features(
-            &plan_w(Variant::Bounded, true, true, usize::MAX, 1),
-            &wl,
-            &dev,
-        );
-        let f4 = features(
-            &plan_w(Variant::Bounded, true, true, usize::MAX, 4),
-            &wl,
-            &dev,
-        );
+        let f1 = features(&plan_w(Variant::Bounded, usize::MAX, 1), &wl, &dev);
+        let f4 = features(&plan_w(Variant::Bounded, usize::MAX, 4), &wl, &dev);
         let amort = 1.0 + PARALLEL_EFFICIENCY * 3.0;
         assert_eq!(f4[W_FILTER], f1[W_FILTER] / amort);
         assert_eq!(f4[W_BLEND], f1[W_BLEND] / amort);
@@ -699,7 +618,7 @@ mod tests {
         let q = Query::count().with_epsilon(12.0);
         let mut wl = Workload::assumed(50_000_000, &polys, &q);
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
-        let p = plan_w(Variant::Bounded, true, true, usize::MAX, 8);
+        let p = plan_w(Variant::Bounded, usize::MAX, 8);
         assert!(shape(&p, &wl, &dev).sharded, "in-memory baseline shards");
         wl.stored_row_bytes = 20.0;
         assert_eq!(intra_workers(&p, &wl), 1);
@@ -723,8 +642,8 @@ mod tests {
             ..in_memory
         };
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 512));
-        let few = plan_w(Variant::Bounded, true, true, 2_000_000, 2);
-        let many = plan_w(Variant::Bounded, true, true, 250_000, 2);
+        let few = plan_w(Variant::Bounded, 2_000_000, 2);
+        let many = plan_w(Variant::Bounded, 250_000, 2);
         let (sh_few, sh_many) = (shape(&few, &streamed, &dev), shape(&many, &streamed, &dev));
         assert_eq!((sh_few.batches, sh_many.batches), (8, 64));
         assert!(sh_few.tiles > 1);
@@ -761,8 +680,8 @@ mod tests {
             ..Workload::assumed(2_000_000, &polys, &q)
         };
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
-        let f1 = features(&plan_w(Variant::Bounded, true, true, 250_000, 1), &wl, &dev);
-        let f4 = features(&plan_w(Variant::Bounded, true, true, 250_000, 4), &wl, &dev);
+        let f1 = features(&plan_w(Variant::Bounded, 250_000, 1), &wl, &dev);
+        let f4 = features(&plan_w(Variant::Bounded, 250_000, 4), &wl, &dev);
         let amort = 1.0 + PARALLEL_EFFICIENCY * 3.0;
         assert_eq!(f4[W_BLEND], f1[W_BLEND]);
         assert_eq!(f4[W_BIN], f1[W_BIN] / amort);
@@ -770,8 +689,8 @@ mod tests {
     }
 
     /// FNV-1a over the feature bits of a grid of *streamed* workloads —
-    /// sparse and dense canvases, one tile and many, every config, batch
-    /// size and width, both variants.
+    /// sparse and dense canvases, one tile and many, every batch size and
+    /// width, both variants.
     fn streamed_feature_digest() -> u64 {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -790,17 +709,12 @@ mod tests {
                         };
                         assert!(streamed(&wl));
                         for variant in [Variant::Bounded, Variant::Accurate] {
-                            for (binning, sharding) in
-                                [(false, false), (true, false), (false, true), (true, true)]
-                            {
-                                for batch in [250_000, usize::MAX] {
-                                    for workers in [1, 2, 4] {
-                                        let p = plan_w(variant, binning, sharding, batch, workers);
-                                        for x in features(&p, &wl, &dev) {
-                                            for b in x.to_bits().to_le_bytes() {
-                                                h = (h ^ b as u64)
-                                                    .wrapping_mul(0x0000_0100_0000_01b3);
-                                            }
+                            for batch in [250_000, usize::MAX] {
+                                for workers in [1, 2, 4] {
+                                    let p = plan_w(variant, batch, workers);
+                                    for x in features(&p, &wl, &dev) {
+                                        for b in x.to_bits().to_le_bytes() {
+                                            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
                                         }
                                     }
                                 }
@@ -816,26 +730,29 @@ mod tests {
     /// The canvas gate is an in-memory decision: a streamed scan keeps
     /// dense resident canvases at any density, so its features must be
     /// bit for bit what they were before pixel runs existed. The digest
-    /// was taken by running `streamed_feature_digest` on the parent
-    /// commit (7fcaa11); a change that means to move streamed features
-    /// re-takes it.
+    /// was re-taken when the `RasterConfig` labels left the plan space, on
+    /// the parent commit (2aecc9a), by running the parent's
+    /// `streamed_feature_digest` with its config loop cut down to the
+    /// `(binning, sharding) = (true, true)` label — the one pipeline a
+    /// plan now stands for (over all four labels it read
+    /// `0x0c2e_6e3c_27a4_e5ad`, first taken on 7fcaa11). A change that
+    /// means to move streamed features re-takes it.
     #[test]
     fn streamed_features_are_what_they_were_before_runs() {
         assert_eq!(streamed_feature_digest(), STREAMED_DIGEST_AT_PARENT);
     }
-    const STREAMED_DIGEST_AT_PARENT: u64 = 0x0c2e_6e3c_27a4_e5ad;
+    const STREAMED_DIGEST_AT_PARENT: u64 = 0x8bc1_4df6_9254_82e9;
 
     /// In memory the planner mirrors the executor's canvas gate: a sparse
     /// canvas — one tile (row-count bound) or many (surviving entries per
     /// tile) — is costed as pixel runs, with nothing charged per pixel
     /// and the sort charged per surviving point; a dense one is costed as
-    /// before; rescan configs and streamed scans never take runs.
+    /// before; streamed scans never take runs.
     #[test]
     fn runs_gate_mirrors_the_executor() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let dev = Device::default();
-        let binned = plan_w(Variant::Bounded, true, true, usize::MAX, 1);
-        let rescan = plan_w(Variant::Bounded, false, false, usize::MAX, 1);
+        let p = plan_w(Variant::Bounded, usize::MAX, 1);
         // ε = 10 m over NYC: 8203² pixels in 4 tiles; 2 M points = 0.03/px.
         // ε = 20 m: one 4102² tile, 0.12/px. ε = 100 m: 821², 3/px.
         for (eps, tiles, runs) in [(10.0, 4, true), (20.0, 1, true), (100.0, 1, false)] {
@@ -844,19 +761,24 @@ mod tests {
                 surviving: 0.5,
                 ..Workload::assumed(2_000_000, &polys, &q)
             };
-            let sh = shape(&binned, &wl, &dev);
+            let sh = shape(&p, &wl, &dev);
             assert_eq!((sh.tiles, sh.runs), (tiles, runs), "ε={eps}");
             let rows_per_tile = 2_000_000 / tiles as usize;
             assert_eq!(
                 runs,
-                binned
-                    .config
+                RasterConfig::default()
                     .use_runs(rows_per_tile, sh.pixels as usize / tiles as usize)
             );
-            let f = features(&binned, &wl, &dev);
-            let g = features(&rescan, &wl, &dev);
-            assert!(!shape(&rescan, &wl, &dev).runs);
-            assert!(g[W_CLEAR_PX] > 0.0 && g[W_BLEND] == 1_000_000.0);
+            // The same plan streamed keeps dense resident canvases: the
+            // dense costing of this canvas.
+            let on_disk = Workload {
+                stored_row_bytes: 20.0,
+                ..wl
+            };
+            assert!(!shape(&p, &on_disk, &dev).runs);
+            let dense = features(&p, &on_disk, &dev);
+            assert!(dense[W_CLEAR_PX] > 0.0 && dense[W_BLEND] == 1_000_000.0);
+            let f = features(&p, &wl, &dev);
             if runs {
                 assert_eq!(f[W_CLEAR_PX], 0.0, "ε={eps}");
                 assert_eq!(
@@ -864,66 +786,15 @@ mod tests {
                     "a runs canvas is binned at any tile count"
                 );
                 assert_eq!(f[W_BLEND], 1_000_000.0 * RUNS_SORT_BLENDS);
-                assert!(f[W_FRAG] > 0.0 && f[W_FRAG] < g[W_FRAG] / 10.0);
-                assert_eq!(effective_key(&binned, &wl, &dev), 2, "bounded_binned");
+                assert!(f[W_FRAG] > 0.0 && f[W_FRAG] < dense[W_FRAG] / 10.0);
             } else {
                 // A dense one-tile canvas skips the binner, as before.
-                assert_eq!(f, g, "ε={eps}");
+                assert_eq!(f[W_BIN], 0.0, "ε={eps}");
+                assert_eq!(f[W_FILTER], 2_000_000.0, "ε={eps}");
+                for slot in [W_CLEAR_PX, W_BLEND, W_FRAG] {
+                    assert_eq!(f[slot], dense[slot], "ε={eps} {}", WEIGHT_NAMES[slot]);
+                }
             }
-            let on_disk = Workload {
-                stored_row_bytes: 20.0,
-                ..wl
-            };
-            assert!(!shape(&binned, &on_disk, &dev).runs);
-            assert!(features(&binned, &on_disk, &dev)[W_CLEAR_PX] > 0.0);
-        }
-    }
-
-    #[test]
-    fn stage_split_partitions_what_the_join_pays() {
-        let polys = synthetic_polygons(8, &nyc_extent(), 3);
-        let q = Query::count().with_epsilon(12.0);
-        let wl = Workload {
-            stored_row_bytes: 20.0,
-            decode_cols: 3.0,
-            ..Workload::assumed(2_000_000, &polys, &q)
-        };
-        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
-        for variant in [Variant::Bounded, Variant::Accurate] {
-            let f = features(&plan_w(variant, true, false, 250_000, 2), &wl, &dev);
-            let (point, polygon) = stage_split(&f);
-            for slot in 0..NWEIGHTS {
-                let off_path = slot == W_READ_BYTE || slot == W_DECODE_VAL;
-                assert!(point[slot] == 0.0 || polygon[slot] == 0.0);
-                assert_eq!(
-                    point[slot] + polygon[slot],
-                    if off_path { 0.0 } else { f[slot] },
-                    "{}",
-                    WEIGHT_NAMES[slot]
-                );
-            }
-            assert!(polygon[W_FRAG] > 0.0 && polygon[W_PASS] > 0.0 && point[W_BLEND] > 0.0);
-            assert!(f[W_READ_BYTE] > 0.0 && f[W_DECODE_VAL] > 0.0);
-        }
-    }
-
-    #[test]
-    fn effective_key_strides_by_worker_bucket() {
-        let polys = synthetic_polygons(8, &nyc_extent(), 3);
-        let q = Query::count().with_epsilon(12.0);
-        let wl = Workload::assumed(1_000, &polys, &q);
-        let dev = Device::default();
-        for (w, bucket) in [(1, 0), (2, 1), (3, 1), (4, 2), (7, 2), (8, 3), (64, 3)] {
-            let p = plan_w(Variant::Bounded, true, false, usize::MAX, w);
-            let base = effective_key_of(
-                &plan_w(Variant::Bounded, true, false, usize::MAX, 1),
-                &shape(&p, &wl, &dev),
-            );
-            assert_eq!(
-                effective_key(&p, &wl, &dev),
-                base + 8 * bucket,
-                "workers {w}"
-            );
         }
     }
 
@@ -933,7 +804,7 @@ mod tests {
         let wl_fine = Workload::assumed(100_000, &polys, &Query::count().with_epsilon(0.5));
         let wl_coarse = Workload::assumed(100_000, &polys, &Query::count().with_epsilon(50.0));
         let dev = Device::default();
-        let p = plan(Variant::Accurate, false, false, usize::MAX);
+        let p = plan(Variant::Accurate, usize::MAX);
         assert_eq!(features(&p, &wl_fine, &dev), features(&p, &wl_coarse, &dev));
     }
 }

@@ -1,54 +1,49 @@
-//! The query planner (§8, "Choosing Between the two Raster Variants",
-//! grown into a cost-based planner over the full physical plan space).
+//! The query planner (§8, "Choosing Between the two Raster Variants").
 //!
 //! The paper observes that a very small ε can make the bounded variant
 //! slower than the accurate one (the rendering-pass count grows
 //! quadratically, Fig. 12a) and proposes adding "an estimate of the time
 //! required for the two variants, so that an optimizer can choose the
-//! best option based on the input query". This module implements that
-//! optimizer — and extends it from a two-way variant choice to a plan
-//! space that covers every knob the PR-1 pipeline exposed:
+//! best option based on the input query". This module is that estimate
+//! and that choice: a pure function from a workload summary to a ranked
+//! list of plans.
 //!
 //! # Plan space
 //!
-//! A [`Plan`] is a point in
+//! A [`Plan`] is what the planner can move:
 //!
 //! ```text
-//! {Bounded, Accurate} × RasterConfig { binning, sharding } × batch size
+//! {Bounded, Accurate} × batch size × workers
 //! ```
 //!
-//! plus the accurate variant's canvas/index resolutions and the worker
-//! count. [`plan_workload`] enumerates the candidates (bounded: all four
-//! binning × sharding combinations; accurate: sharding on/off — it has no
-//! tiles to bin; batch sizes: device-capacity fill plus a half-capacity
-//! alternative when the workload is out-of-core; worker counts: halving
-//! steps from the available pool down to 1, costed with the
-//! amortization/contention scaling in [`cost`]), costs each with the
-//! per-stage model of [`cost`], and ranks them. For streaming scans the
-//! chosen `Plan::workers` is the *chunk pool* width and the width of the
-//! scan's one polygon pass (each chunk is binned single-threaded and
-//! blended in chunk order — see `stream.rs`), and the batch size is a
-//! memory/latency choice only: the polygon side costs the same at any
-//! chunk count. For in-memory execution `workers` is the intra-batch
-//! fan-out.
+//! plus the accurate variant's canvas/index resolutions, fixed per
+//! [`AutoRasterJoin`]. [`plan_workload`] enumerates two candidates — one
+//! per variant — for every (batch size, worker count): batch sizes are the
+//! device-capacity fill plus a half-capacity alternative when the workload
+//! is out-of-core; worker counts are the halving steps from the available
+//! pool down to 1, costed with the amortization/contention scaling in
+//! [`cost`]. How an executor holds its canvas — binned or not, dense FBO
+//! or pixel runs, atomics or shards — is not a plan dimension: the
+//! executors decide it per tile from the tile's density
+//! (`RasterConfig::use_runs` / `use_shards`), and [`cost::shape`]
+//! evaluates the same gates to cost the pipeline that will run. For
+//! streaming scans the chosen `Plan::workers` is the *chunk pool* width
+//! and the width of the scan's one polygon pass (each chunk is binned
+//! single-threaded and blended in chunk order — see `stream.rs`), and the
+//! batch size is a memory/latency choice only: the polygon side costs the
+//! same at any chunk count. For in-memory execution `workers` is the
+//! intra-batch fan-out.
 //!
-//! # Cost model and calibration
+//! # Cost model
 //!
 //! Costs are `dot(weights, features)` over per-stage work counts (see
-//! [`cost`] for the feature definitions). The weights come from, in order
-//! of preference:
-//!
-//! 1. a fitted [`Calibration`] (the `bench_planner` binary measures a
-//!    micro-workload grid, fits the weights by ridge least squares and
-//!    serializes them — see [`calibration`] for the file format);
-//! 2. the built-in constants ([`cost::Weights::BUILTIN`]), hand-tuned
-//!    against this reproduction's Fig. 8/12a measurements.
-//!
-//! On top of either, [`AutoRasterJoin`] records every execution's
-//! predicted-vs-actual cost and folds it back into the calibration as a
-//! per-plan-key multiplicative correction (online reweighting,
-//! [`Calibration::observe`]), exposing the full [`Decision`] history via
-//! [`AutoRasterJoin::decision_trace`].
+//! [`cost`] for the feature definitions). The weights are a
+//! [`Calibration`]: the built-in constants ([`cost::Weights::BUILTIN`],
+//! hand-tuned against this reproduction's Fig. 8/12a measurements) — what
+//! every entry point runs — or a ridge fit over measured executions
+//! ([`Calibration::fit`]; `bench_planner` fits one on its grid and scores
+//! both). The planner keeps no state between queries: the same workload
+//! gets the same plan however many queries ran before it.
 //!
 //! # Selectivity
 //!
@@ -63,17 +58,15 @@
 pub mod calibration;
 pub mod cost;
 
-pub use calibration::{Calibration, KEY_NAMES, NKEYS};
-pub use cost::{effective_key, features, PlanShape, Weights, Workload, NWEIGHTS, WEIGHT_NAMES};
+pub use calibration::Calibration;
+pub use cost::{features, PlanShape, Weights, Workload, NWEIGHTS, WEIGHT_NAMES};
 
 use crate::query::{JoinOutput, Query};
 use crate::{AccurateRasterJoin, BoundedRasterJoin};
-use parking_lot::Mutex;
 use raster_data::PointTable;
 use raster_geom::Polygon;
 use raster_gpu::exec::default_workers;
 use raster_gpu::{Device, RasterConfig};
-use std::time::Duration;
 
 /// Which operator a plan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +79,6 @@ pub enum Variant {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plan {
     pub variant: Variant,
-    /// Pipeline toggles (the accurate variant ignores `binning`).
-    pub config: RasterConfig,
     /// Points per out-of-core batch (capped by the device budget at
     /// execution time).
     pub batch_points: usize,
@@ -99,38 +90,16 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Dense encoding `variant*4 + binning*2 + sharding` — the index into
-    /// the calibration's per-key corrections ([`KEY_NAMES`]).
-    pub fn key(&self) -> usize {
-        let v = match self.variant {
-            Variant::Bounded => 0,
-            Variant::Accurate => 4,
-        };
-        v + (self.config.binning as usize) * 2 + self.config.sharding as usize
-    }
-
-    /// Stable name of this plan's key.
-    pub fn key_name(&self) -> &'static str {
-        KEY_NAMES[self.key()]
-    }
-
     /// Human-readable one-liner for EXPLAIN output and traces.
     pub fn describe(&self) -> String {
         match self.variant {
             Variant::Bounded => format!(
-                "BOUNDED raster join [binning={}, sharding={}, batch={}, workers={}]",
-                onoff(self.config.binning),
-                onoff(self.config.sharding),
-                self.batch_points,
-                self.workers
+                "BOUNDED raster join [batch={}, workers={}]",
+                self.batch_points, self.workers
             ),
             Variant::Accurate => format!(
-                "ACCURATE raster join [sharding={}, canvas={}, index={}, batch={}, workers={}]",
-                onoff(self.config.sharding),
-                self.canvas_dim,
-                self.index_dim,
-                self.batch_points,
-                self.workers
+                "ACCURATE raster join [canvas={}, index={}, batch={}, workers={}]",
+                self.canvas_dim, self.index_dim, self.batch_points, self.workers
             ),
         }
     }
@@ -142,23 +111,19 @@ impl Plan {
     pub fn bounded_executor(&self, batch_points: usize) -> BoundedRasterJoin {
         BoundedRasterJoin {
             workers: self.workers,
-            config: self.config,
+            config: RasterConfig::default(),
             batch_points: Some(batch_points),
         }
     }
 
     /// The accurate executor this plan configures (see
-    /// [`Plan::bounded_executor`]); the accurate variant never bins — its
-    /// canvas is a single FBO.
+    /// [`Plan::bounded_executor`]).
     pub fn accurate_executor(&self, batch_points: usize) -> AccurateRasterJoin {
         AccurateRasterJoin {
             workers: self.workers,
             canvas_dim: self.canvas_dim,
             index_dim: self.index_dim,
-            config: RasterConfig {
-                binning: false,
-                sharding: self.config.sharding,
-            },
+            config: RasterConfig::default(),
             batch_points: Some(batch_points),
             ..Default::default()
         }
@@ -185,33 +150,21 @@ impl Plan {
     }
 }
 
-fn onoff(b: bool) -> &'static str {
-    if b {
-        "on"
-    } else {
-        "off"
-    }
-}
-
 /// One costed candidate plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanCost {
     pub plan: Plan,
-    /// Corrected predicted cost (the ranking criterion).
+    /// Predicted cost (the ranking criterion).
     pub cost: f64,
-    /// Uncorrected model cost (what feedback ratios are measured against).
-    pub raw: f64,
     pub shape: PlanShape,
 }
 
 /// The planner's output: every candidate, cheapest first.
 #[derive(Debug, Clone)]
 pub struct PlanChoice {
-    /// Candidates sorted by ascending predicted cost (ties keep
-    /// enumeration order, which lists capacity-filling batches first) —
-    /// except that the near-tie rule may promote a simpler plan from
-    /// within 5% of the cheapest to the front; the remainder stays
-    /// cheapest-first.
+    /// Candidates sorted by ascending predicted cost; ties keep
+    /// enumeration order, which lists the widest pool and
+    /// capacity-filling batches first.
     pub candidates: Vec<PlanCost>,
     pub workload: Workload,
 }
@@ -226,21 +179,14 @@ impl PlanChoice {
     }
 
     /// Cheapest candidate running `variant`, if any was enumerated.
-    /// Selected by cost, not position — the near-tie promotion can move a
-    /// slightly costlier plan to the front.
     pub fn best_of(&self, variant: Variant) -> Option<&PlanCost> {
-        self.candidates
-            .iter()
-            .filter(|c| c.plan.variant == variant)
-            .min_by(|a, b| a.cost.total_cmp(&b.cost))
+        self.candidates.iter().find(|c| c.plan.variant == variant)
     }
 }
 
 /// Enumerate and cost the plan space for a summarised workload. The free
-/// function form exists so EXPLAIN (which may have a bare schema and an
-/// assumed workload) and the bench harness share the planner's exact
-/// ranking logic.
-#[allow(clippy::too_many_arguments)]
+/// function form exists so the bench harness can rank under any
+/// calibration with the planner's exact logic.
 pub fn plan_workload(
     wl: &Workload,
     query: &Query,
@@ -249,7 +195,6 @@ pub fn plan_workload(
     workers: usize,
     canvas_dim: u32,
     index_dim: u32,
-    config_override: Option<RasterConfig>,
 ) -> PlanChoice {
     let capacity = device.points_per_batch(PointTable::point_bytes(query.attrs_uploaded()));
     let mut batches = vec![capacity];
@@ -260,104 +205,46 @@ pub fn plan_workload(
         batches.push((capacity / 2).max(1));
     }
 
-    let mut plans: Vec<Plan> = Vec::new();
-    let bounded_configs: Vec<RasterConfig> = match config_override {
-        Some(c) => vec![c],
-        None => [(true, true), (true, false), (false, true), (false, false)]
-            .iter()
-            .map(|&(binning, sharding)| RasterConfig { binning, sharding })
-            .collect(),
-    };
-    let accurate_shardings: Vec<bool> = match config_override {
-        Some(c) => vec![c.sharding],
-        None => vec![true, false],
-    };
+    let mut candidates = Vec::new();
     // Worker counts, widest first: enumeration order breaks exact cost
     // ties toward the full pool, so worker enumeration never changes a
     // decision unless the model actually separates the counts.
     for &workers in &worker_alternatives(workers) {
         for &batch_points in &batches {
-            for &config in &bounded_configs {
-                plans.push(Plan {
-                    variant: Variant::Bounded,
-                    config,
+            for variant in [Variant::Bounded, Variant::Accurate] {
+                let plan = Plan {
+                    variant,
                     batch_points,
                     canvas_dim,
                     index_dim,
                     workers,
-                });
-            }
-            for &sharding in &accurate_shardings {
-                plans.push(Plan {
-                    variant: Variant::Accurate,
-                    config: RasterConfig {
-                        binning: false,
-                        sharding,
-                    },
-                    batch_points,
-                    canvas_dim,
-                    index_dim,
-                    workers,
-                });
-            }
-        }
-    }
-
-    let mut candidates: Vec<PlanCost> = plans
-        .into_iter()
-        .map(|plan| {
-            if wl.n_polys == 0 {
-                // Degenerate: nothing to join; every plan is free.
-                return PlanCost {
-                    plan,
-                    cost: 0.0,
-                    raw: 0.0,
-                    shape: PlanShape {
-                        tiles: 0,
-                        batches: 0,
-                        passes: 0,
-                        pixels: 0.0,
-                        sharded: false,
-                        runs: false,
-                    },
                 };
+                candidates.push(if wl.n_polys == 0 {
+                    // Degenerate: nothing to join; every plan is free.
+                    PlanCost {
+                        plan,
+                        cost: 0.0,
+                        shape: PlanShape {
+                            tiles: 0,
+                            batches: 0,
+                            passes: 0,
+                            pixels: 0.0,
+                            sharded: false,
+                            runs: false,
+                        },
+                    }
+                } else {
+                    let shape = cost::shape(&plan, wl, device);
+                    PlanCost {
+                        plan,
+                        cost: cal.raw(&cost::features_for(&plan, wl, device, &shape)),
+                        shape,
+                    }
+                });
             }
-            let sh = cost::shape(&plan, wl, device);
-            let f = cost::features_for(&plan, wl, device, &sh);
-            let raw = cal.raw(&f);
-            // Corrections are keyed by the *effective* pipeline: two
-            // config labels that resolve to the identical execution (e.g.
-            // binning on a single-tile canvas) must share a correction,
-            // or feedback on one would artificially split the tie.
-            PlanCost {
-                plan,
-                cost: cal.predict(cost::effective_key_of(&plan, &sh), &f),
-                raw,
-                shape: sh,
-            }
-        })
-        .collect();
-    candidates.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    // Near-tie rule: the model's relative accuracy is no better than a few
-    // percent, so a predicted edge inside NEAR_TIE is noise. Within that
-    // band prefer the plan that engages the shard merge machinery last —
-    // the simpler pipeline is the safer bet when predictions can't
-    // separate them. (Enumeration order already prefers capacity-filling
-    // batches on exact ties.)
-    const NEAR_TIE: f64 = 1.05;
-    if candidates.len() > 1 {
-        let band = candidates[0].cost * NEAR_TIE;
-        if let Some(simplest) = candidates
-            .iter()
-            .position(|c| c.cost <= band && !c.shape.sharded)
-        {
-            // Promote without disturbing the rest of the ordering, so
-            // `runner_up` still sees the remaining candidates
-            // cheapest-first (`best_of` selects by cost, not position).
-            let promoted = candidates.remove(simplest);
-            candidates.insert(0, promoted);
         }
     }
+    candidates.sort_by(|a, b| a.cost.total_cmp(&b.cost));
     PlanChoice {
         candidates,
         workload: *wl,
@@ -380,43 +267,15 @@ pub fn worker_alternatives(max: usize) -> Vec<usize> {
     v
 }
 
-/// One planner decision plus its measured outcome.
-#[derive(Debug, Clone, Copy)]
-pub struct Decision {
-    pub plan: Plan,
-    /// Corrected predicted cost of the chosen plan.
-    pub predicted: f64,
-    /// Uncorrected model cost (the feedback baseline).
-    pub predicted_raw: f64,
-    /// The best alternative's plan and corrected cost, when more than one
-    /// candidate existed.
-    pub runner_up: Option<(Plan, f64)>,
-    /// Measured processing time of the chosen plan (the quantity the
-    /// cost model predicts; polygon preprocessing excluded as in §7.1).
-    pub actual: Duration,
-    /// Number of candidates considered.
-    pub candidates: usize,
-}
-
 /// The auto-planning operator: summarises the workload, ranks the plan
-/// space, runs the winner, and feeds the measured outcome back into its
-/// calibration.
+/// space and runs the winner. Stateless — nothing a query does changes
+/// the plan of the next.
 pub struct AutoRasterJoin {
     pub workers: usize,
     pub accurate_canvas_dim: u32,
     pub accurate_index_dim: u32,
-    /// Restrict the plan space to one pipeline config (ablation/debug).
-    pub config_override: Option<RasterConfig>,
-    /// Fold each execution's predicted-vs-actual ratio back into the
-    /// calibration (on by default).
-    pub feedback: bool,
-    calibration: Mutex<Calibration>,
-    /// When set, the calibration was loaded from this file at
-    /// construction and is re-saved after every feedback fold, so the
-    /// per-machine corrections survive the process (the ROADMAP
-    /// "persist the feedback-updated calibration" item).
-    calibration_path: Option<std::path::PathBuf>,
-    trace: Mutex<Vec<Decision>>,
+    /// The cost-model weights every plan is ranked under.
+    pub calibration: Calibration,
 }
 
 impl Default for AutoRasterJoin {
@@ -426,91 +285,15 @@ impl Default for AutoRasterJoin {
 }
 
 impl AutoRasterJoin {
-    /// A planner starting from the given calibration (e.g. one loaded
-    /// from `bench_planner`'s serialized output).
-    pub fn with_calibration(cal: Calibration) -> Self {
+    /// A planner ranking under the given calibration (e.g. one fitted by
+    /// `bench_planner`).
+    pub fn with_calibration(calibration: Calibration) -> Self {
         AutoRasterJoin {
             workers: default_workers(),
             accurate_canvas_dim: 2048,
             accurate_index_dim: 1024,
-            config_override: None,
-            feedback: true,
-            calibration: Mutex::new(cal),
-            calibration_path: None,
-            trace: Mutex::new(Vec::new()),
+            calibration,
         }
-    }
-
-    /// Persist the calibration at `path` across processes: load it now if
-    /// the file exists (keeping the current calibration otherwise) and
-    /// re-save after every feedback fold. Save failures are reported on
-    /// the next explicit [`AutoRasterJoin::persist`]; the periodic
-    /// autosaves are best-effort so a read-only filesystem can't poison
-    /// query execution.
-    pub fn with_calibration_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        let path = path.into();
-        if let Ok(cal) = Calibration::load(&path) {
-            *self.calibration.lock() = cal;
-        }
-        self.calibration_path = Some(path);
-        self
-    }
-
-    /// Write the current calibration to the configured path now.
-    pub fn persist(&self) -> std::io::Result<()> {
-        match &self.calibration_path {
-            Some(path) => self.calibration.lock().save(path),
-            None => Ok(()),
-        }
-    }
-
-    fn autosave(&self) {
-        if let Some(path) = &self.calibration_path {
-            let _ = self.calibration.lock().save(path);
-        }
-    }
-
-    /// Restrict the plan space to one pipeline config (builder form).
-    pub fn with_config_override(mut self, config: RasterConfig) -> Self {
-        self.config_override = Some(config);
-        self
-    }
-
-    /// Toggle the online feedback loop (builder form).
-    pub fn with_feedback(mut self, on: bool) -> Self {
-        self.feedback = on;
-        self
-    }
-
-    /// Snapshot of the current calibration (including feedback updates).
-    pub fn calibration(&self) -> Calibration {
-        self.calibration.lock().clone()
-    }
-
-    /// Replace the calibration wholesale.
-    pub fn set_calibration(&self, cal: Calibration) {
-        *self.calibration.lock() = cal;
-    }
-
-    /// Every decision taken so far, oldest first.
-    pub fn decision_trace(&self) -> Vec<Decision> {
-        self.trace.lock().clone()
-    }
-
-    /// Fold one externally-measured execution into the calibration — the
-    /// streaming executor drives its own chunk loop and feeds each
-    /// chunk's predicted-vs-actual outcome through here (honouring the
-    /// `feedback` toggle). Unlike [`AutoRasterJoin::execute`] this does
-    /// NOT autosave — a scan feeds once per chunk, and one file write per
-    /// chunk on the consumer hot path buys nothing; loop drivers call
-    /// [`AutoRasterJoin::persist`] once when their loop ends.
-    pub fn feed(&self, effective_key: usize, predicted_raw: f64, actual: Duration) {
-        if !self.feedback {
-            return;
-        }
-        self.calibration
-            .lock()
-            .observe(effective_key, predicted_raw, actual.as_secs_f64());
     }
 
     /// Rank the plan space for this query without executing anything.
@@ -527,23 +310,19 @@ impl AutoRasterJoin {
 
     /// Rank the plan space for an already-summarised workload.
     pub fn plan_summary(&self, wl: &Workload, query: &Query, device: &Device) -> PlanChoice {
-        let cal = self.calibration.lock();
         plan_workload(
             wl,
             query,
             device,
-            &cal,
+            &self.calibration,
             self.workers,
             self.accurate_canvas_dim,
             self.accurate_index_dim,
-            self.config_override,
         )
     }
 
-    /// Plan, run the winner, record the decision and (when `feedback` is
-    /// on) fold the predicted-vs-actual outcome into the calibration.
-    /// Returns the executed plan alongside the output so callers can
-    /// audit exactly what ran.
+    /// Plan and run the winner. Returns the executed plan alongside the
+    /// output so callers can audit exactly what ran.
     pub fn execute(
         &self,
         points: &PointTable,
@@ -551,30 +330,8 @@ impl AutoRasterJoin {
         query: &Query,
         device: &Device,
     ) -> (Plan, JoinOutput) {
-        let choice = self.plan(points, polys, query, device);
-        let best = *choice.best();
-        let out = best.plan.execute(points, polys, query, device);
-        // The model predicts processing time: transfer is plan-invariant
-        // and polygon preprocessing (triangulation, index build) is
-        // excluded from query time as in §7.1 — the features charge
-        // nothing for it, so feedback must compare the same quantity.
-        let actual = out.stats.processing;
-        if self.feedback {
-            let eff = cost::effective_key(&best.plan, &choice.workload, device);
-            self.calibration
-                .lock()
-                .observe(eff, best.raw, actual.as_secs_f64());
-            self.autosave();
-        }
-        self.trace.lock().push(Decision {
-            plan: best.plan,
-            predicted: best.cost,
-            predicted_raw: best.raw,
-            runner_up: choice.candidates.get(1).map(|c| (c.plan, c.cost)),
-            actual,
-            candidates: choice.candidates.len(),
-        });
-        (best.plan, out)
+        let plan = self.plan(points, polys, query, device).best().plan;
+        (plan, plan.execute(points, polys, query, device))
     }
 }
 
@@ -593,7 +350,7 @@ mod tests {
 
     fn assumed_choice(n: usize, polys: &[Polygon], q: &Query, dev: &Device) -> PlanChoice {
         let wl = Workload::assumed(n, polys, q);
-        plan_workload(&wl, q, dev, &Calibration::builtin(), 4, 2048, 1024, None)
+        plan_workload(&wl, q, dev, &Calibration::builtin(), 4, 2048, 1024)
     }
 
     #[test]
@@ -672,10 +429,9 @@ mod tests {
             };
             assert!(sampled.selectivity < 0.02, "predicate must be selective");
             let cal = Calibration::builtin();
-            let blind_choice =
-                plan_workload(&blind, &q_sel, &dev, &cal, 4, 2048, 1024, None).choice();
+            let blind_choice = plan_workload(&blind, &q_sel, &dev, &cal, 4, 2048, 1024).choice();
             let sampled_choice =
-                plan_workload(&sampled, &q_sel, &dev, &cal, 4, 2048, 1024, None).choice();
+                plan_workload(&sampled, &q_sel, &dev, &cal, 4, 2048, 1024).choice();
             if blind_choice == Variant::Bounded && sampled_choice == Variant::Accurate {
                 flipped = true;
             }
@@ -721,111 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn feedback_and_trace_accumulate() {
-        let (polys, _) = setup();
-        let pts = uniform_points(3_000, &nyc_extent(), 6);
-        let dev = Device::default();
-        let auto = AutoRasterJoin::default();
-        assert!(!auto.calibration().is_calibrated());
-        for eps in [20.0, 20.0, 0.5] {
-            auto.execute(&pts, &polys, &Query::count().with_epsilon(eps), &dev);
-        }
-        let trace = auto.decision_trace();
-        assert_eq!(trace.len(), 3);
-        assert!(trace.iter().all(|d| d.candidates >= 2));
-        assert!(trace.iter().all(|d| d.predicted_raw > 0.0));
-        let cal = auto.calibration();
-        assert_eq!(cal.observations, 3);
-        assert!(cal.is_calibrated());
-
-        // Feedback off: observations stay frozen.
-        let frozen = AutoRasterJoin {
-            feedback: false,
-            ..AutoRasterJoin::default()
-        };
-        frozen.execute(&pts, &polys, &Query::count().with_epsilon(20.0), &dev);
-        assert_eq!(frozen.calibration().observations, 0);
-        assert_eq!(frozen.decision_trace().len(), 1);
-    }
-
-    /// The ROADMAP "persist the feedback-updated calibration across
-    /// processes" item: a planner with a calibration path saves after
-    /// every feedback fold, and a fresh planner (a new process, as far as
-    /// the file is concerned) resumes from the saved state.
-    #[test]
-    fn calibration_persists_across_planner_instances() {
-        let (polys, _) = setup();
-        let pts = uniform_points(2_000, &nyc_extent(), 9);
-        let dev = Device::default();
-        let path =
-            std::env::temp_dir().join(format!("rjr-cal-roundtrip-{}.json", std::process::id()));
-        std::fs::remove_file(&path).ok();
-
-        // Missing file: construction keeps the builtin calibration.
-        let first = AutoRasterJoin::default().with_calibration_path(&path);
-        assert!(!first.calibration().is_calibrated());
-        for eps in [20.0, 20.0, 0.5] {
-            first.execute(&pts, &polys, &Query::count().with_epsilon(eps), &dev);
-        }
-        let saved = first.calibration();
-        assert_eq!(saved.observations, 3);
-        drop(first);
-
-        // "Next process": loads the feedback-updated state.
-        let second = AutoRasterJoin::default().with_calibration_path(&path);
-        let resumed = second.calibration();
-        assert_eq!(resumed.observations, saved.observations);
-        for k in 0..NKEYS {
-            assert!(
-                (resumed.scale[k] - saved.scale[k]).abs() <= 1e-9 * saved.scale[k].abs(),
-                "scale {k} must survive the round trip"
-            );
-        }
-        // feed() accumulates without touching disk (a chunk loop feeds
-        // per chunk; one write per chunk would be waste) — persist()
-        // flushes explicitly, as the streaming executor does per scan.
-        second.feed(0, 100.0, Duration::from_millis(5));
-        let unflushed = AutoRasterJoin::default().with_calibration_path(&path);
-        assert_eq!(unflushed.calibration().observations, 3);
-        second.persist().unwrap();
-        let third = AutoRasterJoin::default().with_calibration_path(&path);
-        assert_eq!(third.calibration().observations, 4);
-
-        // Feedback off: feed() is inert.
-        let frozen = AutoRasterJoin::default()
-            .with_feedback(false)
-            .with_calibration_path(&path);
-        frozen.feed(0, 100.0, Duration::from_millis(5));
-        assert_eq!(frozen.calibration().observations, 4);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn config_override_restricts_the_plan_space() {
-        let (polys, _) = setup();
-        let pts = uniform_points(1_000, &nyc_extent(), 7);
-        let dev = Device::default();
-        for &(binning, sharding) in &[(false, false), (true, false), (false, true), (true, true)] {
-            let auto = AutoRasterJoin {
-                config_override: Some(RasterConfig { binning, sharding }),
-                ..AutoRasterJoin::default()
-            };
-            let choice = auto.plan(&pts, &polys, &Query::count().with_epsilon(20.0), &dev);
-            for c in &choice.candidates {
-                match c.plan.variant {
-                    Variant::Bounded => {
-                        assert_eq!(c.plan.config, RasterConfig { binning, sharding })
-                    }
-                    Variant::Accurate => {
-                        assert!(!c.plan.config.binning);
-                        assert_eq!(c.plan.config.sharding, sharding);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn out_of_core_workloads_enumerate_batch_alternatives() {
         let (polys, _) = setup();
         let q = Query::count().with_epsilon(20.0);
@@ -835,7 +486,7 @@ mod tests {
             200_000 * PointTable::point_bytes(0),
             8192,
         ));
-        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4, 2048, 1024, None);
+        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4, 2048, 1024);
         let sizes: std::collections::BTreeSet<usize> = choice
             .candidates
             .iter()
@@ -861,7 +512,7 @@ mod tests {
         let q = Query::count().with_epsilon(20.0);
         let wl = Workload::assumed(100_000, &polys, &q);
         let dev = Device::default();
-        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4, 2048, 1024, None);
+        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4, 2048, 1024);
         let counts: std::collections::BTreeSet<usize> =
             choice.candidates.iter().map(|c| c.plan.workers).collect();
         assert_eq!(
@@ -875,62 +526,44 @@ mod tests {
         assert_eq!(choice.best().plan.workers, 4);
     }
 
-    /// Worker width is a *per-cell* decision once feedback arrives: a
-    /// cell whose pipeline family measured no gain from widening (what a
-    /// saturated or contended box reports) narrows to one worker, while
-    /// a cell in a family whose amortization held up keeps the full
-    /// pool. Feedback is keyed by `effective_key`, which strides by
-    /// worker bucket, so the penalty lands on the wide buckets only.
+    /// One candidate per variant for every (batch size, worker count), in
+    /// and out of core, and every one of them a distinct plan.
     #[test]
-    fn feedback_differentiates_worker_counts_across_cells() {
+    fn two_candidates_per_batch_and_width() {
         let (polys, _) = setup();
-        let dev = Device::default();
-        // Big points-dominant cell: bounded wins by a wide margin, so the
-        // worker penalty below can only move its width, not its variant.
-        let q_coarse = Query::count().with_epsilon(20.0);
-        let wl_coarse = Workload::assumed(2_000_000, &polys, &q_coarse);
-        let q_fine = Query::count().with_epsilon(0.05);
-        let wl_fine = Workload::assumed(1_000_000, &polys, &q_fine);
-
-        let mut cal = Calibration::builtin();
-        // Uncorrected amortization opens the pool for both cells.
-        for (wl, q) in [(&wl_coarse, &q_coarse), (&wl_fine, &q_fine)] {
-            let best = plan_workload(wl, q, &dev, &cal, 4, 2048, 1024, None)
-                .best()
-                .plan;
-            assert_eq!(best.workers, 4);
-        }
-
-        // Feed back measurements for the coarse cell's bounded families:
-        // any pool wider than one runs at 6x the single-worker per-unit
-        // rate (more than the model's maximum 4-worker amortization of
-        // 3.55x, i.e. widening strictly lost). The fine cell's accurate
-        // family gets no observations and keeps its clean amortization.
-        for _ in 0..30 {
-            let choice = plan_workload(&wl_coarse, &q_coarse, &dev, &cal, 4, 2048, 1024, None);
-            for c in &choice.candidates {
-                if c.plan.variant != Variant::Bounded {
-                    continue;
+        let q = Query::count().with_epsilon(20.0);
+        let wl = Workload::assumed(1_000_000, &polys, &q);
+        let out_of_core = Device::new(raster_gpu::DeviceConfig::small(
+            200_000 * PointTable::point_bytes(0),
+            8192,
+        ));
+        for (dev, batches) in [(Device::default(), 1), (out_of_core, 2)] {
+            for w in [1, 2, 4, 6] {
+                let cands =
+                    plan_workload(&wl, &q, &dev, &Calibration::builtin(), w, 2048, 1024).candidates;
+                assert_eq!(cands.len(), 2 * batches * worker_alternatives(w).len());
+                for (i, a) in cands.iter().enumerate() {
+                    assert!(cands[i + 1..].iter().all(|b| b.plan != a.plan));
                 }
-                let raw = cal.raw(&features(&c.plan, &wl_coarse, &dev));
-                let secs = raw * if c.plan.workers == 1 { 1.0 } else { 6.0 };
-                cal.observe(effective_key(&c.plan, &wl_coarse, &dev), raw, secs);
             }
         }
+    }
 
-        let coarse = plan_workload(&wl_coarse, &q_coarse, &dev, &cal, 4, 2048, 1024, None)
-            .best()
-            .plan;
-        let fine = plan_workload(&wl_fine, &q_fine, &dev, &cal, 4, 2048, 1024, None)
-            .best()
-            .plan;
-        assert_eq!(
-            coarse.variant,
-            Variant::Bounded,
-            "penalty must not push the coarse cell off its variant"
-        );
-        assert_eq!(coarse.workers, 1, "measured-contended cell narrows");
-        assert_eq!(fine.workers, 4, "unpenalized cell keeps the pool");
+    /// The planner is a pure function of the workload: executing other
+    /// queries on the same `AutoRasterJoin` never moves a plan.
+    #[test]
+    fn plans_do_not_depend_on_what_ran_before() {
+        let (polys, _) = setup();
+        let pts = uniform_points(3_000, &nyc_extent(), 6);
+        let dev = Device::default();
+        let auto = AutoRasterJoin::default();
+        let q = Query::count().with_epsilon(20.0);
+        let before = auto.plan(&pts, &polys, &q, &dev);
+        for eps in [200.0, 30.0, 0.5] {
+            auto.execute(&pts, &polys, &Query::count().with_epsilon(eps), &dev);
+        }
+        let after = auto.plan(&pts, &polys, &q, &dev);
+        assert_eq!(before.candidates, after.candidates);
     }
 
     #[test]

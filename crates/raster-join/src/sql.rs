@@ -35,7 +35,7 @@
 //! [`explain_query`] prefixes the dialect with `EXPLAIN` and prints the
 //! physical plan the §8 optimizer would pick, with its cost estimates.
 
-use crate::optimizer::{plan_workload, Calibration, Variant, Workload};
+use crate::optimizer::{AutoRasterJoin, Variant, Workload};
 use crate::query::{Aggregate, Query};
 use raster_data::filter::{CmpOp, Predicate};
 use raster_data::PointTable;
@@ -299,19 +299,20 @@ pub fn parse_query(sql: &str, schema: &PointTable) -> Result<Query, ParseError> 
     })
 }
 
-/// Parse an `EXPLAIN <query>` statement and render the physical plan the
-/// §8 planner picks for the given data shape: chosen variant and
-/// `RasterConfig`, batch layout, sampled selectivity, per-variant cost
-/// estimates, and the attribute columns that would be uploaded.
+/// Parse an `EXPLAIN <query>` statement and render the physical plan
+/// `planner` picks for the given data shape — the plan
+/// [`AutoRasterJoin::execute`] would run on the same inputs: chosen
+/// variant, batch layout and derived canvas pipeline, sampled selectivity,
+/// per-variant cost estimates, and the attribute columns that would be
+/// uploaded.
 ///
 /// `schema` doubles as the sample source for the selectivity estimate:
 /// when it holds rows, the planner samples the filter pass rate from
 /// them; a bare schema (no rows) assumes full selectivity. `n_points` is
 /// the advertised table size the plan is costed for (it may exceed the
-/// sampled rows — e.g. EXPLAIN over a prefix of a big table).
-///
-/// Pass a fitted [`Calibration`] via [`explain_query_calibrated`] to see
-/// the calibrated ranking; this entry point uses the built-in constants.
+/// sampled rows — e.g. EXPLAIN over a prefix of a big table). `epsilon`
+/// overrides the dialect's default ε (the SQL fragment has no syntax for
+/// it), like [`crate::StreamingRasterJoin::explain_sql`].
 ///
 /// The returned text is stable line-oriented output suitable for the
 /// `rjquery` CLI and for tests; the plain query (without `EXPLAIN`) is
@@ -322,32 +323,18 @@ pub fn explain_query(
     n_points: usize,
     polys: &[Polygon],
     device: &Device,
-) -> Result<String, ParseError> {
-    explain_query_calibrated(
-        sql,
-        schema,
-        n_points,
-        polys,
-        device,
-        &Calibration::builtin(),
-    )
-}
-
-/// [`explain_query`] with an explicit planner calibration.
-pub fn explain_query_calibrated(
-    sql: &str,
-    schema: &PointTable,
-    n_points: usize,
-    polys: &[Polygon],
-    device: &Device,
-    cal: &Calibration,
+    epsilon: Option<f64>,
+    planner: &AutoRasterJoin,
 ) -> Result<String, ParseError> {
     let trimmed = sql.trim_start();
     let body = trimmed
         .strip_prefix("EXPLAIN")
         .or_else(|| trimmed.strip_prefix("explain"))
         .unwrap_or(trimmed);
-    let query = parse_query(body, schema)?;
+    let mut query = parse_query(body, schema)?;
+    if let Some(eps) = epsilon {
+        query = query.with_epsilon(eps);
+    }
 
     let wl = if !schema.is_empty() {
         Workload {
@@ -357,8 +344,7 @@ pub fn explain_query_calibrated(
     } else {
         Workload::assumed(n_points, polys, &query)
     };
-    let workers = raster_gpu::exec::default_workers();
-    let choice = plan_workload(&wl, &query, device, cal, workers, 2048, 1024, None);
+    let choice = planner.plan_summary(&wl, &query, device);
     let best = choice.best();
 
     let mut out = String::new();
@@ -394,11 +380,16 @@ pub fn explain_query_calibrated(
     ));
     out.push_str(&format!("  operator: {}\n", best.plan.describe()));
     out.push_str(&format!(
-        "  layout: {} batch(es) x {} tile(s), {} render pass(es), canvas: {}\n",
+        "  layout: {} batch(es) x {} tile(s), {} render pass(es), canvas: {}{}\n",
         best.shape.batches,
         best.shape.tiles,
         best.shape.passes,
-        if best.shape.runs { "runs" } else { "dense" }
+        if best.shape.runs { "runs" } else { "dense" },
+        if best.shape.sharded {
+            ", shard merge"
+        } else {
+            ""
+        }
     ));
     let fmt_best = |v: Variant| {
         choice
@@ -413,15 +404,15 @@ pub fn explain_query_calibrated(
         fmt_best(Variant::Accurate),
         choice.candidates.len()
     ));
+    let cal = &planner.calibration;
     out.push_str(&format!(
-        "  calibration: {} ({} sample(s), {} observation(s))\n",
+        "  calibration: {} ({} sample(s))\n",
         if cal.is_calibrated() {
             "fitted"
         } else {
             "builtin constants"
         },
-        cal.samples,
-        cal.observations
+        cal.samples
     ));
     Ok(out)
 }
@@ -589,6 +580,8 @@ mod tests {
             1_000_000,
             &polys,
             &raster_gpu::Device::default(),
+            None,
+            &AutoRasterJoin::default(),
         )
         .unwrap();
         assert!(plan.contains("AVG(#0)"), "{plan}");
@@ -605,24 +598,38 @@ mod tests {
             100,
             &polys,
             &raster_gpu::Device::default(),
+            None,
+            &AutoRasterJoin::default(),
         )
         .is_ok());
     }
 
-    /// In-memory EXPLAIN names the canvas the executor's gate will pick:
-    /// 1 M points over the ε = 10 m canvas (8203², 0.015 per pixel) are
-    /// held as pixel runs, 200 M (3 per pixel) as a dense FBO.
+    /// In-memory EXPLAIN names the pipeline the executor's gates will
+    /// pick: 1 M points over the ε = 10 m canvas (8203² in 4 tiles, 0.015
+    /// per pixel) are held as pixel runs, 200 M (3 per pixel) as dense
+    /// FBOs blended through shards. Two workers whatever the host: one
+    /// never shards, and at four the merge that pipeline pays tips the
+    /// dense cell to the accurate join.
     #[test]
     fn explain_names_the_canvas() {
         use raster_data::polygons::synthetic_polygons;
         let polys = synthetic_polygons(6, &raster_data::generators::nyc_extent(), 40);
-        for (n, canvas) in [(1_000_000, "canvas: runs"), (200_000_000, "canvas: dense")] {
+        let auto = AutoRasterJoin {
+            workers: 2,
+            ..Default::default()
+        };
+        for (n, canvas) in [
+            (1_000_000, "canvas: runs\n"),
+            (200_000_000, "canvas: dense, shard merge\n"),
+        ] {
             let plan = explain_query(
                 "EXPLAIN SELECT COUNT(*) FROM P, R WHERE P.loc INSIDE R.geometry GROUP BY R.id",
                 &schema(),
                 n,
                 &polys,
                 &raster_gpu::Device::default(),
+                None,
+                &auto,
             )
             .unwrap();
             assert!(plan.contains("BOUNDED"), "{plan}");
@@ -644,6 +651,8 @@ mod tests {
             1_000_000,
             &polys,
             &raster_gpu::Device::default(),
+            None,
+            &AutoRasterJoin::default(),
         )
         .unwrap();
         assert!(plan.contains("selectivity: 0.1"), "{plan}");
@@ -651,7 +660,7 @@ mod tests {
         // The survivors leave the ε = 10 m canvas nearly empty, so it is
         // held as pixel runs and costs nothing per pixel: the selective
         // predicate shrinks the bounded plan with the points it drops.
-        assert!(plan.contains("BOUNDED raster join [binning=on"), "{plan}");
+        assert!(plan.contains("BOUNDED raster join [batch="), "{plan}");
         assert!(plan.contains("canvas: runs"), "{plan}");
         assert!(plan.contains("batch="), "{plan}");
         assert!(plan.contains("candidate plan(s)"), "{plan}");
@@ -663,22 +672,65 @@ mod tests {
             1_000_000,
             &polys,
             &raster_gpu::Device::default(),
+            None,
+            &AutoRasterJoin::default(),
         )
         .unwrap();
         assert!(bare.contains("assumed; no sample rows"), "{bare}");
         // A fitted calibration is reported as such.
         let mut cal = crate::optimizer::Calibration::builtin();
         cal.samples = 12;
-        let fitted = explain_query_calibrated(
+        let fitted = explain_query(
             "SELECT COUNT(*) FROM P, R WHERE P.loc INSIDE R.geometry GROUP BY R.id",
             &schema(),
             1_000_000,
             &polys,
             &raster_gpu::Device::default(),
-            &cal,
+            None,
+            &AutoRasterJoin::with_calibration(cal),
         )
         .unwrap();
         assert!(fitted.contains("fitted (12 sample(s)"), "{fitted}");
+    }
+
+    /// EXPLAIN explains the query that will run: under the caller's ε and
+    /// the caller's planner it names exactly the plan `execute` returns.
+    #[test]
+    fn explain_names_the_plan_auto_executes() {
+        use raster_data::generators::TaxiModel;
+        use raster_data::polygons::synthetic_polygons;
+        let polys = synthetic_polygons(6, &raster_data::generators::nyc_extent(), 40);
+        let pts = TaxiModel::default().generate(5_000, 42);
+        let dev = raster_gpu::Device::default();
+        let sql = "SELECT COUNT(*) FROM P, R WHERE P.loc INSIDE R.geometry GROUP BY R.id";
+        for eps in [10.0, 200.0] {
+            for workers in [1, 2] {
+                let auto = AutoRasterJoin {
+                    workers,
+                    ..Default::default()
+                };
+                let text = explain_query(
+                    &format!("EXPLAIN {sql}"),
+                    &pts,
+                    pts.len(),
+                    &polys,
+                    &dev,
+                    Some(eps),
+                    &auto,
+                )
+                .unwrap();
+                let query = parse_query(sql, &pts).unwrap().with_epsilon(eps);
+                let (plan, _) = auto.execute(&pts, &polys, &query, &dev);
+                let line = |key: &str| {
+                    text.lines()
+                        .find_map(|l| l.trim_start().strip_prefix(key))
+                        .unwrap_or_else(|| panic!("no `{key}` line in:\n{text}"))
+                        .to_string()
+                };
+                assert_eq!(line("operator: "), plan.describe(), "ε={eps} w={workers}");
+                assert_eq!(line("epsilon: "), format!("{eps} world units"));
+            }
+        }
     }
 
     #[test]
@@ -689,6 +741,8 @@ mod tests {
             100,
             &[],
             &raster_gpu::Device::default(),
+            None,
+            &AutoRasterJoin::default(),
         )
         .unwrap_err();
         assert!(e.0.contains("unsupported aggregate"), "{e}");

@@ -28,7 +28,7 @@
 //!                        this thread:    [bin sample (seq 0)], then
 //!                                        reorder buffer → blend deltas in
 //!                                        ascending seq into the resident
-//!                                        canvases + planner feedback
+//!                                        canvases
 //!
 //! both arms, at the end: [resolve: one polygon pass per canvas tile,
 //!                         at the scan's full width] → result
@@ -59,10 +59,11 @@
 //! canvas: each chunk's exact partial result folds through the
 //! [`AggregateMerger`] in the same ascending order, so accurate results
 //! are bitwise-identical across widths and arms at equal chunk size. The
-//! planner's feedback folds in that order too, so calibration walks are
-//! reproducible. The cost model encodes the same shape
-//! ([`cost::streamed`]): polygon terms once per scan, a serial blend, no
-//! shard path, and [`Plan`]'s `workers` as the pool and resolve width.
+//! cost model encodes the same shape ([`cost::streamed`]): polygon terms
+//! once per scan, a serial blend, no shard path, and [`Plan`]'s `workers`
+//! as the pool and resolve width. The planner is a pure function of the
+//! file header and the sampled first chunk, so the same scan gets the
+//! same plan every time.
 //!
 //! The concurrency invariants behind this guarantee — every chunk's
 //! deltas applied exactly once, in ascending sequence order, at any
@@ -103,12 +104,7 @@
 //!    [`crate::AccurateRasterJoin::prepare`]), every chunk runs the
 //!    executor's `bin`, and the scan ends in one `resolve`;
 //! 4. per-chunk partial results and stats fold through the shared
-//!    [`AggregateMerger`], the resolve's output last; each chunk's
-//!    predicted-vs-actual *point-stage* time and the resolve's
-//!    *polygon-stage* time ([`cost::stage_split`]) feed the planner's
-//!    calibration, which persists across processes when a calibration
-//!    path is configured
-//!    ([`StreamingRasterJoin::with_calibration_path`]).
+//!    [`AggregateMerger`], the resolve's output last.
 //!
 //! SQL runs straight off disk through the same loop: a query whose FROM
 //! clause names a file (`SELECT AVG(fare) FROM 'taxi.bin', R …`,
@@ -173,7 +169,7 @@ use raster_data::faults;
 use raster_data::PointTable;
 use raster_geom::Polygon;
 use raster_gpu::exec::{default_workers, timed};
-use raster_gpu::{Device, RasterConfig, ResidentCanvases};
+use raster_gpu::{Device, ResidentCanvases};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -510,8 +506,8 @@ impl BusyUnion {
 
 /// The pool consumer's reorder buffer: binned chunks arrive in whatever
 /// order the workers complete them and leave strictly in ascending
-/// sequence order, so the serial blend (canvases + merger + planner
-/// feedback) sees the same chunk order as the sequential loop.
+/// sequence order, so the serial blend (canvases + merger) sees the same
+/// chunk order as the sequential loop.
 ///
 /// The release protocol — no chunk lost, duplicated, or applied out of
 /// order, at any worker interleaving — is model-checked exhaustively by
@@ -552,10 +548,6 @@ impl<T> ReorderBuffer<T> {
 /// fails or is discarded by a shutdown has nothing to give back.
 struct ChunkDone {
     deltas: ChunkDeltas,
-    /// Raw predicted point-stage cost for the planner feedback (computed
-    /// on the worker; *fed* by the consumer in chunk order so the
-    /// calibration walk is deterministic).
-    raw: f64,
     /// The reader-side paced fetch time of this chunk.
     fetch: Duration,
     /// Worker-side decode wall time and its per-stored-column split.
@@ -665,11 +657,12 @@ impl Default for StreamingRasterJoin {
 
 impl StreamingRasterJoin {
     pub fn new(workers: usize) -> Self {
-        let mut planner = AutoRasterJoin::default();
-        planner.workers = workers;
         StreamingRasterJoin {
             workers,
-            planner,
+            planner: AutoRasterJoin {
+                workers,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -700,21 +693,7 @@ impl StreamingRasterJoin {
         self
     }
 
-    /// Restrict the planner to one pipeline config (builder form).
-    pub fn with_config_override(mut self, config: RasterConfig) -> Self {
-        self.planner.config_override = Some(config);
-        self
-    }
-
-    /// Persist the planner's calibration at `path` across processes:
-    /// loaded now, re-saved after every per-chunk feedback fold (see
-    /// [`AutoRasterJoin::with_calibration_path`]).
-    pub fn with_calibration_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.planner = self.planner.with_calibration_path(path);
-        self
-    }
-
-    /// The embedded planner (decision audit, calibration snapshots).
+    /// The embedded planner (its width, resolutions and calibration).
     pub fn planner(&self) -> &AutoRasterJoin {
         &self.planner
     }
@@ -890,7 +869,7 @@ impl StreamingRasterJoin {
             sample,
             sample_read,
             planning,
-            wl,
+            wl: _,
             plan,
             width: _,
             pool_workers,
@@ -903,12 +882,6 @@ impl StreamingRasterJoin {
         // addresses it (identical to the caller's when pruning is off).
         let query = &exec_query;
 
-        // The calibration snapshot for raw (uncorrected) costs; feedback
-        // only moves the per-key corrections, so a snapshot taken once
-        // stays the right baseline for the whole scan. Streamed plans
-        // never shard, so one effective key covers every observation.
-        let cal = self.planner.calibration();
-        let key = cost::effective_key(&plan, &wl, device);
         let mut merger = AggregateMerger::new(nslots);
         let busy = BusyUnion::new();
         let mut read_time = sample_read;
@@ -921,17 +894,11 @@ impl StreamingRasterJoin {
         // result slots come back once after the resolve.
         device.reset_stats();
         let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
-        // *Bin* one chunk and price its point stage. Captures only `Sync`
-        // state and touches no canvas — safe to run across the pool.
-        let bin_chunk = |chunk: &PointTable| -> (ChunkDeltas, f64) {
+        // *Bin* one chunk. Captures only `Sync` state and touches no
+        // canvas — safe to run across the pool.
+        let bin_chunk = |chunk: &PointTable| -> ChunkDeltas {
             device.record_upload((chunk.len() * point_bytes) as u64);
-            let deltas = pieces.bin(chunk, query);
-            let chunk_wl = Workload {
-                n_points: chunk.len(),
-                ..wl
-            };
-            let (point_stage, _) = cost::stage_split(&cost::features(&plan, &chunk_wl, device));
-            (deltas, cal.raw(&point_stage))
+            pieces.bin(chunk, query)
         };
 
         let mut chunks = 0;
@@ -939,20 +906,18 @@ impl StreamingRasterJoin {
         if !sample.is_empty() {
             // One cleared canvas per tile, held until this block ends —
             // by the resolve below or by any `?`/`return` on the way.
-            let mut acquire = Duration::ZERO;
-            let mut canvases = busy.track(|| timed(&mut acquire, || pieces.canvases()));
-            // *Blend* one chunk's deltas + planner feedback + merger,
-            // always called in ascending chunk order (the pool's reorder
-            // buffer guarantees it) so every pixel's f32 sum, the
-            // calibration walk and the merged partials are deterministic.
-            let mut absorb = |(mut deltas, raw): (ChunkDeltas, f64)| {
+            let mut canvases = busy.track(|| pieces.canvases());
+            // *Blend* one chunk's deltas + merger, always called in
+            // ascending chunk order (the pool's reorder buffer guarantees
+            // it) so every pixel's f32 sum and the merged partials are
+            // deterministic.
+            let mut absorb = |mut deltas: ChunkDeltas| {
                 busy.track(|| {
                     let stats = &mut deltas.partial.stats;
                     let mut blend = Duration::ZERO;
                     timed(&mut blend, || canvases.blend(&deltas.binned));
                     stats.point_stage += blend;
                     stats.processing += blend;
-                    self.planner.feed(key, raw, stats.processing);
                     merger.fold(&deltas.partial);
                 })
             };
@@ -1018,15 +983,11 @@ impl StreamingRasterJoin {
                                         None => {}
                                     }
                                     busy.track(|| {
-                                        enc.decode().map(|dec| {
-                                            let (deltas, raw) = bin_chunk(&dec.table);
-                                            ChunkDone {
-                                                deltas,
-                                                raw,
-                                                fetch,
-                                                decode: dec.decode_time,
-                                                col_decode: dec.col_decode,
-                                            }
+                                        enc.decode().map(|dec| ChunkDone {
+                                            deltas: bin_chunk(&dec.table),
+                                            fetch,
+                                            decode: dec.decode_time,
+                                            col_decode: dec.col_decode,
                                         })
                                     })
                                 })
@@ -1047,9 +1008,8 @@ impl StreamingRasterJoin {
                     absorb(busy.track(|| bin_chunk(&sample)));
 
                     // Ordered blend: the reorder buffer releases chunks in
-                    // ascending seq, so the canvases, calibration feedback
-                    // and error precedence are identical to the
-                    // sequential loop's.
+                    // ascending seq, so the canvases and error precedence
+                    // are identical to the sequential loop's.
                     let mut pending: ReorderBuffer<io::Result<ChunkDone>> = ReorderBuffer::new(1);
                     let mut first_err: Option<io::Error> = None;
                     loop {
@@ -1064,7 +1024,7 @@ impl StreamingRasterJoin {
                                         }
                                         pool_cols[ci] += *d;
                                     }
-                                    absorb((done.deltas, done.raw));
+                                    absorb(done.deltas);
                                 }
                                 Some(Err(e)) => first_err = Some(e),
                                 None => break,
@@ -1131,17 +1091,8 @@ impl StreamingRasterJoin {
             let resolved = busy.track(|| pieces.resolve(&canvases, query));
             drop(canvases);
             device.record_download((nslots * 16) as u64);
-            let (_, polygon_stage) = cost::stage_split(&cost::features(&plan, &wl, device));
-            self.planner.feed(
-                key,
-                cal.raw(&polygon_stage),
-                acquire + resolved.stats.processing + pieces.outline_time(),
-            );
             chunks = merger.chunks();
             merger.fold(&resolved);
-            // One save for the whole scan (feed() deliberately does not
-            // autosave per chunk); best-effort like execute()'s autosave.
-            let _ = self.planner.persist();
         }
 
         let mut output = merger.finish();
@@ -1497,49 +1448,6 @@ mod tests {
         assert_eq!(s.chunks, 0);
         assert_eq!(s.output.total_count(), 0);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn per_chunk_feedback_reaches_the_calibration() {
-        let pts = TaxiModel::default().generate(8_000, 308);
-        let polys = synthetic_polygons(6, &nyc_extent(), 309);
-        let q = Query::count().with_epsilon(30.0);
-        let dev = small_device(2_000, 0, 8192);
-        let path = tmp("feedback.bin");
-        write_table(&path, &pts).unwrap();
-        let stream = StreamingRasterJoin::new(2);
-        assert_eq!(stream.planner().calibration().observations, 0);
-        let s = stream.execute(&path, &polys, &q, &dev).unwrap();
-        assert_eq!(
-            stream.planner().calibration().observations,
-            s.chunks as u64 + 1,
-            "every chunk's point stage and the one resolve must feed the calibration"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn calibration_path_round_trips_through_streaming() {
-        let pts = TaxiModel::default().generate(6_000, 310);
-        let polys = synthetic_polygons(6, &nyc_extent(), 311);
-        let q = Query::count().with_epsilon(30.0);
-        let dev = small_device(2_000, 0, 8192);
-        let path = tmp("calstream.bin");
-        let cal_path = tmp("calstream.json");
-        std::fs::remove_file(&cal_path).ok();
-        write_table(&path, &pts).unwrap();
-
-        let first = StreamingRasterJoin::new(2).with_calibration_path(&cal_path);
-        let s = first.execute(&path, &polys, &q, &dev).unwrap();
-        drop(first);
-        let second = StreamingRasterJoin::new(2).with_calibration_path(&cal_path);
-        assert_eq!(
-            second.planner().calibration().observations,
-            s.chunks as u64 + 1,
-            "the scan's feedback must persist across streaming instances"
-        );
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&cal_path).ok();
     }
 
     #[test]

@@ -68,15 +68,9 @@ impl Fixture {
     }
 
     fn run(&self, width: usize) -> Result<StreamOutput, StreamError> {
-        self.run_observed(width).0
-    }
-
-    /// [`Fixture::run`] plus the observations the scan fed its planner:
-    /// one per chunk blended into the canvases, one for the resolve.
-    fn run_observed(&self, width: usize) -> (Result<StreamOutput, StreamError>, u64) {
-        let stream = StreamingRasterJoin::new(width).with_chunk_rows(451);
-        let res = stream.execute(&self.path, &self.polys, &self.q, &self.dev);
-        (res, stream.planner().calibration().observations)
+        StreamingRasterJoin::new(width)
+            .with_chunk_rows(451)
+            .execute(&self.path, &self.polys, &self.q, &self.dev)
     }
 
     /// Healthy baseline at `width`, under a counting-only guard so the
@@ -295,44 +289,52 @@ fn recovery_counters_report_absorbed_faults() {
     assert_bitwise(&reread, &healthy, "re-read scan");
 }
 
-/// An errored scan never resolves a partial canvas. The scan feeds its
-/// planner once per chunk it blends and once for the resolve, and the
-/// chunks blended before an error at seq *e* are exactly `0..e`, so a
-/// failed scan's observation count is *e* — one more would be the
-/// polygon pass run over a canvas that is missing chunks. Reader faults
-/// strike at a known seq at any width; a worker site that fails every hit
-/// fails seq 1.
+/// An errored scan never resolves a partial canvas. The scan resets its
+/// device's transfer ledger when it starts and records the result
+/// download right after the resolve — and nowhere else — so a failed
+/// scan leaves `bytes_down` at zero, while a healthy one reads the result
+/// slots' 16 bytes each. Reader faults strike at a known seq at any width;
+/// a worker site that fails every hit fails seq 1.
 #[test]
 fn errored_scans_resolve_nothing() {
     let fx = Fixture::new(2, "no-resolve");
+    let slots = raster_join_repro::join::query::result_slots(&fx.polys) as u64;
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut results = Vec::new();
     for &width in &WIDTHS {
-        for (spec, blended) in [
-            ("stream.reader@1=eof", 1),
-            ("stream.reader@3=notfound", 3),
-            ("stream.reader@2=panic", 2),
-            ("stream.worker%1=corrupt", 1),
-            ("stream.worker%1=panic", 1),
+        for spec in [
+            // The positive control: counting-only, nothing injected.
+            "",
+            "stream.reader@1=eof",
+            "stream.reader@3=notfound",
+            "stream.reader@2=panic",
+            "stream.worker%1=corrupt",
+            "stream.worker%1=panic",
         ] {
             let _g = faults::install(spec).unwrap();
-            results.push((width, spec, blended, fx.run_observed(width)));
+            let res = fx.run(width);
+            results.push((width, spec, res, fx.dev.stats().bytes_down));
         }
     }
     std::panic::set_hook(prev);
 
-    for (width, spec, blended, (res, observations)) in results {
-        let ctx = format!("width={width} spec={spec}");
-        match res {
-            Err(e) => {
-                assert_typed(&e, &ctx);
+    for (width, spec, res, bytes_down) in results {
+        let ctx = format!("width={width} spec={spec:?}");
+        match (spec.is_empty(), res) {
+            (true, res) => {
+                res.unwrap_or_else(|e| panic!("{ctx}: the healthy control failed: {e}"));
                 assert_eq!(
-                    observations, blended,
-                    "{ctx}: a failed scan observes its blended chunks and no resolve"
+                    bytes_down,
+                    slots * 16,
+                    "{ctx}: a healthy scan resolves once"
                 );
             }
-            Ok(_) => panic!("{ctx}: a faulted scan returned a result"),
+            (false, Err(e)) => {
+                assert_typed(&e, &ctx);
+                assert_eq!(bytes_down, 0, "{ctx}: a failed scan ran the polygon pass");
+            }
+            (false, Ok(_)) => panic!("{ctx}: a faulted scan returned a result"),
         }
     }
 }

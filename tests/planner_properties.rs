@@ -1,19 +1,19 @@
 //! Planner properties: `AutoRasterJoin` must be a transparent dispatcher
 //! — whatever plan it advertises, running that plan's variant directly
-//! under the same `RasterConfig` produces identical output — and its
-//! decisions on the nyc_extent workloads must stay pinned to the
-//! calibrated model's known crossovers.
+//! (the default pipeline) produces identical output — and its decisions
+//! on the nyc_extent workloads must stay pinned to the model's known
+//! crossovers.
 
 use proptest::prelude::*;
 use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
 use raster_join_repro::data::polygons::synthetic_polygons;
-use raster_join_repro::gpu::RasterConfig;
+use raster_join_repro::join::optimizer::cost::{features, W_BIN, W_FILTER};
 use raster_join_repro::join::optimizer::{plan_workload, Calibration, Variant, Workload};
 use raster_join_repro::join::AutoRasterJoin;
 use raster_join_repro::prelude::*;
 
-/// Run the variant the planner picked, directly, with the planner's exact
-/// configuration.
+/// Run the variant the planner picked, directly, at the planner's width,
+/// batch size and resolutions.
 fn run_directly(
     plan: &raster_join_repro::join::Plan,
     pts: &PointTable,
@@ -23,7 +23,7 @@ fn run_directly(
 ) -> JoinOutput {
     match plan.variant {
         Variant::Bounded => {
-            let mut j = BoundedRasterJoin::with_config(plan.workers, plan.config);
+            let mut j = BoundedRasterJoin::new(plan.workers);
             j.batch_points = Some(plan.batch_points);
             j.execute(pts, polys, q, dev)
         }
@@ -31,10 +31,6 @@ fn run_directly(
             workers: plan.workers,
             canvas_dim: plan.canvas_dim,
             index_dim: plan.index_dim,
-            config: RasterConfig {
-                binning: false,
-                sharding: plan.config.sharding,
-            },
             batch_points: Some(plan.batch_points),
             ..Default::default()
         }
@@ -45,17 +41,14 @@ fn run_directly(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All four binning × sharding combinations: the auto join's output is
-    /// identical to dispatching the chosen variant directly under the same
-    /// `RasterConfig` (counts exactly; sums within f32 reassociation
+    /// The auto join's output is identical to dispatching the chosen
+    /// variant directly (counts exactly; sums within f32 reassociation
     /// tolerance).
     #[test]
-    fn auto_join_matches_direct_dispatch_under_every_config(
+    fn auto_join_matches_direct_dispatch(
         seed in any::<u64>(),
         npts in 500usize..4000,
         eps_exp in 0usize..3,
-        binning in any::<bool>(),
-        sharding in any::<bool>(),
     ) {
         let extent = nyc_extent();
         let polys = synthetic_polygons(8, &extent, seed);
@@ -63,14 +56,7 @@ proptest! {
         let eps = [300.0, 30.0, 3.0][eps_exp];
         let q = Query::count().with_epsilon(eps);
         let dev = Device::new(DeviceConfig::small(3 << 30, 1024));
-        let auto = AutoRasterJoin::default()
-            .with_config_override(RasterConfig { binning, sharding });
-        let (plan, out) = auto.execute(&pts, &polys, &q, &dev);
-        // The override must be respected by the executed plan.
-        match plan.variant {
-            Variant::Bounded => prop_assert_eq!(plan.config, RasterConfig { binning, sharding }),
-            Variant::Accurate => prop_assert_eq!(plan.config.sharding, sharding),
-        }
+        let (plan, out) = AutoRasterJoin::default().execute(&pts, &polys, &q, &dev);
         let direct = run_directly(&plan, &pts, &polys, &q, &dev);
         prop_assert_eq!(&out.counts, &direct.counts);
         for (s, (a, b)) in out.sums.iter().zip(&direct.sums).enumerate() {
@@ -82,7 +68,7 @@ proptest! {
     }
 }
 
-/// Decision regression: the calibrated model's crossover on the
+/// Decision regression: the built-in model's crossover on the
 /// nyc_extent workloads is pinned — coarse ε picks the bounded variant,
 /// sub-decimetre ε picks the accurate one, and the ε sweep flips
 /// monotonically. Small inputs shift the crossover toward Accurate
@@ -92,8 +78,7 @@ fn crossover_pinned_on_nyc_workloads() {
     let polys = synthetic_polygons(10, &nyc_extent(), 3);
     let pts = TaxiModel::default().generate(20_000, 3);
     let dev = Device::default();
-    // Feedback off pins the builtin model for a stable regression.
-    let auto = AutoRasterJoin::default().with_feedback(false);
+    let auto = AutoRasterJoin::default();
     let choice_at = |eps: f64| {
         auto.plan(&pts, &polys, &Query::count().with_epsilon(eps), &dev)
             .choice()
@@ -113,16 +98,7 @@ fn crossover_pinned_on_nyc_workloads() {
     // stays bounded: the PIP-free point pass amortises the canvas.
     let q20 = Query::count().with_epsilon(20.0);
     let wl = Workload::assumed(2_000_000, &polys, &q20);
-    let big = plan_workload(
-        &wl,
-        &q20,
-        &dev,
-        &Calibration::builtin(),
-        4,
-        2048,
-        1024,
-        None,
-    );
+    let big = plan_workload(&wl, &q20, &dev, &Calibration::builtin(), 4, 2048, 1024);
     assert_eq!(
         big.choice(),
         Variant::Bounded,
@@ -130,8 +106,10 @@ fn crossover_pinned_on_nyc_workloads() {
     );
 }
 
-/// Decision regression: multi-tile bounded plans prefer binning (the
-/// PR-1 pipeline's whole point), and the planner reports the layout.
+/// Decision regression: multi-tile bounded plans are costed through the
+/// binner (the PR-1 pipeline's whole point) — survivors staged, the batch
+/// filtered once however many tiles it spans — and the planner reports
+/// the layout.
 #[test]
 fn multi_tile_bounded_plans_bin() {
     let polys = synthetic_polygons(10, &nyc_extent(), 5);
@@ -144,22 +122,17 @@ fn multi_tile_bounded_plans_bin() {
         .best_of(Variant::Bounded)
         .expect("bounded enumerated");
     assert!(best_bounded.shape.tiles > 1, "canvas must tile");
+    let f = features(&best_bounded.plan, &choice.workload, &dev);
     assert!(
-        best_bounded.plan.config.binning,
+        f[W_BIN] > 0.0,
         "the planner must bin multi-tile canvases: {:?}",
         best_bounded.plan
     );
-    // The rescan alternative is costed strictly higher.
-    let rescan = choice
-        .candidates
-        .iter()
-        .find(|c| c.plan.variant == Variant::Bounded && !c.plan.config.binning)
-        .expect("rescan candidate enumerated");
-    assert!(rescan.cost > best_bounded.cost);
+    assert!(f[W_FILTER] <= pts.len() as f64, "no per-tile rescan");
 }
 
 /// The executed plan is auditable: re-running `Plan::execute` reproduces
-/// the auto join's counts, and the decision trace records it.
+/// the auto join's counts, and planning again names the same plan.
 #[test]
 fn executed_plan_is_auditable() {
     let polys = synthetic_polygons(6, &nyc_extent(), 9);
@@ -170,40 +143,5 @@ fn executed_plan_is_auditable() {
     let (plan, out) = auto.execute(&pts, &polys, &q, &dev);
     let replay = plan.execute(&pts, &polys, &q, &dev);
     assert_eq!(out.counts, replay.counts);
-    let trace = auto.decision_trace();
-    assert_eq!(trace.len(), 1);
-    assert_eq!(trace[0].plan, plan);
-    assert!(trace[0].actual > std::time::Duration::ZERO);
-}
-
-/// A serialized calibration survives the disk round trip and drives the
-/// same decisions.
-#[test]
-fn calibration_round_trips_through_disk() {
-    let polys = synthetic_polygons(8, &nyc_extent(), 13);
-    let pts = TaxiModel::default().generate(10_000, 13);
-    let dev = Device::default();
-    let auto = AutoRasterJoin::default();
-    // A few executions give the calibration non-trivial state.
-    for eps in [50.0, 5.0, 0.5] {
-        auto.execute(&pts, &polys, &Query::count().with_epsilon(eps), &dev);
-    }
-    let cal = auto.calibration();
-    assert!(cal.is_calibrated());
-    let path = std::env::temp_dir().join("rjr-planner-cal-test.json");
-    cal.save(&path).expect("save");
-    let loaded = Calibration::load(&path).expect("load");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(loaded.observations, cal.observations);
-
-    let a = AutoRasterJoin::with_calibration(cal);
-    let b = AutoRasterJoin::with_calibration(loaded);
-    for eps in [100.0, 10.0, 1.0] {
-        let q = Query::count().with_epsilon(eps);
-        assert_eq!(
-            a.plan(&pts, &polys, &q, &dev).best().plan,
-            b.plan(&pts, &polys, &q, &dev).best().plan,
-            "decisions must survive the round trip (ε = {eps})"
-        );
-    }
+    assert_eq!(auto.plan(&pts, &polys, &q, &dev).best().plan, plan);
 }

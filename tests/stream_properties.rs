@@ -1,9 +1,10 @@
 //! Streaming equivalence properties: the planner-driven out-of-core
 //! executor (`StreamingRasterJoin`) must produce exactly the results of
 //! the in-memory join it decomposes — counts bit-identical, sums within
-//! the f32 reassociation tolerance documented on `ShardSet` — across
-//! every `RasterConfig`, odd chunk boundaries (chunk sizes that don't
-//! divide the table), empty tables, and predicate + AVG queries; the
+//! the f32 reassociation tolerance documented on `ShardSet` — whichever
+//! `RasterConfig` the in-memory side runs, across odd chunk boundaries
+//! (chunk sizes that don't divide the table), empty tables, and
+//! predicate + AVG queries; the
 //! chunk pool — the one threaded arm, whatever its width — must be a
 //! pure latency optimisation (bitwise-identical to the paper-faithful
 //! blocking reader); and because a streamed scan blends every pixel in
@@ -49,32 +50,43 @@ fn operator(s: &StreamOutput) -> String {
     d[..d.rfind(", workers=").unwrap()].to_string()
 }
 
-/// What a bounded streamed scan must equal bit for bit at any width, arm,
-/// format and chunk size: the in-memory join of the same pipeline config
-/// on one worker, the whole table as one batch (`dev` must hold it).
-fn in_memory_one_worker(
-    s: &StreamOutput,
-    pts: &PointTable,
-    polys: &[Polygon],
-    q: &Query,
-    dev: &Device,
-) -> JoinOutput {
-    let out = BoundedRasterJoin::with_config(1, s.plan.config).execute(pts, polys, q, dev);
-    assert_eq!(out.stats.batches, 1, "the reference must be one batch");
-    out
+fn all_configs() -> [RasterConfig; 4] {
+    [(false, false), (true, false), (false, true), (true, true)]
+        .map(|(binning, sharding)| RasterConfig { binning, sharding })
 }
 
 fn is_bounded(s: &StreamOutput) -> bool {
     s.plan.variant == raster_join_repro::join::Variant::Bounded
 }
 
+/// The in-memory execution of the plan a scan ran, with the executor's
+/// pipeline set to `config`.
+fn in_memory(
+    s: &StreamOutput,
+    config: RasterConfig,
+    pts: &PointTable,
+    polys: &[Polygon],
+    q: &Query,
+    dev: &Device,
+) -> JoinOutput {
+    if is_bounded(s) {
+        let mut exec = s.plan.bounded_executor(s.plan.batch_points);
+        exec.config = config;
+        exec.execute(pts, polys, q, dev)
+    } else {
+        let mut exec = s.plan.accurate_executor(s.plan.batch_points);
+        exec.config = config;
+        exec.execute(pts, polys, q, dev)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Chunked + prefetched execution over a table file equals the
-    /// in-memory execution of the exact plan the stream ran, for all four
-    /// binning × sharding configs, arbitrary (odd) chunk sizes, empty
-    /// tables and predicate + AVG queries.
+    /// in-memory execution of the plan the stream ran under any of the
+    /// four binning × sharding configs, for arbitrary (odd) chunk sizes,
+    /// empty tables and predicate + AVG queries.
     #[test]
     fn streaming_matches_in_memory_under_every_config(
         seed in any::<u64>(),
@@ -102,13 +114,12 @@ proptest! {
 
         let path = tmp(&format!("{seed:x}-{npts}-{chunk}"));
         write_table(&path, &pts).unwrap();
-        let stream = StreamingRasterJoin::new(2)
-            .with_config_override(RasterConfig { binning, sharding })
-            .with_chunk_rows(chunk);
-        let s = stream.execute(&path, &polys, &q, &dev).unwrap();
+        let mk = || StreamingRasterJoin::new(2).with_chunk_rows(chunk);
+        let s = mk().execute(&path, &polys, &q, &dev).unwrap();
 
-        // In-memory reference: the exact plan the stream executed.
-        let reference = s.plan.execute(&pts, &polys, &q, &dev);
+        // In-memory reference: the plan the stream executed.
+        let config = RasterConfig { binning, sharding };
+        let reference = in_memory(&s, config, &pts, &polys, &q, &dev);
         prop_assert_eq!(&s.output.counts, &reference.counts);
         assert_sums_close(&s.output.sums, &reference.sums)?;
         assert_sums_close(
@@ -117,12 +128,7 @@ proptest! {
         )?;
 
         // The blocking (paper-faithful) arm is result-identical in counts.
-        let blocking = StreamingRasterJoin::new(2)
-            .with_config_override(RasterConfig { binning, sharding })
-            .with_chunk_rows(chunk)
-            .blocking()
-            .execute(&path, &polys, &q, &dev)
-            .unwrap();
+        let blocking = mk().blocking().execute(&path, &polys, &q, &dev).unwrap();
         prop_assert_eq!(&blocking.output.counts, &reference.counts);
         assert_sums_close(&blocking.output.sums, &s.output.sums)?;
 
@@ -141,8 +147,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// The chunk-parallel pool is a pure latency optimisation and chunk
-    /// size a pure memory/latency choice. For every pipeline config,
-    /// storage format (v1/v2/v3) and chunk size (odd, one row, larger
+    /// size a pure memory/latency choice. For every in-memory pipeline
+    /// config, storage format (v1/v2/v3) and chunk size (odd, one row, larger
     /// than the table): at each pool width the prefetching pool and the
     /// paper-faithful blocking loop execute the *same* plan and must
     /// agree **bitwise** (counts and f64 sums — every chunk is binned in
@@ -182,14 +188,15 @@ proptest! {
             1 => write_table_compressed_v2(&path, &pts, 1_100).unwrap(),
             _ => write_table_compressed(&path, &pts, 1_100).unwrap(),
         }
+        // What a bounded scan must equal bit for bit at any width, arm,
+        // format and chunk size: the in-memory join on one worker, the
+        // whole table as one batch, whatever its pipeline config.
         let config = RasterConfig { binning, sharding };
+        let one = BoundedRasterJoin::with_config(1, config).execute(&pts, &polys, &q, &dev);
+        prop_assert_eq!(one.stats.batches, 1, "the reference must be one batch");
 
         for chunk in [chunk, 1, npts + 13] {
-            let mk = |w: usize| {
-                StreamingRasterJoin::new(w)
-                    .with_config_override(config)
-                    .with_chunk_rows(chunk)
-            };
+            let mk = |w: usize| StreamingRasterJoin::new(w).with_chunk_rows(chunk);
             let base = mk(1).execute(&path, &polys, &q, &dev).unwrap();
             prop_assert_eq!(base.pool_workers, 1);
             prop_assert_eq!(base.chunk_rows, chunk);
@@ -216,10 +223,9 @@ proptest! {
                 // bit-identical; a bounded scan is bitwise the 1-worker
                 // join (so equal at every chunk size), an accurate one
                 // within the chunk-reassociation tolerance.
-                let reference = pool.plan.execute(&pts, &polys, &q, &dev);
+                let reference = in_memory(&pool, config, &pts, &polys, &q, &dev);
                 prop_assert_eq!(&pool.output.counts, &reference.counts, "width {}", w);
                 if is_bounded(&pool) {
-                    let one = in_memory_one_worker(&pool, &pts, &polys, &q, &dev);
                     prop_assert_eq!(&pool.output.counts, &one.counts, "chunk {} width {}", chunk, w);
                     prop_assert_eq!(&pool.output.sums, &one.sums, "chunk {} width {}", chunk, w);
                 } else {
@@ -231,17 +237,17 @@ proptest! {
     }
 }
 
-/// The pinned determinism matrix: all four `RasterConfig`s × pool widths
-/// {1, 2, 4} × the blocking arm × chunk sizes (odd, one row, larger than
-/// the table), on a one-tile and a 3×3-tile canvas, at a fixed seed.
-/// Pool and blocking agree bitwise at every cell; across widths whenever
-/// the chosen operator agrees; and every bounded cell equals the one
-/// in-memory 1-worker join — so bounded results are the same bits at
-/// every chunk size. The canvases here are sparse (6 000 points over
-/// ≈ 1366² pixels), so with binning on that in-memory join holds its
-/// tiles as pixel runs while the streamed scan blends dense resident
-/// canvases: runs ≡ dense bitwise, and the in-memory runs join itself is
-/// the same bits at widths {1, 2, 4}.
+/// The pinned determinism matrix: pool widths {1, 2, 4} × the blocking
+/// arm × chunk sizes (odd, one row, larger than the table), on a one-tile
+/// and a 3×3-tile canvas, at a fixed seed. Pool and blocking agree
+/// bitwise at every cell; across widths whenever the chosen operator
+/// agrees; and every bounded cell equals the in-memory 1-worker join
+/// under each of the four `RasterConfig`s — so bounded results are the
+/// same bits at every chunk size. The canvases here are sparse (6 000
+/// points over ≈ 1366² pixels), so with binning on that in-memory join
+/// holds its tiles as pixel runs while the streamed scan blends dense
+/// resident canvases: runs ≡ dense bitwise, and the in-memory runs join
+/// itself is the same bits at widths {1, 2, 4}.
 #[test]
 fn worker_matrix_is_deterministic_for_every_config() {
     let extent = nyc_extent();
@@ -261,59 +267,62 @@ fn worker_matrix_is_deterministic_for_every_config() {
             8_000 * PointTable::point_bytes(2),
             max_fbo,
         ));
-        for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
-            let config = RasterConfig { binning, sharding };
-            let in_memory = |w: usize| {
-                BoundedRasterJoin::with_config(w, config).execute(&pts, &polys, &q, &dev)
-            };
-            let one = in_memory(1);
+        // The in-memory 1-worker join under each config.
+        let mut ones = Vec::new();
+        for config in all_configs() {
+            let one = BoundedRasterJoin::with_config(1, config).execute(&pts, &polys, &q, &dev);
+            assert_eq!(one.stats.batches, 1, "the reference must be one batch");
             assert_eq!(
                 one.stats.runs_passes > 0,
-                binning,
+                config.binning,
                 "fbo={max_fbo} {config:?}"
             );
             if one.stats.runs_passes == one.stats.passes {
                 runs_cells += 1;
                 for w in [2, 4] {
-                    let wide = in_memory(w);
+                    let wide =
+                        BoundedRasterJoin::with_config(w, config).execute(&pts, &polys, &q, &dev);
                     assert_eq!(wide.stats.runs_passes, wide.stats.passes);
                     assert_eq!(wide.counts, one.counts, "fbo={max_fbo} {config:?} w={w}");
                     assert_eq!(wide.sums, one.sums, "fbo={max_fbo} {config:?} w={w}");
                 }
             }
-            for chunk in [997usize, 1, 6_500] {
-                let ctx = format!("fbo={max_fbo} {config:?} chunk={chunk}");
-                let run = |w: usize, blocking: bool| {
-                    let mut s = StreamingRasterJoin::new(w)
-                        .with_config_override(config)
-                        .with_chunk_rows(chunk);
-                    if blocking {
-                        s = s.blocking();
-                    }
-                    s.execute(&path, &polys, &q, &dev).unwrap()
-                };
-                let base = run(1, false);
-                assert_eq!(base.pool_workers, 1, "{ctx}");
-                for w in [1usize, 2, 4] {
-                    let pool = run(w, false);
-                    let blocking = run(w, true);
-                    // Same width ⇒ same plan; pool vs blocking is pure
-                    // execution strategy and must agree bitwise.
-                    assert_eq!(operator(&pool), operator(&blocking), "{ctx} w={w}");
-                    assert_eq!(pool.output.counts, blocking.output.counts, "{ctx} w={w}");
-                    assert_eq!(pool.output.sums, blocking.output.sums, "{ctx} w={w}");
-                    assert_eq!(pool.chunks, blocking.chunks);
-                    // Cross-width: bitwise whenever the planner kept the
-                    // operator.
-                    if operator(&pool) == operator(&base) {
-                        assert_eq!(pool.output.counts, base.output.counts, "{ctx} w={w}");
-                        assert_eq!(pool.output.sums, base.output.sums, "{ctx} w={w}");
-                    }
-                    if is_bounded(&pool) {
-                        bounded_cells += 1;
-                        let one = in_memory_one_worker(&pool, &pts, &polys, &q, &dev);
-                        assert_eq!(pool.output.counts, one.counts, "{ctx} w={w}");
-                        assert_eq!(pool.output.sums, one.sums, "{ctx} w={w}: bitwise sums");
+            ones.push((config, one));
+        }
+        for chunk in [997usize, 1, 6_500] {
+            let ctx = format!("fbo={max_fbo} chunk={chunk}");
+            let run = |w: usize, blocking: bool| {
+                let mut s = StreamingRasterJoin::new(w).with_chunk_rows(chunk);
+                if blocking {
+                    s = s.blocking();
+                }
+                s.execute(&path, &polys, &q, &dev).unwrap()
+            };
+            let base = run(1, false);
+            assert_eq!(base.pool_workers, 1, "{ctx}");
+            for w in [1usize, 2, 4] {
+                let pool = run(w, false);
+                let blocking = run(w, true);
+                // Same width ⇒ same plan; pool vs blocking is pure
+                // execution strategy and must agree bitwise.
+                assert_eq!(operator(&pool), operator(&blocking), "{ctx} w={w}");
+                assert_eq!(pool.output.counts, blocking.output.counts, "{ctx} w={w}");
+                assert_eq!(pool.output.sums, blocking.output.sums, "{ctx} w={w}");
+                assert_eq!(pool.chunks, blocking.chunks);
+                // Cross-width: bitwise whenever the planner kept the
+                // operator.
+                if operator(&pool) == operator(&base) {
+                    assert_eq!(pool.output.counts, base.output.counts, "{ctx} w={w}");
+                    assert_eq!(pool.output.sums, base.output.sums, "{ctx} w={w}");
+                }
+                if is_bounded(&pool) {
+                    bounded_cells += 1;
+                    for (config, one) in &ones {
+                        assert_eq!(pool.output.counts, one.counts, "{ctx} w={w} {config:?}");
+                        assert_eq!(
+                            pool.output.sums, one.sums,
+                            "{ctx} w={w} {config:?}: bitwise sums"
+                        );
                     }
                 }
             }
@@ -328,11 +337,11 @@ fn worker_matrix_is_deterministic_for_every_config() {
 }
 
 /// The compressed (v2) table must stream to *exactly* the raw (v1)
-/// table's results under every pipeline config: the planner picks the
-/// same chunk size for both files, the reader re-slices stored blocks to
-/// that delivery size, and decode is bit-exact — so not only counts but
-/// the f32 sum folds are identical, and both match the in-memory
-/// execution of the same plan.
+/// table's results: the planner picks the same chunk size for both
+/// files, the reader re-slices stored blocks to that delivery size, and
+/// decode is bit-exact — so not only counts but the f32 sum folds are
+/// identical, and both match the in-memory execution of the same plan
+/// under every pipeline config.
 #[test]
 fn compressed_streaming_matches_raw_and_in_memory_for_all_configs() {
     let extent = nyc_extent();
@@ -355,32 +364,25 @@ fn compressed_streaming_matches_raw_and_in_memory_for_all_configs() {
     // chunks the device budget implies, exercising the re-slicing path.
     write_table_compressed(&z_path, &pts, 1_700).unwrap();
 
-    for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
-        let config = RasterConfig { binning, sharding };
-        // One worker: multi-worker sharded accumulation reassociates the
-        // f32 folds nondeterministically run-to-run (orthogonal to
-        // compression), and this test asserts *bitwise* sum equality.
-        let exec = |p: &std::path::Path| {
-            StreamingRasterJoin::new(1)
-                .with_config_override(config)
-                .execute(p, &polys, &q, &dev)
-                .unwrap()
-        };
-        let raw = exec(&raw_path);
-        let z = exec(&z_path);
-        assert_eq!(z.chunk_rows, raw.chunk_rows, "{config:?}");
-        assert_eq!(z.rows, raw.rows);
-        assert!(
-            z.read_bytes < raw.read_bytes,
-            "{config:?}: compressed scan must read fewer bytes ({} vs {})",
-            z.read_bytes,
-            raw.read_bytes
-        );
-        assert_eq!(z.output.counts, raw.output.counts, "{config:?}");
-        // Bit-exact decode + identical chunking ⇒ identical fold order.
-        assert_eq!(z.output.sums, raw.output.sums, "{config:?}");
+    let [raw, z] = [&raw_path, &z_path].map(|p| {
+        StreamingRasterJoin::new(1)
+            .execute(p, &polys, &q, &dev)
+            .unwrap()
+    });
+    assert_eq!(z.chunk_rows, raw.chunk_rows);
+    assert_eq!(z.rows, raw.rows);
+    assert!(
+        z.read_bytes < raw.read_bytes,
+        "compressed scan must read fewer bytes ({} vs {})",
+        z.read_bytes,
+        raw.read_bytes
+    );
+    assert_eq!(z.output.counts, raw.output.counts);
+    // Bit-exact decode + identical chunking ⇒ identical fold order.
+    assert_eq!(z.output.sums, raw.output.sums);
 
-        let reference = raw.plan.execute(&pts, &polys, &q, &dev);
+    for config in all_configs() {
+        let reference = in_memory(&raw, config, &pts, &polys, &q, &dev);
         assert_eq!(raw.output.counts, reference.counts, "{config:?}");
         for (i, (g, w)) in z
             .output
@@ -400,7 +402,7 @@ fn compressed_streaming_matches_raw_and_in_memory_for_all_configs() {
 }
 
 /// Projection pushdown must be invisible in results across the whole
-/// matrix: pruned scan ≡ full scan ≡ in-memory for all four
+/// matrix: pruned scan ≡ full scan ≡ in-memory under all four
 /// `RasterConfig`s, over v1 (raw), v2 (legacy compressed, full-block
 /// fallback) and v3 (per-column directory) files, at an odd chunk size,
 /// with a query whose predicate column is *not* its aggregate column.
@@ -433,43 +435,41 @@ fn pruned_scan_equals_full_scan_and_in_memory_for_all_configs_and_formats() {
     write_table_compressed(&v3, &pts, 1_300).unwrap();
 
     for (path, fmt) in [(&v1, "v1"), (&v2, "v2"), (&v3, "v3")] {
-        for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
-            let config = RasterConfig { binning, sharding };
-            let exec = |prune: bool| {
-                StreamingRasterJoin::new(1)
-                    .with_config_override(config)
-                    .with_chunk_rows(997)
-                    .with_column_pruning(prune)
-                    .execute(path, &polys, &q, &dev)
-                    .unwrap()
-            };
-            let pruned = exec(true);
-            let full = exec(false);
-            assert_eq!(pruned.rows, 9_000, "{fmt} {config:?}");
-            assert_eq!(pruned.output.counts, full.output.counts, "{fmt} {config:?}");
-            assert_eq!(
-                pruned.output.sums, full.output.sums,
-                "{fmt} {config:?}: sums must be bitwise equal"
+        let exec = |prune: bool| {
+            StreamingRasterJoin::new(1)
+                .with_chunk_rows(997)
+                .with_column_pruning(prune)
+                .execute(path, &polys, &q, &dev)
+                .unwrap()
+        };
+        let pruned = exec(true);
+        let full = exec(false);
+        assert_eq!(pruned.rows, 9_000, "{fmt}");
+        assert_eq!(pruned.output.counts, full.output.counts, "{fmt}");
+        assert_eq!(
+            pruned.output.sums, full.output.sums,
+            "{fmt}: sums must be bitwise equal"
+        );
+        // v1 and v3 prune bytes off the wire; v2 can only skip decode.
+        if fmt == "v2" {
+            assert_eq!(pruned.read_bytes, full.read_bytes, "{fmt}");
+        } else {
+            assert!(
+                pruned.read_bytes < full.read_bytes,
+                "{fmt}: {} vs {}",
+                pruned.read_bytes,
+                full.read_bytes
             );
-            // v1 and v3 prune bytes off the wire; v2 can only skip decode.
-            if fmt == "v2" {
-                assert_eq!(pruned.read_bytes, full.read_bytes, "{fmt} {config:?}");
-            } else {
-                assert!(
-                    pruned.read_bytes < full.read_bytes,
-                    "{fmt} {config:?}: {} vs {}",
-                    pruned.read_bytes,
-                    full.read_bytes
-                );
-            }
-            // In-memory reference: the exact plan the stream executed,
-            // over the unprojected table with the original query. Counts
+        }
+        for config in all_configs() {
+            // In-memory reference: the plan the stream executed, over the
+            // unprojected table with the original query. Counts
             // bit-identical; sums within the f64 chunk-reassociation
             // tolerance (the chunk loop folds per-chunk partial sums in a
             // different order than the one-shot in-memory batch — the
             // *bitwise* guarantee is pruned ≡ full above, which share the
             // chunking).
-            let reference = pruned.plan.execute(&pts, &polys, &q, &dev);
+            let reference = in_memory(&pruned, config, &pts, &polys, &q, &dev);
             assert_eq!(pruned.output.counts, reference.counts, "{fmt} {config:?}");
             for (i, (g, w)) in pruned.output.sums.iter().zip(&reference.sums).enumerate() {
                 assert!(
