@@ -12,6 +12,8 @@
 //! * [`clip`] — Cohen–Sutherland segment clipping and Sutherland–Hodgman
 //!   polygon clipping (used for the expected result-range estimation of §5);
 //! * [`hausdorff`] — the Hausdorff distance underlying the ε-bound of §4.2;
+//! * [`slab`] — a y-slab edge index answering [`point_in_polygon`] from the
+//!   few edges beside the point instead of the whole ring;
 //! * [`voronoi`] — the constrained-Voronoi polygon generator of §7.4,
 //!   including merging of adjacent cells into concave polygons.
 
@@ -24,6 +26,7 @@ pub mod point;
 pub mod polygon;
 pub mod predicates;
 pub mod proj;
+pub mod slab;
 pub mod triangulate;
 pub mod validate;
 pub mod voronoi;
@@ -32,4 +35,5 @@ pub use bbox::BBox;
 pub use point::Point;
 pub use polygon::{Polygon, Ring};
 pub use predicates::{orient2d, point_in_polygon, segments_intersect, Orientation};
+pub use slab::SlabIndex;
 pub use triangulate::{triangulate_polygon, Triangle};

@@ -89,17 +89,22 @@ pub fn point_in_ring(ring: &[Point], p: Point) -> bool {
     let mut inside = false;
     let mut j = n - 1;
     for i in 0..n {
-        let pi = ring[i];
-        let pj = ring[j];
-        if (pi.y > p.y) != (pj.y > p.y) {
-            let x_at = pi.x + (p.y - pi.y) / (pj.y - pi.y) * (pj.x - pi.x);
-            if p.x < x_at {
-                inside = !inside;
-            }
-        }
+        inside ^= ray_crosses(ring[i], ring[j], p);
         j = i;
     }
     inside
+}
+
+/// The crossing rule of [`point_in_ring`] for one directed edge `pi`–`pj`:
+/// does the ray from `p` towards +x cross it? False for every edge that
+/// does not span `p.y` (`pi.y <= p.y < pj.y` or the mirror), which is what
+/// lets [`crate::slab::SlabIndex`] skip such edges unseen.
+#[inline]
+pub(crate) fn ray_crosses(pi: Point, pj: Point, p: Point) -> bool {
+    (pi.y > p.y) != (pj.y > p.y) && {
+        let x_at = pi.x + (p.y - pi.y) / (pj.y - pi.y) * (pj.x - pi.x);
+        p.x < x_at
+    }
 }
 
 /// Point-in-polygon test honouring holes: inside the outer ring and inside an

@@ -219,6 +219,58 @@ impl BinnedBatch {
     }
 }
 
+/// `(pixel, value)` entries for one canvas, bucketed by **row band** —
+/// band `b` holds the entries of pixel rows `b << shift .. (b + 1) <<
+/// shift` — in push order within each band. What one worker stages from
+/// its share of a row block: [`crate::PointFbo::blend_bands`] blends
+/// several of these, each band by one thread, so a pixel takes its
+/// entries in push order whatever the thread count. The buffers keep
+/// their capacity across [`BandedEntries::clear`].
+pub struct BandedEntries {
+    /// Linear pixel index (`y * width + x`) per entry, per band.
+    idx: Vec<Vec<u32>>,
+    /// Attribute value per entry, per band; `None` for COUNT-only queries.
+    values: Option<Vec<Vec<f32>>>,
+}
+
+impl BandedEntries {
+    pub fn new(bands: usize, with_values: bool) -> Self {
+        BandedEntries {
+            idx: vec![Vec::new(); bands],
+            values: with_values.then(|| vec![Vec::new(); bands]),
+        }
+    }
+
+    pub fn clear(&mut self) {
+        self.idx.iter_mut().for_each(Vec::clear);
+        self.values.iter_mut().flatten().for_each(Vec::clear);
+    }
+
+    #[inline]
+    pub fn push(&mut self, band: usize, pix: u32, value: f32) {
+        self.idx[band].push(pix);
+        if let Some(values) = &mut self.values {
+            values[band].push(value);
+        }
+    }
+
+    pub fn bands(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Pixel indices and (if aggregated) values of one band.
+    pub fn band(&self, b: usize) -> (&[u32], Option<&[f32]>) {
+        (&self.idx[b], self.values.as_ref().map(|v| &v[b][..]))
+    }
+
+    /// One band covering the whole canvas is one tile's batch.
+    pub fn into_single_tile(mut self) -> BinnedBatch {
+        assert_eq!(self.idx.len(), 1, "a one-band staging buffer");
+        let values = self.values.map_or_else(Vec::new, |mut v| v.swap_remove(0));
+        BinnedBatch::single_tile(self.idx.swap_remove(0), values)
+    }
+}
+
 /// Per-worker accumulation buffers: one (idx, values) pair per tile,
 /// tagged with the worker's range start for deterministic ordering.
 struct LocalBins {

@@ -52,6 +52,32 @@ where
     .expect("worker thread panicked");
 }
 
+/// [`parallel_ranges`] with a private `&mut` state per worker:
+/// `f(&mut states[w], start, end)` on the `w`-th of `states.len()`
+/// contiguous chunks of `0..len`, every state exactly once (an idle one
+/// with an empty range). Chunk order is state order, so what the workers
+/// stage concatenates back in item order.
+pub fn parallel_ranges_with<S, F>(len: usize, states: &mut [S], f: F)
+where
+    S: Send,
+    F: Fn(&mut S, usize, usize) + Sync,
+{
+    let chunk = len.div_ceil(states.len().max(1));
+    crossbeam::thread::scope(|s| {
+        for (w, state) in states.iter_mut().enumerate() {
+            let (start, end) = ((w * chunk).min(len), ((w + 1) * chunk).min(len));
+            let f = &f;
+            // No thread for an empty range, nor when one chunk is all.
+            if start == end || chunk == len {
+                f(state, start, end);
+            } else {
+                s.spawn(move |_| f(state, start, end));
+            }
+        }
+    })
+    .expect("worker thread panicked");
+}
+
 /// Accumulate the wall-clock time of one pipeline stage into `acc` and
 /// return the stage's result. Each executor attributes its processing
 /// time to the stage that spent it (point blend, polygon scan, binning,
@@ -135,6 +161,22 @@ mod tests {
             sum.fetch_add((e - s) as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn parallel_ranges_with_hands_each_state_its_chunk_in_order() {
+        for (len, workers) in [(0, 3), (1, 4), (10, 1), (10, 3), (10, 4), (1_000, 7)] {
+            let mut seen: Vec<Vec<usize>> = vec![Vec::new(); workers];
+            parallel_ranges_with(len, &mut seen, |mine, s, e| {
+                assert!(mine.is_empty(), "one call per state");
+                mine.extend(s..e);
+                mine.push(usize::MAX);
+            });
+            assert!(seen.iter().all(|v| v.last() == Some(&usize::MAX)));
+            let flat: Vec<usize> = seen.concat();
+            let items: Vec<usize> = flat.into_iter().filter(|&i| i != usize::MAX).collect();
+            assert_eq!(items, (0..len).collect::<Vec<_>>(), "{len} over {workers}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `AtomicU32` cells (counts) and CAS loops over f32 bit patterns (sums) —
 //! exactly the 32-bit-per-channel layout of the hardware (§3).
 
+use crate::bin::BandedEntries;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Allocate `n` zeroed atomics via the `vec![0u32; n]` calloc fast path —
@@ -102,20 +103,57 @@ impl PointFbo {
     /// given. Bitwise-equal to calling [`PointFbo::blend_add_idx`] per
     /// entry from one thread.
     pub fn blend_in_order(&mut self, idx: &[u32], values: Option<&[f32]>) {
-        match values {
-            Some(values) => {
-                for (&pix, &v) in idx.iter().zip(values) {
-                    *self.counts[pix as usize].get_mut() += 1;
-                    let cell = self.sums[pix as usize].get_mut();
-                    *cell = (f32::from_bits(*cell) + v).to_bits();
-                }
+        blend_owned(&mut self.counts, &mut self.sums, 0, idx, values);
+    }
+
+    /// [`PointFbo::blend_in_order`] of several staged parts on `workers`
+    /// threads: the canvas is cut into bands of `1 << band_shift` pixel
+    /// rows — the bands of [`BandedEntries`] — and each band is blended
+    /// by whichever one thread takes it off the queue, part after part in
+    /// slice order, with plain adds on the rows it then owns. No pixel is
+    /// shared, so there is no atomic read-modify-write, and every pixel's
+    /// f32 sum accumulates in part-then-entry order: bitwise what one
+    /// thread calling `blend_in_order` per part gives, at any `workers`.
+    pub fn blend_bands(&mut self, band_shift: u32, parts: &[&BandedEntries], workers: usize) {
+        let band_px = ((self.width as usize) << band_shift).max(1);
+        let nbands = self.counts.len().div_ceil(band_px);
+        assert!(
+            parts.iter().all(|p| p.bands() == nbands),
+            "entries staged for another banding"
+        );
+        let busy = (0..nbands)
+            .filter(|&b| parts.iter().any(|p| !p.band(b).0.is_empty()))
+            .count();
+        let bands = self
+            .counts
+            .chunks_mut(band_px)
+            .zip(self.sums.chunks_mut(band_px))
+            .enumerate();
+        let blend = |(b, (counts, sums)): (usize, (&mut [AtomicU32], &mut [AtomicU32]))| {
+            for part in parts {
+                let (idx, values) = part.band(b);
+                blend_owned(counts, sums, (b * band_px) as u32, idx, values);
             }
-            None => {
-                for &pix in idx {
-                    *self.counts[pix as usize].get_mut() += 1;
-                }
-            }
+        };
+        let workers = workers.min(busy);
+        if workers <= 1 {
+            bands.for_each(blend);
+            return;
         }
+        let queue = parking_lot::Mutex::new(bands);
+        crossbeam::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|_| loop {
+                    // The guard drops before the band is blended.
+                    let next = queue.lock().next();
+                    match next {
+                        Some(band) => blend(band),
+                        None => break,
+                    }
+                });
+            }
+        })
+        .expect("band blend worker panicked");
     }
 
     /// Count channel of one pixel.
@@ -186,11 +224,19 @@ impl PointFbo {
 
     /// Clear all channels (reusing the allocation across render passes).
     pub fn clear(&mut self) {
+        self.write_zeros(true);
+    }
+
+    /// Store zero to every cell of the count plane and, with `sums`, of
+    /// the sum plane, front to back.
+    fn write_zeros(&mut self, sums: bool) {
         for c in &mut self.counts {
             *c.get_mut() = 0;
         }
-        for s in &mut self.sums {
-            *s.get_mut() = 0f32.to_bits();
+        if sums {
+            for s in &mut self.sums {
+                *s.get_mut() = 0f32.to_bits();
+            }
         }
     }
 
@@ -205,6 +251,32 @@ impl PointFbo {
     /// GPU memory footprint of this FBO in bytes (2 × 32-bit channels).
     pub fn byte_size(&self) -> usize {
         self.counts.len() * 8
+    }
+}
+
+/// Blend entries, in slice order, into pixel cells the caller holds
+/// exclusively: `counts` / `sums` start at linear pixel index `base`.
+fn blend_owned(
+    counts: &mut [AtomicU32],
+    sums: &mut [AtomicU32],
+    base: u32,
+    idx: &[u32],
+    values: Option<&[f32]>,
+) {
+    match values {
+        Some(values) => {
+            for (&pix, &v) in idx.iter().zip(values) {
+                let i = (pix - base) as usize;
+                *counts[i].get_mut() += 1;
+                let cell = sums[i].get_mut();
+                *cell = (f32::from_bits(*cell) + v).to_bits();
+            }
+        }
+        None => {
+            for &pix in idx {
+                *counts[(pix - base) as usize].get_mut() += 1;
+            }
+        }
     }
 }
 
@@ -415,19 +487,37 @@ impl FboPool {
     /// A cleared `width × height` FBO, recycled when a matching one was
     /// released, freshly allocated otherwise.
     pub fn acquire(&self, width: u32, height: u32) -> PointFbo {
+        self.recycle(width, height)
+            .unwrap_or_else(|| PointFbo::new(width, height))
+    }
+
+    /// [`FboPool::acquire`] for a pass whose blend is spread over threads
+    /// ([`PointFbo::blend_bands`]). A fresh canvas is lazily zeroed
+    /// memory, and threads faulting its pages in at random as they blend
+    /// took about five times as long as one front-to-back write of the
+    /// planes (32 MB, two workers; equal at one). So a fresh canvas gets
+    /// that write here — the count plane, and the sum plane with `sums` —
+    /// which is what `clear` gives a recycled one anyway.
+    pub fn acquire_touched(&self, width: u32, height: u32, sums: bool) -> PointFbo {
+        self.recycle(width, height).unwrap_or_else(|| {
+            let mut fbo = PointFbo::new(width, height);
+            fbo.write_zeros(sums);
+            fbo
+        })
+    }
+
+    /// Check a released canvas of this shape out of the free list and
+    /// clear it; count the acquisition either way.
+    fn recycle(&self, width: u32, height: u32) -> Option<PointFbo> {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
         let mut free = self.fbos.lock();
-        if let Some(pos) = free
+        let pos = free
             .iter()
-            .position(|f| f.width == width && f.height == height)
-        {
-            let mut fbo = free.swap_remove(pos);
-            drop(free);
-            fbo.clear();
-            return fbo;
-        }
+            .position(|f| f.width == width && f.height == height)?;
+        let mut fbo = free.swap_remove(pos);
         drop(free);
-        PointFbo::new(width, height)
+        fbo.clear();
+        Some(fbo)
     }
 
     pub fn release(&self, fbo: PointFbo) {
@@ -803,6 +893,91 @@ mod tests {
         assert_eq!(canvases.tile(0).count_at(0, 0), 2);
         drop(canvases);
         assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// Band-owned blending is `blend_in_order` part by part: every pixel
+    /// bitwise, at any thread count, on a canvas whose last band is short,
+    /// with f32 values whose sum depends on the order they are added in.
+    #[test]
+    fn blend_bands_is_blend_in_order_at_any_width() {
+        let (w, h, shift) = (37u32, 21u32, 2u32);
+        let bands = (h as usize).div_ceil(1 << shift);
+        // Three parts (workers' shares of a block) that all hit the same
+        // few pixels with values of very different magnitude.
+        let mut parts: Vec<BandedEntries> =
+            (0..3).map(|_| BandedEntries::new(bands, true)).collect();
+        let mut flat: Vec<(Vec<u32>, Vec<f32>)> = vec![Default::default(); 3];
+        let mut state = 0x9E37_79B9u32;
+        for k in 0..6_000 {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let (x, y) = ((state >> 8) % 5 * 9 % w, (state >> 16) % h);
+            let v = [1e-3f32, 1.0, 3.3e4, 7.7e-2][k % 4] * (1 + k % 7) as f32;
+            let part = k * 3 / 6_000;
+            parts[part].push((y >> shift) as usize, y * w + x, v);
+            flat[part].0.push(y * w + x);
+            flat[part].1.push(v);
+        }
+        let mut want = PointFbo::new(w, h);
+        for (idx, values) in &flat {
+            want.blend_in_order(idx, Some(values));
+        }
+        let refs: Vec<&BandedEntries> = parts.iter().collect();
+        for workers in [1, 2, 3, 8] {
+            let mut got = PointFbo::new(w, h);
+            got.blend_bands(shift, &refs, workers);
+            for y in 0..h {
+                for x in 0..w {
+                    assert_eq!(got.count_at(x, y), want.count_at(x, y));
+                    assert_eq!(
+                        got.sum_at(x, y).to_bits(),
+                        want.sum_at(x, y).to_bits(),
+                        "({x}, {y}) at {workers} workers"
+                    );
+                }
+            }
+        }
+        assert_eq!(want.total_count(), 6_000);
+
+        // COUNT-only parts carry no values; a one-band part is one tile.
+        let mut counts = BandedEntries::new(bands, false);
+        counts.push(0, 5, 9.0);
+        counts.push(bands - 1, (h - 1) * w, 9.0);
+        let mut got = PointFbo::new(w, h);
+        got.blend_bands(shift, &[&counts], 2);
+        assert_eq!((got.count_at(5, 0), got.count_at(0, h - 1)), (1, 1));
+        assert_eq!(got.sum_at(5, 0), 0.0);
+        counts.clear();
+        assert!((0..bands).all(|b| counts.band(b).0.is_empty()));
+        let mut one = BandedEntries::new(1, true);
+        one.push(0, 7, 2.5);
+        let batch = one.into_single_tile();
+        assert_eq!(batch.tile(0), (&[7u32][..], Some(&[2.5f32][..])));
+    }
+
+    #[test]
+    #[should_panic(expected = "another banding")]
+    fn blend_bands_rejects_entries_of_another_banding() {
+        let part = BandedEntries::new(3, false);
+        PointFbo::new(8, 8).blend_bands(1, &[&part], 1);
+    }
+
+    #[test]
+    fn acquire_touched_hands_out_zeroed_canvases_fresh_or_recycled() {
+        let pool = FboPool::new();
+        for sums in [false, true] {
+            let fresh = pool.acquire_touched(16, 8, sums);
+            assert_eq!(pool.outstanding(), 1);
+            assert_eq!(fresh.total_count(), 0);
+            fresh.blend_add(3, 2, 4.5);
+            pool.release(fresh);
+            // Recycled: both planes cleared whatever the next query needs.
+            let again = pool.acquire_touched(16, 8, false);
+            assert_eq!((again.count_at(3, 2), again.sum_at(3, 2)), (0, 0.0));
+            pool.release(again);
+            assert_eq!(pool.outstanding(), 0);
+            // Drain the free list so the next round starts fresh.
+            drop(pool.fbos.lock().pop());
+        }
     }
 
     #[test]

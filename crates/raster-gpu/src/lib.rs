@@ -38,7 +38,8 @@ pub mod ssbo;
 pub mod viewport;
 
 pub use bin::{
-    bin_points, BinnedBatch, CanvasTiling, RasterConfig, RUNS_MAX_DENSITY, SHARD_MIN_DENSITY,
+    bin_points, BandedEntries, BinnedBatch, CanvasTiling, RasterConfig, RUNS_MAX_DENSITY,
+    SHARD_MIN_DENSITY,
 };
 pub use device::{Device, DeviceConfig, TransferStats};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};

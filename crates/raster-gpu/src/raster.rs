@@ -443,10 +443,17 @@ pub fn rasterize_segment_conservative<F: FnMut(u32, u32)>(
         f64::INFINITY
     };
 
-    let max_steps = (width as i64 + height as i64 + 4) * 2;
-    let mut steps = 0i64;
-    while (cx != tx_end || cy != ty_end) && steps < max_steps {
-        if (t_max_x - t_max_y).abs() < 1e-15 {
+    // The walk is a staircase of unit steps from the start cell to the end
+    // cell, so it is over when both axes have used theirs up. An axis
+    // with none left is never stepped: a segment that ends exactly on a
+    // cell corner it approaches diagonally reaches its end row (or
+    // column) one step early, and comparing crossing parameters there —
+    // tied, or apart by rounding — would step past the end cell and walk
+    // on to the grid edge.
+    let mut left_x = (tx_end - cx).abs();
+    let mut left_y = (ty_end - cy).abs();
+    while left_x > 0 || left_y > 0 {
+        if left_x > 0 && left_y > 0 && (t_max_x - t_max_y).abs() < 1e-15 {
             // Passing exactly through a pixel corner: conservatively mark
             // both side-adjacent cells too.
             emit_cell(cx + step_x, cy, &mut emit);
@@ -455,15 +462,18 @@ pub fn rasterize_segment_conservative<F: FnMut(u32, u32)>(
             cy += step_y;
             t_max_x += t_delta_x;
             t_max_y += t_delta_y;
-        } else if t_max_x < t_max_y {
+            left_x -= 1;
+            left_y -= 1;
+        } else if left_y == 0 || (left_x > 0 && t_max_x < t_max_y) {
             cx += step_x;
             t_max_x += t_delta_x;
+            left_x -= 1;
         } else {
             cy += step_y;
             t_max_y += t_delta_y;
+            left_y -= 1;
         }
         emit_cell(cx, cy, &mut emit);
-        steps += 1;
     }
 }
 
@@ -880,6 +890,40 @@ mod tests {
         let s = collect_seg((3.2, 0.1), (3.9, 7.9), 8, 8);
         let rows: HashSet<u32> = s.iter().map(|&(_, y)| y).collect();
         assert_eq!(rows.len(), 8);
+    }
+
+    /// A segment ending exactly on a cell corner it comes at diagonally
+    /// stops in its end cell. (The walk used to step past it — tied
+    /// crossing parameters sent it to the cell diagonally across the
+    /// corner — and then on to the grid edge.)
+    #[test]
+    fn segment_ending_on_a_corner_stops_there() {
+        // Every cell emitted touches the segment, however it comes at the
+        // corner (2, 1) or (768, 206); walking on would not.
+        let cases = [
+            ((0.5, 1.8), (2.0, 1.0), 16, 16),
+            ((3.5, 0.2), (2.0, 1.0), 16, 16),
+            ((0.5, 0.2), (2.0, 1.0), 16, 16),
+            ((3.5, 1.8), (2.0, 1.0), 16, 16),
+            ((2.0, 1.0), (0.5, 1.8), 16, 16),
+            ((921.6, 51.5), (768.0, 206.0), 1024, 515),
+            ((614.4, 51.5), (768.0, 206.0), 1024, 515),
+        ];
+        for (a, b, w, h) in cases {
+            let cells = collect_seg(a, b, w, h);
+            for &(x, y) in &cells {
+                assert!(
+                    segment_touches_pixel(a, b, x, y),
+                    "{a:?}-{b:?} emits ({x}, {y})"
+                );
+            }
+            let end = (b.0.floor() as u32, b.1.floor() as u32);
+            assert!(cells.contains(&end), "{a:?}-{b:?} misses its end cell");
+        }
+        assert_eq!(
+            collect_seg((0.5, 1.8), (2.0, 1.0), 16, 16),
+            HashSet::from([(0, 1), (1, 1), (2, 1)])
+        );
     }
 
     fn collect_spans(tri: ScreenTri, w: u32, h: u32) -> HashSet<(u32, u32)> {

@@ -65,9 +65,8 @@ fn cell_spans(poly: &Polygon, extent: &BBox, nx: u32, ny: u32, mode: AssignMode)
     let mut mask = vec![0u8; bw * (cy1 - cy0 + 1) as usize];
 
     // Boundary cells: supercover traversal of every edge in grid
-    // coordinates. (The traversal can overshoot a segment that ends on a
-    // cell corner and walk on past the box; no cell out there intersects
-    // the polygon.)
+    // coordinates. (The box test only clips edges that leave the grid's
+    // clamped cell box; the traversal stays on the cells an edge touches.)
     let edges = poly.all_edges();
     let to_grid = |p: Point| ((p.x - extent.min.x) / cw, (p.y - extent.min.y) / ch);
     for &(ea, eb) in &edges {
@@ -414,10 +413,10 @@ mod tests {
                 }
             }
         }
-        // The one intended difference: where the traversal overshoots a
-        // segment that ends on a cell corner it walks on past the
-        // polygon's cell box (`polys()[2]` on the 1024 grid does); those
-        // cells cannot intersect the polygon and are not assigned.
+        // The traversal stays inside the polygon's cell box. (It used to
+        // walk on past it from a segment ending on a cell corner, as
+        // `polys()[2]`'s apex does on the 1024 grid; counted so that a
+        // return of the overshoot fails the test below.)
         let all = cells.len();
         cells.retain(|&(x, y)| (cx0..=cx1).contains(&x) && (cy0..=cy1).contains(&y));
         let overshoot = all - cells.len();
@@ -513,7 +512,35 @@ mod tests {
                 }
             }
         }
-        assert!(overshoot > 0, "the overshoot case is still covered");
+        assert_eq!(overshoot, 0, "an edge traversal left its polygon's box");
+    }
+
+    /// The corner-ending segment that used to overshoot: the right edge
+    /// of `polys()[2]` ends on the cell corner (768, 206) of the
+    /// 1024 × 515 grid, coming down-left at it.
+    #[test]
+    fn an_edge_ending_on_a_cell_corner_stays_in_the_cell_box() {
+        let tri = &polys()[2];
+        let (nx, ny) = (1024u32, 515u32);
+        let (cw, ch) = (100.0 / nx as f64, 100.0 / ny as f64);
+        let to_grid = |p: Point| (p.x / cw, p.y / ch);
+        let (a, b) = (Point::new(90.0, 10.0), Point::new(75.0, 40.0));
+        assert_eq!(to_grid(b), (768.0, 206.0));
+        let mut cells = Vec::new();
+        rasterize_segment_conservative(to_grid(a), to_grid(b), nx, ny, |x, y| cells.push((x, y)));
+        assert!(cells.contains(&(768, 206)));
+        assert!(
+            cells
+                .iter()
+                .all(|&(x, y)| (768..=921).contains(&x) && (51..=206).contains(&y)),
+            "walked out of the edge's own cell box"
+        );
+        // And the index lists the triangle in exactly its box's cells.
+        let spans = cell_spans(tri, &extent(), nx, ny, AssignMode::Exact);
+        let (want, past_box) = reference_cells(tri, &extent(), nx, ny, AssignMode::Exact);
+        assert_eq!(past_box, 0);
+        let got: usize = spans.iter().map(|&(_, len)| len as usize).sum();
+        assert_eq!(got, want.len());
     }
 
     #[test]

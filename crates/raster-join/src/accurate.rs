@@ -6,19 +6,19 @@
 //! 1. **Draw outlines** — every polygon boundary segment is rendered with
 //!    conservative rasterization into a boundary FBO, so every pixel that
 //!    is even partially crossed by an outline is marked.
-//! 2. **Draw points** (Procedure AccuratePoints) — points landing on
-//!    boundary pixels are resolved exactly via the grid index + PIP
-//!    (Procedure JoinPoint); all other points blend into the point FBO as
-//!    in the bounded variant.
+//! 2. **Draw points** (Procedure AccuratePoints, `point_pass.rs`) — points
+//!    landing on boundary pixels are resolved exactly via the grid index +
+//!    PIP (Procedure JoinPoint, the PIP through a y-slab edge index);
+//!    all other points blend into the point FBO, each canvas row band by
+//!    the one thread that owns it.
 //! 3. **Draw polygons** (Procedure AccuratePolygons) — the bounded
 //!    variant's polygon pass (`polygon_pass.rs`) over the same
 //!    canvas. It is exact without the paper's per-fragment boundary
 //!    discard and without triangles, and tests pin both reasons:
-//!    * step 2 never blends a point that lands on a boundary pixel —
-//!      `Placed::Boundary` goes to `join_point` in the fused pass, the
-//!      sharded pass and [`AccurateRasterJoin::bin`] alike — so the canvas
-//!      holds nothing there and folding those pixels adds zero (debug
-//!      builds assert it);
+//!    * step 2 never blends a point that lands on a boundary pixel — the
+//!      one classify loop sends it to `join_point`, in memory and in
+//!      [`AccurateRasterJoin::bin`] alike — so the canvas holds nothing
+//!      there and folding those pixels adds zero (debug builds assert it);
 //!    * the outline marks every pixel an edge touches, so any other pixel
 //!      is wholly inside or wholly outside each polygon, its center at
 //!      least half a pixel from every edge: even–odd scanline coverage of
@@ -29,23 +29,21 @@
 //! for one chunk: boundary points PIP-tested into a partial result,
 //! interior points emitted as pixel deltas — [`AccurateRasterJoin::bin`]),
 //! *blend*, and *resolve* (step 3 — [`AccurateRasterJoin::resolve`]);
-//! [`AccurateRasterJoin::execute_prepared`] fuses bin and blend into one
-//! parallel point pass, the streaming scan keeps them apart.
+//! [`AccurateRasterJoin::execute_prepared`] alternates the two over row
+//! blocks on all its workers, the streaming scan keeps them apart. Either
+//! way every addition happens in row order, so counts and sums are
+//! bitwise the same at any width, block or chunk size.
 
+use crate::point_pass::{Classified, PointPass, ONE_BAND};
 use crate::polygon_pass::{draw_polygons, PolyRings};
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
-use raster_data::filter::passes;
 use raster_data::PointTable;
-use raster_geom::{Point, Polygon};
-use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, parallel_ranges};
+use raster_geom::{Polygon, SlabIndex};
+use raster_gpu::exec::{block_for, default_workers, parallel_dynamic};
 use raster_gpu::raster::{rasterize_segment_conservative, rasterize_segment_thick_outline};
-use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
-use raster_gpu::{
-    BinnedBatch, BoundaryFbo, Device, FboPool, PointFbo, RasterConfig, ResidentCanvases, Viewport,
-};
+use raster_gpu::{BoundaryFbo, Device, FboPool, PointFbo, ResidentCanvases, Viewport};
 use raster_index::{AssignMode, GridIndex};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// How the boundary-FBO outline pass is rasterized (§6.1): NVIDIA GPUs
@@ -69,15 +67,13 @@ pub struct AccurateRasterJoin {
     /// is a single FBO (accuracy does not depend on resolution — only the
     /// number of PIP tests does), so this is capped by the device limit.
     pub canvas_dim: u32,
-    /// Grid-index resolution per axis (paper: 1024 on the GPU, §7.1).
+    /// Grid-index resolution per axis. The paper runs 1024 on the GPU
+    /// (§7.1); 512 here: a one-shot query builds the index itself, and now
+    /// that a PIP test reads a slab, not the ring, the coarser build saves
+    /// more than its ≤ 9 % more tests cost (CHANGES.md, PR 21).
     pub index_dim: u32,
     /// Outline rasterization mechanism (§6.1).
     pub conservative: ConservativeMode,
-    /// Pipeline toggles. Only `sharding` applies here: the accurate
-    /// canvas is a single FBO, so there are no tiles to bin — but the
-    /// interior-point blend has the same atomic-contention profile as the
-    /// bounded variant and takes the same shard-merge path.
-    pub config: RasterConfig,
     /// Planner-chosen points-per-batch override; capped by the device
     /// memory budget. `None` fills the device budget (the default).
     pub batch_points: Option<usize>,
@@ -88,9 +84,8 @@ impl Default for AccurateRasterJoin {
         AccurateRasterJoin {
             workers: default_workers(),
             canvas_dim: 2048,
-            index_dim: 1024,
+            index_dim: 512,
             conservative: ConservativeMode::Dda,
-            config: RasterConfig::default(),
             batch_points: None,
         }
     }
@@ -98,54 +93,40 @@ impl Default for AccurateRasterJoin {
 
 /// Polygon-side state reusable across point batches/chunks of one query
 /// (the accurate counterpart of [`crate::bounded::PreparedBounded`]): the
-/// polygon rings, canvas viewport, conservative boundary FBO and grid
-/// index. The streamed scan (`raster-join::stream`, §7.7) calls
+/// polygon rings, canvas viewport, conservative boundary FBO, grid index
+/// and slab index. The streamed scan (`raster-join::stream`, §7.7) calls
 /// [`AccurateRasterJoin::prepare`] once, [`AccurateRasterJoin::bin`] per
 /// chunk and [`AccurateRasterJoin::resolve`] at the end.
 pub struct PreparedAccurate<'a> {
-    polys: &'a [Polygon],
-    state: Option<AccurateState>,
+    /// `None` for an empty polygon set. Boxed: the streamed scan holds a
+    /// preparation by value beside the much smaller bounded one.
+    state: Option<Box<AccurateState<'a>>>,
     nslots: usize,
     /// Ring extraction, reported as `ExecStats::triangulation`.
     preparation: std::time::Duration,
     index_build: std::time::Duration,
     outline: std::time::Duration,
-    /// FBO/shard recycling shared across every chunk executed against
-    /// this preparation (see `PreparedBounded::pool`).
+    /// FBO recycling shared across every chunk executed against this
+    /// preparation (see `PreparedBounded::pool`).
     pool: FboPool,
 }
 
-struct AccurateState {
+struct AccurateState<'a> {
     rings: Vec<PolyRings>,
     vp: Viewport,
     boundary: BoundaryFbo,
     index: GridIndex,
+    slabs: SlabIndex<'a>,
 }
 
-/// Where Procedure AccuratePoints sends one point that survived the
-/// filter and landed on the canvas.
-enum Placed {
-    /// On an outline pixel: resolved exactly by [`join_point`].
-    Boundary(Point),
-    /// Anywhere else: blends into the point FBO at this linear pixel
-    /// index with this value.
-    Interior(u32, f32),
-}
-
-impl AccurateState {
-    #[inline]
-    fn place(&self, points: &PointTable, i: usize, query: &Query) -> Option<Placed> {
-        if !query.predicates.is_empty() && !passes(points, i, &query.predicates) {
-            return None;
+impl AccurateState<'_> {
+    fn point_pass(&self) -> PointPass<'_> {
+        PointPass {
+            probe: self.vp.pixel_probe(),
+            boundary: &self.boundary,
+            index: &self.index,
+            slabs: &self.slabs,
         }
-        let p = points.point(i);
-        let (x, y) = self.vp.pixel_of(p)?;
-        Some(if self.boundary.is_boundary(x, y) {
-            Placed::Boundary(p)
-        } else {
-            let v = query.aggregate.attr().map_or(0.0, |a| points.attr(a)[i]);
-            Placed::Interior(y * self.vp.width + x, v)
-        })
     }
 
     /// What makes the paper's per-fragment discard of step 3 redundant:
@@ -193,14 +174,13 @@ impl AccurateRasterJoin {
         }
     }
 
-    /// Extract the polygon rings, build the grid index and draw the
-    /// conservative outline pass — everything that depends only on the
+    /// Extract the polygon rings, build the grid and slab indexes and draw
+    /// the conservative outline pass — everything that depends only on the
     /// polygons and can be reused across point chunks.
     pub fn prepare<'a>(&self, polys: &'a [Polygon], device: &Device) -> PreparedAccurate<'a> {
         let nslots = result_slots(polys);
         if polys.is_empty() {
             return PreparedAccurate {
-                polys,
                 state: None,
                 nslots,
                 preparation: std::time::Duration::ZERO,
@@ -235,6 +215,8 @@ impl AccurateRasterJoin {
             AssignMode::Exact,
             self.workers,
         );
+        // The PIP side of the index; serial, ≈ 1 ms for 66 k edges.
+        let slabs = SlabIndex::build(polys);
         let index_build = t1.elapsed();
 
         // Step 1: conservative outline pass.
@@ -257,13 +239,13 @@ impl AccurateRasterJoin {
         });
         let outline = t2.elapsed();
         PreparedAccurate {
-            polys,
-            state: Some(AccurateState {
+            state: Some(Box::new(AccurateState {
                 rings,
                 vp,
                 boundary,
                 index,
-            }),
+                slabs,
+            })),
             nslots,
             preparation,
             index_build,
@@ -304,35 +286,33 @@ impl AccurateRasterJoin {
         device: &Device,
     ) -> JoinOutput {
         device.reset_stats();
-        let mut stats = ExecStats::default();
         let nslots = prepared.nslots;
-        let Some(state) = prepared.state.as_ref() else {
+        let Some(state) = prepared.state.as_deref() else {
             return JoinOutput {
                 counts: Vec::new(),
                 sums: Vec::new(),
-                stats,
+                stats: ExecStats::default(),
             };
         };
-        let counts = AtomicU64Array::new(nslots);
-        let sums = AtomicF64Array::new(nslots);
-        stats.triangulation = prepared.preparation;
-        stats.index_build = prepared.index_build;
+        let mut out = JoinOutput {
+            counts: vec![0; nslots],
+            sums: vec![0.0; nslots],
+            stats: ExecStats {
+                triangulation: prepared.preparation,
+                index_build: prepared.index_build,
+                ..ExecStats::default()
+            },
+        };
 
         let proc0 = Instant::now();
         let pool = &prepared.pool;
-        let fbo = pool.acquire(state.vp.width, state.vp.height);
+        let needs_sums = query.aggregate.attr().is_some();
+        let mut fbo = pool.acquire_touched(state.vp.width, state.vp.height, needs_sums);
         let point_stage0 = Instant::now();
-        stats.pip_tests = self.draw_points(
-            prepared, state, points, query, device, &fbo, &counts, &sums, &mut stats,
-        );
-        stats.point_stage = point_stage0.elapsed();
+        self.draw_points(state, points, query, device, &mut fbo, &mut out);
+        out.stats.point_stage = point_stage0.elapsed();
 
         // Step 3: polygon pass over the one canvas.
-        let mut out = JoinOutput {
-            counts: counts.to_vec(),
-            sums: sums.to_vec(),
-            stats,
-        };
         self.fold_canvas(state, &fbo, query, &mut out);
         out.stats.processing = proc0.elapsed();
         pool.release(fbo);
@@ -346,92 +326,34 @@ impl AccurateRasterJoin {
     }
 
     /// Step 2 (Procedure AccuratePoints, compute-shader style), batched
-    /// out-of-core: boundary-pixel points are PIP-tested into `counts` /
-    /// `sums`, every other point blends into `fbo`. Returns the PIP tests
-    /// made.
-    #[allow(clippy::too_many_arguments)]
+    /// out-of-core: every batch goes through the point pass — boundary-
+    /// pixel points PIP-tested onto `out`'s accumulators, every other
+    /// point blended into `fbo`.
     fn draw_points(
         &self,
-        prepared: &PreparedAccurate<'_>,
-        state: &AccurateState,
+        state: &AccurateState<'_>,
         points: &PointTable,
         query: &Query,
         device: &Device,
-        fbo: &PointFbo,
-        counts: &AtomicU64Array,
-        sums: &AtomicF64Array,
-        stats: &mut ExecStats,
-    ) -> u64 {
-        let (polys, pool) = (prepared.polys, &prepared.pool);
-        let (vp, index) = (&state.vp, &state.index);
-        let agg_attr = query.aggregate.attr();
+        fbo: &mut PointFbo,
+        out: &mut JoinOutput,
+    ) {
         let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
         let per_batch = self
             .batch_points
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
-        let pip_tests = AtomicU64::new(0);
-        let pixels = vp.pixel_count();
-        let mut start = 0usize;
-        while start < points.len() {
-            let end = (start + per_batch).min(points.len());
+        let pass = state.point_pass();
+        let mut staging = pass.staging(self.workers, query.aggregate.attr().is_some());
+        for start in (0..points.len()).step_by(per_batch) {
+            let end = start.saturating_add(per_batch).min(points.len());
             device.record_upload(((end - start) * point_bytes) as u64);
-            stats.batches += 1;
-            let survivors =
-                crate::bounded::estimate_survivors(points, start, end, &query.predicates, vp);
-            if self.config.use_shards(survivors, pixels, self.workers) {
-                // Sharded interior blend: each shard worker scans its
-                // point subrange privately; boundary points take the
-                // exact PIP path inline, as before (SSBO atomics are
-                // per-polygon and uncontended compared to per-pixel).
-                // PIP-test counts accumulate per shard — one padded slot
-                // each, folded once below — so boundary-dense workloads
-                // don't serialize on a single shared counter.
-                let mut shards = pool.acquire_shards(pixels, self.workers);
-                const PAD: usize = 8; // one 64-byte cache line per slot
-                let pip_by_shard: Vec<AtomicU64> = (0..shards.shard_count() * PAD)
-                    .map(|_| AtomicU64::new(0))
-                    .collect();
-                shards.accumulate_with(end - start, |shard, rel| {
-                    let i = start + rel;
-                    match state.place(points, i, query)? {
-                        Placed::Boundary(p) => {
-                            let t = join_point(index, polys, p, i, agg_attr, points, counts, sums);
-                            pip_by_shard[shard * PAD].fetch_add(t, Ordering::Relaxed);
-                            None
-                        }
-                        Placed::Interior(pix, v) => Some((pix, v)),
-                    }
-                });
-                for slot in pip_by_shard.iter().step_by(PAD) {
-                    pip_tests.fetch_add(slot.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-                let t0 = Instant::now();
-                shards.merge_into(fbo, self.workers);
-                stats.shard_merge += t0.elapsed();
-                pool.release_shards(shards);
-            } else {
-                parallel_ranges(end - start, self.workers, |s, e| {
-                    let mut local_pip = 0u64;
-                    for i in (start + s)..(start + e) {
-                        match state.place(points, i, query) {
-                            Some(Placed::Boundary(p)) => {
-                                local_pip +=
-                                    join_point(index, polys, p, i, agg_attr, points, counts, sums);
-                            }
-                            Some(Placed::Interior(pix, v)) => fbo.blend_add_idx(pix as usize, v),
-                            None => {}
-                        }
-                    }
-                    pip_tests.fetch_add(local_pip, Ordering::Relaxed);
-                });
-            }
-            start = end;
+            out.stats.batches += 1;
+            pass.draw(points, start..end, query, &mut staging, fbo, out);
         }
         if points.is_empty() {
-            stats.batches = 1;
+            out.stats.batches = 1;
         }
-        pip_tests.load(Ordering::Relaxed)
     }
 
     /// *Bin* one chunk (step 2 without the blend): one thread walks the
@@ -446,50 +368,27 @@ impl AccurateRasterJoin {
         query: &Query,
     ) -> ChunkDeltas {
         let t0 = Instant::now();
-        let agg_attr = query.aggregate.attr();
-        let counts = AtomicU64Array::new(prepared.nslots);
-        let sums = AtomicF64Array::new(prepared.nslots);
-        let (mut idx, mut values) = (Vec::new(), Vec::new());
-        let mut pip_tests = 0u64;
-        if let Some(state) = prepared.state.as_ref() {
-            for i in 0..points.len() {
-                match state.place(points, i, query) {
-                    Some(Placed::Boundary(p)) => {
-                        pip_tests += join_point(
-                            &state.index,
-                            prepared.polys,
-                            p,
-                            i,
-                            agg_attr,
-                            points,
-                            &counts,
-                            &sums,
-                        );
-                    }
-                    Some(Placed::Interior(pix, v)) => {
-                        idx.push(pix);
-                        if agg_attr.is_some() {
-                            values.push(v);
-                        }
-                    }
-                    None => {}
-                }
-            }
-        }
-        let dt = t0.elapsed();
-        ChunkDeltas {
-            binned: BinnedBatch::single_tile(idx, values),
-            partial: JoinOutput {
-                counts: counts.to_vec(),
-                sums: sums.to_vec(),
-                stats: ExecStats {
-                    processing: dt,
-                    point_stage: dt,
-                    batches: 1,
-                    pip_tests,
-                    ..ExecStats::default()
-                },
+        let mut partial = JoinOutput {
+            counts: vec![0; prepared.nslots],
+            sums: vec![0.0; prepared.nslots],
+            stats: ExecStats {
+                batches: 1,
+                ..ExecStats::default()
             },
+        };
+        let mut staged = Classified::new(1, query.aggregate.attr().is_some());
+        if let Some(state) = prepared.state.as_deref() {
+            let rows = 0..points.len();
+            state
+                .point_pass()
+                .classify(points, rows, query, ONE_BAND, &mut staged);
+            staged.add_hits(&mut partial);
+        }
+        partial.stats.point_stage = t0.elapsed();
+        partial.stats.processing = partial.stats.point_stage;
+        ChunkDeltas {
+            binned: staged.entries.into_single_tile(),
+            partial,
         }
     }
 
@@ -518,7 +417,7 @@ impl AccurateRasterJoin {
     /// the point canvas, onto `out`'s accumulators.
     fn fold_canvas(
         &self,
-        state: &AccurateState,
+        state: &AccurateState<'_>,
         fbo: &PointFbo,
         query: &Query,
         out: &mut JoinOutput,
@@ -542,41 +441,13 @@ impl AccurateRasterJoin {
     }
 }
 
-/// Procedure JoinPoint: index lookup + PIP tests for one point; updates the
-/// result arrays for every containing polygon. Returns the number of PIP
-/// tests performed.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn join_point(
-    index: &GridIndex,
-    polys: &[Polygon],
-    p: Point,
-    row: usize,
-    agg_attr: Option<usize>,
-    points: &PointTable,
-    counts: &AtomicU64Array,
-    sums: &AtomicF64Array,
-) -> u64 {
-    let mut tests = 0u64;
-    for &cand in index.candidates(p) {
-        let poly = &polys[cand as usize];
-        tests += 1;
-        if poly.contains(p) {
-            counts.add(cand as usize, 1);
-            if let Some(a) = agg_attr {
-                sums.add(cand as usize, points.attr(a)[row] as f64);
-            }
-        }
-    }
-    tests
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounded::BoundedRasterJoin;
     use raster_data::generators::{nyc_extent, uniform_points, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
+    use raster_geom::Point;
 
     fn simple_polys() -> Vec<Polygon> {
         vec![
@@ -727,32 +598,28 @@ mod tests {
         assert_eq!(dda.stats.pip_tests, thick.stats.pip_tests);
     }
 
-    /// The sharded interior blend is exact: identical counts to the
-    /// atomic path AND to brute force, boundary PIP handling included.
+    /// A canvas dense enough that every band takes entries from every
+    /// worker of every block: identical counts and PIP tests at any width,
+    /// and equal to brute force, boundary PIP handling included.
     #[test]
-    fn sharded_blend_stays_exact() {
+    fn band_owned_blend_stays_exact_on_a_dense_canvas() {
         let extent = nyc_extent();
         let polys = synthetic_polygons(8, &extent, 71);
-        // Dense enough to exceed the shard gate on a 128² canvas.
+        // 2.4 points per pixel of a 128² canvas.
         let pts = uniform_points(40_000, &extent, 72);
         let base = AccurateRasterJoin {
-            workers: 4,
+            workers: 1,
             canvas_dim: 128,
             index_dim: 64,
-            config: raster_gpu::RasterConfig::naive(),
             ..Default::default()
         };
-        let sharded = AccurateRasterJoin {
-            config: raster_gpu::RasterConfig::default(),
-            ..base
-        };
+        let wide = AccurateRasterJoin { workers: 4, ..base };
         let dev = Device::default();
         let a = base.execute(&pts, &polys, &Query::count(), &dev);
-        let b = sharded.execute(&pts, &polys, &Query::count(), &dev);
+        let b = wide.execute(&pts, &polys, &Query::count(), &dev);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.stats.pip_tests, b.stats.pip_tests);
-        assert_eq!(a.stats.shard_merge, std::time::Duration::ZERO);
-        assert!(b.stats.shard_merge > std::time::Duration::ZERO);
+        assert_eq!(b.stats.shard_merge, std::time::Duration::ZERO);
         for (pi, poly) in polys.iter().enumerate() {
             let truth = (0..pts.len())
                 .filter(|&i| poly.contains(pts.point(i)))
@@ -828,7 +695,7 @@ mod tests {
     }
 
     /// Why step 3 needs no per-fragment discard: whichever way step 2
-    /// runs — fused atomic blend, sharded blend, or `bin` then
+    /// runs — classify and blend by band at any width, or `bin` then
     /// `ResidentCanvases::blend` — no boundary pixel receives a point.
     #[test]
     fn boundary_pixels_hold_nothing_after_every_point_pass() {
@@ -837,52 +704,48 @@ mod tests {
         let pts = TaxiModel::default().generate(40_000, 72);
         let q = Query::sum(pts.attr_index("fare").unwrap());
         let dev = Device::default();
-        // 128²: dense enough for the shard gate, as in
-        // `sharded_blend_stays_exact`.
-        let fused = AccurateRasterJoin {
-            workers: 4,
+        let narrow = AccurateRasterJoin {
+            workers: 1,
             canvas_dim: 128,
             index_dim: 64,
-            config: raster_gpu::RasterConfig::naive(),
             ..Default::default()
         };
-        let sharded = AccurateRasterJoin {
-            config: raster_gpu::RasterConfig::default(),
-            ..fused
+        let wide = AccurateRasterJoin {
+            workers: 4,
+            ..narrow
         };
-        let prepared = fused.prepare(&polys, &dev);
+        let prepared = narrow.prepare(&polys, &dev);
         let state = prepared.state.as_ref().unwrap();
-        let boundary_points = (0..pts.len())
-            .filter(|&i| matches!(state.place(&pts, i, &q), Some(Placed::Boundary(_))))
-            .count();
+        let on_outline = |i: usize| {
+            let pixel = state.vp.pixel_of(pts.point(i));
+            pixel.is_some_and(|(x, y)| state.boundary.is_boundary(x, y))
+        };
         assert!(
-            boundary_points > 100,
+            (0..pts.len()).filter(|&i| on_outline(i)).count() > 100,
             "the canvas must put points on outlines"
         );
 
-        for join in [&fused, &sharded] {
-            let fbo = PointFbo::new(state.vp.width, state.vp.height);
-            let (counts, sums) = (
-                AtomicU64Array::new(prepared.nslots),
-                AtomicF64Array::new(prepared.nslots),
-            );
-            let mut stats = ExecStats::default();
-            join.draw_points(
-                &prepared, state, &pts, &q, &dev, &fbo, &counts, &sums, &mut stats,
-            );
-            let sharding = join.config.sharding;
-            assert_eq!(stats.shard_merge > std::time::Duration::ZERO, sharding);
+        for join in [&narrow, &wide] {
+            let mut fbo = PointFbo::new(state.vp.width, state.vp.height);
+            let mut out = JoinOutput {
+                counts: vec![0; prepared.nslots],
+                sums: vec![0.0; prepared.nslots],
+                stats: ExecStats::default(),
+            };
+            join.draw_points(state, &pts, &q, &dev, &mut fbo, &mut out);
+            assert!(out.stats.pip_tests > 0);
             assert!(fbo.total_count() > 0);
             assert!(
                 state.boundary_pixels_hold_nothing(&fbo),
-                "sharding={sharding}"
+                "{} workers",
+                join.workers
             );
         }
 
         let mut canvases = prepared.canvases();
         for start in (0..pts.len()).step_by(9_000) {
             let chunk = pts.slice(start, (start + 9_000).min(pts.len()));
-            canvases.blend(&fused.bin(&prepared, &chunk, &q).binned);
+            canvases.blend(&narrow.bin(&prepared, &chunk, &q).binned);
         }
         assert!(canvases.tile(0).total_count() > 0);
         assert!(state.boundary_pixels_hold_nothing(canvases.tile(0)));

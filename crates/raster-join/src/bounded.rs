@@ -76,8 +76,8 @@ use raster_gpu::{Device, FboPool, PixelRuns, PointFbo, RasterConfig, ResidentCan
 use std::time::Instant;
 
 // The sharding density gate lives on `RasterConfig::use_shards` so the
-// bounded and accurate executors (and the planner's cost model) share one
-// definition; see `raster_gpu::SHARD_MIN_DENSITY` for the threshold.
+// executor and the planner's cost model share one definition; see
+// `raster_gpu::SHARD_MIN_DENSITY` for the threshold.
 
 /// Estimate how many points of `[start, end)` will actually blend into
 /// `canvas`: survive the filter predicates AND land inside the canvas
@@ -88,7 +88,7 @@ use std::time::Instant;
 /// mostly outside the polygon extent (nationwide points vs one city's
 /// polygons) would trigger a full O(pixels × shards) merge to blend a
 /// handful of fragments.
-pub(crate) fn estimate_survivors(
+fn estimate_survivors(
     points: &PointTable,
     start: usize,
     end: usize,

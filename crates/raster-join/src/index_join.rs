@@ -14,11 +14,12 @@
 //!   geometry index build;
 //! * [`IndexJoin::cpu_single`] — sequential reference implementation.
 
+use crate::point_pass::join_point;
 use crate::query::{result_slots, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::filter::passes;
 use raster_data::PointTable;
-use raster_geom::Polygon;
+use raster_geom::{Polygon, SlabIndex};
 use raster_gpu::exec::parallel_ranges;
 use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
 use raster_gpu::Device;
@@ -114,6 +115,10 @@ impl IndexJoin {
             assign,
             self.workers(),
         );
+        // The baseline tests every point; it gets the exact join's cheap
+        // PIP (the y-slab edge index) so the two differ only in how many
+        // tests they make.
+        let slabs = SlabIndex::build(polys);
         stats.index_build = t0.elapsed();
 
         let agg_attr = query.aggregate.attr();
@@ -132,7 +137,7 @@ impl IndexJoin {
         let (counts_v, sums_v, pip_total) = match self.mode {
             Parallelism::CpuMulti { .. } => {
                 // Thread-local accumulators merged at the end (§7.1).
-                self.run_thread_local(points, polys, &index, agg_attr, preds, nslots)
+                self.run_thread_local(points, &slabs, &index, agg_attr, preds, nslots)
             }
             _ => {
                 let counts = AtomicU64Array::new(nslots);
@@ -151,16 +156,12 @@ impl IndexJoin {
                             if !preds.is_empty() && !passes(points, i, preds) {
                                 continue;
                             }
-                            local_pip += crate::accurate::join_point(
-                                &index,
-                                polys,
-                                points.point(i),
-                                i,
-                                agg_attr,
-                                points,
-                                &counts,
-                                &sums,
-                            );
+                            local_pip += join_point(&index, &slabs, points.point(i), |slot| {
+                                counts.add(slot as usize, 1);
+                                if let Some(a) = agg_attr {
+                                    sums.add(slot as usize, points.attr(a)[i] as f64);
+                                }
+                            });
                         }
                         pip.fetch_add(local_pip, Ordering::Relaxed);
                     });
@@ -194,7 +195,7 @@ impl IndexJoin {
     fn run_thread_local(
         &self,
         points: &PointTable,
-        polys: &[Polygon],
+        slabs: &SlabIndex<'_>,
         index: &GridIndex,
         agg_attr: Option<usize>,
         preds: &[raster_data::Predicate],
@@ -210,16 +211,12 @@ impl IndexJoin {
                 if !preds.is_empty() && !passes(points, i, preds) {
                     continue;
                 }
-                let p = points.point(i);
-                for &cand in index.candidates(p) {
-                    pip += 1;
-                    if polys[cand as usize].contains(p) {
-                        counts[cand as usize] += 1;
-                        if let Some(a) = agg_attr {
-                            sums[cand as usize] += points.attr(a)[i] as f64;
-                        }
+                pip += join_point(index, slabs, points.point(i), |slot| {
+                    counts[slot as usize] += 1;
+                    if let Some(a) = agg_attr {
+                        sums[slot as usize] += points.attr(a)[i] as f64;
                     }
-                }
+                });
             }
             let mut m = merged.lock();
             for i in 0..nslots {

@@ -43,6 +43,7 @@ pub mod minmax;
 pub mod moments;
 pub mod multi;
 pub mod optimizer;
+mod point_pass;
 mod polygon_pass;
 pub mod quantize;
 pub mod query;

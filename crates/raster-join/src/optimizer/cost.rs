@@ -15,7 +15,8 @@
 //! (`RasterConfig::default()`) by evaluating the executors' own gates:
 //! binning scans the batch once and replays survivors per tile, the
 //! sharding density gate ([`raster_gpu::RasterConfig::use_shards`])
-//! decides whether the shard merge runs, the canvas gate
+//! decides whether a bounded plan's shard merge runs (an accurate plan
+//! has none: its blend owns each canvas row band), the canvas gate
 //! ([`raster_gpu::RasterConfig::use_runs`]) decides whether an in-memory
 //! bounded plan holds its tiles as sorted pixel runs — then nothing is
 //! charged per pixel: no clear, no per-pixel fold, a sort per surviving
@@ -334,17 +335,17 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
             // Shared rule with AccurateRasterJoin::execute.
             let (w, h) =
                 raster_gpu::Viewport::canvas_for_extent(&wl.extent, plan.canvas_dim.min(max_dim));
-            let pixels = w as f64 * h as f64;
-            let surv_per_batch = wl.n_points as f64 * wl.surviving / batches as f64;
-            let sharded = config.use_shards(surv_per_batch as usize, pixels as usize, intra);
             PlanShape {
                 tiles: 1,
                 batches,
                 // Outline pass + polygon pass (the point stage is a
                 // compute pass, not a render pass — matching ExecStats).
                 passes: 2,
-                pixels,
-                sharded,
+                pixels: w as f64 * h as f64,
+                // Mirrors the executor: the exact join blends each canvas
+                // row band on the one thread that owns it — no shards to
+                // merge, at any density or width.
+                sharded: false,
                 runs: false,
             }
         }
@@ -450,9 +451,6 @@ pub fn features_for(
             f[W_FRAG] = fragments(wl.area, wl.perimeter, acc_side);
             // Single canvas + boundary FBO, cleared once per query.
             f[W_CLEAR_PX] = sh.pixels;
-            if sh.sharded {
-                f[W_MERGE_PX] = sh.pixels * batches;
-            }
         }
     }
     // Worker-count scaling (see the module docs): per-point and per-pixel

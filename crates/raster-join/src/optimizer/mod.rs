@@ -24,9 +24,10 @@
 //! pool down to 1, costed with the amortization/contention scaling in
 //! [`cost`]. How an executor holds its canvas — binned or not, dense FBO
 //! or pixel runs, atomics or shards — is not a plan dimension: the
-//! executors decide it per tile from the tile's density
+//! bounded executor decides it per tile from the tile's density
 //! (`RasterConfig::use_runs` / `use_shards`), and [`cost::shape`]
-//! evaluates the same gates to cost the pipeline that will run. For
+//! evaluates the same gates to cost the pipeline that will run (the exact
+//! join has one dense canvas and one band-owned blend, no gate). For
 //! streaming scans the chosen `Plan::workers` is the *chunk pool* width
 //! and the width of the scan's one polygon pass (each chunk is binned
 //! single-threaded and blended in chunk order — see `stream.rs`), and the
@@ -123,7 +124,6 @@ impl Plan {
             workers: self.workers,
             canvas_dim: self.canvas_dim,
             index_dim: self.index_dim,
-            config: RasterConfig::default(),
             batch_points: Some(batch_points),
             ..Default::default()
         }

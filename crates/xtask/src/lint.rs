@@ -94,6 +94,7 @@ pub const NO_CLOCK_PATHS: &[&str] = &[
     "crates/raster-gpu/src/raster.rs",
     "crates/raster-gpu/src/runs.rs",
     "crates/raster-gpu/src/viewport.rs",
+    "crates/raster-join/src/point_pass.rs",
     "crates/raster-join/src/query.rs",
 ];
 
@@ -120,6 +121,7 @@ pub const NO_JOIN_EXPECT_PATHS: &[&str] = &["crates/raster-join/src/"];
 pub const NO_TRIANGULATE_PATHS: &[&str] = &[
     "crates/raster-join/src/accurate.rs",
     "crates/raster-join/src/bounded.rs",
+    "crates/raster-join/src/point_pass.rs",
     "crates/raster-join/src/polygon_pass.rs",
     "crates/raster-join/src/stream.rs",
     "crates/raster-join/src/query.rs",

@@ -7,8 +7,8 @@
 //! to an ε-band around polygon boundaries. This example quantifies that
 //! claim against the other two approximation schemes that appear in §2:
 //!
-//! * sampling (online aggregation [65]): error ∝ 1/√n *everywhere*;
-//! * coordinate truncation ([72]): one fixed global lattice, error set
+//! * sampling (online aggregation \[65\]): error ∝ 1/√n *everywhere*;
+//! * coordinate truncation (\[72\]): one fixed global lattice, error set
 //!   at encode time and unfixable per query.
 //!
 //! For each knob setting the table reports median/max per-polygon error

@@ -4,7 +4,7 @@
 //!
 //! 1. two-step filter-refine (R-tree filter → PIP refine → aggregate),
 //!    the classical DBMS evaluation the paper argues against;
-//! 2. the materializing GPU join of Zhang et al. [72], exact and with
+//! 2. the materializing GPU join of Zhang et al. \[72\], exact and with
 //!    their 16-bit coordinate truncation;
 //! 3. the fused index join (the paper's §6.2 baseline);
 //! 4. the accurate raster join (§4.3);

@@ -3,7 +3,7 @@
 //! The paper's visual-analytics motivation slices everything by time —
 //! the Fig. 1 heat maps are filtered to June 2012, and §9 points to
 //! "more complex spatio-temporal joins" as future work. The naive way to
-//! feed an animated heat map (or an urban-pulse-style rhythm chart [37])
+//! feed an animated heat map (or an urban-pulse-style rhythm chart \[37\])
 //! is one filtered query per frame. `TemporalRasterJoin` instead widens
 //! the FBO with one channel per time bucket, so a single DrawPoints +
 //! DrawPolygons pass yields the full polygon × hour histogram.

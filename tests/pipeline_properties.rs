@@ -301,3 +301,118 @@ fn interior_coverage_needs_no_triangles_on_the_stand_in_sets() {
         assert!(covered > 10_000, "only {covered} interior pixels checked");
     }
 }
+
+/// Counts and sums as bit patterns: `assert_eq!` on `f64` would let
+/// `0.0 == -0.0` through and print rounded digits.
+fn bits(out: &JoinOutput) -> (Vec<u64>, Vec<u64>) {
+    (
+        out.counts.clone(),
+        out.sums.iter().map(|s| s.to_bits()).collect(),
+    )
+}
+
+/// The exact join adds in row order — a pixel's f32 sum, a slot's f64 sum
+/// — so its in-memory answer is bitwise one answer: at every width, at
+/// every batch (hence block) size down to one row, with and without a
+/// predicate that passes only the leading rows, and equal to the streamed
+/// scan of the same table.
+#[test]
+fn exact_join_is_bitwise_one_answer_at_any_width_and_block_size() {
+    use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
+    use raster_join_repro::data::polygons::synthetic_polygons;
+    use raster_join_repro::join::Variant;
+
+    let polys = synthetic_polygons(48, &nyc_extent(), 0xB17);
+    let pts = TaxiModel::default().generate(6_000, 0xB17);
+    let fare = pts.attr_index("fare").unwrap();
+    let hour = pts.attr_index("hour").unwrap();
+    let dev = Device::default();
+    // ε far below a pixel of any canvas the device holds: the planner's
+    // exact plan, whose canvas and index the in-memory runs then share.
+    let plain = Query::avg(fare).with_epsilon(0.01);
+    let leading = plain
+        .clone()
+        .with_predicates(vec![Predicate::new(hour, CmpOp::Lt, 84.0)]);
+
+    let path = std::env::temp_dir().join(format!("rjr-exact-bitwise-{}.bin", std::process::id()));
+    write_table(&path, &pts).unwrap();
+    for (name, q) in [("plain", &plain), ("leading rows", &leading)] {
+        let streamed = StreamingRasterJoin::new(2)
+            .with_chunk_rows(1_234)
+            .execute(&path, &polys, q, &dev)
+            .unwrap();
+        assert_eq!(streamed.plan.variant, Variant::Accurate);
+        // The sampled first chunk, then chunks of 1 234 rows.
+        assert_eq!(streamed.chunks, 3);
+        let want = bits(&streamed.output);
+        assert!(
+            streamed.output.stats.pip_tests > 50,
+            "{name}: {} PIP tests",
+            streamed.output.stats.pip_tests
+        );
+        assert!(want.1.iter().any(|&s| s != 0), "{name}: no sums");
+        for workers in [1, 2, 3, 4] {
+            for batch in [1, 997, pts.len() + 5] {
+                let mut exec = streamed.plan.accurate_executor(batch);
+                exec.workers = workers;
+                let out = exec.execute(&pts, &polys, q, &dev);
+                assert_eq!(
+                    bits(&out),
+                    want,
+                    "{name}: {workers} workers, batches of {batch}"
+                );
+                assert_eq!(out.stats.pip_tests, streamed.output.stats.pip_tests);
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+
+    // A table longer than one row block: blocks of the pass's own size and
+    // batches cutting them elsewhere, at two widths.
+    let pts = TaxiModel::default().generate(140_000, 0xB18);
+    let q = Query::sum(pts.attr_index("tip").unwrap());
+    let one = AccurateRasterJoin::new(1).execute(&pts, &polys, &q, &dev);
+    assert!(one.stats.pip_tests > 1_000);
+    let cut = AccurateRasterJoin {
+        workers: 3,
+        batch_points: Some(50_001),
+        ..Default::default()
+    }
+    .execute(&pts, &polys, &q, &dev);
+    assert_eq!(cut.stats.batches, 3);
+    assert_eq!(bits(&cut), bits(&one));
+}
+
+/// The §6.2 baseline tests through the slab index like the exact join;
+/// its counts are those of the plain ring walk, point by point.
+#[test]
+fn index_join_counts_are_the_plain_walks_on_the_stand_in_sets() {
+    use raster_join_repro::data::generators::{TaxiModel, TwitterModel};
+    use raster_join_repro::data::polygons::{nyc_neighborhoods, us_counties};
+
+    let sets = [
+        (
+            nyc_neighborhoods(),
+            TaxiModel::default().generate(4_000, 31),
+        ),
+        (us_counties(), TwitterModel::default().generate(1_500, 32)),
+    ];
+    for (polys, pts) in sets {
+        let mut want = vec![0u64; polys.len()];
+        for i in 0..pts.len() {
+            for (slot, poly) in polys.iter().enumerate() {
+                want[slot] += u64::from(poly.contains(pts.point(i)));
+            }
+        }
+        assert!(want.iter().sum::<u64>() as usize > pts.len() / 2);
+        let dev = Device::default();
+        for join in [
+            IndexJoin::cpu_single(),
+            IndexJoin::cpu_multi(3),
+            IndexJoin::gpu(2),
+        ] {
+            let got = join.execute(&pts, &polys, &Query::count(), &dev);
+            assert_eq!(got.counts, want, "{:?}", join.mode);
+        }
+    }
+}

@@ -59,8 +59,8 @@ fn is_bounded(s: &StreamOutput) -> bool {
     s.plan.variant == raster_join_repro::join::Variant::Bounded
 }
 
-/// The in-memory execution of the plan a scan ran, with the executor's
-/// pipeline set to `config`.
+/// The in-memory execution of the plan a scan ran, with the bounded
+/// executor's pipeline set to `config` (the exact join has no toggles).
 fn in_memory(
     s: &StreamOutput,
     config: RasterConfig,
@@ -74,8 +74,7 @@ fn in_memory(
         exec.config = config;
         exec.execute(pts, polys, q, dev)
     } else {
-        let mut exec = s.plan.accurate_executor(s.plan.batch_points);
-        exec.config = config;
+        let exec = s.plan.accurate_executor(s.plan.batch_points);
         exec.execute(pts, polys, q, dev)
     }
 }
