@@ -9,8 +9,7 @@
 //! * \[72\]-style 16-bit coordinate truncation vs exact coordinates;
 //! * hardware conservative rasterization vs the §6.1 thick-outline
 //!   fallback for non-NVIDIA GPUs;
-//! * sampling-based vs resolution-based approximation;
-//! * one multi-channel moments pass vs three single-aggregate passes.
+//! * sampling-based vs resolution-based approximation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raster_gpu::exec::default_workers;
@@ -20,7 +19,6 @@ use raster_gpu::raster::{
 };
 use raster_gpu::{Device, DeviceConfig};
 use raster_index::{AssignMode, GridIndex, RTree};
-use raster_join::moments::{MomentsQuery, MomentsRasterJoin};
 use raster_join::{
     BoundedRasterJoin, IndexJoin, MaterializingJoin, Query, SamplingJoin, TwoStepJoin,
 };
@@ -96,81 +94,6 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| BoundedRasterJoin::new(w).execute(&pts, polys, &q, &dev))
             });
         }
-        g.finish();
-    }
-
-    // --- point batching structures (PointGrid vs Zhang-style quadtree) ----
-    {
-        let mut g = c.benchmark_group("ablation_point_batching");
-        g.sample_size(10);
-        g.warm_up_time(std::time::Duration::from_millis(500));
-        g.measurement_time(std::time::Duration::from_secs(2));
-        let raw: Vec<raster_geom::Point> = (0..pts.len()).map(|i| pts.point(i)).collect();
-        g.bench_function("point_grid_build", |b| {
-            b.iter(|| raster_index::PointGrid::build(&raw, extent, 512, 512))
-        });
-        g.bench_function("quadtree_build", |b| {
-            b.iter(|| raster_index::PointQuadtree::build(&raw, extent))
-        });
-        let grid = raster_index::PointGrid::build(&raw, extent, 512, 512);
-        let qt = raster_index::PointQuadtree::build(&raw, extent);
-        let queries: Vec<raster_geom::BBox> = polys.iter().take(32).map(|p| p.bbox()).collect();
-        g.bench_function("point_grid_query", |b| {
-            b.iter(|| {
-                queries
-                    .iter()
-                    .map(|q| grid.points_in_bbox(q).len())
-                    .sum::<usize>()
-            })
-        });
-        g.bench_function("quadtree_query", |b| {
-            b.iter(|| {
-                queries
-                    .iter()
-                    .map(|q| qt.candidates_in_bbox(q).len())
-                    .sum::<usize>()
-            })
-        });
-        g.finish();
-    }
-
-    // --- §2 pre-aggregation baselines on polygon queries -------------------
-    {
-        let mut g = c.benchmark_group("ablation_preaggregation_baselines");
-        g.sample_size(10);
-        g.warm_up_time(std::time::Duration::from_millis(500));
-        g.measurement_time(std::time::Duration::from_secs(2));
-        let raw: Vec<raster_geom::Point> = (0..pts.len()).map(|i| pts.point(i)).collect();
-        let cube = raster_index::AggQuadtree::build(&raw, extent, 9);
-        let recs: Vec<(raster_geom::Point, f32)> = raw.iter().map(|&p| (p, 1.0)).collect();
-        let artree = raster_index::ARTree::build(&recs);
-        let dev = Device::default();
-        g.bench_function("cube_polygon_approx", |b| {
-            b.iter(|| {
-                polys
-                    .iter()
-                    .map(|p| cube.polygon_count_approx(p))
-                    .sum::<u64>()
-            })
-        });
-        g.bench_function("artree_polygon_mbr", |b| {
-            b.iter(|| {
-                polys
-                    .iter()
-                    .map(|p| artree.polygon_count_via_mbr(p))
-                    .sum::<u64>()
-            })
-        });
-        g.bench_function("bounded_raster_join", |b| {
-            b.iter(|| {
-                BoundedRasterJoin::new(w).execute(
-                    &pts,
-                    polys,
-                    &Query::count().with_epsilon(20.0),
-                    &dev,
-                )
-            })
-        });
         g.finish();
     }
 
@@ -352,74 +275,6 @@ fn bench(c: &mut Criterion) {
                 },
             );
         }
-        g.finish();
-    }
-
-    // --- temporal: one widened pass vs one filtered query per bucket -------
-    {
-        let mut g = c.benchmark_group("ablation_temporal");
-        g.sample_size(10);
-        g.warm_up_time(std::time::Duration::from_millis(500));
-        g.measurement_time(std::time::Duration::from_secs(2));
-        let dev = Device::default();
-        let pts_attr = bench::workloads::taxi(100_000);
-        let hour = pts_attr.attr_index("hour").unwrap();
-        let n_buckets = 12;
-        let buckets = raster_join::TimeBuckets::covering(hour, 0.0, 168.0, n_buckets);
-        g.bench_function("one_widened_pass", |b| {
-            b.iter(|| {
-                raster_join::TemporalRasterJoin::new(w, 20.0)
-                    .execute(&pts_attr, polys, &buckets, &dev)
-            })
-        });
-        g.bench_function("query_per_bucket", |b| {
-            b.iter(|| {
-                let join = BoundedRasterJoin::new(w);
-                let mut total = 0u64;
-                for bk in 0..n_buckets {
-                    let (lo, hi) = buckets.bounds(bk);
-                    let q = Query::count().with_epsilon(20.0).with_predicates(vec![
-                        raster_data::Predicate::new(hour, raster_data::CmpOp::Ge, lo),
-                        raster_data::Predicate::new(hour, raster_data::CmpOp::Lt, hi),
-                    ]);
-                    total += join.execute(&pts_attr, polys, &q, &dev).total_count();
-                }
-                total
-            })
-        });
-        g.finish();
-    }
-
-    // --- moments: one widened pass vs one pass per aggregate ---------------
-    {
-        let mut g = c.benchmark_group("ablation_moments");
-        g.sample_size(10);
-        g.warm_up_time(std::time::Duration::from_millis(500));
-        g.measurement_time(std::time::Duration::from_secs(2));
-        let dev = Device::default();
-        let pts_attr = bench::workloads::taxi(100_000);
-        let fare = pts_attr.attr_index("fare").unwrap();
-        g.bench_function("moments_single_pass", |b| {
-            b.iter(|| {
-                MomentsRasterJoin::new(w).execute(
-                    &pts_attr,
-                    polys,
-                    &MomentsQuery::new(vec![fare]).with_epsilon(20.0),
-                    &dev,
-                )
-            })
-        });
-        g.bench_function("three_separate_passes", |b| {
-            b.iter(|| {
-                let j = BoundedRasterJoin::new(w);
-                let count = j.execute(&pts_attr, polys, &Query::count().with_epsilon(20.0), &dev);
-                let sum = j.execute(&pts_attr, polys, &Query::sum(fare).with_epsilon(20.0), &dev);
-                // The third (Σx²) pass has no single-aggregate form; model
-                // its cost with another sum pass.
-                let sumsq = j.execute(&pts_attr, polys, &Query::sum(fare).with_epsilon(20.0), &dev);
-                (count.total_count(), sum.sums[0], sumsq.sums[0])
-            })
-        });
         g.finish();
     }
 

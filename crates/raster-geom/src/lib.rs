@@ -25,7 +25,6 @@ pub mod merge;
 pub mod point;
 pub mod polygon;
 pub mod predicates;
-pub mod proj;
 pub mod slab;
 pub mod triangulate;
 pub mod validate;

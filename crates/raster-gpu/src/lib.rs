@@ -31,7 +31,6 @@ pub mod device;
 pub mod exec;
 pub mod framebuffer;
 pub mod image;
-pub mod mrt;
 pub mod raster;
 pub mod runs;
 pub mod ssbo;
@@ -43,7 +42,6 @@ pub use bin::{
 };
 pub use device::{Device, DeviceConfig, TransferStats};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
-pub use mrt::MrtFbo;
 pub use runs::{PixelRuns, SpanSource};
 pub use ssbo::{AtomicF64Array, AtomicU64Array};
 pub use viewport::Viewport;

@@ -16,16 +16,10 @@
 //! supported"; [`GridIndex::build`] accepts a worker count and reproduces
 //! the two passes in parallel.
 
-pub mod artree;
-pub mod cube;
 pub mod grid;
 pub mod point_grid;
-pub mod quadtree;
 pub mod rtree;
 
-pub use artree::ARTree;
-pub use cube::AggQuadtree;
 pub use grid::{AssignMode, GridIndex};
 pub use point_grid::PointGrid;
-pub use quadtree::PointQuadtree;
 pub use rtree::RTree;

@@ -180,7 +180,7 @@ impl PreparedBounded {
         self.pool.acquire_resident(self.tiles())
     }
 
-    fn tiles(&self) -> &[Viewport] {
+    pub(crate) fn tiles(&self) -> &[Viewport] {
         self.tiling.as_ref().map_or(&[], |t| &t.tiles)
     }
 }
@@ -212,22 +212,44 @@ impl BoundedRasterJoin {
     }
 
     /// Extract polygon rings (the whole of polygon preparation: see
-    /// `polygon_pass.rs`) and derive the canvas tiling for `epsilon`.
+    /// `polygon_pass.rs`) and derive the canvas for `epsilon`: the polygon
+    /// extent at the resolution that realises ε (§4.2).
     pub fn prepare(&self, polys: &[Polygon], epsilon: f64, device: &Device) -> PreparedBounded {
+        if polys.is_empty() {
+            return self.prepare_tiled(polys, None, device);
+        }
+        let extent = polygon_extent(polys);
+        let (w, h) = resolution_for_epsilon(&extent, epsilon);
+        self.prepare_view(polys, Viewport::new(extent, w, h), device)
+    }
+
+    /// [`BoundedRasterJoin::prepare`] over an explicit canvas instead of
+    /// the ε-derived one: `canvas` may cover any window of the plane at
+    /// any resolution (a zoomed screen, §4.2), points and polygon
+    /// fragments outside it are clipped, and the query's `epsilon` is not
+    /// consulted — the canvas's pixel diagonal is the bound.
+    pub fn prepare_view(
+        &self,
+        polys: &[Polygon],
+        canvas: Viewport,
+        device: &Device,
+    ) -> PreparedBounded {
+        self.prepare_tiled(polys, (!polys.is_empty()).then_some(canvas), device)
+    }
+
+    fn prepare_tiled(
+        &self,
+        polys: &[Polygon],
+        canvas: Option<Viewport>,
+        device: &Device,
+    ) -> PreparedBounded {
         let t0 = Instant::now();
         let prepared_polys = PolyRings::extract(polys);
         let preparation = t0.elapsed();
-        let tiling = if polys.is_empty() {
-            None
-        } else {
-            let extent = polygon_extent(polys);
-            let (w, h) = resolution_for_epsilon(&extent, epsilon);
-            let max_dim = device.config().max_fbo_dim;
-            Some(CanvasTiling::new(Viewport::new(extent, w, h), max_dim))
-        };
+        let max_dim = device.config().max_fbo_dim;
         PreparedBounded {
             polys: prepared_polys,
-            tiling,
+            tiling: canvas.map(|full| CanvasTiling::new(full, max_dim)),
             nslots: result_slots(polys),
             preparation,
             pool: FboPool::new(),

@@ -6,21 +6,21 @@
 //! computing the aggregation with a higher accuracy without any
 //! significant change in computation times."
 //!
-//! [`LodExplorer`] captures that interaction: a fixed canvas resolution,
-//! a moving viewport. Zooming shrinks the world-space pixel and therefore
-//! the *effective* ε of the answer, at constant rendering cost.
+//! [`LodExplorer`] captures that interaction: a fixed canvas resolution, a
+//! moving viewport. Zooming shrinks the world-space pixel and therefore
+//! the *effective* ε of the answer, at constant rendering cost. It is the
+//! bounded join over an explicit canvas
+//! ([`BoundedRasterJoin::prepare_view`]); beside the dense canvas over
+//! triangulated polygons it replaced (PR 23; W = 2): 2 M points on an
+//! 8192² canvas 585 → 50 ms, 400 k on 4102² 46 → 10 ms, 400 k on 411² 7 →
+//! 6 ms.
 
-use crate::query::{result_slots, JoinOutput, Query};
-use crate::stats::ExecStats;
-use raster_data::filter::passes;
+use crate::bounded::BoundedRasterJoin;
+use crate::query::{JoinOutput, Query};
 use raster_data::PointTable;
-use raster_geom::triangulate::triangulate_all;
 use raster_geom::{BBox, Polygon};
-use raster_gpu::exec::{default_workers, parallel_dynamic, parallel_ranges};
-use raster_gpu::raster::rasterize_triangle_spans;
-use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
-use raster_gpu::{Device, PointFbo, Viewport};
-use std::time::Instant;
+use raster_gpu::exec::default_workers;
+use raster_gpu::{Device, Viewport};
 
 /// Fixed-resolution, movable-viewport raster join for interactive LOD
 /// exploration.
@@ -62,78 +62,10 @@ impl LodExplorer {
         device: &Device,
     ) -> JoinOutput {
         assert!(view.width() > 0.0 && view.height() > 0.0, "empty view");
-        device.reset_stats();
-        let mut stats = ExecStats::default();
-        let nslots = result_slots(polys);
-        let counts = AtomicU64Array::new(nslots);
-        let sums = AtomicF64Array::new(nslots);
-        if polys.is_empty() {
-            return JoinOutput {
-                counts: Vec::new(),
-                sums: Vec::new(),
-                stats,
-            };
-        }
-        let t0 = Instant::now();
-        let tris = triangulate_all(polys);
-        stats.triangulation = t0.elapsed();
-
-        let vp = Viewport::new(*view, self.canvas.0, self.canvas.1);
-        let agg_attr = query.aggregate.attr();
-        let preds = &query.predicates;
-        let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
-        device.record_upload(points.upload_bytes(query.attrs_uploaded()));
-
-        let proc0 = Instant::now();
-        let fbo = PointFbo::new(vp.width, vp.height);
-        parallel_ranges(points.len(), self.workers, |s, e| {
-            for i in s..e {
-                if !preds.is_empty() && !passes(points, i, preds) {
-                    continue;
-                }
-                if let Some((x, y)) = vp.pixel_of(points.point(i)) {
-                    let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
-                    fbo.blend_add(x, y, v);
-                }
-            }
-        });
-        parallel_dynamic(tris.len(), self.workers, 16, |ti| {
-            let t = &tris[ti];
-            let id = t.poly_id as usize;
-            let mut cnt_acc = 0u64;
-            let mut sum_acc = 0f64;
-            rasterize_triangle_spans(
-                [vp.to_screen(t.a), vp.to_screen(t.b), vp.to_screen(t.c)],
-                vp.width,
-                vp.height,
-                |y, x0, x1| {
-                    let (c, s) = fbo.span_totals(y, x0, x1);
-                    cnt_acc += c;
-                    sum_acc += s;
-                },
-            );
-            if cnt_acc > 0 {
-                counts.add(id, cnt_acc);
-            }
-            if sum_acc != 0.0 {
-                sums.add(id, sum_acc);
-            }
-        });
-        stats.processing = proc0.elapsed();
-        stats.passes = 1;
-        stats.batches = 1;
-        let _ = point_bytes;
-        device.record_download((nslots * 16) as u64);
-        stats.transfer = device.modelled_transfer_time();
-        let ts = device.stats();
-        stats.upload_bytes = ts.bytes_up;
-        stats.download_bytes = ts.bytes_down;
-
-        JoinOutput {
-            counts: counts.to_vec(),
-            sums: sums.to_vec(),
-            stats,
-        }
+        let join = BoundedRasterJoin::new(self.workers);
+        let canvas = Viewport::new(*view, self.canvas.0, self.canvas.1);
+        let prepared = join.prepare_view(polys, canvas, device);
+        join.execute_prepared(&prepared, points, query, device)
     }
 }
 

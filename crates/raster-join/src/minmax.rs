@@ -84,8 +84,14 @@ impl MinMaxFbo {
     }
 
     /// MIN/MAX blend of one fragment (`glBlendEquation(GL_MIN/GL_MAX)`).
+    /// A NaN is not a value (SQL's NULL rule) and blends nothing: its key
+    /// would sort above +∞ or below −∞ by its sign bit and make one bound
+    /// of every polygon over the pixel NaN while the other ignored it.
     #[inline]
     pub fn blend(&self, x: u32, y: u32, v: f32) {
+        if v.is_nan() {
+            return;
+        }
         let i = self.idx(x, y);
         let k = key_of(v);
         // Encoded keys are monotone, so integer fetch_min/fetch_max work.
@@ -297,6 +303,28 @@ mod tests {
         assert_eq!(out.max[0], Some(9.0));
         assert_eq!(out.min[1], Some(41.0));
         assert_eq!(out.max[1], Some(42.0));
+    }
+
+    /// A NaN attribute is clipped like a NULL, whatever its sign bit (a
+    /// positive NaN used to win every MAX, a negative one every MIN).
+    #[test]
+    fn nan_values_blend_nothing() {
+        let polys = vec![
+            Polygon::from_coords(0, vec![(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]),
+            Polygon::from_coords(
+                1,
+                vec![(20.0, 0.0), (30.0, 0.0), (30.0, 10.0), (20.0, 10.0)],
+            ),
+        ];
+        let mut pts = PointTable::with_capacity(5, &["v"]);
+        pts.push(Point::new(5.0, 5.0), &[3.0]);
+        pts.push(Point::new(5.0, 5.0), &[f32::NAN]);
+        pts.push(Point::new(4.0, 6.0), &[-f32::NAN]);
+        pts.push(Point::new(6.0, 4.0), &[-1.0]);
+        pts.push(Point::new(25.0, 5.0), &[f32::NAN]);
+        let out = MinMaxRasterJoin::new(2).execute(&pts, &polys, 0, &[], 0.2, &Device::default());
+        assert_eq!((out.min[0], out.max[0]), (Some(-1.0), Some(3.0)));
+        assert_eq!((out.min[1], out.max[1]), (None, None));
     }
 
     #[test]

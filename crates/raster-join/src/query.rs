@@ -199,10 +199,8 @@ pub fn result_slots(polys: &[raster_geom::Polygon]) -> usize {
 /// the original Fig. 13 loop folded only `counts` and silently zeroed
 /// every SUM/AVG answer over chunked streams.
 ///
-/// [`ExecStats`] fold additively for the per-chunk quantities (times,
-/// bytes, batches, passes, work counters); the per-query preparation
-/// times (`triangulation`, `index_build`) take the maximum, since a
-/// prepared chunk loop reports the same one-off preparation each chunk.
+/// The chunks' [`ExecStats`] fold by `ExecStats::fold`: per-chunk quantities add,
+/// the one-off preparation times take the maximum.
 ///
 /// `fold` is order-sensitive for the f32-accumulated SUM/AVG slots:
 /// floating-point addition does not associate, so callers that fold the
@@ -245,27 +243,7 @@ impl AggregateMerger {
         for (acc, &s) in self.sums.iter_mut().zip(&out.sums) {
             *acc += s;
         }
-        let s = &mut self.stats;
-        let o = &out.stats;
-        s.processing += o.processing;
-        s.transfer += o.transfer;
-        s.disk += o.disk;
-        s.upload_bytes += o.upload_bytes;
-        s.download_bytes += o.download_bytes;
-        s.binning += o.binning;
-        s.shard_merge += o.shard_merge;
-        s.binned_points += o.binned_points;
-        s.point_stage += o.point_stage;
-        s.polygon_stage += o.polygon_stage;
-        s.batches += o.batches;
-        s.passes += o.passes;
-        s.runs_passes += o.runs_passes;
-        s.pip_tests += o.pip_tests;
-        s.fragments += o.fragments;
-        s.materialized_pairs += o.materialized_pairs;
-        s.candidate_pairs += o.candidate_pairs;
-        s.triangulation = s.triangulation.max(o.triangulation);
-        s.index_build = s.index_build.max(o.index_build);
+        self.stats.fold(&out.stats);
         self.chunks += 1;
     }
 

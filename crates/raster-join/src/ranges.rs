@@ -20,15 +20,14 @@
 //! conservative-minus-regular rasterization the paper computes with
 //! `GL_NV_conservative_raster` (§6.1).
 
-use crate::query::Query;
-use raster_data::filter::passes;
+use crate::bounded::BoundedRasterJoin;
+use crate::query::{Aggregate, Query};
 use raster_data::PointTable;
 use raster_geom::clip::coverage_fraction;
-use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::Polygon;
-use raster_gpu::exec::{default_workers, parallel_dynamic, parallel_ranges};
+use raster_gpu::exec::{default_workers, parallel_dynamic};
 use raster_gpu::raster::rasterize_segment_conservative;
-use raster_gpu::{Device, PointFbo, Viewport};
+use raster_gpu::Device;
 use std::collections::HashSet;
 
 /// Per-polygon result interval for a COUNT query.
@@ -60,9 +59,10 @@ impl ResultRange {
 }
 
 /// Compute the bounded-join COUNT per polygon together with its result
-/// ranges. Uses the same canvas geometry as
-/// [`crate::bounded::BoundedRasterJoin`], so `value` here equals the
-/// bounded join's count.
+/// ranges. `value` is [`crate::bounded::BoundedRasterJoin`]'s own count —
+/// its bin, blend and resolve pieces produce it — and the corrections
+/// read the canvases that count was resolved from, all tiles of which
+/// are dense and alive for the length of the call.
 pub fn estimate_count_ranges(
     points: &PointTable,
     polys: &[Polygon],
@@ -130,56 +130,27 @@ fn estimate_ranges_impl(
     if polys.is_empty() {
         return out;
     }
-    let extent = crate::bounded::polygon_extent(polys);
-    let (w, h) = resolution_for_epsilon(&extent, query.epsilon);
-    let full = Viewport::new(extent, w, h);
-    let tiles = full.split(device.config().max_fbo_dim);
-    let preds = &query.predicates;
+    // The value `A` and the canvas the corrections read are the bounded
+    // join's own, taken through the pieces of a streamed scan: bin once,
+    // blend into canvases kept for the whole estimate, resolve.
+    let join = BoundedRasterJoin::new(workers);
+    let query = Query {
+        aggregate: attr.map_or(Aggregate::Count, Aggregate::Sum),
+        ..query.clone()
+    };
+    let prepared = join.prepare(polys, query.epsilon, device);
+    let mut canvases = prepared.canvases();
+    canvases.blend(&join.bin(&prepared, points, &query).binned);
+    let a = join.resolve(&prepared, &canvases, &query);
 
-    // Accumulators per polygon: A, ε⁺/ε⁻ worst, ε⁺/ε⁻ expected.
-    let a = raster_gpu::AtomicF64Array::new(nslots);
+    // Accumulators per polygon: ε⁺/ε⁻ worst, ε⁺/ε⁻ expected.
     let worst_plus = raster_gpu::AtomicF64Array::new(nslots);
     let worst_minus = raster_gpu::AtomicF64Array::new(nslots);
     let exp_plus = raster_gpu::AtomicF64Array::new(nslots);
     let exp_minus = raster_gpu::AtomicF64Array::new(nslots);
-    let tris = raster_geom::triangulate::triangulate_all(polys);
 
-    for vp in &tiles {
-        let fbo = PointFbo::new(vp.width, vp.height);
-        // Draw points (same as the bounded pipeline); the sum channel
-        // carries the aggregated attribute when one is requested.
-        parallel_ranges(points.len(), workers, |s, e| {
-            for i in s..e {
-                if !preds.is_empty() && !passes(points, i, preds) {
-                    continue;
-                }
-                if let Some((x, y)) = vp.pixel_of(points.point(i)) {
-                    let v = attr.map_or(0.0, |c| points.attr(c)[i]);
-                    fbo.blend_add(x, y, v);
-                }
-            }
-        });
-
-        // Draw polygons for A.
-        parallel_dynamic(tris.len(), workers, 16, |ti| {
-            let t = &tris[ti];
-            let mut acc = 0f64;
-            raster_gpu::raster::rasterize_triangle_spans(
-                [vp.to_screen(t.a), vp.to_screen(t.b), vp.to_screen(t.c)],
-                vp.width,
-                vp.height,
-                |y, x0, x1| {
-                    acc += match attr {
-                        Some(_) => fbo.span_totals(y, x0, x1).1,
-                        None => fbo.span_count(y, x0, x1) as f64,
-                    };
-                },
-            );
-            if acc != 0.0 {
-                a.add(t.poly_id as usize, acc);
-            }
-        });
-
+    for (ti, vp) in prepared.tiles().iter().enumerate() {
+        let fbo = canvases.tile(ti);
         // Boundary-pixel corrections, polygon by polygon.
         parallel_dynamic(polys.len(), workers, 2, |pi| {
             let poly = &polys[pi];
@@ -229,7 +200,10 @@ fn estimate_ranges_impl(
     }
 
     for (i, slot) in out.iter_mut().enumerate().take(nslots) {
-        let val = a.get(i);
+        let val = match attr {
+            Some(_) => a.sums[i],
+            None => a.counts[i] as f64,
+        };
         *slot = ResultRange {
             value: val,
             worst_lo: val - worst_plus.get(i),

@@ -81,8 +81,9 @@ pub struct ExecStats {
     /// only): MBR hits handed to refinement, before PIP pruning.
     pub candidate_pairs: u64,
     /// Polygon preparation, reported separately (Table 1): ring
-    /// extraction in the raster joins; triangulation only in the
-    /// periphery operators (`lod`, `moments`, `multi`, `temporal`).
+    /// extraction (`polygon_pass::PolyRings::extract`) in every raster
+    /// join and every composition of one. Nothing in `raster-join`
+    /// triangulates; the field keeps the paper's name for the step.
     pub triangulation: Duration,
     /// Time spent building the polygon index (reported separately, Table 1).
     pub index_build: Duration,
@@ -95,6 +96,34 @@ impl ExecStats {
     /// query execution time").
     pub fn total(&self) -> Duration {
         self.processing + self.transfer + self.disk
+    }
+
+    /// Fold in the stats of another run against the same preparation — a
+    /// chunk of a streamed scan, or one pass of a composition of the
+    /// bounded join (`multi`, `moments`, `temporal`): the per-run
+    /// quantities (times, bytes, batches, passes, work counters) add; the
+    /// per-query preparation times (`triangulation`, `index_build`) take
+    /// the maximum, since every run reports the same one-off preparation.
+    pub(crate) fn fold(&mut self, o: &ExecStats) {
+        self.processing += o.processing;
+        self.transfer += o.transfer;
+        self.disk += o.disk;
+        self.upload_bytes += o.upload_bytes;
+        self.download_bytes += o.download_bytes;
+        self.binning += o.binning;
+        self.shard_merge += o.shard_merge;
+        self.binned_points += o.binned_points;
+        self.point_stage += o.point_stage;
+        self.polygon_stage += o.polygon_stage;
+        self.batches += o.batches;
+        self.passes += o.passes;
+        self.runs_passes += o.runs_passes;
+        self.pip_tests += o.pip_tests;
+        self.fragments += o.fragments;
+        self.materialized_pairs += o.materialized_pairs;
+        self.candidate_pairs += o.candidate_pairs;
+        self.triangulation = self.triangulation.max(o.triangulation);
+        self.index_build = self.index_build.max(o.index_build);
     }
 
     /// Total including the polygon preprocessing components.

@@ -20,8 +20,8 @@
 //! materialization and (in the bounded variant) no point-in-polygon tests.
 //! The paper triangulates its polygons because a GPU draws only
 //! triangles; the software pipeline here scan-converts them directly, in
-//! both raster joins, and keeps triangulation for the GPU-faithful
-//! ablation and the periphery operators.
+//! every raster operator, and keeps triangulation in [`geom`] for the
+//! bench crate's Table 1 and GPU-faithful ablation.
 //!
 //! This facade crate re-exports the whole workspace:
 //!
@@ -29,14 +29,18 @@
 //!   Hausdorff/ε arithmetic, the §7.4 Voronoi polygon generator);
 //! * [`gpu`] — the software rendering pipeline (viewports, FBOs,
 //!   pixel-center + conservative rasterization, device/transfer model);
-//! * [`index`] — grid indexes;
+//! * [`index`] — the polygon grid index (plus the baselines' point grid
+//!   and R-tree);
 //! * [`data`] — columnar tables, workload generators, on-disk format;
-//! * [`join`] — the operators: [`join::BoundedRasterJoin`],
-//!   [`join::AccurateRasterJoin`], [`join::IndexJoin`],
+//! * [`join`] — the operators. *Executors*: [`join::BoundedRasterJoin`],
+//!   [`join::AccurateRasterJoin`], [`join::StreamingRasterJoin`] and the
+//!   MIN/MAX join. *Compositions of the bounded join* (one preparation,
+//!   one prepared run per plane): multi-aggregate queries, higher moments
+//!   ([`join::MomentsRasterJoin`]), time buckets, level-of-detail zoom
+//!   and result ranges. *Baselines*: [`join::IndexJoin`],
 //!   [`join::MaterializingJoin`], the classical [`join::TwoStepJoin`]
-//!   filter-refine baseline, the [`join::SamplingJoin`] online-sampling
-//!   baseline, higher moments ([`join::MomentsRasterJoin`]), result
-//!   ranges and accuracy metrics.
+//!   filter-refine join and the [`join::SamplingJoin`] online-sampling
+//!   join. Plus the planner, the SQL front-end and accuracy metrics.
 //!
 //! ## Quickstart
 //!

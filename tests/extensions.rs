@@ -1,18 +1,17 @@
 //! Integration tests for the §8 extensions: multi-aggregate queries, the
-//! variant optimizer, LOD exploration and the SQL front-end — plus the
-//! related-work baselines of §2.
+//! variant optimizer, LOD exploration and the SQL front-end.
 
 use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
 use raster_join_repro::data::polygons::synthetic_polygons;
-use raster_join_repro::index::{ARTree, AggQuadtree};
 use raster_join_repro::join::multi::{MultiBoundedRasterJoin, MultiQuery};
 use raster_join_repro::join::optimizer::{plan_workload, Calibration, Variant, Workload};
 use raster_join_repro::join::sql::parse_query;
 use raster_join_repro::join::LodExplorer;
 use raster_join_repro::prelude::*;
 
-/// One multi-aggregate pass replaces the parallel-coordinates chart's
-/// per-axis queries (Fig. 1c): results match the per-axis execution.
+/// One multi-aggregate query replaces the parallel-coordinates chart's
+/// per-axis queries (Fig. 1c): every axis is the per-axis execution's, to
+/// the bit.
 #[test]
 fn multi_aggregate_fills_parallel_coordinate_axes() {
     let pts = TaxiModel::default().generate(6_000, 301);
@@ -31,21 +30,17 @@ fn multi_aggregate_fills_parallel_coordinate_axes() {
     .with_epsilon(15.0);
     let multi = MultiBoundedRasterJoin::default().execute(&pts, &polys, &mq, &dev);
 
+    let mut single_passes = 0;
     for (i, q) in mq.split().iter().enumerate() {
         let single = BoundedRasterJoin::default().execute(&pts, &polys, q, &dev);
-        let want = single.values(q.aggregate);
-        let got = multi.values(&mq, i);
-        for k in 0..want.len() {
-            assert!(
-                (got[k] - want[k]).abs() < 1e-3 * want[k].abs().max(1.0),
-                "axis {i} polygon {k}: {} vs {}",
-                got[k],
-                want[k]
-            );
-        }
+        assert_eq!(multi.values(&mq, i), single.values(q.aggregate), "axis {i}");
+        single_passes = single.stats.passes;
     }
-    // One pass, not four.
-    assert_eq!(multi.stats.passes, 1);
+    // One polygon preparation shared by one pass per sum channel: three
+    // channels, COUNT riding on the first — not four prepared queries, and
+    // not one wide pass either.
+    assert_eq!(multi.stats.passes, 3 * single_passes);
+    assert_eq!(multi.stats.batches, 3);
 }
 
 /// SQL → Query → executor, end to end, matches the programmatic query.
@@ -132,56 +127,6 @@ fn lod_zoom_monotonically_sharpens() {
             Point::new(c.x + view.width() / 4.0, c.y + view.height() / 4.0),
         );
     }
-}
-
-/// §2 reproduced quantitatively: the pre-aggregation structures answer
-/// rectangles but are strictly worse than bounded raster join on
-/// arbitrary polygons at comparable spatial resolution.
-#[test]
-fn related_work_structures_lose_on_arbitrary_polygons() {
-    let pts_tbl = TaxiModel::default().generate(30_000, 308);
-    let pts: Vec<Point> = (0..pts_tbl.len()).map(|i| pts_tbl.point(i)).collect();
-    let polys = synthetic_polygons(8, &nyc_extent(), 309);
-    let dev = Device::default();
-
-    let exact = AccurateRasterJoin::default().execute(&pts_tbl, &polys, &Query::count(), &dev);
-    let bounded = BoundedRasterJoin::default().execute(
-        &pts_tbl,
-        &polys,
-        &Query::count().with_epsilon(60.0),
-        &dev,
-    );
-    // Cube with leaf cells ≈ the bounded join's pixel size would need
-    // depth ~10; build it coarser, as a realistic memory budget forces.
-    let cube = AggQuadtree::build(&pts, nyc_extent(), 7);
-    let recs: Vec<(Point, f32)> = pts.iter().map(|&p| (p, 1.0)).collect();
-    let artree = ARTree::build(&recs);
-
-    let mut err_bounded = 0i64;
-    let mut err_cube = 0i64;
-    let mut err_art = 0i64;
-    for (i, poly) in polys.iter().enumerate() {
-        let e = exact.counts[i] as i64;
-        err_bounded += (bounded.counts[i] as i64 - e).abs();
-        err_cube += (cube.polygon_count_approx(poly) as i64 - e).abs();
-        err_art += (artree.polygon_count_via_mbr(poly) as i64 - e).abs();
-    }
-    assert!(
-        err_bounded < err_cube,
-        "bounded ({err_bounded}) must beat the cube ({err_cube})"
-    );
-    assert!(
-        err_bounded < err_art,
-        "bounded ({err_bounded}) must beat MBR-only aR-tree ({err_art})"
-    );
-    // The aR-tree is exact for what it is built for — rectangles.
-    let rect = BBox::new(
-        Point::new(10_000.0, 12_000.0),
-        Point::new(30_000.0, 35_000.0),
-    );
-    let got = artree.range_aggregate(&rect);
-    let want = pts.iter().filter(|p| rect.contains(**p)).count() as u64;
-    assert_eq!(got.count, want);
 }
 
 /// Result ranges compose with SQL + filters: intervals still bracket the

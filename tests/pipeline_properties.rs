@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use raster_join_repro::data::csv::{read_csv, write_csv, CsvSpec};
 use raster_join_repro::data::disk::{write_table, ChunkedReader};
-use raster_join_repro::geom::proj::LocalProjection;
 use raster_join_repro::geom::{triangulate_polygon, Triangle};
 use raster_join_repro::gpu::raster::{rasterize_triangle, rasterize_triangle_spans, ScreenTri};
 use raster_join_repro::prelude::*;
@@ -119,21 +118,6 @@ proptest! {
         let (back, stats) = read_csv(buf.as_slice(), &spec).unwrap();
         prop_assert_eq!(stats.rows_skipped, 0);
         prop_assert_eq!(t, back);
-    }
-
-    /// Local projection round-trips lon/lat within numeric noise.
-    #[test]
-    fn projection_roundtrips(
-        lon0 in -179.0f64..179.0,
-        lat0 in -60.0f64..60.0,
-        dlon in -0.5f64..0.5,
-        dlat in -0.5f64..0.5,
-    ) {
-        let proj = LocalProjection::new(lon0, lat0);
-        let m = proj.to_metres(lon0 + dlon, lat0 + dlat);
-        let (lon, lat) = proj.to_lonlat(m);
-        prop_assert!((lon - (lon0 + dlon)).abs() < 1e-9);
-        prop_assert!((lat - (lat0 + dlat)).abs() < 1e-9);
     }
 
     /// The SQL printer/parser agreement: a programmatically built query
