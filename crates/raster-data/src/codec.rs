@@ -73,6 +73,27 @@
 //!   runs, then run-length encode zeros. Payload: the RLE stream
 //!   (op `b < 128` ⇒ `b+1` literal bytes follow; `b ≥ 128` ⇒ `b-127`
 //!   zero bytes).
+//!
+//! # Decoding
+//!
+//! A streamed chunk decodes on its pool worker, so the decoders are
+//! written to run near memory speed rather than byte by byte:
+//!
+//! * **FOR** at `bits ≤ 56` reads each value as one little-endian 8-byte
+//!   window at byte `i·bits / 8`, shifted right by `i·bits % 8` and
+//!   masked; the few values whose window would run past the payload read
+//!   a zero-padded copy of its tail. `bits == 0` is a constant fill;
+//!   57–63 bits (a value may span nine bytes) keep a `u128` accumulator.
+//! * **XOR** expands the RLE stream once into its byte planes, then
+//!   assembles the values block by block (1 k values), plane slice by
+//!   plane slice, and XOR-scans each block into the destination.
+//! * **RAW** is one little-endian conversion per value.
+//!
+//! Every decoder validates the header and the payload length before it
+//! writes a value. [`decode_f64s_into`] / [`decode_f32s_into`] append to a
+//! caller's column — the disk reader decodes a whole stored block straight
+//! into the chunk's columns — and leave it as it was on error;
+//! [`decode_f64s`] / [`decode_f32s`] wrap them into a fresh `Vec`.
 
 use std::fmt;
 
@@ -433,29 +454,65 @@ fn rle_encode(data: &[u8]) -> Vec<u8> {
 
 /// Decode an f64 column of `n` values.
 pub fn decode_f64s(codec: u8, n: usize, payload: &[u8]) -> Result<Vec<f64>, FormatError> {
-    decode(codec, n, payload)
+    let mut out = Vec::new();
+    decode_into(codec, n, payload, &mut out)?;
+    Ok(out)
 }
 
 /// Decode an f32 column of `n` values.
 pub fn decode_f32s(codec: u8, n: usize, payload: &[u8]) -> Result<Vec<f32>, FormatError> {
-    decode(codec, n, payload)
+    let mut out = Vec::new();
+    decode_into(codec, n, payload, &mut out)?;
+    Ok(out)
 }
 
-fn decode<T: Value>(codec: u8, n: usize, payload: &[u8]) -> Result<Vec<T>, FormatError> {
+/// Decode an f64 column of `n` values onto the end of `out`. On error
+/// `out` is truncated back to the length it came in with.
+pub fn decode_f64s_into(
+    codec: u8,
+    n: usize,
+    payload: &[u8],
+    out: &mut Vec<f64>,
+) -> Result<(), FormatError> {
+    decode_into(codec, n, payload, out)
+}
+
+/// Decode an f32 column of `n` values onto the end of `out`. On error
+/// `out` is truncated back to the length it came in with.
+pub fn decode_f32s_into(
+    codec: u8,
+    n: usize,
+    payload: &[u8],
+    out: &mut Vec<f32>,
+) -> Result<(), FormatError> {
+    decode_into(codec, n, payload, out)
+}
+
+fn decode_into<T: Value>(
+    codec: u8,
+    n: usize,
+    payload: &[u8],
+    out: &mut Vec<T>,
+) -> Result<(), FormatError> {
     // CODEC_DECODE failpoint: any armed kind decodes as corrupt payload —
     // the one typed failure a codec can produce.
     if crate::faults::hit(crate::faults::CODEC_DECODE).is_some() {
         return Err(FormatError::corrupt("injected fault: decode"));
     }
-    match codec {
-        CODEC_RAW => decode_raw(n, payload),
-        CODEC_FOR => decode_for(n, payload),
-        CODEC_XOR => decode_xor(n, payload),
+    let base = out.len();
+    let res = match codec {
+        CODEC_RAW => decode_raw(n, payload, out),
+        CODEC_FOR => decode_for(n, payload, out),
+        CODEC_XOR => decode_xor(n, payload, out),
         other => Err(FormatError::corrupt(format!("unknown codec id {other}"))),
+    };
+    if res.is_err() {
+        out.truncate(base);
     }
+    res
 }
 
-fn decode_raw<T: Value>(n: usize, payload: &[u8]) -> Result<Vec<T>, FormatError> {
+fn decode_raw<T: Value>(n: usize, payload: &[u8], out: &mut Vec<T>) -> Result<(), FormatError> {
     if payload.len() != n * T::WIDTH {
         return Err(FormatError::corrupt(format!(
             "raw column: {} bytes for {n} values of width {}",
@@ -463,17 +520,19 @@ fn decode_raw<T: Value>(n: usize, payload: &[u8]) -> Result<Vec<T>, FormatError>
             T::WIDTH
         )));
     }
-    Ok(payload
-        .chunks_exact(T::WIDTH)
-        .map(|c| {
-            let mut b = [0u8; 8];
-            b[..T::WIDTH].copy_from_slice(c);
-            T::from_bits(u64::from_le_bytes(b))
-        })
-        .collect())
+    out.extend(payload.chunks_exact(T::WIDTH).map(|c| {
+        let mut b = [0u8; 8];
+        b[..T::WIDTH].copy_from_slice(c);
+        T::from_bits(u64::from_le_bytes(b))
+    }));
+    Ok(())
 }
 
-fn decode_for<T: Value>(n: usize, payload: &[u8]) -> Result<Vec<T>, FormatError> {
+/// Widest packing the one-window FOR unpack reads: a value starts at most
+/// 7 bits into its byte, so `7 + bits` must fit one 64-bit load.
+const FOR_WINDOW_BITS: u32 = 56;
+
+fn decode_for<T: Value>(n: usize, payload: &[u8], out: &mut Vec<T>) -> Result<(), FormatError> {
     if payload.len() < 11 {
         return Err(FormatError::corrupt("FOR column: payload under 11 bytes"));
     }
@@ -495,72 +554,110 @@ fn decode_for<T: Value>(n: usize, payload: &[u8]) -> Result<Vec<T>, FormatError>
         )));
     }
     let inv = 1.0 / (1u64 << scale) as f64;
-    let mut out = Vec::with_capacity(n);
-    let mut acc = 0u128;
-    let mut filled = 0u32;
-    let mut at = 0usize;
-    let mask = if bits == 0 {
-        0
+    let value = |d: u64| T::narrow(reference.wrapping_add((d << shift) as i64) as f64 * inv);
+    out.reserve(n);
+    if bits == 0 {
+        out.extend(std::iter::repeat_n(value(0), n));
+    } else if bits <= FOR_WINDOW_BITS {
+        let bits = bits as usize;
+        let mask = u64::MAX >> (64 - bits);
+        // Value `i` is the window at byte `i·bits / 8`, shifted by
+        // `i·bits % 8`. The leading values read their window in place: the
+        // first `inside` windows end within `packed`.
+        let inside = match packed.len().checked_sub(8) {
+            Some(last) => ((8 * last + 7) / bits + 1).min(n),
+            None => 0,
+        };
+        out.extend((0..inside).map(|i| {
+            let at = i * bits;
+            value((le_i64(&packed[at >> 3..]) as u64 >> (at & 7)) & mask)
+        }));
+        // The rest start in the last 8 bytes: read a zero-padded copy.
+        let from = (inside * bits) >> 3;
+        let tail = &packed[from.min(packed.len())..];
+        let mut pad = [0u8; 16];
+        pad[..tail.len()].copy_from_slice(tail);
+        out.extend((inside..n).map(|i| {
+            let at = i * bits - 8 * from;
+            value((le_i64(&pad[at >> 3..]) as u64 >> (at & 7)) & mask)
+        }));
     } else {
-        u64::MAX >> (64 - bits)
-    };
-    for _ in 0..n {
-        while filled < bits {
-            acc |= (packed[at] as u128) << filled;
-            at += 1;
-            filled += 8;
+        // 57–63 bits: a value may span nine bytes.
+        let mask = u64::MAX >> (64 - bits);
+        let mut acc = 0u128;
+        let mut filled = 0u32;
+        let mut at = 0usize;
+        for _ in 0..n {
+            while filled < bits {
+                acc |= (packed[at] as u128) << filled;
+                at += 1;
+                filled += 8;
+            }
+            out.push(value((acc as u64) & mask));
+            acc >>= bits;
+            filled -= bits;
         }
-        let d = (acc as u64) & mask;
-        acc >>= bits;
-        filled -= bits;
-        let k = reference.wrapping_add((d << shift) as i64);
-        out.push(T::narrow(k as f64 * inv));
     }
-    Ok(out)
+    Ok(())
 }
 
-fn decode_xor<T: Value>(n: usize, payload: &[u8]) -> Result<Vec<T>, FormatError> {
+/// Values assembled per plane pass of the XOR decode: eight 1 k-byte
+/// plane slices and one 8 KB word block stay in L1.
+const XOR_BLOCK: usize = 1024;
+
+fn decode_xor<T: Value>(n: usize, payload: &[u8], out: &mut Vec<T>) -> Result<(), FormatError> {
     let planes = rle_decode(payload, n * T::WIDTH)?;
-    let mut out = Vec::with_capacity(n);
+    out.reserve(n);
     let mut prev = 0u64;
-    for i in 0..n {
-        let mut b = [0u8; 8];
-        for (plane, byte) in b.iter_mut().take(T::WIDTH).enumerate() {
-            *byte = planes[plane * n + i];
+    let mut words = [0u64; XOR_BLOCK];
+    for start in (0..n).step_by(XOR_BLOCK) {
+        let words = &mut words[..XOR_BLOCK.min(n - start)];
+        let len = words.len();
+        for (w, &b) in words.iter_mut().zip(&planes[start..start + len]) {
+            *w = b as u64;
         }
-        prev ^= u64::from_le_bytes(b);
-        out.push(T::from_bits(prev));
+        for plane in 1..T::WIDTH {
+            let bytes = &planes[plane * n + start..plane * n + start + len];
+            for (w, &b) in words.iter_mut().zip(bytes) {
+                *w |= (b as u64) << (8 * plane);
+            }
+        }
+        out.extend(words.iter().map(|&d| {
+            prev ^= d;
+            T::from_bits(prev)
+        }));
     }
-    Ok(out)
+    Ok(())
 }
 
+/// Expand a zero-RLE stream into a zeroed buffer of `expect` bytes: a
+/// zero run only moves the cursor.
 fn rle_decode(stream: &[u8], expect: usize) -> Result<Vec<u8>, FormatError> {
-    let mut out = Vec::with_capacity(expect);
+    let mut out = vec![0u8; expect];
+    let mut at = 0;
     let mut i = 0;
     while i < stream.len() {
         let op = stream[i] as usize;
         i += 1;
-        if op < 128 {
-            let len = op + 1;
-            if i + len > stream.len() {
-                return Err(FormatError::corrupt("RLE literal run past payload end"));
-            }
-            out.extend_from_slice(&stream[i..i + len]);
-            i += len;
-        } else {
-            out.resize(out.len() + (op - 127), 0);
-        }
-        if out.len() > expect {
+        let len = if op < 128 { op + 1 } else { op - 127 };
+        if at + len > expect {
             return Err(FormatError::corrupt(format!(
                 "RLE stream inflates past the column ({} > {expect} bytes)",
-                out.len()
+                at + len
             )));
         }
+        if op < 128 {
+            let Some(lit) = stream.get(i..i + len) else {
+                return Err(FormatError::corrupt("RLE literal run past payload end"));
+            };
+            out[at..at + len].copy_from_slice(lit);
+            i += len;
+        }
+        at += len;
     }
-    if out.len() != expect {
+    if at != expect {
         return Err(FormatError::corrupt(format!(
-            "RLE stream ends early ({} of {expect} bytes)",
-            out.len()
+            "RLE stream ends early ({at} of {expect} bytes)"
         )));
     }
     Ok(out)

@@ -25,9 +25,9 @@
 //!   on Unix), issued in ascending file-offset order; when a single chunk
 //!   covers the whole remainder — the `read_table` whole-file load — this
 //!   degenerates to one sequential pass over the data section. Each
-//!   column's bytes are copied out of the reused read buffer into the
-//!   chunk, then converted straight into the final column `Vec`
-//!   ([`PointTable::from_columns`]) and freed, column by column.
+//!   column's bytes land in the chunk's own buffer, then are converted
+//!   straight into the table's column, allocated once at the chunk's
+//!   rows, and freed, column by column.
 //! * **v2** (`RJPTBL02`, [`write_table_compressed_v2`]) — chunked
 //!   compressed columns: the data section is a sequence of stored-chunk
 //!   blocks, each holding every column of its row range encoded with the
@@ -823,9 +823,8 @@ pub struct ColumnIo {
     pub decode_time: Duration,
 }
 
-/// Column layout shared by every [`EncodedChunk`] of one scan: the
-/// materialized attribute names (stored order) and their stored-column
-/// indices. One `Arc` per scan, cloned per chunk.
+/// Column layout shared (one `Arc` per scan) by every [`EncodedChunk`]
+/// of one scan: the materialized attributes' names and stored indices.
 #[derive(Debug)]
 struct ChunkSchema {
     /// Materialized attribute names, ascending stored order.
@@ -882,10 +881,9 @@ enum EncodedRows {
     Segments(Vec<Segment>),
 }
 
-/// The result of [`EncodedChunk::decode`]: the decoded rows plus the
-/// decode time to attribute — `decode_time` is the wall time of the whole
-/// decode (including row assembly), `col_decode` the per-stored-column
-/// codec time (indexed like [`ChunkedReader::column_io`]).
+/// The result of [`EncodedChunk::decode`]: the rows, the wall time of the
+/// whole decode (row assembly included) and the per-stored-column codec
+/// time (`col_decode`, indexed like [`ChunkedReader::column_io`]).
 #[derive(Debug)]
 pub struct DecodedChunk {
     pub table: PointTable,
@@ -900,87 +898,93 @@ impl EncodedChunk {
     }
 
     /// Decode into a [`PointTable`]. CPU-only (no I/O): safe to run on a
-    /// worker thread while the reader fetches further chunks. A block
-    /// shared with a neighbouring chunk is decoded by whichever of the
-    /// two gets here first, and charged to it; a block no other chunk
-    /// holds — every whole-block chunk — decodes by value, uncached.
+    /// worker thread while the reader fetches further chunks. Each column
+    /// is allocated once, at the chunk's rows. A whole block no other
+    /// chunk holds decodes straight into them. A block straddling two
+    /// chunks is decoded once, into the block, by whichever gets here
+    /// first (and charged to it); each copies only its own rows out.
     pub fn decode(self) -> io::Result<DecodedChunk> {
         let t0 = Instant::now();
         let mut col_decode = vec![Duration::ZERO; self.schema.stored_cols];
         let names: Vec<&str> = self.schema.attr_names.iter().map(|s| s.as_str()).collect();
-        let table = match self.data {
+        let mut table = PointTable::with_capacity(self.rows, &names);
+        match self.data {
             // Each raw column is freed as soon as it is converted, so a
             // whole-file chunk (`read_table`) never holds the file twice.
             EncodedRows::Raw { xs, ys, attrs } => {
+                let (xs_out, ys_out, attrs_out) = table.columns_mut();
                 let tc = Instant::now();
-                let xs_vals: Vec<f64> = xs.chunks_exact(8).map(codec::le_f64).collect();
+                xs_out.extend(xs.chunks_exact(8).map(codec::le_f64));
                 drop(xs);
                 col_decode[0] = tc.elapsed();
                 let tc = Instant::now();
-                let ys_vals: Vec<f64> = ys.chunks_exact(8).map(codec::le_f64).collect();
+                ys_out.extend(ys.chunks_exact(8).map(codec::le_f64));
                 drop(ys);
                 col_decode[1] = tc.elapsed();
-                let mut attr_vals = Vec::with_capacity(attrs.len());
-                for (i, raw) in attrs.into_iter().enumerate() {
+                for (i, (raw, out)) in attrs.into_iter().zip(attrs_out).enumerate() {
                     let tc = Instant::now();
-                    attr_vals.push(raw.chunks_exact(4).map(codec::le_f32).collect::<Vec<f32>>());
+                    out.extend(raw.chunks_exact(4).map(codec::le_f32));
                     col_decode[self.schema.mat_stored[i]] += tc.elapsed();
                 }
-                PointTable::from_columns(xs_vals, ys_vals, &names, attr_vals)
             }
             EncodedRows::Segments(segs) => {
-                let mut decode_block = |block: &EncodedBlock| {
-                    let mut xs = Vec::new();
-                    let mut ys = Vec::new();
-                    let mut attr_vals = Vec::with_capacity(block.cols.len());
-                    for (c, codec_id, payload) in &block.cols {
-                        let tc = Instant::now();
-                        match c {
-                            0 => xs = codec::decode_f64s(*codec_id, block.rows, payload)?,
-                            1 => ys = codec::decode_f64s(*codec_id, block.rows, payload)?,
-                            _ => {
-                                attr_vals.push(codec::decode_f32s(*codec_id, block.rows, payload)?)
-                            }
-                        }
-                        col_decode[*c] += tc.elapsed();
-                    }
-                    Ok(PointTable::from_columns(xs, ys, &names, attr_vals))
+                let decode_table = |block: &EncodedBlock, col_decode: &mut [Duration]| {
+                    let mut whole = PointTable::with_capacity(block.rows, &names);
+                    decode_block(block, &mut whole, col_decode)?;
+                    Ok(whole)
                 };
-                let mut out: Option<PointTable> = None;
                 for Segment { block, skip, take } in segs {
-                    let part = match Arc::try_unwrap(block) {
-                        Ok(mut block) => {
-                            let full = match block.decoded.take() {
-                                Some(decoded) => decoded?,
-                                None => decode_block(&block)?,
-                            };
-                            if take == full.len() {
-                                full
-                            } else {
-                                full.slice(skip, skip + take)
+                    let rows = skip..skip + take;
+                    match Arc::try_unwrap(block) {
+                        Ok(mut block) => match block.decoded.take() {
+                            Some(decoded) => table.extend_rows(&decoded?, rows),
+                            None if take == block.rows => {
+                                decode_block(&block, &mut table, &mut col_decode)?
                             }
+                            None => {
+                                table.extend_rows(&decode_table(&block, &mut col_decode)?, rows)
+                            }
+                        },
+                        Err(shared) => {
+                            let decoded = (shared.decoded)
+                                .get_or_init(|| decode_table(&shared, &mut col_decode));
+                            table.extend_rows(decoded.as_ref().map_err(Clone::clone)?, rows)
                         }
-                        Err(shared) => shared
-                            .decoded
-                            .get_or_init(|| decode_block(&shared))
-                            .as_ref()
-                            .map_err(Clone::clone)?
-                            .slice(skip, skip + take),
-                    };
-                    match &mut out {
-                        Some(o) => o.extend(&part),
-                        None => out = Some(part),
                     }
                 }
-                out.unwrap_or_else(|| PointTable::with_capacity(0, &names))
             }
-        };
+        }
         Ok(DecodedChunk {
             table,
             decode_time: t0.elapsed(),
             col_decode,
         })
     }
+}
+
+/// Append every row of `block` to `table`, each column decoded straight
+/// into the table's, its codec time charged to `col_decode`.
+fn decode_block(
+    block: &EncodedBlock,
+    table: &mut PointTable,
+    col_decode: &mut [Duration],
+) -> Result<(), FormatError> {
+    let (xs, ys, attrs) = table.columns_mut();
+    let mut attrs = attrs.into_iter();
+    for (c, codec_id, payload) in &block.cols {
+        let tc = Instant::now();
+        let (id, n) = (*codec_id, block.rows);
+        match c {
+            0 => codec::decode_f64s_into(id, n, payload, xs)?,
+            1 => codec::decode_f64s_into(id, n, payload, ys)?,
+            _ => match attrs.next() {
+                Some(out) => codec::decode_f32s_into(id, n, payload, out)?,
+                None => return Err(FormatError::Corrupt("unprojected column in block".into())),
+            },
+        }
+        col_decode[*c] += tc.elapsed();
+    }
+    Ok(())
 }
 
 /// Streams record batches of at most `chunk_rows` from a columnar file
@@ -993,16 +997,14 @@ pub struct ChunkedReader {
     meta: TableMeta,
     cursor: u64,
     chunk_rows: usize,
-    /// Reused raw-byte buffer every positioned read lands in: one column
-    /// (v1), one stored block (v2) or one needed-column run (v3) at a
-    /// time, copied out into the chunk being fetched.
+    /// Reused buffer a v2 block or v3 needed-column run lands in, its
+    /// entries copied out (v1 reads land in the chunk's own buffers).
     scratch: Vec<u8>,
     /// v2/v3: index of the next stored block to fetch. With
     /// `enc_pending` this is the reader's whole position.
     next_block: usize,
-    /// v2/v3: file offset of each stored block (prefix sums of the chunk
-    /// directory, computed once — a scan must not re-sum the prefix per
-    /// fetch, which would be O(blocks²) over the whole file).
+    /// v2/v3: file offset of each stored block (the directory's prefix
+    /// sums, once — not O(blocks²) re-summed per fetch).
     block_offsets: Vec<u64>,
     /// v2/v3: stored block `next_block - 1`, not yet fully handed out by
     /// [`Self::fetch_chunk`], plus the rows of it already taken.
@@ -1011,11 +1013,9 @@ pub struct ChunkedReader {
     chunk_schema: Arc<ChunkSchema>,
     /// Attribute columns to materialize (sorted, deduped); `None` = all.
     projection: Option<Vec<usize>>,
-    /// The attribute columns actually materialized, ascending (the
-    /// projection, or every column).
+    /// The attribute columns materialized, ascending (projection or all).
     mat_attrs: Vec<usize>,
-    /// Stored-column mask implied by the projection (coordinates always
-    /// on).
+    /// Stored-column mask of the projection (coordinates always on).
     needed: Vec<bool>,
     /// Per stored column I/O counters.
     col_io: Vec<ColumnIo>,
@@ -1202,25 +1202,31 @@ impl ChunkedReader {
         &self.recovery
     }
 
-    /// Positioned read: does not move any shared cursor and keeps no
-    /// buffered readahead to discard, so per-column jumps cost exactly one
-    /// `pread` each (the old `BufReader` + `SeekFrom::Start` pairing threw
-    /// its buffer away on every column of every chunk).
+    /// [`Self::read_into`] `len` bytes into `scratch`.
+    fn read_at(&mut self, offset: u64, len: usize) -> io::Result<()> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.resize(len, 0);
+        let res = self.read_into(offset, &mut buf);
+        self.scratch = buf;
+        res
+    }
+
+    /// Positioned read filling `buf`: it moves no shared cursor and keeps
+    /// no readahead to discard, so a per-column jump costs one `pread`.
     ///
     /// Transient failures — `Interrupted`, or a short read while a
     /// concurrent writer is still growing the file — are retried up to
     /// [`READ_RETRIES`] times (counted in [`Self::recovery`]) before the
     /// error surfaces; anything else fails immediately.
-    fn read_at(&mut self, offset: u64, len: usize) -> io::Result<&[u8]> {
-        self.scratch.resize(len, 0);
+    fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         let mut attempt = 0u32;
         loop {
             let res = match faults::hit(faults::DISK_READ_AT) {
                 Some(kind) => Err(faults::io_error(kind)),
-                None => read_at_once(&self.file, &mut self.scratch[..len], offset),
+                None => read_at_once(&self.file, buf, offset),
             };
             match res {
-                Ok(()) => return Ok(&self.scratch[..len]),
+                Ok(()) => return Ok(()),
                 Err(e)
                     if attempt < READ_RETRIES
                         && matches!(
@@ -1322,13 +1328,10 @@ impl ChunkedReader {
     /// instead of the reader.
     ///
     /// * v1: one positioned read per *materialized* column in ascending
-    ///   offset order (pruned columns are skipped entirely); when the
-    ///   chunk covers the whole remainder this is a single sequential
-    ///   pass over the rest of the data the scan touches.
+    ///   offset order (pruned columns are skipped entirely).
     /// * v2/v3: stored blocks are fetched with positioned reads (v3
     ///   prunes down to the needed column entries) and re-sliced to the
-    ///   requested delivery chunk size; a stored block that exactly fills
-    ///   the request is decoded and handed over without copying.
+    ///   requested delivery chunk size.
     pub fn fetch_chunk(&mut self) -> io::Result<Option<EncodedChunk>> {
         if !self.meta.is_compressed() {
             return self.fetch_chunk_v1();
@@ -1364,37 +1367,34 @@ impl ChunkedReader {
         }))
     }
 
-    /// v1 fetch: one positioned read per materialized column, the bytes
-    /// kept raw for [`EncodedChunk::decode`]'s bulk LE conversion.
+    /// v1 fetch: one positioned read per materialized column, straight
+    /// into the chunk's own buffer, the bytes kept raw for
+    /// [`EncodedChunk::decode`]'s bulk LE conversion.
     fn fetch_chunk_v1(&mut self) -> io::Result<Option<EncodedChunk>> {
         if self.cursor >= self.meta.rows {
             return Ok(None);
         }
         let n = (self.meta.rows - self.cursor).min(self.chunk_rows as u64) as usize;
-        let xs: Box<[u8]> = self
-            .read_at(self.meta.xs_offset() + self.cursor * 8, n * 8)?
-            .into();
-        let ys: Box<[u8]> = self
-            .read_at(self.meta.ys_offset() + self.cursor * 8, n * 8)?
-            .into();
-        self.col_io[0].bytes_read += (n * 8) as u64;
-        self.col_io[1].bytes_read += (n * 8) as u64;
-        let mut attrs: Vec<Box<[u8]>> = Vec::with_capacity(self.mat_attrs.len());
-        for i in 0..self.mat_attrs.len() {
-            let c = self.mat_attrs[i];
-            let raw: Box<[u8]> = self
-                .read_at(self.meta.attr_offset(c) + self.cursor * 4, n * 4)?
-                .into();
-            attrs.push(raw);
-            self.col_io[2 + c].bytes_read += (n * 4) as u64;
-        }
+        let column = |this: &mut Self, offset: u64, width: usize, col: usize| {
+            let mut buf = vec![0u8; n * width].into_boxed_slice();
+            this.read_into(offset + this.cursor * width as u64, &mut buf)?;
+            this.col_io[col].bytes_read += buf.len() as u64;
+            io::Result::Ok(buf)
+        };
+        let xs = column(self, self.meta.xs_offset(), 8, 0)?;
+        let ys = column(self, self.meta.ys_offset(), 8, 1)?;
+        let attrs = (0..self.mat_attrs.len())
+            .map(|i| {
+                column(
+                    self,
+                    self.meta.attr_offset(self.mat_attrs[i]),
+                    4,
+                    2 + self.mat_attrs[i],
+                )
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         self.bytes_read += (n * (16 + 4 * self.mat_attrs.len())) as u64;
         self.cursor += n as u64;
-        if self.cursor >= self.meta.rows {
-            // Nothing left to read: free the buffer, so a whole-file chunk
-            // (`read_table`) decodes beside no spare column.
-            self.scratch = Vec::new();
-        }
         Ok(Some(EncodedChunk {
             rows: n,
             data: EncodedRows::Raw { xs, ys, attrs },

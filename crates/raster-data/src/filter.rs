@@ -61,6 +61,29 @@ pub fn passes(table: &PointTable, row: usize, preds: &[Predicate]) -> bool {
     preds.iter().all(|p| p.eval(table, row))
 }
 
+/// [`passes`] for rows `start..start + keep.len()` of `table`, a column
+/// at a time: `keep[j] == passes(table, start + j, preds)`. Each predicate
+/// is one tight pass over its column's block, with the same [`CmpOp`]
+/// semantics (a NaN fails every comparison).
+pub fn keep_mask(table: &PointTable, start: usize, preds: &[Predicate], keep: &mut [bool]) {
+    fn and(keep: &mut [bool], col: &[f32], test: impl Fn(f32) -> bool) {
+        for (k, &a) in keep.iter_mut().zip(col) {
+            *k &= test(a);
+        }
+    }
+    keep.fill(true);
+    for p in preds {
+        let (col, v) = (&table.attr(p.attr)[start..start + keep.len()], p.value);
+        match p.op {
+            CmpOp::Gt => and(keep, col, |a| a > v),
+            CmpOp::Ge => and(keep, col, |a| a >= v),
+            CmpOp::Lt => and(keep, col, |a| a < v),
+            CmpOp::Le => and(keep, col, |a| a <= v),
+            CmpOp::Eq => and(keep, col, |a| a == v),
+        }
+    }
+}
+
 /// The set of distinct attribute columns referenced by the predicates —
 /// these are the extra columns that must be shipped to the GPU (§5: "the
 /// data corresponding to the attributes over which constraints are imposed

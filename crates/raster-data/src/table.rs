@@ -1,6 +1,7 @@
 //! The in-memory columnar point table.
 
 use raster_geom::{BBox, Point};
+use std::ops::Range;
 
 /// A named f32 attribute column (fare, tip, passenger count, …).
 #[derive(Debug, Clone, PartialEq)]
@@ -41,10 +42,9 @@ impl PointTable {
     }
 
     /// Build a table directly from its columns, taking ownership of the
-    /// buffers. This is the bulk path for column-wise sources (the disk
-    /// reader decodes each column straight into its final `Vec` instead of
-    /// materialising temporaries and re-pushing row-at-a-time, halving the
-    /// peak allocation of whole-file loads).
+    /// buffers: the bulk path for column-wise sources (a derived table
+    /// computed column by column), with no temporaries re-pushed row at a
+    /// time.
     ///
     /// Panics if the column lengths disagree or the name count does not
     /// match the value-column count.
@@ -162,12 +162,24 @@ impl PointTable {
 
     /// Append all records of `other` (schemas must match).
     pub fn extend(&mut self, other: &PointTable) {
+        self.extend_rows(other, 0..other.len());
+    }
+
+    /// Append records `rows` of `other` (schemas must match).
+    pub fn extend_rows(&mut self, other: &PointTable, rows: Range<usize>) {
         assert_eq!(self.attr_count(), other.attr_count(), "schema mismatch");
-        self.xs.extend_from_slice(&other.xs);
-        self.ys.extend_from_slice(&other.ys);
+        self.xs.extend_from_slice(&other.xs[rows.clone()]);
+        self.ys.extend_from_slice(&other.ys[rows.clone()]);
         for (a, b) in self.attrs.iter_mut().zip(&other.attrs) {
-            a.values.extend_from_slice(&b.values);
+            a.values.extend_from_slice(&b.values[rows.clone()]);
         }
+    }
+
+    /// The coordinate and attribute columns, for a column-wise writer
+    /// (the disk reader's decoder) that leaves them equally long.
+    pub(crate) fn columns_mut(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>, Vec<&mut Vec<f32>>) {
+        let attrs = self.attrs.iter_mut().map(|c| &mut c.values).collect();
+        (&mut self.xs, &mut self.ys, attrs)
     }
 
     /// Bytes per record when shipping the positions plus `used_attrs`

@@ -16,8 +16,9 @@
 //!
 //! # Mapping to the paper's passes
 //!
-//! * **Vertex stage / clipping** → [`bin_points`]: predicate filtering and
-//!   the world→pixel transform run exactly once per point per batch; the
+//! * **Vertex stage / clipping** → [`bin_columns`]: predicate filtering
+//!   (a column at a time, into a keep-mask per block of rows) and the
+//!   world→pixel transform run exactly once per point per batch; the
 //!   per-tile acceptance test is byte-compatible with
 //!   [`Viewport::pixel_of`] on the split tiles, so every tile receives
 //!   exactly the points a per-tile rescan would (property-tested).
@@ -36,7 +37,7 @@
 //! difference between rescanning 10M points 16 times and scanning them
 //! once.
 
-use crate::exec::{parallel_dynamic, parallel_ranges};
+use crate::exec::{parallel_dynamic, parallel_ranges_with};
 use crate::Viewport;
 use parking_lot::Mutex;
 use raster_geom::Point;
@@ -241,12 +242,21 @@ impl BandedEntries {
     }
 }
 
-/// Per-worker accumulation buffers: one (idx, values) pair per tile,
-/// tagged with the worker's range start for deterministic ordering.
+/// Per-worker accumulation buffers: one (idx, values) pair per tile.
+/// `values` is empty for COUNT-only queries.
 struct LocalBins {
-    start: usize,
     idx: Vec<Vec<u32>>,
     values: Vec<Vec<f32>>,
+}
+
+impl LocalBins {
+    #[inline]
+    fn push(&mut self, ti: usize, pix: u32, v: f32) {
+        self.idx[ti].push(pix);
+        if let Some(values) = self.values.get_mut(ti) {
+            values.push(v);
+        }
+    }
 }
 
 /// Floor (in pixels) for the seam margin below which the fast
@@ -315,21 +325,134 @@ impl BinGeom {
     }
 }
 
+/// Where a world point lands on a tiling: `(tile, linear pixel index)`
+/// for every tile whose [`Viewport::pixel_of`] accepts it.
+enum Placement {
+    /// One tile: its own probe decides — no global transform, no seams.
+    One(crate::viewport::PixelProbe),
+    /// Several tiles: the seam-guarded assignment of [`BinGeom`].
+    Many(BinGeom),
+}
+
+impl Placement {
+    fn new(tiling: &CanvasTiling) -> Self {
+        match &tiling.tiles[..] {
+            [tile] => Placement::One(tile.pixel_probe()),
+            _ => Placement::Many(BinGeom::new(tiling)),
+        }
+    }
+
+    #[inline]
+    fn place(&self, tiling: &CanvasTiling, p: Point, mut emit: impl FnMut(usize, u32)) {
+        let geom = match self {
+            Placement::One(probe) => {
+                if let Some((x, y)) = probe.pixel_of(p) {
+                    emit(0, y * probe.width() + x);
+                }
+                return;
+            }
+            Placement::Many(geom) => geom,
+        };
+        // Fast path: derive tile and local pixel from the exact
+        // full-canvas transform — one probe instead of up to nine
+        // per-tile probes. Only valid when the point is clearly inside
+        // its pixel: within the seam margin of any pixel boundary the
+        // per-tile transform could round differently, so those points
+        // (and global rejects near the outer edge) take the exhaustive
+        // per-tile path, keeping the assignment byte-identical to
+        // per-tile `pixel_of` everywhere.
+        if let Some((gx, gy)) = geom.global.pixel_of(p) {
+            let fx = (p.x - geom.min_x) * geom.inv_pw - gx as f64;
+            let fy = (p.y - geom.min_y) * geom.inv_ph - gy as f64;
+            if fx > geom.margin_x
+                && fx < 1.0 - geom.margin_x
+                && fy > geom.margin_y
+                && fy < 1.0 - geom.margin_y
+            {
+                let tx = gx / tiling.max_dim;
+                let ty = gy / tiling.max_dim;
+                let ti = (ty * tiling.tiles_x + tx) as usize;
+                let lw = geom.probes[ti].width();
+                emit(
+                    ti,
+                    (gy - ty * tiling.max_dim) * lw + (gx - tx * tiling.max_dim),
+                );
+                return;
+            }
+        }
+        bin_one(tiling, geom, p, emit);
+    }
+}
+
+/// Rows per keep-mask block of [`bin_columns`]: the mask, one block of
+/// each coordinate and value column stay in L1.
+pub const BIN_BLOCK: usize = 1024;
+
+/// One batch's rows, by column, as [`bin_columns`] reads them.
+#[derive(Clone, Copy)]
+pub struct PointColumns<'a> {
+    pub xs: &'a [f64],
+    pub ys: &'a [f64],
+    /// The aggregated attribute; `None` for COUNT-only queries.
+    pub values: Option<&'a [f32]>,
+}
+
+/// Classify the rows of `cols` into the tiles of `tiling`, a column at a
+/// time: per block of [`BIN_BLOCK`] rows, `keep(start, mask)` writes the
+/// filter's verdict for rows `start..start + mask.len()`, then every kept
+/// row is placed from the `xs` / `ys` slices. Each tile's entries are in
+/// row order at any `workers`.
+///
+/// On a one-tile canvas a kept row's pixel is that tile's
+/// [`Viewport::pixel_of`]. On several tiles the assignment is
+/// semantically identical to probing every tile with it: the candidate
+/// tile comes from floor arithmetic on the full-canvas coordinates, and
+/// when a point lies within half a pixel of a tile seam the adjacent
+/// tiles are probed too, so floating-point disagreement between the
+/// full-canvas and per-tile transforms at seams cannot drop, duplicate,
+/// or misplace a point relative to that probe.
+pub fn bin_columns<K>(
+    tiling: &CanvasTiling,
+    cols: PointColumns<'_>,
+    workers: usize,
+    keep: K,
+) -> BinnedBatch
+where
+    K: Fn(usize, &mut [bool]) + Sync,
+{
+    assert_eq!(cols.xs.len(), cols.ys.len(), "coordinate column lengths");
+    let len = cols.xs.len();
+    bin_with(
+        tiling,
+        len,
+        workers,
+        cols.values.is_some(),
+        |place, rows, local| {
+            let mut mask = [false; BIN_BLOCK];
+            for start in rows.clone().step_by(BIN_BLOCK) {
+                let end = (start + BIN_BLOCK).min(rows.end);
+                let mask = &mut mask[..end - start];
+                keep(start, mask);
+                let (xs, ys) = (&cols.xs[start..end], &cols.ys[start..end]);
+                let value = |j: usize| cols.values.map_or(0.0, |a| a[start + j]);
+                for (j, ((&x, &y), &kept)) in xs.iter().zip(ys).zip(mask.iter()).enumerate() {
+                    if kept {
+                        let v = value(j);
+                        place.place(tiling, Point::new(x, y), |ti, pix| local.push(ti, pix, v));
+                    }
+                }
+            }
+        },
+    )
+}
+
 /// Classify points `0..len` (relative indices; the accessor maps to
-/// absolute rows) into the tiles of `tiling`.
-///
-/// `access(i)` returns `None` when point `i` fails the filter predicates,
-/// otherwise its world position and aggregate value. Predicates and the
-/// world→screen transform therefore run **once** per point per batch,
-/// regardless of the tile count.
-///
-/// Tile assignment is semantically identical to probing every tile with
-/// [`Viewport::pixel_of`]: the candidate tile
-/// comes from floor arithmetic on the full-canvas coordinates, and when a
-/// point lies within half a pixel of a tile seam the adjacent tiles are
-/// probed too, so floating-point disagreement between the full-canvas and
-/// per-tile transforms at seams cannot drop, duplicate, or misplace a
-/// point relative to that probe.
+/// absolute rows) into the tiles of `tiling`, placed exactly as
+/// [`bin_columns`] places them: its row-at-a-time form, kept for the
+/// benchmark's replay (`benchmark/src/layers.rs`) and `bench_binning`;
+/// no executor calls it. `access(i)` returns `None` when point `i` fails
+/// the filter predicates, otherwise its world position and aggregate
+/// value.
 pub fn bin_points<F>(
     tiling: &CanvasTiling,
     len: usize,
@@ -340,80 +463,59 @@ pub fn bin_points<F>(
 where
     F: Fn(usize) -> Option<(Point, f32)> + Sync,
 {
-    let ntiles = tiling.tile_count();
-    let geom = BinGeom::new(tiling);
-    let results: Mutex<Vec<LocalBins>> = Mutex::new(Vec::new());
-
-    // Phase 1: every worker bins a contiguous point range into private
-    // per-tile buffers — no shared state until the single push at the end.
-    let workers = workers.max(1).min(len.max(1));
-    // Pre-size local buffers for a uniform spread (2× slack); hotspot
-    // tiles grow past this, but the common case never reallocates.
-    let reserve = 2 * len.div_ceil(workers) / ntiles.max(1) + 16;
-    {
-        let (geom, results, access) = (&geom, &results, &access);
-        parallel_ranges(len, workers, move |start, end| {
-            let mut local = LocalBins {
-                start,
-                idx: (0..ntiles).map(|_| Vec::with_capacity(reserve)).collect(),
-                values: if with_values {
-                    (0..ntiles).map(|_| Vec::with_capacity(reserve)).collect()
-                } else {
-                    Vec::new()
-                },
-            };
-            for i in start..end {
-                let Some((p, v)) = access(i) else { continue };
-                // Fast path: derive tile and local pixel from the
-                // exact full-canvas transform — one probe instead of
-                // up to nine per-tile probes. Only valid when the
-                // point is clearly inside its pixel: within
-                // `SEAM_MARGIN` of any pixel boundary the per-tile
-                // transform could round differently, so those points
-                // (and global rejects near the outer edge) take the
-                // exhaustive per-tile path, keeping the assignment
-                // byte-identical to per-tile `pixel_of` everywhere.
-                let mut fast = false;
-                if let Some((gx, gy)) = geom.global.pixel_of(p) {
-                    let sx = (p.x - geom.min_x) * geom.inv_pw;
-                    let sy = (p.y - geom.min_y) * geom.inv_ph;
-                    let fx = sx - gx as f64;
-                    let fy = sy - gy as f64;
-                    if fx > geom.margin_x
-                        && fx < 1.0 - geom.margin_x
-                        && fy > geom.margin_y
-                        && fy < 1.0 - geom.margin_y
-                    {
-                        let tx = gx / tiling.max_dim;
-                        let ty = gy / tiling.max_dim;
-                        let ti = (ty * tiling.tiles_x + tx) as usize;
-                        let lw = geom.probes[ti].width();
-                        let pix = (gy - ty * tiling.max_dim) * lw + (gx - tx * tiling.max_dim);
-                        local.idx[ti].push(pix);
-                        if with_values {
-                            local.values[ti].push(v);
-                        }
-                        fast = true;
-                    }
-                }
-                if !fast {
-                    bin_one(tiling, geom, p, |ti, pix| {
-                        local.idx[ti].push(pix);
-                        if with_values {
-                            local.values[ti].push(v);
-                        }
-                    });
-                }
+    bin_with(tiling, len, workers, with_values, |place, rows, local| {
+        for i in rows {
+            if let Some((p, v)) = access(i) {
+                place.place(tiling, p, |ti, pix| local.push(ti, pix, v));
             }
-            results.lock().push(local);
-        });
+        }
+    })
+}
+
+/// Run `classify(placement, rows, bins)` over `0..len` split into one
+/// contiguous range per worker, each into private per-tile buffers, then
+/// lay them out as CSR over tiles in range order. A lone worker's
+/// buffers on a one-tile canvas become the batch as they are.
+fn bin_with<F>(
+    tiling: &CanvasTiling,
+    len: usize,
+    workers: usize,
+    with_values: bool,
+    classify: F,
+) -> BinnedBatch
+where
+    F: Fn(&Placement, std::ops::Range<usize>, &mut LocalBins) + Sync,
+{
+    let ntiles = tiling.tile_count();
+    let place = Placement::new(tiling);
+    let workers = workers.max(1).min(len.max(1));
+    // A one-tile worker's entries are at most its rows. Several tiles are
+    // pre-sized for a uniform spread (2× slack); hotspot tiles grow past
+    // this, but the common case never reallocates.
+    let reserve = match ntiles {
+        1 => len.div_ceil(workers),
+        _ => 2 * len.div_ceil(workers) / ntiles + 16,
+    };
+    let value_tiles = if with_values { ntiles } else { 0 };
+    let mut locals: Vec<LocalBins> = (0..workers)
+        .map(|_| LocalBins {
+            idx: (0..ntiles).map(|_| Vec::with_capacity(reserve)).collect(),
+            values: (0..value_tiles)
+                .map(|_| Vec::with_capacity(reserve))
+                .collect(),
+        })
+        .collect();
+    parallel_ranges_with(len, &mut locals, |local, start, end| {
+        classify(&place, start..end, local)
+    });
+    if let ([local], 1) = (&mut locals[..], ntiles) {
+        let values = local.values.pop().unwrap_or_default();
+        return BinnedBatch::single_tile(std::mem::take(&mut local.idx[0]), values);
     }
 
-    // Phase 2: CSR layout. Buffers are ordered by their range start, so
-    // every tile's entries are in row order — hence each pixel's f32
-    // blend order — whatever the worker count.
-    let mut locals = results.into_inner();
-    locals.sort_unstable_by_key(|l| l.start);
+    // CSR layout. Buffers are in range order, so every tile's entries are
+    // in row order — hence each pixel's f32 blend order — whatever the
+    // worker count.
     let mut offsets = vec![0u32; ntiles + 1];
     for t in 0..ntiles {
         let total: usize = locals.iter().map(|l| l.idx[t].len()).sum();
@@ -423,36 +525,31 @@ where
     let mut idx = vec![0u32; total];
     let mut values = vec![0f32; if with_values { total } else { 0 }];
 
-    // Parallel scatter: each tile's segment is disjoint, so hand every
-    // tile's destination slice to the merge workers without locking.
-    let idx_ptr = SendPtr(idx.as_mut_ptr());
-    let val_ptr = SendPtr(values.as_mut_ptr());
-    let locals = &locals;
-    parallel_dynamic(ntiles, workers, 1, |t| {
-        // Capture the Send/Sync wrappers, not their raw-pointer fields
-        // (edition-2021 closures would otherwise capture the `*mut`s).
-        let (idx_ptr, val_ptr) = (&idx_ptr, &val_ptr);
-        let mut cursor = offsets[t] as usize;
-        for l in locals {
+    // Parallel scatter: each tile owns its disjoint destination slices.
+    let (mut idx_rest, mut val_rest) = (&mut idx[..], &mut values[..]);
+    let mut jobs = Vec::with_capacity(ntiles);
+    for t in 0..ntiles {
+        let n = (offsets[t + 1] - offsets[t]) as usize;
+        let (tile_idx, rest) = std::mem::take(&mut idx_rest).split_at_mut(n);
+        idx_rest = rest;
+        let (tile_vals, rest) =
+            std::mem::take(&mut val_rest).split_at_mut(n * with_values as usize);
+        val_rest = rest;
+        jobs.push((t, tile_idx, tile_vals));
+    }
+    let jobs = Mutex::new(jobs);
+    parallel_dynamic(ntiles, workers, 1, |_| {
+        let Some((t, idx, vals)) = jobs.lock().pop() else {
+            return;
+        };
+        let mut at = 0;
+        for l in &locals {
             let src = &l.idx[t];
-            // SAFETY: tiles write to disjoint [offsets[t], offsets[t+1])
-            // segments; `cursor` stays within this tile's segment because
-            // offsets were computed from these exact lengths.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src.as_ptr(), idx_ptr.0.add(cursor), src.len());
+            idx[at..at + src.len()].copy_from_slice(src);
+            if let Some(vsrc) = l.values.get(t) {
+                vals[at..at + src.len()].copy_from_slice(vsrc);
             }
-            if with_values {
-                let vsrc = &l.values[t];
-                // SAFETY: same disjointness argument as the `idx` copy
-                // above — `values` was sized with the same offsets, and
-                // `vsrc.len() == src.len()` for every local buffer, so
-                // this writes the same [offsets[t], offsets[t+1]) segment
-                // of the values array that this tile exclusively owns.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(vsrc.as_ptr(), val_ptr.0.add(cursor), vsrc.len());
-                }
-            }
-            cursor += src.len();
+            at += src.len();
         }
     });
 
@@ -462,23 +559,6 @@ where
         values,
     }
 }
-
-/// Raw pointer that may cross scoped-thread boundaries (writes are to
-/// provably disjoint ranges; see the SAFETY comments at use sites).
-///
-/// The `T: Send` bounds are load-bearing: a `SendPtr<Rc<_>>` shared
-/// across threads would otherwise let workers clone non-atomic refcounts
-/// concurrently. The scatter loop only instantiates `T = u32` / `T = f32`.
-struct SendPtr<T>(*mut T);
-// SAFETY: moving the wrapper to another thread moves at most the pointee
-// (the pointer itself is plain data), which `T: Send` permits; the
-// wrapper exposes no other capability.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: `&SendPtr<T>` hands every thread the raw `*mut T`, i.e. the
-// ability to move/write `T`s across threads, so `Sync` needs `T: Send`
-// too. Aliasing discipline (disjoint write ranges, no reads until the
-// scope joins) is established at each use site.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Assign one world point to its accepting tile(s): emit `(tile index,
 /// linear pixel index)` for every tile whose `pixel_of` accepts it.

@@ -85,7 +85,7 @@ impl PointFbo {
     }
 
     /// [`PointFbo::blend_add`] addressed by linear pixel index, where
-    /// `bin_points` has already computed `y * width + x` per entry.
+    /// `bin_columns` has already computed `y * width + x` per entry.
     #[inline]
     pub fn blend_add_idx(&self, i: usize, value: f32) {
         self.counts[i].fetch_add(1, Ordering::Relaxed);

@@ -39,8 +39,8 @@ pub mod ssbo;
 pub mod viewport;
 
 pub use bin::{
-    bin_points, use_runs, BandedEntries, BinnedBatch, CanvasTiling, RasterConfig, BAND_SHIFT,
-    RUNS_MAX_DENSITY,
+    bin_columns, bin_points, use_runs, BandedEntries, BinnedBatch, CanvasTiling, PointColumns,
+    RasterConfig, BAND_SHIFT, BIN_BLOCK, RUNS_MAX_DENSITY,
 };
 pub use device::{Device, DeviceConfig, TransferStats};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};

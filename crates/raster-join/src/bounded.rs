@@ -39,8 +39,9 @@
 //!   ([`PointFbo::blend_bands`](raster_gpu::PointFbo::blend_bands)).
 //!   Costs per pixel.
 //!
-//! A multi-tile canvas bins each batch once (`raster_gpu::bin_points`:
-//! filter and transform per point, each tile's entries in row order) and
+//! A multi-tile canvas bins each batch once (`raster_gpu::bin_columns`:
+//! the filter a column at a time per block of rows, then the transform
+//! of every kept point, each tile's entries in row order) and
 //! fills a dense tile from its entries
 //! ([`PointFbo::blend_banded`](raster_gpu::PointFbo::blend_banded)). A
 //! one-tile canvas is binned only to become runs, which the batch's row
@@ -61,11 +62,11 @@ use crate::point_pass::PointPass;
 use crate::polygon_pass::{draw_polygons, PolyRings};
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
-use raster_data::filter::passes;
+use raster_data::filter::keep_mask;
 use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::{BBox, Polygon};
-use raster_gpu::bin::{bin_points, BinnedBatch, CanvasTiling};
+use raster_gpu::bin::{bin_columns, BinnedBatch, CanvasTiling, PointColumns};
 use raster_gpu::exec::{default_workers, timed};
 use raster_gpu::{use_runs, Device, FboPool, PixelRuns, ResidentCanvases, SpanSource, Viewport};
 use std::time::Instant;
@@ -323,8 +324,10 @@ impl BoundedRasterJoin {
         out.stats.passes += 1;
     }
 
-    /// *Bin* one chunk: filter and transform every point once, on the
-    /// calling thread, into per-tile deltas in row order. The streaming
+    /// *Bin* one chunk on the calling thread: the filter a column at a
+    /// time into a keep-mask per block of rows, then the pixel of every
+    /// kept point, into per-tile deltas in row order (on a one-tile canvas
+    /// the staged entries are the deltas, with no CSR copy). The streaming
     /// scan's chunk-pool workers run this and nothing else of the join, so
     /// the entry order — hence every pixel's f32 blend order — is the
     /// table's row order at any pool width.
@@ -391,7 +394,8 @@ impl BoundedRasterJoin {
 }
 
 /// Classify rows `[start, end)` of `points` into the tiles of `tiling`:
-/// the predicate filter and the world→pixel transform, once per point.
+/// the predicate filter a column at a time into a keep-mask per block,
+/// then the world→pixel transform of every kept row.
 fn bin_range(
     tiling: &CanvasTiling,
     points: &PointTable,
@@ -400,15 +404,13 @@ fn bin_range(
     query: &Query,
     workers: usize,
 ) -> BinnedBatch {
-    let preds = &query.predicates;
-    let agg_attr = query.aggregate.attr();
-    bin_points(tiling, end - start, workers, agg_attr.is_some(), |rel| {
-        let i = start + rel;
-        if !preds.is_empty() && !passes(points, i, preds) {
-            return None;
-        }
-        let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
-        Some((points.point(i), v))
+    let cols = PointColumns {
+        xs: &points.xs()[start..end],
+        ys: &points.ys()[start..end],
+        values: query.aggregate.attr().map(|a| &points.attr(a)[start..end]),
+    };
+    bin_columns(tiling, cols, workers, |rel, keep| {
+        keep_mask(points, start + rel, &query.predicates, keep)
     })
 }
 

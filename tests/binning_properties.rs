@@ -472,3 +472,141 @@ fn nan_coordinates_land_in_no_pixel() {
         }
     }
 }
+
+/// The column-at-a-time filter is `passes`, row by row: every operator
+/// against NaN, ±0, ±∞ and plain values, conjunctions over two columns
+/// and the empty list, on blocks of 1, 1023, 1024 and 1025 rows from two
+/// starting rows.
+#[test]
+fn keep_mask_is_passes_row_by_row() {
+    use raster_join_repro::data::filter::{keep_mask, passes};
+    let specials = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1.0,
+        -1.0,
+        2.5,
+    ];
+    let n = 7 + 1025;
+    let mut t = PointTable::with_capacity(n, &["a", "b"]);
+    for i in 0..n {
+        t.push(
+            Point::new(0.0, 0.0),
+            &[specials[i % 8], specials[(3 * i + 1) % 7]],
+        );
+    }
+    let ops = [CmpOp::Gt, CmpOp::Ge, CmpOp::Lt, CmpOp::Le, CmpOp::Eq];
+    let mut pred_sets: Vec<Vec<Predicate>> = vec![Vec::new()];
+    for op in ops {
+        for &v in &specials {
+            pred_sets.push(vec![Predicate::new(0, op, v)]);
+        }
+        pred_sets.push(vec![
+            Predicate::new(0, op, 0.0),
+            Predicate::new(1, CmpOp::Le, 1.0),
+        ]);
+    }
+    for preds in &pred_sets {
+        for len in [1, 1023, 1024, 1025] {
+            for start in [0, 7] {
+                let mut keep = vec![false; len];
+                keep_mask(&t, start, preds, &mut keep);
+                for (j, &k) in keep.iter().enumerate() {
+                    let row = start + j;
+                    assert_eq!(k, passes(&t, row, preds), "{preds:?}, row {row}");
+                }
+            }
+        }
+    }
+}
+
+/// `BoundedRasterJoin::bin` — and `bin_columns` at several widths — emits
+/// exactly the entries of the row-at-a-time reference (`passes`, then
+/// `Viewport::pixel_of` on every tile, in row order), pixel indices and
+/// value bits alike, on one tile and on 3×3: over predicates that keep
+/// whole blocks, none of a block or part of one, and NaN coordinates.
+#[test]
+fn bin_entries_are_the_row_at_a_time_reference() {
+    use raster_join_repro::data::filter::{keep_mask, passes};
+    use raster_join_repro::gpu::{bin_columns, PointColumns, BIN_BLOCK};
+    let polys = vec![Polygon::from_coords(
+        0,
+        vec![(0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0)],
+    )];
+    // Block 0 all kept by `h < 5`, block 1 none, block 2 every other row,
+    // the short tail all; some rows off the canvas, some NaN.
+    let n = 3 * BIN_BLOCK + 300;
+    let around = BBox::new(Point::new(-10.0, -10.0), Point::new(110.0, 110.0));
+    let mut pts = random_points(n, &around, 9, 1.0);
+    let mut t = PointTable::with_capacity(n, &["v", "h"]);
+    for i in 0..n {
+        let p = match i % 97 {
+            0 => Point::new(f64::NAN, 50.0),
+            1 => Point::new(50.0, f64::NAN),
+            _ => pts.point(i),
+        };
+        let h = match i / BIN_BLOCK {
+            1 => 10.0,
+            2 if i % 2 == 1 => 10.0,
+            _ => 1.0,
+        };
+        t.push(p, &[pts.attr(0)[i], h]);
+    }
+    pts = t;
+    let keep_some = vec![Predicate::new(1, CmpOp::Lt, 5.0)];
+    let queries = [
+        Query::count(),
+        Query::sum(0),
+        Query::sum(0).with_predicates(keep_some.clone()),
+        Query::count().with_predicates(keep_some),
+    ];
+    // Pixel side 1 → a 100² canvas: one tile, or 3×3 of at most 34².
+    for (max_dim, tiles) in [(8192, 1), (34, 9)] {
+        let dev = Device::new(DeviceConfig::small(3 << 30, max_dim));
+        for q in &queries {
+            let q = q.clone().with_epsilon(std::f64::consts::SQRT_2);
+            let extent = polygon_extent(&polys);
+            let (w, h) = resolution_for_epsilon(&extent, q.epsilon);
+            let tiling = CanvasTiling::new(Viewport::new(extent, w, h), max_dim);
+            assert_eq!(tiling.tile_count(), tiles);
+            let attr = q.aggregate.attr();
+            let want: Vec<(Vec<u32>, Vec<u32>)> = (tiling.tiles.iter())
+                .map(|vp| {
+                    let (mut idx, mut bits) = (Vec::new(), Vec::new());
+                    for i in (0..n).filter(|&i| passes(&pts, i, &q.predicates)) {
+                        if let Some((x, y)) = vp.pixel_of(pts.point(i)) {
+                            idx.push(y * vp.width + x);
+                            bits.extend(attr.map(|a| pts.attr(a)[i].to_bits()));
+                        }
+                    }
+                    (idx, bits)
+                })
+                .collect();
+            let exec = BoundedRasterJoin::new(1);
+            let prepared = exec.prepare(&polys, q.epsilon, &dev);
+            let streamed = exec.bin(&prepared, &pts, &q).binned;
+            let cols = PointColumns {
+                xs: pts.xs(),
+                ys: pts.ys(),
+                values: attr.map(|a| pts.attr(a)),
+            };
+            for workers in [1, 2, 3] {
+                let binned = bin_columns(&tiling, cols, workers, |start, keep| {
+                    keep_mask(&pts, start, &q.predicates, keep)
+                });
+                for (ti, (idx, bits)) in want.iter().enumerate() {
+                    for got in [&streamed, &binned] {
+                        let (gi, gv) = got.tile(ti);
+                        let gbits: Vec<u32> =
+                            gv.into_iter().flatten().map(|v| v.to_bits()).collect();
+                        let ctx = format!("{tiles} tile(s), tile {ti}, {workers} worker(s), {q:?}");
+                        assert_eq!((gi, &gbits[..]), (&idx[..], &bits[..]), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
