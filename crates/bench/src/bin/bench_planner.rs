@@ -160,11 +160,10 @@ fn main() {
             query = query.with_predicates(vec![Predicate::new(hour, CmpOp::Lt, 16.8)]);
         }
         let device = match cell.budget_points {
-            Some(b) => Device::new(DeviceConfig {
-                memory_budget: b * PointTable::point_bytes(query.attrs_uploaded()),
-                max_fbo_dim: max_fbo,
-                ..DeviceConfig::default()
-            }),
+            Some(b) => Device::new(DeviceConfig::small(
+                b * PointTable::point_bytes(query.attrs_uploaded()),
+                max_fbo,
+            )),
             None => Device::new(DeviceConfig::small(3 << 30, max_fbo)),
         };
         let capacity = device.points_per_batch(PointTable::point_bytes(query.attrs_uploaded()));

@@ -43,12 +43,12 @@
 //! ```
 
 use bench::arg_value;
+use bench::experiments::MODELLED_DISK_BANDWIDTH;
 use raster_data::disk::{
     write_table, write_table_compressed, ChunkedReader, DEFAULT_COMPRESSED_CHUNK_ROWS,
 };
 use raster_data::PointTable;
 use raster_gpu::{Device, DeviceConfig};
-use raster_join::stream::MODELLED_DISK_BANDWIDTH;
 use raster_join::{Query, StreamOutput, StreamingRasterJoin};
 use std::fmt::Write as _;
 use std::path::Path;

@@ -46,6 +46,19 @@ pub fn small_device(points_budget: usize, attrs: usize) -> Device {
     ))
 }
 
+/// Modelled disk bandwidth for the disk-resident experiments (fig 13 and
+/// `bench_stream`), following the transfer model's calibration rationale
+/// ([`raster_gpu::device::SIM_SLOWDOWN`]): the software rasterizer's
+/// processing throughput sits roughly that factor below the paper's GPU,
+/// so an SSD-class 1.5 GB/s scaled by the same factor keeps the
+/// **disk : processing ratio** — the quantity Fig. 13 actually reports —
+/// faithful even though the page cache serves reads at RAM speed. Unlike
+/// the PCIe transfer (a closed form of bytes), disk pacing consumes
+/// *real wall time* — the pool's reader exists precisely to hide it
+/// behind processing — so paced reads sleep out the remainder of their
+/// modelled duration (`StreamingRasterJoin::with_disk_bandwidth`).
+pub const MODELLED_DISK_BANDWIDTH: f64 = 1.5e9 / raster_gpu::device::SIM_SLOWDOWN;
+
 // ---------------------------------------------------------------- Table 1
 
 /// Table 1: polygon processing costs — triangulation plus grid-index
@@ -576,8 +589,7 @@ pub fn fig13(scale: Scale) -> Report {
         // modelled disk so the experiment stays disk-resident even though
         // this box's page cache serves the table at RAM speed.
         let dev = small_device(scale.apply(250_000), 0);
-        let stream = StreamingRasterJoin::new(w)
-            .with_disk_bandwidth(raster_join::stream::MODELLED_DISK_BANDWIDTH);
+        let stream = StreamingRasterJoin::new(w).with_disk_bandwidth(MODELLED_DISK_BANDWIDTH);
         let s = stream
             .execute(&path, polys, &q, &dev)
             .expect("disk-resident scan");

@@ -4,10 +4,11 @@
 //! A long-lived query service survives torn reads, corrupt blocks and
 //! panicking workers only if those paths are *testable on demand*. This
 //! module provides the trigger layer: every I/O and decode site in
-//! `disk.rs` / `codec.rs` and the pool stages of `raster-join::stream`
-//! asks [`hit`] whether an injected fault fires at this exact call. The
-//! full site list, spec grammar and the retry/degradation behavior each
-//! site feeds are documented in `docs/FAULTS.md`.
+//! `disk.rs` / `codec.rs` and the pool stages and resolve of
+//! `raster-join::stream` asks [`hit`] whether an injected fault fires at
+//! this exact call. The full site list, spec grammar and the
+//! retry/degradation behavior each site feeds are documented in
+//! `docs/FAULTS.md`.
 //!
 //! # Determinism
 //!
@@ -66,15 +67,20 @@ pub const STREAM_READER: usize = 4;
 /// A streaming pool worker, before each chunk's decode + join; the only
 /// site (besides `stream.reader`) where the `panic` kind is honored.
 pub const STREAM_WORKER: usize = 5;
+/// The streaming scan, once, right before its one resolve (both arms):
+/// every kind fails the scan with an ordinary error, and its hit count
+/// tells whether a scan reached the polygon pass.
+pub const STREAM_RESOLVE: usize = 6;
 
 /// Site names in site-index order (the spec grammar's left-hand sides).
-pub const SITE_NAMES: [&str; 6] = [
+pub const SITE_NAMES: [&str; 7] = [
     "disk.read_at",
     "disk.open",
     "disk.block",
     "codec.decode",
     "stream.reader",
     "stream.worker",
+    "stream.resolve",
 ];
 
 /// Number of failpoint sites.
@@ -95,10 +101,11 @@ pub enum FaultKind {
     /// A detectable data defect: a flipped block byte at [`DISK_BLOCK`],
     /// a typed [`FormatError::Corrupt`] elsewhere.
     Corrupt,
-    /// A thread panic, honored only at the `stream.*` sites (the
-    /// containment layer converts it to a typed error); at `disk.*` /
-    /// `codec.*` sites — which must never panic — it degrades to an
-    /// ordinary error.
+    /// A thread panic, honored only at the `stream.reader` and
+    /// `stream.worker` sites (the containment layer converts it to a
+    /// typed error); everywhere else — the `disk.*` / `codec.*` sites
+    /// must never panic, and `stream.resolve` runs on the caller's
+    /// thread — it degrades to an ordinary error.
     Panic,
 }
 
@@ -300,8 +307,8 @@ pub fn io_error(kind: FaultKind) -> io::Error {
             "injected fault: file vanished mid-scan",
         ),
         FaultKind::Corrupt => FormatError::Corrupt("injected fault: corrupt payload".into()).into(),
-        // Only the stream.* containment sites honor a panic; a no-panic
-        // site degrades it to an ordinary typed error.
+        // Only the stream.reader/stream.worker containment sites honor a
+        // panic; any other site degrades it to an ordinary typed error.
         FaultKind::Panic => io::Error::other("injected fault: panic at a non-panicking site"),
     }
 }
@@ -460,5 +467,6 @@ mod tests {
         }
         assert_eq!(SITE_NAMES[DISK_READ_AT], "disk.read_at");
         assert_eq!(SITE_NAMES[STREAM_WORKER], "stream.worker");
+        assert_eq!(SITE_NAMES[STREAM_RESOLVE], "stream.resolve");
     }
 }

@@ -1,15 +1,20 @@
-//! GPU device model: memory capacity, FBO limits and the CPU↔GPU transfer
-//! cost account.
+//! GPU device model: the limits of the device a query runs on, and the
+//! closed form that charges its bus.
 //!
-//! The paper's experiments distinguish *processing* time from *memory
-//! transfer* time (Fig. 9, 11, 13) and limit GPU memory to 3 GB with a
-//! maximum FBO resolution of 8192² (§7.1). Running on a software rasterizer
-//! there is no physical PCIe bus, so transfers are charged to a
-//! deterministic cost model: `bytes / bandwidth`. Every byte of point data
-//! is charged exactly once per query, matching the paper's
-//! transfer-points-once design (§5, Out-of-Core Processing).
+//! The paper limits GPU memory to 3 GB with a maximum FBO resolution of
+//! 8192² (§7.1). [`Device`] holds exactly those two limits — the memory
+//! budget sets the points per out-of-core batch, the FBO cap sets the
+//! canvas tiles — and nothing else: it is a plain `Copy` value that any
+//! number of concurrent queries may share.
+//!
+//! The paper's experiments also split query time into *processing* and
+//! *memory transfer* (Figs. 9, 11, 13). Running on a software rasterizer
+//! there is no PCIe bus, and the §5 contract — every point byte crosses
+//! the bus once per query — makes the transfer a closed form of bytes:
+//! each executor counts the bytes it ships into its own
+//! `ExecStats::{upload_bytes, download_bytes}` and charges them through
+//! [`modelled_transfer`].
 
-use parking_lot::Mutex;
 use std::time::Duration;
 
 /// The modelled bandwidth divides the physical PCIe figure by this
@@ -19,26 +24,28 @@ use std::time::Duration;
 /// ratio** — the quantity Figs. 9/11/13 actually report — faithful.
 pub const SIM_SLOWDOWN: f64 = 256.0;
 
-/// Static device parameters (defaults follow §7.1's configuration).
+/// Modelled host↔device bandwidth in bytes/second: 12 GB/s (PCIe 3.0 ×16
+/// achievable) ÷ [`SIM_SLOWDOWN`].
+pub const PCIE_BANDWIDTH: f64 = 12e9 / SIM_SLOWDOWN;
+
+/// Modelled time to ship `bytes` across the bus at [`PCIE_BANDWIDTH`].
+/// Never slept: it is reported beside measured time, not inside it.
+pub fn modelled_transfer(bytes: u64) -> Duration {
+    Duration::from_secs_f64(bytes as f64 / PCIE_BANDWIDTH)
+}
+
+/// Static device limits (defaults follow §7.1's configuration).
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceConfig {
     /// GPU memory budget for point data, in bytes (paper: 3 GB).
     pub memory_budget: usize,
     /// Maximum FBO dimension per axis (paper: 8192).
     pub max_fbo_dim: u32,
-    /// Modelled effective host→device bandwidth in bytes/second. The
-    /// default is 12 GB/s (PCIe 3.0 ×16 achievable) ÷ [`SIM_SLOWDOWN`];
-    /// see that constant for the calibration rationale.
-    pub bandwidth_bytes_per_sec: f64,
 }
 
 impl Default for DeviceConfig {
     fn default() -> Self {
-        DeviceConfig {
-            memory_budget: 3 << 30,
-            max_fbo_dim: 8192,
-            bandwidth_bytes_per_sec: 12e9 / SIM_SLOWDOWN,
-        }
+        DeviceConfig::small(3 << 30, 8192)
     }
 }
 
@@ -49,90 +56,28 @@ impl DeviceConfig {
         DeviceConfig {
             memory_budget,
             max_fbo_dim,
-            ..Default::default()
         }
     }
 }
 
-/// Accumulated transfer statistics for one query execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TransferStats {
-    pub bytes_up: u64,
-    pub bytes_down: u64,
-    pub uploads: u64,
-    pub downloads: u64,
-}
-
-impl TransferStats {
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_up + self.bytes_down
-    }
-}
-
-/// The device: capacity checks plus a transfer ledger.
+/// The device: its limits, nothing more.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Device {
     config: DeviceConfig,
-    stats: Mutex<TransferStats>,
 }
 
 impl Device {
     pub fn new(config: DeviceConfig) -> Self {
-        Device {
-            config,
-            stats: Mutex::new(TransferStats::default()),
-        }
+        Device { config }
     }
 
     pub fn config(&self) -> DeviceConfig {
         self.config
     }
 
-    /// Number of batches needed to stream `total_bytes` of point data
-    /// through the memory budget (out-of-core splitting of §5).
-    pub fn batches_for(&self, total_bytes: usize) -> usize {
-        if total_bytes == 0 {
-            return 1;
-        }
-        total_bytes.div_ceil(self.config.memory_budget)
-    }
-
     /// Largest number of points (each `point_bytes` wide) resident at once.
     pub fn points_per_batch(&self, point_bytes: usize) -> usize {
         (self.config.memory_budget / point_bytes.max(1)).max(1)
-    }
-
-    /// Charge a host→device upload to the ledger.
-    pub fn record_upload(&self, bytes: u64) {
-        let mut s = self.stats.lock();
-        s.bytes_up += bytes;
-        s.uploads += 1;
-    }
-
-    /// Charge a device→host read-back to the ledger.
-    pub fn record_download(&self, bytes: u64) {
-        let mut s = self.stats.lock();
-        s.bytes_down += bytes;
-        s.downloads += 1;
-    }
-
-    pub fn stats(&self) -> TransferStats {
-        *self.stats.lock()
-    }
-
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = TransferStats::default();
-    }
-
-    /// Modelled wall-clock cost of all recorded transfers.
-    pub fn modelled_transfer_time(&self) -> Duration {
-        let s = self.stats();
-        Duration::from_secs_f64(s.total_bytes() as f64 / self.config.bandwidth_bytes_per_sec)
-    }
-}
-
-impl Default for Device {
-    fn default() -> Self {
-        Device::new(DeviceConfig::default())
     }
 }
 
@@ -148,16 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_count_rounds_up() {
-        let d = Device::new(DeviceConfig::small(1000, 64));
-        assert_eq!(d.batches_for(0), 1);
-        assert_eq!(d.batches_for(999), 1);
-        assert_eq!(d.batches_for(1000), 1);
-        assert_eq!(d.batches_for(1001), 2);
-        assert_eq!(d.batches_for(5000), 5);
-    }
-
-    #[test]
     fn points_per_batch_floor() {
         let d = Device::new(DeviceConfig::small(100, 64));
         assert_eq!(d.points_per_batch(8), 12);
@@ -165,30 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn ledger_accumulates_and_resets() {
-        let d = Device::new(DeviceConfig::default());
-        d.record_upload(1_000);
-        d.record_upload(500);
-        d.record_download(24);
-        let s = d.stats();
-        assert_eq!(s.bytes_up, 1_500);
-        assert_eq!(s.bytes_down, 24);
-        assert_eq!(s.uploads, 2);
-        assert_eq!(s.downloads, 1);
-        assert_eq!(s.total_bytes(), 1_524);
-        d.reset_stats();
-        assert_eq!(d.stats(), TransferStats::default());
-    }
-
-    #[test]
     fn modelled_time_is_bytes_over_bandwidth() {
-        let c = DeviceConfig {
-            bandwidth_bytes_per_sec: 1e9,
-            ..Default::default()
-        };
-        let d = Device::new(c);
-        d.record_upload(2_000_000_000);
-        let t = d.modelled_transfer_time();
+        assert_eq!(modelled_transfer(0), Duration::ZERO);
+        let t = modelled_transfer(2 * PCIE_BANDWIDTH as u64);
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-9);
     }
 }

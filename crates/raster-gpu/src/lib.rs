@@ -24,8 +24,9 @@
 //!   §4.2 depends on) and conservative rasterization (§6.1 uses the
 //!   `GL_NV_conservative_raster` extension);
 //! * [`ssbo`] — atomically-updated result arrays (SSBO analog);
-//! * [`device`] — GPU memory-capacity and PCIe-transfer cost model driving
-//!   the out-of-core batching experiments (Fig. 9, 11, 13);
+//! * [`device`] — the device limits (memory budget → out-of-core batches,
+//!   FBO cap → canvas tiles) and the closed-form PCIe transfer model of
+//!   Figs. 9, 11 and 13;
 //! * [`exec`] — the scoped-thread fan-out standing in for GPU parallelism.
 
 pub mod bin;
@@ -42,7 +43,7 @@ pub use bin::{
     bin_columns, bin_points, use_runs, BandedEntries, BinnedBatch, CanvasTiling, PointColumns,
     RasterConfig, BAND_SHIFT, BIN_BLOCK, RUNS_MAX_DENSITY,
 };
-pub use device::{Device, DeviceConfig, TransferStats};
+pub use device::{Device, DeviceConfig};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
 pub use runs::{PixelRuns, SpanSource};
 pub use ssbo::{AtomicF64Array, AtomicU64Array};

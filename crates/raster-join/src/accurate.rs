@@ -287,7 +287,6 @@ impl AccurateRasterJoin {
         query: &Query,
         device: &Device,
     ) -> JoinOutput {
-        device.reset_stats();
         let nslots = prepared.nslots;
         let Some(state) = prepared.state.as_deref() else {
             return JoinOutput {
@@ -319,11 +318,8 @@ impl AccurateRasterJoin {
         out.stats.processing = proc0.elapsed();
         pool.release(fbo);
 
-        device.record_download((nslots * 16) as u64);
-        let ts = device.stats();
-        out.stats.upload_bytes = ts.bytes_up;
-        out.stats.download_bytes = ts.bytes_down;
-        out.stats.transfer = device.modelled_transfer_time();
+        out.stats.download_bytes = (nslots * 16) as u64;
+        out.stats.settle_transfer();
         out
     }
 
@@ -349,7 +345,7 @@ impl AccurateRasterJoin {
         let mut staging = pass.staging(self.workers, query.aggregate.attr().is_some());
         for start in (0..points.len()).step_by(per_batch) {
             let end = start.saturating_add(per_batch).min(points.len());
-            device.record_upload(((end - start) * point_bytes) as u64);
+            out.stats.upload_bytes += ((end - start) * point_bytes) as u64;
             out.stats.batches += 1;
             pass.draw(points, start..end, query, &mut staging, fbo, out);
         }

@@ -17,8 +17,8 @@
 //!
 //! The pool's shared state stays sound across an unwind by construction,
 //! which is what makes the blanket `AssertUnwindSafe` below honest:
-//! workers own their chunk exclusively (`EncodedChunk` by value, a fresh
-//! per-chunk `Device`), the cross-thread channels transfer ownership
+//! workers own their chunk exclusively (`EncodedChunk` by value, its
+//! stats in its own deltas), the cross-thread channels transfer ownership
 //! rather than sharing it, `parking_lot` mutexes do not poison, and the
 //! one fold that mutates cross-chunk state (canvases + merger)
 //! runs on the consumer thread *outside* any contained region. A canvas

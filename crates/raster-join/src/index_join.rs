@@ -7,7 +7,7 @@
 //! in parallelism and in whether transfers are charged:
 //!
 //! * [`IndexJoin::gpu`] — parallel, atomics into SSBO-style arrays,
-//!   transfer ledger active, MBR-based on-the-fly index build (§6.1);
+//!   shipped bytes counted, MBR-based on-the-fly index build (§6.1);
 //! * [`IndexJoin::cpu_multi`] — parallel with thread-local accumulators
 //!   merged at the end ("to avoid locking delays, each thread maintains
 //!   the aggregates in a thread-local data structure", §7.1), exact-
@@ -87,7 +87,6 @@ impl IndexJoin {
         query: &Query,
         device: &Device,
     ) -> JoinOutput {
-        device.reset_stats();
         let mut stats = ExecStats::default();
         let nslots = result_slots(polys);
         if polys.is_empty() {
@@ -147,7 +146,7 @@ impl IndexJoin {
                 while start < points.len() {
                     let end = (start + per_batch).min(points.len());
                     if is_gpu {
-                        device.record_upload(((end - start) * point_bytes) as u64);
+                        stats.upload_bytes += ((end - start) * point_bytes) as u64;
                         stats.batches += 1;
                     }
                     parallel_ranges(end - start, self.workers(), |s, e| {
@@ -174,11 +173,8 @@ impl IndexJoin {
         stats.pip_tests = pip_total;
 
         if is_gpu {
-            device.record_download((nslots * 16) as u64);
-            let ts = device.stats();
-            stats.upload_bytes = ts.bytes_up;
-            stats.download_bytes = ts.bytes_down;
-            stats.transfer = device.modelled_transfer_time();
+            stats.download_bytes = (nslots * 16) as u64;
+            stats.settle_transfer();
             if stats.batches == 0 {
                 stats.batches = 1;
             }

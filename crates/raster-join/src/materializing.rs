@@ -71,9 +71,8 @@ impl MaterializingJoin {
         points: &PointTable,
         polys: &[Polygon],
         query: &Query,
-        device: &Device,
+        _device: &Device,
     ) -> JoinOutput {
-        device.reset_stats();
         let mut stats = ExecStats::default();
         let nslots = result_slots(polys);
         if polys.is_empty() || points.is_empty() {
@@ -102,14 +101,14 @@ impl MaterializingJoin {
         let quantizer = self
             .coord_bits
             .map(|bits| crate::quantize::Quantizer::new(extent, bits));
-        match quantizer {
-            Some(_) => device.record_upload(
+        stats.upload_bytes = match quantizer {
+            Some(_) => {
                 (points.len()
                     * (crate::quantize::Quantizer::BYTES_PER_POINT + 4 * query.attrs_uploaded()))
-                    as u64,
-            ),
-            None => device.record_upload(points.upload_bytes(query.attrs_uploaded())),
-        }
+                    as u64
+            }
+            None => points.upload_bytes(query.attrs_uploaded()),
+        };
 
         let agg_attr = query.aggregate.attr();
         let preds = &query.predicates;
@@ -148,18 +147,16 @@ impl MaterializingJoin {
             st.total_pairs += local.len() as u64;
             st.pairs.extend_from_slice(&local);
             if st.pairs.len() >= self.pair_buffer_cap {
-                flush(&mut st, points, agg_attr, device);
+                flush(&mut st, points, agg_attr);
             }
         });
         let mut st = state.into_inner();
-        flush(&mut st, points, agg_attr, device);
+        flush(&mut st, points, agg_attr);
         stats.processing = proc0.elapsed();
 
-        device.record_download((nslots * 16) as u64);
-        let ts = device.stats();
-        stats.upload_bytes = ts.bytes_up;
-        stats.download_bytes = ts.bytes_down;
-        stats.transfer = device.modelled_transfer_time();
+        // Every pair flushed (8 bytes each), then the result slots.
+        stats.download_bytes = st.total_pairs * 8 + (nslots * 16) as u64;
+        stats.settle_transfer();
         stats.pip_tests = st.pip;
         stats.materialized_pairs = st.total_pairs;
         stats.batches = st.flushes;
@@ -182,13 +179,12 @@ struct MatState {
 }
 
 /// Phase 2: aggregate the materialized pairs and drain the buffer. Each
-/// flush charges a device→host transfer of the pair buffer (8 bytes per
-/// pair), the cost fused execution avoids.
-fn flush(st: &mut MatState, points: &PointTable, agg_attr: Option<usize>, device: &Device) {
+/// flush ships the pair buffer device→host (8 bytes per pair), the cost
+/// fused execution avoids.
+fn flush(st: &mut MatState, points: &PointTable, agg_attr: Option<usize>) {
     if st.pairs.is_empty() {
         return;
     }
-    device.record_download((st.pairs.len() * 8) as u64);
     for &(row, pid) in &st.pairs {
         st.counts[pid as usize] += 1;
         if let Some(a) = agg_attr {

@@ -148,7 +148,6 @@ impl MinMaxRasterJoin {
         epsilon: f64,
         device: &Device,
     ) -> MinMaxOutput {
-        device.reset_stats();
         let mut stats = ExecStats::default();
         let nslots = result_slots(polys);
         let mins: Vec<AtomicU32> = (0..nslots).map(|_| AtomicU32::new(EMPTY_MIN)).collect();
@@ -182,7 +181,7 @@ impl MinMaxRasterJoin {
         let mut start = 0usize;
         while start < points.len() {
             let end = (start + per_batch).min(points.len());
-            device.record_upload(((end - start) * point_bytes) as u64);
+            stats.upload_bytes += ((end - start) * point_bytes) as u64;
             stats.batches += 1;
             for vp in &tiles {
                 let fbo = MinMaxFbo::new(vp.width, vp.height);
@@ -225,11 +224,8 @@ impl MinMaxRasterJoin {
             start = end;
         }
         stats.processing = proc0.elapsed();
-        device.record_download((nslots * 8) as u64);
-        stats.transfer = device.modelled_transfer_time();
-        let ts = device.stats();
-        stats.upload_bytes = ts.bytes_up;
-        stats.download_bytes = ts.bytes_down;
+        stats.download_bytes = (nslots * 8) as u64;
+        stats.settle_transfer();
 
         MinMaxOutput {
             min: mins

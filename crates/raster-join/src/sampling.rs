@@ -87,9 +87,8 @@ impl SamplingJoin {
         points: &PointTable,
         polys: &[Polygon],
         query: &Query,
-        device: &Device,
+        _device: &Device,
     ) -> SamplingOutput {
-        device.reset_stats();
         let mut stats = ExecStats::default();
         let nslots = result_slots(polys);
         let total = points.len();
@@ -121,7 +120,7 @@ impl SamplingJoin {
 
         // Only the sample crosses the bus — that is the whole point.
         let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
-        device.record_upload((n * point_bytes) as u64);
+        stats.upload_bytes = (n * point_bytes) as u64;
 
         let agg_attr = query.aggregate.attr();
         let preds = &query.predicates;
@@ -155,11 +154,8 @@ impl SamplingJoin {
         stats.processing = proc0.elapsed();
         stats.pip_tests = pip;
 
-        device.record_download((nslots * 16) as u64);
-        let ts = device.stats();
-        stats.upload_bytes = ts.bytes_up;
-        stats.download_bytes = ts.bytes_down;
-        stats.transfer = device.modelled_transfer_time();
+        stats.download_bytes = (nslots * 16) as u64;
+        stats.settle_transfer();
 
         // Horvitz–Thompson scale-up with finite-population correction.
         let scale = total as f64 / n as f64;

@@ -18,11 +18,14 @@
 //! * `polygon_stage` and `fragments` come from the one resolve — reported
 //!   once, not once per chunk — and `passes` is the canvas tile count
 //!   (not tiles × chunks), plus one for the accurate outline pass;
-//! * the headline split stays wall-clock honest: `processing` is the
+//! * the measured split stays wall-clock honest: `processing` is the
 //!   union of the intervals during which planning ran or ≥ 1 thread was
 //!   decoding, binning, blending or resolving, and `disk` is the rest of
-//!   the scan's wall clock, so `total()` still tracks elapsed time.
+//!   the scan's wall clock, so `processing + disk` tracks the scan's
+//!   elapsed time; `total()` adds the modelled transfer, which is never
+//!   slept, on top of it.
 
+use raster_gpu::device::modelled_transfer;
 use std::time::Duration;
 
 /// Statistics of one query execution.
@@ -30,8 +33,10 @@ use std::time::Duration;
 pub struct ExecStats {
     /// Wall-clock compute time (the "GPU processing" component).
     pub processing: Duration,
-    /// Modelled CPU↔GPU transfer time (bytes / bandwidth; see
-    /// `raster_gpu::device`).
+    /// Modelled CPU↔GPU transfer time: `upload_bytes + download_bytes`
+    /// through `raster_gpu::device::modelled_transfer`, set once at the
+    /// run's exit (`settle_transfer`). Never slept, so not
+    /// part of any measured time.
     pub transfer: Duration,
     /// Wall-clock time spent reading from disk (Fig. 13 only; zero for
     /// in-memory executions).
@@ -120,6 +125,12 @@ impl ExecStats {
         self.candidate_pairs += o.candidate_pairs;
         self.triangulation = self.triangulation.max(o.triangulation);
         self.index_build = self.index_build.max(o.index_build);
+    }
+
+    /// Charge the bytes this run shipped: `transfer` becomes their
+    /// modelled bus time. Called once, at the run's exit.
+    pub(crate) fn settle_transfer(&mut self) {
+        self.transfer = modelled_transfer(self.upload_bytes + self.download_bytes);
     }
 
     /// Total including the polygon preprocessing components.

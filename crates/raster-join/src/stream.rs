@@ -150,14 +150,17 @@
 //! the rest of the scan's wall clock: opening the file, the sample read,
 //! and whatever time the pipeline starved for data (with the blocking
 //! reader that is every read; with prefetching only what the reader could
-//! not hide), so `stats.total()` tracks the real wall clock and overlap
-//! shows up as a shrinking `disk` component. Polygon preparation stays
-//! outside both, reported as `triangulation`/`index_build` as in §7.1
-//! (the accurate outline pass counts as processing, once). Per-stage
-//! timers (`point_stage`, `binning`, …) stay cumulative *across* workers
-//! and can sum past `processing` when chunks overlap; `polygon_stage`,
-//! `fragments` and `passes` come from the one resolve. The reader's own
-//! wall time is reported separately as [`StreamOutput::read_time`].
+//! not hide), so `processing + disk` tracks the scan's elapsed time and
+//! overlap shows up as a shrinking `disk` component; `stats.total()` adds
+//! the modelled transfer of the merged byte counts — every chunk's upload
+//! plus the one result read-back — on top of it, never slept. Polygon
+//! preparation stays outside both, reported as
+//! `triangulation`/`index_build` as in §7.1 (the accurate outline pass
+//! counts as processing, once). Per-stage timers (`point_stage`,
+//! `binning`, …) stay cumulative *across* workers and can sum past
+//! `processing` when chunks overlap; `polygon_stage`, `fragments` and
+//! `passes` come from the one resolve. The reader's own wall time is
+//! reported separately as [`StreamOutput::read_time`].
 
 use crate::accurate::{AccurateRasterJoin, PreparedAccurate};
 use crate::bounded::{BoundedRasterJoin, PreparedBounded};
@@ -183,19 +186,6 @@ use std::time::{Duration, Instant};
 /// (short) chunk costs nothing measurable; large enough for the strided
 /// ≤1024-row selectivity sample inside to be representative.
 const SAMPLE_ROWS: usize = 4096;
-
-/// Modelled disk bandwidth for the disk-resident experiments, following
-/// the transfer model's calibration rationale
-/// ([`raster_gpu::device::SIM_SLOWDOWN`]): the software rasterizer's
-/// processing throughput sits roughly that factor below the paper's GPU,
-/// so an SSD-class 1.5 GB/s scaled by the same factor keeps the
-/// **disk : processing ratio** — the quantity Fig. 13 actually reports —
-/// faithful even though this box's page cache serves reads at RAM speed.
-/// Unlike the PCIe transfer model (a ledger entry), disk pacing must
-/// consume *real wall time* — the pool's reader exists precisely to hide
-/// it behind processing — so paced reads sleep out the remainder of
-/// their modelled duration.
-pub const MODELLED_DISK_BANDWIDTH: f64 = 1.5e9 / raster_gpu::device::SIM_SLOWDOWN;
 
 /// Least depth of the pool's ring of fetched, still encoded chunks the
 /// background reader may buffer ahead of the workers; a pool wider than
@@ -636,9 +626,10 @@ pub struct StreamingRasterJoin {
     /// Fixed chunk-size override (bench grids, tests). `None` — the
     /// default — lets the planner's batch model choose.
     pub chunk_rows: Option<usize>,
-    /// Pace reads to this modelled disk bandwidth (bytes/second, see
-    /// [`MODELLED_DISK_BANDWIDTH`]); `None` — the default — reads at the
-    /// storage's real speed.
+    /// Pace reads to this modelled disk bandwidth (bytes/second): a paced
+    /// read sleeps out the rest of its modelled duration, so the pacing
+    /// costs real wall time for the pool's reader to hide. `None` — the
+    /// default — reads at the storage's real speed.
     pub disk_bandwidth: Option<f64>,
     planner: AutoRasterJoin,
 }
@@ -837,7 +828,7 @@ impl StreamingRasterJoin {
         let prep0 = Instant::now();
         let pieces = Pieces::prepare(&setup.plan, setup.width, polys, &setup.exec_query, device);
         let preparation = prep0.elapsed();
-        let mut out = self.scan(setup, &pieces, result_slots(polys), device)?;
+        let mut out = self.scan(setup, &pieces, result_slots(polys))?;
         // `scan` reports the busy union; the rest of the wall clock —
         // opening, the sample read, starving for data — is `disk`, and
         // polygon preparation is in neither (see the module docs).
@@ -862,7 +853,6 @@ impl StreamingRasterJoin {
         setup: ScanSetup,
         pieces: &Pieces<'_>,
         nslots: usize,
-        device: &Device,
     ) -> Result<StreamOutput, StreamError> {
         let ScanSetup {
             mut reader,
@@ -891,15 +881,14 @@ impl StreamingRasterJoin {
         // reader ends up (the reader threads hand theirs back on join).
         let mut reader_tally = tally(&reader);
 
-        // The transfer ledger: every chunk uploads its points once, the
-        // result slots come back once after the resolve.
-        device.reset_stats();
         let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
-        // *Bin* one chunk. Captures only `Sync` state and touches no
-        // canvas — safe to run across the pool.
+        // *Bin* one chunk, which uploads its points once; its bytes travel
+        // in the chunk's partial stats. Captures only `Sync` state and
+        // touches no canvas — safe to run across the pool.
         let bin_chunk = |chunk: &PointTable| -> ChunkDeltas {
-            device.record_upload((chunk.len() * point_bytes) as u64);
-            pieces.bin(chunk, query)
+            let mut deltas = pieces.bin(chunk, query);
+            deltas.partial.stats.upload_bytes = (chunk.len() * point_bytes) as u64;
+            deltas
         };
 
         let mut chunks = 0;
@@ -1088,10 +1077,14 @@ impl StreamingRasterJoin {
             }
 
             // *Resolve*: every chunk is in the canvases; draw the polygons
-            // once, at the scan's full width, and hand the canvases back.
-            let resolved = busy.track(|| pieces.resolve(&canvases, query));
+            // once, at the scan's full width, hand the canvases back and
+            // read the result slots back once.
+            if let Some(kind) = faults::hit(faults::STREAM_RESOLVE) {
+                return Err(faults::io_error(kind).into());
+            }
+            let mut resolved = busy.track(|| pieces.resolve(&canvases, query));
             drop(canvases);
-            device.record_download((nslots * 16) as u64);
+            resolved.stats.download_bytes = (nslots * 16) as u64;
             chunks = merger.chunks();
             merger.fold(&resolved);
         }
@@ -1100,10 +1093,7 @@ impl StreamingRasterJoin {
         // Per-chunk `processing` summed worker time; the scan reports the
         // wall-clock union instead (see the module docs).
         output.stats.processing = planning + busy.covered();
-        let ledger = device.stats();
-        output.stats.upload_bytes = ledger.bytes_up;
-        output.stats.download_bytes = ledger.bytes_down;
-        output.stats.transfer = device.modelled_transfer_time();
+        output.stats.settle_transfer();
         let (read_bytes, decode_time, column_io, recovery) = reader_tally;
         Ok(StreamOutput {
             output,

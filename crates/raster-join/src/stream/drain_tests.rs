@@ -70,7 +70,7 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
                     let pieces =
                         Pieces::prepare(&setup.plan, setup.width, &polys, &setup.exec_query, &dev);
                     let before = RESOLVES.with(Cell::get);
-                    let res = stream.scan(setup, &pieces, result_slots(&polys), &dev);
+                    let res = stream.scan(setup, &pieces, result_slots(&polys));
                     let resolves = RESOLVES.with(Cell::get) - before;
                     assert_eq!(outstanding(&pieces), 0, "{ctx}: canvases stranded");
                     match res {

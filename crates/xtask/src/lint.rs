@@ -32,11 +32,16 @@
 //! |                   | the joins scan-convert rings and the rest compose   |
 //! |                   | them; a 1 s call on the counties must not come back |
 //! |                   | unnoticed                                           |
+//! | `no-device-ledger` | nothing in `raster-join`                           |
+//! |                   | ([`NO_DEVICE_LEDGER_PATHS`]) names a modelled-device |
+//! |                   | item ([`DEVICE_LEDGER_WORDS`]) — executors count    |
+//! |                   | their own bytes and charge them through the closed  |
+//! |                   | form; pacing belongs to the benches                 |
 //!
-//! `#[cfg(test)]` regions are exempt from the panic, clock and
-//! triangulation rules (tests may time things, unwrap freely and hold the
-//! joins against a triangulation) but **not** from the unsafe
-//! rules: unsafe test code still wants an audit trail.
+//! `#[cfg(test)]` regions are exempt from the panic, clock,
+//! triangulation and device-ledger rules (tests may time things, unwrap
+//! freely and hold the joins against a triangulation) but **not** from
+//! the unsafe rules: unsafe test code still wants an audit trail.
 
 use std::fs;
 use std::io;
@@ -117,6 +122,24 @@ pub const NO_JOIN_EXPECT_PATHS: &[&str] = &["crates/raster-join/src/"];
 /// stays in `raster-geom` for the ablation bench and `experiments.rs`
 /// Table 1. Prefix matches like [`NO_CLOCK_PATHS`].
 pub const NO_TRIANGULATE_PATHS: &[&str] = &["crates/raster-join/src/"];
+
+/// The executors: each counts the bytes it ships into its own stats and
+/// charges them through `raster_gpu::device::modelled_transfer`, so none
+/// may write a shared transfer ledger or name the calibration constants
+/// behind the modelled bus and disk. Prefix matches like
+/// [`NO_CLOCK_PATHS`].
+pub const NO_DEVICE_LEDGER_PATHS: &[&str] = &["crates/raster-join/src/"];
+
+/// The items [`NO_DEVICE_LEDGER_PATHS`] may not name (whole words). The
+/// retired ledger calls are spelled in pieces so that a plain `grep` for
+/// them over the tree finds only real uses.
+pub const DEVICE_LEDGER_WORDS: &[&str] = &[
+    "SIM_SLOWDOWN",
+    "MODELLED_DISK_BANDWIDTH",
+    concat!("record", "_upload"),
+    concat!("record", "_download"),
+    concat!("reset", "_stats"),
+];
 
 /// How far above an `unsafe` token the contiguous `// SAFETY:` comment
 /// block may start.
@@ -386,6 +409,7 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
     let catch_allowed = rel.starts_with("vendor/") || CATCH_UNWIND_ALLOWLIST.contains(&rel);
     let no_join_expect = NO_JOIN_EXPECT_PATHS.iter().any(|p| path_matches(rel, p));
     let no_triangulate = NO_TRIANGULATE_PATHS.iter().any(|p| path_matches(rel, p));
+    let no_ledger = NO_DEVICE_LEDGER_PATHS.iter().any(|p| path_matches(rel, p));
     let needs_forbid = FORBID_UNSAFE_ROOTS.contains(&rel);
     let needs_deny_op = DENY_UNSAFE_OP_ROOTS.contains(&rel);
 
@@ -503,6 +527,23 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
                           triangulation belongs to raster-geom and the benches"
                     .into(),
             });
+        }
+
+        if no_ledger && !in_test[idx] {
+            for word in DEVICE_LEDGER_WORDS {
+                if find_word(code, word) {
+                    out.push(Violation {
+                        file: rel.into(),
+                        line: lineno,
+                        rule: "no-device-ledger",
+                        message: format!(
+                            "`{word}` in raster-join — executors count their own \
+                             bytes into ExecStats and charge them through \
+                             raster_gpu::device::modelled_transfer"
+                        ),
+                    });
+                }
+            }
         }
     }
 
@@ -809,6 +850,35 @@ mod tests {
         assert!(lint_source("crates/bench/src/experiments.rs", src).is_empty());
         let ok = "// the paper triangulates here\nfn f(s: &mut ExecStats) { s.triangulation = d; }\n#[cfg(test)]\nmod tests {\n    use raster_geom::triangulate::triangulate_all;\n}\n";
         assert!(lint_source("crates/raster-join/src/bounded.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn device_ledger_in_an_executor_fails() {
+        for word in DEVICE_LEDGER_WORDS {
+            let src = format!("fn f(d: &Device) {{\n    let _ = d.{word};\n}}\n");
+            for rel in [
+                "crates/raster-join/src/bounded.rs",
+                "crates/raster-join/src/stream.rs",
+            ] {
+                let v = lint_source(rel, &src);
+                assert_eq!(v.len(), 1, "{rel} {word}: {v:?}");
+                assert_eq!((v[0].line, v[0].rule), (2, "no-device-ledger"));
+            }
+        }
+    }
+
+    #[test]
+    fn device_ledger_in_benches_tests_and_comments_is_fine() {
+        for word in DEVICE_LEDGER_WORDS {
+            let src = format!("pub const B: f64 = 1.5e9 / {word};\n");
+            assert!(lint_source("crates/bench/src/experiments.rs", &src).is_empty());
+            assert!(lint_source("crates/raster-gpu/src/device.rs", &src).is_empty());
+            let ok = format!(
+                "// no {word} here\nfn f(s: &mut ExecStats) {{ s.upload_bytes += 8; }}\n\
+                 #[cfg(test)]\nmod tests {{\n    const B: f64 = {word};\n}}\n"
+            );
+            assert!(lint_source("crates/raster-join/src/bounded.rs", &ok).is_empty());
+        }
     }
 
     #[test]

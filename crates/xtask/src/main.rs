@@ -12,7 +12,8 @@
 //!   `raster-gpu`, which keeps unsafe, denies implicit unsafe ops;
 //! * decode/read paths never panic on untrusted bytes;
 //! * result-affecting code never reads the clock;
-//! * the planner-reachable joins never triangulate.
+//! * the planner-reachable joins never triangulate;
+//! * the executors never write a device-side transfer ledger.
 //!
 //! Exits 0 on a clean tree, 1 with one line per violation otherwise.
 //! `--root <path>` lints a different tree (CI uses it to prove the lint
@@ -74,7 +75,7 @@ fn run_lint(root: &std::path::Path) -> ExitCode {
         }
     };
     if violations.is_empty() {
-        println!("xtask lint: clean ({} invariant rules)", 9);
+        println!("xtask lint: clean ({} invariant rules)", 10);
         return ExitCode::SUCCESS;
     }
     for v in &violations {

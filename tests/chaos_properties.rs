@@ -148,6 +148,11 @@ fn chaos_sweep_recovers_bitwise_or_fails_typed() {
         ("stream.reader@2=notfound", Expect::Fails),
         ("stream.worker@1=corrupt", Expect::Fails),
         ("stream.worker%2=eof", Expect::Fails),
+        ("stream.resolve@1=interrupted", Expect::Fails),
+        ("stream.resolve@1=eof", Expect::Fails),
+        ("stream.resolve@1=notfound", Expect::Fails),
+        ("stream.resolve@1=corrupt", Expect::Fails),
+        ("stream.resolve@1=panic", Expect::Fails),
     ];
 
     for fmt in 0u8..3 {
@@ -289,16 +294,15 @@ fn recovery_counters_report_absorbed_faults() {
     assert_bitwise(&reread, &healthy, "re-read scan");
 }
 
-/// An errored scan never resolves a partial canvas. The scan resets its
-/// device's transfer ledger when it starts and records the result
-/// download right after the resolve — and nowhere else — so a failed
-/// scan leaves `bytes_down` at zero, while a healthy one reads the result
-/// slots' 16 bytes each. Reader faults strike at a known seq at any width;
-/// a worker site that fails every hit fails seq 1.
+/// An errored scan never resolves a partial canvas. The scan passes the
+/// `stream.resolve` failpoint once, right before its one resolve — and
+/// nowhere else — so a scan that failed upstream counts no hit there,
+/// while a healthy one counts exactly one. Reader faults strike at a
+/// known seq at any width; a worker site that fails every hit fails
+/// seq 1.
 #[test]
 fn errored_scans_resolve_nothing() {
     let fx = Fixture::new(2, "no-resolve");
-    let slots = raster_join_repro::join::query::result_slots(&fx.polys) as u64;
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut results = Vec::new();
@@ -314,25 +318,21 @@ fn errored_scans_resolve_nothing() {
         ] {
             let _g = faults::install(spec).unwrap();
             let res = fx.run(width);
-            results.push((width, spec, res, fx.dev.stats().bytes_down));
+            results.push((width, spec, res, faults::hit_count(faults::STREAM_RESOLVE)));
         }
     }
     std::panic::set_hook(prev);
 
-    for (width, spec, res, bytes_down) in results {
+    for (width, spec, res, resolves) in results {
         let ctx = format!("width={width} spec={spec:?}");
         match (spec.is_empty(), res) {
             (true, res) => {
                 res.unwrap_or_else(|e| panic!("{ctx}: the healthy control failed: {e}"));
-                assert_eq!(
-                    bytes_down,
-                    slots * 16,
-                    "{ctx}: a healthy scan resolves once"
-                );
+                assert_eq!(resolves, 1, "{ctx}: a healthy scan resolves once");
             }
             (false, Err(e)) => {
                 assert_typed(&e, &ctx);
-                assert_eq!(bytes_down, 0, "{ctx}: a failed scan ran the polygon pass");
+                assert_eq!(resolves, 0, "{ctx}: a failed scan ran the polygon pass");
             }
             (false, Ok(_)) => panic!("{ctx}: a faulted scan returned a result"),
         }

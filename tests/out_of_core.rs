@@ -174,3 +174,134 @@ fn constraint_attributes_increase_upload() {
         });
     }
 }
+
+/// The §5 transfer-once contract, held by every executor at once on one
+/// shared `&Device`: each run ships its points exactly once and its
+/// result (plus any materialized pairs) back once, counts those bytes in
+/// its own stats, and reports `transfer` as their modelled bus time.
+/// Every executor runs concurrently from its own scoped thread, so any
+/// shared accounting state would cross their numbers.
+#[test]
+fn every_executor_counts_its_own_bytes_on_a_shared_device() {
+    use raster_join_repro::data::disk::write_table_compressed;
+    use raster_join_repro::gpu::device::modelled_transfer;
+    use raster_join_repro::join::{query::result_slots, MinMaxRasterJoin};
+
+    let extent = nyc_extent();
+    let polys = synthetic_polygons(10, &extent, 401);
+    let pts = TaxiModel::default().generate(12_000, 402);
+    let n = pts.len() as u64;
+    let fare = pts.attr_index("fare").unwrap();
+    let q = Query::sum(fare).with_epsilon(200.0);
+    let pb = PointTable::point_bytes(q.attrs_uploaded()) as u64;
+    let slots = result_slots(&polys) as u64;
+    // Three point batches everywhere; ε = 10 m needs a canvas above the
+    // 1024² FBO cap, ε = 200 m fits one tile.
+    let dev = Device::new(DeviceConfig::small(5_000 * pb as usize, 1024));
+    let path = tmp("transfer-once.bin");
+    write_table_compressed(&path, &pts, 3_000).unwrap();
+
+    // Each row: (name, run → (stats, expected upload, expected download)).
+    type Row<'a> = (&'a str, Box<dyn Fn() -> (ExecStats, u64, u64) + Sync + 'a>);
+    let (pts, polys, q, dev, path) = (&pts, &polys, &q, &dev, &path);
+    let rows: Vec<Row> = vec![
+        (
+            "bounded one-tile",
+            Box::new(|| {
+                let o = BoundedRasterJoin::new(2).execute(pts, polys, q, dev);
+                assert_eq!(o.stats.passes, o.stats.batches, "one tile per batch");
+                (o.stats, n * pb, slots * 16)
+            }),
+        ),
+        (
+            "bounded multi-tile",
+            Box::new(|| {
+                let q = q.clone().with_epsilon(10.0);
+                let o = BoundedRasterJoin::new(2).execute(pts, polys, &q, dev);
+                assert!(o.stats.passes > o.stats.batches, "several tiles per batch");
+                (o.stats, n * pb, slots * 16)
+            }),
+        ),
+        (
+            "accurate",
+            Box::new(|| {
+                let o = AccurateRasterJoin::new(2).execute(pts, polys, q, dev);
+                (o.stats, n * pb, slots * 16)
+            }),
+        ),
+        (
+            "minmax",
+            Box::new(|| {
+                let o = MinMaxRasterJoin::new(2).execute(pts, polys, fare, &[], 200.0, dev);
+                (o.stats, n * pb, slots * 8)
+            }),
+        ),
+        (
+            "index join (GPU)",
+            Box::new(|| {
+                let o = IndexJoin::gpu(2).execute(pts, polys, q, dev);
+                (o.stats, n * pb, slots * 16)
+            }),
+        ),
+        (
+            "two-step",
+            Box::new(|| {
+                let o = TwoStepJoin::new(2).execute(pts, polys, q, dev);
+                let s = o.stats;
+                assert!(s.candidate_pairs > s.materialized_pairs);
+                // Both intermediate pair buffers, then the result slots.
+                let down = (s.candidate_pairs + s.materialized_pairs) * 8 + slots * 16;
+                (s, n * pb, down)
+            }),
+        ),
+        (
+            "materializing",
+            Box::new(|| {
+                let o = MaterializingJoin::new(2).execute(pts, polys, q, dev);
+                let s = o.stats;
+                assert_eq!(s.materialized_pairs, o.total_count());
+                (s, n * pb, s.materialized_pairs * 8 + slots * 16)
+            }),
+        ),
+        (
+            "sampling",
+            Box::new(|| {
+                let o = SamplingJoin::new(1_000, 3).execute(pts, polys, q, dev);
+                (o.stats, o.sampled as u64 * pb, slots * 16)
+            }),
+        ),
+        (
+            "streamed v3",
+            Box::new(|| {
+                let o = StreamingRasterJoin::new(2)
+                    .with_chunk_rows(2_500)
+                    .execute(path, polys, q, dev)
+                    .unwrap();
+                assert!(o.chunks > 1);
+                (o.output.stats, o.rows * pb, slots * 16)
+            }),
+        ),
+    ];
+
+    let results: Vec<(&str, (ExecStats, u64, u64))> = std::thread::scope(|s| {
+        let handles: Vec<_> = rows
+            .iter()
+            .map(|(name, run)| (*name, s.spawn(run)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|(name, h)| (name, h.join().unwrap()))
+            .collect()
+    });
+    std::fs::remove_file(path).ok();
+
+    for (name, (stats, up, down)) in results {
+        assert_eq!(stats.upload_bytes, up, "{name}: points ship once");
+        assert_eq!(stats.download_bytes, down, "{name}: results ship back once");
+        assert_eq!(
+            stats.transfer,
+            modelled_transfer(up + down),
+            "{name}: transfer is the closed form of its bytes"
+        );
+    }
+}
