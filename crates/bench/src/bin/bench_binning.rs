@@ -11,18 +11,20 @@
 //! mmap threshold, so a fresh canvas is fresh pages) it sweeps the rows
 //! offered per pixel (1/64 … 2; `--quick` stops at 1/2, which needs
 //! 8.4 M rows rather than 33.6 M; COUNT and SUM) and times one tile pass
-//! both ways over the same binned entries: `PixelRuns::build` + polygon
-//! fold against the executor's dense fill — entries bucketed by row band
-//! and blended band by band (`PointFbo::blend_banded`) — + polygon fold,
-//! the dense canvas both fresh (`dense_cold_ms`: what a one-shot query
-//! pays) and recycled from a pool (`dense_warm_ms`). The two canvases are
-//! forced here, in the bench, through the two `SpanSource`s — the
-//! executor has no switch. `single_runs_ms` / `single_dense_ms` are the
-//! same comparison for a 1-tile canvas end to end, where the dense side
-//! never bins (the rows are classified into row bands straight from the
-//! table, as the executor's point pass does) and the runs side pays the
-//! binner first. `runs_crossover` names, per column, the lowest swept
-//! density at which dense is no slower. Results go to
+//! both ways over the same (tile × band) staging: `PixelRuns::build` +
+//! polygon fold against the executor's dense fill — the staging blended
+//! band by band (`PointFbo::blend_bands`) — + polygon fold, the dense
+//! canvas both fresh (`dense_cold_ms`: what a one-shot query pays) and
+//! recycled from a pool (`dense_warm_ms`). The two canvases are forced
+//! here, in the bench, through the two `SpanSource`s — the executor has
+//! no switch. `single_runs_ms` / `single_dense_ms` are the same
+//! comparison for a 1-tile canvas end to end, each side paying its own
+//! classification: the runs side bins the rows first (`bin_points`, as
+//! the benchmark's replay does), the dense side bins them a column at a
+//! time and blends them block by block (`bin_columns` into one reused batch +
+//! `PointFbo::blend_bands` per [`POINT_BLOCK`] rows, as the executor's
+//! point pass does). `runs_crossover` names, per column, the lowest
+//! swept density at which dense is no slower. Results go to
 //! `BENCH_binning.json`.
 
 use bench::arg_value;
@@ -31,16 +33,20 @@ use raster_data::polygons::synthetic_polygons;
 use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::Polygon;
-use raster_gpu::exec::{block_for, parallel_dynamic, parallel_ranges_with};
+use raster_gpu::exec::{block_for, parallel_dynamic};
 use raster_gpu::raster::rasterize_polygon_spans;
 use raster_gpu::{
-    bin_points, BandedEntries, CanvasTiling, FboPool, PixelRuns, PointFbo, SpanSource, Viewport,
-    BAND_SHIFT, RUNS_MAX_DENSITY,
+    bin_columns, bin_points, no_outline, BinScratch, BinnedBatch, CanvasTiling, FboPool, PixelRuns,
+    PointColumns, PointFbo, SpanSource, Viewport, RUNS_MAX_DENSITY,
 };
 use raster_join::bounded::polygon_extent;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Rows per block of the executor's one-tile dense point pass
+/// (`raster-join/src/point_pass.rs`).
+const POINT_BLOCK: usize = 128 * 1024;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -176,53 +182,48 @@ fn density_sweep(
                     Some((pts.point(i), pts.attr(fare)[i]))
                 })
             };
-            // The executor's one-tile dense pass: every row classified into
-            // its worker's row bands, then the bands blended (one block).
-            let probe = vp.pixel_probe();
-            let bands = (vp.height as usize).div_ceil(1 << BAND_SHIFT);
+            // The executor's one-tile dense pass: block by block, the rows
+            // binned a column at a time into one reused batch, then its
+            // bands blended.
             let direct = |fbo: &mut PointFbo| {
-                let mut staging: Vec<BandedEntries> = (0..workers)
-                    .map(|_| BandedEntries::new(bands, needs_sums))
-                    .collect();
-                parallel_ranges_with(n, &mut staging, |mine, s, e| {
-                    for i in s..e {
-                        if let Some((x, y)) = probe.pixel_of(pts.point(i)) {
-                            let band = (y >> BAND_SHIFT) as usize;
-                            mine.push(band, y * vp.width + x, pts.attr(fare)[i]);
-                        }
-                    }
-                });
-                let parts: Vec<&BandedEntries> = staging.iter().collect();
-                fbo.blend_bands(BAND_SHIFT, &parts, workers);
+                let (mut staged, mut scratch) = (BinnedBatch::default(), BinScratch::default());
+                for start in (0..n).step_by(POINT_BLOCK) {
+                    let rows = start..(start + POINT_BLOCK).min(n);
+                    let cols = PointColumns {
+                        xs: &pts.xs()[rows.clone()],
+                        ys: &pts.ys()[rows.clone()],
+                        values: needs_sums.then(|| &pts.attr(fare)[rows]),
+                    };
+                    let keep_all = |_, mask: &mut [bool]| mask.fill(true);
+                    let (into, scratch) = (&mut staged, &mut scratch);
+                    bin_columns(into, scratch, &tiling, cols, workers, keep_all, no_outline);
+                    fbo.blend_bands(&staged, 0, workers);
+                }
             };
             let binned = bin();
             let bin_ms = best_ms(reps, || drop(bin()));
 
             let mut via_runs = (0, 0.0);
             let runs_ms = best_ms(reps, || {
-                let (idx, vals) = binned.tile(0);
-                let runs = PixelRuns::build(idx, vals, vp.width, vp.height, workers);
+                let runs = PixelRuns::build(&binned, 0, vp.width, vp.height, workers);
                 via_runs = fold(polys, vp, &runs, needs_sums, workers);
             });
-            let (idx, vals) = binned.tile(0);
             let mut via_dense = (0, 0.0);
             let dense_cold_ms = best_ms(reps, || {
                 let mut fbo = FboPool::new().acquire_touched(vp.width, vp.height, needs_sums);
-                fbo.blend_banded(idx, vals, workers);
+                fbo.blend_bands(&binned, 0, workers);
                 via_dense = fold(polys, vp, &fbo, needs_sums, workers);
             });
             // One more rep than asked: the first is the one that fills
             // the pool.
             let dense_warm_ms = best_ms(reps + 1, || {
                 let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
-                fbo.blend_banded(idx, vals, workers);
+                fbo.blend_bands(&binned, 0, workers);
                 fold(polys, vp, &fbo, needs_sums, workers);
                 pool.release(fbo);
             });
             let single_runs_ms = best_ms(reps, || {
-                let b = bin();
-                let (idx, vals) = b.tile(0);
-                let runs = PixelRuns::build(idx, vals, vp.width, vp.height, workers);
+                let runs = PixelRuns::build(&bin(), 0, vp.width, vp.height, workers);
                 fold(polys, vp, &runs, needs_sums, workers);
             });
             let single_dense_ms = best_ms(reps, || {

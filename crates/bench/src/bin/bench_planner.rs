@@ -37,7 +37,7 @@ use raster_gpu::{Device, DeviceConfig};
 use raster_join::optimizer::{
     features, plan_workload, Calibration, Plan, Variant, Workload, NWEIGHTS, WEIGHT_NAMES,
 };
-use raster_join::{PlanChoice, Query};
+use raster_join::{AccurateRasterJoin, PlanChoice, Query};
 use std::fmt::Write as _;
 
 /// The pool widths every cell is measured at; the last is the budget
@@ -84,7 +84,7 @@ impl Measured {
     /// What `cal` ranks for this cell from a pool of `workers`.
     fn plan(&self, cal: &Calibration, workers: usize) -> PlanChoice {
         let (wl, query, device) = (&self.wl, &self.query, &self.device);
-        plan_workload(wl, query, device, cal, workers, 2048, 1024)
+        plan_workload(wl, query, device, cal, workers)
     }
 }
 
@@ -168,14 +168,15 @@ fn main() {
         };
         let capacity = device.points_per_batch(PointTable::point_bytes(query.attrs_uploaded()));
         let wl = Workload::sample(&pts, &polys, &query);
+        let exact = AccurateRasterJoin::default();
         let mut runs = Vec::new();
         for workers in WIDTHS {
             for variant in [Variant::Bounded, Variant::Accurate] {
                 let plan = Plan {
                     variant,
                     batch_points: capacity,
-                    canvas_dim: 2048,
-                    index_dim: 1024,
+                    canvas_dim: exact.canvas_dim,
+                    index_dim: exact.index_dim,
                     workers,
                 };
                 let mut run = Run {

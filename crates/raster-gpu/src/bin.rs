@@ -16,17 +16,23 @@
 //!
 //! # Mapping to the paper's passes
 //!
-//! * **Vertex stage / clipping** → [`bin_columns`]: predicate filtering
-//!   (a column at a time, into a keep-mask per block of rows) and the
-//!   world→pixel transform run exactly once per point per batch; the
-//!   per-tile acceptance test is byte-compatible with
-//!   [`Viewport::pixel_of`] on the split tiles, so every tile receives
-//!   exactly the points a per-tile rescan would (property-tested).
-//! * **Fragment blending (Procedure DrawPoints line 5)** → the consumer
-//!   replays a tile's [`BinnedBatch::tile`] entries, in row order, into
-//!   sorted pixel runs ([`crate::PixelRuns`]) or a dense point FBO, band
-//!   by band ([`crate::PointFbo::blend_banded`]): every pixel takes its
-//!   entries in row order whatever the thread count.
+//! * **Vertex stage / clipping** → [`bin_columns`], the one point
+//!   classifier of every executor: predicate filtering (a column at a
+//!   time, into a keep-mask per block of rows) and the world→pixel
+//!   transform run exactly once per point per batch; the per-tile
+//!   acceptance test is byte-compatible with [`Viewport::pixel_of`] on the
+//!   split tiles, so every tile receives exactly the points a per-tile
+//!   rescan would (property-tested). The exact join's outline test rides
+//!   along as a closure: a point on an outline pixel leaves the canvas
+//!   there, as a PIP hit in its worker's side state.
+//! * **Staging** → [`BinnedBatch`]: the kept points bucketed by (tile,
+//!   row band of `1 << BAND_SHIFT` rows), CSR, each band in row order.
+//!   Every consumer reads it as it is: the band blend
+//!   ([`crate::PointFbo::blend_bands`], one thread per band), the runs
+//!   build ([`crate::PixelRuns::build`], one task per band) and the
+//!   streamed canvases ([`crate::ResidentCanvases::blend`]). A pixel lies
+//!   in one band, so it takes its entries in row order whatever the
+//!   thread count.
 //! * **Multi-canvas rendering (Fig. 5)** → [`CanvasTiling`] owns the full
 //!   ε-derived canvas and its device-limit split, replacing the bare
 //!   `Vec<Viewport>` the join operators used to thread around.
@@ -37,9 +43,8 @@
 //! difference between rescanning 10M points 16 times and scanning them
 //! once.
 
-use crate::exec::{parallel_dynamic, parallel_ranges_with};
+use crate::exec::parallel_ranges_with;
 use crate::Viewport;
-use parking_lot::Mutex;
 use raster_geom::Point;
 
 /// The sharding gate of the retired sharded blend, kept only for the
@@ -75,21 +80,23 @@ const SHARD_MIN_DENSITY: f64 = 0.5;
 ///
 /// Placed by `bench_binning`'s density sweep (`BENCH_binning.json`,
 /// `density_sweep` / `runs_crossover`; one ε = 20 m tile of 4102², 2
-/// workers; ranges over three quick runs, the committed file is the one
-/// whose crossovers are their medians). The dense side is the executor's:
-/// a canvas written front to back before its first blend, then filled
-/// band by band in row order. End to end on a one-tile canvas — the runs
-/// pay the binner first, the dense canvas takes the point pass straight
-/// from the table — the crossover is 1/4 for COUNT and SUM in every run:
-/// at 1/8 runs win (COUNT 56–69 vs 61–78 ms, SUM 77–94 vs 117–130), at
-/// 1/4 the point pass does (COUNT 73–98 vs 103–111, SUM 133–166 vs
-/// 158–189). As one tile of many, both sides binned, a fresh dense COUNT
-/// catches up at 1/4 (66–83 vs 77 ms, two runs of three) and a fresh SUM
-/// at 1/2; against a canvas recycled by a prepared loop a dense COUNT
-/// wins from 1/4 (43–56 vs 77 ms) while runs still hold 1/8 (29–33 vs
-/// 35–41). The gate stays at the one-tile crossover; a prepared COUNT
-/// loop over many tiles gives up at most that quarter between 1/8 and
-/// 1/4.
+/// workers; ranges over three quick runs on a 2-core box, the committed
+/// file is the one whose crossovers are their medians). Both sides read
+/// the binner's (tile × band) staging as it is: the dense one blends it
+/// band by band into a canvas written front to back before, the runs one
+/// sorts it band by band. End to end on a one-tile canvas — the runs pay
+/// the whole-batch binning first, the dense canvas bins and blends block
+/// by block — runs win at 1/8 (COUNT 52–63 vs 79–99 ms, SUM 76–82 vs
+/// 161–179); at 1/4 COUNT is a tie (102–118 vs 103–124, runs ahead in
+/// two runs of three) and SUM still goes to runs (141–188 vs 209–218); at
+/// 1/2 the point pass wins both (COUNT 159–177 vs 200–222, SUM 272–355 vs
+/// 362–379). As one tile of many, both sides binned, a fresh dense COUNT
+/// ties at 1/4 (65–68 vs 63–66 ms) and a fresh SUM catches up at 1/2;
+/// against a canvas recycled by a prepared loop a dense COUNT is level
+/// from 1/8 (30–32 vs 30–39) and a dense SUM wins from 1/4 (54–62 vs
+/// 81–85). The one-tile crossover thus lies between the sweep's 1/4 and
+/// 1/2; the gate stays at 1/4, where COUNT is even and the prepared loops
+/// over many tiles give up least.
 pub const RUNS_MAX_DENSITY: f64 = 0.25;
 
 impl RasterConfig {
@@ -132,37 +139,54 @@ impl CanvasTiling {
         }
     }
 
+    /// A canvas that is its own one tile: `full` itself, not re-derived by
+    /// [`Viewport::split`] (whose far edge may move by an ulp).
+    pub fn single(full: Viewport) -> Self {
+        CanvasTiling {
+            tiles: vec![full],
+            tiles_x: 1,
+            tiles_y: 1,
+            max_dim: full.width.max(full.height).max(1),
+            full,
+        }
+    }
+
     pub fn tile_count(&self) -> usize {
         self.tiles.len()
     }
 }
 
-/// One batch of points binned by canvas tile, CSR over tiles. Entries
-/// store the precomputed **linear pixel index** within their tile (so the
-/// blend loop is a pure scatter) plus the aggregated attribute value when
-/// the query has one.
+/// The passes blend and build runs in bands of `1 << BAND_SHIFT` pixel
+/// rows: 64 bands on a 2048² canvas, enough that skewed data (one band
+/// holding a fifth of the points) still leaves every worker bands to take.
+pub const BAND_SHIFT: u32 = 5;
+
+/// One batch of points binned by canvas tile and, within a tile, by row
+/// band of `1 << BAND_SHIFT` pixel rows: CSR over (tile, band), each band
+/// in row order. Entries store the precomputed **linear pixel index**
+/// within their tile (so the blend loop is a pure scatter) plus the
+/// aggregated attribute value when the query has one. A tile's bands are
+/// adjacent, so [`BinnedBatch::tile`] is one slice — in band order, and
+/// in row order for every pixel.
+#[derive(Default)]
 pub struct BinnedBatch {
+    /// Bands per tile: enough for the tallest tile of the tiling.
+    bands: usize,
+    /// `offsets[t * bands + b]..offsets[t * bands + b + 1]` index the
+    /// entries of band `b` of tile `t`.
     offsets: Vec<u32>,
-    /// Linear pixel index (`y * tile_width + x`) per entry, tile-grouped.
+    /// Linear pixel index (`y * tile_width + x`) per entry.
     idx: Vec<u32>,
     /// Attribute value per entry; empty for COUNT-only queries.
     values: Vec<f32>,
 }
 
-impl BinnedBatch {
-    /// A batch over a one-tile canvas whose caller placed the points
-    /// itself (the accurate join, which must test each pixel against its
-    /// boundary FBO before deciding whether the point blends at all).
-    /// `values` is empty for COUNT-only queries, else as long as `idx`.
-    pub fn single_tile(idx: Vec<u32>, values: Vec<f32>) -> Self {
-        assert!(values.is_empty() || values.len() == idx.len());
-        BinnedBatch {
-            offsets: vec![0, idx.len() as u32],
-            idx,
-            values,
-        }
-    }
+/// The workers' staging buffers of a binning, kept from one
+/// [`bin_columns`] to the next.
+#[derive(Default)]
+pub struct BinScratch(Vec<Slots>);
 
+impl BinnedBatch {
     /// Total entries across all tiles (= points accepted by some tile).
     pub fn len(&self) -> usize {
         self.idx.len()
@@ -172,89 +196,313 @@ impl BinnedBatch {
         self.idx.is_empty()
     }
 
+    /// Bands per tile.
+    pub fn bands(&self) -> usize {
+        self.bands
+    }
+
     /// Pixel indices and (if aggregated) values of one tile's points.
     pub fn tile(&self, ti: usize) -> (&[u32], Option<&[f32]>) {
-        let lo = self.offsets[ti] as usize;
-        let hi = self.offsets[ti + 1] as usize;
-        let vals = if self.values.is_empty() {
-            None
-        } else {
-            Some(&self.values[lo..hi])
-        };
+        self.slots(ti * self.bands, (ti + 1) * self.bands)
+    }
+
+    /// Pixel indices and (if aggregated) values of the points of band `b`
+    /// of tile `ti`, in row order.
+    pub fn band(&self, ti: usize, b: usize) -> (&[u32], Option<&[f32]>) {
+        debug_assert!(b < self.bands);
+        self.slots(ti * self.bands + b, ti * self.bands + b + 1)
+    }
+
+    fn slots(&self, first: usize, end: usize) -> (&[u32], Option<&[f32]>) {
+        let lo = self.offsets[first] as usize;
+        let hi = self.offsets[end] as usize;
+        let vals = (!self.values.is_empty()).then(|| &self.values[lo..hi]);
         (&self.idx[lo..hi], vals)
     }
 }
 
-/// The in-memory passes blend in bands of `1 << BAND_SHIFT` pixel rows:
-/// 64 bands on a 2048² canvas, enough that skewed data (one band holding a
-/// fifth of the points) still leaves every worker bands to take.
-pub const BAND_SHIFT: u32 = 5;
+/// Rows per keep-mask block of [`bin_columns`]: the mask, one block of
+/// each coordinate and value column stay in L1.
+pub const BIN_BLOCK: usize = 1024;
 
-/// `(pixel, value)` entries for one canvas, bucketed by **row band** —
-/// band `b` holds the entries of pixel rows `b << shift .. (b + 1) <<
-/// shift` — in push order within each band. What one worker stages from
-/// its share of a row block: [`crate::PointFbo::blend_bands`] blends
-/// several of these, each band by one thread, so a pixel takes its
-/// entries in push order whatever the thread count. The buffers keep
-/// their capacity across [`BandedEntries::clear`].
-pub struct BandedEntries {
-    /// Linear pixel index (`y * width + x`) per entry, per band.
-    idx: Vec<Vec<u32>>,
-    /// Attribute value per entry, per band; `None` for COUNT-only queries.
-    values: Option<Vec<Vec<f32>>>,
+/// One batch's rows, by column, as [`bin_columns`] reads them.
+#[derive(Clone, Copy)]
+pub struct PointColumns<'a> {
+    pub xs: &'a [f64],
+    pub ys: &'a [f64],
+    /// The aggregated attribute; `None` for COUNT-only queries.
+    pub values: Option<&'a [f32]>,
 }
 
-impl BandedEntries {
-    pub fn new(bands: usize, with_values: bool) -> Self {
-        BandedEntries {
-            idx: vec![Vec::new(); bands],
-            values: with_values.then(|| vec![Vec::new(); bands]),
-        }
-    }
-
-    pub fn clear(&mut self) {
-        self.idx.iter_mut().for_each(Vec::clear);
-        self.values.iter_mut().flatten().for_each(Vec::clear);
-    }
-
-    #[inline]
-    pub fn push(&mut self, band: usize, pix: u32, value: f32) {
-        self.idx[band].push(pix);
-        if let Some(values) = &mut self.values {
-            values[band].push(value);
-        }
-    }
-
-    pub fn bands(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Pixel indices and (if aggregated) values of one band.
-    pub fn band(&self, b: usize) -> (&[u32], Option<&[f32]>) {
-        (&self.idx[b], self.values.as_ref().map(|v| &v[b][..]))
-    }
-
-    /// One band covering the whole canvas is one tile's batch.
-    pub fn into_single_tile(mut self) -> BinnedBatch {
-        assert_eq!(self.idx.len(), 1, "a one-band staging buffer");
-        let values = self.values.map_or_else(Vec::new, |mut v| v.swap_remove(0));
-        BinnedBatch::single_tile(self.idx.swap_remove(0), values)
-    }
+/// The outline of a canvas that has none: every kept in-canvas point is
+/// an entry. What the bounded join passes to [`bin_columns`].
+pub fn no_outline(_: &mut (), _: u32, _: Point, _: f32) -> bool {
+    false
 }
 
-/// Per-worker accumulation buffers: one (idx, values) pair per tile.
-/// `values` is empty for COUNT-only queries.
-struct LocalBins {
+/// Classify the rows of `cols` into the (tile, band) slots of `tiling`, a
+/// column at a time, into `into` — its entries replaced, its buffers and
+/// `scratch`'s per-worker staging reused, so a run of blocks or chunks
+/// allocates only while they grow. Per block of [`BIN_BLOCK`] rows,
+/// `keep(start, mask)` writes the filter's verdict for rows `start..start
+/// + mask.len()`, then every kept row is placed from the `xs` / `ys`
+/// slices. Each band's entries are in row order at any `workers`.
+///
+/// `outline(side, pixel, point, value)` sees every placed point first,
+/// with its tile's linear pixel index and the calling worker's private
+/// `side` state; when it returns `true` the point is taken off the canvas
+/// (the exact join resolves an outline-pixel point by PIP there) and no
+/// entry is staged. The sides come back in worker order, which is row
+/// order. [`no_outline`] stages every point.
+///
+/// On a one-tile canvas a kept row's pixel is that tile's
+/// [`Viewport::pixel_of`]. On several tiles the assignment is
+/// semantically identical to probing every tile with it: the candidate
+/// tile comes from floor arithmetic on the full-canvas coordinates, and
+/// when a point lies within half a pixel of a tile seam the adjacent
+/// tiles are probed too, so floating-point disagreement between the
+/// full-canvas and per-tile transforms at seams cannot drop, duplicate,
+/// or misplace a point relative to that probe.
+pub fn bin_columns<K, S, O>(
+    into: &mut BinnedBatch,
+    scratch: &mut BinScratch,
+    tiling: &CanvasTiling,
+    cols: PointColumns<'_>,
+    workers: usize,
+    keep: K,
+    outline: O,
+) -> Vec<S>
+where
+    K: Fn(usize, &mut [bool]) + Sync,
+    S: Default + Send,
+    O: Fn(&mut S, u32, Point, f32) -> bool + Sync,
+{
+    assert_eq!(cols.xs.len(), cols.ys.len(), "coordinate column lengths");
+    let (len, with_values) = (cols.xs.len(), cols.values.is_some());
+    bin_with(
+        into,
+        scratch,
+        tiling,
+        len,
+        workers,
+        with_values,
+        |binner, rows, staging| {
+            let mut mask = [false; BIN_BLOCK];
+            for start in rows.clone().step_by(BIN_BLOCK) {
+                let end = (start + BIN_BLOCK).min(rows.end);
+                let mask = &mut mask[..end - start];
+                keep(start, mask);
+                let rows = cols.xs[start..end].iter().zip(&cols.ys[start..end]);
+                for (j, ((&x, &y), &kept)) in rows.zip(mask.iter()).enumerate() {
+                    if kept {
+                        let v = cols.values.map_or(0.0, |a| a[start + j]);
+                        binner.stage(Point::new(x, y), v, staging, &outline);
+                    }
+                }
+            }
+        },
+    )
+}
+
+/// Classify points `0..len` (relative indices; the accessor maps to
+/// absolute rows) into the tiles of `tiling`, placed and banded exactly as
+/// [`bin_columns`] places them: its row-at-a-time form, kept for the
+/// benchmark's replay (`benchmark/src/layers.rs`) and the tests; no
+/// executor calls it. `access(i)` returns `None` when point `i` fails the
+/// filter predicates, otherwise its world position and aggregate value.
+pub fn bin_points<F>(
+    tiling: &CanvasTiling,
+    len: usize,
+    workers: usize,
+    with_values: bool,
+    access: F,
+) -> BinnedBatch
+where
+    F: Fn(usize) -> Option<(Point, f32)> + Sync,
+{
+    let (mut batch, scratch) = (BinnedBatch::default(), &mut BinScratch::default());
+    bin_with(
+        &mut batch,
+        scratch,
+        tiling,
+        len,
+        workers,
+        with_values,
+        |binner, rows, staging| {
+            for (p, v) in rows.filter_map(&access) {
+                binner.stage(p, v, staging, &no_outline);
+            }
+        },
+    );
+    batch
+}
+
+/// Run `classify(binner, rows, staging)` over `0..len` split into one
+/// contiguous range per worker, each into its own slot buffers, then lay
+/// them out as `into`, CSR over (tile, band) slots in range order. Returns
+/// the workers' sides, in range order.
+fn bin_with<S, F>(
+    into: &mut BinnedBatch,
+    scratch: &mut BinScratch,
+    tiling: &CanvasTiling,
+    len: usize,
+    workers: usize,
+    with_values: bool,
+    classify: F,
+) -> Vec<S>
+where
+    S: Default + Send,
+    F: Fn(&Binner<'_>, std::ops::Range<usize>, &mut Staging<S>) + Sync,
+{
+    let bands = (tiling.tiles.iter())
+        .map(|t| (t.height as usize).div_ceil(1 << BAND_SHIFT))
+        .max()
+        .unwrap_or(0);
+    let binner = Binner {
+        tiling,
+        place: Placement::new(tiling),
+        widths: tiling.tiles.iter().map(|t| t.width).collect(),
+        bands,
+    };
+    let nslots = tiling.tile_count() * bands;
+    let workers = workers.max(1).min(len.max(1));
+    // Slots are not pre-sized: an empty one then costs no allocation, and
+    // growing the busy ones measured faster than reserving a uniform share
+    // of every slot.
+    scratch.0.resize_with(workers, Slots::default);
+    let mut locals: Vec<Staging<S>> = (scratch.0.drain(..))
+        .map(|mut slots| {
+            slots.reset(nslots, with_values);
+            let side = S::default();
+            Staging { slots, side }
+        })
+        .collect();
+    parallel_ranges_with(len, &mut locals, |local, start, end| {
+        classify(&binner, start..end, local)
+    });
+
+    // CSR layout. The workers' buffers are in range order, so every band's
+    // entries are in row order — hence each pixel's f32 blend order —
+    // whatever the worker count.
+    into.bands = bands;
+    into.offsets.clear();
+    into.idx.clear();
+    into.values.clear();
+    into.offsets.push(0);
+    for s in 0..nslots {
+        for Staging { slots, .. } in &locals {
+            into.idx.extend_from_slice(&slots.idx[s]);
+            if let Some(values) = slots.values.get(s) {
+                into.values.extend_from_slice(values);
+            }
+        }
+        into.offsets.push(into.idx.len() as u32);
+    }
+    let sides;
+    (scratch.0, sides) = locals.into_iter().map(|l| (l.slots, l.side)).unzip();
+    sides
+}
+
+/// One worker's entries per (tile, band) slot, in row order.
+#[derive(Default)]
+struct Slots {
     idx: Vec<Vec<u32>>,
+    /// Empty for COUNT-only queries.
     values: Vec<Vec<f32>>,
 }
 
-impl LocalBins {
+impl Slots {
+    /// Empty, `slots` slots, values only `with_values`; capacity kept.
+    fn reset(&mut self, slots: usize, with_values: bool) {
+        self.idx.iter_mut().for_each(Vec::clear);
+        self.values.iter_mut().for_each(Vec::clear);
+        self.idx.resize_with(slots, Vec::new);
+        let value_slots = if with_values { slots } else { 0 };
+        self.values.resize_with(value_slots, Vec::new);
+    }
+}
+
+/// One worker's staging: its slots plus what its outline took off the
+/// canvas. Aligned so that no two workers' stagings share a cache line:
+/// the side is written per outline point while the neighbour pushes.
+#[repr(align(128))]
+struct Staging<S> {
+    slots: Slots,
+    side: S,
+}
+
+/// A tiling's placement plus what turns a placed pixel into a staging
+/// slot.
+struct Binner<'t> {
+    tiling: &'t CanvasTiling,
+    place: Placement,
+    /// Per tile, for the linear pixel index.
+    widths: Vec<u32>,
+    /// Bands per tile (see [`BinnedBatch`]).
+    bands: usize,
+}
+
+impl Binner<'_> {
+    /// Place `p` and stage it, value `v`, into every accepting tile's
+    /// band — unless `outline` takes it.
     #[inline]
-    fn push(&mut self, ti: usize, pix: u32, v: f32) {
-        self.idx[ti].push(pix);
-        if let Some(values) = self.values.get_mut(ti) {
-            values.push(v);
+    fn stage<S, O>(&self, p: Point, v: f32, staging: &mut Staging<S>, outline: &O)
+    where
+        O: Fn(&mut S, u32, Point, f32) -> bool,
+    {
+        match &self.place {
+            // One tile: its own probe decides — no global transform, no
+            // seams. `put` is a method, not a closure shared with the
+            // arm below, so it inlines into the row loop (measured ≈ 20 %
+            // of the exact join's point pass when it did not).
+            Placement::One(probe) => {
+                if let Some((x, y)) = probe.pixel_of(p) {
+                    self.put((0, x, y), p, v, staging, outline);
+                }
+            }
+            Placement::Many(geom) => geom.place(self.tiling, p, |ti, x, y| {
+                self.put((ti, x, y), p, v, staging, outline)
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn put<S, O>(
+        &self,
+        at: (usize, u32, u32),
+        p: Point,
+        v: f32,
+        staging: &mut Staging<S>,
+        outline: &O,
+    ) where
+        O: Fn(&mut S, u32, Point, f32) -> bool,
+    {
+        let (ti, x, y) = at;
+        let pix = y * self.widths[ti] + x;
+        if !outline(&mut staging.side, pix, p, v) {
+            let slot = ti * self.bands + (y >> BAND_SHIFT) as usize;
+            staging.slots.idx[slot].push(pix);
+            if let Some(values) = staging.slots.values.get_mut(slot) {
+                values.push(v);
+            }
+        }
+    }
+}
+
+/// Where a world point lands on a tiling: `(tile, x, y)` for every tile
+/// whose [`Viewport::pixel_of`] accepts it.
+enum Placement {
+    /// One tile: its own probe decides.
+    One(crate::viewport::PixelProbe),
+    /// Several tiles: the seam-guarded assignment of [`BinGeom`].
+    Many(BinGeom),
+}
+
+impl Placement {
+    fn new(tiling: &CanvasTiling) -> Self {
+        match &tiling.tiles[..] {
+            [tile] => Placement::One(tile.pixel_probe()),
+            _ => Placement::Many(BinGeom::new(tiling)),
         }
     }
 }
@@ -323,36 +571,11 @@ impl BinGeom {
             probes: tiling.tiles.iter().map(Viewport::pixel_probe).collect(),
         }
     }
-}
 
-/// Where a world point lands on a tiling: `(tile, linear pixel index)`
-/// for every tile whose [`Viewport::pixel_of`] accepts it.
-enum Placement {
-    /// One tile: its own probe decides — no global transform, no seams.
-    One(crate::viewport::PixelProbe),
-    /// Several tiles: the seam-guarded assignment of [`BinGeom`].
-    Many(BinGeom),
-}
-
-impl Placement {
-    fn new(tiling: &CanvasTiling) -> Self {
-        match &tiling.tiles[..] {
-            [tile] => Placement::One(tile.pixel_probe()),
-            _ => Placement::Many(BinGeom::new(tiling)),
-        }
-    }
-
+    /// [`Placement::Many`]'s assignment of `p`: `emit(tile, x, y)` per
+    /// accepting tile.
     #[inline]
-    fn place(&self, tiling: &CanvasTiling, p: Point, mut emit: impl FnMut(usize, u32)) {
-        let geom = match self {
-            Placement::One(probe) => {
-                if let Some((x, y)) = probe.pixel_of(p) {
-                    emit(0, y * probe.width() + x);
-                }
-                return;
-            }
-            Placement::Many(geom) => geom,
-        };
+    fn place(&self, tiling: &CanvasTiling, p: Point, mut emit: impl FnMut(usize, u32, u32)) {
         // Fast path: derive tile and local pixel from the exact
         // full-canvas transform — one probe instead of up to nine
         // per-tile probes. Only valid when the point is clearly inside
@@ -361,209 +584,34 @@ impl Placement {
         // (and global rejects near the outer edge) take the exhaustive
         // per-tile path, keeping the assignment byte-identical to
         // per-tile `pixel_of` everywhere.
-        if let Some((gx, gy)) = geom.global.pixel_of(p) {
-            let fx = (p.x - geom.min_x) * geom.inv_pw - gx as f64;
-            let fy = (p.y - geom.min_y) * geom.inv_ph - gy as f64;
-            if fx > geom.margin_x
-                && fx < 1.0 - geom.margin_x
-                && fy > geom.margin_y
-                && fy < 1.0 - geom.margin_y
+        if let Some((gx, gy)) = self.global.pixel_of(p) {
+            let fx = (p.x - self.min_x) * self.inv_pw - gx as f64;
+            let fy = (p.y - self.min_y) * self.inv_ph - gy as f64;
+            if fx > self.margin_x
+                && fx < 1.0 - self.margin_x
+                && fy > self.margin_y
+                && fy < 1.0 - self.margin_y
             {
                 let tx = gx / tiling.max_dim;
                 let ty = gy / tiling.max_dim;
                 let ti = (ty * tiling.tiles_x + tx) as usize;
-                let lw = geom.probes[ti].width();
-                emit(
-                    ti,
-                    (gy - ty * tiling.max_dim) * lw + (gx - tx * tiling.max_dim),
-                );
+                emit(ti, gx - tx * tiling.max_dim, gy - ty * tiling.max_dim);
                 return;
             }
         }
-        bin_one(tiling, geom, p, emit);
+        bin_one(tiling, self, p, emit);
     }
 }
 
-/// Rows per keep-mask block of [`bin_columns`]: the mask, one block of
-/// each coordinate and value column stay in L1.
-pub const BIN_BLOCK: usize = 1024;
-
-/// One batch's rows, by column, as [`bin_columns`] reads them.
-#[derive(Clone, Copy)]
-pub struct PointColumns<'a> {
-    pub xs: &'a [f64],
-    pub ys: &'a [f64],
-    /// The aggregated attribute; `None` for COUNT-only queries.
-    pub values: Option<&'a [f32]>,
-}
-
-/// Classify the rows of `cols` into the tiles of `tiling`, a column at a
-/// time: per block of [`BIN_BLOCK`] rows, `keep(start, mask)` writes the
-/// filter's verdict for rows `start..start + mask.len()`, then every kept
-/// row is placed from the `xs` / `ys` slices. Each tile's entries are in
-/// row order at any `workers`.
-///
-/// On a one-tile canvas a kept row's pixel is that tile's
-/// [`Viewport::pixel_of`]. On several tiles the assignment is
-/// semantically identical to probing every tile with it: the candidate
-/// tile comes from floor arithmetic on the full-canvas coordinates, and
-/// when a point lies within half a pixel of a tile seam the adjacent
-/// tiles are probed too, so floating-point disagreement between the
-/// full-canvas and per-tile transforms at seams cannot drop, duplicate,
-/// or misplace a point relative to that probe.
-pub fn bin_columns<K>(
-    tiling: &CanvasTiling,
-    cols: PointColumns<'_>,
-    workers: usize,
-    keep: K,
-) -> BinnedBatch
-where
-    K: Fn(usize, &mut [bool]) + Sync,
-{
-    assert_eq!(cols.xs.len(), cols.ys.len(), "coordinate column lengths");
-    let len = cols.xs.len();
-    bin_with(
-        tiling,
-        len,
-        workers,
-        cols.values.is_some(),
-        |place, rows, local| {
-            let mut mask = [false; BIN_BLOCK];
-            for start in rows.clone().step_by(BIN_BLOCK) {
-                let end = (start + BIN_BLOCK).min(rows.end);
-                let mask = &mut mask[..end - start];
-                keep(start, mask);
-                let (xs, ys) = (&cols.xs[start..end], &cols.ys[start..end]);
-                let value = |j: usize| cols.values.map_or(0.0, |a| a[start + j]);
-                for (j, ((&x, &y), &kept)) in xs.iter().zip(ys).zip(mask.iter()).enumerate() {
-                    if kept {
-                        let v = value(j);
-                        place.place(tiling, Point::new(x, y), |ti, pix| local.push(ti, pix, v));
-                    }
-                }
-            }
-        },
-    )
-}
-
-/// Classify points `0..len` (relative indices; the accessor maps to
-/// absolute rows) into the tiles of `tiling`, placed exactly as
-/// [`bin_columns`] places them: its row-at-a-time form, kept for the
-/// benchmark's replay (`benchmark/src/layers.rs`) and `bench_binning`;
-/// no executor calls it. `access(i)` returns `None` when point `i` fails
-/// the filter predicates, otherwise its world position and aggregate
-/// value.
-pub fn bin_points<F>(
-    tiling: &CanvasTiling,
-    len: usize,
-    workers: usize,
-    with_values: bool,
-    access: F,
-) -> BinnedBatch
-where
-    F: Fn(usize) -> Option<(Point, f32)> + Sync,
-{
-    bin_with(tiling, len, workers, with_values, |place, rows, local| {
-        for i in rows {
-            if let Some((p, v)) = access(i) {
-                place.place(tiling, p, |ti, pix| local.push(ti, pix, v));
-            }
-        }
-    })
-}
-
-/// Run `classify(placement, rows, bins)` over `0..len` split into one
-/// contiguous range per worker, each into private per-tile buffers, then
-/// lay them out as CSR over tiles in range order. A lone worker's
-/// buffers on a one-tile canvas become the batch as they are.
-fn bin_with<F>(
-    tiling: &CanvasTiling,
-    len: usize,
-    workers: usize,
-    with_values: bool,
-    classify: F,
-) -> BinnedBatch
-where
-    F: Fn(&Placement, std::ops::Range<usize>, &mut LocalBins) + Sync,
-{
-    let ntiles = tiling.tile_count();
-    let place = Placement::new(tiling);
-    let workers = workers.max(1).min(len.max(1));
-    // A one-tile worker's entries are at most its rows. Several tiles are
-    // pre-sized for a uniform spread (2× slack); hotspot tiles grow past
-    // this, but the common case never reallocates.
-    let reserve = match ntiles {
-        1 => len.div_ceil(workers),
-        _ => 2 * len.div_ceil(workers) / ntiles + 16,
-    };
-    let value_tiles = if with_values { ntiles } else { 0 };
-    let mut locals: Vec<LocalBins> = (0..workers)
-        .map(|_| LocalBins {
-            idx: (0..ntiles).map(|_| Vec::with_capacity(reserve)).collect(),
-            values: (0..value_tiles)
-                .map(|_| Vec::with_capacity(reserve))
-                .collect(),
-        })
-        .collect();
-    parallel_ranges_with(len, &mut locals, |local, start, end| {
-        classify(&place, start..end, local)
-    });
-    if let ([local], 1) = (&mut locals[..], ntiles) {
-        let values = local.values.pop().unwrap_or_default();
-        return BinnedBatch::single_tile(std::mem::take(&mut local.idx[0]), values);
-    }
-
-    // CSR layout. Buffers are in range order, so every tile's entries are
-    // in row order — hence each pixel's f32 blend order — whatever the
-    // worker count.
-    let mut offsets = vec![0u32; ntiles + 1];
-    for t in 0..ntiles {
-        let total: usize = locals.iter().map(|l| l.idx[t].len()).sum();
-        offsets[t + 1] = offsets[t] + total as u32;
-    }
-    let total = offsets[ntiles] as usize;
-    let mut idx = vec![0u32; total];
-    let mut values = vec![0f32; if with_values { total } else { 0 }];
-
-    // Parallel scatter: each tile owns its disjoint destination slices.
-    let (mut idx_rest, mut val_rest) = (&mut idx[..], &mut values[..]);
-    let mut jobs = Vec::with_capacity(ntiles);
-    for t in 0..ntiles {
-        let n = (offsets[t + 1] - offsets[t]) as usize;
-        let (tile_idx, rest) = std::mem::take(&mut idx_rest).split_at_mut(n);
-        idx_rest = rest;
-        let (tile_vals, rest) =
-            std::mem::take(&mut val_rest).split_at_mut(n * with_values as usize);
-        val_rest = rest;
-        jobs.push((t, tile_idx, tile_vals));
-    }
-    let jobs = Mutex::new(jobs);
-    parallel_dynamic(ntiles, workers, 1, |_| {
-        let Some((t, idx, vals)) = jobs.lock().pop() else {
-            return;
-        };
-        let mut at = 0;
-        for l in &locals {
-            let src = &l.idx[t];
-            idx[at..at + src.len()].copy_from_slice(src);
-            if let Some(vsrc) = l.values.get(t) {
-                vals[at..at + src.len()].copy_from_slice(vsrc);
-            }
-            at += src.len();
-        }
-    });
-
-    BinnedBatch {
-        offsets,
-        idx,
-        values,
-    }
-}
-
-/// Assign one world point to its accepting tile(s): emit `(tile index,
-/// linear pixel index)` for every tile whose `pixel_of` accepts it.
+/// Assign one world point to its accepting tile(s): emit `(tile index, x,
+/// y)` for every tile whose `pixel_of` accepts it.
 #[inline]
-fn bin_one<E: FnMut(usize, u32)>(tiling: &CanvasTiling, geom: &BinGeom, p: Point, mut emit: E) {
+fn bin_one<E: FnMut(usize, u32, u32)>(
+    tiling: &CanvasTiling,
+    geom: &BinGeom,
+    p: Point,
+    mut emit: E,
+) {
     let sx = (p.x - geom.min_x) * geom.inv_pw;
     let sy = (p.y - geom.min_y) * geom.inv_ph;
     // Clearly outside the canvas — or a NaN coordinate, which no pixel
@@ -590,7 +638,7 @@ fn bin_one<E: FnMut(usize, u32)>(tiling: &CanvasTiling, geom: &BinGeom, p: Point
         let ti = (ty as usize) * tiling.tiles_x as usize + tx as usize;
         let pb = &geom.probes[ti];
         if let Some((x, y)) = pb.pixel_of(p) {
-            emit(ti, y * pb.width() + x);
+            emit(ti, x, y);
         }
     };
 
@@ -620,6 +668,29 @@ fn bin_one<E: FnMut(usize, u32)>(tiling: &CanvasTiling, geom: &BinGeom, p: Point
     if x_hi && y_hi {
         probe(tx + 1, ty + 1);
     }
+}
+
+/// `idx` / `values` as the binner stages them on a `width × height` canvas
+/// of unit pixels: entry `k` is a point at the center of pixel `idx[k]`,
+/// binned on `workers` threads.
+#[cfg(test)]
+pub(crate) fn bin_pixels(
+    width: u32,
+    height: u32,
+    idx: &[u32],
+    values: Option<&[f32]>,
+    workers: usize,
+) -> BinnedBatch {
+    let extent = raster_geom::BBox::new(
+        Point::new(0.0, 0.0),
+        Point::new(width as f64, height as f64),
+    );
+    let tiling = CanvasTiling::single(Viewport::new(extent, width, height));
+    bin_points(&tiling, idx.len(), workers, values.is_some(), |k| {
+        let (x, y) = (idx[k] % width, idx[k] / width);
+        let p = Point::new(x as f64 + 0.5, y as f64 + 0.5);
+        Some((p, values.map_or(0.0, |v| v[k])))
+    })
 }
 
 #[cfg(test)]
@@ -675,7 +746,9 @@ mod tests {
         let geom = BinGeom::new(&t);
         for p in probes {
             let mut got = Vec::new();
-            bin_one(&t, &geom, p, |ti, pix| got.push((ti, pix)));
+            bin_one(&t, &geom, p, |ti, x, y| {
+                got.push((ti, y * t.tiles[ti].width + x))
+            });
             got.sort_unstable();
             let mut want = exhaustive(&t, p);
             want.sort_unstable();

@@ -11,7 +11,7 @@
 //! thread count. The cells stay `AtomicU32` so the polygon pass can read a
 //! canvas through a shared reference.
 
-use crate::bin::{BandedEntries, BAND_SHIFT};
+use crate::bin::{BinnedBatch, BAND_SHIFT};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Allocate `n` zeroed atomics via the `vec![0u32; n]` calloc fast path —
@@ -113,23 +113,23 @@ impl PointFbo {
         blend_owned(&mut self.counts, &mut self.sums, 0, idx, values);
     }
 
-    /// [`PointFbo::blend_in_order`] of several staged parts on `workers`
-    /// threads: the canvas is cut into bands of `1 << band_shift` pixel
-    /// rows — the bands of [`BandedEntries`] — and each band is blended
-    /// by whichever one thread takes it off the queue, part after part in
-    /// slice order, with plain adds on the rows it then owns. No pixel is
-    /// shared, so there is no atomic read-modify-write, and every pixel's
-    /// f32 sum accumulates in part-then-entry order: bitwise what one
-    /// thread calling `blend_in_order` per part gives, at any `workers`.
-    pub fn blend_bands(&mut self, band_shift: u32, parts: &[&BandedEntries], workers: usize) {
-        let band_px = ((self.width as usize) << band_shift).max(1);
+    /// [`PointFbo::blend_in_order`] of tile `ti` of `binned` on `workers`
+    /// threads: the canvas is cut into the batch's bands of `1 <<
+    /// BAND_SHIFT` pixel rows, and each band is blended by whichever one
+    /// thread takes it off the queue, with plain adds on the rows it then
+    /// owns. No pixel is shared, so there is no atomic read-modify-write,
+    /// and every pixel's f32 sum accumulates in the band's (= row) order:
+    /// bitwise what one thread calling `blend_in_order` on the tile gives,
+    /// at any `workers`.
+    pub fn blend_bands(&mut self, binned: &BinnedBatch, ti: usize, workers: usize) {
+        let band_px = ((self.width as usize) << BAND_SHIFT).max(1);
         let nbands = self.counts.len().div_ceil(band_px);
         assert!(
-            parts.iter().all(|p| p.bands() == nbands),
-            "entries staged for another banding"
+            nbands <= binned.bands(),
+            "entries binned for another banding"
         );
         let busy = (0..nbands)
-            .filter(|&b| parts.iter().any(|p| !p.band(b).0.is_empty()))
+            .filter(|&b| !binned.band(ti, b).0.is_empty())
             .count();
         let bands = self
             .counts
@@ -137,10 +137,8 @@ impl PointFbo {
             .zip(self.sums.chunks_mut(band_px))
             .enumerate();
         let blend = |(b, (counts, sums)): (usize, (&mut [AtomicU32], &mut [AtomicU32]))| {
-            for part in parts {
-                let (idx, values) = part.band(b);
-                blend_owned(counts, sums, (b * band_px) as u32, idx, values);
-            }
+            let (idx, values) = binned.band(ti, b);
+            blend_owned(counts, sums, (b * band_px) as u32, idx, values);
         };
         let workers = workers.min(busy);
         if workers <= 1 {
@@ -161,21 +159,6 @@ impl PointFbo {
             }
         })
         .expect("band blend worker panicked");
-    }
-
-    /// [`PointFbo::blend_in_order`] on `workers` threads: the entries are
-    /// bucketed by row band of `1 << BAND_SHIFT` rows, keeping their slice
-    /// order within each band, and [`PointFbo::blend_bands`] blends the
-    /// bands. Every pixel's f32 sum comes out bitwise what
-    /// `blend_in_order` gives, at any `workers`.
-    pub fn blend_banded(&mut self, idx: &[u32], values: Option<&[f32]>, workers: usize) {
-        let bands = (self.height as usize).div_ceil(1 << BAND_SHIFT);
-        let mut banded = BandedEntries::new(bands, values.is_some());
-        for (k, &pix) in idx.iter().enumerate() {
-            let band = ((pix / self.width) >> BAND_SHIFT) as usize;
-            banded.push(band, pix, values.map_or(0.0, |v| v[k]));
-        }
-        self.blend_bands(BAND_SHIFT, &[&banded], workers);
     }
 
     /// Count channel of one pixel.
@@ -569,7 +552,7 @@ pub struct ResidentCanvases<'p> {
 
 impl ResidentCanvases<'_> {
     /// Apply one chunk's deltas: tile `t`'s entries blend into canvas `t`
-    /// in entry (= row) order.
+    /// band after band, each pixel's in row order.
     pub fn blend(&mut self, deltas: &crate::bin::BinnedBatch) {
         for (ti, fbo) in self.fbos.iter_mut().enumerate() {
             let (idx, values) = deltas.tile(ti);
@@ -639,6 +622,15 @@ impl BoundaryFbo {
     pub fn is_boundary(&self, x: u32, y: u32) -> bool {
         let (w, m) = self.bit(x, y);
         self.bits[w].load(Ordering::Relaxed) & m != 0
+    }
+
+    /// [`BoundaryFbo::is_boundary`] addressed by linear pixel index
+    /// `y * width + x`, as the binner hands pixels out.
+    #[inline]
+    pub fn is_boundary_at(&self, pix: u32) -> bool {
+        let i = pix as usize;
+        debug_assert!(i < self.width as usize * self.height as usize);
+        self.bits[i / 32].load(Ordering::Relaxed) & (1u32 << (i % 32)) != 0
     }
 
     /// Number of marked pixels.
@@ -855,110 +847,69 @@ mod tests {
         let mut canvases = pool.acquire_resident(&tiles);
         assert_eq!(pool.outstanding(), 1);
         // Two chunks' worth of deltas, in chunk order.
-        canvases.blend(&crate::BinnedBatch::single_tile(
-            idx[..2].to_vec(),
-            values[..2].to_vec(),
-        ));
-        canvases.blend(&crate::BinnedBatch::single_tile(
-            idx[2..].to_vec(),
-            values[2..].to_vec(),
-        ));
+        let chunk = |r: std::ops::Range<usize>, workers| {
+            crate::bin::bin_pixels(4, 2, &idx[r.clone()], Some(&values[r]), workers)
+        };
+        canvases.blend(&chunk(0..2, 1));
+        canvases.blend(&chunk(2..5, 2));
         let got = canvases.tile(0);
         for (x, y) in [(1, 1), (2, 0), (0, 0)] {
             assert_eq!(got.count_at(x, y), reference.count_at(x, y));
             assert_eq!(got.sum_at(x, y).to_bits(), reference.sum_at(x, y).to_bits());
         }
         // COUNT-only deltas carry no values.
-        canvases.blend(&crate::BinnedBatch::single_tile(vec![0, 0], Vec::new()));
+        canvases.blend(&crate::bin::bin_pixels(4, 2, &[0, 0], None, 1));
         assert_eq!(canvases.tile(0).count_at(0, 0), 2);
         drop(canvases);
         assert_eq!(pool.outstanding(), 0);
     }
 
-    /// Band-owned blending is `blend_in_order` part by part: every pixel
-    /// bitwise, at any thread count, on a canvas whose last band is short,
-    /// with f32 values whose sum depends on the order they are added in.
+    /// Band-owned blending of a binned tile is `blend_in_order` of its
+    /// rows: every pixel bitwise, at any binning and blending width, on a
+    /// canvas whose last band is short, with a few hot pixels (one per
+    /// band, on band seams and the canvas's last) whose f32 sums depend on
+    /// the order they are added in — values or none.
     #[test]
     fn blend_bands_is_blend_in_order_at_any_width() {
-        let (w, h, shift) = (37u32, 21u32, 2u32);
-        let bands = (h as usize).div_ceil(1 << shift);
-        // Three parts (workers' shares of a block) that all hit the same
-        // few pixels with values of very different magnitude.
-        let mut parts: Vec<BandedEntries> =
-            (0..3).map(|_| BandedEntries::new(bands, true)).collect();
-        let mut flat: Vec<(Vec<u32>, Vec<f32>)> = vec![Default::default(); 3];
-        let mut state = 0x9E37_79B9u32;
-        for k in 0..6_000 {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            let (x, y) = ((state >> 8) % 5 * 9 % w, (state >> 16) % h);
-            let v = [1e-3f32, 1.0, 3.3e4, 7.7e-2][k % 4] * (1 + k % 7) as f32;
-            let part = k * 3 / 6_000;
-            parts[part].push((y >> shift) as usize, y * w + x, v);
-            flat[part].0.push(y * w + x);
-            flat[part].1.push(v);
-        }
-        let mut want = PointFbo::new(w, h);
-        for (idx, values) in &flat {
-            want.blend_in_order(idx, Some(values));
-        }
-        let refs: Vec<&BandedEntries> = parts.iter().collect();
-        for workers in [1, 2, 3, 8] {
-            let mut got = PointFbo::new(w, h);
-            got.blend_bands(shift, &refs, workers);
-            for y in 0..h {
-                for x in 0..w {
-                    assert_eq!(got.count_at(x, y), want.count_at(x, y));
-                    assert_eq!(
-                        got.sum_at(x, y).to_bits(),
-                        want.sum_at(x, y).to_bits(),
-                        "({x}, {y}) at {workers} workers"
-                    );
-                }
-            }
-        }
-        assert_eq!(want.total_count(), 6_000);
-
-        // COUNT-only parts carry no values; a one-band part is one tile.
-        let mut counts = BandedEntries::new(bands, false);
-        counts.push(0, 5, 9.0);
-        counts.push(bands - 1, (h - 1) * w, 9.0);
-        let mut got = PointFbo::new(w, h);
-        got.blend_bands(shift, &[&counts], 2);
-        assert_eq!((got.count_at(5, 0), got.count_at(0, h - 1)), (1, 1));
-        assert_eq!(got.sum_at(5, 0), 0.0);
-        counts.clear();
-        assert!((0..bands).all(|b| counts.band(b).0.is_empty()));
-        let mut one = BandedEntries::new(1, true);
-        one.push(0, 7, 2.5);
-        let batch = one.into_single_tile();
-        assert_eq!(batch.tile(0), (&[7u32][..], Some(&[2.5f32][..])));
-    }
-
-    /// A dense tile's fill: one row-ordered list, bucketed by band and
-    /// blended band by band, is `blend_in_order` bit for bit — on a canvas
-    /// of several bands, the last one short, values or none.
-    #[test]
-    fn blend_banded_is_blend_in_order_at_any_width() {
         let (w, h) = (19u32, 3 * (1 << BAND_SHIFT) + 5);
-        // A few hot pixels, one per band and the canvas's last.
-        let hot = [3, 331, 662, 993, 1324, 1655, w * h - 1];
+        let band_rows = 1u32 << BAND_SHIFT;
+        let hot = [
+            3,
+            (band_rows - 1) * w + 4,
+            band_rows * w + 7,
+            (2 * band_rows - 1) * w,
+            (3 * band_rows) * w + 18,
+            w * h - 1,
+        ];
         let mut state = 0x2545_F491u32;
         let (mut idx, mut values) = (Vec::new(), Vec::new());
-        for k in 0..5_000 {
+        for k in 0..6_000 {
             state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            idx.push(hot[(state >> 8) as usize % hot.len()]);
+            // Two thirds on the hot pixels, the rest anywhere.
+            let pix = match (state >> 8) % 3 {
+                0 => (state >> 12) % (w * h),
+                _ => hot[(state >> 16) as usize % hot.len()],
+            };
+            idx.push(pix);
             values.push([3e4f32, 1e-3, -3e4, 0.7][k % 4] * (1 + k % 5) as f32);
         }
         for values in [Some(&values[..]), None] {
             let mut want = PointFbo::new(w, h);
             want.blend_in_order(&idx, values);
-            for workers in [1, 2, 4] {
-                let mut got = PointFbo::new(w, h);
-                got.blend_banded(&idx, values, workers);
-                for y in 0..h {
-                    for x in 0..w {
-                        assert_eq!(got.count_at(x, y), want.count_at(x, y));
-                        assert_eq!(got.sum_at(x, y).to_bits(), want.sum_at(x, y).to_bits());
+            for bin_workers in [1, 3] {
+                let binned = crate::bin::bin_pixels(w, h, &idx, values, bin_workers);
+                for workers in [1, 2, 3, 8] {
+                    let mut got = PointFbo::new(w, h);
+                    got.blend_bands(&binned, 0, workers);
+                    for y in 0..h {
+                        for x in 0..w {
+                            assert_eq!(got.count_at(x, y), want.count_at(x, y));
+                            assert_eq!(
+                                got.sum_at(x, y).to_bits(),
+                                want.sum_at(x, y).to_bits(),
+                                "({x}, {y}) binned on {bin_workers}, blended on {workers}"
+                            );
+                        }
                     }
                 }
             }
@@ -968,8 +919,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "another banding")]
     fn blend_bands_rejects_entries_of_another_banding() {
-        let part = BandedEntries::new(3, false);
-        PointFbo::new(8, 8).blend_bands(1, &[&part], 1);
+        // One band's worth of rows binned, two bands' worth of canvas.
+        let binned = crate::bin::bin_pixels(8, 8, &[3], None, 1);
+        PointFbo::new(8, 2 << BAND_SHIFT).blend_bands(&binned, 0, 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! atomics. This crate reimplements exactly those stages in portable Rust:
 //!
 //! * [`viewport`] — world→screen transforms (the vertex-shader transform);
-//! * [`bin`] — per-batch tile binning: each point is classified once into
-//!   the canvas tile that renders it, replacing the O(points × tiles)
-//!   per-tile rescans of the multi-canvas path (Fig. 5);
+//! * [`bin`] — the point classifier: each point is classified once per
+//!   batch into the (canvas tile, row band) that renders it, replacing the
+//!   O(points × tiles) per-tile rescans of the multi-canvas path (Fig. 5);
 //! * [`framebuffer`] — FBOs with additive blending (the paper's `Fpt`
 //!   count/sum FBO and the boundary FBO), filled band by band in row order
 //!   ([`framebuffer::PointFbo::blend_bands`]), and the
@@ -40,8 +40,8 @@ pub mod ssbo;
 pub mod viewport;
 
 pub use bin::{
-    bin_columns, bin_points, use_runs, BandedEntries, BinnedBatch, CanvasTiling, PointColumns,
-    RasterConfig, BAND_SHIFT, BIN_BLOCK, RUNS_MAX_DENSITY,
+    bin_columns, bin_points, no_outline, use_runs, BinScratch, BinnedBatch, CanvasTiling,
+    PointColumns, RasterConfig, BAND_SHIFT, BIN_BLOCK, RUNS_MAX_DENSITY,
 };
 pub use device::{Device, DeviceConfig};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};

@@ -24,18 +24,16 @@
 //!
 //! # Building in parallel, without unsafe
 //!
-//! 1. Each worker groups a contiguous range of entries by canvas row
-//!    (counting sort: per-worker row histogram, prefix, scatter) into
-//!    buffers it owns — the binner's per-worker pattern.
-//! 2. Row blocks are handed out dynamically; a block's worker gathers
-//!    each of its rows from the per-worker groups *in worker order* (=
-//!    entry order), sorts the row by `(x, position)` and collapses equal
-//!    `x`, into a block of runs it owns.
-//!
-//! No buffer is ever written by two threads, so there is nothing to
-//! audit; the blocks are kept as built rather than copied into one array.
+//! The binner already staged the tile by row band ([`BinnedBatch`]), each
+//! band in entry order, so the build is one task per band, handed out
+//! dynamically (bands are as skewed as the data): its worker sorts the
+//! band's entries by `(pixel, position)` and collapses equal pixels into
+//! a block of runs it owns. No buffer is ever written by two threads, so
+//! there is nothing to audit; the blocks are kept as built rather than
+//! copied into one array.
 
-use crate::exec::{parallel_dynamic, parallel_ranges};
+use crate::bin::{BinnedBatch, BAND_SHIFT};
+use crate::exec::parallel_dynamic;
 use crate::PointFbo;
 use parking_lot::Mutex;
 
@@ -62,13 +60,7 @@ impl SpanSource for PointFbo {
     }
 }
 
-/// Canvas rows per [`RunBlock`]: the unit of parallel work in the build.
-/// Small enough that a skewed tile (the taxi hotspots) still splits into
-/// many more blocks than workers, large enough that a block amortises
-/// its three allocations.
-const BLOCK_ROWS: u32 = 64;
-
-/// The runs of [`BLOCK_ROWS`] consecutive canvas rows.
+/// The runs of one band of `1 << BAND_SHIFT` canvas rows.
 #[derive(Default)]
 struct RunBlock {
     /// `row_start[r]..row_start[r + 1]` indexes the runs of the block's
@@ -80,117 +72,53 @@ struct RunBlock {
     sums: Vec<f32>,
 }
 
-/// One worker's entries grouped by canvas row, entry order kept within
-/// each row.
-struct RowGroups {
-    /// First entry of the worker's range (orders the groups).
-    start: usize,
-    /// `row_start[y]..row_start[y + 1]` indexes row `y`'s entries.
-    row_start: Vec<u32>,
-    xs: Vec<u32>,
-    /// Empty for COUNT-only tiles.
-    values: Vec<f32>,
-}
-
-impl RowGroups {
-    fn build(
-        start: usize,
-        idx: &[u32],
-        values: Option<&[f32]>,
-        width: u32,
-        height: u32,
-    ) -> RowGroups {
-        let mut row_start = vec![0u32; height as usize + 1];
-        for &pix in idx {
-            row_start[(pix / width) as usize + 1] += 1;
-        }
-        for y in 0..height as usize {
-            row_start[y + 1] += row_start[y];
-        }
-        let mut cursor = row_start[..height as usize].to_vec();
-        let mut xs = vec![0u32; idx.len()];
-        let mut grouped = vec![0f32; values.map_or(0, <[f32]>::len)];
-        for (i, &pix) in idx.iter().enumerate() {
-            let y = pix / width;
-            let at = &mut cursor[y as usize];
-            xs[*at as usize] = pix - y * width;
-            if let Some(values) = values {
-                grouped[*at as usize] = values[i];
-            }
-            *at += 1;
-        }
-        RowGroups {
-            start,
-            row_start,
-            xs,
-            values: grouped,
-        }
-    }
-
-    fn row(&self, y: u32) -> std::ops::Range<usize> {
-        self.row_start[y as usize] as usize..self.row_start[y as usize + 1] as usize
-    }
-}
-
 /// A canvas tile as sorted pixel runs (see the module docs).
 pub struct PixelRuns {
     width: u32,
     height: u32,
-    /// Block `b` holds rows `[b · BLOCK_ROWS, (b + 1) · BLOCK_ROWS)`;
-    /// empty when the tile received no entry.
+    /// Block `b` holds band `b`; empty when the tile received no entry.
     blocks: Vec<RunBlock>,
 }
 
 impl PixelRuns {
-    /// Sort and collapse one tile's entries — linear pixel indices
-    /// `y * width + x` and, when the query aggregates, their values, in
-    /// entry order — on up to `workers` threads. The result is the same
-    /// at any worker count.
+    /// Sort and collapse tile `ti` of `binned` — a `width × height` tile —
+    /// on up to `workers` threads, one band per task. The result is the
+    /// same at any worker count.
     pub fn build(
-        idx: &[u32],
-        values: Option<&[f32]>,
+        binned: &BinnedBatch,
+        ti: usize,
         width: u32,
         height: u32,
         workers: usize,
     ) -> PixelRuns {
-        assert!(values.is_none_or(|v| v.len() == idx.len()));
-        if idx.is_empty() {
-            return PixelRuns {
-                width,
-                height,
-                blocks: Vec::new(),
-            };
+        let mut runs = PixelRuns {
+            width,
+            height,
+            blocks: Vec::new(),
+        };
+        if binned.tile(ti).0.is_empty() {
+            return runs;
         }
-
-        // Phase 1: per-worker row grouping of contiguous entry ranges.
-        let groups: Mutex<Vec<RowGroups>> = Mutex::new(Vec::new());
-        parallel_ranges(idx.len(), workers, |s, e| {
-            let g = RowGroups::build(s, &idx[s..e], values.map(|v| &v[s..e]), width, height);
-            groups.lock().push(g);
-        });
-        let mut groups = groups.into_inner();
-        groups.sort_unstable_by_key(|g| g.start);
-
-        // Phase 2: per-row sort + collapse, row blocks handed out
-        // dynamically (rows are as skewed as the data).
-        let nblocks = height.div_ceil(BLOCK_ROWS) as usize;
-        let built: Mutex<Vec<(usize, RunBlock)>> = Mutex::new(Vec::with_capacity(nblocks));
-        parallel_dynamic(nblocks, workers, 1, |b| {
-            let y0 = b as u32 * BLOCK_ROWS;
-            let y1 = (y0 + BLOCK_ROWS).min(height);
+        let nbands = (height as usize).div_ceil(1 << BAND_SHIFT);
+        assert!(
+            nbands <= binned.bands(),
+            "entries binned for another banding"
+        );
+        let built: Mutex<Vec<(usize, RunBlock)>> = Mutex::new(Vec::with_capacity(nbands));
+        parallel_dynamic(nbands, workers, 1, |b| {
+            let y0 = (b as u32) << BAND_SHIFT;
+            let rows = (height - y0).min(1 << BAND_SHIFT);
+            let (idx, values) = binned.band(ti, b);
             let block = match values {
-                Some(_) => collapse_rows_with_sums(&groups, y0, y1),
-                None => collapse_rows(&groups, y0, y1),
+                Some(values) => collapse_with_sums(idx, values, width, y0, rows),
+                None => collapse(idx, width, y0, rows),
             };
             built.lock().push((b, block));
         });
         let mut built = built.into_inner();
         built.sort_unstable_by_key(|&(b, _)| b);
-        PixelRuns {
-            width,
-            height,
-            blocks: built.into_iter().map(|(_, block)| block).collect(),
-        }
+        runs.blocks = built.into_iter().map(|(_, block)| block).collect();
+        runs
     }
 
     /// Distinct non-empty pixels.
@@ -203,8 +131,8 @@ impl PixelRuns {
     #[inline]
     fn span(&self, y: u32, x0: u32, x1: u32) -> Option<(&RunBlock, std::ops::Range<usize>)> {
         debug_assert!(x0 <= x1 && x1 <= self.width && y < self.height);
-        let block = self.blocks.get((y / BLOCK_ROWS) as usize)?;
-        let r = (y % BLOCK_ROWS) as usize;
+        let block = self.blocks.get((y >> BAND_SHIFT) as usize)?;
+        let r = (y & ((1 << BAND_SHIFT) - 1)) as usize;
         let (lo, hi) = (block.row_start[r] as usize, block.row_start[r + 1] as usize);
         let row = &block.xs[lo..hi];
         let first = lo + row.partition_point(|&x| x < x0);
@@ -235,70 +163,64 @@ impl SpanSource for PixelRuns {
     }
 }
 
-/// COUNT-only rows `[y0, y1)`: gather each row's `x`s, sort, collapse.
-fn collapse_rows(groups: &[RowGroups], y0: u32, y1: u32) -> RunBlock {
-    let mut out = RunBlock::default();
-    let mut row: Vec<u32> = Vec::new();
-    out.row_start.push(0);
-    for y in y0..y1 {
-        row.clear();
-        for g in groups {
-            row.extend_from_slice(&g.xs[g.row(y)]);
+impl RunBlock {
+    /// The block of a band of `rows` rows from row `y0` of a `width`-wide
+    /// tile, from its runs `(pixel, count, sum)` in ascending pixel order.
+    fn of_runs(
+        runs: impl Iterator<Item = (u32, u32, Option<f32>)>,
+        width: u32,
+        y0: u32,
+        rows: u32,
+    ) -> Self {
+        let mut out = RunBlock {
+            row_start: vec![0; rows as usize + 1],
+            ..RunBlock::default()
+        };
+        for (pix, count, sum) in runs {
+            let y = pix / width;
+            out.row_start[(y - y0) as usize + 1] += 1;
+            out.xs.push(pix - y * width);
+            out.counts.push(count);
+            out.sums.extend(sum);
         }
-        row.sort_unstable();
-        let mut i = 0;
-        while i < row.len() {
-            let x = row[i];
-            let same = row[i..].iter().take_while(|&&o| o == x).count();
-            out.xs.push(x);
-            out.counts.push(same as u32);
-            i += same;
+        for r in 0..rows as usize {
+            out.row_start[r + 1] += out.row_start[r];
         }
-        out.row_start.push(out.xs.len() as u32);
+        out
     }
-    out
 }
 
-/// Aggregating rows `[y0, y1)`. A row's entries are keyed `(x, position
-/// in the row)` — unique keys, so the unstable sort is the stable sort by
-/// `x` — and each run's sum adds its values in that order from `+0.0`.
-fn collapse_rows_with_sums(groups: &[RowGroups], y0: u32, y1: u32) -> RunBlock {
-    let mut out = RunBlock::default();
-    let mut keys: Vec<u64> = Vec::new();
-    let mut vals: Vec<f32> = Vec::new();
-    out.row_start.push(0);
-    for y in y0..y1 {
-        keys.clear();
-        vals.clear();
-        for g in groups {
-            let r = g.row(y);
-            vals.extend_from_slice(&g.values[r.clone()]);
-            for &x in &g.xs[r] {
-                keys.push((x as u64) << 32 | keys.len() as u64);
-            }
-        }
-        keys.sort_unstable();
-        let mut i = 0;
-        while i < keys.len() {
-            let x = (keys[i] >> 32) as u32;
-            let (mut cnt, mut sum) = (0u32, 0f32);
-            while i < keys.len() && (keys[i] >> 32) as u32 == x {
-                cnt += 1;
-                sum += vals[keys[i] as u32 as usize];
-                i += 1;
-            }
-            out.xs.push(x);
-            out.counts.push(cnt);
-            out.sums.push(sum);
-        }
-        out.row_start.push(out.xs.len() as u32);
-    }
-    out
+/// COUNT-only band: sort its pixels, collapse equal ones.
+fn collapse(idx: &[u32], width: u32, y0: u32, rows: u32) -> RunBlock {
+    let mut pixels = idx.to_vec();
+    pixels.sort_unstable();
+    let runs = pixels
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u32, None));
+    RunBlock::of_runs(runs, width, y0, rows)
+}
+
+/// Aggregating band. Its entries are keyed `(pixel, position in the
+/// band)` — unique keys, so the unstable sort is the stable sort by pixel
+/// — and each run's sum adds its values in that order from `+0.0`.
+fn collapse_with_sums(idx: &[u32], values: &[f32], width: u32, y0: u32, rows: u32) -> RunBlock {
+    let mut keys: Vec<u64> = (idx.iter().enumerate())
+        .map(|(k, &pix)| (pix as u64) << 32 | k as u64)
+        .collect();
+    keys.sort_unstable();
+    let runs = keys.chunk_by(|a, b| a >> 32 == b >> 32).map(|run| {
+        let sum = run
+            .iter()
+            .fold(0f32, |sum, &key| sum + values[key as u32 as usize]);
+        ((run[0] >> 32) as u32, run.len() as u32, Some(sum))
+    });
+    RunBlock::of_runs(runs, width, y0, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bin::bin_pixels;
 
     /// The dense canvas the runs must answer like.
     fn dense(idx: &[u32], values: Option<&[f32]>, w: u32, h: u32) -> PointFbo {
@@ -324,7 +246,7 @@ mod tests {
 
     #[test]
     fn empty_tile_answers_zero_everywhere() {
-        let runs = PixelRuns::build(&[], None, 7, 3, 4);
+        let runs = PixelRuns::build(&bin_pixels(7, 3, &[], None, 1), 0, 7, 3, 4);
         assert_eq!(runs.run_count(), 0);
         assert_eq!(runs.span_count(2, 0, 7), 0);
         assert_eq!(runs.span_totals(0, 3, 3), (0, 0.0));
@@ -340,19 +262,21 @@ mod tests {
         let fbo = dense(&idx, Some(&values), w, h);
         assert_ne!(fbo.sum_at(2, 1), 2.0, "order-sensitive by design");
         for workers in [1, 2, 3, 8] {
-            let runs = PixelRuns::build(&idx, Some(&values), w, h, workers);
+            let binned = bin_pixels(w, h, &idx, Some(&values), workers);
+            let runs = PixelRuns::build(&binned, 0, w, h, workers);
             assert_eq!(runs.run_count(), 4);
             assert_same_spans(&runs, &fbo);
         }
-        let counted = PixelRuns::build(&idx, None, w, h, 2);
+        let counted = PixelRuns::build(&bin_pixels(w, h, &idx, None, 2), 0, w, h, 2);
         assert_same_spans(&counted, &dense(&idx, None, w, h));
     }
 
-    /// More rows than one block, entries on the first and last pixel of
-    /// the tile and of a block, empty rows between.
+    /// More rows than one band, entries on the first and last pixel of
+    /// the tile and of a band, empty rows between.
     #[test]
     fn rows_split_across_blocks_and_workers() {
-        let (w, h) = (9u32, 3 * BLOCK_ROWS + 5);
+        const BAND_ROWS: u32 = 1 << BAND_SHIFT;
+        let (w, h) = (9u32, 3 * BAND_ROWS + 5);
         let mut idx = Vec::new();
         let mut values = Vec::new();
         let mut state = 0x9e37_79b9u32;
@@ -364,13 +288,15 @@ mod tests {
             idx.push(y * w + (state >> 20) % w);
             values.push((i % 17) as f32 * 0.37 - 3.0);
         }
-        idx.extend([0, w * h - 1, BLOCK_ROWS * w - 1, BLOCK_ROWS * w]);
+        idx.extend([0, w * h - 1, BAND_ROWS * w - 1, BAND_ROWS * w]);
         values.extend([1.0, 2.0, 3.0, 4.0]);
         let fbo = dense(&idx, Some(&values), w, h);
-        let one = PixelRuns::build(&idx, Some(&values), w, h, 1);
+        let binned = bin_pixels(w, h, &idx, Some(&values), 1);
+        let one = PixelRuns::build(&binned, 0, w, h, 1);
         assert_same_spans(&one, &fbo);
         for workers in [2, 5] {
-            let many = PixelRuns::build(&idx, Some(&values), w, h, workers);
+            let binned = bin_pixels(w, h, &idx, Some(&values), workers);
+            let many = PixelRuns::build(&binned, 0, w, h, workers);
             assert_eq!(many.run_count(), one.run_count());
             assert_same_spans(&many, &fbo);
         }

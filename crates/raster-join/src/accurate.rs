@@ -6,17 +6,18 @@
 //! 1. **Draw outlines** — every polygon boundary segment is rendered with
 //!    conservative rasterization into a boundary FBO, so every pixel that
 //!    is even partially crossed by an outline is marked.
-//! 2. **Draw points** (Procedure AccuratePoints, `point_pass.rs`) — points
-//!    landing on boundary pixels are resolved exactly via the grid index +
-//!    PIP (Procedure JoinPoint, the PIP through a y-slab edge index);
-//!    all other points blend into the point FBO, each canvas row band by
-//!    the one thread that owns it.
+//! 2. **Draw points** (Procedure AccuratePoints, `point_pass.rs`) — the
+//!    one point classifier bins the points with the outline test as its
+//!    closure: points landing on boundary pixels are resolved exactly via
+//!    the grid index + PIP (Procedure JoinPoint, the PIP through a y-slab
+//!    edge index); all other points blend into the point FBO, each canvas
+//!    row band by the one thread that owns it.
 //! 3. **Draw polygons** (Procedure AccuratePolygons) — the bounded
 //!    variant's polygon pass (`polygon_pass.rs`) over the same
 //!    canvas. It is exact without the paper's per-fragment boundary
 //!    discard and without triangles, and tests pin both reasons:
 //!    * step 2 never blends a point that lands on a boundary pixel — the
-//!      one classify loop sends it to `join_point`, in memory and in
+//!      binner's outline closure sends it to `join_point`, in memory and in
 //!      [`AccurateRasterJoin::bin`] alike — so the canvas holds nothing
 //!      there and folding those pixels adds zero (debug builds assert it);
 //!    * the outline marks every pixel an edge touches, so any other pixel
@@ -34,31 +35,18 @@
 //! way every addition happens in row order, so counts and sums are
 //! bitwise the same at any width, block or chunk size.
 
-use crate::point_pass::{Classified, Outline, PointPass, ONE_BAND};
+use crate::point_pass::{blend_blocks, columns, Hits, Outline};
 use crate::polygon_pass::{draw_polygons, PolyRings};
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::PointTable;
 use raster_geom::{Polygon, SlabIndex};
+use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{block_for, default_workers, parallel_dynamic};
-use raster_gpu::raster::{rasterize_segment_conservative, rasterize_segment_thick_outline};
+use raster_gpu::raster::rasterize_segment_conservative;
 use raster_gpu::{BoundaryFbo, Device, FboPool, PointFbo, ResidentCanvases, Viewport};
 use raster_index::{AssignMode, GridIndex};
 use std::time::Instant;
-
-/// How the boundary-FBO outline pass is rasterized (§6.1): NVIDIA GPUs
-/// expose `GL_NV_conservative_raster`; everyone else draws "a thicker
-/// outline and discard\[s\] pixels that do not intersect with the drawn
-/// polygon". Both produce the same boundary pixels (verified in tests),
-/// so results are identical either way — only the mechanism differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConservativeMode {
-    /// Grid-traversal supercover (the hardware extension path).
-    #[default]
-    Dda,
-    /// The §6.1 fallback: thick quad + fragment-shader discard.
-    ThickOutline,
-}
 
 /// The accurate (exact) raster join operator.
 pub struct AccurateRasterJoin {
@@ -72,8 +60,6 @@ pub struct AccurateRasterJoin {
     /// that a PIP test reads a slab, not the ring, the coarser build saves
     /// more than its ≤ 9 % more tests cost (CHANGES.md, PR 21).
     pub index_dim: u32,
-    /// Outline rasterization mechanism (§6.1).
-    pub conservative: ConservativeMode,
     /// Planner-chosen points-per-batch override; capped by the device
     /// memory budget. `None` fills the device budget (the default).
     pub batch_points: Option<usize>,
@@ -85,7 +71,6 @@ impl Default for AccurateRasterJoin {
             workers: default_workers(),
             canvas_dim: 2048,
             index_dim: 512,
-            conservative: ConservativeMode::Dda,
             batch_points: None,
         }
     }
@@ -113,28 +98,30 @@ pub struct PreparedAccurate<'a> {
 
 struct AccurateState<'a> {
     rings: Vec<PolyRings>,
-    vp: Viewport,
+    /// The one canvas, as its own one tile.
+    canvas: CanvasTiling,
     boundary: BoundaryFbo,
     index: GridIndex,
     slabs: SlabIndex<'a>,
 }
 
 impl AccurateState<'_> {
-    fn point_pass(&self) -> PointPass<'_> {
-        PointPass {
-            probe: self.vp.pixel_probe(),
-            outline: Some(Outline {
-                boundary: &self.boundary,
-                index: &self.index,
-                slabs: &self.slabs,
-            }),
+    fn vp(&self) -> &Viewport {
+        &self.canvas.full
+    }
+
+    fn outline(&self) -> Outline<'_> {
+        Outline {
+            boundary: &self.boundary,
+            index: &self.index,
+            slabs: &self.slabs,
         }
     }
 
     /// What makes the paper's per-fragment discard of step 3 redundant:
     /// no boundary pixel of `fbo` has received a point.
     fn boundary_pixels_hold_nothing(&self, fbo: &PointFbo) -> bool {
-        let (w, h) = (self.vp.width, self.vp.height);
+        let (w, h) = (self.vp().width, self.vp().height);
         (0..h).all(|y| {
             (0..w).all(|x| {
                 !self.boundary.is_boundary(x, y)
@@ -149,7 +136,7 @@ impl PreparedAccurate<'_> {
     /// returned set drops — what a streamed scan blends every chunk's
     /// [`ChunkDeltas`] into before [`AccurateRasterJoin::resolve`].
     pub fn canvases(&self) -> ResidentCanvases<'_> {
-        let tiles = self.state.as_ref().map(|s| std::slice::from_ref(&s.vp));
+        let tiles = self.state.as_ref().map(|s| &s.canvas.tiles[..]);
         self.pool.acquire_resident(tiles.unwrap_or(&[]))
     }
 
@@ -227,23 +214,15 @@ impl AccurateRasterJoin {
         let poly_block = block_for(polys.len(), self.workers);
         parallel_dynamic(polys.len(), self.workers, poly_block, |pi| {
             for (a, b) in polys[pi].all_edges() {
-                let sa = vp.to_screen(a);
-                let sb = vp.to_screen(b);
-                match self.conservative {
-                    ConservativeMode::Dda => {
-                        rasterize_segment_conservative(sa, sb, w, h, |x, y| boundary.mark(x, y))
-                    }
-                    ConservativeMode::ThickOutline => {
-                        rasterize_segment_thick_outline(sa, sb, w, h, |x, y| boundary.mark(x, y))
-                    }
-                }
+                let (sa, sb) = (vp.to_screen(a), vp.to_screen(b));
+                rasterize_segment_conservative(sa, sb, w, h, |x, y| boundary.mark(x, y));
             }
         });
         let outline = t2.elapsed();
         PreparedAccurate {
             state: Some(Box::new(AccurateState {
                 rings,
-                vp,
+                canvas: CanvasTiling::single(vp),
                 boundary,
                 index,
                 slabs,
@@ -308,7 +287,8 @@ impl AccurateRasterJoin {
         let proc0 = Instant::now();
         let pool = &prepared.pool;
         let needs_sums = query.aggregate.attr().is_some();
-        let mut fbo = pool.acquire_touched(state.vp.width, state.vp.height, needs_sums);
+        let vp = state.vp();
+        let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
         let point_stage0 = Instant::now();
         self.draw_points(state, points, query, device, &mut fbo, &mut out);
         out.stats.point_stage = point_stage0.elapsed();
@@ -341,29 +321,51 @@ impl AccurateRasterJoin {
             .batch_points
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
-        let pass = state.point_pass();
-        let mut staging = pass.staging(self.workers, query.aggregate.attr().is_some());
+        let outline = state.outline();
+        let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
+        let (tiling, workers) = (&state.canvas, self.workers);
         for start in (0..points.len()).step_by(per_batch) {
             let end = start.saturating_add(per_batch).min(points.len());
             out.stats.upload_bytes += ((end - start) * point_bytes) as u64;
             out.stats.batches += 1;
-            pass.draw(points, start..end, query, &mut staging, fbo, out);
+            let hits = blend_blocks(tiling, points, start..end, query, workers, divert, fbo);
+            hits.iter().for_each(|hits| hits.add_to(out));
         }
         if points.is_empty() {
             out.stats.batches = 1;
         }
     }
 
-    /// *Bin* one chunk (step 2 without the blend): one thread walks the
-    /// rows in order, PIP-tests boundary-pixel points into the chunk's
-    /// partial result and emits every interior point as a `(pixel, value)`
-    /// delta. Nothing here touches a canvas, so the streaming scan's pool
-    /// workers run it concurrently; row order in, row order out.
+    /// *Bin* one chunk (step 2 without the blend) on the calling thread:
+    /// boundary-pixel points are PIP-tested into the chunk's partial result
+    /// and every interior point is emitted as a `(pixel, value)` delta.
+    /// Nothing here touches a canvas, so the streaming scan's pool workers
+    /// run it concurrently; row order in, row order out.
     pub fn bin(
         &self,
         prepared: &PreparedAccurate<'_>,
         points: &PointTable,
         query: &Query,
+    ) -> ChunkDeltas {
+        self.bin_into(
+            prepared,
+            points,
+            query,
+            Default::default(),
+            &mut Default::default(),
+        )
+    }
+
+    /// [`AccurateRasterJoin::bin`] into the buffers of `binned`, the
+    /// deltas of an earlier chunk that have been blended, with the calling
+    /// thread's staging `scratch`.
+    pub(crate) fn bin_into(
+        &self,
+        prepared: &PreparedAccurate<'_>,
+        points: &PointTable,
+        query: &Query,
+        mut binned: BinnedBatch,
+        scratch: &mut BinScratch,
     ) -> ChunkDeltas {
         let t0 = Instant::now();
         let mut partial = JoinOutput {
@@ -374,20 +376,16 @@ impl AccurateRasterJoin {
                 ..ExecStats::default()
             },
         };
-        let mut staged = Classified::new(1, query.aggregate.attr().is_some());
         if let Some(state) = prepared.state.as_deref() {
-            let rows = 0..points.len();
-            state
-                .point_pass()
-                .classify(points, rows, query, ONE_BAND, &mut staged);
-            staged.add_hits(&mut partial);
+            let outline = state.outline();
+            let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
+            let (cols, keep) = columns(points, 0..points.len(), query);
+            let sides = bin_columns(&mut binned, scratch, &state.canvas, cols, 1, keep, divert);
+            sides.iter().for_each(|hits| hits.add_to(&mut partial));
         }
         partial.stats.point_stage = t0.elapsed();
         partial.stats.processing = partial.stats.point_stage;
-        ChunkDeltas {
-            binned: staged.entries.into_single_tile(),
-            partial,
-        }
+        ChunkDeltas { binned, partial }
     }
 
     /// *Resolve* the canvas every chunk's deltas were blended into
@@ -427,7 +425,7 @@ impl AccurateRasterJoin {
         let t0 = Instant::now();
         out.stats.fragments = draw_polygons(
             &state.rings,
-            &state.vp,
+            state.vp(),
             fbo,
             query.aggregate.attr().is_some(),
             self.workers,
@@ -573,29 +571,6 @@ mod tests {
         assert_eq!(out.counts, vec![0, 0]);
     }
 
-    #[test]
-    fn thick_outline_fallback_gives_identical_results() {
-        // §6.1: the non-NVIDIA fallback must be a drop-in replacement —
-        // same exact results AND the same boundary coverage, hence the
-        // same PIP-test count.
-        let extent = nyc_extent();
-        let polys = synthetic_polygons(10, &extent, 88);
-        let pts = uniform_points(4_000, &extent, 89);
-        let dev = Device::default();
-        let dda = AccurateRasterJoin {
-            conservative: ConservativeMode::Dda,
-            ..Default::default()
-        }
-        .execute(&pts, &polys, &Query::count(), &dev);
-        let thick = AccurateRasterJoin {
-            conservative: ConservativeMode::ThickOutline,
-            ..Default::default()
-        }
-        .execute(&pts, &polys, &Query::count(), &dev);
-        assert_eq!(dda.counts, thick.counts);
-        assert_eq!(dda.stats.pip_tests, thick.stats.pip_tests);
-    }
-
     /// A canvas dense enough that every band takes entries from every
     /// worker of every block: identical counts and PIP tests at any width,
     /// and equal to brute force, boundary PIP handling included.
@@ -692,7 +667,7 @@ mod tests {
     }
 
     /// Why step 3 needs no per-fragment discard: whichever way step 2
-    /// runs — classify and blend by band at any width, or `bin` then
+    /// runs — bin and blend by band at any width, or `bin` then
     /// `ResidentCanvases::blend` — no boundary pixel receives a point.
     #[test]
     fn boundary_pixels_hold_nothing_after_every_point_pass() {
@@ -714,7 +689,7 @@ mod tests {
         let prepared = narrow.prepare(&polys, &dev);
         let state = prepared.state.as_ref().unwrap();
         let on_outline = |i: usize| {
-            let pixel = state.vp.pixel_of(pts.point(i));
+            let pixel = state.vp().pixel_of(pts.point(i));
             pixel.is_some_and(|(x, y)| state.boundary.is_boundary(x, y))
         };
         assert!(
@@ -723,7 +698,7 @@ mod tests {
         );
 
         for join in [&narrow, &wide] {
-            let mut fbo = PointFbo::new(state.vp.width, state.vp.height);
+            let mut fbo = PointFbo::new(state.vp().width, state.vp().height);
             let mut out = JoinOutput {
                 counts: vec![0; prepared.nslots],
                 sums: vec![0.0; prepared.nslots],
@@ -748,11 +723,12 @@ mod tests {
         assert!(state.boundary_pixels_hold_nothing(canvases.tile(0)));
 
         // The check is not vacuous: one point on an outline pixel fails it.
-        let (x, y) = (0..state.vp.width)
-            .flat_map(|x| (0..state.vp.height).map(move |y| (x, y)))
+        let (w, h) = (state.vp().width, state.vp().height);
+        let (x, y) = (0..w)
+            .flat_map(|x| (0..h).map(move |y| (x, y)))
             .find(|&(x, y)| state.boundary.is_boundary(x, y))
             .unwrap();
-        let fbo = PointFbo::new(state.vp.width, state.vp.height);
+        let fbo = PointFbo::new(w, h);
         fbo.blend_add(x, y, 0.0);
         assert!(!state.boundary_pixels_hold_nothing(&fbo));
     }

@@ -39,18 +39,19 @@
 //!   ([`PointFbo::blend_bands`](raster_gpu::PointFbo::blend_bands)).
 //!   Costs per pixel.
 //!
-//! A multi-tile canvas bins each batch once (`raster_gpu::bin_columns`:
-//! the filter a column at a time per block of rows, then the transform
-//! of every kept point, each tile's entries in row order) and
-//! fills a dense tile from its entries
-//! ([`PointFbo::blend_banded`](raster_gpu::PointFbo::blend_banded)). A
-//! one-tile canvas is binned only to become runs, which the batch's row
-//! count — an upper bound on its entries — decides; a dense one runs the
-//! exact join's point pass without an outline (`point_pass.rs`), which
-//! classifies the rows into row bands block by block, so its staging is
-//! bounded by the block, never the batch. `ExecStats::runs_passes` says
-//! how often runs were chosen. There is no option: the planner mirrors
-//! the same gate (`optimizer::cost::shape`).
+//! Both take their points from the one classifier,
+//! `raster_gpu::bin_columns` (`point_pass.rs`): the filter a column at a
+//! time per block of rows, then the pixel of every kept point, staged by
+//! (tile, row band of 32 rows), each band in row order. A multi-tile
+//! canvas bins each batch once and reads the staging as it is: a dense
+//! tile blends it band by band, a runs tile sorts it band by band
+//! ([`PixelRuns::build`]). A one-tile canvas is binned whole only to
+//! become runs, which the batch's row count — an upper bound on its
+//! entries — decides; a dense one bins and blends block by block
+//! (`point_pass::blend_blocks`, the exact join's point pass without its
+//! outline), so its staging is bounded by the block, never the batch.
+//! `ExecStats::runs_passes` says how often runs were chosen. There is no
+//! option: the planner mirrors the same gate (`optimizer::cost::shape`).
 //!
 //! Every pixel's f32 sum accumulates in row order on either canvas, so
 //! counts and sums are the same bits at any worker count, and — for a
@@ -58,17 +59,18 @@
 //! whose resident canvases accumulate across chunks, and the accurate
 //! join never take runs.
 
-use crate::point_pass::PointPass;
+use crate::point_pass::{blend_blocks, columns};
 use crate::polygon_pass::{draw_polygons, PolyRings};
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
-use raster_data::filter::keep_mask;
 use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::{BBox, Polygon};
-use raster_gpu::bin::{bin_columns, BinnedBatch, CanvasTiling, PointColumns};
+use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{default_workers, timed};
-use raster_gpu::{use_runs, Device, FboPool, PixelRuns, ResidentCanvases, SpanSource, Viewport};
+use raster_gpu::{
+    no_outline, use_runs, Device, FboPool, PixelRuns, ResidentCanvases, SpanSource, Viewport,
+};
 use std::time::Instant;
 
 /// The bounded (approximate) raster join operator.
@@ -226,16 +228,6 @@ impl BoundedRasterJoin {
             .min(device.points_per_batch(point_bytes));
         let needs_sums = query.aggregate.attr().is_some();
         let (polys, pool) = (&prepared.polys, &prepared.pool);
-        // A one-tile canvas has no rescan for the binner to save: a dense
-        // one takes the point pass straight from the table.
-        let mut single = (tiling.tile_count() == 1).then(|| {
-            let pass = PointPass {
-                probe: tiling.tiles[0].pixel_probe(),
-                outline: None,
-            };
-            let staging = pass.staging(self.workers, needs_sums);
-            (pass, staging)
-        });
 
         let proc0 = Instant::now();
         let mut start = 0usize;
@@ -244,38 +236,51 @@ impl BoundedRasterJoin {
             out.stats.upload_bytes += ((end - start) * point_bytes) as u64;
             out.stats.batches += 1;
 
-            let dense_single = single
-                .as_mut()
-                .filter(|_| !use_runs(end - start, tiling.full.pixel_count()));
-            if let Some((pass, staging)) = dense_single {
+            if tiling.tile_count() == 1 && !use_runs(end - start, tiling.full.pixel_count()) {
+                // A dense one-tile canvas has no rescan for a whole-batch
+                // binning to save: it bins and blends block by block.
                 let vp = &tiling.tiles[0];
                 let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
-                let t0 = Instant::now();
-                pass.draw(points, start..end, query, staging, &mut fbo, &mut out);
-                out.stats.point_stage += t0.elapsed();
+                timed(&mut out.stats.point_stage, || {
+                    let (rows, workers) = (start..end, self.workers);
+                    blend_blocks::<(), _>(
+                        tiling, points, rows, query, workers, no_outline, &mut fbo,
+                    )
+                });
                 self.draw_tile(polys, vp, &fbo, needs_sums, &mut out);
                 pool.release(fbo);
             } else {
                 // Binning: classify this batch's surviving points into
                 // their tiles once, instead of rescanning it per tile.
                 let t0 = Instant::now();
-                let binned = bin_range(tiling, points, start, end, query, self.workers);
+                let (cols, keep) = columns(points, start..end, query);
+                let (mut binned, mut scratch) = Default::default();
+                bin_columns(
+                    &mut binned,
+                    &mut scratch,
+                    tiling,
+                    cols,
+                    self.workers,
+                    keep,
+                    no_outline,
+                );
+                // The staging goes before the tiles' canvases come.
+                drop::<BinScratch>(scratch);
                 let dt = t0.elapsed();
                 out.stats.binning += dt;
                 out.stats.point_stage += dt;
                 out.stats.binned_points += binned.len() as u64;
                 for (ti, vp) in tiling.tiles.iter().enumerate() {
-                    let (idx, vals) = binned.tile(ti);
-                    if use_runs(idx.len(), vp.pixel_count()) {
+                    if use_runs(binned.tile(ti).0.len(), vp.pixel_count()) {
                         let runs = timed(&mut out.stats.point_stage, || {
-                            PixelRuns::build(idx, vals, vp.width, vp.height, self.workers)
+                            PixelRuns::build(&binned, ti, vp.width, vp.height, self.workers)
                         });
                         self.draw_tile(polys, vp, &runs, needs_sums, &mut out);
                         out.stats.runs_passes += 1;
                     } else {
                         let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
                         timed(&mut out.stats.point_stage, || {
-                            fbo.blend_banded(idx, vals, self.workers)
+                            fbo.blend_bands(&binned, ti, self.workers)
                         });
                         self.draw_tile(polys, vp, &fbo, needs_sums, &mut out);
                         pool.release(fbo);
@@ -322,8 +327,7 @@ impl BoundedRasterJoin {
 
     /// *Bin* one chunk on the calling thread: the filter a column at a
     /// time into a keep-mask per block of rows, then the pixel of every
-    /// kept point, into per-tile deltas in row order (on a one-tile canvas
-    /// the staged entries are the deltas, with no CSR copy). The streaming
+    /// kept point, into (tile, band) deltas in row order. The streaming
     /// scan's chunk-pool workers run this and nothing else of the join, so
     /// the entry order — hence every pixel's f32 blend order — is the
     /// table's row order at any pool width.
@@ -333,11 +337,31 @@ impl BoundedRasterJoin {
         points: &PointTable,
         query: &Query,
     ) -> ChunkDeltas {
+        self.bin_into(
+            prepared,
+            points,
+            query,
+            Default::default(),
+            &mut Default::default(),
+        )
+    }
+
+    /// [`BoundedRasterJoin::bin`] into the buffers of `binned`, the
+    /// deltas of an earlier chunk that have been blended, with the calling
+    /// thread's staging `scratch`.
+    pub(crate) fn bin_into(
+        &self,
+        prepared: &PreparedBounded,
+        points: &PointTable,
+        query: &Query,
+        mut binned: BinnedBatch,
+        scratch: &mut BinScratch,
+    ) -> ChunkDeltas {
         let t0 = Instant::now();
-        let binned = match &prepared.tiling {
-            Some(tiling) => bin_range(tiling, points, 0, points.len(), query, 1),
-            None => BinnedBatch::single_tile(Vec::new(), Vec::new()),
-        };
+        if let Some(tiling) = &prepared.tiling {
+            let (cols, keep) = columns(points, 0..points.len(), query);
+            bin_columns(&mut binned, scratch, tiling, cols, 1, keep, no_outline);
+        }
         let dt = t0.elapsed();
         ChunkDeltas {
             partial: JoinOutput {
@@ -387,27 +411,6 @@ impl BoundedRasterJoin {
         out.stats.processing = out.stats.polygon_stage;
         out
     }
-}
-
-/// Classify rows `[start, end)` of `points` into the tiles of `tiling`:
-/// the predicate filter a column at a time into a keep-mask per block,
-/// then the world→pixel transform of every kept row.
-fn bin_range(
-    tiling: &CanvasTiling,
-    points: &PointTable,
-    start: usize,
-    end: usize,
-    query: &Query,
-    workers: usize,
-) -> BinnedBatch {
-    let cols = PointColumns {
-        xs: &points.xs()[start..end],
-        ys: &points.ys()[start..end],
-        values: query.aggregate.attr().map(|a| &points.attr(a)[start..end]),
-    };
-    bin_columns(tiling, cols, workers, |rel, keep| {
-        keep_mask(points, start + rel, &query.predicates, keep)
-    })
 }
 
 /// Bounding box of the polygon data set — the `w × h` of §4.2.
@@ -583,8 +586,9 @@ mod tests {
         assert_eq!(a.counts, b.counts);
     }
 
-    /// A single-tile canvas dense enough to stay an FBO skips the binner
-    /// entirely: the point pass already touches each point exactly once.
+    /// A single-tile canvas dense enough to stay an FBO skips the
+    /// whole-batch binning: its point pass bins and blends block by block,
+    /// which the stats count as point stage, not binning.
     #[test]
     fn single_tile_canvas_skips_binning() {
         let polys = grid_polys();

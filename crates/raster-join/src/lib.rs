@@ -88,7 +88,7 @@ pub mod stream;
 pub mod temporal;
 pub mod two_step;
 
-pub use accurate::{AccurateRasterJoin, ConservativeMode};
+pub use accurate::AccurateRasterJoin;
 pub use bounded::BoundedRasterJoin;
 pub use index_join::{IndexJoin, Parallelism};
 pub use lod::LodExplorer;

@@ -17,7 +17,8 @@
 //! decides whether an in-memory bounded plan holds its tiles as sorted
 //! pixel runs — then nothing is charged per pixel: no clear, no
 //! per-pixel fold, a sort per surviving point instead of a blend — and
-//! single-tile canvases that stay dense skip binning entirely. A dense
+//! single-tile canvases that stay dense skip the whole-batch binning:
+//! their blocks are staged and blended as they are classified. A dense
 //! canvas, bounded or accurate, is filled once, band by band: filter
 //! once, blend once.
 //!
@@ -307,9 +308,9 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     }
 }
 
-/// Does a bounded plan of this shape go through the binner? Mirrors the
-/// executor: multi-tile canvases always, a one-tile canvas only to be held
-/// as pixel runs.
+/// Does a bounded plan of this shape bin each batch whole before its tile
+/// passes? Mirrors the executor: multi-tile canvases always, a one-tile
+/// canvas only to be held as pixel runs.
 fn binned(sh: &PlanShape) -> bool {
     sh.tiles > 1 || sh.runs
 }

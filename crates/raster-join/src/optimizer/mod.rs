@@ -124,7 +124,6 @@ impl Plan {
             canvas_dim: self.canvas_dim,
             index_dim: self.index_dim,
             batch_points: Some(batch_points),
-            ..Default::default()
         }
     }
 
@@ -192,9 +191,13 @@ pub fn plan_workload(
     device: &Device,
     cal: &Calibration,
     workers: usize,
-    canvas_dim: u32,
-    index_dim: u32,
 ) -> PlanChoice {
+    // An exact plan runs the executor's own canvas and index.
+    let AccurateRasterJoin {
+        canvas_dim,
+        index_dim,
+        ..
+    } = AccurateRasterJoin::default();
     let capacity = device.points_per_batch(PointTable::point_bytes(query.attrs_uploaded()));
     let mut batches = vec![capacity];
     if wl.n_points > capacity {
@@ -270,8 +273,6 @@ pub fn worker_alternatives(max: usize) -> Vec<usize> {
 /// the plan of the next.
 pub struct AutoRasterJoin {
     pub workers: usize,
-    pub accurate_canvas_dim: u32,
-    pub accurate_index_dim: u32,
     /// The cost-model weights every plan is ranked under.
     pub calibration: Calibration,
 }
@@ -288,8 +289,6 @@ impl AutoRasterJoin {
     pub fn with_calibration(calibration: Calibration) -> Self {
         AutoRasterJoin {
             workers: default_workers(),
-            accurate_canvas_dim: 2048,
-            accurate_index_dim: 1024,
             calibration,
         }
     }
@@ -308,15 +307,7 @@ impl AutoRasterJoin {
 
     /// Rank the plan space for an already-summarised workload.
     pub fn plan_summary(&self, wl: &Workload, query: &Query, device: &Device) -> PlanChoice {
-        plan_workload(
-            wl,
-            query,
-            device,
-            &self.calibration,
-            self.workers,
-            self.accurate_canvas_dim,
-            self.accurate_index_dim,
-        )
+        plan_workload(wl, query, device, &self.calibration, self.workers)
     }
 
     /// Plan and run the winner. Returns the executed plan alongside the
@@ -348,7 +339,7 @@ mod tests {
 
     fn assumed_choice(n: usize, polys: &[Polygon], q: &Query, dev: &Device) -> PlanChoice {
         let wl = Workload::assumed(n, polys, q);
-        plan_workload(&wl, q, dev, &Calibration::builtin(), 4, 2048, 1024)
+        plan_workload(&wl, q, dev, &Calibration::builtin(), 4)
     }
 
     #[test]
@@ -427,9 +418,8 @@ mod tests {
             };
             assert!(sampled.selectivity < 0.02, "predicate must be selective");
             let cal = Calibration::builtin();
-            let blind_choice = plan_workload(&blind, &q_sel, &dev, &cal, 4, 2048, 1024).choice();
-            let sampled_choice =
-                plan_workload(&sampled, &q_sel, &dev, &cal, 4, 2048, 1024).choice();
+            let blind_choice = plan_workload(&blind, &q_sel, &dev, &cal, 4).choice();
+            let sampled_choice = plan_workload(&sampled, &q_sel, &dev, &cal, 4).choice();
             if blind_choice == Variant::Bounded && sampled_choice == Variant::Accurate {
                 flipped = true;
             }
@@ -461,10 +451,10 @@ mod tests {
 
         let (plan2, out2) = auto.execute(&pts, &polys, &Query::count().with_epsilon(0.05), &dev);
         assert_eq!(plan2.variant, Variant::Accurate);
-        // The plan's canvas/index dims came from the planner, not a
-        // hard-coded rebuild.
-        assert_eq!(plan2.canvas_dim, auto.accurate_canvas_dim);
-        assert_eq!(plan2.index_dim, auto.accurate_index_dim);
+        // The plan's canvas/index dims are the exact executor's own.
+        let exact = AccurateRasterJoin::default();
+        assert_eq!(plan2.canvas_dim, exact.canvas_dim);
+        assert_eq!(plan2.index_dim, exact.index_dim);
         // Accurate path is exact: compare against brute force.
         for (i, poly) in polys.iter().enumerate() {
             let truth = (0..pts.len())
@@ -484,7 +474,7 @@ mod tests {
             200_000 * PointTable::point_bytes(0),
             8192,
         ));
-        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4, 2048, 1024);
+        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4);
         let sizes: std::collections::BTreeSet<usize> = choice
             .candidates
             .iter()
@@ -510,7 +500,7 @@ mod tests {
         let q = Query::count().with_epsilon(20.0);
         let wl = Workload::assumed(100_000, &polys, &q);
         let dev = Device::default();
-        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4, 2048, 1024);
+        let choice = plan_workload(&wl, &q, &dev, &Calibration::builtin(), 4);
         let counts: std::collections::BTreeSet<usize> =
             choice.candidates.iter().map(|c| c.plan.workers).collect();
         assert_eq!(
@@ -537,8 +527,7 @@ mod tests {
         ));
         for (dev, batches) in [(Device::default(), 1), (out_of_core, 2)] {
             for w in [1, 2, 4, 6] {
-                let cands =
-                    plan_workload(&wl, &q, &dev, &Calibration::builtin(), w, 2048, 1024).candidates;
+                let cands = plan_workload(&wl, &q, &dev, &Calibration::builtin(), w).candidates;
                 assert_eq!(cands.len(), 2 * batches * worker_alternatives(w).len());
                 for (i, a) in cands.iter().enumerate() {
                     assert!(cands[i + 1..].iter().all(|b| b.plan != a.plan));

@@ -45,12 +45,13 @@ pub struct ExecStats {
     pub upload_bytes: u64,
     /// Bytes shipped device→host (results, materialized pairs).
     pub download_bytes: u64,
-    /// Wall-clock time binning points to canvas tiles (subset of
-    /// `processing`; zero when a single-tile canvas dense enough to stay
-    /// an FBO skips the binner).
+    /// Wall-clock time binning whole batches to canvas tiles ahead of
+    /// their tile passes (subset of `processing`; zero when a single-tile
+    /// canvas dense enough to stay an FBO bins and blends block by block,
+    /// which is all point stage).
     pub binning: Duration,
-    /// Point fragments routed through the binned path (entries emitted by
-    /// the binner across all batches).
+    /// Point fragments routed through the whole-batch binning (entries
+    /// emitted across all batches).
     pub binned_points: u64,
     /// Wall-clock time of the point stage — filtering, transforming and
     /// blending points into the FBO, or binning and sorting them into

@@ -173,7 +173,7 @@ use raster_data::faults;
 use raster_data::PointTable;
 use raster_geom::Polygon;
 use raster_gpu::exec::{default_workers, timed};
-use raster_gpu::{Device, ResidentCanvases};
+use raster_gpu::{BinScratch, BinnedBatch, Device, ResidentCanvases};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -580,10 +580,16 @@ impl<'a> Pieces<'a> {
         }
     }
 
-    fn bin(&self, chunk: &PointTable, query: &Query) -> ChunkDeltas {
+    fn bin(
+        &self,
+        chunk: &PointTable,
+        query: &Query,
+        reuse: BinnedBatch,
+        scratch: &mut BinScratch,
+    ) -> ChunkDeltas {
         match self {
-            Pieces::Bounded(exec, p) => exec.bin(p, chunk, query),
-            Pieces::Accurate(exec, p) => exec.bin(p, chunk, query),
+            Pieces::Bounded(exec, p) => exec.bin_into(p, chunk, query, reuse, scratch),
+            Pieces::Accurate(exec, p) => exec.bin_into(p, chunk, query, reuse, scratch),
         }
     }
 
@@ -882,14 +888,21 @@ impl StreamingRasterJoin {
         let mut reader_tally = tally(&reader);
 
         let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
-        // *Bin* one chunk, which uploads its points once; its bytes travel
-        // in the chunk's partial stats. Captures only `Sync` state and
-        // touches no canvas — safe to run across the pool.
-        let bin_chunk = |chunk: &PointTable| -> ChunkDeltas {
-            let mut deltas = pieces.bin(chunk, query);
+        // Deltas already blended, handed back so the next chunks bin into
+        // their buffers instead of fresh ones; as many as binning threads.
+        let blended: parking_lot::Mutex<Vec<BinnedBatch>> = Default::default();
+        let keep_blended = pool_workers.max(1) + 1;
+        // *Bin* one chunk with the calling thread's staging, which uploads
+        // its points once; its bytes travel in the chunk's partial stats.
+        // Captures only `Sync` state and touches no canvas — safe to run
+        // across the pool.
+        let bin_chunk = |chunk: &PointTable, scratch: &mut BinScratch| -> ChunkDeltas {
+            let reuse = blended.lock().pop().unwrap_or_default();
+            let mut deltas = pieces.bin(chunk, query, reuse, scratch);
             deltas.partial.stats.upload_bytes = (chunk.len() * point_bytes) as u64;
             deltas
         };
+        let mut scratch = BinScratch::default();
 
         let mut chunks = 0;
 
@@ -909,7 +922,11 @@ impl StreamingRasterJoin {
                     stats.point_stage += blend;
                     stats.processing += blend;
                     merger.fold(&deltas.partial);
-                })
+                });
+                let mut blended = blended.lock();
+                if blended.len() < keep_blended {
+                    blended.push(deltas.binned);
+                }
             };
 
             // The sample chunk's processing is deferred until after the
@@ -948,6 +965,7 @@ impl StreamingRasterJoin {
                         let work_rx = Arc::clone(&work_rx);
                         let res_tx = res_tx.clone();
                         let (busy, bin_chunk) = (&busy, &bin_chunk);
+                        let mut scratch = BinScratch::default();
                         s.spawn(move |_| loop {
                             // Work stealing at chunk granularity:
                             // whichever worker goes idle first takes the
@@ -974,7 +992,7 @@ impl StreamingRasterJoin {
                                     }
                                     busy.track(|| {
                                         enc.decode().map(|dec| ChunkDone {
-                                            deltas: bin_chunk(&dec.table),
+                                            deltas: bin_chunk(&dec.table, &mut scratch),
                                             fetch,
                                             decode: dec.decode_time,
                                             col_decode: dec.col_decode,
@@ -995,7 +1013,7 @@ impl StreamingRasterJoin {
                     // The sample is seq 0: binned and blended here while
                     // the pool already fetches and bins chunks 1…R behind
                     // it.
-                    absorb(busy.track(|| bin_chunk(&sample)));
+                    absorb(busy.track(|| bin_chunk(&sample, &mut scratch)));
 
                     // Ordered blend: the reorder buffer releases chunks in
                     // ascending seq, so the canvases and error precedence
@@ -1066,12 +1084,12 @@ impl StreamingRasterJoin {
             } else {
                 // Paper-faithful §7.7: read, then process, strictly
                 // alternating on one buffer.
-                absorb(busy.track(|| bin_chunk(&sample)));
+                absorb(busy.track(|| bin_chunk(&sample, &mut scratch)));
                 while let Some((chunk, dt)) =
                     paced(&mut reader, bandwidth, ChunkedReader::next_chunk)?
                 {
                     read_time += dt;
-                    absorb(busy.track(|| bin_chunk(&chunk)));
+                    absorb(busy.track(|| bin_chunk(&chunk, &mut scratch)));
                 }
                 reader_tally = tally(&reader);
             }

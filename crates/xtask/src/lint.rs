@@ -37,9 +37,13 @@
 //! |                   | item ([`DEVICE_LEDGER_WORDS`]) — executors count    |
 //! |                   | their own bytes and charge them through the closed  |
 //! |                   | form; pacing belongs to the benches                 |
+//! | `no-row-filter`   | the point pipeline ([`NO_ROW_FILTER_PATHS`]) never  |
+//! |                   | calls `filter::passes` — points are filtered a      |
+//! |                   | column at a time by the one classifier,             |
+//! |                   | `bin_columns`, whose keep-mask is `keep_mask`       |
 //!
 //! `#[cfg(test)]` regions are exempt from the panic, clock,
-//! triangulation and device-ledger rules (tests may time things, unwrap
+//! triangulation, device-ledger and row-filter rules (tests may time things, unwrap
 //! freely and hold the joins against a triangulation) but **not** from
 //! the unsafe rules: unsafe test code still wants an audit trail.
 
@@ -139,6 +143,18 @@ pub const DEVICE_LEDGER_WORDS: &[&str] = &[
     concat!("record", "_upload"),
     concat!("record", "_download"),
     concat!("reset", "_stats"),
+];
+
+/// The point pipeline: the executors' point passes and every classifier
+/// in `raster-gpu` filter through `filter::keep_mask` inside
+/// `bin_columns`, never row at a time through `filter::passes`. Prefix
+/// matches like [`NO_CLOCK_PATHS`].
+pub const NO_ROW_FILTER_PATHS: &[&str] = &[
+    "crates/raster-join/src/bounded.rs",
+    "crates/raster-join/src/accurate.rs",
+    "crates/raster-join/src/point_pass.rs",
+    "crates/raster-join/src/stream.rs",
+    "crates/raster-gpu/src/",
 ];
 
 /// How far above an `unsafe` token the contiguous `// SAFETY:` comment
@@ -389,6 +405,25 @@ fn find_word(code: &str, word: &str) -> bool {
     false
 }
 
+/// Does `code` import or call the row-at-a-time filter: `filter::passes`
+/// anywhere, or a bare `passes(` call (not a `.passes` field or method)?
+fn names_row_filter(code: &str) -> bool {
+    if code.contains("filter::passes") {
+        return true;
+    }
+    let bytes = code.as_bytes();
+    let mut start = 0;
+    while let Some(pos) = code[start..].find("passes(") {
+        let at = start + pos;
+        let before = at.checked_sub(1).map(|i| bytes[i]);
+        if !before.is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.') {
+            return true;
+        }
+        start = at + 1;
+    }
+    false
+}
+
 fn path_matches(rel: &str, pattern: &str) -> bool {
     if let Some(dir) = pattern.strip_suffix('/') {
         rel.starts_with(dir)
@@ -410,6 +445,7 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
     let no_join_expect = NO_JOIN_EXPECT_PATHS.iter().any(|p| path_matches(rel, p));
     let no_triangulate = NO_TRIANGULATE_PATHS.iter().any(|p| path_matches(rel, p));
     let no_ledger = NO_DEVICE_LEDGER_PATHS.iter().any(|p| path_matches(rel, p));
+    let no_row_filter = NO_ROW_FILTER_PATHS.iter().any(|p| path_matches(rel, p));
     let needs_forbid = FORBID_UNSAFE_ROOTS.contains(&rel);
     let needs_deny_op = DENY_UNSAFE_OP_ROOTS.contains(&rel);
 
@@ -525,6 +561,18 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
                 message: "`triangulate` in raster-join — the raster \
                           joins scan-convert polygon rings (polygon_pass.rs); \
                           triangulation belongs to raster-geom and the benches"
+                    .into(),
+            });
+        }
+
+        if no_row_filter && !in_test[idx] && names_row_filter(code) {
+            out.push(Violation {
+                file: rel.into(),
+                line: lineno,
+                rule: "no-row-filter",
+                message: "`filter::passes` in the point pipeline — filter a column \
+                          at a time through raster_gpu::bin_columns and \
+                          filter::keep_mask"
                     .into(),
             });
         }
@@ -879,6 +927,35 @@ mod tests {
             );
             assert!(lint_source("crates/raster-join/src/bounded.rs", &ok).is_empty());
         }
+    }
+
+    #[test]
+    fn row_filter_in_the_point_pipeline_fails() {
+        let src = "use raster_data::filter::passes;\nfn f(t: &PointTable, i: usize, p: &[Predicate]) -> bool {\n    passes(t, i, p)\n}\n";
+        for rel in [
+            "crates/raster-join/src/point_pass.rs",
+            "crates/raster-join/src/bounded.rs",
+            "crates/raster-gpu/src/bin.rs",
+        ] {
+            let v = lint_source(rel, src);
+            assert_eq!(v.len(), 2, "{rel}: {v:?}");
+            assert!(v.iter().all(|v| v.rule == "no-row-filter"));
+            assert_eq!((v[0].line, v[1].line), (1, 3));
+        }
+        let qualified = "fn f(t: &PointTable) -> bool { raster_data::filter::passes(t, 0, &[]) }\n";
+        assert_eq!(
+            lint_source("crates/raster-join/src/stream.rs", qualified).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn row_filter_in_tests_baselines_and_stats_is_fine() {
+        let src = "use raster_data::filter::passes;\nfn f(t: &PointTable) -> bool { passes(t, 0, &[]) }\n";
+        assert!(lint_source("crates/raster-join/src/index_join.rs", src).is_empty());
+        assert!(lint_source("crates/raster-data/src/filter.rs", src).is_empty());
+        let ok = "// filter::passes, row at a time, is the reference\nfn f(s: &mut ExecStats) { s.passes += 1; let _ = p.passes_per_batch(); }\n#[cfg(test)]\nmod tests {\n    use raster_data::filter::passes;\n    fn t() { passes(t, 0, &[]); }\n}\n";
+        assert!(lint_source("crates/raster-join/src/bounded.rs", ok).is_empty());
     }
 
     #[test]

@@ -270,7 +270,7 @@ proptest! {
         });
         for (ti, vp) in tiling.tiles.iter().enumerate() {
             let (idx, vals) = binned.tile(ti);
-            let runs = PixelRuns::build(idx, vals, vp.width, vp.height, workers);
+            let runs = PixelRuns::build(&binned, ti, vp.width, vp.height, workers);
             let mut fbo = PointFbo::new(vp.width, vp.height);
             fbo.blend_in_order(idx, vals);
             let mut distinct = idx.to_vec();
@@ -525,13 +525,19 @@ fn keep_mask_is_passes_row_by_row() {
 
 /// `BoundedRasterJoin::bin` — and `bin_columns` at several widths — emits
 /// exactly the entries of the row-at-a-time reference (`passes`, then
-/// `Viewport::pixel_of` on every tile, in row order), pixel indices and
-/// value bits alike, on one tile and on 3×3: over predicates that keep
-/// whole blocks, none of a block or part of one, and NaN coordinates.
+/// `Viewport::pixel_of` on every tile, in row order, grouped by row band
+/// of `1 << BAND_SHIFT` rows), pixel indices and value bits alike, on one
+/// tile and on 3×3: over predicates that keep whole blocks, none of a
+/// block or part of one, and NaN coordinates. On one tile the exact
+/// join's outline closure is one more input: a row on a pixel of the
+/// conservative outline becomes a hit in its worker's side state, in row
+/// order, not an entry.
 #[test]
 fn bin_entries_are_the_row_at_a_time_reference() {
     use raster_join_repro::data::filter::{keep_mask, passes};
-    use raster_join_repro::gpu::{bin_columns, PointColumns, BIN_BLOCK};
+    use raster_join_repro::gpu::raster::rasterize_segment_conservative;
+    use raster_join_repro::gpu::{bin_columns, no_outline, BinScratch, BoundaryFbo, PointColumns};
+    use raster_join_repro::gpu::{BAND_SHIFT, BIN_BLOCK};
     let polys = vec![Polygon::from_coords(
         0,
         vec![(0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0)],
@@ -563,6 +569,8 @@ fn bin_entries_are_the_row_at_a_time_reference() {
         Query::sum(0).with_predicates(keep_some.clone()),
         Query::count().with_predicates(keep_some),
     ];
+    // A hit as the outline closure records it: pixel, point and value.
+    type Hit = (u32, u64, u64, u32);
     // Pixel side 1 → a 100² canvas: one tile, or 3×3 of at most 34².
     for (max_dim, tiles) in [(8192, 1), (34, 9)] {
         let dev = Device::new(DeviceConfig::small(3 << 30, max_dim));
@@ -573,18 +581,56 @@ fn bin_entries_are_the_row_at_a_time_reference() {
             let tiling = CanvasTiling::new(Viewport::new(extent, w, h), max_dim);
             assert_eq!(tiling.tile_count(), tiles);
             let attr = q.aggregate.attr();
-            let want: Vec<(Vec<u32>, Vec<u32>)> = (tiling.tiles.iter())
-                .map(|vp| {
-                    let (mut idx, mut bits) = (Vec::new(), Vec::new());
-                    for i in (0..n).filter(|&i| passes(&pts, i, &q.predicates)) {
-                        if let Some((x, y)) = vp.pixel_of(pts.point(i)) {
-                            idx.push(y * vp.width + x);
-                            bits.extend(attr.map(|a| pts.attr(a)[i].to_bits()));
+            let value = |i: usize| attr.map_or(0.0, |a| pts.attr(a)[i]);
+            // The exact join's outline of the square on the one tile; none
+            // on 3×3.
+            let full = &tiling.tiles[0];
+            let boundary = BoundaryFbo::new(full.width, full.height);
+            if tiles == 1 {
+                for (a, b) in polys[0].all_edges() {
+                    let (sa, sb) = (full.to_screen(a), full.to_screen(b));
+                    rasterize_segment_conservative(sa, sb, full.width, full.height, |x, y| {
+                        boundary.mark(x, y)
+                    });
+                }
+                assert!(boundary.boundary_pixel_count() > 0);
+            }
+            let hit = |pix: u32, p: Point, v: f32| -> Hit {
+                (pix, p.x.to_bits(), p.y.to_bits(), v.to_bits())
+            };
+            // Per tile, the kept in-canvas rows grouped by band in row
+            // order — without the rows on `outline` pixels, which are hits.
+            let reference = |outline: Option<&BoundaryFbo>| {
+                let mut hits: Vec<Hit> = Vec::new();
+                let tiles: Vec<(Vec<u32>, Vec<u32>)> = (tiling.tiles.iter())
+                    .map(|vp| {
+                        let mut staged: Vec<(u32, u32, Option<u32>)> = Vec::new();
+                        for i in (0..n).filter(|&i| passes(&pts, i, &q.predicates)) {
+                            let Some((x, y)) = vp.pixel_of(pts.point(i)) else {
+                                continue;
+                            };
+                            let pix = y * vp.width + x;
+                            if outline.is_some_and(|b| b.is_boundary(x, y)) {
+                                hits.push(hit(pix, pts.point(i), value(i)));
+                            } else {
+                                let bits = attr.map(|_| value(i).to_bits());
+                                staged.push((y >> BAND_SHIFT, pix, bits));
+                            }
                         }
-                    }
-                    (idx, bits)
-                })
-                .collect();
+                        // Stable: row order within each band.
+                        staged.sort_by_key(|&(band, _, _)| band);
+                        let idx = staged.iter().map(|&(_, pix, _)| pix).collect();
+                        (
+                            idx,
+                            staged.iter().filter_map(|&(_, _, bits)| bits).collect(),
+                        )
+                    })
+                    .collect();
+                (tiles, hits)
+            };
+            let (want_entries, _) = reference(None);
+            let (want, want_hits) = reference(Some(&boundary));
+            assert_eq!(want_hits.is_empty(), tiles > 1);
             let exec = BoundedRasterJoin::new(1);
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
             let streamed = exec.bin(&prepared, &pts, &q).binned;
@@ -593,17 +639,127 @@ fn bin_entries_are_the_row_at_a_time_reference() {
                 ys: pts.ys(),
                 values: attr.map(|a| pts.attr(a)),
             };
+            let keep = |start, mask: &mut [bool]| keep_mask(&pts, start, &q.predicates, mask);
+            let outline = |hits: &mut Vec<Hit>, pix: u32, p: Point, v: f32| {
+                let on = boundary.is_boundary_at(pix);
+                if on {
+                    hits.push(hit(pix, p, v));
+                }
+                on
+            };
             for workers in [1, 2, 3] {
-                let binned = bin_columns(&tiling, cols, workers, |start, keep| {
-                    keep_mask(&pts, start, &q.predicates, keep)
-                });
-                for (ti, (idx, bits)) in want.iter().enumerate() {
-                    for got in [&streamed, &binned] {
+                let (mut binned, mut outlined) = Default::default();
+                let scratch = &mut BinScratch::default();
+                bin_columns::<_, (), _>(
+                    &mut binned,
+                    scratch,
+                    &tiling,
+                    cols,
+                    workers,
+                    keep,
+                    no_outline,
+                );
+                let sides = bin_columns(
+                    &mut outlined,
+                    scratch,
+                    &tiling,
+                    cols,
+                    workers,
+                    keep,
+                    outline,
+                );
+                let ctx = format!("{tiles} tile(s), {workers} worker(s), {q:?}");
+                assert_eq!(sides.concat(), want_hits, "hits, {ctx}");
+                let cases = [
+                    (&streamed, &want_entries),
+                    (&binned, &want_entries),
+                    (&outlined, &want),
+                ];
+                for (got, want) in cases {
+                    for (ti, (idx, bits)) in want.iter().enumerate() {
                         let (gi, gv) = got.tile(ti);
                         let gbits: Vec<u32> =
                             gv.into_iter().flatten().map(|v| v.to_bits()).collect();
-                        let ctx = format!("{tiles} tile(s), tile {ti}, {workers} worker(s), {q:?}");
-                        assert_eq!((gi, &gbits[..]), (&idx[..], &bits[..]), "{ctx}");
+                        assert_eq!((gi, &gbits[..]), (&idx[..], &bits[..]), "tile {ti}, {ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Runs built from the band staging answer like the dense canvas blended
+/// from it and like `blend_in_order` of the tile's rows, span by span,
+/// sums by bits: hot pixels on the band seams (tile rows 31/32 and 63/64)
+/// and in a short last band, values whose f32 sum depends on the order,
+/// on one tile and on 3×3, binned and built at widths {1, 2, 4}.
+#[test]
+fn runs_from_band_staging_equal_the_dense_canvas_span_by_span() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use raster_join_repro::gpu::BAND_SHIFT;
+    let band = 1u32 << BAND_SHIFT;
+    // (canvas width, height, tile side): 103 rows leave one tile a last
+    // band of 7; 3×3 tiles of 70² each end in a band of 6.
+    for (w, h, max_dim) in [(90u32, 3 * band + 7, 8192u32), (210, 210, 70)] {
+        let extent = BBox::new(Point::new(0.0, 0.0), Point::new(w as f64, h as f64));
+        let tiling = CanvasTiling::new(Viewport::new(extent, w, h), max_dim);
+        let tile_h = h.min(max_dim);
+        let hot_rows = [0, band - 1, band, 2 * band - 1, 2 * band, tile_h - 1];
+        let mut rng = StdRng::seed_from_u64(0xBA5D);
+        let mut pts = PointTable::with_capacity(0, &["v"]);
+        for k in 0..40_000usize {
+            // Two thirds on hot pixels, in every tile; the rest anywhere.
+            let (x, y) = if k % 3 == 0 {
+                (rng.gen_range(0..w), rng.gen_range(0..h))
+            } else {
+                let (tx, ty) = (
+                    rng.gen_range(0..w.div_ceil(max_dim)),
+                    rng.gen_range(0..h.div_ceil(max_dim)),
+                );
+                let row = hot_rows[rng.gen_range(0..hot_rows.len())];
+                (
+                    (tx * max_dim + 5 * (k as u32 % 3)).min(w - 1),
+                    (ty * max_dim + row).min(h - 1),
+                )
+            };
+            let v = [3e4f32, 1e-3, -3e4, 0.7][k % 4] * (1 + k % 5) as f32;
+            pts.push(Point::new(x as f64 + 0.5, y as f64 + 0.5), &[v]);
+        }
+        for with_values in [true, false] {
+            for workers in [1, 2, 4] {
+                let binned = bin_points(&tiling, pts.len(), workers, with_values, |i| {
+                    Some((pts.point(i), pts.attr(0)[i]))
+                });
+                for (ti, vp) in tiling.tiles.iter().enumerate() {
+                    // The tile's entries in row order.
+                    let (mut idx, mut values) = (Vec::new(), Vec::new());
+                    for i in 0..pts.len() {
+                        if let Some((x, y)) = vp.pixel_of(pts.point(i)) {
+                            idx.push(y * vp.width + x);
+                            values.push(pts.attr(0)[i]);
+                        }
+                    }
+                    let mut want = PointFbo::new(vp.width, vp.height);
+                    want.blend_in_order(&idx, with_values.then_some(&values[..]));
+                    let mut dense = PointFbo::new(vp.width, vp.height);
+                    dense.blend_bands(&binned, ti, workers);
+                    let runs = PixelRuns::build(&binned, ti, vp.width, vp.height, workers);
+                    for y in 0..vp.height {
+                        let spans = (0..vp.width)
+                            .map(|x| (x, x + 1))
+                            .chain([(0, vp.width), (3, vp.width - 2)]);
+                        for (x0, x1) in spans {
+                            let ctx = format!(
+                                "{w}×{h}/{max_dim} tile {ti} row {y} [{x0}, {x1}) w{workers}"
+                            );
+                            let (wc, ws) = want.span_totals(y, x0, x1);
+                            for (got_c, got_s) in
+                                [dense.span_totals(y, x0, x1), runs.span_totals(y, x0, x1)]
+                            {
+                                assert_eq!((got_c, got_s.to_bits()), (wc, ws.to_bits()), "{ctx}");
+                            }
+                            assert_eq!(runs.span_count(y, x0, x1), wc, "{ctx}");
+                        }
                     }
                 }
             }

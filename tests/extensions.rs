@@ -82,7 +82,7 @@ fn optimizer_crossover_is_monotone() {
     for eps in [50.0, 20.0, 10.0, 2.0, 0.5, 0.1, 0.02] {
         let q = Query::count().with_epsilon(eps);
         let wl = Workload::assumed(2_000_000, &polys, &q);
-        let choice = plan_workload(&wl, &q, &dev, &cal, 4, 2048, 1024);
+        let choice = plan_workload(&wl, &q, &dev, &cal, 4);
         match choice.choice() {
             Variant::Accurate => seen_accurate = true,
             Variant::Bounded => {

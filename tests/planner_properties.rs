@@ -32,7 +32,6 @@ fn run_directly(
             canvas_dim: plan.canvas_dim,
             index_dim: plan.index_dim,
             batch_points: Some(plan.batch_points),
-            ..Default::default()
         }
         .execute(pts, polys, q, dev),
     }
@@ -98,7 +97,7 @@ fn crossover_pinned_on_nyc_workloads() {
     // stays bounded: the PIP-free point pass amortises the canvas.
     let q20 = Query::count().with_epsilon(20.0);
     let wl = Workload::assumed(2_000_000, &polys, &q20);
-    let big = plan_workload(&wl, &q20, &dev, &Calibration::builtin(), 4, 2048, 1024);
+    let big = plan_workload(&wl, &q20, &dev, &Calibration::builtin(), 4);
     assert_eq!(
         big.choice(),
         Variant::Bounded,
