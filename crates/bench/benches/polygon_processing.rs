@@ -1,9 +1,75 @@
-//! Table 1 bench: polygon triangulation and grid-index creation costs.
+//! Table 1 bench: polygon triangulation and grid-index creation costs,
+//! and the raster joins' own polygon preparation — one span table per
+//! canvas tile — beside the fold that every polygon pass runs over it.
+//!
+//! Units: the build rows report Mspans/s built, the fold rows Mpx/s
+//! folded (fragments, Σ span widths), each as the harness's "Melem/s".
+//! The fold's ceiling is a `memcpy` of the planes it reads, the count
+//! plane (COUNT) or count + sum planes (AVG): the `ceiling/memcpy_*` rows
+//! copy those bytes for the fold's pixels and report Mpx/s too. The fold
+//! reads each covered pixel once, so it can at best match them.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use raster_data::PointTable;
+use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::triangulate::triangulate_all;
+use raster_geom::Polygon;
 use raster_gpu::exec::default_workers;
+use raster_gpu::{Device, SpanTable, Viewport};
 use raster_index::{AssignMode, GridIndex};
+use raster_join::bounded::polygon_extent;
+use raster_join::{BoundedRasterJoin, Query};
+
+/// The span-table build and fold rows for `polys` at `epsilon` with
+/// `points` blended into the canvas once.
+fn span_rows(c: &mut Criterion, label: &str, polys: &[Polygon], epsilon: f64, points: &PointTable) {
+    let w = default_workers();
+    let mut g = c.benchmark_group("table1_span_tables");
+    g.sample_size(10);
+    let dev = Device::default();
+    let extent = polygon_extent(polys);
+    let (width, height) = resolution_for_epsilon(&extent, epsilon);
+    let tiles = Viewport::new(extent, width, height).split(dev.config().max_fbo_dim);
+    let spans: usize = tiles
+        .iter()
+        .map(|vp| SpanTable::build(polys, vp, w).len())
+        .sum();
+    g.throughput(Throughput::Elements(spans as u64));
+    g.bench_function(BenchmarkId::new("build_mspans", label), |b| {
+        b.iter(|| {
+            let tables: Vec<SpanTable> = tiles
+                .iter()
+                .map(|vp| SpanTable::build(polys, vp, w))
+                .collect();
+            tables
+        })
+    });
+
+    let join = BoundedRasterJoin::new(w);
+    let prepared = join.prepare(polys, epsilon, &dev);
+    let queries = [("count", Query::count()), ("avg", Query::avg(0))];
+    for (name, q) in queries {
+        let q = q.with_epsilon(epsilon);
+        let mut canvases = prepared.canvases();
+        canvases.blend(&join.bin(&prepared, points, &q).binned);
+        let fragments = join.resolve(&prepared, &canvases, &q).stats.fragments;
+        g.throughput(Throughput::Elements(fragments));
+        g.bench_function(BenchmarkId::new(format!("fold_mpx_{name}"), label), |b| {
+            b.iter(|| join.resolve(&prepared, &canvases, &q))
+        });
+        // Ceiling: copy the plane bytes the fold reads, 4 or 8 a pixel
+        // (at most 16 M pixels' worth, to keep the bench small).
+        let pixels = (fragments as usize).min(1 << 24);
+        let bytes = pixels * if name == "count" { 4 } else { 8 };
+        let (src, mut dst) = (vec![1u8; bytes], vec![0u8; bytes]);
+        g.throughput(Throughput::Elements(pixels as u64));
+        g.bench_function(
+            BenchmarkId::new(format!("ceiling/memcpy_{name}"), label),
+            |b| b.iter(|| dst.copy_from_slice(&src)),
+        );
+    }
+    g.finish();
+}
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("table1_polygon_processing");
@@ -12,7 +78,7 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     let nyc = bench::workloads::neighborhoods();
     let w = default_workers();
-    let extent = raster_join::bounded::polygon_extent(nyc);
+    let extent = polygon_extent(nyc);
 
     g.bench_function("triangulate/nyc260", |b| {
         b.iter(|| triangulate_all(std::hint::black_box(nyc)))
@@ -27,6 +93,18 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.finish();
+
+    let tweets = bench::workloads::twitter(2_000_000);
+    span_rows(
+        c,
+        "counties_3km",
+        bench::workloads::counties(),
+        3_000.0,
+        &tweets,
+    );
+    drop(tweets);
+    let taxi = bench::workloads::taxi(2_000_000);
+    span_rows(c, "nyc260_10m", nyc, 10.0, &taxi);
 }
 
 criterion_group!(benches, bench);

@@ -136,6 +136,35 @@ where
     .expect("worker thread panicked");
 }
 
+/// Run `f` on every task of `tasks` on up to `workers` threads, each
+/// task taken whole, in order, by the first idle worker — for tasks that
+/// own disjoint `&mut` slices of one output.
+pub fn parallel_tasks<T, F>(tasks: Vec<T>, workers: usize, f: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    let workers = workers.clamp(1, tasks.len().max(1));
+    if workers == 1 {
+        tasks.into_iter().for_each(f);
+        return;
+    }
+    let queue = parking_lot::Mutex::new(tasks.into_iter());
+    crossbeam::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|_| loop {
+                // The guard drops before the task runs.
+                let next = queue.lock().next();
+                match next {
+                    Some(task) => f(task),
+                    None => break,
+                }
+            });
+        }
+    })
+    .expect("worker thread panicked");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

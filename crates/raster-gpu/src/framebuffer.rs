@@ -140,25 +140,7 @@ impl PointFbo {
             let (idx, values) = binned.band(ti, b);
             blend_owned(counts, sums, (b * band_px) as u32, idx, values);
         };
-        let workers = workers.min(busy);
-        if workers <= 1 {
-            bands.for_each(blend);
-            return;
-        }
-        let queue = parking_lot::Mutex::new(bands);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    // The guard drops before the band is blended.
-                    let next = queue.lock().next();
-                    match next {
-                        Some(band) => blend(band),
-                        None => break,
-                    }
-                });
-            }
-        })
-        .expect("band blend worker panicked");
+        crate::exec::parallel_tasks(bands.collect(), workers.min(busy), blend);
     }
 
     /// Count channel of one pixel.
@@ -208,21 +190,22 @@ impl PointFbo {
     }
 
     /// Fold the partial aggregates of the pixel span `[x0, x1) × {y}`:
-    /// returns `(Σ count, Σ sum)`. Used when the query aggregates an
-    /// attribute; COUNT-only queries prefer [`PointFbo::span_count`].
+    /// returns `(Σ count, Σ sum)`, the sums added in ascending `x` from
+    /// `+0.0`. Used when the query aggregates an attribute; COUNT-only
+    /// queries prefer [`PointFbo::span_count`].
+    ///
+    /// Branch-free: an empty pixel adds its `+0.0`, which leaves every
+    /// running sum's bits alone — a pixel is only ever written together
+    /// with its count, and a sum that starts at `+0.0` never becomes
+    /// `-0.0` — so this is the fold over the non-empty pixels alone.
     #[inline]
     pub fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64) {
         debug_assert!(x0 <= x1 && x1 <= self.width && y < self.height);
-        let counts = self.count_row(y);
-        let sums = self.sum_row(y);
-        let mut cnt = 0u64;
+        let (x0, x1) = (x0 as usize, x1 as usize);
+        let cnt = self.span_count(y, x0 as u32, x1 as u32);
         let mut sum = 0f64;
-        for i in x0 as usize..x1 as usize {
-            let c = counts[i].load(Ordering::Relaxed);
-            if c != 0 {
-                cnt += c as u64;
-                sum += f32::from_bits(sums[i].load(Ordering::Relaxed)) as f64;
-            }
+        for s in &self.sum_row(y)[x0..x1] {
+            sum += f32::from_bits(s.load(Ordering::Relaxed)) as f64;
         }
         (cnt, sum)
     }

@@ -19,6 +19,9 @@
 //! * [`runs`] — the sparse canvas representation: a tile's binned entries
 //!   as sorted pixel runs ([`runs::PixelRuns`]), read by the polygon pass
 //!   through the same [`runs::SpanSource`] calls as the dense FBO;
+//! * [`spans`] — the polygon side as prepared data: one
+//!   [`spans::SpanTable`] per canvas tile, built once per query by the
+//!   scan converter [`raster::EdgeTable`] and folded by every pass;
 //! * [`raster`] — point, triangle (pixel-center sampling + top-left fill
 //!   rule, i.e. the OpenGL rasterization contract the error analysis of
 //!   §4.2 depends on) and conservative rasterization (§6.1 uses the
@@ -36,6 +39,7 @@ pub mod framebuffer;
 pub mod image;
 pub mod raster;
 pub mod runs;
+pub mod spans;
 pub mod ssbo;
 pub mod viewport;
 
@@ -46,5 +50,6 @@ pub use bin::{
 pub use device::{Device, DeviceConfig};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
 pub use runs::{PixelRuns, SpanSource};
+pub use spans::{Run, Span, SpanTable};
 pub use ssbo::{AtomicF64Array, AtomicU64Array};
 pub use viewport::Viewport;

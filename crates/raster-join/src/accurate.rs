@@ -36,7 +36,7 @@
 //! bitwise the same at any width, block or chunk size.
 
 use crate::point_pass::{blend_blocks, columns, Hits, Outline};
-use crate::polygon_pass::{draw_polygons, PolyRings};
+use crate::polygon_pass::{draw_polygons, PolygonSide};
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::PointTable;
@@ -78,16 +78,16 @@ impl Default for AccurateRasterJoin {
 
 /// Polygon-side state reusable across point batches/chunks of one query
 /// (the accurate counterpart of [`crate::bounded::PreparedBounded`]): the
-/// polygon rings, canvas viewport, conservative boundary FBO, grid index
-/// and slab index. The streamed scan (`raster-join::stream`, §7.7) calls
-/// [`AccurateRasterJoin::prepare`] once, [`AccurateRasterJoin::bin`] per
-/// chunk and [`AccurateRasterJoin::resolve`] at the end.
+/// canvas viewport and its span table, conservative boundary FBO, grid
+/// index and slab index. The streamed scan (`raster-join::stream`, §7.7)
+/// calls [`AccurateRasterJoin::prepare`] once, [`AccurateRasterJoin::bin`]
+/// per chunk and [`AccurateRasterJoin::resolve`] at the end.
 pub struct PreparedAccurate<'a> {
     /// `None` for an empty polygon set. Boxed: the streamed scan holds a
     /// preparation by value beside the much smaller bounded one.
     state: Option<Box<AccurateState<'a>>>,
     nslots: usize,
-    /// Ring extraction, reported as `ExecStats::triangulation`.
+    /// The span table's build, reported as `ExecStats::triangulation`.
     preparation: std::time::Duration,
     index_build: std::time::Duration,
     outline: std::time::Duration,
@@ -97,7 +97,7 @@ pub struct PreparedAccurate<'a> {
 }
 
 struct AccurateState<'a> {
-    rings: Vec<PolyRings>,
+    side: PolygonSide,
     /// The one canvas, as its own one tile.
     canvas: CanvasTiling,
     boundary: BoundaryFbo,
@@ -163,9 +163,10 @@ impl AccurateRasterJoin {
         }
     }
 
-    /// Extract the polygon rings, build the grid and slab indexes and draw
-    /// the conservative outline pass — everything that depends only on the
-    /// polygons and can be reused across point chunks.
+    /// Scan-convert the polygons into the canvas's span table, build the
+    /// grid and slab indexes and draw the conservative outline pass —
+    /// everything that depends only on the polygons and can be reused
+    /// across point chunks.
     pub fn prepare<'a>(&self, polys: &'a [Polygon], device: &Device) -> PreparedAccurate<'a> {
         let nslots = result_slots(polys);
         if polys.is_empty() {
@@ -178,15 +179,14 @@ impl AccurateRasterJoin {
                 pool: FboPool::new(),
             };
         }
-        let t0 = Instant::now();
-        let rings = PolyRings::extract(polys);
-        let preparation = t0.elapsed();
-
         let extent = crate::bounded::polygon_extent(polys);
         let dim = self.canvas_dim.min(device.config().max_fbo_dim);
         // Square-ish canvas, shared rule with the planner's cost model.
         let (w, h) = Viewport::canvas_for_extent(&extent, dim);
         let vp = Viewport::new(extent, w, h);
+        let t0 = Instant::now();
+        let side = PolygonSide::prepare(polys, std::slice::from_ref(&vp), self.workers);
+        let preparation = t0.elapsed();
 
         // On-the-fly GPU index build (§6.1), timed separately (Table 1).
         // Exact-geometry assignment keeps candidate lists short; the
@@ -221,7 +221,7 @@ impl AccurateRasterJoin {
         let outline = t2.elapsed();
         PreparedAccurate {
             state: Some(Box::new(AccurateState {
-                rings,
+                side,
                 canvas: CanvasTiling::single(vp),
                 boundary,
                 index,
@@ -422,18 +422,8 @@ impl AccurateRasterJoin {
             state.boundary_pixels_hold_nothing(fbo),
             "step 2 blended a point into a boundary pixel"
         );
-        let t0 = Instant::now();
-        out.stats.fragments = draw_polygons(
-            &state.rings,
-            state.vp(),
-            fbo,
-            query.aggregate.attr().is_some(),
-            self.workers,
-            &mut out.counts,
-            &mut out.sums,
-        );
-        out.stats.polygon_stage = t0.elapsed();
-        out.stats.passes = 1;
+        let needs_sums = query.aggregate.attr().is_some();
+        draw_polygons(&state.side, 0, fbo, needs_sums, self.workers, out);
     }
 }
 

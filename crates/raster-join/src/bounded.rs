@@ -5,9 +5,9 @@
 //! 1. **DrawPoints** — every point passing the filter predicates is
 //!    transformed to screen space and additively blended into the point
 //!    canvas (`count += 1`, `sum += a_i`).
-//! 2. **DrawPolygons** — polygons are scan-converted (pixel-center
-//!    sampling, `polygon_pass.rs`); each fragment folds its pixel's
-//!    partial aggregates into the polygon's result slot.
+//! 2. **DrawPolygons** — each polygon's pixel-center spans over the tile,
+//!    scan-converted once at preparation (`polygon_pass.rs`), fold their
+//!    pixels' partial aggregates into the polygon's result slot.
 //!
 //! The canvas resolution realises the ε-bound of §4.2 (pixel diagonal =
 //! ε); when it exceeds the device FBO limit the canvas splits into tiles
@@ -60,7 +60,7 @@
 //! join never take runs.
 
 use crate::point_pass::{blend_blocks, columns};
-use crate::polygon_pass::{draw_polygons, PolyRings};
+use crate::polygon_pass::{draw_polygons, PolygonSide};
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::PointTable;
@@ -68,9 +68,7 @@ use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::{BBox, Polygon};
 use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{default_workers, timed};
-use raster_gpu::{
-    no_outline, use_runs, Device, FboPool, PixelRuns, ResidentCanvases, SpanSource, Viewport,
-};
+use raster_gpu::{no_outline, use_runs, Device, FboPool, PixelRuns, ResidentCanvases, Viewport};
 use std::time::Instant;
 
 /// The bounded (approximate) raster join operator.
@@ -91,13 +89,13 @@ impl Default for BoundedRasterJoin {
 }
 
 /// Polygon-side state reusable across point batches/chunks of one query:
-/// the polygon rings plus the ε-derived canvas tiling. The paper
+/// the ε-derived canvas tiling and one span table per tile. The paper
 /// processes polygons once per query regardless of how many point batches
 /// stream through (§5); callers running their own chunk loop (e.g. the
 /// disk-resident scan of §7.7) should [`BoundedRasterJoin::prepare`] once
 /// and reuse.
 pub struct PreparedBounded {
-    polys: Vec<PolyRings>,
+    side: PolygonSide,
     tiling: Option<CanvasTiling>,
     nslots: usize,
     preparation: std::time::Duration,
@@ -142,9 +140,9 @@ impl BoundedRasterJoin {
         }
     }
 
-    /// Extract polygon rings (the whole of polygon preparation: see
-    /// `polygon_pass.rs`) and derive the canvas for `epsilon`: the polygon
-    /// extent at the resolution that realises ε (§4.2).
+    /// Derive the canvas for `epsilon` — the polygon extent at the
+    /// resolution that realises ε (§4.2) — and scan-convert the polygons
+    /// once into a span table per tile (`polygon_pass.rs`).
     pub fn prepare(&self, polys: &[Polygon], epsilon: f64, device: &Device) -> PreparedBounded {
         if polys.is_empty() {
             return self.prepare_tiled(polys, None, device);
@@ -175,12 +173,13 @@ impl BoundedRasterJoin {
         device: &Device,
     ) -> PreparedBounded {
         let t0 = Instant::now();
-        let prepared_polys = PolyRings::extract(polys);
+        let tiling = canvas.map(|full| CanvasTiling::new(full, device.config().max_fbo_dim));
+        let tiles = tiling.as_ref().map_or(&[][..], |t| &t.tiles);
+        let side = PolygonSide::prepare(polys, tiles, self.workers);
         let preparation = t0.elapsed();
-        let max_dim = device.config().max_fbo_dim;
         PreparedBounded {
-            polys: prepared_polys,
-            tiling: canvas.map(|full| CanvasTiling::new(full, max_dim)),
+            side,
+            tiling,
             nslots: result_slots(polys),
             preparation,
             pool: FboPool::new(),
@@ -227,7 +226,7 @@ impl BoundedRasterJoin {
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
         let needs_sums = query.aggregate.attr().is_some();
-        let (polys, pool) = (&prepared.polys, &prepared.pool);
+        let (side, pool) = (&prepared.side, &prepared.pool);
 
         let proc0 = Instant::now();
         let mut start = 0usize;
@@ -247,7 +246,7 @@ impl BoundedRasterJoin {
                         tiling, points, rows, query, workers, no_outline, &mut fbo,
                     )
                 });
-                self.draw_tile(polys, vp, &fbo, needs_sums, &mut out);
+                draw_polygons(side, 0, &fbo, needs_sums, self.workers, &mut out);
                 pool.release(fbo);
             } else {
                 // Binning: classify this batch's surviving points into
@@ -275,14 +274,14 @@ impl BoundedRasterJoin {
                         let runs = timed(&mut out.stats.point_stage, || {
                             PixelRuns::build(&binned, ti, vp.width, vp.height, self.workers)
                         });
-                        self.draw_tile(polys, vp, &runs, needs_sums, &mut out);
+                        draw_polygons(side, ti, &runs, needs_sums, self.workers, &mut out);
                         out.stats.runs_passes += 1;
                     } else {
                         let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
                         timed(&mut out.stats.point_stage, || {
                             fbo.blend_bands(&binned, ti, self.workers)
                         });
-                        self.draw_tile(polys, vp, &fbo, needs_sums, &mut out);
+                        draw_polygons(side, ti, &fbo, needs_sums, self.workers, &mut out);
                         pool.release(fbo);
                     }
                 }
@@ -299,30 +298,6 @@ impl BoundedRasterJoin {
         out.stats.download_bytes = (nslots * 16) as u64;
         out.stats.settle_transfer();
         out
-    }
-
-    /// One tile's DrawPolygons over its canvas, dense or runs, onto
-    /// `out`'s accumulators.
-    fn draw_tile<S: SpanSource>(
-        &self,
-        polys: &[PolyRings],
-        vp: &Viewport,
-        canvas: &S,
-        needs_sums: bool,
-        out: &mut JoinOutput,
-    ) {
-        let t0 = Instant::now();
-        out.stats.fragments += draw_polygons(
-            polys,
-            vp,
-            canvas,
-            needs_sums,
-            self.workers,
-            &mut out.counts,
-            &mut out.sums,
-        );
-        out.stats.polygon_stage += t0.elapsed();
-        out.stats.passes += 1;
     }
 
     /// *Bin* one chunk on the calling thread: the filter a column at a
@@ -394,20 +369,18 @@ impl BoundedRasterJoin {
             sums: vec![0.0; prepared.nslots],
             stats: ExecStats::default(),
         };
-        let t0 = Instant::now();
-        for (ti, vp) in prepared.tiles().iter().enumerate() {
-            out.stats.fragments += draw_polygons(
-                &prepared.polys,
-                vp,
-                canvases.tile(ti),
-                query.aggregate.attr().is_some(),
+        let needs_sums = query.aggregate.attr().is_some();
+        for ti in 0..prepared.tiles().len() {
+            let canvas = canvases.tile(ti);
+            draw_polygons(
+                &prepared.side,
+                ti,
+                canvas,
+                needs_sums,
                 self.workers,
-                &mut out.counts,
-                &mut out.sums,
+                &mut out,
             );
-            out.stats.passes += 1;
         }
-        out.stats.polygon_stage = t0.elapsed();
         out.stats.processing = out.stats.polygon_stage;
         out
     }
@@ -628,6 +601,40 @@ mod tests {
             assert_eq!(four.stats.runs_passes, four.stats.passes);
             assert_eq!((&four.counts, &four.sums), (&one.counts, &one.sums));
         }
+    }
+
+    /// The polygon side is prepared data: a 2-batch query over 2 tiles
+    /// folds each tile's table once per batch — 2 × the tables' spans —
+    /// and reports the one build as preparation, not per batch; a
+    /// resolve of the same preparation folds them once more.
+    #[test]
+    fn a_span_table_is_built_once_and_folded_per_pass() {
+        let polys = grid_polys();
+        let pts = points_in_quadrants();
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 24));
+        let join = BoundedRasterJoin {
+            workers: 2,
+            batch_points: Some(4),
+        };
+        let view = Viewport::new(polygon_extent(&polys), 48, 24);
+        let prepared = join.prepare_view(&polys, view, &dev);
+        assert_eq!(prepared.passes_per_batch(), 2);
+        let tables = (0..2).map(|ti| prepared.side.table(ti));
+        let spans: u64 = tables.clone().map(|t| t.len() as u64).sum();
+        let fragments: u64 = tables.map(|t| t.fragments()).sum();
+        assert!(spans > 0);
+        let out = join.execute_prepared(&prepared, &pts, &Query::sum(0), &dev);
+        assert_eq!((out.stats.batches, out.stats.passes), (2, 4));
+        assert_eq!(out.stats.spans, 2 * spans);
+        assert_eq!(out.stats.fragments, 2 * fragments);
+        assert_eq!(out.stats.triangulation, prepared.preparation);
+        assert_eq!(out.counts, vec![1, 2, 3, 2]);
+
+        let mut canvases = prepared.canvases();
+        canvases.blend(&join.bin(&prepared, &pts, &Query::sum(0)).binned);
+        let resolved = join.resolve(&prepared, &canvases, &Query::sum(0));
+        assert_eq!((resolved.stats.spans, resolved.stats.passes), (spans, 2));
+        assert_eq!((&resolved.counts, &resolved.sums), (&out.counts, &out.sums));
     }
 
     /// Binned out-of-core batching still matches single-batch.

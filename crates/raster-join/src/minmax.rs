@@ -14,6 +14,7 @@
 //! exact answer is attributable to points within ε of the boundary.
 
 use crate::bounded::polygon_extent;
+use crate::polygon_pass::PolygonSide;
 use crate::query::result_slots;
 use crate::stats::ExecStats;
 use raster_data::filter::passes;
@@ -21,7 +22,6 @@ use raster_data::{PointTable, Predicate};
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::Polygon;
 use raster_gpu::exec::{default_workers, parallel_dynamic, parallel_ranges};
-use raster_gpu::raster::rasterize_polygon_spans;
 use raster_gpu::{Device, Viewport};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
@@ -163,17 +163,10 @@ impl MinMaxRasterJoin {
         let (w, h) = resolution_for_epsilon(&extent, epsilon);
         let tiles = Viewport::new(extent, w, h).split(device.config().max_fbo_dim);
 
-        // Rings for the scanline fragment path.
-        let rings_of: Vec<(u32, Vec<Vec<raster_geom::Point>>)> = polys
-            .iter()
-            .map(|p| {
-                let mut rings = vec![p.outer().points().to_vec()];
-                for hole in p.holes() {
-                    rings.push(hole.points().to_vec());
-                }
-                (p.id(), rings)
-            })
-            .collect();
+        // The bounded join's polygon side: one span table per tile.
+        let prep0 = Instant::now();
+        let side = PolygonSide::prepare(polys, &tiles, self.workers);
+        stats.triangulation = prep0.elapsed();
 
         let point_bytes = PointTable::point_bytes(1 + predicates.len());
         let per_batch = device.points_per_batch(point_bytes);
@@ -183,7 +176,7 @@ impl MinMaxRasterJoin {
             let end = (start + per_batch).min(points.len());
             stats.upload_bytes += ((end - start) * point_bytes) as u64;
             stats.batches += 1;
-            for vp in &tiles {
+            for (ti, vp) in tiles.iter().enumerate() {
                 let fbo = MinMaxFbo::new(vp.width, vp.height);
                 parallel_ranges(end - start, self.workers, |s, e| {
                     for i in (start + s)..(start + e) {
@@ -195,28 +188,24 @@ impl MinMaxRasterJoin {
                         }
                     }
                 });
-                parallel_dynamic(rings_of.len(), self.workers, 4, |pi| {
-                    let (id, rings) = &rings_of[pi];
-                    let screen: Vec<Vec<(f64, f64)>> = rings
-                        .iter()
-                        .map(|r| r.iter().map(|&p| vp.to_screen(p)).collect())
-                        .collect();
-                    let refs: Vec<&[(f64, f64)]> = screen.iter().map(|r| r.as_slice()).collect();
+                let table = side.table(ti);
+                parallel_dynamic(polys.len(), self.workers, 4, |pi| {
                     let mut local_min = f32::INFINITY;
                     let mut local_max = f32::NEG_INFINITY;
                     let mut any = false;
-                    rasterize_polygon_spans(&refs, vp.width, vp.height, |y, x0, x1| {
-                        for x in x0..x1 {
-                            if let Some((lo, hi)) = fbo.at(x, y) {
+                    for span in table.polygon_spans(pi) {
+                        for x in span.x0..span.x1 {
+                            if let Some((lo, hi)) = fbo.at(x, span.row) {
                                 local_min = local_min.min(lo);
                                 local_max = local_max.max(hi);
                                 any = true;
                             }
                         }
-                    });
+                    }
                     if any {
-                        mins[*id as usize].fetch_min(key_of(local_min), Ordering::Relaxed);
-                        maxs[*id as usize].fetch_max(key_of(local_max).max(1), Ordering::Relaxed);
+                        let id = side.id(pi) as usize;
+                        mins[id].fetch_min(key_of(local_min), Ordering::Relaxed);
+                        maxs[id].fetch_max(key_of(local_max).max(1), Ordering::Relaxed);
                     }
                 });
                 stats.passes += 1;

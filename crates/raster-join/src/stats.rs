@@ -15,8 +15,8 @@
 //!   across chunks and workers, so they report *cumulative worker time*
 //!   and may sum past wall clock when chunks overlap; `batches` counts
 //!   chunks;
-//! * `polygon_stage` and `fragments` come from the one resolve — reported
-//!   once, not once per chunk — and `passes` is the canvas tile count
+//! * `polygon_stage`, `spans` and `fragments` come from the one resolve —
+//!   reported once, not once per chunk — and `passes` is the canvas tile count
 //!   (not tiles × chunks), plus one for the accurate outline pass;
 //! * the measured split stays wall-clock honest: `processing` is the
 //!   union of the intervals during which planning ran or ≥ 1 thread was
@@ -59,10 +59,12 @@ pub struct ExecStats {
     /// recorded per run by the planner's calibration bench as a sanity
     /// check on the fitted stage weights).
     pub point_stage: Duration,
-    /// Wall-clock time of the polygon stage — scan-converting polygons
-    /// and folding pixel partials into result slots (subset of
-    /// `processing`; recorded per run by the planner's calibration
-    /// bench as a sanity check on the fitted stage weights).
+    /// Wall-clock time of the polygon stage — folding the prepared span
+    /// tables' pixel partials into result slots, plus the accurate join's
+    /// outline pass where a run charges it (subset of `processing`;
+    /// recorded per run by the planner's calibration bench as a sanity
+    /// check on the fitted stage weights). Scan conversion is
+    /// preparation, in `triangulation`.
     pub polygon_stage: Duration,
     /// Out-of-core point batches executed (§5).
     pub batches: u32,
@@ -76,17 +78,21 @@ pub struct ExecStats {
     pub runs_passes: u32,
     /// Point-in-polygon tests performed (the cost the paper eliminates).
     pub pip_tests: u64,
-    /// Polygon fragments processed by the fragment shader.
+    /// Polygon fragments processed by the fragment shader: pixels of the
+    /// spans folded.
     pub fragments: u64,
+    /// Polygon spans folded: a span table's length per polygon pass.
+    pub spans: u64,
     /// Join pairs materialized (materializing baselines only).
     pub materialized_pairs: u64,
     /// Candidate pairs produced by the filtering step (two-step baseline
     /// only): MBR hits handed to refinement, before PIP pruning.
     pub candidate_pairs: u64,
-    /// Polygon preparation, reported separately (Table 1): ring
-    /// extraction (`polygon_pass::PolyRings::extract`) in every raster
-    /// join and every composition of one. Nothing in `raster-join`
-    /// triangulates; the field keeps the paper's name for the step.
+    /// Polygon preparation, reported separately (Table 1): reading the
+    /// rings and scan-converting them into one span table per canvas tile
+    /// (`polygon_pass::PolygonSide::prepare`) in every raster join and
+    /// every composition of one. Nothing in `raster-join` triangulates;
+    /// the field keeps the paper's name for the step.
     pub triangulation: Duration,
     /// Time spent building the polygon index (reported separately, Table 1).
     pub index_build: Duration,
@@ -122,6 +128,7 @@ impl ExecStats {
         self.runs_passes += o.runs_passes;
         self.pip_tests += o.pip_tests;
         self.fragments += o.fragments;
+        self.spans += o.spans;
         self.materialized_pairs += o.materialized_pairs;
         self.candidate_pairs += o.candidate_pairs;
         self.triangulation = self.triangulation.max(o.triangulation);

@@ -158,8 +158,8 @@
 //! `triangulation`/`index_build` as in §7.1 (the accurate outline pass
 //! counts as processing, once). Per-stage timers (`point_stage`,
 //! `binning`, …) stay cumulative *across* workers and can sum past
-//! `processing` when chunks overlap; `polygon_stage`, `fragments` and
-//! `passes` come from the one resolve. The reader's own wall time is
+//! `processing` when chunks overlap; `polygon_stage`, `spans`,
+//! `fragments` and `passes` come from the one resolve. The reader's own wall time is
 //! reported separately as [`StreamOutput::read_time`].
 
 use crate::accurate::{AccurateRasterJoin, PreparedAccurate};

@@ -41,9 +41,14 @@
 //! |                   | calls `filter::passes` — points are filtered a      |
 //! |                   | column at a time by the one classifier,             |
 //! |                   | `bin_columns`, whose keep-mask is `keep_mask`       |
+//! | `no-polygon-rescan` | nothing in `raster-join`                          |
+//! |                   | ([`NO_POLYGON_RESCAN_PATHS`]) names the scan        |
+//! |                   | converter ([`SCAN_CONVERTER_WORDS`]) outside the    |
+//! |                   | preparation ([`POLYGON_PREPARATION`]) — every pass  |
+//! |                   | folds the span tables prepared once per query       |
 //!
 //! `#[cfg(test)]` regions are exempt from the panic, clock,
-//! triangulation, device-ledger and row-filter rules (tests may time things, unwrap
+//! triangulation, device-ledger, row-filter and polygon-rescan rules (tests may time things, unwrap
 //! freely and hold the joins against a triangulation) but **not** from
 //! the unsafe rules: unsafe test code still wants an audit trail.
 
@@ -156,6 +161,23 @@ pub const NO_ROW_FILTER_PATHS: &[&str] = &[
     "crates/raster-join/src/stream.rs",
     "crates/raster-gpu/src/",
 ];
+
+/// The joins: polygons are scan-converted once per query, by
+/// `PolygonSide::prepare`, into one span table per canvas tile that every
+/// batch, tile pass, streamed resolve and composition plane folds; no
+/// executor may scan-convert on its own. Prefix matches like
+/// [`NO_CLOCK_PATHS`].
+pub const NO_POLYGON_RESCAN_PATHS: &[&str] = &["crates/raster-join/src/"];
+
+/// The scan converter's names (whole words): the span-emitting wrapper,
+/// the converter and the table build.
+pub const SCAN_CONVERTER_WORDS: &[&str] =
+    &["rasterize_polygon_spans", "EdgeTable", "SpanTable::build"];
+
+/// The one function allowed to name the scan converter: its file and the
+/// start of its signature.
+pub const POLYGON_PREPARATION: (&str, &str) =
+    ("crates/raster-join/src/polygon_pass.rs", "fn prepare(");
 
 /// How far above an `unsafe` token the contiguous `// SAFETY:` comment
 /// block may start.
@@ -382,6 +404,39 @@ fn test_regions(lines: &[Line]) -> Vec<bool> {
     in_test
 }
 
+/// Mark the lines of the function whose signature contains `signature`,
+/// from that line to its body's closing brace, by brace depth.
+fn fn_region(lines: &[Line], signature: &str) -> Vec<bool> {
+    let mut inside = vec![false; lines.len()];
+    let mut depth = 0i64;
+    let mut floor: Option<i64> = None;
+    let mut opened = false;
+    for (idx, line) in lines.iter().enumerate() {
+        let code = line.code.as_str();
+        if floor.is_none() && code.contains(signature) {
+            floor = Some(depth);
+            opened = false;
+        }
+        if floor.is_some() {
+            inside[idx] = true;
+        }
+        for ch in code.chars() {
+            match ch {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => depth -= 1,
+                _ => {}
+            }
+        }
+        if floor.is_some_and(|f| opened && depth <= f) {
+            floor = None;
+        }
+    }
+    inside
+}
+
 /// Word-boundary search: `word` not embedded in a larger identifier.
 fn find_word(code: &str, word: &str) -> bool {
     let bytes = code.as_bytes();
@@ -446,6 +501,12 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
     let no_triangulate = NO_TRIANGULATE_PATHS.iter().any(|p| path_matches(rel, p));
     let no_ledger = NO_DEVICE_LEDGER_PATHS.iter().any(|p| path_matches(rel, p));
     let no_row_filter = NO_ROW_FILTER_PATHS.iter().any(|p| path_matches(rel, p));
+    let no_rescan = NO_POLYGON_RESCAN_PATHS.iter().any(|p| path_matches(rel, p));
+    let preparation = if rel == POLYGON_PREPARATION.0 {
+        fn_region(&lines, POLYGON_PREPARATION.1)
+    } else {
+        vec![false; lines.len()]
+    };
     let needs_forbid = FORBID_UNSAFE_ROOTS.contains(&rel);
     let needs_deny_op = DENY_UNSAFE_OP_ROOTS.contains(&rel);
 
@@ -575,6 +636,23 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
                           filter::keep_mask"
                     .into(),
             });
+        }
+
+        if no_rescan && !in_test[idx] && !preparation[idx] {
+            for word in SCAN_CONVERTER_WORDS {
+                if find_word(code, word) {
+                    out.push(Violation {
+                        file: rel.into(),
+                        line: lineno,
+                        rule: "no-polygon-rescan",
+                        message: format!(
+                            "`{word}` in raster-join outside PolygonSide::prepare — \
+                             polygons are scan-converted once per query into span \
+                             tables; fold them with polygon_pass::draw_polygons"
+                        ),
+                    });
+                }
+            }
         }
 
         if no_ledger && !in_test[idx] {
@@ -956,6 +1034,42 @@ mod tests {
         assert!(lint_source("crates/raster-data/src/filter.rs", src).is_empty());
         let ok = "// filter::passes, row at a time, is the reference\nfn f(s: &mut ExecStats) { s.passes += 1; let _ = p.passes_per_batch(); }\n#[cfg(test)]\nmod tests {\n    use raster_data::filter::passes;\n    fn t() { passes(t, 0, &[]); }\n}\n";
         assert!(lint_source("crates/raster-join/src/bounded.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn polygon_rescan_in_an_executor_fails() {
+        let src = "use raster_gpu::raster::rasterize_polygon_spans;\nfn draw(p: &[Polygon], vp: &Viewport) {\n    let t = raster_gpu::SpanTable::build(p, vp, 2);\n    let mut e = EdgeTable::default();\n}\n";
+        for rel in [
+            "crates/raster-join/src/bounded.rs",
+            "crates/raster-join/src/stream.rs",
+            "crates/raster-join/src/polygon_pass.rs",
+        ] {
+            let v = lint_source(rel, src);
+            assert_eq!(v.len(), 3, "{rel}: {v:?}");
+            assert!(v.iter().all(|v| v.rule == "no-polygon-rescan"));
+            assert_eq!((v[0].line, v[1].line, v[2].line), (1, 3, 4));
+        }
+        // The preparation's exemption ends with its body.
+        let after = "impl PolygonSide {\n    fn prepare(p: &[Polygon]) -> Self {\n        SpanTable::build(p, vp, 1)\n    }\n    fn draw() { SpanTable::build(p, vp, 1); }\n}\n";
+        let v = lint_source("crates/raster-join/src/polygon_pass.rs", after);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 5);
+    }
+
+    #[test]
+    fn polygon_rescan_in_the_preparation_tests_and_other_crates_is_fine() {
+        let prep = "use raster_gpu::{SpanTable, Viewport};\nimpl PolygonSide {\n    pub(crate) fn prepare(\n        polys: &[Polygon],\n    ) -> PolygonSide {\n        let t = SpanTable::build(polys, vp, 2);\n    }\n}\n";
+        assert!(lint_source("crates/raster-join/src/polygon_pass.rs", prep).is_empty());
+        let src = "// rasterize_polygon_spans is the reference\nfn f(t: &SpanTable) -> usize { t.len() }\n#[cfg(test)]\nmod tests {\n    use raster_gpu::raster::rasterize_polygon_spans;\n}\n";
+        assert!(lint_source("crates/raster-join/src/bounded.rs", src).is_empty());
+        let call = "fn f() { rasterize_polygon_spans(&[], 1, 1, |_, _, _| {}); }\n";
+        assert!(lint_source("crates/raster-gpu/src/spans.rs", call).is_empty());
+        assert!(lint_source("crates/bench/benches/ablation.rs", call).is_empty());
+        // Nor does another function named `prepare` elsewhere get it.
+        assert_eq!(
+            lint_source("crates/raster-join/src/bounded.rs", prep).len(),
+            1
+        );
     }
 
     #[test]
