@@ -50,12 +50,24 @@ fn span_rows(c: &mut Criterion, label: &str, polys: &[Polygon], epsilon: f64, po
     let queries = [("count", Query::count()), ("avg", Query::avg(0))];
     for (name, q) in queries {
         let q = q.with_epsilon(epsilon);
-        let mut canvases = prepared.canvases();
-        canvases.blend(&join.bin(&prepared, points, &q).binned);
-        let fragments = join.resolve(&prepared, &canvases, &q).stats.fragments;
+        // Announced as an unbounded scan, so every tile is dense, as the
+        // memcpy ceiling below assumes.
+        let mut canvases = prepared.canvases(usize::MAX, &q, 1);
+        canvases.absorb(
+            join.bin(
+                &prepared,
+                points,
+                &q,
+                Default::default(),
+                &mut Default::default(),
+            )
+            .binned,
+            1,
+        );
+        let fragments = join.resolve(&prepared, &mut canvases, &q).stats.fragments;
         g.throughput(Throughput::Elements(fragments));
         g.bench_function(BenchmarkId::new(format!("fold_mpx_{name}"), label), |b| {
-            b.iter(|| join.resolve(&prepared, &canvases, &q))
+            b.iter(|| join.resolve(&prepared, &mut canvases, &q))
         });
         // Ceiling: copy the plane bytes the fold reads, 4 or 8 a pixel
         // (at most 16 M pixels' worth, to keep the bench small).

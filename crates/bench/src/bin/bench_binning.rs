@@ -18,12 +18,10 @@
 //! recycled from a pool (`dense_warm_ms`). The two canvases are forced
 //! here, in the bench, through the two `SpanSource`s — the executor has
 //! no switch. `single_runs_ms` / `single_dense_ms` are the same
-//! comparison for a 1-tile canvas end to end, each side paying its own
-//! classification: the runs side bins the rows first (`bin_points`, as
-//! the benchmark's replay does), the dense side bins them a column at a
-//! time and blends them block by block (`bin_columns` into one reused batch +
-//! `PointFbo::blend_bands` per [`POINT_BLOCK`] rows, as the executor's
-//! point pass does). `runs_crossover` names, per column, the lowest
+//! comparison for a 1-tile canvas end to end, through the executor's
+//! point pass into a query's `ResidentCanvases` (`bin_columns` into one
+//! reused batch + `absorb` per [`POINT_BLOCK`] rows), each side forced by
+//! the rows it announces at acquire. `runs_crossover` names, per column, the lowest
 //! swept density at which dense is no slower. Results go to
 //! `BENCH_binning.json`.
 
@@ -37,14 +35,14 @@ use raster_gpu::exec::{block_for, parallel_dynamic};
 use raster_gpu::raster::rasterize_polygon_spans;
 use raster_gpu::{
     bin_columns, bin_points, no_outline, BinScratch, BinnedBatch, CanvasTiling, FboPool, PixelRuns,
-    PointColumns, PointFbo, SpanSource, Viewport, RUNS_MAX_DENSITY,
+    PointColumns, SpanSource, Viewport, RUNS_MAX_DENSITY,
 };
 use raster_join::bounded::polygon_extent;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Rows per block of the executor's one-tile dense point pass
+/// Rows per block of the executor's in-memory point pass
 /// (`raster-join/src/point_pass.rs`).
 const POINT_BLOCK: usize = 128 * 1024;
 
@@ -182,10 +180,14 @@ fn density_sweep(
                     Some((pts.point(i), pts.attr(fare)[i]))
                 })
             };
-            // The executor's one-tile dense pass: block by block, the rows
-            // binned a column at a time into one reused batch, then its
-            // bands blended.
-            let direct = |fbo: &mut PointFbo| {
+            // The executor's point pass into a query's resident canvas,
+            // forced runs or dense by the rows announced: block by block,
+            // the rows binned a column at a time into one reused batch,
+            // then absorbed; the runs built once.
+            let single = |announced: usize| {
+                let pool = FboPool::new();
+                let mut canvases =
+                    pool.acquire_resident(&tiling.tiles, announced, needs_sums, workers);
                 let (mut staged, mut scratch) = (BinnedBatch::default(), BinScratch::default());
                 for start in (0..n).step_by(POINT_BLOCK) {
                     let rows = start..(start + POINT_BLOCK).min(n);
@@ -197,8 +199,10 @@ fn density_sweep(
                     let keep_all = |_, mask: &mut [bool]| mask.fill(true);
                     let (into, scratch) = (&mut staged, &mut scratch);
                     bin_columns(into, scratch, &tiling, cols, workers, keep_all, no_outline);
-                    fbo.blend_bands(&staged, 0, workers);
+                    staged = canvases.absorb(std::mem::take(&mut staged), workers);
                 }
+                canvases.build_runs(workers);
+                fold(polys, vp, canvases.tile(0), needs_sums, workers);
             };
             let binned = bin();
             let bin_ms = best_ms(reps, || drop(bin()));
@@ -222,15 +226,8 @@ fn density_sweep(
                 fold(polys, vp, &fbo, needs_sums, workers);
                 pool.release(fbo);
             });
-            let single_runs_ms = best_ms(reps, || {
-                let runs = PixelRuns::build(&bin(), 0, vp.width, vp.height, workers);
-                fold(polys, vp, &runs, needs_sums, workers);
-            });
-            let single_dense_ms = best_ms(reps, || {
-                let mut fbo = FboPool::new().acquire_touched(vp.width, vp.height, needs_sums);
-                direct(&mut fbo);
-                fold(polys, vp, &fbo, needs_sums, workers);
-            });
+            let single_runs_ms = best_ms(reps, || single(0));
+            let single_dense_ms = best_ms(reps, || single(usize::MAX));
             assert_eq!(via_runs.0, via_dense.0, "runs and dense counts differ");
             // Both canvases hold every pixel's row-ordered f32 sum; only
             // the f64 fold across polygons is unordered.

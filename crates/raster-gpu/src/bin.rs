@@ -27,12 +27,12 @@
 //!   there, as a PIP hit in its worker's side state.
 //! * **Staging** → [`BinnedBatch`]: the kept points bucketed by (tile,
 //!   row band of `1 << BAND_SHIFT` rows), CSR, each band in row order.
-//!   Every consumer reads it as it is: the band blend
-//!   ([`crate::PointFbo::blend_bands`], one thread per band), the runs
-//!   build ([`crate::PixelRuns::build`], one task per band) and the
-//!   streamed canvases ([`crate::ResidentCanvases::blend`]). A pixel lies
-//!   in one band, so it takes its entries in row order whatever the
-//!   thread count.
+//!   Every consumer — a query's resident canvases
+//!   ([`crate::ResidentCanvases::absorb`]) — reads it as it is: the band
+//!   blend ([`crate::PointFbo::blend_bands`], one thread per band) or a
+//!   runs tile's kept batches, built once ([`crate::PixelRuns`], one
+//!   task per band). A pixel lies in one band, so it takes its entries in
+//!   row order whatever the thread count.
 //! * **Multi-canvas rendering (Fig. 5)** → [`CanvasTiling`] owns the full
 //!   ε-derived canvas and its device-limit split, replacing the bare
 //!   `Vec<Viewport>` the join operators used to thread around.
@@ -107,10 +107,10 @@ impl RasterConfig {
     }
 }
 
-/// The canvas-representation gate, shared by the bounded executor and the
-/// planner's cost model: is a tile of `pixels` pixels receiving `entries`
-/// entries sparse enough to be held as pixel runs (see
-/// [`RUNS_MAX_DENSITY`])?
+/// The canvas-representation gate, shared by every query's resident
+/// canvases and the planner's cost model: is a tile of `pixels` pixels
+/// receiving at most `entries` entries sparse enough to be held as pixel
+/// runs (see [`RUNS_MAX_DENSITY`])?
 pub fn use_runs(entries: usize, pixels: usize) -> bool {
     (entries as f64) < RUNS_MAX_DENSITY * pixels as f64
 }
@@ -388,6 +388,9 @@ where
     into.offsets.clear();
     into.idx.clear();
     into.values.clear();
+    let total = locals.iter().flat_map(|l| &l.slots.idx).map(Vec::len).sum();
+    into.idx.reserve(total);
+    into.values.reserve(if with_values { total } else { 0 });
     into.offsets.push(0);
     for s in 0..nslots {
         for Staging { slots, .. } in &locals {

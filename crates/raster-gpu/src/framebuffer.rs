@@ -11,8 +11,10 @@
 //! thread count. The cells stay `AtomicU32` so the polygon pass can read a
 //! canvas through a shared reference.
 
-use crate::bin::{BinnedBatch, BAND_SHIFT};
+use crate::bin::{use_runs, BinnedBatch, BAND_SHIFT};
+use crate::{PixelRuns, SpanSource};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Allocate `n` zeroed atomics via the `vec![0u32; n]` calloc fast path —
 /// element-wise `resize_with(AtomicU32::new(0))` shows up hard in profiles
@@ -416,8 +418,8 @@ impl ShardSet {
 /// executor shared across threads hands out buffers safely: whoever
 /// `acquire`s an FBO (or [`ShardSet`]) owns it exclusively until
 /// `release` — the locks guard only the free lists, never the pixels.
-/// A streamed scan checks a whole tiling out at once and keeps it until
-/// its polygon pass is done ([`FboPool::acquire_resident`]).
+/// A query checks its whole tiling out at once and keeps it until its
+/// polygon pass is done ([`FboPool::acquire_resident`]).
 #[derive(Default)]
 pub struct FboPool {
     fbos: parking_lot::Mutex<Vec<PointFbo>>,
@@ -485,15 +487,28 @@ impl FboPool {
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// One cleared canvas per tile of `tiles`, held until the returned set
-    /// drops (see [`ResidentCanvases`]).
-    pub fn acquire_resident(&self, tiles: &[crate::Viewport]) -> ResidentCanvases<'_> {
+    /// The canvases of a query over `tiles` that scans `rows` rows, with
+    /// `sums` or not, absorbed on `workers` threads: a dense canvas for
+    /// more than one is written first ([`FboPool::acquire_touched`]).
+    pub fn acquire_resident(
+        &self,
+        tiles: &[crate::Viewport],
+        rows: usize,
+        sums: bool,
+        workers: usize,
+    ) -> ResidentCanvases<'_> {
+        let tiles = tiles.iter().enumerate().map(|(ti, vp)| {
+            if use_runs(rows, vp.pixel_count()) {
+                Canvas::Runs(PixelRuns::new(vp.width, vp.height, ti))
+            } else if workers > 1 {
+                Canvas::Dense(self.acquire_touched(vp.width, vp.height, sums))
+            } else {
+                Canvas::Dense(self.acquire(vp.width, vp.height))
+            }
+        });
         ResidentCanvases {
             pool: self,
-            fbos: tiles
-                .iter()
-                .map(|vp| self.acquire(vp.width, vp.height))
-                .collect(),
+            tiles: tiles.collect(),
         }
     }
 
@@ -523,36 +538,88 @@ impl FboPool {
     }
 }
 
-/// The canvases of a whole tiling, checked out of an [`FboPool`] for the
-/// length of a streamed scan: chunk after chunk blends into them and the
-/// polygon pass reads them once at the end. Dropping the set — on the
-/// success path, an early error return or an unwind alike — hands every
-/// canvas back to the pool, so the scan has no exit that strands one.
+/// The canvases of a whole tiling for the length of one query, in memory
+/// or streamed: every batch or chunk is absorbed into them and the
+/// polygon pass reads them once. Each tile is a dense [`PointFbo`] from
+/// the pool or [`PixelRuns`] for the whole query, by [`use_runs`] over the
+/// rows the query will scan (an upper bound on a tile's entries); either
+/// way a pixel takes its entries in row order, to the same bits. Dropping
+/// the set — on success, an error return or an unwind — hands every dense
+/// canvas back to the pool.
 pub struct ResidentCanvases<'p> {
     pool: &'p FboPool,
-    fbos: Vec<PointFbo>,
+    tiles: Vec<Canvas>,
 }
 
-impl ResidentCanvases<'_> {
-    /// Apply one chunk's deltas: tile `t`'s entries blend into canvas `t`
-    /// band after band, each pixel's in row order.
-    pub fn blend(&mut self, deltas: &crate::bin::BinnedBatch) {
-        for (ti, fbo) in self.fbos.iter_mut().enumerate() {
-            let (idx, values) = deltas.tile(ti);
-            fbo.blend_in_order(idx, values);
+/// One resident tile: a dense canvas or pixel runs.
+pub enum Canvas {
+    Dense(PointFbo),
+    Runs(PixelRuns),
+}
+
+impl SpanSource for Canvas {
+    #[inline]
+    fn span_count(&self, y: u32, x0: u32, x1: u32) -> u64 {
+        match self {
+            Canvas::Dense(fbo) => fbo.span_count(y, x0, x1),
+            Canvas::Runs(runs) => runs.span_count(y, x0, x1),
         }
     }
 
+    #[inline]
+    fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64) {
+        match self {
+            Canvas::Dense(fbo) => fbo.span_totals(y, x0, x1),
+            Canvas::Runs(runs) => runs.span_totals(y, x0, x1),
+        }
+    }
+}
+
+impl ResidentCanvases<'_> {
+    /// Take one batch's or chunk's entries, in row order: blended into a
+    /// dense tile band by band on `workers` threads, kept for a runs tile.
+    /// Returns a batch to bin the next entries into.
+    pub fn absorb(&mut self, deltas: BinnedBatch, workers: usize) -> BinnedBatch {
+        let mut runs = Vec::new();
+        for (ti, tile) in self.tiles.iter_mut().enumerate() {
+            match tile {
+                Canvas::Dense(fbo) => fbo.blend_bands(&deltas, ti, workers),
+                Canvas::Runs(tile) => runs.push(tile),
+            }
+        }
+        if runs.is_empty() {
+            return deltas;
+        }
+        let kept = Arc::new(deltas);
+        runs.into_iter()
+            .for_each(|tile| tile.append(Arc::clone(&kept)));
+        BinnedBatch::default()
+    }
+
+    /// Build the runs tiles after the last absorb; returns their number.
+    pub fn build_runs(&mut self, workers: usize) -> u32 {
+        let mut built = 0;
+        for tile in &mut self.tiles {
+            if let Canvas::Runs(runs) = tile {
+                runs.seal(workers);
+                built += 1;
+            }
+        }
+        built
+    }
+
     /// The canvas of tile `ti`.
-    pub fn tile(&self, ti: usize) -> &PointFbo {
-        &self.fbos[ti]
+    pub fn tile(&self, ti: usize) -> &Canvas {
+        &self.tiles[ti]
     }
 }
 
 impl Drop for ResidentCanvases<'_> {
     fn drop(&mut self) {
-        for fbo in self.fbos.drain(..) {
-            self.pool.release(fbo);
+        for tile in self.tiles.drain(..) {
+            if let Canvas::Dense(fbo) = tile {
+                self.pool.release(fbo);
+            }
         }
     }
 }
@@ -806,8 +873,10 @@ mod tests {
     }
 
     /// The exclusive blend is the atomic blend from one thread, bit for
-    /// bit — in an order where f32 addition does not reassociate — and
-    /// the resident set returns to the pool when it drops.
+    /// bit — in an order where f32 addition does not reassociate — on a
+    /// dense tile and a runs tile alike; the gate picks the tile from the
+    /// rows announced at acquire, and only a dense tile leaves the pool,
+    /// returning when the set drops.
     #[test]
     fn resident_canvases_blend_in_entry_order_and_release_on_drop() {
         let idx = [5u32, 2, 5, 5, 2];
@@ -827,24 +896,31 @@ mod tests {
             4,
             2,
         )];
-        let mut canvases = pool.acquire_resident(&tiles);
-        assert_eq!(pool.outstanding(), 1);
-        // Two chunks' worth of deltas, in chunk order.
-        let chunk = |r: std::ops::Range<usize>, workers| {
-            crate::bin::bin_pixels(4, 2, &idx[r.clone()], Some(&values[r]), workers)
-        };
-        canvases.blend(&chunk(0..2, 1));
-        canvases.blend(&chunk(2..5, 2));
-        let got = canvases.tile(0);
-        for (x, y) in [(1, 1), (2, 0), (0, 0)] {
-            assert_eq!(got.count_at(x, y), reference.count_at(x, y));
-            assert_eq!(got.sum_at(x, y).to_bits(), reference.sum_at(x, y).to_bits());
+        // 8 pixels: 5 rows are dense, 1 row is runs.
+        for (rows, dense) in [(5, true), (1, false)] {
+            let mut canvases = pool.acquire_resident(&tiles, rows, true, 2);
+            assert_eq!(pool.outstanding(), usize::from(dense));
+            // Two chunks' worth of deltas, in chunk order.
+            let chunk = |r: std::ops::Range<usize>, workers| {
+                crate::bin::bin_pixels(4, 2, &idx[r.clone()], Some(&values[r]), workers)
+            };
+            canvases.absorb(chunk(0..2, 1), 1);
+            canvases.absorb(chunk(2..5, 2), 2);
+            assert_eq!(canvases.build_runs(2), u32::from(!dense));
+            let got = canvases.tile(0);
+            assert_eq!(matches!(got, Canvas::Dense(_)), dense);
+            for (x, y) in [(1, 1), (2, 0), (0, 0)] {
+                let (count, sum) = got.span_totals(y, x, x + 1);
+                assert_eq!(count, reference.count_at(x, y) as u64);
+                assert_eq!(sum.to_bits(), (reference.sum_at(x, y) as f64).to_bits());
+            }
+            drop(canvases);
+            assert_eq!(pool.outstanding(), 0);
         }
         // COUNT-only deltas carry no values.
-        canvases.blend(&crate::bin::bin_pixels(4, 2, &[0, 0], None, 1));
-        assert_eq!(canvases.tile(0).count_at(0, 0), 2);
-        drop(canvases);
-        assert_eq!(pool.outstanding(), 0);
+        let mut canvases = pool.acquire_resident(&tiles, 5, false, 1);
+        canvases.absorb(crate::bin::bin_pixels(4, 2, &[0, 0], None, 1), 1);
+        assert_eq!(canvases.tile(0).span_count(0, 0, 1), 2);
     }
 
     /// Band-owned blending of a binned tile is `blend_in_order` of its

@@ -48,7 +48,7 @@ pub use bin::{
     PointColumns, RasterConfig, BAND_SHIFT, BIN_BLOCK, RUNS_MAX_DENSITY,
 };
 pub use device::{Device, DeviceConfig};
-pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
+pub use framebuffer::{BoundaryFbo, Canvas, FboPool, PointFbo, ResidentCanvases, ShardSet};
 pub use runs::{PixelRuns, SpanSource};
 pub use spans::{Run, Span, SpanTable};
 pub use ssbo::{AtomicF64Array, AtomicU64Array};

@@ -10,6 +10,12 @@
 //! "sort on the cell key, sum contiguous key ranges" at the ε grid. Its
 //! memory is sized by entries, never by pixels.
 //!
+//! A query's resident canvases hold a sparse tile this way, in memory as
+//! streamed: each batch or chunk is kept as binned ([`PixelRuns::append`];
+//! one copy, holding every tile's entries, shared by the canvas's runs
+//! tiles) and the runs built once, at resolve ([`PixelRuns::seal`]), each
+//! band's entries taken batch after batch — row-ordered like a dense tile.
+//!
 //! # Equivalence contract
 //!
 //! A run's count is its pixel's entry count and its sum is the f32
@@ -24,9 +30,10 @@
 //!
 //! # Building in parallel, without unsafe
 //!
-//! The binner already staged the tile by row band ([`BinnedBatch`]), each
-//! band in entry order, so the build is one task per band, handed out
-//! dynamically (bands are as skewed as the data): its worker sorts the
+//! The binner already staged the tile by row band ([`BinnedBatch`], kept
+//! as it is by a resident tile), each band in entry order,
+//! so the build is one task per band, handed out dynamically (bands are
+//! as skewed as the data): its worker sorts the
 //! band's entries by `(pixel, position)` and collapses equal pixels into
 //! a block of runs it owns. No buffer is ever written by two threads, so
 //! there is nothing to audit; the blocks are kept as built rather than
@@ -36,6 +43,7 @@ use crate::bin::{BinnedBatch, BAND_SHIFT};
 use crate::exec::parallel_dynamic;
 use crate::PointFbo;
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// What the polygon pass reads a canvas tile through: the partial
 /// aggregates of one pixel span. Implemented by the dense [`PointFbo`]
@@ -78,6 +86,10 @@ pub struct PixelRuns {
     height: u32,
     /// Block `b` holds band `b`; empty when the tile received no entry.
     blocks: Vec<RunBlock>,
+    /// The batches appended and not yet sealed, and this tile's index in
+    /// them.
+    staged: Vec<Arc<BinnedBatch>>,
+    tile: usize,
 }
 
 impl PixelRuns {
@@ -91,34 +103,37 @@ impl PixelRuns {
         height: u32,
         workers: usize,
     ) -> PixelRuns {
-        let mut runs = PixelRuns {
+        let mut runs = PixelRuns::new(width, height, ti);
+        runs.blocks = collapse_bands(&[binned], ti, width, height, workers);
+        runs
+    }
+
+    /// Tile `ti` of the batches to come, `width × height`: it takes them
+    /// ([`PixelRuns::append`]) and is read once sealed.
+    pub fn new(width: u32, height: u32, ti: usize) -> Self {
+        PixelRuns {
             width,
             height,
             blocks: Vec::new(),
-        };
-        if binned.tile(ti).0.is_empty() {
-            return runs;
+            tile: ti,
+            staged: Vec::new(),
         }
-        let nbands = (height as usize).div_ceil(1 << BAND_SHIFT);
-        assert!(
-            nbands <= binned.bands(),
-            "entries binned for another banding"
-        );
-        let built: Mutex<Vec<(usize, RunBlock)>> = Mutex::new(Vec::with_capacity(nbands));
-        parallel_dynamic(nbands, workers, 1, |b| {
-            let y0 = (b as u32) << BAND_SHIFT;
-            let rows = (height - y0).min(1 << BAND_SHIFT);
-            let (idx, values) = binned.band(ti, b);
-            let block = match values {
-                Some(values) => collapse_with_sums(idx, values, width, y0, rows),
-                None => collapse(idx, width, y0, rows),
-            };
-            built.lock().push((b, block));
-        });
-        let mut built = built.into_inner();
-        built.sort_unstable_by_key(|&(b, _)| b);
-        runs.blocks = built.into_iter().map(|(_, block)| block).collect();
-        runs
+    }
+
+    /// Keep `batch` for the build, behind the batches before it.
+    pub fn append(&mut self, batch: Arc<BinnedBatch>) {
+        debug_assert!(self.blocks.is_empty(), "entries appended to built runs");
+        self.staged.push(batch);
+    }
+
+    /// Build the runs of every batch appended, one band per task on up to
+    /// `workers` threads, then let the batches go.
+    pub fn seal(&mut self, workers: usize) {
+        if !self.staged.is_empty() {
+            let staged: Vec<&BinnedBatch> = self.staged.iter().map(|b| &**b).collect();
+            self.blocks = collapse_bands(&staged, self.tile, self.width, self.height, workers);
+            self.staged.clear();
+        }
     }
 
     /// Distinct non-empty pixels.
@@ -131,6 +146,7 @@ impl PixelRuns {
     #[inline]
     fn span(&self, y: u32, x0: u32, x1: u32) -> Option<(&RunBlock, std::ops::Range<usize>)> {
         debug_assert!(x0 <= x1 && x1 <= self.width && y < self.height);
+        debug_assert!(self.staged.is_empty(), "runs read before they are sealed");
         let block = self.blocks.get((y >> BAND_SHIFT) as usize)?;
         let r = (y & ((1 << BAND_SHIFT) - 1)) as usize;
         let (lo, hi) = (block.row_start[r] as usize, block.row_start[r + 1] as usize);
@@ -190,23 +206,62 @@ impl RunBlock {
     }
 }
 
-/// COUNT-only band: sort its pixels, collapse equal ones.
-fn collapse(idx: &[u32], width: u32, y0: u32, rows: u32) -> RunBlock {
-    let mut pixels = idx.to_vec();
-    pixels.sort_unstable();
-    let runs = pixels
-        .chunk_by(|a, b| a == b)
-        .map(|run| (run[0], run.len() as u32, None));
-    RunBlock::of_runs(runs, width, y0, rows)
+/// The run blocks of tile `ti` of `batches`, a `width × height` tile: one
+/// task per band on up to `workers` threads, each band's entries taken
+/// from the batches in order. Empty when the tile received no entry.
+fn collapse_bands(
+    batches: &[&BinnedBatch],
+    ti: usize,
+    width: u32,
+    height: u32,
+    workers: usize,
+) -> Vec<RunBlock> {
+    if batches.iter().all(|b| b.tile(ti).0.is_empty()) {
+        return Vec::new();
+    }
+    let nbands = (height as usize).div_ceil(1 << BAND_SHIFT);
+    assert!(
+        batches.iter().all(|b| nbands <= b.bands()),
+        "entries binned for another banding"
+    );
+    let built: Mutex<Vec<(usize, RunBlock)>> = Mutex::new(Vec::with_capacity(nbands));
+    parallel_dynamic(nbands, workers, 1, |b| {
+        let y0 = (b as u32) << BAND_SHIFT;
+        let rows = (height - y0).min(1 << BAND_SHIFT);
+        let chunks: Vec<_> = batches.iter().map(|batch| batch.band(ti, b)).collect();
+        let block = collapse(&chunks, width, y0, rows);
+        built.lock().push((b, block));
+    });
+    let mut built = built.into_inner();
+    built.sort_unstable_by_key(|&(b, _)| b);
+    built.into_iter().map(|(_, block)| block).collect()
 }
 
-/// Aggregating band. Its entries are keyed `(pixel, position in the
-/// band)` — unique keys, so the unstable sort is the stable sort by pixel
-/// — and each run's sum adds its values in that order from `+0.0`.
-fn collapse_with_sums(idx: &[u32], values: &[f32], width: u32, y0: u32, rows: u32) -> RunBlock {
-    let mut keys: Vec<u64> = (idx.iter().enumerate())
-        .map(|(k, &pix)| (pix as u64) << 32 | k as u64)
-        .collect();
+/// One band from its entries, batch after batch: a COUNT-only band sorts
+/// its pixels and collapses equal ones; an aggregating band keys its
+/// entries `(pixel, position in the band)` — unique keys, so the unstable
+/// sort is the stable sort by pixel — and each run's sum adds its values
+/// in that order from `+0.0`.
+fn collapse(chunks: &[(&[u32], Option<&[f32]>)], width: u32, y0: u32, rows: u32) -> RunBlock {
+    let n = chunks.iter().map(|(idx, _)| idx.len()).sum();
+    if chunks.iter().all(|(_, values)| values.is_none()) {
+        let mut pixels = Vec::with_capacity(n);
+        chunks
+            .iter()
+            .for_each(|(idx, _)| pixels.extend_from_slice(idx));
+        pixels.sort_unstable();
+        let runs = pixels
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u32, None));
+        return RunBlock::of_runs(runs, width, y0, rows);
+    }
+    let (mut keys, mut values) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for (idx, band_values) in chunks {
+        let k0 = keys.len() as u64;
+        let keyed = idx.iter().enumerate();
+        keys.extend(keyed.map(|(k, &pix)| (pix as u64) << 32 | (k0 + k as u64)));
+        values.extend_from_slice(band_values.unwrap_or(&[]));
+    }
     keys.sort_unstable();
     let runs = keys.chunk_by(|a, b| a >> 32 == b >> 32).map(|run| {
         let sum = run

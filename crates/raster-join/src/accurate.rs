@@ -10,16 +10,19 @@
 //!    one point classifier bins the points with the outline test as its
 //!    closure: points landing on boundary pixels are resolved exactly via
 //!    the grid index + PIP (Procedure JoinPoint, the PIP through a y-slab
-//!    edge index); all other points blend into the point FBO, each canvas
-//!    row band by the one thread that owns it.
+//!    edge index) and added to their slots one by one in row order; all
+//!    other points are absorbed into the point canvas — runs or dense by
+//!    the bounded join's gate, a dense one blended row band by row band
+//!    by the one thread that owns each.
 //! 3. **Draw polygons** (Procedure AccuratePolygons) — the bounded
 //!    variant's polygon pass (`polygon_pass.rs`) over the same
 //!    canvas. It is exact without the paper's per-fragment boundary
 //!    discard and without triangles, and tests pin both reasons:
-//!    * step 2 never blends a point that lands on a boundary pixel — the
+//!    * step 2 never absorbs a point that lands on a boundary pixel — the
 //!      binner's outline closure sends it to `join_point`, in memory and in
 //!      [`AccurateRasterJoin::bin`] alike — so the canvas holds nothing
-//!      there and folding those pixels adds zero (debug builds assert it);
+//!      there and folding those pixels adds zero (debug builds assert it,
+//!      reading the canvas through `SpanSource`);
 //!    * the outline marks every pixel an edge touches, so any other pixel
 //!      is wholly inside or wholly outside each polygon, its center at
 //!      least half a pixel from every edge: even–odd scanline coverage of
@@ -27,24 +30,27 @@
 //!      for every point of the pixel.
 //!
 //! Like the bounded executor, the prepared form splits into *bin* (step 2
-//! for one chunk: boundary points PIP-tested into a partial result,
+//! for one chunk: boundary points PIP-tested into row-ordered hits,
 //! interior points emitted as pixel deltas — [`AccurateRasterJoin::bin`]),
-//! *blend*, and *resolve* (step 3 — [`AccurateRasterJoin::resolve`]);
-//! [`AccurateRasterJoin::execute_prepared`] alternates the two over row
-//! blocks on all its workers, the streaming scan keeps them apart. Either
-//! way every addition happens in row order, so counts and sums are
-//! bitwise the same at any width, block or chunk size.
+//! *absorb*, and *resolve* (step 3 — [`AccurateRasterJoin::resolve`]), on
+//! the one canvas lifecycle of both joins: acquired once per query,
+//! resolved once. [`AccurateRasterJoin::execute_prepared`] bins and
+//! absorbs row blocks on all its workers, the streaming scan bins chunks
+//! on its pool and absorbs them on one thread. Either way every addition
+//! happens in row order — the hits' onto the slots, then the resolve's —
+//! so counts and sums are bitwise the same at any width, batch, block or
+//! chunk size, in memory as streamed.
 
-use crate::point_pass::{blend_blocks, columns, Hits, Outline};
-use crate::polygon_pass::{draw_polygons, PolygonSide};
-use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
+use crate::point_pass::{bin_blocks, columns, settle_transfers, Hits, Outline};
+use crate::polygon_pass::{self, PolygonSide};
+use crate::query::{result_slots, AggregateMerger, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::PointTable;
 use raster_geom::{Polygon, SlabIndex};
 use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
-use raster_gpu::exec::{block_for, default_workers, parallel_dynamic};
+use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, timed};
 use raster_gpu::raster::rasterize_segment_conservative;
-use raster_gpu::{BoundaryFbo, Device, FboPool, PointFbo, ResidentCanvases, Viewport};
+use raster_gpu::{BoundaryFbo, Device, FboPool, ResidentCanvases, SpanSource, Viewport};
 use raster_index::{AssignMode, GridIndex};
 use std::time::Instant;
 
@@ -76,8 +82,8 @@ impl Default for AccurateRasterJoin {
     }
 }
 
-/// Polygon-side state reusable across point batches/chunks of one query
-/// (the accurate counterpart of [`crate::bounded::PreparedBounded`]): the
+/// Polygon-side state reusable across queries and chunk loops (the
+/// accurate counterpart of [`crate::bounded::PreparedBounded`]): the
 /// canvas viewport and its span table, conservative boundary FBO, grid
 /// index and slab index. The streamed scan (`raster-join::stream`, §7.7)
 /// calls [`AccurateRasterJoin::prepare`] once, [`AccurateRasterJoin::bin`]
@@ -119,25 +125,26 @@ impl AccurateState<'_> {
     }
 
     /// What makes the paper's per-fragment discard of step 3 redundant:
-    /// no boundary pixel of `fbo` has received a point.
-    fn boundary_pixels_hold_nothing(&self, fbo: &PointFbo) -> bool {
+    /// no boundary pixel of `canvas` has received a point.
+    fn boundary_pixels_hold_nothing(&self, canvas: &impl SpanSource) -> bool {
         let (w, h) = (self.vp().width, self.vp().height);
         (0..h).all(|y| {
             (0..w).all(|x| {
-                !self.boundary.is_boundary(x, y)
-                    || (fbo.count_at(x, y) == 0 && fbo.sum_at(x, y) == 0.0)
+                !self.boundary.is_boundary(x, y) || canvas.span_totals(y, x, x + 1) == (0, 0.0)
             })
         })
     }
 }
 
 impl PreparedAccurate<'_> {
-    /// The (single) cleared canvas of this preparation, held until the
-    /// returned set drops — what a streamed scan blends every chunk's
-    /// [`ChunkDeltas`] into before [`AccurateRasterJoin::resolve`].
-    pub fn canvases(&self) -> ResidentCanvases<'_> {
+    /// The one canvas of a query that will scan `rows` rows, absorbed on
+    /// `workers` threads, for [`AccurateRasterJoin::resolve`] (see
+    /// [`ResidentCanvases`]).
+    pub fn canvases(&self, rows: usize, query: &Query, workers: usize) -> ResidentCanvases<'_> {
         let tiles = self.state.as_ref().map(|s| &s.canvas.tiles[..]);
-        self.pool.acquire_resident(tiles.unwrap_or(&[]))
+        let sums = query.aggregate.attr().is_some();
+        self.pool
+            .acquire_resident(tiles.unwrap_or(&[]), rows, sums, workers)
     }
 
     /// Wall time of the one-off conservative outline pass. It is part of
@@ -257,8 +264,9 @@ impl AccurateRasterJoin {
 
     /// Execute against a prepared polygon side (callers running their own
     /// chunk loop reuse the preparation — including the outline pass —
-    /// across every chunk). The outline pass is *not* charged here; see
-    /// [`PreparedAccurate::outline_time`].
+    /// across every chunk): acquire the canvas once, run step 2 over the
+    /// table block by block, resolve once. The outline pass is *not*
+    /// charged here; see [`PreparedAccurate::outline_time`].
     pub fn execute_prepared(
         &self,
         prepared: &PreparedAccurate<'_>,
@@ -274,92 +282,45 @@ impl AccurateRasterJoin {
                 stats: ExecStats::default(),
             };
         };
-        let mut out = JoinOutput {
-            counts: vec![0; nslots],
-            sums: vec![0.0; nslots],
-            stats: ExecStats {
-                triangulation: prepared.preparation,
-                index_build: prepared.index_build,
-                ..ExecStats::default()
-            },
-        };
-
         let proc0 = Instant::now();
-        let pool = &prepared.pool;
-        let needs_sums = query.aggregate.attr().is_some();
-        let vp = state.vp();
-        let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
-        let point_stage0 = Instant::now();
-        self.draw_points(state, points, query, device, &mut fbo, &mut out);
-        out.stats.point_stage = point_stage0.elapsed();
-
-        // Step 3: polygon pass over the one canvas.
-        self.fold_canvas(state, &fbo, query, &mut out);
+        let (mut stats, mut merged) = (ExecStats::default(), AggregateMerger::new(nslots));
+        let mut canvases = prepared.canvases(points.len(), query, self.workers);
+        // Step 2: boundary-pixel points PIP-tested into row-ordered hits,
+        // every other point absorbed into the canvas; then step 3. The
+        // hits and the resolve merge as a streamed scan's do.
+        let outline = state.outline();
+        let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
+        let (canvas, workers) = (&state.canvas, self.workers);
+        let sides = bin_blocks(
+            canvas,
+            points,
+            query,
+            workers,
+            divert,
+            &mut canvases,
+            &mut stats,
+        );
+        merged.add_hits(&Hits::concat(sides, &mut stats));
+        merged.fold(&self.resolve(prepared, &mut canvases, query));
+        drop(canvases);
+        let mut out = merged.finish();
+        out.stats.fold(&stats);
+        out.stats.triangulation = prepared.preparation;
+        out.stats.index_build = prepared.index_build;
         out.stats.processing = proc0.elapsed();
-        pool.release(fbo);
-
-        out.stats.download_bytes = (nslots * 16) as u64;
-        out.stats.settle_transfer();
+        let batch = self.batch_points;
+        settle_transfers(&mut out.stats, points, query, device, batch, nslots);
         out
     }
 
-    /// Step 2 (Procedure AccuratePoints, compute-shader style), batched
-    /// out-of-core: every batch goes through the point pass — boundary-
-    /// pixel points PIP-tested onto `out`'s accumulators, every other
-    /// point blended into `fbo`.
-    fn draw_points(
-        &self,
-        state: &AccurateState<'_>,
-        points: &PointTable,
-        query: &Query,
-        device: &Device,
-        fbo: &mut PointFbo,
-        out: &mut JoinOutput,
-    ) {
-        let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
-        let per_batch = self
-            .batch_points
-            .map_or(usize::MAX, |b| b.max(1))
-            .min(device.points_per_batch(point_bytes));
-        let outline = state.outline();
-        let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
-        let (tiling, workers) = (&state.canvas, self.workers);
-        for start in (0..points.len()).step_by(per_batch) {
-            let end = start.saturating_add(per_batch).min(points.len());
-            out.stats.upload_bytes += ((end - start) * point_bytes) as u64;
-            out.stats.batches += 1;
-            let hits = blend_blocks(tiling, points, start..end, query, workers, divert, fbo);
-            hits.iter().for_each(|hits| hits.add_to(out));
-        }
-        if points.is_empty() {
-            out.stats.batches = 1;
-        }
-    }
-
-    /// *Bin* one chunk (step 2 without the blend) on the calling thread:
-    /// boundary-pixel points are PIP-tested into the chunk's partial result
-    /// and every interior point is emitted as a `(pixel, value)` delta.
+    /// *Bin* one chunk (step 2 without the absorb) on the calling thread:
+    /// boundary-pixel points are PIP-tested into the chunk's row-ordered
+    /// hits and every interior point is emitted as a `(pixel, value)`
+    /// delta.
     /// Nothing here touches a canvas, so the streaming scan's pool workers
-    /// run it concurrently; row order in, row order out.
+    /// run it concurrently; row order in, row order out. Buffers as in
+    /// [`crate::BoundedRasterJoin::bin`].
     pub fn bin(
-        &self,
-        prepared: &PreparedAccurate<'_>,
-        points: &PointTable,
-        query: &Query,
-    ) -> ChunkDeltas {
-        self.bin_into(
-            prepared,
-            points,
-            query,
-            Default::default(),
-            &mut Default::default(),
-        )
-    }
-
-    /// [`AccurateRasterJoin::bin`] into the buffers of `binned`, the
-    /// deltas of an earlier chunk that have been blended, with the calling
-    /// thread's staging `scratch`.
-    pub(crate) fn bin_into(
         &self,
         prepared: &PreparedAccurate<'_>,
         points: &PointTable,
@@ -369,32 +330,40 @@ impl AccurateRasterJoin {
     ) -> ChunkDeltas {
         let t0 = Instant::now();
         let mut partial = JoinOutput {
-            counts: vec![0; prepared.nslots],
-            sums: vec![0.0; prepared.nslots],
+            counts: Vec::new(),
+            sums: Vec::new(),
             stats: ExecStats {
                 batches: 1,
                 ..ExecStats::default()
             },
         };
+        let mut hits = Vec::new();
         if let Some(state) = prepared.state.as_deref() {
             let outline = state.outline();
             let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
             let (cols, keep) = columns(points, 0..points.len(), query);
             let sides = bin_columns(&mut binned, scratch, &state.canvas, cols, 1, keep, divert);
-            sides.iter().for_each(|hits| hits.add_to(&mut partial));
+            hits = Hits::concat(sides, &mut partial.stats);
+            partial.stats.binned_points = binned.len() as u64;
         }
         partial.stats.point_stage = t0.elapsed();
+        partial.stats.binning = partial.stats.point_stage;
         partial.stats.processing = partial.stats.point_stage;
-        ChunkDeltas { binned, partial }
+        ChunkDeltas {
+            binned,
+            hits,
+            partial,
+        }
     }
 
-    /// *Resolve* the canvas every chunk's deltas were blended into
-    /// ([`PreparedAccurate::canvases`]): step 3, once, at this executor's
-    /// width. Counts and sums come out the same at any width.
+    /// *Resolve* the canvas every batch or chunk was absorbed into
+    /// ([`PreparedAccurate::canvases`]): step 3 (Procedure
+    /// AccuratePolygons), the shared polygon pass, once, at this
+    /// executor's width. Counts and sums come out the same at any width.
     pub fn resolve(
         &self,
         prepared: &PreparedAccurate<'_>,
-        canvases: &ResidentCanvases<'_>,
+        canvases: &mut ResidentCanvases<'_>,
         query: &Query,
     ) -> JoinOutput {
         let mut out = JoinOutput {
@@ -403,27 +372,18 @@ impl AccurateRasterJoin {
             stats: ExecStats::default(),
         };
         if let Some(state) = prepared.state.as_ref() {
-            self.fold_canvas(state, canvases.tile(0), query, &mut out);
-            out.stats.processing = out.stats.polygon_stage;
+            let stats = &mut out.stats;
+            stats.runs_passes = timed(&mut stats.point_stage, || canvases.build_runs(self.workers));
+            let canvas = canvases.tile(0);
+            debug_assert!(
+                state.boundary_pixels_hold_nothing(canvas),
+                "step 2 absorbed a point on a boundary pixel"
+            );
+            let needs_sums = query.aggregate.attr().is_some();
+            polygon_pass::draw_polygons(&state.side, 0, canvas, needs_sums, self.workers, &mut out);
+            out.stats.processing = out.stats.point_stage + out.stats.polygon_stage;
         }
         out
-    }
-
-    /// Step 3 (Procedure AccuratePolygons): the shared polygon pass over
-    /// the point canvas, onto `out`'s accumulators.
-    fn fold_canvas(
-        &self,
-        state: &AccurateState<'_>,
-        fbo: &PointFbo,
-        query: &Query,
-        out: &mut JoinOutput,
-    ) {
-        debug_assert!(
-            state.boundary_pixels_hold_nothing(fbo),
-            "step 2 blended a point into a boundary pixel"
-        );
-        let needs_sums = query.aggregate.attr().is_some();
-        draw_polygons(&state.side, 0, fbo, needs_sums, self.workers, out);
     }
 }
 
@@ -657,8 +617,9 @@ mod tests {
     }
 
     /// Why step 3 needs no per-fragment discard: whichever way step 2
-    /// runs — bin and blend by band at any width, or `bin` then
-    /// `ResidentCanvases::blend` — no boundary pixel receives a point.
+    /// runs — in memory, block by block at any width onto a dense or a
+    /// runs canvas, or `bin` per chunk then `ResidentCanvases::absorb` —
+    /// no boundary pixel receives a point.
     #[test]
     fn boundary_pixels_hold_nothing_after_every_point_pass() {
         let extent = nyc_extent();
@@ -686,39 +647,66 @@ mod tests {
             (0..pts.len()).filter(|&i| on_outline(i)).count() > 100,
             "the canvas must put points on outlines"
         );
+        let (w, h) = (state.vp().width, state.vp().height);
+        let total =
+            |canvas: &dyn SpanSource| (0..h).map(|y| canvas.span_count(y, 0, w)).sum::<u64>();
 
-        for join in [&narrow, &wide] {
-            let mut fbo = PointFbo::new(state.vp().width, state.vp().height);
-            let mut out = JoinOutput {
-                counts: vec![0; prepared.nslots],
-                sums: vec![0.0; prepared.nslots],
-                stats: ExecStats::default(),
-            };
-            join.draw_points(state, &pts, &q, &dev, &mut fbo, &mut out);
-            assert!(out.stats.pip_tests > 0);
-            assert!(fbo.total_count() > 0);
-            assert!(
-                state.boundary_pixels_hold_nothing(&fbo),
-                "{} workers",
-                join.workers
+        let outline = state.outline();
+        let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
+        // The rows announced pick the canvas: dense for the table, runs
+        // for one row.
+        for (join, rows, runs) in [
+            (&narrow, pts.len(), 0),
+            (&wide, pts.len(), 0),
+            (&wide, 1, 1),
+        ] {
+            let mut canvases = prepared.canvases(rows, &q, join.workers);
+            let mut stats = ExecStats::default();
+            let hits = bin_blocks(
+                &state.canvas,
+                &pts,
+                &q,
+                join.workers,
+                divert,
+                &mut canvases,
+                &mut stats,
             );
+            let mut stats = ExecStats::default();
+            Hits::concat(hits, &mut stats);
+            assert!(stats.pip_tests > 0);
+            assert_eq!(canvases.build_runs(join.workers), runs);
+            let canvas = canvases.tile(0);
+            assert!(total(canvas) > 0);
+            let ctx = format!("{} workers, {rows} rows", join.workers);
+            assert!(state.boundary_pixels_hold_nothing(canvas), "{ctx}");
         }
 
-        let mut canvases = prepared.canvases();
+        let mut canvases = prepared.canvases(pts.len(), &q, 1);
         for start in (0..pts.len()).step_by(9_000) {
             let chunk = pts.slice(start, (start + 9_000).min(pts.len()));
-            canvases.blend(&narrow.bin(&prepared, &chunk, &q).binned);
+            canvases.absorb(
+                narrow
+                    .bin(
+                        &prepared,
+                        &chunk,
+                        &q,
+                        Default::default(),
+                        &mut Default::default(),
+                    )
+                    .binned,
+                1,
+            );
         }
-        assert!(canvases.tile(0).total_count() > 0);
+        canvases.build_runs(1);
+        assert!(total(canvases.tile(0)) > 0);
         assert!(state.boundary_pixels_hold_nothing(canvases.tile(0)));
 
         // The check is not vacuous: one point on an outline pixel fails it.
-        let (w, h) = (state.vp().width, state.vp().height);
         let (x, y) = (0..w)
             .flat_map(|x| (0..h).map(move |y| (x, y)))
             .find(|&(x, y)| state.boundary.is_boundary(x, y))
             .unwrap();
-        let fbo = PointFbo::new(w, h);
+        let fbo = raster_gpu::PointFbo::new(w, h);
         fbo.blend_add(x, y, 0.0);
         assert!(!state.boundary_pixels_hold_nothing(&fbo));
     }

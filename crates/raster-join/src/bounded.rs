@@ -1,66 +1,57 @@
 //! Bounded raster join (§4.1–4.2): the approximate, PIP-free operator.
 //!
-//! Pipeline per (batch × canvas tile):
+//! Pipeline per query:
 //!
 //! 1. **DrawPoints** — every point passing the filter predicates is
 //!    transformed to screen space and additively blended into the point
 //!    canvas (`count += 1`, `sum += a_i`).
-//! 2. **DrawPolygons** — each polygon's pixel-center spans over the tile,
-//!    scan-converted once at preparation (`polygon_pass.rs`), fold their
-//!    pixels' partial aggregates into the polygon's result slot.
+//! 2. **DrawPolygons** — each polygon's pixel-center spans over each
+//!    tile, scan-converted once at preparation (`polygon_pass.rs`), fold
+//!    their pixels' partial aggregates into the polygon's result slot.
 //!
 //! The canvas resolution realises the ε-bound of §4.2 (pixel diagonal =
 //! ε); when it exceeds the device FBO limit the canvas splits into tiles
-//! and the two steps re-run per tile (Fig. 5). Points are uploaded to the
-//! device exactly once per batch regardless of the tile count (§5).
+//! (Fig. 5). Points are uploaded exactly once, in as many batches as the
+//! device budget needs (§5), and the polygons drawn once per query:
+//! batches are upload accounting (`ExecStats::{batches, upload_bytes}`).
 //!
 //! The prepared executor is three pieces: *bin* a run of points into
 //! per-tile `(pixel index, value)` deltas ([`BoundedRasterJoin::bin`]),
-//! *blend* deltas into a canvas, and *resolve* a canvas through the
-//! polygon pass ([`BoundedRasterJoin::resolve`]).
-//! [`BoundedRasterJoin::execute_prepared`] runs them per (batch × tile)
-//! with one canvas alive at a time; the streaming scan
-//! (`raster-join::stream`) bins every chunk, blends the deltas in chunk
-//! order into canvases it keeps for the whole scan, and resolves once.
+//! *absorb* deltas into the query's canvases
+//! ([`ResidentCanvases::absorb`]), and *resolve* them through the polygon
+//! pass ([`BoundedRasterJoin::resolve`]), once per query:
+//! [`BoundedRasterJoin::execute_prepared`] bins and absorbs block by block
+//! on all its workers, the streaming scan (`raster-join::stream`) bins
+//! chunks on its pool and absorbs them in chunk order on one thread.
 //!
-//! # Two canvases, one dense blend
+//! # The resident gate: runs or dense, once per query
 //!
 //! The canvas resolution follows ε (§4.2), so a fine ε leaves most pixels
-//! empty: the taxi canvas at ε = 10 m holds 0.03 points per pixel. A tile
-//! is therefore held one of two ways, picked per (batch × tile) by
-//! [`use_runs`] — the tile's entry count against its pixel count:
+//! empty: the taxi canvas at ε = 10 m holds 0.03 points per pixel. Each
+//! tile is therefore held one of two ways for the whole query, picked at
+//! acquire ([`PreparedBounded::canvases`]) by `raster_gpu::use_runs` from
+//! the rows the query will scan (table length, or header rows streamed):
 //!
-//! * **runs** — [`PixelRuns`]: the tile's binned entries sorted by pixel
-//!   and collapsed, searched per polygon span. Costs per entry; nothing
-//!   is sized by pixels.
+//! * **runs** — `raster_gpu::PixelRuns`: the batches kept as binned, each
+//!   band's entries sorted by pixel and collapsed once at resolve,
+//!   searched per polygon span. Costs per entry, never per pixel.
 //! * **dense** — a [`PointFbo`](raster_gpu::PointFbo) from the
 //!   preparation's pool, filled band by band: each run of pixel rows is
 //!   blended by the one thread that takes it, its entries in row order
 //!   ([`PointFbo::blend_bands`](raster_gpu::PointFbo::blend_bands)).
 //!   Costs per pixel.
 //!
-//! Both take their points from the one classifier,
-//! `raster_gpu::bin_columns` (`point_pass.rs`): the filter a column at a
-//! time per block of rows, then the pixel of every kept point, staged by
-//! (tile, row band of 32 rows), each band in row order. A multi-tile
-//! canvas bins each batch once and reads the staging as it is: a dense
-//! tile blends it band by band, a runs tile sorts it band by band
-//! ([`PixelRuns::build`]). A one-tile canvas is binned whole only to
-//! become runs, which the batch's row count — an upper bound on its
-//! entries — decides; a dense one bins and blends block by block
-//! (`point_pass::blend_blocks`, the exact join's point pass without its
-//! outline), so its staging is bounded by the block, never the batch.
-//! `ExecStats::runs_passes` says how often runs were chosen. There is no
-//! option: the planner mirrors the same gate (`optimizer::cost::shape`).
+//! Both read the one classifier's (tile × 32-row band) staging as it is
+//! (`raster_gpu::bin_columns`, `point_pass.rs`). `ExecStats::runs_passes`
+//! says how many tiles took runs. There is no option: the planner
+//! mirrors the same gate (`optimizer::cost::shape`).
 //!
 //! Every pixel's f32 sum accumulates in row order on either canvas, so
-//! counts and sums are the same bits at any worker count, and — for a
-//! table that is one batch — the streamed scan's. The streaming scan,
-//! whose resident canvases accumulate across chunks, and the accurate
-//! join never take runs.
+//! counts and sums are the same bits at any worker count and batch count,
+//! and the streamed scan's at any chunk size.
 
-use crate::point_pass::{blend_blocks, columns};
-use crate::polygon_pass::{draw_polygons, PolygonSide};
+use crate::point_pass::{bin_blocks, columns, settle_transfers};
+use crate::polygon_pass::{self, PolygonSide};
 use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::PointTable;
@@ -68,7 +59,7 @@ use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::{BBox, Polygon};
 use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{default_workers, timed};
-use raster_gpu::{no_outline, use_runs, Device, FboPool, PixelRuns, ResidentCanvases, Viewport};
+use raster_gpu::{no_outline, Device, FboPool, ResidentCanvases, Viewport};
 use std::time::Instant;
 
 /// The bounded (approximate) raster join operator.
@@ -88,8 +79,8 @@ impl Default for BoundedRasterJoin {
     }
 }
 
-/// Polygon-side state reusable across point batches/chunks of one query:
-/// the ε-derived canvas tiling and one span table per tile. The paper
+/// Polygon-side state reusable across queries and chunk loops: the
+/// ε-derived canvas tiling and one span table per tile. The paper
 /// processes polygons once per query regardless of how many point batches
 /// stream through (§5); callers running their own chunk loop (e.g. the
 /// disk-resident scan of §7.7) should [`BoundedRasterJoin::prepare`] once
@@ -99,32 +90,27 @@ pub struct PreparedBounded {
     tiling: Option<CanvasTiling>,
     nslots: usize,
     preparation: std::time::Duration,
-    /// Canvas recycling shared across every pass executed against
-    /// this preparation: a caller's chunk loop would otherwise reallocate
-    /// (and page-fault) the full canvas once per chunk — hundreds of MB
-    /// at fine ε — outside any timer. A streamed scan checks the whole
-    /// tiling out once ([`PreparedBounded::canvases`]).
+    /// Canvas recycling shared across every query against this
+    /// preparation: a caller's loop would otherwise reallocate (and
+    /// page-fault) hundreds of MB per query at fine ε, outside any timer.
     pool: FboPool,
 }
 
 impl PreparedBounded {
-    pub fn passes_per_batch(&self) -> u32 {
-        self.tiling.as_ref().map_or(0, |t| t.tile_count()) as u32
-    }
-
     /// Canvases checked out of this preparation's pool right now. Zero
-    /// between [`BoundedRasterJoin::execute_prepared`] passes and after a
-    /// streamed scan, however it ended.
+    /// between queries against this preparation, however they ended.
     pub fn outstanding_canvases(&self) -> usize {
         self.pool.outstanding()
     }
 
-    /// One cleared canvas per tile, in the tile order of
-    /// [`ChunkDeltas::binned`], held until the returned set drops — what a
-    /// streamed scan blends every chunk's deltas into before
-    /// [`BoundedRasterJoin::resolve`]. Empty without polygons.
-    pub fn canvases(&self) -> ResidentCanvases<'_> {
-        self.pool.acquire_resident(self.tiles())
+    /// The canvases of a query that will scan `rows` rows, absorbed on
+    /// `workers` threads, in the tile order of [`ChunkDeltas::binned`], for
+    /// [`BoundedRasterJoin::resolve`] (see [`ResidentCanvases`]). Empty
+    /// without polygons.
+    pub fn canvases(&self, rows: usize, query: &Query, workers: usize) -> ResidentCanvases<'_> {
+        let sums = query.aggregate.attr().is_some();
+        self.pool
+            .acquire_resident(self.tiles(), rows, sums, workers)
     }
 
     pub(crate) fn tiles(&self) -> &[Viewport] {
@@ -199,7 +185,8 @@ impl BoundedRasterJoin {
     }
 
     /// Execute against a prepared polygon side (chunked scans reuse the
-    /// preparation across every chunk).
+    /// preparation across every chunk): acquire the canvases once, absorb
+    /// the table block by block, resolve once.
     pub fn execute_prepared(
         &self,
         prepared: &PreparedBounded,
@@ -207,96 +194,32 @@ impl BoundedRasterJoin {
         query: &Query,
         device: &Device,
     ) -> JoinOutput {
-        let nslots = prepared.nslots;
-        let mut out = JoinOutput {
-            counts: vec![0u64; nslots],
-            sums: vec![0f64; nslots],
-            stats: ExecStats::default(),
-        };
         let Some(tiling) = prepared.tiling.as_ref() else {
-            return out;
+            return JoinOutput {
+                counts: vec![0; prepared.nslots],
+                sums: vec![0.0; prepared.nslots],
+                stats: ExecStats::default(),
+            };
         };
-        out.stats.triangulation = prepared.preparation;
-
-        // Out-of-core batching: points transferred exactly once.
-        let attrs_up = query.attrs_uploaded();
-        let point_bytes = PointTable::point_bytes(attrs_up);
-        let per_batch = self
-            .batch_points
-            .map_or(usize::MAX, |b| b.max(1))
-            .min(device.points_per_batch(point_bytes));
-        let needs_sums = query.aggregate.attr().is_some();
-        let (side, pool) = (&prepared.side, &prepared.pool);
-
         let proc0 = Instant::now();
-        let mut start = 0usize;
-        while start < points.len() || (points.is_empty() && start == 0) {
-            let end = (start + per_batch).min(points.len());
-            out.stats.upload_bytes += ((end - start) * point_bytes) as u64;
-            out.stats.batches += 1;
-
-            if tiling.tile_count() == 1 && !use_runs(end - start, tiling.full.pixel_count()) {
-                // A dense one-tile canvas has no rescan for a whole-batch
-                // binning to save: it bins and blends block by block.
-                let vp = &tiling.tiles[0];
-                let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
-                timed(&mut out.stats.point_stage, || {
-                    let (rows, workers) = (start..end, self.workers);
-                    blend_blocks::<(), _>(
-                        tiling, points, rows, query, workers, no_outline, &mut fbo,
-                    )
-                });
-                draw_polygons(side, 0, &fbo, needs_sums, self.workers, &mut out);
-                pool.release(fbo);
-            } else {
-                // Binning: classify this batch's surviving points into
-                // their tiles once, instead of rescanning it per tile.
-                let t0 = Instant::now();
-                let (cols, keep) = columns(points, start..end, query);
-                let (mut binned, mut scratch) = Default::default();
-                bin_columns(
-                    &mut binned,
-                    &mut scratch,
-                    tiling,
-                    cols,
-                    self.workers,
-                    keep,
-                    no_outline,
-                );
-                // The staging goes before the tiles' canvases come.
-                drop::<BinScratch>(scratch);
-                let dt = t0.elapsed();
-                out.stats.binning += dt;
-                out.stats.point_stage += dt;
-                out.stats.binned_points += binned.len() as u64;
-                for (ti, vp) in tiling.tiles.iter().enumerate() {
-                    if use_runs(binned.tile(ti).0.len(), vp.pixel_count()) {
-                        let runs = timed(&mut out.stats.point_stage, || {
-                            PixelRuns::build(&binned, ti, vp.width, vp.height, self.workers)
-                        });
-                        draw_polygons(side, ti, &runs, needs_sums, self.workers, &mut out);
-                        out.stats.runs_passes += 1;
-                    } else {
-                        let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
-                        timed(&mut out.stats.point_stage, || {
-                            fbo.blend_bands(&binned, ti, self.workers)
-                        });
-                        draw_polygons(side, ti, &fbo, needs_sums, self.workers, &mut out);
-                        pool.release(fbo);
-                    }
-                }
-            }
-
-            if end == points.len() {
-                break;
-            }
-            start = end;
-        }
+        let mut stats = ExecStats::default();
+        let mut canvases = prepared.canvases(points.len(), query, self.workers);
+        bin_blocks::<(), _>(
+            tiling,
+            points,
+            query,
+            self.workers,
+            no_outline,
+            &mut canvases,
+            &mut stats,
+        );
+        let mut out = self.resolve(prepared, &mut canvases, query);
+        drop(canvases);
+        out.stats.fold(&stats);
+        out.stats.triangulation = prepared.preparation;
         out.stats.processing = proc0.elapsed();
-
-        // Result read-back: two 8-byte slots per polygon.
-        out.stats.download_bytes = (nslots * 16) as u64;
-        out.stats.settle_transfer();
+        let (batch, nslots) = (self.batch_points, prepared.nslots);
+        settle_transfers(&mut out.stats, points, query, device, batch, nslots);
         out
     }
 
@@ -305,26 +228,10 @@ impl BoundedRasterJoin {
     /// kept point, into (tile, band) deltas in row order. The streaming
     /// scan's chunk-pool workers run this and nothing else of the join, so
     /// the entry order — hence every pixel's f32 blend order — is the
-    /// table's row order at any pool width.
+    /// table's row order at any pool width. The deltas reuse the buffers
+    /// of `binned` (an earlier chunk's, once absorbed) and the calling
+    /// thread's staging `scratch`; both may start as `Default::default()`.
     pub fn bin(
-        &self,
-        prepared: &PreparedBounded,
-        points: &PointTable,
-        query: &Query,
-    ) -> ChunkDeltas {
-        self.bin_into(
-            prepared,
-            points,
-            query,
-            Default::default(),
-            &mut Default::default(),
-        )
-    }
-
-    /// [`BoundedRasterJoin::bin`] into the buffers of `binned`, the
-    /// deltas of an earlier chunk that have been blended, with the calling
-    /// thread's staging `scratch`.
-    pub(crate) fn bin_into(
         &self,
         prepared: &PreparedBounded,
         points: &PointTable,
@@ -352,16 +259,18 @@ impl BoundedRasterJoin {
                 },
             },
             binned,
+            hits: Vec::new(),
         }
     }
 
-    /// *Resolve* the canvases every chunk's deltas were blended into
-    /// ([`PreparedBounded::canvases`]): one polygon pass per tile at this
-    /// executor's width. Counts and sums come out the same at any width.
+    /// *Resolve* the canvases every batch or chunk was absorbed into
+    /// ([`PreparedBounded::canvases`]): build the runs tiles, then one
+    /// polygon pass per tile at this executor's width. Counts and sums
+    /// come out the same at any width.
     pub fn resolve(
         &self,
         prepared: &PreparedBounded,
-        canvases: &ResidentCanvases<'_>,
+        canvases: &mut ResidentCanvases<'_>,
         query: &Query,
     ) -> JoinOutput {
         let mut out = JoinOutput {
@@ -370,18 +279,13 @@ impl BoundedRasterJoin {
             stats: ExecStats::default(),
         };
         let needs_sums = query.aggregate.attr().is_some();
+        let stats = &mut out.stats;
+        stats.runs_passes = timed(&mut stats.point_stage, || canvases.build_runs(self.workers));
         for ti in 0..prepared.tiles().len() {
-            let canvas = canvases.tile(ti);
-            draw_polygons(
-                &prepared.side,
-                ti,
-                canvas,
-                needs_sums,
-                self.workers,
-                &mut out,
-            );
+            let (side, canvas) = (&prepared.side, canvases.tile(ti));
+            polygon_pass::draw_polygons(side, ti, canvas, needs_sums, self.workers, &mut out);
         }
-        out.stats.processing = out.stats.polygon_stage;
+        out.stats.processing = out.stats.point_stage + out.stats.polygon_stage;
         out
     }
 }
@@ -559,11 +463,11 @@ mod tests {
         assert_eq!(a.counts, b.counts);
     }
 
-    /// A single-tile canvas dense enough to stay an FBO skips the
-    /// whole-batch binning: its point pass bins and blends block by block,
-    /// which the stats count as point stage, not binning.
+    /// A single-tile canvas dense enough to stay an FBO for the table's
+    /// rows takes them block by block through the one binner, band by
+    /// band, and none of it is held as runs.
     #[test]
-    fn single_tile_canvas_skips_binning() {
+    fn dense_single_tile_canvas_blends_by_band() {
         let polys = grid_polys();
         // 57² pixels at ε = 0.5; 1024 rows sit above the runs gate.
         let mut pts = PointTable::with_capacity(1024, &["v"]);
@@ -578,8 +482,8 @@ mod tests {
         assert_eq!(out.stats.passes, 1, "canvas must be a single tile");
         assert_eq!(out.counts, vec![128, 256, 384, 256]);
         assert_eq!(out.stats.runs_passes, 0);
-        assert_eq!(out.stats.binned_points, 0);
-        assert_eq!(out.stats.binning, std::time::Duration::ZERO);
+        assert_eq!(out.stats.binned_points, 1024);
+        assert!(out.stats.binning <= out.stats.point_stage);
     }
 
     /// The canvas gate: a sparse tile is binned and held as pixel runs —
@@ -603,10 +507,11 @@ mod tests {
         }
     }
 
-    /// The polygon side is prepared data: a 2-batch query over 2 tiles
-    /// folds each tile's table once per batch — 2 × the tables' spans —
-    /// and reports the one build as preparation, not per batch; a
-    /// resolve of the same preparation folds them once more.
+    /// The polygon side is prepared data, folded once per query: a
+    /// 2-batch query over 2 tiles folds each tile's table once — however
+    /// many batches it uploads in — and reports the one build as
+    /// preparation; a resolve of the same preparation folds them once
+    /// more, to the same bits.
     #[test]
     fn a_span_table_is_built_once_and_folded_per_pass() {
         let polys = grid_polys();
@@ -618,21 +523,28 @@ mod tests {
         };
         let view = Viewport::new(polygon_extent(&polys), 48, 24);
         let prepared = join.prepare_view(&polys, view, &dev);
-        assert_eq!(prepared.passes_per_batch(), 2);
+        assert_eq!(prepared.tiles().len(), 2);
         let tables = (0..2).map(|ti| prepared.side.table(ti));
         let spans: u64 = tables.clone().map(|t| t.len() as u64).sum();
         let fragments: u64 = tables.map(|t| t.fragments()).sum();
         assert!(spans > 0);
         let out = join.execute_prepared(&prepared, &pts, &Query::sum(0), &dev);
-        assert_eq!((out.stats.batches, out.stats.passes), (2, 4));
-        assert_eq!(out.stats.spans, 2 * spans);
-        assert_eq!(out.stats.fragments, 2 * fragments);
+        assert_eq!((out.stats.batches, out.stats.passes), (2, 2));
+        assert_eq!(out.stats.spans, spans);
+        assert_eq!(out.stats.fragments, fragments);
         assert_eq!(out.stats.triangulation, prepared.preparation);
         assert_eq!(out.counts, vec![1, 2, 3, 2]);
 
-        let mut canvases = prepared.canvases();
-        canvases.blend(&join.bin(&prepared, &pts, &Query::sum(0)).binned);
-        let resolved = join.resolve(&prepared, &canvases, &Query::sum(0));
+        let mut canvases = prepared.canvases(pts.len(), &Query::sum(0), 1);
+        let deltas = join.bin(
+            &prepared,
+            &pts,
+            &Query::sum(0),
+            Default::default(),
+            &mut Default::default(),
+        );
+        canvases.absorb(deltas.binned, 1);
+        let resolved = join.resolve(&prepared, &mut canvases, &Query::sum(0));
         assert_eq!((resolved.stats.spans, resolved.stats.passes), (spans, 2));
         assert_eq!((&resolved.counts, &resolved.sums), (&out.counts, &out.sums));
     }
@@ -657,8 +569,8 @@ mod tests {
         let b = BoundedRasterJoin::new(4).execute(&pts, &polys, &q, &small);
         assert_eq!(a.counts, b.counts);
         assert!(b.stats.batches > 1);
-        // Binning ran once per batch over that batch only: entries never
-        // exceed points, and both paths bin every in-extent point.
+        // Batches are upload accounting: both bin every in-extent point
+        // once.
         assert_eq!(a.stats.binned_points, b.stats.binned_points);
     }
 }

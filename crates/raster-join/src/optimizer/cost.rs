@@ -12,15 +12,17 @@
 //! [`crate::ExecStats`] by the calibration pass (`bench_planner`).
 //!
 //! The features mirror the one pipeline the planner's executors run by
-//! evaluating the executors' own gate: binning scans the batch once and
-//! replays survivors per tile, the canvas gate ([`raster_gpu::use_runs`])
-//! decides whether an in-memory bounded plan holds its tiles as sorted
-//! pixel runs — then nothing is charged per pixel: no clear, no
-//! per-pixel fold, a sort per surviving point instead of a blend — and
-//! single-tile canvases that stay dense skip the whole-batch binning:
-//! their blocks are staged and blended as they are classified. A dense
-//! canvas, bounded or accurate, is filled once, band by band: filter
-//! once, blend once.
+//! evaluating the executors' own gate. Every query — in memory or
+//! streamed, whatever its batch or chunk count — acquires its canvases
+//! once, absorbs its points into them and draws its polygons once. The
+//! canvas gate ([`raster_gpu::use_runs`] over the rows the query scans)
+//! decides whether a bounded plan holds its tiles as sorted pixel runs —
+//! then nothing is charged per pixel: no clear, no per-pixel fold, a sort
+//! per surviving point instead of a blend. Binning is charged to
+//! multi-tile and runs canvases; a one-tile dense canvas's block staging
+//! is costed inside its blend, as it was measured. A dense canvas,
+//! bounded or accurate, is filled once, band by band: filter once, blend
+//! once.
 //!
 //! # The worker-count dimension
 //!
@@ -32,14 +34,13 @@
 //!
 //! # Streamed scans
 //!
-//! A streamed scan (`stored_row_bytes > 0`, see `stream.rs`) draws its
-//! polygons once: pool workers only *bin* chunks, the consumer blends the
-//! deltas serially into canvases it keeps for the whole scan, and one
-//! polygon pass resolves them at the end. The model follows: [`W_FRAG`],
-//! [`W_CLEAR_PX`] and [`W_PASS`] are charged once per scan however many
-//! chunks the table splits into (chunk count only moves [`W_BATCH`]),
-//! [`W_BLEND`] does not amortize over the pool, and [`W_FRAG`] amortizes
-//! over the resolve width (`plan.workers`).
+//! A streamed scan (`stored_row_bytes > 0`, see `stream.rs`) has the
+//! in-memory join's shape — [`W_FRAG`], [`W_CLEAR_PX`] and [`W_PASS`]
+//! once per query however many chunks the table splits into (chunk count
+//! only moves [`W_BATCH`]), [`W_FRAG`] amortized over the resolve width
+//! (`plan.workers`) — with one difference: pool workers only *bin*
+//! chunks and one consumer absorbs the deltas in chunk order, so its
+//! [`W_BLEND`] does not amortize over the pool.
 
 use super::{Plan, Variant};
 use crate::query::Query;
@@ -122,8 +123,8 @@ pub const SELECTIVITY_SAMPLE: usize = 1024;
 /// feature is divided by `1 + PARALLEL_EFFICIENCY·(workers − 1)`.
 pub const PARALLEL_EFFICIENCY: f64 = 0.85;
 
-/// Does this workload stream off disk (one polygon pass per scan) rather
-/// than join an in-memory table (one per batch)?
+/// Does this workload stream off disk (its blend on one consumer) rather
+/// than join an in-memory table (its blend on every worker)?
 pub fn streamed(wl: &Workload) -> bool {
     wl.stored_row_bytes > 0.0
 }
@@ -240,13 +241,13 @@ impl Workload {
 pub struct PlanShape {
     pub tiles: u32,
     pub batches: u32,
-    /// Render passes: canvas tiles × batches in memory, canvas tiles
-    /// alone for a streamed scan (accurate: outline + polygon pass).
+    /// Render passes: the canvas tiles, once per query (accurate:
+    /// outline + polygon pass).
     pub passes: u32,
-    /// Total canvas pixels (all tiles of one batch).
+    /// Total canvas pixels (all tiles).
     pub pixels: f64,
     /// Whether the canvas gate is predicted to hold the tiles as pixel
-    /// runs (in-memory bounded plans only; see `bounded.rs`).
+    /// runs (see `raster_gpu::ResidentCanvases`).
     pub runs: bool,
 }
 
@@ -260,59 +261,40 @@ fn fragments(area: f64, perimeter: f64, pixel_side: f64) -> f64 {
 /// The execution shape a plan implies for a workload.
 pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     let batches = wl.n_points.div_ceil(plan.batch_points.max(1)).max(1) as u32;
-    // Canvases are cleared and folded per batch in memory, once per scan
-    // when streamed.
-    let polygon_rounds = if streamed(wl) { 1 } else { batches };
     let max_dim = device.config().max_fbo_dim;
+    // Mirrors the executors' canvas gate, through the function it calls:
+    // the rows the query scans — in memory as streamed — against a tile's
+    // pixels.
+    let runs = |tile_px: f64| use_runs(wl.n_points, tile_px as usize);
     match plan.variant {
         Variant::Bounded => {
             let (w, h) = resolution_for_epsilon(&wl.extent, wl.epsilon);
             let tiles = w.div_ceil(max_dim) * h.div_ceil(max_dim);
             let pixels = w as f64 * h as f64;
-            let tile_px = pixels / tiles as f64;
-            let rows_per_batch = wl.n_points as f64 / batches as f64;
-            let surv_per_tile = rows_per_batch * wl.surviving / tiles as f64;
-            // Mirrors the executor's canvas gate, through the function it
-            // calls: a tile's surviving entries against its pixels, or —
-            // on a one-tile canvas, which is binned only to become runs —
-            // the batch's row count. A streamed scan keeps dense resident
-            // canvases whatever the density.
-            let gate_entries = if tiles > 1 {
-                surv_per_tile
-            } else {
-                rows_per_batch
-            };
-            let runs = !streamed(wl) && use_runs(gate_entries as usize, tile_px as usize);
             PlanShape {
                 tiles,
                 batches,
-                passes: tiles * polygon_rounds,
+                passes: tiles,
                 pixels,
-                runs,
+                runs: runs(pixels / tiles as f64),
             }
         }
         Variant::Accurate => {
             // Shared rule with AccurateRasterJoin::execute.
             let (w, h) =
                 raster_gpu::Viewport::canvas_for_extent(&wl.extent, plan.canvas_dim.min(max_dim));
+            let pixels = w as f64 * h as f64;
             PlanShape {
                 tiles: 1,
                 batches,
                 // Outline pass + polygon pass (the point stage is a
                 // compute pass, not a render pass — matching ExecStats).
                 passes: 2,
-                pixels: w as f64 * h as f64,
-                runs: false,
+                pixels,
+                runs: runs(pixels),
             }
         }
     }
-}
-
-/// Does a bounded plan of this shape bin each batch whole before its tile
-/// passes? Mirrors the executor: multi-tile canvases always, a one-tile
-/// canvas only to be held as pixel runs.
-fn binned(sh: &PlanShape) -> bool {
-    sh.tiles > 1 || sh.runs
 }
 
 /// What sorting and collapsing one surviving entry into pixel runs costs,
@@ -342,8 +324,6 @@ pub fn features_for(
     let surv = n * wl.surviving;
     let batches = sh.batches as f64;
     let streamed = streamed(wl);
-    // How often the canvases are cleared and the polygons drawn.
-    let polygon_rounds = if streamed { 1.0 } else { batches };
     let mut f = [0.0; NWEIGHTS];
     f[W_BATCH] = batches;
     f[W_PASS] = sh.passes as f64;
@@ -351,48 +331,49 @@ pub fn features_for(
     // (and, when compressed, decoded) exactly once however it is joined.
     f[W_READ_BYTE] = n * wl.stored_row_bytes;
     f[W_DECODE_VAL] = n * wl.decode_cols;
+    // The canvas, acquired once per query and folded once, however many
+    // batches or chunks the points arrive in. Pixel runs: nothing to
+    // clear, one search per span (the outline band of `fragments`), a
+    // sort per surviving point instead of a blend. Dense: cleared per
+    // pixel, blended per point, folded per fragment.
+    let side = match plan.variant {
+        Variant::Bounded => pixel_side_for_epsilon(wl.epsilon),
+        Variant::Accurate => {
+            let dim = plan.canvas_dim.min(device.config().max_fbo_dim);
+            wl.extent.width().max(wl.extent.height()) / (dim as f64).max(1.0)
+        }
+    };
+    if sh.runs {
+        f[W_FRAG] = wl.perimeter / side;
+        f[W_BLEND] = surv * RUNS_SORT_BLENDS;
+    } else {
+        f[W_FRAG] = fragments(wl.area, wl.perimeter, side);
+        f[W_CLEAR_PX] = sh.pixels;
+        f[W_BLEND] = surv;
+    }
+    // One filter scan over the points.
+    f[W_FILTER] = n;
     match plan.variant {
         Variant::Bounded => {
-            let side = pixel_side_for_epsilon(wl.epsilon);
-            if sh.runs {
-                // Pixel runs: no canvas to clear, and the polygon pass
-                // searches once per span (the outline band of
-                // `fragments`) instead of walking the interior pixels;
-                // every surviving point is sorted instead of blended.
-                f[W_FRAG] = wl.perimeter / side * polygon_rounds;
-                f[W_BLEND] = surv * RUNS_SORT_BLENDS;
-            } else {
-                // In memory DrawPolygons re-runs per (tile × batch): the
-                // tile split keeps total fragments resolution-bound, but
-                // every batch clears the canvases and folds the full
-                // fragment volume again. A streamed scan does both once.
-                f[W_FRAG] = fragments(wl.area, wl.perimeter, side) * polygon_rounds;
-                f[W_CLEAR_PX] = sh.pixels * polygon_rounds;
-                f[W_BLEND] = surv;
-            }
-            // One filter scan per batch over its own points; when binned,
-            // survivors are staged once and replayed once.
-            f[W_FILTER] = n;
-            if binned(sh) {
+            // Multi-tile and runs canvases are charged for staging the
+            // survivors once; a one-tile dense canvas's staging is costed
+            // inside its blend.
+            if sh.tiles > 1 || sh.runs {
                 f[W_BIN] = surv;
             }
         }
         Variant::Accurate => {
-            let dim = plan.canvas_dim.min(device.config().max_fbo_dim);
-            let acc_side = wl.extent.width().max(wl.extent.height()) / (dim as f64).max(1.0);
-            f[W_FILTER] = n;
             f[W_POINT_ACC] = surv;
-            f[W_BLEND] = surv;
             // Probability a point lands on a boundary pixel ≈ outline-band
             // area over the extent area (supercover marks up to ~3 pixels
             // per crossed column), clamped to 1.
             let p_boundary =
-                (wl.perimeter * 3.0 * acc_side / wl.extent.area().max(1e-30)).clamp(0.0, 1.0);
+                (wl.perimeter * 3.0 * side / wl.extent.area().max(1e-30)).clamp(0.0, 1.0);
             // Each boundary point PIP-tests its grid-cell candidates,
             // linear in vertex count.
             let candidates = 2.0f64.min(wl.n_polys as f64).max(1.0);
             f[W_PIP_VERTEX] = surv * p_boundary * candidates * wl.avg_vertices;
-            f[W_OUTLINE_PX] = wl.perimeter / acc_side.max(1e-30);
+            f[W_OUTLINE_PX] = wl.perimeter / side.max(1e-30);
             // The on-the-fly grid-index build is deliberately NOT charged:
             // it is polygon preprocessing, excluded from query time as in
             // §7.1 (ExecStats::total does the same), reported separately
@@ -400,9 +381,6 @@ pub fn features_for(
             // would bias the accurate variant by work the measured target
             // never contains. W_INDEX_CELL stays reserved in the weight
             // vector for a future prepared-polygon plan dimension.
-            f[W_FRAG] = fragments(wl.area, wl.perimeter, acc_side);
-            // Single canvas + boundary FBO, cleared once per query.
-            f[W_CLEAR_PX] = sh.pixels;
         }
     }
     // Worker-count scaling (see the module docs): per-point and per-pixel
@@ -498,23 +476,26 @@ mod tests {
         assert_eq!(f[W_BLEND], 25_000_000.0);
     }
 
+    /// Batches are upload accounting: more of them cost their overhead,
+    /// and the canvas is cleared and folded once either way.
     #[test]
-    fn batch_size_drives_batch_and_pass_features() {
+    fn batch_size_drives_only_the_batch_feature() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
-        // Dense at either batch size (≥ 0.5 points per pixel of the 6836²
-        // canvas), so both plans clear and fold an FBO per batch.
+        // Dense (≥ 0.5 points per pixel of the 6836² canvas).
         let wl = Workload::assumed(100_000_000, &polys, &q);
         let dev = Device::default();
         let one = shape(&plan(Variant::Bounded, usize::MAX), &wl, &dev);
         let four = shape(&plan(Variant::Bounded, 25_000_000), &wl, &dev);
         assert_eq!(one.batches, 1);
         assert_eq!(four.batches, 4);
-        assert_eq!(four.passes, 4 * four.tiles);
+        assert_eq!(four.passes, one.passes);
         let f1 = features(&plan(Variant::Bounded, usize::MAX), &wl, &dev);
         let f4 = features(&plan(Variant::Bounded, 25_000_000), &wl, &dev);
-        assert!(f4[W_BATCH] > f1[W_BATCH]);
-        assert!(f4[W_CLEAR_PX] > f1[W_CLEAR_PX]);
+        assert_eq!(f4[W_BATCH], 4.0 * f1[W_BATCH]);
+        for slot in (0..NWEIGHTS).filter(|&slot| slot != W_BATCH) {
+            assert_eq!(f4[slot], f1[slot], "{}", WEIGHT_NAMES[slot]);
+        }
     }
 
     #[test]
@@ -533,16 +514,14 @@ mod tests {
         assert_eq!(f4[W_BATCH], f1[W_BATCH]);
     }
 
-    /// A streamed scan draws its polygons once, so its polygon terms must
-    /// not move with the chunk count — only the per-batch overhead does —
-    /// while the in-memory join pays them per batch.
+    /// Every query draws its polygons once, so its polygon terms must not
+    /// move with the batch or chunk count — only the per-batch overhead
+    /// does — in memory as streamed.
     #[test]
     fn streamed_polygon_terms_are_flat_in_chunk_count() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
-        // ε = 100 m: an 821² canvas in 4 tiles of ≤ 512², dense in memory
-        // at either batch size (the in-memory half below compares dense
-        // canvases, which pay per batch; a streamed scan's are dense at
-        // any density).
+        // ε = 100 m: an 821² canvas in 4 tiles of ≤ 512², dense for 16 M
+        // rows.
         let q = Query::count().with_epsilon(100.0);
         let in_memory = Workload::assumed(16_000_000, &polys, &q);
         let streamed = Workload {
@@ -552,28 +531,18 @@ mod tests {
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 512));
         let few = plan_w(Variant::Bounded, 2_000_000, 2);
         let many = plan_w(Variant::Bounded, 250_000, 2);
-        let (sh_few, sh_many) = (shape(&few, &streamed, &dev), shape(&many, &streamed, &dev));
-        assert_eq!((sh_few.batches, sh_many.batches), (8, 64));
-        assert!(sh_few.tiles > 1);
-        assert_eq!(sh_few.passes, sh_few.tiles);
-        assert_eq!(sh_many.passes, sh_few.passes);
-        let (f_few, f_many) = (
-            features(&few, &streamed, &dev),
-            features(&many, &streamed, &dev),
-        );
-        for slot in [W_FRAG, W_CLEAR_PX, W_PASS] {
-            assert!(f_few[slot] > 0.0);
-            assert_eq!(f_few[slot], f_many[slot], "{}", WEIGHT_NAMES[slot]);
-        }
-        assert_eq!(f_many[W_BATCH], 8.0 * f_few[W_BATCH]);
-        // The same two plans in memory pay the polygon side per batch.
-        let (m_few, m_many) = (
-            features(&few, &in_memory, &dev),
-            features(&many, &in_memory, &dev),
-        );
-        for slot in [W_FRAG, W_CLEAR_PX, W_PASS] {
-            assert_eq!(m_many[slot], 8.0 * m_few[slot], "{}", WEIGHT_NAMES[slot]);
-            assert_eq!(m_few[slot], 8.0 * f_few[slot], "{}", WEIGHT_NAMES[slot]);
+        for wl in [&streamed, &in_memory] {
+            let (sh_few, sh_many) = (shape(&few, wl, &dev), shape(&many, wl, &dev));
+            assert_eq!((sh_few.batches, sh_many.batches), (8, 64));
+            assert!(sh_few.tiles > 1 && !sh_few.runs);
+            assert_eq!(sh_few.passes, sh_few.tiles);
+            assert_eq!(sh_many.passes, sh_few.passes);
+            let (f_few, f_many) = (features(&few, wl, &dev), features(&many, wl, &dev));
+            for slot in [W_FRAG, W_CLEAR_PX, W_PASS] {
+                assert!(f_few[slot] > 0.0);
+                assert_eq!(f_few[slot], f_many[slot], "{}", WEIGHT_NAMES[slot]);
+            }
+            assert_eq!(f_many[W_BATCH], 8.0 * f_few[W_BATCH]);
         }
     }
 
@@ -596,10 +565,10 @@ mod tests {
         assert_eq!(f4[W_FRAG], f1[W_FRAG] / amort);
     }
 
-    /// FNV-1a over the feature bits of a grid of *streamed* workloads —
-    /// sparse and dense canvases, one tile and many, every batch size and
-    /// width, both variants.
-    fn streamed_feature_digest() -> u64 {
+    /// FNV-1a over the feature bits of the cells `keep` selects from a
+    /// grid of *streamed* workloads — sparse and dense canvases, one tile
+    /// and many, every batch size and width, both variants.
+    fn streamed_feature_digest(keep: impl Fn(&Plan, &Workload, &Device) -> bool) -> u64 {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for max_fbo in [2048, 8192] {
@@ -620,6 +589,9 @@ mod tests {
                             for batch in [250_000, usize::MAX] {
                                 for workers in [1, 2, 4] {
                                     let p = plan_w(variant, batch, workers);
+                                    if !keep(&p, &wl, &dev) {
+                                        continue;
+                                    }
                                     for x in features(&p, &wl, &dev) {
                                         for b in x.to_bits().to_le_bytes() {
                                             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -635,36 +607,43 @@ mod tests {
         h
     }
 
-    /// The canvas gate is an in-memory decision: a streamed scan keeps
-    /// dense resident canvases at any density, so its features must be
-    /// bit for bit what they were before pixel runs existed. The digest
-    /// was last re-taken when the shard merge left the cost model: the
-    /// merge column, always zero on a streamed scan, left the vector and
-    /// every other value stayed — the parent commit's
-    /// `streamed_feature_digest`, run with the column asserted zero and
-    /// skipped, reads this value. (Before that: `0x8bc1_4df6_9254_82e9`
-    /// with the column, taken when the `RasterConfig` labels left the
-    /// plan space.) A change that means to move streamed features
-    /// re-takes it.
+    /// A streamed scan holds a tile as runs by the same gate as the
+    /// in-memory join, and a dense canvas is costed as before runs reached
+    /// the scan: the digest over every streamed cell the gate leaves dense
+    /// is the parent commit's `streamed_feature_digest` over the same
+    /// cells. The cells the gate holds as runs changed on purpose — they
+    /// are costed as runs, as the scan runs them: bounded plans at 50 k
+    /// rows and ε ∈ {5, 12, 60} m on either limit and, on the 8192 limit,
+    /// at 2 M rows and ε ∈ {5, 12} m and 8 M at ε = 12 m; exact plans at
+    /// 50 k rows. A change that means to move dense streamed features
+    /// re-takes the digest.
     #[test]
     fn streamed_features_are_what_they_were_before_runs() {
-        assert_eq!(streamed_feature_digest(), STREAMED_DIGEST_AT_PARENT);
+        let dense = |p: &Plan, wl: &Workload, dev: &Device| !shape(p, wl, dev).runs;
+        assert_eq!(streamed_feature_digest(dense), DENSE_DIGEST_AT_PARENT);
     }
-    const STREAMED_DIGEST_AT_PARENT: u64 = 0xad47_bdc4_fc21_bc09;
+    const DENSE_DIGEST_AT_PARENT: u64 = 0x2c5b_e10e_3d4f_81c5;
 
-    /// In memory the planner mirrors the executor's canvas gate: a sparse
-    /// canvas — one tile (row-count bound) or many (surviving entries per
-    /// tile) — is costed as pixel runs, with nothing charged per pixel
-    /// and the sort charged per surviving point; a dense one is costed as
-    /// before; streamed scans never take runs.
+    /// The planner mirrors the executors' canvas gate, in memory as
+    /// streamed: a tile whose pixels outnumber four times the rows the
+    /// query scans — an upper bound on its entries, one tile or many — is
+    /// costed as pixel runs, with nothing charged per pixel and the sort
+    /// charged per surviving point; a denser one is costed dense.
     #[test]
     fn runs_gate_mirrors_the_executor() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
-        let dev = Device::default();
         let p = plan_w(Variant::Bounded, usize::MAX, 1);
         // ε = 10 m over NYC: 8203² pixels in 4 tiles; 2 M points = 0.03/px.
-        // ε = 20 m: one 4102² tile, 0.12/px. ε = 100 m: 821², 3/px.
-        for (eps, tiles, runs) in [(10.0, 4, true), (20.0, 1, true), (100.0, 1, false)] {
+        // ε = 20 m: one 4102² tile, 0.12/px — or, at a 2048 limit, 9 tiles
+        // of ≤ 2048², dense for the 2 M rows although each tile takes only
+        // ≈ 0.1 M survivors. ε = 100 m: 821², 3/px.
+        for (eps, max_fbo, tiles, runs) in [
+            (10.0, 8192, 4, true),
+            (20.0, 8192, 1, true),
+            (20.0, 2048, 9, false),
+            (100.0, 8192, 1, false),
+        ] {
+            let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, max_fbo));
             let q = Query::count().with_epsilon(eps);
             let wl = Workload {
                 surviving: 0.5,
@@ -672,21 +651,22 @@ mod tests {
             };
             let sh = shape(&p, &wl, &dev);
             assert_eq!((sh.tiles, sh.runs), (tiles, runs), "ε={eps}");
-            let rows_per_tile = 2_000_000 / tiles as usize;
             assert_eq!(
                 runs,
-                use_runs(rows_per_tile, sh.pixels as usize / tiles as usize)
+                use_runs(2_000_000, sh.pixels as usize / tiles as usize)
             );
-            // The same plan streamed keeps dense resident canvases: the
-            // dense costing of this canvas.
+            // The same plan streamed: the same canvas, the same costing.
             let on_disk = Workload {
                 stored_row_bytes: 20.0,
                 ..wl
             };
-            assert!(!shape(&p, &on_disk, &dev).runs);
-            let dense = features(&p, &on_disk, &dev);
+            assert_eq!(shape(&p, &on_disk, &dev), sh);
+            let (f, streamed) = (features(&p, &wl, &dev), features(&p, &on_disk, &dev));
+            for slot in [W_FILTER, W_BIN, W_BLEND, W_CLEAR_PX, W_FRAG, W_PASS] {
+                assert_eq!(f[slot], streamed[slot], "ε={eps} {}", WEIGHT_NAMES[slot]);
+            }
+            let dense = features_for(&p, &wl, &dev, &PlanShape { runs: false, ..sh });
             assert!(dense[W_CLEAR_PX] > 0.0 && dense[W_BLEND] == 1_000_000.0);
-            let f = features(&p, &wl, &dev);
             if runs {
                 assert_eq!(f[W_CLEAR_PX], 0.0, "ε={eps}");
                 assert_eq!(
@@ -696,12 +676,11 @@ mod tests {
                 assert_eq!(f[W_BLEND], 1_000_000.0 * RUNS_SORT_BLENDS);
                 assert!(f[W_FRAG] > 0.0 && f[W_FRAG] < dense[W_FRAG] / 10.0);
             } else {
-                // A dense one-tile canvas skips the binner, as before.
-                assert_eq!(f[W_BIN], 0.0, "ε={eps}");
+                // A dense one-tile canvas is not charged for binning.
+                let bin = if tiles > 1 { 1_000_000.0 } else { 0.0 };
+                assert_eq!(f[W_BIN], bin, "ε={eps}");
                 assert_eq!(f[W_FILTER], 2_000_000.0, "ε={eps}");
-                for slot in [W_CLEAR_PX, W_BLEND, W_FRAG] {
-                    assert_eq!(f[slot], dense[slot], "ε={eps} {}", WEIGHT_NAMES[slot]);
-                }
+                assert_eq!(f, dense, "ε={eps}");
             }
         }
     }

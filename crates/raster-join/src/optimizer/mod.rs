@@ -22,18 +22,18 @@
 //! device-capacity fill plus a half-capacity alternative when the workload
 //! is out-of-core; worker counts are the halving steps from the available
 //! pool down to 1, costed with the amortization/contention scaling in
-//! [`cost`]. How an executor holds its canvas — binned or not, dense FBO
-//! or pixel runs — is not a plan dimension: the bounded executor decides
-//! it per tile from the tile's density (`raster_gpu::use_runs`), and
+//! [`cost`]. How an executor holds its canvas — dense FBO or pixel runs
+//! — is not a plan dimension: every query holds each tile one way,
+//! chosen once from the rows it scans (`raster_gpu::use_runs`), and
 //! [`cost::shape`] evaluates the same gate to cost the pipeline that will
 //! run. Every dense canvas, bounded or exact, has one band-owned blend.
-//! For
-//! streaming scans the chosen `Plan::workers` is the *chunk pool* width
-//! and the width of the scan's one polygon pass (each chunk is binned
-//! single-threaded and blended in chunk order — see `stream.rs`), and the
-//! batch size is a memory/latency choice only: the polygon side costs the
-//! same at any chunk count. For in-memory execution `workers` is the
-//! intra-batch fan-out.
+//! The batch size is a memory/latency choice only: every query draws its
+//! polygons once, in memory as streamed, so the polygon side costs the
+//! same at any batch or chunk count. For streaming scans the chosen
+//! `Plan::workers` is the *chunk pool* width and the width of the scan's
+//! one polygon pass (each chunk is binned single-threaded and absorbed in
+//! chunk order — see `stream.rs`); for in-memory execution it is the
+//! fan-out of the point pass and the polygon pass.
 //!
 //! # Cost model
 //!

@@ -1,4 +1,4 @@
-//! The point pass of both raster joins: **bin**, then **blend by band**.
+//! The point pass of both raster joins: **bin**, then **absorb**.
 //! With an [`Outline`] it is the exact join's step 2 (Procedure
 //! AccuratePoints); without one it is Procedure DrawPoints.
 //!
@@ -10,27 +10,29 @@
 //! into a `(slot, value)` [`Hits`] entry per containing polygon, in its
 //! worker's side state; any other point (every in-canvas point, without
 //! an outline) becomes a `(pixel, value)` entry in the staging of its
-//! (tile, row band). *Blend* hands each band to one thread
-//! ([`PointFbo::blend_bands`]); the caller's thread adds the hits to the
-//! result slots.
+//! (tile, row band). *Absorb* hands the staging to the query's resident
+//! canvases (`raster_gpu::ResidentCanvases::absorb`); the hits are added
+//! to the result slots one by one.
 //!
-//! [`blend_blocks`] walks its rows in blocks, binning each on all workers
-//! and blending it before the next, so the staging is bounded by the
-//! block; a streamed chunk is binned whole, on the calling thread, with
-//! that thread's staging, into the buffers of a batch an earlier chunk's
-//! blend handed back. Every list is in row order and is consumed in row
-//! order, so a pixel's f32 sum and a slot's f64 sum are bitwise the same
-//! at any width, block size or chunk size, in memory and streamed.
+//! [`bin_blocks`] walks an in-memory table in blocks, binning each on all
+//! workers and absorbing it before the next, so the staging is bounded by
+//! the block; a streamed chunk is binned whole, on the calling thread,
+//! into the buffers of a batch an earlier chunk's absorb handed back.
+//! Every list is in row order and is consumed in row order, so a pixel's
+//! f32 sum and a slot's f64 sum are bitwise the same at any width, batch,
+//! block or chunk size, in memory and streamed.
 
 use raster_data::filter::keep_mask;
 use raster_data::PointTable;
 use raster_geom::{Point, SlabIndex};
 use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling, PointColumns};
-use raster_gpu::{BoundaryFbo, PointFbo};
+use raster_gpu::exec::timed;
+use raster_gpu::{BoundaryFbo, Device, ResidentCanvases};
 use raster_index::GridIndex;
 use std::ops::Range;
 
-use crate::query::{JoinOutput, Query};
+use crate::query::Query;
+use crate::stats::ExecStats;
 
 /// Rows classified between two blends. Bounds the staging buffers (8 bytes
 /// per surviving row) whatever the table size; 64 k and 128 k rows
@@ -46,14 +48,14 @@ pub(crate) struct Hits {
 }
 
 impl Hits {
-    /// Add the hits to their result slots, in row order, and the PIP
-    /// tests to the tally.
-    pub(crate) fn add_to(&self, out: &mut JoinOutput) {
-        for &(slot, v) in &self.hits {
-            out.counts[slot as usize] += 1;
-            out.sums[slot as usize] += v as f64;
+    /// The workers' `sides` as one row-ordered list; PIP tests to `stats`.
+    pub(crate) fn concat(sides: Vec<Hits>, stats: &mut ExecStats) -> Vec<(u32, f32)> {
+        let mut all = Vec::with_capacity(sides.iter().map(|s| s.hits.len()).sum());
+        for side in sides {
+            all.extend(side.hits);
+            stats.pip_tests += side.pip_tests;
         }
-        out.stats.pip_tests += self.pip_tests;
+        all
     }
 }
 
@@ -105,40 +107,60 @@ pub(crate) fn columns<'a>(
     (PointColumns { xs, ys, values }, keep)
 }
 
-/// The point pass over `rows` onto the canvas of a one-tile `tiling`, in
-/// memory: block by block, the block's rows are binned on `workers`
-/// threads into one batch reused from block to block, then blended band
-/// by band into `fbo`. Returns every block's sides, in row order.
-pub(crate) fn blend_blocks<S, O>(
+/// The point pass of an in-memory table onto `canvases`: block by block,
+/// binned on `workers` threads into one reused batch, then absorbed at
+/// that width. Returns every block's sides, in row order.
+pub(crate) fn bin_blocks<S, O>(
     tiling: &CanvasTiling,
     points: &PointTable,
-    rows: Range<usize>,
     query: &Query,
     workers: usize,
     outline: O,
-    fbo: &mut PointFbo,
+    canvases: &mut ResidentCanvases<'_>,
+    stats: &mut ExecStats,
 ) -> Vec<S>
 where
     S: Default + Send,
     O: Fn(&mut S, u32, Point, f32) -> bool + Sync,
 {
-    debug_assert_eq!(tiling.tile_count(), 1);
     let (mut binned, scratch) = (BinnedBatch::default(), &mut BinScratch::default());
     let mut sides = Vec::new();
-    for start in rows.clone().step_by(BLOCK_ROWS) {
-        let (cols, keep) = columns(points, start..(start + BLOCK_ROWS).min(rows.end), query);
-        sides.extend(bin_columns(
-            &mut binned,
-            scratch,
-            tiling,
-            cols,
-            workers,
-            keep,
-            &outline,
-        ));
-        fbo.blend_bands(&binned, 0, workers);
-    }
+    let (binning, binned_points) = (&mut stats.binning, &mut stats.binned_points);
+    timed(&mut stats.point_stage, || {
+        for start in (0..points.len()).step_by(BLOCK_ROWS) {
+            let rows = start..(start + BLOCK_ROWS).min(points.len());
+            let (cols, keep) = columns(points, rows, query);
+            let block = timed(binning, || {
+                bin_columns(&mut binned, scratch, tiling, cols, workers, keep, &outline)
+            });
+            sides.extend(block);
+            *binned_points += binned.len() as u64;
+            binned = canvases.absorb(std::mem::take(&mut binned), workers);
+        }
+    });
     sides
+}
+
+/// Charge `stats` for a query's transfers and settle them: `points`
+/// shipped once, in the batches the device budget — or the planner's
+/// `batch_points` under it — allows, and `nslots` results read back (two
+/// 8-byte slots each).
+pub(crate) fn settle_transfers(
+    stats: &mut ExecStats,
+    points: &PointTable,
+    query: &Query,
+    device: &Device,
+    batch_points: Option<usize>,
+    nslots: usize,
+) {
+    let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
+    let per_batch = batch_points
+        .map_or(usize::MAX, |b| b.max(1))
+        .min(device.points_per_batch(point_bytes));
+    stats.batches = points.len().div_ceil(per_batch).max(1) as u32;
+    stats.upload_bytes = (points.len() * point_bytes) as u64;
+    stats.download_bytes = (nslots * 16) as u64;
+    stats.settle_transfer();
 }
 
 /// Procedure JoinPoint: index lookup + PIP tests for one point; `hit` is

@@ -8,9 +8,10 @@
 //! covers depends only on the polygons and the canvas tile, so the scan
 //! conversion is preparation: [`PolygonSide::prepare`] builds one
 //! [`SpanTable`] per tile, once per query, and is the only place in the
-//! joins that names the scan converter (lint `no-polygon-rescan`). Every
-//! batch, tile pass, streamed resolve and composition plane then folds
-//! the same table ([`draw_polygons`]) in two steps:
+//! joins that names the scan converter (lint `no-polygon-rescan`). Each
+//! query's one resolve, in memory or streamed (lint `one-resolve`), and
+//! each composition plane then folds the same table ([`draw_polygons`])
+//! per tile in two steps:
 //!
 //! 1. **Evaluate** the spans on the canvas — dense FBO or pixel runs — in
 //!    the table's row-major order by band of 32 rows, the bands spread

@@ -169,18 +169,20 @@ impl JoinOutput {
 
 /// One chunk's point-stage product — what the *bin* piece of a prepared
 /// executor ([`crate::BoundedRasterJoin::bin`],
-/// [`crate::AccurateRasterJoin::bin`]) hands to the *blend* piece
-/// ([`raster_gpu::ResidentCanvases::blend`]). Nothing in it refers to a
+/// [`crate::AccurateRasterJoin::bin`]) hands to the *absorb* piece
+/// ([`raster_gpu::ResidentCanvases::absorb`]). Nothing in it refers to a
 /// canvas, so chunk-pool workers can produce these concurrently while one
 /// consumer applies them in chunk order.
 pub struct ChunkDeltas {
     /// Per-tile `(pixel index, value)` entries of the surviving points, in
     /// row order within each tile.
     pub binned: raster_gpu::BinnedBatch,
-    /// What the point stage already resolved to result slots — the
-    /// accurate join's boundary-pixel points, PIP-tested exactly; empty
-    /// slots for the bounded join — plus the chunk's point-stage stats
-    /// (`processing` = the bin time; whoever blends adds its own).
+    /// The accurate join's boundary-pixel points, PIP-tested exactly: a
+    /// `(slot, value)` per containing polygon, in row order, for
+    /// [`AggregateMerger::add_hits`]. Empty for the bounded join.
+    pub hits: Vec<(u32, f32)>,
+    /// The chunk's point-stage stats (`processing` = the bin time;
+    /// whoever absorbs adds its own), with empty result slots.
     pub partial: JoinOutput,
 }
 
@@ -245,6 +247,14 @@ impl AggregateMerger {
         }
         self.stats.fold(&out.stats);
         self.chunks += 1;
+    }
+
+    /// Add a chunk's [`ChunkDeltas::hits`] one by one, in order.
+    pub fn add_hits(&mut self, hits: &[(u32, f32)]) {
+        for &(slot, v) in hits {
+            self.counts[slot as usize] += 1;
+            self.sums[slot as usize] += v as f64;
+        }
     }
 
     /// Chunks folded so far.

@@ -27,7 +27,7 @@ use raster_geom::clip::coverage_fraction;
 use raster_geom::Polygon;
 use raster_gpu::exec::{default_workers, parallel_dynamic};
 use raster_gpu::raster::rasterize_segment_conservative;
-use raster_gpu::Device;
+use raster_gpu::{Device, SpanSource};
 use std::collections::HashSet;
 
 /// Per-polygon result interval for a COUNT query.
@@ -60,9 +60,9 @@ impl ResultRange {
 
 /// Compute the bounded-join COUNT per polygon together with its result
 /// ranges. `value` is [`crate::bounded::BoundedRasterJoin`]'s own count —
-/// its bin, blend and resolve pieces produce it — and the corrections
-/// read the canvases that count was resolved from, all tiles of which
-/// are dense and alive for the length of the call.
+/// its bin, absorb and resolve pieces produce it — and the corrections
+/// read the canvases that count was resolved from, alive for the length
+/// of the call, a pixel at a time through `SpanSource` (runs or dense).
 pub fn estimate_count_ranges(
     points: &PointTable,
     polys: &[Polygon],
@@ -132,16 +132,18 @@ fn estimate_ranges_impl(
     }
     // The value `A` and the canvas the corrections read are the bounded
     // join's own, taken through the pieces of a streamed scan: bin once,
-    // blend into canvases kept for the whole estimate, resolve.
+    // absorb into canvases kept for the whole estimate, resolve.
     let join = BoundedRasterJoin::new(workers);
     let query = Query {
         aggregate: attr.map_or(Aggregate::Count, Aggregate::Sum),
         ..query.clone()
     };
     let prepared = join.prepare(polys, query.epsilon, device);
-    let mut canvases = prepared.canvases();
-    canvases.blend(&join.bin(&prepared, points, &query).binned);
-    let a = join.resolve(&prepared, &canvases, &query);
+    let mut canvases = prepared.canvases(points.len(), &query, workers);
+    let (binned, scratch) = (Default::default(), &mut Default::default());
+    let deltas = join.bin(&prepared, points, &query, binned, scratch);
+    canvases.absorb(deltas.binned, workers);
+    let a = join.resolve(&prepared, &mut canvases, &query);
 
     // Accumulators per polygon: ε⁺/ε⁻ worst, ε⁺/ε⁻ expected.
     let worst_plus = raster_gpu::AtomicF64Array::new(nslots);
@@ -150,7 +152,7 @@ fn estimate_ranges_impl(
     let exp_minus = raster_gpu::AtomicF64Array::new(nslots);
 
     for (ti, vp) in prepared.tiles().iter().enumerate() {
-        let fbo = canvases.tile(ti);
+        let canvas = canvases.tile(ti);
         // Boundary-pixel corrections, polygon by polygon.
         parallel_dynamic(polys.len(), workers, 2, |pi| {
             let poly = &polys[pi];
@@ -169,8 +171,8 @@ fn estimate_ranges_impl(
             let mut em = 0.0f64;
             for (x, y) in seen {
                 let cnt = match attr {
-                    Some(_) => fbo.sum_at(x, y) as f64,
-                    None => fbo.count_at(x, y) as f64,
+                    Some(_) => canvas.span_totals(y, x, x + 1).1,
+                    None => canvas.span_count(y, x, x + 1) as f64,
                 };
                 if cnt == 0.0 {
                     continue;

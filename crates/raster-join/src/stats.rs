@@ -7,17 +7,19 @@
 //!
 //! # Streamed scans
 //!
-//! A streamed scan (`stream.rs`) bins its chunks on a pool, blends their
+//! A streamed scan (`stream.rs`) bins its chunks on a pool, absorbs their
 //! deltas on one consumer into canvases it keeps for the whole scan and
-//! draws the polygons once. In its merged stats:
+//! draws the polygons once — the in-memory joins' lifecycle, whose
+//! batches are upload accounting. In its merged stats:
 //!
 //! * the point-stage timers (`binning`, `point_stage`) fold additively
 //!   across chunks and workers, so they report *cumulative worker time*
 //!   and may sum past wall clock when chunks overlap; `batches` counts
 //!   chunks;
 //! * `polygon_stage`, `spans` and `fragments` come from the one resolve —
-//!   reported once, not once per chunk — and `passes` is the canvas tile count
-//!   (not tiles × chunks), plus one for the accurate outline pass;
+//!   reported once, not once per chunk — and `passes` is the canvas tile
+//!   count (not tiles × chunks), plus one for the accurate outline pass,
+//!   as in memory;
 //! * the measured split stays wall-clock honest: `processing` is the
 //!   union of the intervals during which planning ran or ≥ 1 thread was
 //!   decoding, binning, blending or resolving, and `disk` is the rest of
@@ -45,17 +47,15 @@ pub struct ExecStats {
     pub upload_bytes: u64,
     /// Bytes shipped device→host (results, materialized pairs).
     pub download_bytes: u64,
-    /// Wall-clock time binning whole batches to canvas tiles ahead of
-    /// their tile passes (subset of `processing`; zero when a single-tile
-    /// canvas dense enough to stay an FBO bins and blends block by block,
-    /// which is all point stage).
+    /// Wall-clock time classifying points into the binner's (tile × band)
+    /// staging (subset of `point_stage`).
     pub binning: Duration,
-    /// Point fragments routed through the whole-batch binning (entries
-    /// emitted across all batches).
+    /// Entries the binner staged for the canvas (points kept, on the
+    /// canvas and — in the exact join — off its outline).
     pub binned_points: u64,
-    /// Wall-clock time of the point stage — filtering, transforming and
-    /// blending points into the FBO, or binning and sorting them into
-    /// pixel runs, including binning time (subset of `processing`;
+    /// Wall-clock time of the point stage — binning points, blending them
+    /// into dense canvases or staging them for runs tiles and building
+    /// those runs, including binning time (subset of `processing`;
     /// recorded per run by the planner's calibration bench as a sanity
     /// check on the fitted stage weights).
     pub point_stage: Duration,
@@ -68,13 +68,13 @@ pub struct ExecStats {
     pub polygon_stage: Duration,
     /// Out-of-core point batches executed (§5).
     pub batches: u32,
-    /// Rendering passes executed (Fig. 5): canvas tiles × batches in
-    /// memory, canvas tiles alone for a streamed scan.
+    /// Rendering passes executed (Fig. 5): the canvas tiles, once per
+    /// query however many batches or chunks it took.
     pub passes: u32,
     /// Of `passes`, those whose canvas tile was held as sorted pixel runs
-    /// (`raster_gpu::PixelRuns`) rather than a dense FBO — the bounded
-    /// executor's density gate at work. Zero for streamed scans and the
-    /// accurate join.
+    /// (`raster_gpu::PixelRuns`) rather than a dense FBO — the density
+    /// gate of `raster_gpu::ResidentCanvases` at work, in memory as
+    /// streamed.
     pub runs_passes: u32,
     /// Point-in-polygon tests performed (the cost the paper eliminates).
     pub pip_tests: u64,

@@ -8,9 +8,9 @@
 //! read starts. Its §5 batching rule blends every point batch into the
 //! FBO and runs the polygon pass once. [`StreamingRasterJoin`] does both
 //! across chunks: the prepared executors split into *bin* (a chunk →
-//! per-tile `(pixel, value)` deltas, [`ChunkDeltas`]), *blend* (deltas →
+//! per-tile `(pixel, value)` deltas, [`ChunkDeltas`]), *absorb* (deltas →
 //! canvas) and *resolve* (canvas → polygon pass → [`JoinOutput`]); every
-//! chunk is binned, its deltas blended **in chunk order** into canvases
+//! chunk is binned, its deltas absorbed **in chunk order** into canvases
 //! acquired once and kept resident for the whole scan
 //! ([`raster_gpu::ResidentCanvases`]), and one resolve at the end draws
 //! the polygons. There are two arms: the blocking loop stays as the
@@ -19,14 +19,14 @@
 //! same reader → ring → worker → reorder-buffer protocol with one worker:
 //!
 //! ```text
-//! blocking (§7.7 arm):   [fetch+decode] → [bin, blend] → [fetch+decode] → …
+//! blocking (§7.7 arm):   [fetch+decode] → [bin, absorb] → [fetch+decode] → …
 //!
 //! pool (workers ≥ 1):    reader thread:  [paced fetch] → ring of
 //!                                        encoded chunks (seq-tagged)
 //!                        W pool workers: steal next chunk →
 //!                                        [decode] → [bin] → deltas
 //!                        this thread:    [bin sample (seq 0)], then
-//!                                        reorder buffer → blend deltas in
+//!                                        reorder buffer → absorb deltas in
 //!                                        ascending seq into the resident
 //!                                        canvases
 //!
@@ -47,24 +47,22 @@
 //! # Determinism
 //!
 //! Each chunk is binned by **one thread in row order**, and the one
-//! consumer applies the deltas **in ascending chunk order** (a reorder
-//! buffer holds early finishers) with plain adds on canvases it owns
-//! exclusively. Every pixel's f32 sum therefore accumulates in the
+//! consumer absorbs the deltas **in ascending chunk order** (a reorder
+//! buffer holds early finishers) into canvases it owns exclusively, at
+//! width 1, each tile runs or dense by the in-memory joins' gate over the
+//! header's row count. Every pixel's f32 sum therefore accumulates in the
 //! table's row order — whatever the pool width, the arm, the file format
-//! **or the chunk size** — and the resolve stages per-polygon partials
-//! and adds them to the result slots in polygon order at any width. A
-//! bounded streamed result is bitwise-identical across all of those and
-//! equal to the in-memory `BoundedRasterJoin` at any width on the table
-//! as one batch, whose dense tiles blend in row order band by band and
-//! whose runs tiles fold in row order too. The accurate variant's boundary-pixel points skip the
-//! canvas: each chunk's exact partial result folds through the
-//! [`AggregateMerger`] in the same ascending order, so accurate results
-//! are bitwise-identical across widths and arms at equal chunk size. The
-//! cost model encodes the same shape ([`cost::streamed`]): polygon terms
-//! once per scan, a serial blend, and [`Plan`]'s `workers`
-//! as the pool and resolve width. The planner is a pure function of the
-//! file header and the sampled first chunk, so the same scan gets the
-//! same plan every time.
+//! **or the chunk size** — and the resolve adds per-polygon partials to
+//! the result slots in polygon order at any width. The accurate variant's
+//! boundary-pixel points skip the canvas: each chunk's hits are added to
+//! the [`AggregateMerger`] one by one, in row order, before the resolve's
+//! output. That is the in-memory joins' own lifecycle, so a streamed
+//! result, bounded or exact, is **bitwise** the in-memory join of the same
+//! plan for every batch count. The cost model encodes the same shape
+//! ([`cost::streamed`]): polygon terms once per query, a serial blend, and
+//! [`Plan`]'s `workers` as the pool and resolve width. The planner is a
+//! pure function of the file header and the sampled first chunk, so the
+//! same scan gets the same plan every time.
 //!
 //! The concurrency invariants behind this guarantee — every chunk's
 //! deltas applied exactly once, in ascending sequence order, at any
@@ -547,8 +545,8 @@ struct ChunkDone {
 }
 
 /// The plan's executor with its polygon side prepared: the *bin* and
-/// *resolve* pieces the scan is built from (*blend* is
-/// [`ResidentCanvases::blend`]).
+/// *resolve* pieces the scan is built from (*absorb* is
+/// [`ResidentCanvases::absorb`]).
 enum Pieces<'a> {
     Bounded(BoundedRasterJoin, PreparedBounded),
     Accurate(AccurateRasterJoin, PreparedAccurate<'a>),
@@ -588,19 +586,19 @@ impl<'a> Pieces<'a> {
         scratch: &mut BinScratch,
     ) -> ChunkDeltas {
         match self {
-            Pieces::Bounded(exec, p) => exec.bin_into(p, chunk, query, reuse, scratch),
-            Pieces::Accurate(exec, p) => exec.bin_into(p, chunk, query, reuse, scratch),
+            Pieces::Bounded(exec, p) => exec.bin(p, chunk, query, reuse, scratch),
+            Pieces::Accurate(exec, p) => exec.bin(p, chunk, query, reuse, scratch),
         }
     }
 
-    fn canvases(&self) -> ResidentCanvases<'_> {
+    fn canvases(&self, rows: u64, query: &Query) -> ResidentCanvases<'_> {
         match self {
-            Pieces::Bounded(_, p) => p.canvases(),
-            Pieces::Accurate(_, p) => p.canvases(),
+            Pieces::Bounded(_, p) => p.canvases(rows as usize, query, 1),
+            Pieces::Accurate(_, p) => p.canvases(rows as usize, query, 1),
         }
     }
 
-    fn resolve(&self, canvases: &ResidentCanvases<'_>, query: &Query) -> JoinOutput {
+    fn resolve(&self, canvases: &mut ResidentCanvases<'_>, query: &Query) -> JoinOutput {
         #[cfg(test)]
         drain_tests::RESOLVES.with(|n| n.set(n.get() + 1));
         match self {
@@ -851,7 +849,7 @@ impl StreamingRasterJoin {
     }
 
     /// The chunk loop over an opened, planned table and a prepared polygon
-    /// side: bin every chunk, blend the deltas in chunk order into
+    /// side: bin every chunk, absorb the deltas in chunk order into
     /// canvases held for the whole scan, resolve once. Every exit returns
     /// the canvases to `pieces`' pool; only the success path resolves.
     fn scan(
@@ -907,25 +905,27 @@ impl StreamingRasterJoin {
         let mut chunks = 0;
 
         if !sample.is_empty() {
-            // One cleared canvas per tile, held until this block ends —
-            // by the resolve below or by any `?`/`return` on the way.
-            let mut canvases = busy.track(|| pieces.canvases());
-            // *Blend* one chunk's deltas + merger, always called in
+            // One canvas per tile for the header's rows, held until this
+            // block ends — by the resolve below or by any `?`/`return`.
+            let mut canvases = busy.track(|| pieces.canvases(rows, query));
+            // *Absorb* one chunk's deltas + merger, always called in
             // ascending chunk order (the pool's reorder buffer guarantees
             // it) so every pixel's f32 sum and the merged partials are
-            // deterministic.
+            // deterministic. One consumer thread: width 1.
             let mut absorb = |mut deltas: ChunkDeltas| {
-                busy.track(|| {
+                let reuse = busy.track(|| {
                     let stats = &mut deltas.partial.stats;
                     let mut blend = Duration::ZERO;
-                    timed(&mut blend, || canvases.blend(&deltas.binned));
+                    let reuse = timed(&mut blend, || canvases.absorb(deltas.binned, 1));
                     stats.point_stage += blend;
                     stats.processing += blend;
                     merger.fold(&deltas.partial);
+                    merger.add_hits(&deltas.hits);
+                    reuse
                 });
                 let mut blended = blended.lock();
                 if blended.len() < keep_blended {
-                    blended.push(deltas.binned);
+                    blended.push(reuse);
                 }
             };
 
@@ -1100,7 +1100,7 @@ impl StreamingRasterJoin {
             if let Some(kind) = faults::hit(faults::STREAM_RESOLVE) {
                 return Err(faults::io_error(kind).into());
             }
-            let mut resolved = busy.track(|| pieces.resolve(&canvases, query));
+            let mut resolved = busy.track(|| pieces.resolve(&mut canvases, query));
             drop(canvases);
             resolved.stats.download_bytes = (nslots * 16) as u64;
             chunks = merger.chunks();
@@ -1235,8 +1235,10 @@ impl StreamingRasterJoin {
         let _ = writeln!(
             out,
             "  polygon pass: once per scan, over {} resident canvas tile(s) at {} worker(s) \
-             (chunks only bin and blend)",
-            shape.tiles, setup.width
+             (chunks only bin and absorb), canvas: {}",
+            shape.tiles,
+            setup.width,
+            if shape.runs { "runs" } else { "dense" },
         );
         match &setup.projection {
             Some(p) => {
@@ -1378,6 +1380,60 @@ mod tests {
         // in the paced bench where the margin is orders of magnitude
         // above scheduler noise.)
         assert!(b.output.stats.disk >= b.read_time);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The scan holds each tile by the gate over the header's rows, as the
+    /// in-memory join holds it over the table's: a sparse tile is runs —
+    /// reported in `runs_passes` and taking no canvas from the pool — a
+    /// dense one a pooled canvas, and both are bitwise the in-memory join.
+    /// EXPLAIN names the canvas.
+    #[test]
+    fn streamed_sparse_scans_hold_runs() {
+        let pts = TaxiModel::default().generate(6_000, 311);
+        let fare = pts.attr_index("fare").unwrap();
+        let polys = synthetic_polygons(6, &nyc_extent(), 312);
+        let dev = small_device(1_000, 1, 8192);
+        let path = tmp("runs.bin");
+        write_table(&path, &pts).unwrap();
+        // ε = 40 m: one 2051² tile, 0.001 rows per pixel; ε = 1 km: 82².
+        for (eps, runs) in [(40.0, true), (1_000.0, false)] {
+            let q = Query::sum(fare).with_epsilon(eps);
+            let stream = StreamingRasterJoin::new(2);
+            let mut setup = stream.open_and_plan(&path, &polys, &q, &dev).unwrap();
+            setup.plan.variant = Variant::Bounded;
+            let canvas = if runs {
+                "canvas: runs"
+            } else {
+                "canvas: dense"
+            };
+            let pieces = Pieces::prepare(&setup.plan, setup.width, &polys, &setup.exec_query, &dev);
+            let Pieces::Bounded(_, prepared) = &pieces else {
+                unreachable!("a bounded plan")
+            };
+            let held = pieces.canvases(setup.rows, &setup.exec_query);
+            assert_eq!(
+                prepared.outstanding_canvases(),
+                usize::from(!runs),
+                "ε={eps}"
+            );
+            drop(held);
+            let s = stream.scan(setup, &pieces, result_slots(&polys)).unwrap();
+            assert!(s.chunks > 1, "ε={eps}");
+            let stats = s.output.stats;
+            assert_eq!(stats.passes, 1);
+            assert_eq!(stats.runs_passes, u32::from(runs), "ε={eps}");
+            assert_eq!(prepared.outstanding_canvases(), 0);
+            let in_memory = BoundedRasterJoin::new(2).execute(&pts, &polys, &q, &dev);
+            assert_eq!(in_memory.stats.runs_passes, stats.runs_passes);
+            assert_eq!(s.output.counts, in_memory.counts, "ε={eps}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.output.sums), bits(&in_memory.sums), "ε={eps}");
+            let text = stream.explain(&path, &polys, &q, &dev).unwrap();
+            if text.contains("BOUNDED") {
+                assert!(text.contains(canvas), "{text}");
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,7 +6,8 @@
 //! data (a garbled block of a required column), not in the process-wide
 //! failpoint table, so the other unit tests' scans never see them: the
 //! blocking arm meets the block in its reader (which re-reads it once,
-//! to no avail), the pool meets it on a worker, at every width.
+//! to no avail), the pool meets it on a worker, at every width — over
+//! runs tiles and pooled dense ones.
 
 use super::*;
 use raster_data::disk::{table_meta, write_table_compressed};
@@ -32,7 +33,6 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
     let polys = synthetic_polygons(6, &nyc_extent(), 0xD8A1);
     let pts = TaxiModel::default().generate(6_000, 0xD8A1);
     let fare = pts.attr_index("fare").unwrap();
-    let q = Query::avg(fare).with_epsilon(150.0);
     let dev = Device::new(DeviceConfig::small(
         1_500 * PointTable::point_bytes(1),
         2048,
@@ -51,13 +51,18 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
     bytes[off as usize] = 99;
     std::fs::write(&garbled, &bytes).unwrap();
 
-    // Failures met on a pool worker / in the blocking arm's reader.
+    // Failures met on a pool worker / in the blocking arm's reader, and
+    // healthy bounded scans over runs tiles / dense ones.
     let (mut on_worker, mut in_reader) = (0, 0);
-    for exact in [false, true] {
+    let (mut over_runs, mut over_dense) = (0, 0);
+    // ε = 150 m: one 547² tile, runs for 6 000 rows; ε = 1.5 km: dense.
+    for (eps, exact) in [(150.0, false), (1_500.0, false), (150.0, true)] {
+        let q = Query::avg(fare).with_epsilon(eps);
         for width in [1usize, 2, 4] {
             for blocking in [false, true] {
                 for (path, healthy) in [(&clean, true), (&garbled, false)] {
-                    let ctx = format!("exact={exact} width={width} blocking={blocking} {path:?}");
+                    let ctx =
+                        format!("ε={eps} exact={exact} width={width} blocking={blocking} {path:?}");
                     let mut stream = StreamingRasterJoin::new(width).with_chunk_rows(451);
                     if blocking {
                         stream = stream.blocking();
@@ -78,6 +83,14 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
                             assert!(healthy, "{ctx}: a garbled block was swallowed");
                             assert_eq!(resolves, 1, "{ctx}: a scan resolves exactly once");
                             assert_eq!(out.rows, 6_000, "{ctx}");
+                            if !exact {
+                                let runs = out.output.stats.runs_passes;
+                                *(if runs > 0 {
+                                    &mut over_runs
+                                } else {
+                                    &mut over_dense
+                                }) += 1;
+                            }
                         }
                         Err(e) => {
                             assert!(!healthy, "{ctx}: {e}");
@@ -94,6 +107,10 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
         }
     }
     assert!(on_worker > 0 && in_reader > 0, "{on_worker} / {in_reader}");
+    assert!(
+        over_runs > 0 && over_dense > 0,
+        "{over_runs} / {over_dense}"
+    );
     std::fs::remove_file(&clean).ok();
     std::fs::remove_file(&garbled).ok();
 }

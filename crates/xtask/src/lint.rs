@@ -46,9 +46,15 @@
 //! |                   | converter ([`SCAN_CONVERTER_WORDS`]) outside the    |
 //! |                   | preparation ([`POLYGON_PREPARATION`]) — every pass  |
 //! |                   | folds the span tables prepared once per query       |
+//! | `one-resolve`     | nothing in `raster-join` names `draw_polygons`      |
+//! |                   | outside `polygon_pass.rs` and an executor's         |
+//! |                   | `fn resolve(` ([`POLYGON_FOLD`]) —                  |
+//! |                   | a query folds its polygons once, after its last     |
+//! |                   | batch or chunk, never per batch                     |
 //!
 //! `#[cfg(test)]` regions are exempt from the panic, clock,
-//! triangulation, device-ledger, row-filter and polygon-rescan rules (tests may time things, unwrap
+//! triangulation, device-ledger, row-filter, polygon-rescan and
+//! one-resolve rules (tests may time things, unwrap
 //! freely and hold the joins against a triangulation) but **not** from
 //! the unsafe rules: unsafe test code still wants an audit trail.
 
@@ -178,6 +184,10 @@ pub const SCAN_CONVERTER_WORDS: &[&str] =
 /// start of its signature.
 pub const POLYGON_PREPARATION: (&str, &str) =
     ("crates/raster-join/src/polygon_pass.rs", "fn prepare(");
+
+/// The polygon pass and the one function of the joins allowed to name it
+/// (`polygon_pass.rs`, which defines it, names it freely).
+pub const POLYGON_FOLD: (&str, &str) = ("draw_polygons", "fn resolve(");
 
 /// How far above an `unsafe` token the contiguous `// SAFETY:` comment
 /// block may start.
@@ -507,6 +517,8 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
     } else {
         vec![false; lines.len()]
     };
+    let one_resolve = no_rescan && rel != POLYGON_PREPARATION.0;
+    let resolve = fn_region(&lines, POLYGON_FOLD.1);
     let needs_forbid = FORBID_UNSAFE_ROOTS.contains(&rel);
     let needs_deny_op = DENY_UNSAFE_OP_ROOTS.contains(&rel);
 
@@ -653,6 +665,18 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
                     });
                 }
             }
+        }
+
+        if one_resolve && !in_test[idx] && !resolve[idx] && find_word(code, POLYGON_FOLD.0) {
+            out.push(Violation {
+                file: rel.into(),
+                line: lineno,
+                rule: "one-resolve",
+                message: "`draw_polygons` outside `fn resolve(` — a query acquires \
+                          its canvases once, absorbs every batch or chunk and folds \
+                          the polygons once, in its executor's resolve"
+                    .into(),
+            });
         }
 
         if no_ledger && !in_test[idx] {
@@ -1034,6 +1058,39 @@ mod tests {
         assert!(lint_source("crates/raster-data/src/filter.rs", src).is_empty());
         let ok = "// filter::passes, row at a time, is the reference\nfn f(s: &mut ExecStats) { s.passes += 1; let _ = p.passes_per_batch(); }\n#[cfg(test)]\nmod tests {\n    use raster_data::filter::passes;\n    fn t() { passes(t, 0, &[]); }\n}\n";
         assert!(lint_source("crates/raster-join/src/bounded.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn a_polygon_fold_outside_resolve_fails() {
+        let src = "use crate::polygon_pass::{draw_polygons, PolygonSide};\nfn execute_prepared(&self) -> JoinOutput {\n    for batch in batches {\n        polygon_pass::draw_polygons(side, 0, &fbo, true, 2, &mut out);\n    }\n}\n";
+        for rel in [
+            "crates/raster-join/src/bounded.rs",
+            "crates/raster-join/src/accurate.rs",
+            "crates/raster-join/src/stream.rs",
+        ] {
+            let v = lint_source(rel, src);
+            assert_eq!(v.len(), 2, "{rel}: {v:?}");
+            assert!(v.iter().all(|v| v.rule == "one-resolve"));
+            assert_eq!((v[0].line, v[1].line), (1, 4));
+        }
+        // The exemption ends with the resolve's body, and another
+        // function's name does not open one.
+        let after = "impl J {\n    fn resolve(&self) -> JoinOutput {\n        draw_polygons(s, 0, &c, true, 1, &mut out);\n    }\n    fn resolve_all(&self) { draw_polygons(s, 0, &c, true, 1, &mut out); }\n}\n";
+        let v = lint_source("crates/raster-join/src/bounded.rs", after);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 5);
+    }
+
+    #[test]
+    fn a_polygon_fold_in_resolve_tests_and_its_own_file_is_fine() {
+        let resolve = "use crate::polygon_pass::{self, PolygonSide};\nimpl J {\n    pub fn resolve(\n        &self,\n    ) -> JoinOutput {\n        for ti in 0..n {\n            polygon_pass::draw_polygons(s, ti, &c, true, 1, &mut out);\n        }\n    }\n}\n";
+        assert!(lint_source("crates/raster-join/src/bounded.rs", resolve).is_empty());
+        let own = "pub(crate) fn draw_polygons<S>(side: &PolygonSide) {}\nfn f() { draw_polygons(s, 0, &c, true, 1, &mut out); }\n";
+        assert!(lint_source("crates/raster-join/src/polygon_pass.rs", own).is_empty());
+        let tests = "// draw_polygons per batch was the old loop\nfn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { draw_polygons(s, 0, &c, true, 1, &mut out); }\n}\n";
+        assert!(lint_source("crates/raster-join/src/accurate.rs", tests).is_empty());
+        let call = "fn f() { draw_polygons(s, 0, &c, true, 1, &mut out); }\n";
+        assert!(lint_source("crates/bench/src/experiments.rs", call).is_empty());
     }
 
     #[test]

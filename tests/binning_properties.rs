@@ -2,8 +2,9 @@
 //! runs and the dense canvas filled band by band — against a test-only
 //! reference.
 //!
-//! The reference ([`reference`]) is the literal pipeline, one batch at a
-//! time: per canvas tile, every row is filtered and located with
+//! The reference ([`reference`]) is the literal pipeline over the whole
+//! table, however many batches the executor uploads it in: per canvas
+//! tile, every row is filtered and located with
 //! `Viewport::pixel_of`, the tile's entries blend into a dense `PointFbo`
 //! in row order (`blend_in_order`), and each polygon's scanline spans fold
 //! it through `span_totals` — the replay of `benchmark/src/layers.rs`.
@@ -23,9 +24,8 @@ use raster_join_repro::join::bounded::polygon_extent;
 use raster_join_repro::prelude::*;
 
 /// The bounded join's counts and sums the literal way (see the module
-/// docs): per batch and tile, `pixel_of` over every row →
-/// `blend_in_order` → per-polygon span folds, added to the slots in
-/// polygon order.
+/// docs): per tile, `pixel_of` over every row → `blend_in_order` →
+/// per-polygon span folds, added to the slots in polygon order.
 fn reference(pts: &PointTable, polys: &[Polygon], q: &Query, dev: &Device) -> (Vec<u64>, Vec<f64>) {
     let slots = polys.iter().map(|p| p.id() as usize + 1).max().unwrap_or(0);
     let (mut counts, mut sums) = (vec![0u64; slots], vec![0f64; slots]);
@@ -35,37 +35,33 @@ fn reference(pts: &PointTable, polys: &[Polygon], q: &Query, dev: &Device) -> (V
     let extent = polygon_extent(polys);
     let (w, h) = resolution_for_epsilon(&extent, q.epsilon);
     let tiling = CanvasTiling::new(Viewport::new(extent, w, h), dev.config().max_fbo_dim);
-    let batch = dev.points_per_batch(PointTable::point_bytes(q.attrs_uploaded()));
     let attr = q.aggregate.attr();
     let passes = |i: usize| q.predicates.iter().all(|p| p.eval(pts, i));
-    for start in (0..pts.len()).step_by(batch.max(1)) {
-        let rows = start..(start + batch).min(pts.len());
-        for vp in &tiling.tiles {
-            let (mut idx, mut values) = (Vec::new(), Vec::new());
-            for i in rows.clone().filter(|&i| passes(i)) {
-                if let Some((x, y)) = vp.pixel_of(pts.point(i)) {
-                    idx.push(y * vp.width + x);
-                    values.push(attr.map_or(0.0, |a| pts.attr(a)[i]));
-                }
+    for vp in &tiling.tiles {
+        let (mut idx, mut values) = (Vec::new(), Vec::new());
+        for i in (0..pts.len()).filter(|&i| passes(i)) {
+            if let Some((x, y)) = vp.pixel_of(pts.point(i)) {
+                idx.push(y * vp.width + x);
+                values.push(attr.map_or(0.0, |a| pts.attr(a)[i]));
             }
-            let mut fbo = PointFbo::new(vp.width, vp.height);
-            fbo.blend_in_order(&idx, attr.map(|_| &values[..]));
-            for poly in polys {
-                let rings: Vec<Vec<(f64, f64)>> = std::iter::once(poly.outer())
-                    .chain(poly.holes())
-                    .map(|r| r.points().iter().map(|&p| vp.to_screen(p)).collect())
-                    .collect();
-                let refs: Vec<&[(f64, f64)]> = rings.iter().map(Vec::as_slice).collect();
-                let (mut cnt, mut sum) = (0u64, 0f64);
-                rasterize_polygon_spans(&refs, vp.width, vp.height, |y, x0, x1| {
-                    let (c, s) = fbo.span_totals(y, x0, x1);
-                    cnt += c;
-                    sum += s;
-                });
-                counts[poly.id() as usize] += cnt;
-                if attr.is_some() {
-                    sums[poly.id() as usize] += sum;
-                }
+        }
+        let mut fbo = PointFbo::new(vp.width, vp.height);
+        fbo.blend_in_order(&idx, attr.map(|_| &values[..]));
+        for poly in polys {
+            let rings: Vec<Vec<(f64, f64)>> = std::iter::once(poly.outer())
+                .chain(poly.holes())
+                .map(|r| r.points().iter().map(|&p| vp.to_screen(p)).collect())
+                .collect();
+            let refs: Vec<&[(f64, f64)]> = rings.iter().map(Vec::as_slice).collect();
+            let (mut cnt, mut sum) = (0u64, 0f64);
+            rasterize_polygon_spans(&refs, vp.width, vp.height, |y, x0, x1| {
+                let (c, s) = fbo.span_totals(y, x0, x1);
+                cnt += c;
+                sum += s;
+            });
+            counts[poly.id() as usize] += cnt;
+            if attr.is_some() {
+                sums[poly.id() as usize] += sum;
             }
         }
     }
@@ -195,7 +191,9 @@ proptest! {
         prop_assert!(out.stats.binned_points <= passing);
     }
 
-    /// Out-of-core batching: each batch is its own canvas pass.
+    /// Out-of-core batching is upload accounting: every batch lands in the
+    /// query's one resident canvas, so any batch count gives the one-pass
+    /// reference.
     #[test]
     fn bounded_matches_the_reference_across_batch_sizes(
         seed in any::<u64>(),
@@ -293,20 +291,21 @@ proptest! {
     }
 
     /// Runs at the executor level, on a canvas sparse enough to take them
-    /// (a tile the cluster fills may still go dense): results match the
+    /// (a short edge tile may still go dense): results match the
     /// reference, and the sums are the same bits at workers {1, 2, 4}.
     #[test]
     fn runs_tiles_are_width_independent_and_match_the_rescan(
         seed in any::<u64>(),
         npts in 0usize..1500,
-        max_dim in 48u32..400,
+        max_dim in 80u32..400,
         spread in 0.1f64..1.0,
         threshold in -100.0f64..0.0,
     ) {
         let extent = BBox::new(Point::new(-300.0, 50.0), Point::new(900.0, 1000.0));
         let polys = synthetic_polygons(6, &extent, seed);
         let pts = random_points(npts, &extent, seed ^ 0xabc, spread);
-        // ≈ 340 × 270 pixels: at most 1500 points stay far below the gate.
+        // ≈ 340 × 270 pixels in tiles of at least 80² = 6400: at most 1500
+        // rows stay below the gate of every full-size tile.
         let q = Query::sum(0)
             .with_epsilon(5.0)
             .with_predicates(vec![Predicate::new(0, CmpOp::Gt, threshold as f32)]);
@@ -327,7 +326,7 @@ proptest! {
     /// band by band), with hot pixels whose f32 sums depend on the order,
     /// counts and sum bits are the same at workers {1, 2, 4}, match the
     /// reference, and — the table being one batch — equal the streamed
-    /// scan's pieces: `bin` → `ResidentCanvases::blend` → `resolve`.
+    /// scan's pieces: `bin` → `ResidentCanvases::absorb` → `resolve`.
     #[test]
     fn dense_tiles_are_width_independent_and_match_the_streamed_scan(
         seed in any::<u64>(),
@@ -356,9 +355,9 @@ proptest! {
             }
             let exec = BoundedRasterJoin::new(2);
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let mut canvases = prepared.canvases();
-            canvases.blend(&exec.bin(&prepared, &pts, &q).binned);
-            let streamed = exec.resolve(&prepared, &canvases, &q);
+            let mut canvases = prepared.canvases(pts.len(), &q, 1);
+            canvases.absorb(exec.bin(&prepared, &pts, &q, Default::default(), &mut Default::default()).binned, 1);
+            let streamed = exec.resolve(&prepared, &mut canvases, &q);
             prop_assert_eq!(&streamed.counts, &one.counts);
             prop_assert_eq!(&streamed.sums, &one.sums, "{} tiles", tiles);
         }
@@ -461,9 +460,19 @@ fn nan_coordinates_land_in_no_pixel() {
                 "{ctx}"
             );
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let mut canvases = prepared.canvases();
-            canvases.blend(&exec.bin(&prepared, &pts, &q).binned);
-            let streamed = exec.resolve(&prepared, &canvases, &q);
+            let mut canvases = prepared.canvases(pts.len(), &q, 1);
+            canvases.absorb(
+                exec.bin(
+                    &prepared,
+                    &pts,
+                    &q,
+                    Default::default(),
+                    &mut Default::default(),
+                )
+                .binned,
+                1,
+            );
+            let streamed = exec.resolve(&prepared, &mut canvases, &q);
             assert_eq!(
                 (&streamed.counts, &streamed.sums),
                 (&exact.counts, &exact.sums),
@@ -633,7 +642,15 @@ fn bin_entries_are_the_row_at_a_time_reference() {
             assert_eq!(want_hits.is_empty(), tiles > 1);
             let exec = BoundedRasterJoin::new(1);
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let streamed = exec.bin(&prepared, &pts, &q).binned;
+            let streamed = exec
+                .bin(
+                    &prepared,
+                    &pts,
+                    &q,
+                    Default::default(),
+                    &mut Default::default(),
+                )
+                .binned;
             let cols = PointColumns {
                 xs: pts.xs(),
                 ys: pts.ys(),

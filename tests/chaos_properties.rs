@@ -352,12 +352,10 @@ fn canvas_pool_outstanding_drains_to_zero() {
     let polys = synthetic_polygons(6, &extent, 0xC4A05);
     let pts = TaxiModel::default().generate(2_000, 0xC4A05);
     let fare = pts.attr_index("fare").unwrap();
-    // ε = 30 m at a 2048² limit: a 2×2-tile canvas.
-    let q = Query::avg(fare).with_epsilon(30.0);
-    let dev = Device::new(DeviceConfig::small(
-        1_500 * PointTable::point_bytes(2),
-        2048,
-    ));
+    // ε = 600 m at a 64² limit: a 3×3-tile canvas, dense for 2 000 rows
+    // (a sparser one is held as runs, which take nothing from the pool).
+    let q = Query::avg(fare).with_epsilon(600.0);
+    let dev = Device::new(DeviceConfig::small(1_500 * PointTable::point_bytes(2), 64));
     let join = BoundedRasterJoin::new(2);
     let prepared = join.prepare(&polys, q.epsilon, &dev);
     assert_eq!(prepared.outstanding_canvases(), 0);
@@ -372,15 +370,25 @@ fn canvas_pool_outstanding_drains_to_zero() {
 
     // The streamed shape: resident for the scan, resolved once.
     let whole = join.execute_prepared(&prepared, &pts, &q, &dev);
-    let mut canvases = prepared.canvases();
+    let mut canvases = prepared.canvases(pts.len(), &q, 1);
     let tiles = prepared.outstanding_canvases();
     assert!(tiles > 1, "the fixture must tile");
     for start in (0..pts.len()).step_by(700) {
         let chunk = pts.slice(start, (start + 700).min(pts.len()));
-        canvases.blend(&join.bin(&prepared, &chunk, &q).binned);
+        canvases.absorb(
+            join.bin(
+                &prepared,
+                &chunk,
+                &q,
+                Default::default(),
+                &mut Default::default(),
+            )
+            .binned,
+            1,
+        );
         assert_eq!(prepared.outstanding_canvases(), tiles, "held across chunks");
     }
-    let resolved = join.resolve(&prepared, &canvases, &q);
+    let resolved = join.resolve(&prepared, &mut canvases, &q);
     drop(canvases);
     assert_eq!(
         prepared.outstanding_canvases(),
@@ -392,8 +400,18 @@ fn canvas_pool_outstanding_drains_to_zero() {
 
     // An error mid-scan: the early return drops the set.
     let failing_scan = || -> std::io::Result<()> {
-        let mut canvases = prepared.canvases();
-        canvases.blend(&join.bin(&prepared, &pts, &q).binned);
+        let mut canvases = prepared.canvases(pts.len(), &q, 1);
+        canvases.absorb(
+            join.bin(
+                &prepared,
+                &pts,
+                &q,
+                Default::default(),
+                &mut Default::default(),
+            )
+            .binned,
+            1,
+        );
         Err(std::io::Error::other("reader failed"))
     };
     assert!(failing_scan().is_err());
@@ -408,7 +426,7 @@ fn canvas_pool_outstanding_drains_to_zero() {
     std::panic::set_hook(Box::new(|_| {}));
     let panicked = std::thread::scope(|s| {
         s.spawn(|| {
-            let _canvases = prepared.canvases();
+            let _canvases = prepared.canvases(pts.len(), &q, 1);
             panic!("mid-scan");
         })
         .join()

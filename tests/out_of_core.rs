@@ -209,7 +209,8 @@ fn every_executor_counts_its_own_bytes_on_a_shared_device() {
             "bounded one-tile",
             Box::new(|| {
                 let o = BoundedRasterJoin::new(2).execute(pts, polys, q, dev);
-                assert_eq!(o.stats.passes, o.stats.batches, "one tile per batch");
+                let (passes, batches) = (o.stats.passes, o.stats.batches);
+                assert_eq!((passes, batches), (1, 3), "one tile, once, for 3 batches");
                 (o.stats, n * pb, slots * 16)
             }),
         ),
@@ -218,7 +219,7 @@ fn every_executor_counts_its_own_bytes_on_a_shared_device() {
             Box::new(|| {
                 let q = q.clone().with_epsilon(10.0);
                 let o = BoundedRasterJoin::new(2).execute(pts, polys, &q, dev);
-                assert!(o.stats.passes > o.stats.batches, "several tiles per batch");
+                assert!(o.stats.passes > o.stats.batches, "several tiles, once");
                 (o.stats, n * pb, slots * 16)
             }),
         ),
@@ -304,4 +305,65 @@ fn every_executor_counts_its_own_bytes_on_a_shared_device() {
             "{name}: transfer is the closed form of its bytes"
         );
     }
+}
+
+/// Batches are upload accounting: a bounded SUM over one table comes out
+/// the same bits under device budgets that give 1, 3 and 8 batches, at
+/// widths 1 and 4, and equal to the streamed scan of the table as a v1 and
+/// a v3 file — on a one-tile runs canvas, a one-tile dense one and a
+/// multi-tile one.
+#[test]
+fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
+    use raster_join_repro::data::disk::write_table_compressed;
+    let n = 24_000;
+    let pts = TaxiModel::default().generate(n, 411);
+    let polys = synthetic_polygons(10, &nyc_extent(), 412);
+    let fare = pts.attr_index("fare").unwrap();
+    let pb = PointTable::point_bytes(1);
+    let (v1, v3) = (tmp("bitwise.bin"), tmp("bitwise.binz"));
+    write_table(&v1, &pts).unwrap();
+    write_table_compressed(&v3, &pts, 4_096).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // ε = 60 m: one 1367² tile, runs for 24 k rows; ε = 1 km: one 82²
+    // tile, dense; ε = 300 m at a 128² limit: 3 × 3 dense tiles.
+    for (eps, max_fbo, tiles, runs) in [
+        (60.0, 8192, 1, 1),
+        (1_000.0, 8192, 1, 0),
+        (300.0, 128, 9, 0),
+    ] {
+        let q = Query::sum(fare).with_epsilon(eps);
+        let mut want = None;
+        for batches in [1, 3, 8] {
+            let dev = Device::new(DeviceConfig::small(n.div_ceil(batches) * pb, max_fbo));
+            for workers in [1, 4] {
+                let ctx = format!("ε={eps}, {batches} batch(es), {workers} worker(s)");
+                let o = BoundedRasterJoin::new(workers).execute(&pts, &polys, &q, &dev);
+                assert_eq!(o.stats.batches as usize, batches, "{ctx}");
+                assert_eq!(
+                    (o.stats.passes, o.stats.runs_passes),
+                    (tiles, runs),
+                    "{ctx}"
+                );
+                let got = (o.counts, bits(&o.sums));
+                assert!(got.0.iter().sum::<u64>() > 0, "{ctx}");
+                assert_eq!(want.get_or_insert_with(|| got.clone()), &got, "{ctx}");
+            }
+            for path in [&v1, &v3] {
+                let s = StreamingRasterJoin::new(2)
+                    .execute(path, &polys, &q, &dev)
+                    .unwrap();
+                let ctx = format!("ε={eps}, {batches}-batch budget, {path:?}");
+                assert_eq!(
+                    s.plan.variant,
+                    raster_join_repro::join::Variant::Bounded,
+                    "{ctx}"
+                );
+                assert_eq!(s.output.stats.runs_passes, runs, "{ctx}");
+                let got = (s.output.counts, bits(&s.output.sums));
+                assert_eq!(want.as_ref(), Some(&got), "{ctx}");
+            }
+        }
+    }
+    std::fs::remove_file(&v1).ok();
+    std::fs::remove_file(&v3).ok();
 }

@@ -1,15 +1,15 @@
 //! Streaming equivalence properties: the planner-driven out-of-core
 //! executor (`StreamingRasterJoin`) must produce exactly the results of
-//! the in-memory join it decomposes — counts bit-identical, sums within
-//! the f64 chunk-reassociation tolerance — across odd chunk boundaries
-//! (chunk sizes that don't divide the table), empty tables, and
-//! predicate + AVG queries; the
-//! chunk pool — the one threaded arm, whatever its width — must be a
-//! pure latency optimisation (bitwise-identical to the paper-faithful
-//! blocking reader); and because a streamed scan blends every pixel in
-//! row order and draws its polygons once, a bounded scan must be
-//! *bitwise* the one-batch in-memory join at any width whatever the chunk
-//! size.
+//! the in-memory join of the same plan — counts and sums bit-identical,
+//! however many batches the one and chunks the other take — across odd
+//! chunk boundaries (chunk sizes that don't divide the table), empty
+//! tables, and predicate + AVG queries; the chunk pool — the one threaded
+//! arm, whatever its width — must be a pure latency optimisation
+//! (bitwise-identical to the paper-faithful blocking reader); and
+//! because both absorb every pixel in row order into canvases held for
+//! the query, add the exact join's boundary hits one by one in row order
+//! and draw the polygons once, a bounded scan must be *bitwise* the
+//! in-memory join at any width whatever the chunk size.
 
 use proptest::prelude::*;
 use raster_join_repro::data::codec::FormatError;
@@ -27,17 +27,10 @@ fn tmp(tag: &str) -> PathBuf {
     p
 }
 
-fn assert_sums_close(got: &[f64], want: &[f64]) -> Result<(), TestCaseError> {
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        prop_assert!(
-            (g - w).abs() <= 1e-5 * w.abs().max(1.0),
-            "slot {}: {} vs {}",
-            i,
-            g,
-            w
-        );
-    }
-    Ok(())
+/// Sums by their bits: in-memory and streamed results are compared
+/// bitwise, so `-0.0` against `0.0` or a `NaN` would show too.
+fn bits(sums: &[f64]) -> Vec<u64> {
+    sums.iter().map(|s| s.to_bits()).collect()
 }
 
 /// The operator a scan ran, minus the worker count: widths may
@@ -107,16 +100,16 @@ proptest! {
         // In-memory reference: the plan the stream executed.
         let reference = in_memory(&s, &pts, &polys, &q, &dev);
         prop_assert_eq!(&s.output.counts, &reference.counts);
-        assert_sums_close(&s.output.sums, &reference.sums)?;
-        assert_sums_close(
-            &s.output.values(Aggregate::Avg(fare)),
-            &reference.values(Aggregate::Avg(fare)),
-        )?;
+        prop_assert_eq!(bits(&s.output.sums), bits(&reference.sums));
+        prop_assert_eq!(
+            bits(&s.output.values(Aggregate::Avg(fare))),
+            bits(&reference.values(Aggregate::Avg(fare)))
+        );
 
-        // The blocking (paper-faithful) arm is result-identical in counts.
+        // The blocking (paper-faithful) arm is result-identical.
         let blocking = mk().blocking().execute(&path, &polys, &q, &dev).unwrap();
         prop_assert_eq!(&blocking.output.counts, &reference.counts);
-        assert_sums_close(&blocking.output.sums, &s.output.sums)?;
+        prop_assert_eq!(bits(&blocking.output.sums), bits(&s.output.sums));
 
         // Every row was streamed, no matter how oddly the chunk size
         // straddles the table.
@@ -202,17 +195,15 @@ proptest! {
                     prop_assert_eq!(&pool.output.counts, &base.output.counts, "width {}", w);
                     prop_assert_eq!(&pool.output.sums, &base.output.sums, "width {}", w);
                 }
-                // In-memory reference for the pool's own plan: counts
-                // bit-identical; a bounded scan is bitwise the 1-worker
-                // join (so equal at every chunk size), an accurate one
-                // within the chunk-reassociation tolerance.
+                // In-memory reference for the pool's own plan: bitwise,
+                // and a bounded scan bitwise the 1-worker join too (so
+                // equal at every chunk size).
                 let reference = in_memory(&pool, &pts, &polys, &q, &dev);
                 prop_assert_eq!(&pool.output.counts, &reference.counts, "width {}", w);
+                prop_assert_eq!(bits(&pool.output.sums), bits(&reference.sums), "width {}", w);
                 if is_bounded(&pool) {
                     prop_assert_eq!(&pool.output.counts, &one.counts, "chunk {} width {}", chunk, w);
                     prop_assert_eq!(&pool.output.sums, &one.sums, "chunk {} width {}", chunk, w);
-                } else {
-                    assert_sums_close(&pool.output.sums, &reference.sums)?;
                 }
             }
         }
@@ -226,9 +217,8 @@ proptest! {
 /// bitwise at every cell; across widths whenever the chosen operator
 /// agrees; and every bounded cell equals the in-memory join — so bounded
 /// results are the same bits at every chunk size. The canvases here are
-/// sparse (6 000 points over ≈ 1366² pixels), so that in-memory join
-/// holds its tiles as pixel runs while the streamed scan blends dense
-/// resident canvases: runs ≡ dense bitwise, and the in-memory runs join
+/// sparse (6 000 points over ≈ 1366² pixels), so both the in-memory join
+/// and the streamed scan hold their tiles as pixel runs, and the runs join
 /// itself is the same bits at widths {1, 2, 4}. (Dense in-memory canvases
 /// against the streamed pieces: `tests/binning_properties.rs`.)
 #[test]
@@ -347,18 +337,10 @@ fn compressed_streaming_matches_raw_and_in_memory_for_all_configs() {
 
     let reference = in_memory(&raw, &pts, &polys, &q, &dev);
     assert_eq!(raw.output.counts, reference.counts);
-    for (i, (g, w)) in z
-        .output
-        .values(Aggregate::Avg(fare))
-        .iter()
-        .zip(&reference.values(Aggregate::Avg(fare)))
-        .enumerate()
-    {
-        assert!(
-            (g - w).abs() <= 1e-5 * w.abs().max(1.0),
-            "slot {i}: {g} vs {w}"
-        );
-    }
+    assert_eq!(
+        bits(&z.output.values(Aggregate::Avg(fare))),
+        bits(&reference.values(Aggregate::Avg(fare)))
+    );
     std::fs::remove_file(&raw_path).ok();
     std::fs::remove_file(&z_path).ok();
 }
@@ -424,20 +406,11 @@ fn pruned_scan_equals_full_scan_and_in_memory_for_all_configs_and_formats() {
             );
         }
         // In-memory reference: the plan the stream executed, over the
-        // unprojected table with the original query. Counts
-        // bit-identical; sums within the f64 chunk-reassociation
-        // tolerance (the chunk loop folds per-chunk partial sums in a
-        // different order than the one-shot in-memory batch — the
-        // *bitwise* guarantee is pruned ≡ full above, which share the
-        // chunking).
+        // unprojected table with the original query — bitwise too, the
+        // in-memory join folding its rows in the scan's order.
         let reference = in_memory(&pruned, &pts, &polys, &q, &dev);
         assert_eq!(pruned.output.counts, reference.counts, "{fmt}");
-        for (i, (g, w)) in pruned.output.sums.iter().zip(&reference.sums).enumerate() {
-            assert!(
-                (g - w).abs() <= 1e-9 * w.abs().max(1.0),
-                "{fmt} slot {i}: {g} vs {w}"
-            );
-        }
+        assert_eq!(bits(&pruned.output.sums), bits(&reference.sums), "{fmt}");
     }
     std::fs::remove_file(&v1).ok();
     std::fs::remove_file(&v2).ok();
