@@ -54,20 +54,15 @@ fn span_rows(c: &mut Criterion, label: &str, polys: &[Polygon], epsilon: f64, po
         // memcpy ceiling below assumes.
         let mut canvases = prepared.canvases(usize::MAX, &q, 1);
         canvases.absorb(
-            join.bin(
-                &prepared,
-                points,
-                &q,
-                Default::default(),
-                &mut Default::default(),
-            )
-            .binned,
+            prepared
+                .bin(points, &q, Default::default(), &mut Default::default())
+                .binned,
             1,
         );
-        let fragments = join.resolve(&prepared, &mut canvases, &q).stats.fragments;
+        let fragments = prepared.resolve(&mut canvases, &q, w).stats.fragments;
         g.throughput(Throughput::Elements(fragments));
         g.bench_function(BenchmarkId::new(format!("fold_mpx_{name}"), label), |b| {
-            b.iter(|| join.resolve(&prepared, &mut canvases, &q))
+            b.iter(|| prepared.resolve(&mut canvases, &q, w))
         });
         // Ceiling: copy the plane bytes the fold reads, 4 or 8 a pixel
         // (at most 16 M pixels' worth, to keep the bench small).

@@ -1,11 +1,16 @@
 //! Accurate raster join (§4.3): exact results with a minimal number of
-//! PIP tests.
+//! PIP tests — the bounded join's pipeline over one canvas, plus an
+//! outline whose points take the PIP path.
 //!
 //! Three steps:
 //!
 //! 1. **Draw outlines** — every polygon boundary segment is rendered with
 //!    conservative rasterization into a boundary FBO, so every pixel that
-//!    is even partially crossed by an outline is marked.
+//!    is even partially crossed by an outline is marked. This, the grid
+//!    and slab indexes, and the capped single canvas are all that
+//!    [`AccurateRasterJoin::prepare`] adds to the bounded join's
+//!    preparation: both prepare into the one
+//!    [`PreparedJoin`].
 //! 2. **Draw points** (Procedure AccuratePoints, `point_pass.rs`) — the
 //!    one point classifier bins the points with the outline test as its
 //!    closure: points landing on boundary pixels are resolved exactly via
@@ -15,42 +20,36 @@
 //!    the bounded join's gate, a dense one blended row band by row band
 //!    by the one thread that owns each.
 //! 3. **Draw polygons** (Procedure AccuratePolygons) — the bounded
-//!    variant's polygon pass (`polygon_pass.rs`) over the same
-//!    canvas. It is exact without the paper's per-fragment boundary
-//!    discard and without triangles, and tests pin both reasons:
+//!    join's polygon pass (`polygon_pass.rs`) over the same canvas. It is
+//!    exact without the paper's per-fragment boundary discard and without
+//!    triangles, and tests pin both reasons:
 //!    * step 2 never absorbs a point that lands on a boundary pixel — the
-//!      binner's outline closure sends it to `join_point`, in memory and in
-//!      [`AccurateRasterJoin::bin`] alike — so the canvas holds nothing
-//!      there and folding those pixels adds zero (debug builds assert it,
-//!      reading the canvas through `SpanSource`);
+//!      binner's outline closure sends it to `join_point`, in memory and
+//!      chunk by chunk alike — so the canvas holds nothing there and
+//!      folding those pixels adds zero (debug builds assert it, reading
+//!      the canvas through `SpanSource`);
 //!    * the outline marks every pixel an edge touches, so any other pixel
 //!      is wholly inside or wholly outside each polygon, its center at
 //!      least half a pixel from every edge: even–odd scanline coverage of
 //!      the rings is the triangulation's there, and `Polygon::contains`
 //!      for every point of the pixel.
 //!
-//! Like the bounded executor, the prepared form splits into *bin* (step 2
-//! for one chunk: boundary points PIP-tested into row-ordered hits,
-//! interior points emitted as pixel deltas — [`AccurateRasterJoin::bin`]),
-//! *absorb*, and *resolve* (step 3 — [`AccurateRasterJoin::resolve`]), on
-//! the one canvas lifecycle of both joins: acquired once per query,
-//! resolved once. [`AccurateRasterJoin::execute_prepared`] bins and
-//! absorbs row blocks on all its workers, the streaming scan bins chunks
-//! on its pool and absorbs them on one thread. Either way every addition
-//! happens in row order — the hits' onto the slots, then the resolve's —
-//! so counts and sums are bitwise the same at any width, batch, block or
-//! chunk size, in memory as streamed.
+//! Steps 2 and 3 are the bounded join's *bin*, *absorb* and *resolve*
+//! (`bounded.rs`), so a table whose points all miss the outline gets the
+//! bounded join's bits on the same canvas. Every addition happens in row
+//! order — the hits' onto the slots, then the resolve's — so counts and
+//! sums are bitwise the same at any width, batch, block or chunk size, in
+//! memory as streamed.
 
-use crate::point_pass::{bin_blocks, columns, settle_transfers, Hits, Outline};
-use crate::polygon_pass::{self, PolygonSide};
-use crate::query::{result_slots, AggregateMerger, ChunkDeltas, JoinOutput, Query};
-use crate::stats::ExecStats;
+use crate::bounded::PreparedJoin;
+use crate::point_pass::Outline;
+use crate::query::{JoinOutput, Query};
 use raster_data::PointTable;
 use raster_geom::{Polygon, SlabIndex};
-use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
-use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, timed};
+use raster_gpu::bin::CanvasTiling;
+use raster_gpu::exec::{block_for, default_workers, parallel_dynamic};
 use raster_gpu::raster::rasterize_segment_conservative;
-use raster_gpu::{BoundaryFbo, Device, FboPool, ResidentCanvases, SpanSource, Viewport};
+use raster_gpu::{BoundaryFbo, Device, Viewport};
 use raster_index::{AssignMode, GridIndex};
 use std::time::Instant;
 
@@ -82,86 +81,6 @@ impl Default for AccurateRasterJoin {
     }
 }
 
-/// Polygon-side state reusable across queries and chunk loops (the
-/// accurate counterpart of [`crate::bounded::PreparedBounded`]): the
-/// canvas viewport and its span table, conservative boundary FBO, grid
-/// index and slab index. The streamed scan (`raster-join::stream`, §7.7)
-/// calls [`AccurateRasterJoin::prepare`] once, [`AccurateRasterJoin::bin`]
-/// per chunk and [`AccurateRasterJoin::resolve`] at the end.
-pub struct PreparedAccurate<'a> {
-    /// `None` for an empty polygon set. Boxed: the streamed scan holds a
-    /// preparation by value beside the much smaller bounded one.
-    state: Option<Box<AccurateState<'a>>>,
-    nslots: usize,
-    /// The span table's build, reported as `ExecStats::triangulation`.
-    preparation: std::time::Duration,
-    index_build: std::time::Duration,
-    outline: std::time::Duration,
-    /// FBO recycling shared across every chunk executed against this
-    /// preparation (see `PreparedBounded::pool`).
-    pool: FboPool,
-}
-
-struct AccurateState<'a> {
-    side: PolygonSide,
-    /// The one canvas, as its own one tile.
-    canvas: CanvasTiling,
-    boundary: BoundaryFbo,
-    index: GridIndex,
-    slabs: SlabIndex<'a>,
-}
-
-impl AccurateState<'_> {
-    fn vp(&self) -> &Viewport {
-        &self.canvas.full
-    }
-
-    fn outline(&self) -> Outline<'_> {
-        Outline {
-            boundary: &self.boundary,
-            index: &self.index,
-            slabs: &self.slabs,
-        }
-    }
-
-    /// What makes the paper's per-fragment discard of step 3 redundant:
-    /// no boundary pixel of `canvas` has received a point.
-    fn boundary_pixels_hold_nothing(&self, canvas: &impl SpanSource) -> bool {
-        let (w, h) = (self.vp().width, self.vp().height);
-        (0..h).all(|y| {
-            (0..w).all(|x| {
-                !self.boundary.is_boundary(x, y) || canvas.span_totals(y, x, x + 1) == (0, 0.0)
-            })
-        })
-    }
-}
-
-impl PreparedAccurate<'_> {
-    /// The one canvas of a query that will scan `rows` rows, absorbed on
-    /// `workers` threads, for [`AccurateRasterJoin::resolve`] (see
-    /// [`ResidentCanvases`]).
-    pub fn canvases(&self, rows: usize, query: &Query, workers: usize) -> ResidentCanvases<'_> {
-        let tiles = self.state.as_ref().map(|s| &s.canvas.tiles[..]);
-        let sums = query.aggregate.attr().is_some();
-        self.pool
-            .acquire_resident(tiles.unwrap_or(&[]), rows, sums, workers)
-    }
-
-    /// Wall time of the one-off conservative outline pass. It is part of
-    /// *processing* time in one-shot execution (unlike ring extraction and
-    /// index build, the polygon processing §7.1 excludes); a chunk loop
-    /// must charge it exactly once, not per chunk.
-    pub fn outline_time(&self) -> std::time::Duration {
-        self.outline
-    }
-
-    /// Canvases checked out of this preparation's pool right now. Zero
-    /// between passes and after a streamed scan, however it ended.
-    pub fn outstanding_canvases(&self) -> usize {
-        self.pool.outstanding()
-    }
-}
-
 impl AccurateRasterJoin {
     pub fn new(workers: usize) -> Self {
         AccurateRasterJoin {
@@ -170,30 +89,20 @@ impl AccurateRasterJoin {
         }
     }
 
-    /// Scan-convert the polygons into the canvas's span table, build the
-    /// grid and slab indexes and draw the conservative outline pass —
+    /// The bounded join's preparation over one canvas of at most
+    /// `canvas_dim` (capped by the device) per axis, plus the outline:
+    /// the grid and slab indexes and the conservative outline pass —
     /// everything that depends only on the polygons and can be reused
     /// across point chunks.
-    pub fn prepare<'a>(&self, polys: &'a [Polygon], device: &Device) -> PreparedAccurate<'a> {
-        let nslots = result_slots(polys);
+    pub fn prepare<'a>(&self, polys: &'a [Polygon], device: &Device) -> PreparedJoin<'a> {
         if polys.is_empty() {
-            return PreparedAccurate {
-                state: None,
-                nslots,
-                preparation: std::time::Duration::ZERO,
-                index_build: std::time::Duration::ZERO,
-                outline: std::time::Duration::ZERO,
-                pool: FboPool::new(),
-            };
+            return PreparedJoin::new(polys, None, self.workers, None);
         }
         let extent = crate::bounded::polygon_extent(polys);
         let dim = self.canvas_dim.min(device.config().max_fbo_dim);
         // Square-ish canvas, shared rule with the planner's cost model.
         let (w, h) = Viewport::canvas_for_extent(&extent, dim);
         let vp = Viewport::new(extent, w, h);
-        let t0 = Instant::now();
-        let side = PolygonSide::prepare(polys, std::slice::from_ref(&vp), self.workers);
-        let preparation = t0.elapsed();
 
         // On-the-fly GPU index build (§6.1), timed separately (Table 1).
         // Exact-geometry assignment keeps candidate lists short; the
@@ -225,23 +134,20 @@ impl AccurateRasterJoin {
                 rasterize_segment_conservative(sa, sb, w, h, |x, y| boundary.mark(x, y));
             }
         });
-        let outline = t2.elapsed();
-        PreparedAccurate {
-            state: Some(Box::new(AccurateState {
-                side,
-                canvas: CanvasTiling::single(vp),
-                boundary,
-                index,
-                slabs,
-            })),
-            nslots,
-            preparation,
+        let outline = Outline {
+            boundary,
+            index,
+            slabs,
             index_build,
-            outline,
-            pool: FboPool::new(),
-        }
+            drawn: t2.elapsed(),
+        };
+        let canvas = Some(CanvasTiling::single(vp));
+        PreparedJoin::new(polys, canvas, self.workers, Some(outline))
     }
 
+    /// Execute `query` joining `points` with `polys` on `device`, the
+    /// outline pass charged to the query's processing as the paper's
+    /// step 1 runs inside it (§4.3).
     pub fn execute(
         &self,
         points: &PointTable,
@@ -250,140 +156,22 @@ impl AccurateRasterJoin {
         device: &Device,
     ) -> JoinOutput {
         let prepared = self.prepare(polys, device);
-        let mut out = self.execute_prepared(&prepared, points, query, device);
-        // One-shot execution charges the outline pass to processing, as
-        // the paper's step 1 runs inside the query (§4.3); chunk loops
-        // charge it once via `PreparedAccurate::outline_time`.
-        if prepared.state.is_some() {
-            out.stats.processing += prepared.outline;
-            out.stats.polygon_stage += prepared.outline;
-            out.stats.passes += 1;
-        }
-        out
+        prepared.execute_once(points, query, device, self.workers, self.batch_points)
     }
 
     /// Execute against a prepared polygon side (callers running their own
     /// chunk loop reuse the preparation — including the outline pass —
-    /// across every chunk): acquire the canvas once, run step 2 over the
-    /// table block by block, resolve once. The outline pass is *not*
-    /// charged here; see [`PreparedAccurate::outline_time`].
+    /// across every chunk) on this executor's workers and batch size. The
+    /// outline pass is *not* charged here; see
+    /// [`PreparedJoin::outline_time`].
     pub fn execute_prepared(
         &self,
-        prepared: &PreparedAccurate<'_>,
+        prepared: &PreparedJoin<'_>,
         points: &PointTable,
         query: &Query,
         device: &Device,
     ) -> JoinOutput {
-        let nslots = prepared.nslots;
-        let Some(state) = prepared.state.as_deref() else {
-            return JoinOutput {
-                counts: Vec::new(),
-                sums: Vec::new(),
-                stats: ExecStats::default(),
-            };
-        };
-        let proc0 = Instant::now();
-        let (mut stats, mut merged) = (ExecStats::default(), AggregateMerger::new(nslots));
-        let mut canvases = prepared.canvases(points.len(), query, self.workers);
-        // Step 2: boundary-pixel points PIP-tested into row-ordered hits,
-        // every other point absorbed into the canvas; then step 3. The
-        // hits and the resolve merge as a streamed scan's do.
-        let outline = state.outline();
-        let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
-        let (canvas, workers) = (&state.canvas, self.workers);
-        let sides = bin_blocks(
-            canvas,
-            points,
-            query,
-            workers,
-            divert,
-            &mut canvases,
-            &mut stats,
-        );
-        merged.add_hits(&Hits::concat(sides, &mut stats));
-        merged.fold(&self.resolve(prepared, &mut canvases, query));
-        drop(canvases);
-        let mut out = merged.finish();
-        out.stats.fold(&stats);
-        out.stats.triangulation = prepared.preparation;
-        out.stats.index_build = prepared.index_build;
-        out.stats.processing = proc0.elapsed();
-        let batch = self.batch_points;
-        settle_transfers(&mut out.stats, points, query, device, batch, nslots);
-        out
-    }
-
-    /// *Bin* one chunk (step 2 without the absorb) on the calling thread:
-    /// boundary-pixel points are PIP-tested into the chunk's row-ordered
-    /// hits and every interior point is emitted as a `(pixel, value)`
-    /// delta.
-    /// Nothing here touches a canvas, so the streaming scan's pool workers
-    /// run it concurrently; row order in, row order out. Buffers as in
-    /// [`crate::BoundedRasterJoin::bin`].
-    pub fn bin(
-        &self,
-        prepared: &PreparedAccurate<'_>,
-        points: &PointTable,
-        query: &Query,
-        mut binned: BinnedBatch,
-        scratch: &mut BinScratch,
-    ) -> ChunkDeltas {
-        let t0 = Instant::now();
-        let mut partial = JoinOutput {
-            counts: Vec::new(),
-            sums: Vec::new(),
-            stats: ExecStats {
-                batches: 1,
-                ..ExecStats::default()
-            },
-        };
-        let mut hits = Vec::new();
-        if let Some(state) = prepared.state.as_deref() {
-            let outline = state.outline();
-            let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
-            let (cols, keep) = columns(points, 0..points.len(), query);
-            let sides = bin_columns(&mut binned, scratch, &state.canvas, cols, 1, keep, divert);
-            hits = Hits::concat(sides, &mut partial.stats);
-            partial.stats.binned_points = binned.len() as u64;
-        }
-        partial.stats.point_stage = t0.elapsed();
-        partial.stats.binning = partial.stats.point_stage;
-        partial.stats.processing = partial.stats.point_stage;
-        ChunkDeltas {
-            binned,
-            hits,
-            partial,
-        }
-    }
-
-    /// *Resolve* the canvas every batch or chunk was absorbed into
-    /// ([`PreparedAccurate::canvases`]): step 3 (Procedure
-    /// AccuratePolygons), the shared polygon pass, once, at this
-    /// executor's width. Counts and sums come out the same at any width.
-    pub fn resolve(
-        &self,
-        prepared: &PreparedAccurate<'_>,
-        canvases: &mut ResidentCanvases<'_>,
-        query: &Query,
-    ) -> JoinOutput {
-        let mut out = JoinOutput {
-            counts: vec![0; prepared.nslots],
-            sums: vec![0.0; prepared.nslots],
-            stats: ExecStats::default(),
-        };
-        if let Some(state) = prepared.state.as_ref() {
-            let stats = &mut out.stats;
-            stats.runs_passes = timed(&mut stats.point_stage, || canvases.build_runs(self.workers));
-            let canvas = canvases.tile(0);
-            debug_assert!(
-                state.boundary_pixels_hold_nothing(canvas),
-                "step 2 absorbed a point on a boundary pixel"
-            );
-            let needs_sums = query.aggregate.attr().is_some();
-            polygon_pass::draw_polygons(&state.side, 0, canvas, needs_sums, self.workers, &mut out);
-            out.stats.processing = out.stats.point_stage + out.stats.polygon_stage;
-        }
-        out
+        prepared.execute(points, query, device, self.workers, self.batch_points)
     }
 }
 
@@ -391,9 +179,11 @@ impl AccurateRasterJoin {
 mod tests {
     use super::*;
     use crate::bounded::BoundedRasterJoin;
+    use crate::stats::ExecStats;
     use raster_data::generators::{nyc_extent, uniform_points, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
     use raster_geom::Point;
+    use raster_gpu::SpanSource;
 
     fn simple_polys() -> Vec<Polygon> {
         vec![
@@ -638,21 +428,20 @@ mod tests {
             ..narrow
         };
         let prepared = narrow.prepare(&polys, &dev);
-        let state = prepared.state.as_ref().unwrap();
+        let outline = prepared.outline.as_ref().unwrap();
+        let vp = prepared.tiles()[0];
         let on_outline = |i: usize| {
-            let pixel = state.vp().pixel_of(pts.point(i));
-            pixel.is_some_and(|(x, y)| state.boundary.is_boundary(x, y))
+            let pixel = vp.pixel_of(pts.point(i));
+            pixel.is_some_and(|(x, y)| outline.boundary.is_boundary(x, y))
         };
         assert!(
             (0..pts.len()).filter(|&i| on_outline(i)).count() > 100,
             "the canvas must put points on outlines"
         );
-        let (w, h) = (state.vp().width, state.vp().height);
+        let (w, h) = (vp.width, vp.height);
         let total =
             |canvas: &dyn SpanSource| (0..h).map(|y| canvas.span_count(y, 0, w)).sum::<u64>();
 
-        let outline = state.outline();
-        let divert = |hits: &mut Hits, pix, p, v| outline.divert(hits, pix, p, v);
         // The rows announced pick the canvas: dense for the table, runs
         // for one row.
         for (join, rows, runs) in [
@@ -662,53 +451,80 @@ mod tests {
         ] {
             let mut canvases = prepared.canvases(rows, &q, join.workers);
             let mut stats = ExecStats::default();
-            let hits = bin_blocks(
-                &state.canvas,
-                &pts,
-                &q,
-                join.workers,
-                divert,
-                &mut canvases,
-                &mut stats,
-            );
-            let mut stats = ExecStats::default();
-            Hits::concat(hits, &mut stats);
+            prepared.bin_blocks(&pts, &q, join.workers, &mut canvases, &mut stats);
             assert!(stats.pip_tests > 0);
             assert_eq!(canvases.build_runs(join.workers), runs);
             let canvas = canvases.tile(0);
             assert!(total(canvas) > 0);
             let ctx = format!("{} workers, {rows} rows", join.workers);
-            assert!(state.boundary_pixels_hold_nothing(canvas), "{ctx}");
+            assert!(outline.holds_nothing(canvas), "{ctx}");
         }
 
         let mut canvases = prepared.canvases(pts.len(), &q, 1);
         for start in (0..pts.len()).step_by(9_000) {
             let chunk = pts.slice(start, (start + 9_000).min(pts.len()));
-            canvases.absorb(
-                narrow
-                    .bin(
-                        &prepared,
-                        &chunk,
-                        &q,
-                        Default::default(),
-                        &mut Default::default(),
-                    )
-                    .binned,
-                1,
-            );
+            let deltas = prepared.bin(&chunk, &q, Default::default(), &mut Default::default());
+            canvases.absorb(deltas.binned, 1);
         }
         canvases.build_runs(1);
         assert!(total(canvases.tile(0)) > 0);
-        assert!(state.boundary_pixels_hold_nothing(canvases.tile(0)));
+        assert!(outline.holds_nothing(canvases.tile(0)));
 
         // The check is not vacuous: one point on an outline pixel fails it.
         let (x, y) = (0..w)
             .flat_map(|x| (0..h).map(move |y| (x, y)))
-            .find(|&(x, y)| state.boundary.is_boundary(x, y))
+            .find(|&(x, y)| outline.boundary.is_boundary(x, y))
             .unwrap();
         let fbo = raster_gpu::PointFbo::new(w, h);
         fbo.blend_add(x, y, 0.0);
-        assert!(!state.boundary_pixels_hold_nothing(&fbo));
+        assert!(!outline.holds_nothing(&fbo));
+    }
+
+    /// The exact join is the bounded pipeline plus an outline: on a table
+    /// whose points all sit on the centres of interior pixels of its
+    /// canvas, nothing takes the PIP path, and the counts and sums are
+    /// the bounded join's on that canvas, to the bit, at any width.
+    #[test]
+    fn exact_is_bounded_plus_outline() {
+        let extent = nyc_extent();
+        let polys = synthetic_polygons(8, &extent, 91);
+        let dev = Device::default();
+        let join = AccurateRasterJoin {
+            canvas_dim: 128,
+            index_dim: 64,
+            ..AccurateRasterJoin::new(1)
+        };
+        let prepared = join.prepare(&polys, &dev);
+        let (outline, vp) = (prepared.outline.as_ref().unwrap(), prepared.tiles()[0]);
+        // Every fifth pixel centre off the outline, each several times over
+        // with distinct fares, so the f32 pixel sums and f64 slot sums both
+        // depend on their order.
+        let mut pts = PointTable::with_capacity(0, &["fare"]);
+        for rep in 0..3 {
+            for y in 0..vp.height {
+                for x in (y % 5..vp.width).step_by(5) {
+                    if !outline.boundary.is_boundary(x, y) {
+                        let v = (x * 7 + y * 13 + rep) as f32 * 0.37;
+                        pts.push(vp.pixel_center(x, y), &[v]);
+                    }
+                }
+            }
+        }
+        assert!(pts.len() > 5_000);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for workers in [1, 4] {
+            let bounded = BoundedRasterJoin::new(workers);
+            let on_canvas = bounded.prepare_view(&polys, vp, &dev);
+            assert_eq!(on_canvas.tiles().len(), 1);
+            for q in [Query::count(), Query::sum(0)] {
+                let exact = AccurateRasterJoin { workers, ..join }.execute(&pts, &polys, &q, &dev);
+                let approx = bounded.execute_prepared(&on_canvas, &pts, &q, &dev);
+                assert_eq!(exact.stats.pip_tests, 0, "{workers} workers");
+                assert!(exact.total_count() > 0);
+                assert_eq!(exact.counts, approx.counts, "{workers} workers");
+                assert_eq!(bits(&exact.sums), bits(&approx.sums), "{workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Bounded raster join (§4.1–4.2): the approximate, PIP-free operator.
+//! Bounded raster join (§4.1–4.2): the approximate, PIP-free operator,
+//! and [`PreparedJoin`], the pipeline both raster joins run.
 //!
 //! Pipeline per query:
 //!
@@ -15,21 +16,29 @@
 //! device budget needs (§5), and the polygons drawn once per query:
 //! batches are upload accounting (`ExecStats::{batches, upload_bytes}`).
 //!
-//! The prepared executor is three pieces: *bin* a run of points into
-//! per-tile `(pixel index, value)` deltas ([`BoundedRasterJoin::bin`]),
-//! *absorb* deltas into the query's canvases
-//! ([`ResidentCanvases::absorb`]), and *resolve* them through the polygon
-//! pass ([`BoundedRasterJoin::resolve`]), once per query:
-//! [`BoundedRasterJoin::execute_prepared`] bins and absorbs block by block
-//! on all its workers, the streaming scan (`raster-join::stream`) bins
-//! chunks on its pool and absorbs them in chunk order on one thread.
+//! # One prepared join
+//!
+//! The exact join (§4.3, `accurate.rs`) is this pipeline over one capped
+//! canvas plus an outline whose points take the PIP path, so both joins
+//! prepare into the one [`PreparedJoin`]: the canvas tiling, one span
+//! table per tile, and — the exact join's only — the outline. The
+//! executors differ only in how they prepare; everything after is
+//! written once, here, in three pieces: *bin* a run of points into
+//! per-tile `(pixel index, value)` deltas and, with an outline, row-ordered
+//! PIP hits ([`PreparedJoin::bin`]), *absorb* deltas into the query's
+//! canvases ([`ResidentCanvases::absorb`]), and *resolve* them through the
+//! polygon pass ([`PreparedJoin::resolve`]), once per query. An in-memory
+//! query bins and absorbs block by block on all its workers
+//! ([`BoundedRasterJoin::execute_prepared`]); the streaming scan
+//! (`raster-join::stream`) bins chunks on its pool and absorbs them in
+//! chunk order on one thread.
 //!
 //! # The resident gate: runs or dense, once per query
 //!
 //! The canvas resolution follows ε (§4.2), so a fine ε leaves most pixels
 //! empty: the taxi canvas at ε = 10 m holds 0.03 points per pixel. Each
 //! tile is therefore held one of two ways for the whole query, picked at
-//! acquire ([`PreparedBounded::canvases`]) by `raster_gpu::use_runs` from
+//! acquire ([`PreparedJoin::canvases`]) by `raster_gpu::use_runs` from
 //! the rows the query will scan (table length, or header rows streamed):
 //!
 //! * **runs** — `raster_gpu::PixelRuns`: the batches kept as binned, each
@@ -46,21 +55,22 @@
 //! says how many tiles took runs. There is no option: the planner
 //! mirrors the same gate (`optimizer::cost::shape`).
 //!
-//! Every pixel's f32 sum accumulates in row order on either canvas, so
-//! counts and sums are the same bits at any worker count and batch count,
-//! and the streamed scan's at any chunk size.
+//! Every pixel's f32 sum accumulates in row order on either canvas, and
+//! every hit is added to its slot in row order before the resolve's
+//! partials, so counts and sums are the same bits at any worker count
+//! and batch count, and the streamed scan's at any chunk size.
 
-use crate::point_pass::{bin_blocks, columns, settle_transfers};
+use crate::point_pass::{columns, settle_transfers, Hits, Outline, BLOCK_ROWS};
 use crate::polygon_pass::{self, PolygonSide};
-use crate::query::{result_slots, ChunkDeltas, JoinOutput, Query};
+use crate::query::{result_slots, AggregateMerger, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::{BBox, Polygon};
-use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
+use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling, PointColumns};
 use raster_gpu::exec::{default_workers, timed};
 use raster_gpu::{no_outline, Device, FboPool, ResidentCanvases, Viewport};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The bounded (approximate) raster join operator.
 pub struct BoundedRasterJoin {
@@ -79,42 +89,291 @@ impl Default for BoundedRasterJoin {
     }
 }
 
-/// Polygon-side state reusable across queries and chunk loops: the
-/// ε-derived canvas tiling and one span table per tile. The paper
-/// processes polygons once per query regardless of how many point batches
-/// stream through (§5); callers running their own chunk loop (e.g. the
-/// disk-resident scan of §7.7) should [`BoundedRasterJoin::prepare`] once
-/// and reuse.
-pub struct PreparedBounded {
-    side: PolygonSide,
+/// A raster join's polygon side, reusable across queries and chunk loops:
+/// the canvas tiling, one span table per tile and, for the exact join,
+/// the outline with its indexes. The paper processes polygons once per
+/// query regardless of how many point batches stream through (§5);
+/// callers running their own chunk loop (e.g. the disk-resident scan of
+/// §7.7) prepare once — [`BoundedRasterJoin::prepare`] or
+/// [`crate::AccurateRasterJoin::prepare`] — and reuse.
+pub struct PreparedJoin<'a> {
+    /// `None` for an empty polygon set.
     tiling: Option<CanvasTiling>,
+    pub(crate) side: PolygonSide,
     nslots: usize,
-    preparation: std::time::Duration,
+    /// The span tables' build, reported as `ExecStats::triangulation`.
+    pub(crate) preparation: Duration,
     /// Canvas recycling shared across every query against this
     /// preparation: a caller's loop would otherwise reallocate (and
     /// page-fault) hundreds of MB per query at fine ε, outside any timer.
     pool: FboPool,
+    /// The exact join's outline over its one tile; `None` for the bounded
+    /// join.
+    pub(crate) outline: Option<Outline<'a>>,
 }
 
-impl PreparedBounded {
+impl<'a> PreparedJoin<'a> {
+    /// Scan-convert `polys` into a span table per tile of `tiling` on up
+    /// to `workers` threads, beside the exact join's `outline`, if any.
+    pub(crate) fn new(
+        polys: &[Polygon],
+        tiling: Option<CanvasTiling>,
+        workers: usize,
+        outline: Option<Outline<'a>>,
+    ) -> PreparedJoin<'a> {
+        let t0 = Instant::now();
+        let tiles = tiling.as_ref().map_or(&[][..], |t| &t.tiles);
+        let side = PolygonSide::prepare(polys, tiles, workers);
+        PreparedJoin {
+            tiling,
+            side,
+            nslots: result_slots(polys),
+            preparation: t0.elapsed(),
+            pool: FboPool::new(),
+            outline,
+        }
+    }
+
     /// Canvases checked out of this preparation's pool right now. Zero
     /// between queries against this preparation, however they ended.
     pub fn outstanding_canvases(&self) -> usize {
         self.pool.outstanding()
     }
 
+    /// Wall time of the exact join's one-off conservative outline pass
+    /// (zero without an outline). It is part of *processing* time in a
+    /// query (unlike ring extraction and index build, the polygon
+    /// processing §7.1 excludes); a chunk loop charges it exactly once,
+    /// not per chunk.
+    pub fn outline_time(&self) -> Duration {
+        self.outline.as_ref().map_or(Duration::ZERO, |o| o.drawn)
+    }
+
+    /// Charge the outline pass to a query's `stats`: the paper's step 1
+    /// runs inside the query (§4.3). A no-op without an outline.
+    pub(crate) fn charge_outline(&self, stats: &mut ExecStats) {
+        if let Some(outline) = &self.outline {
+            stats.processing += outline.drawn;
+            stats.polygon_stage += outline.drawn;
+            stats.passes += 1;
+        }
+    }
+
+    pub(crate) fn tiles(&self) -> &[Viewport] {
+        self.tiling.as_ref().map_or(&[], |t| &t.tiles)
+    }
+
+    pub(crate) fn nslots(&self) -> usize {
+        self.nslots
+    }
+
     /// The canvases of a query that will scan `rows` rows, absorbed on
     /// `workers` threads, in the tile order of [`ChunkDeltas::binned`], for
-    /// [`BoundedRasterJoin::resolve`] (see [`ResidentCanvases`]). Empty
-    /// without polygons.
+    /// [`PreparedJoin::resolve`] (see [`ResidentCanvases`]). Empty without
+    /// polygons.
     pub fn canvases(&self, rows: usize, query: &Query, workers: usize) -> ResidentCanvases<'_> {
         let sums = query.aggregate.attr().is_some();
         self.pool
             .acquire_resident(self.tiles(), rows, sums, workers)
     }
 
-    pub(crate) fn tiles(&self) -> &[Viewport] {
-        self.tiling.as_ref().map_or(&[], |t| &t.tiles)
+    /// Classify `cols` into `binned` on `workers` threads: the one
+    /// classifier, handed the outline's test as its closure when there is
+    /// one. Returns the outline's hits in row order; PIP tests to `stats`.
+    fn classify<K>(
+        &self,
+        tiling: &CanvasTiling,
+        binned: &mut BinnedBatch,
+        scratch: &mut BinScratch,
+        (cols, keep): (PointColumns<'_>, K),
+        workers: usize,
+        stats: &mut ExecStats,
+    ) -> Vec<(u32, f32)>
+    where
+        K: Fn(usize, &mut [bool]) + Sync,
+    {
+        match &self.outline {
+            None => {
+                bin_columns(binned, scratch, tiling, cols, workers, keep, no_outline);
+                Vec::new()
+            }
+            Some(o) => {
+                let divert = |hits: &mut Hits, pix, p, v| o.divert(hits, pix, p, v);
+                let sides = bin_columns(binned, scratch, tiling, cols, workers, keep, divert);
+                Hits::concat(sides, stats)
+            }
+        }
+    }
+
+    /// *Bin* one chunk on the calling thread: the filter a column at a
+    /// time into a keep-mask per block of rows, then the pixel of every
+    /// kept point, into (tile, band) deltas in row order — or, on an
+    /// outline pixel, PIP-tested into the chunk's row-ordered hits. The
+    /// streaming scan's chunk-pool workers run this and nothing else of
+    /// the join, so the entry order — hence every pixel's f32 blend order
+    /// — is the table's row order at any pool width. The deltas reuse the
+    /// buffers of `binned` (an earlier chunk's, once absorbed) and the
+    /// calling thread's staging `scratch`; both may start as
+    /// `Default::default()`.
+    pub fn bin(
+        &self,
+        points: &PointTable,
+        query: &Query,
+        mut binned: BinnedBatch,
+        scratch: &mut BinScratch,
+    ) -> ChunkDeltas {
+        let t0 = Instant::now();
+        let mut stats = ExecStats {
+            batches: 1,
+            ..ExecStats::default()
+        };
+        let mut hits = Vec::new();
+        if let Some(tiling) = &self.tiling {
+            let cols = columns(points, 0..points.len(), query);
+            hits = self.classify(tiling, &mut binned, scratch, cols, 1, &mut stats);
+        }
+        let dt = t0.elapsed();
+        (stats.processing, stats.binning, stats.point_stage) = (dt, dt, dt);
+        stats.binned_points = binned.len() as u64;
+        let partial = JoinOutput {
+            counts: Vec::new(),
+            sums: Vec::new(),
+            stats,
+        };
+        ChunkDeltas {
+            binned,
+            hits,
+            partial,
+        }
+    }
+
+    /// The point pass of an in-memory table onto `canvases`: block by
+    /// block, binned on `workers` threads into one reused batch, then
+    /// absorbed at that width. Returns every block's hits, in row order.
+    pub(crate) fn bin_blocks(
+        &self,
+        points: &PointTable,
+        query: &Query,
+        workers: usize,
+        canvases: &mut ResidentCanvases<'_>,
+        stats: &mut ExecStats,
+    ) -> Vec<(u32, f32)> {
+        let Some(tiling) = &self.tiling else {
+            return Vec::new();
+        };
+        let (mut binned, scratch) = (BinnedBatch::default(), &mut BinScratch::default());
+        let mut hits = Vec::new();
+        let mut point_stage = Duration::ZERO;
+        timed(&mut point_stage, || {
+            for start in (0..points.len()).step_by(BLOCK_ROWS) {
+                let rows = start..(start + BLOCK_ROWS).min(points.len());
+                let cols = columns(points, rows, query);
+                let mut binning = Duration::ZERO;
+                let block = timed(&mut binning, || {
+                    self.classify(tiling, &mut binned, scratch, cols, workers, stats)
+                });
+                hits.extend(block);
+                stats.binning += binning;
+                stats.binned_points += binned.len() as u64;
+                binned = canvases.absorb(std::mem::take(&mut binned), workers);
+            }
+        });
+        stats.point_stage += point_stage;
+        hits
+    }
+
+    /// *Resolve* the canvases every batch or chunk was absorbed into
+    /// ([`PreparedJoin::canvases`]): build the runs tiles, then one
+    /// polygon pass per tile on `workers` threads (for the exact join,
+    /// step 3 — Procedure AccuratePolygons). Counts and sums come out the
+    /// same at any width.
+    pub fn resolve(
+        &self,
+        canvases: &mut ResidentCanvases<'_>,
+        query: &Query,
+        workers: usize,
+    ) -> JoinOutput {
+        let mut out = JoinOutput {
+            counts: vec![0; self.nslots],
+            sums: vec![0.0; self.nslots],
+            stats: ExecStats::default(),
+        };
+        let needs_sums = query.aggregate.attr().is_some();
+        let stats = &mut out.stats;
+        stats.runs_passes = timed(&mut stats.point_stage, || canvases.build_runs(workers));
+        for ti in 0..self.tiles().len() {
+            let canvas = canvases.tile(ti);
+            debug_assert!(
+                self.outline
+                    .as_ref()
+                    .is_none_or(|o| o.holds_nothing(canvas)),
+                "the point pass absorbed a point on a boundary pixel"
+            );
+            polygon_pass::draw_polygons(&self.side, ti, canvas, needs_sums, workers, &mut out);
+        }
+        out.stats.processing = out.stats.point_stage + out.stats.polygon_stage;
+        out
+    }
+
+    /// Run `query` over an in-memory table on `workers` threads: acquire
+    /// the canvases once, bin and absorb the table block by block, add
+    /// the hits, resolve once. The outline pass is *not* charged here; see
+    /// [`PreparedJoin::outline_time`].
+    pub(crate) fn execute(
+        &self,
+        points: &PointTable,
+        query: &Query,
+        device: &Device,
+        workers: usize,
+        batch_points: Option<usize>,
+    ) -> JoinOutput {
+        if self.tiling.is_none() {
+            return JoinOutput {
+                counts: vec![0; self.nslots],
+                sums: vec![0.0; self.nslots],
+                stats: ExecStats::default(),
+            };
+        }
+        let proc0 = Instant::now();
+        let mut stats = ExecStats::default();
+        let mut merged = AggregateMerger::new(self.nslots);
+        let mut canvases = self.canvases(points.len(), query, workers);
+        let hits = self.bin_blocks(points, query, workers, &mut canvases, &mut stats);
+        merged.add_hits(&hits);
+        merged.fold(&self.resolve(&mut canvases, query, workers));
+        drop(canvases);
+        let mut out = merged.finish();
+        out.stats.fold(&stats);
+        out.stats.triangulation = self.preparation;
+        out.stats.index_build = self
+            .outline
+            .as_ref()
+            .map_or(Duration::ZERO, |o| o.index_build);
+        out.stats.processing = proc0.elapsed();
+        settle_transfers(
+            &mut out.stats,
+            points,
+            query,
+            device,
+            batch_points,
+            self.nslots,
+        );
+        out
+    }
+
+    /// A one-shot query: [`PreparedJoin::execute`] with the outline pass
+    /// charged to it.
+    pub(crate) fn execute_once(
+        &self,
+        points: &PointTable,
+        query: &Query,
+        device: &Device,
+        workers: usize,
+        batch_points: Option<usize>,
+    ) -> JoinOutput {
+        let mut out = self.execute(points, query, device, workers, batch_points);
+        self.charge_outline(&mut out.stats);
+        out
     }
 }
 
@@ -129,9 +388,14 @@ impl BoundedRasterJoin {
     /// Derive the canvas for `epsilon` — the polygon extent at the
     /// resolution that realises ε (§4.2) — and scan-convert the polygons
     /// once into a span table per tile (`polygon_pass.rs`).
-    pub fn prepare(&self, polys: &[Polygon], epsilon: f64, device: &Device) -> PreparedBounded {
+    pub fn prepare(
+        &self,
+        polys: &[Polygon],
+        epsilon: f64,
+        device: &Device,
+    ) -> PreparedJoin<'static> {
         if polys.is_empty() {
-            return self.prepare_tiled(polys, None, device);
+            return PreparedJoin::new(polys, None, self.workers, None);
         }
         let extent = polygon_extent(polys);
         let (w, h) = resolution_for_epsilon(&extent, epsilon);
@@ -148,28 +412,10 @@ impl BoundedRasterJoin {
         polys: &[Polygon],
         canvas: Viewport,
         device: &Device,
-    ) -> PreparedBounded {
-        self.prepare_tiled(polys, (!polys.is_empty()).then_some(canvas), device)
-    }
-
-    fn prepare_tiled(
-        &self,
-        polys: &[Polygon],
-        canvas: Option<Viewport>,
-        device: &Device,
-    ) -> PreparedBounded {
-        let t0 = Instant::now();
-        let tiling = canvas.map(|full| CanvasTiling::new(full, device.config().max_fbo_dim));
-        let tiles = tiling.as_ref().map_or(&[][..], |t| &t.tiles);
-        let side = PolygonSide::prepare(polys, tiles, self.workers);
-        let preparation = t0.elapsed();
-        PreparedBounded {
-            side,
-            tiling,
-            nslots: result_slots(polys),
-            preparation,
-            pool: FboPool::new(),
-        }
+    ) -> PreparedJoin<'static> {
+        let max_dim = device.config().max_fbo_dim;
+        let tiling = (!polys.is_empty()).then(|| CanvasTiling::new(canvas, max_dim));
+        PreparedJoin::new(polys, tiling, self.workers, None)
     }
 
     /// Execute `query` joining `points` with `polys` on `device`.
@@ -181,112 +427,21 @@ impl BoundedRasterJoin {
         device: &Device,
     ) -> JoinOutput {
         let prepared = self.prepare(polys, query.epsilon, device);
-        self.execute_prepared(&prepared, points, query, device)
+        prepared.execute_once(points, query, device, self.workers, self.batch_points)
     }
 
     /// Execute against a prepared polygon side (chunked scans reuse the
-    /// preparation across every chunk): acquire the canvases once, absorb
-    /// the table block by block, resolve once.
+    /// preparation across every chunk) on this executor's workers and
+    /// batch size: acquire the canvases once, bin and absorb the table
+    /// block by block, resolve once.
     pub fn execute_prepared(
         &self,
-        prepared: &PreparedBounded,
+        prepared: &PreparedJoin<'_>,
         points: &PointTable,
         query: &Query,
         device: &Device,
     ) -> JoinOutput {
-        let Some(tiling) = prepared.tiling.as_ref() else {
-            return JoinOutput {
-                counts: vec![0; prepared.nslots],
-                sums: vec![0.0; prepared.nslots],
-                stats: ExecStats::default(),
-            };
-        };
-        let proc0 = Instant::now();
-        let mut stats = ExecStats::default();
-        let mut canvases = prepared.canvases(points.len(), query, self.workers);
-        bin_blocks::<(), _>(
-            tiling,
-            points,
-            query,
-            self.workers,
-            no_outline,
-            &mut canvases,
-            &mut stats,
-        );
-        let mut out = self.resolve(prepared, &mut canvases, query);
-        drop(canvases);
-        out.stats.fold(&stats);
-        out.stats.triangulation = prepared.preparation;
-        out.stats.processing = proc0.elapsed();
-        let (batch, nslots) = (self.batch_points, prepared.nslots);
-        settle_transfers(&mut out.stats, points, query, device, batch, nslots);
-        out
-    }
-
-    /// *Bin* one chunk on the calling thread: the filter a column at a
-    /// time into a keep-mask per block of rows, then the pixel of every
-    /// kept point, into (tile, band) deltas in row order. The streaming
-    /// scan's chunk-pool workers run this and nothing else of the join, so
-    /// the entry order — hence every pixel's f32 blend order — is the
-    /// table's row order at any pool width. The deltas reuse the buffers
-    /// of `binned` (an earlier chunk's, once absorbed) and the calling
-    /// thread's staging `scratch`; both may start as `Default::default()`.
-    pub fn bin(
-        &self,
-        prepared: &PreparedBounded,
-        points: &PointTable,
-        query: &Query,
-        mut binned: BinnedBatch,
-        scratch: &mut BinScratch,
-    ) -> ChunkDeltas {
-        let t0 = Instant::now();
-        if let Some(tiling) = &prepared.tiling {
-            let (cols, keep) = columns(points, 0..points.len(), query);
-            bin_columns(&mut binned, scratch, tiling, cols, 1, keep, no_outline);
-        }
-        let dt = t0.elapsed();
-        ChunkDeltas {
-            partial: JoinOutput {
-                counts: Vec::new(),
-                sums: Vec::new(),
-                stats: ExecStats {
-                    processing: dt,
-                    binning: dt,
-                    point_stage: dt,
-                    binned_points: binned.len() as u64,
-                    batches: 1,
-                    ..ExecStats::default()
-                },
-            },
-            binned,
-            hits: Vec::new(),
-        }
-    }
-
-    /// *Resolve* the canvases every batch or chunk was absorbed into
-    /// ([`PreparedBounded::canvases`]): build the runs tiles, then one
-    /// polygon pass per tile at this executor's width. Counts and sums
-    /// come out the same at any width.
-    pub fn resolve(
-        &self,
-        prepared: &PreparedBounded,
-        canvases: &mut ResidentCanvases<'_>,
-        query: &Query,
-    ) -> JoinOutput {
-        let mut out = JoinOutput {
-            counts: vec![0; prepared.nslots],
-            sums: vec![0.0; prepared.nslots],
-            stats: ExecStats::default(),
-        };
-        let needs_sums = query.aggregate.attr().is_some();
-        let stats = &mut out.stats;
-        stats.runs_passes = timed(&mut stats.point_stage, || canvases.build_runs(self.workers));
-        for ti in 0..prepared.tiles().len() {
-            let (side, canvas) = (&prepared.side, canvases.tile(ti));
-            polygon_pass::draw_polygons(side, ti, canvas, needs_sums, self.workers, &mut out);
-        }
-        out.stats.processing = out.stats.point_stage + out.stats.polygon_stage;
-        out
+        prepared.execute(points, query, device, self.workers, self.batch_points)
     }
 }
 
@@ -536,15 +691,10 @@ mod tests {
         assert_eq!(out.counts, vec![1, 2, 3, 2]);
 
         let mut canvases = prepared.canvases(pts.len(), &Query::sum(0), 1);
-        let deltas = join.bin(
-            &prepared,
-            &pts,
-            &Query::sum(0),
-            Default::default(),
-            &mut Default::default(),
-        );
+        let q = Query::sum(0);
+        let deltas = prepared.bin(&pts, &q, Default::default(), &mut Default::default());
         canvases.absorb(deltas.binned, 1);
-        let resolved = join.resolve(&prepared, &mut canvases, &Query::sum(0));
+        let resolved = prepared.resolve(&mut canvases, &Query::sum(0), join.workers);
         assert_eq!((resolved.stats.spans, resolved.stats.passes), (spans, 2));
         assert_eq!((&resolved.counts, &resolved.sums), (&out.counts, &out.sums));
     }

@@ -15,18 +15,25 @@
 //!   and for `benchmark/`). Accuracy is governed by an ε Hausdorff bound
 //!   translated into canvas resolution; canvases larger than the FBO
 //!   limit are split into multiple render passes.
-//! * [`accurate::AccurateRasterJoin`] — the exact variant of §4.3: polygon
-//!   outlines are drawn conservatively into a boundary FBO and only points
-//!   landing on boundary pixels take the index + point-in-polygon path;
-//!   the rest is the bounded variant's polygon pass over the same canvas.
+//! * [`accurate::AccurateRasterJoin`] — the exact variant of §4.3: the
+//!   bounded pipeline over one capped canvas, plus polygon outlines drawn
+//!   conservatively into a boundary FBO; only points landing on boundary
+//!   pixels take the index + point-in-polygon path.
+//!
+//!   Both prepare into the one [`bounded::PreparedJoin`] — canvas tiling,
+//!   span tables and, exact only, the outline — which holds the *bin*,
+//!   *absorb* and *resolve* pieces and the in-memory driver, written
+//!   once; [`Plan::prepare`] is the one plan→preparation mapping.
 //! * [`stream::StreamingRasterJoin`] — the §7.7 disk-resident scan as a
-//!   planner-driven streaming executor over either join's *bin* / *blend*
-//!   / *resolve* pieces: chunk sizes from the planner's batch model,
-//!   polygon side prepared once, disk reads overlapped with join
+//!   planner-driven streaming executor over a prepared join's *bin* /
+//!   *absorb* / *resolve* pieces: chunk sizes from the planner's batch
+//!   model, polygon side prepared once, disk reads overlapped with join
 //!   processing, one polygon pass at the end.
 //! * [`minmax::MinMaxRasterJoin`] — MIN/MAX (§5): a different blend
 //!   operator, which no composition of sums expresses; the one operator
-//!   left with a point loop of its own.
+//!   left with a point loop of its own, over the bounded join's
+//!   preparation (its tiling and span tables), each tile blended and
+//!   folded once per query.
 //!
 //! **Compositions of the bounded join** — one
 //! [`BoundedRasterJoin::prepare`] (or `prepare_view`) and one
@@ -42,9 +49,9 @@
 //!   COUNT per bucket;
 //! * [`lod`] — zooming at a fixed canvas (§4.2): the join over an explicit
 //!   viewport;
-//! * [`ranges`] — the §5 result-range estimation: the join's bin / blend /
-//!   resolve pieces for the value, plus a boundary-pixel walk over the
-//!   same canvases for the worst-case and expected intervals.
+//! * [`ranges`] — the §5 result-range estimation: the join's in-memory
+//!   point pass and resolve for the value, plus a boundary-pixel walk
+//!   over the same canvases for the worst-case and expected intervals.
 //!
 //! **Baselines** — what the paper compares against:
 //!

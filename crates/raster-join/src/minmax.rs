@@ -12,17 +12,21 @@
 //! Approximation semantics match the bounded COUNT join: the extremum is
 //! computed over the ε-approximate polygon, so any deviation from the
 //! exact answer is attributable to points within ε of the boundary.
+//!
+//! The polygon side is the bounded join's own: the tiling and span tables
+//! of [`BoundedRasterJoin::prepare`]. Each tile gets one MIN/MAX canvas
+//! per query, blended with every point and folded once; batches are
+//! upload accounting only, as in the bounded join. Min and max do not
+//! depend on blend order, so the answer is the same at any width.
 
-use crate::bounded::polygon_extent;
-use crate::polygon_pass::PolygonSide;
+use crate::bounded::BoundedRasterJoin;
 use crate::query::result_slots;
 use crate::stats::ExecStats;
 use raster_data::filter::passes;
 use raster_data::{PointTable, Predicate};
-use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::Polygon;
 use raster_gpu::exec::{default_workers, parallel_dynamic, parallel_ranges};
-use raster_gpu::{Device, Viewport};
+use raster_gpu::Device;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
@@ -159,58 +163,52 @@ impl MinMaxRasterJoin {
                 stats,
             };
         }
-        let extent = polygon_extent(polys);
-        let (w, h) = resolution_for_epsilon(&extent, epsilon);
-        let tiles = Viewport::new(extent, w, h).split(device.config().max_fbo_dim);
+        // The bounded join's preparation: its tiling and one span table
+        // per tile.
+        let prepared = BoundedRasterJoin::new(self.workers).prepare(polys, epsilon, device);
+        stats.triangulation = prepared.preparation;
 
-        // The bounded join's polygon side: one span table per tile.
-        let prep0 = Instant::now();
-        let side = PolygonSide::prepare(polys, &tiles, self.workers);
-        stats.triangulation = prep0.elapsed();
-
+        // Batches are upload accounting: the points ship once, in as many
+        // batches as the device budget needs; each tile is blended and
+        // folded once.
         let point_bytes = PointTable::point_bytes(1 + predicates.len());
         let per_batch = device.points_per_batch(point_bytes);
+        stats.batches = points.len().div_ceil(per_batch) as u32;
+        stats.upload_bytes = (points.len() * point_bytes) as u64;
         let proc0 = Instant::now();
-        let mut start = 0usize;
-        while start < points.len() {
-            let end = (start + per_batch).min(points.len());
-            stats.upload_bytes += ((end - start) * point_bytes) as u64;
-            stats.batches += 1;
-            for (ti, vp) in tiles.iter().enumerate() {
-                let fbo = MinMaxFbo::new(vp.width, vp.height);
-                parallel_ranges(end - start, self.workers, |s, e| {
-                    for i in (start + s)..(start + e) {
-                        if !predicates.is_empty() && !passes(points, i, predicates) {
-                            continue;
-                        }
-                        if let Some((x, y)) = vp.pixel_of(points.point(i)) {
-                            fbo.blend(x, y, points.attr(attr)[i]);
-                        }
+        for (ti, vp) in prepared.tiles().iter().enumerate() {
+            let fbo = MinMaxFbo::new(vp.width, vp.height);
+            parallel_ranges(points.len(), self.workers, |s, e| {
+                for i in s..e {
+                    if !predicates.is_empty() && !passes(points, i, predicates) {
+                        continue;
                     }
-                });
-                let table = side.table(ti);
-                parallel_dynamic(polys.len(), self.workers, 4, |pi| {
-                    let mut local_min = f32::INFINITY;
-                    let mut local_max = f32::NEG_INFINITY;
-                    let mut any = false;
-                    for span in table.polygon_spans(pi) {
-                        for x in span.x0..span.x1 {
-                            if let Some((lo, hi)) = fbo.at(x, span.row) {
-                                local_min = local_min.min(lo);
-                                local_max = local_max.max(hi);
-                                any = true;
-                            }
+                    if let Some((x, y)) = vp.pixel_of(points.point(i)) {
+                        fbo.blend(x, y, points.attr(attr)[i]);
+                    }
+                }
+            });
+            let (side, table) = (&prepared.side, prepared.side.table(ti));
+            parallel_dynamic(polys.len(), self.workers, 4, |pi| {
+                let mut local_min = f32::INFINITY;
+                let mut local_max = f32::NEG_INFINITY;
+                let mut any = false;
+                for span in table.polygon_spans(pi) {
+                    for x in span.x0..span.x1 {
+                        if let Some((lo, hi)) = fbo.at(x, span.row) {
+                            local_min = local_min.min(lo);
+                            local_max = local_max.max(hi);
+                            any = true;
                         }
                     }
-                    if any {
-                        let id = side.id(pi) as usize;
-                        mins[id].fetch_min(key_of(local_min), Ordering::Relaxed);
-                        maxs[id].fetch_max(key_of(local_max).max(1), Ordering::Relaxed);
-                    }
-                });
-                stats.passes += 1;
-            }
-            start = end;
+                }
+                if any {
+                    let id = side.id(pi) as usize;
+                    mins[id].fetch_min(key_of(local_min), Ordering::Relaxed);
+                    maxs[id].fetch_max(key_of(local_max).max(1), Ordering::Relaxed);
+                }
+            });
+            stats.passes += 1;
         }
         stats.processing = proc0.elapsed();
         stats.download_bytes = (nslots * 8) as u64;

@@ -62,6 +62,7 @@ pub mod cost;
 pub use calibration::Calibration;
 pub use cost::{features, PlanShape, Weights, Workload, NWEIGHTS, WEIGHT_NAMES};
 
+use crate::bounded::PreparedJoin;
 use crate::query::{JoinOutput, Query};
 use crate::{AccurateRasterJoin, BoundedRasterJoin};
 use raster_data::PointTable;
@@ -107,8 +108,8 @@ impl Plan {
 
     /// The bounded executor this plan configures, with `batch_points`
     /// overriding the plan's own batch size (chunked scans batch by
-    /// chunk). The single source of the plan→executor field mapping,
-    /// shared by [`Plan::execute`] and the streaming executor.
+    /// chunk). Queries run through [`Plan::prepare`]; this is for callers
+    /// that drive an executor themselves.
     pub fn bounded_executor(&self, batch_points: usize) -> BoundedRasterJoin {
         BoundedRasterJoin {
             workers: self.workers,
@@ -117,13 +118,35 @@ impl Plan {
     }
 
     /// The accurate executor this plan configures (see
-    /// [`Plan::bounded_executor`]).
+    /// [`Plan::bounded_executor`]); [`Plan::prepare`] builds its exact
+    /// preparations with it.
     pub fn accurate_executor(&self, batch_points: usize) -> AccurateRasterJoin {
         AccurateRasterJoin {
             workers: self.workers,
             canvas_dim: self.canvas_dim,
             index_dim: self.index_dim,
             batch_points: Some(batch_points),
+        }
+    }
+
+    /// This plan's polygon side, prepared on `width` workers: the one
+    /// plan→preparation mapping, shared by [`Plan::execute`] and the
+    /// streaming executor. The variant lives in the preparation from here
+    /// on.
+    pub fn prepare<'a>(
+        &self,
+        polys: &'a [Polygon],
+        query: &Query,
+        device: &Device,
+        width: usize,
+    ) -> PreparedJoin<'a> {
+        match self.variant {
+            Variant::Bounded => BoundedRasterJoin::new(width).prepare(polys, query.epsilon, device),
+            Variant::Accurate => AccurateRasterJoin {
+                workers: width,
+                ..self.accurate_executor(self.batch_points)
+            }
+            .prepare(polys, device),
         }
     }
 
@@ -137,14 +160,9 @@ impl Plan {
         query: &Query,
         device: &Device,
     ) -> JoinOutput {
-        match self.variant {
-            Variant::Bounded => self
-                .bounded_executor(self.batch_points)
-                .execute(points, polys, query, device),
-            Variant::Accurate => self
-                .accurate_executor(self.batch_points)
-                .execute(points, polys, query, device),
-        }
+        let prepared = self.prepare(polys, query, device, self.workers);
+        let batch = Some(self.batch_points);
+        prepared.execute_once(points, query, device, self.workers, batch)
     }
 }
 

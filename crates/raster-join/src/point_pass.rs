@@ -1,21 +1,22 @@
 //! The point pass of both raster joins: **bin**, then **absorb**.
 //! With an [`Outline`] it is the exact join's step 2 (Procedure
-//! AccuratePoints); without one it is Procedure DrawPoints.
+//! AccuratePoints); without one it is Procedure DrawPoints. Its driver
+//! is `PreparedJoin` (`bounded.rs`); this module holds its parts.
 //!
 //! *Bin* is the one point classifier, `raster_gpu::bin_columns`: the
-//! filter a column at a time into a keep-mask per block of rows, then the
-//! canvas pixel of every kept row. The exact join hands it the outline
-//! test as a closure: a point on an outline pixel is resolved on the spot
-//! — grid candidates, then the slab index's PIP (Procedure JoinPoint) —
-//! into a `(slot, value)` [`Hits`] entry per containing polygon, in its
-//! worker's side state; any other point (every in-canvas point, without
-//! an outline) becomes a `(pixel, value)` entry in the staging of its
-//! (tile, row band). *Absorb* hands the staging to the query's resident
-//! canvases (`raster_gpu::ResidentCanvases::absorb`); the hits are added
-//! to the result slots one by one.
+//! filter a column at a time into a keep-mask per block of rows
+//! ([`columns`]), then the canvas pixel of every kept row. The exact join
+//! hands it [`Outline::divert`] as its closure: a point on an outline
+//! pixel is resolved on the spot — grid candidates, then the slab index's
+//! PIP (Procedure JoinPoint) — into a `(slot, value)` [`Hits`] entry per
+//! containing polygon, in its worker's side state; any other point (every
+//! in-canvas point, without an outline) becomes a `(pixel, value)` entry
+//! in the staging of its (tile, row band). *Absorb* hands the staging to
+//! the query's resident canvases (`raster_gpu::ResidentCanvases::absorb`);
+//! the hits are added to the result slots one by one.
 //!
-//! [`bin_blocks`] walks an in-memory table in blocks, binning each on all
-//! workers and absorbing it before the next, so the staging is bounded by
+//! An in-memory table is binned in blocks of [`BLOCK_ROWS`] on all
+//! workers, each absorbed before the next, so the staging is bounded by
 //! the block; a streamed chunk is binned whole, on the calling thread,
 //! into the buffers of a batch an earlier chunk's absorb handed back.
 //! Every list is in row order and is consumed in row order, so a pixel's
@@ -25,19 +26,19 @@
 use raster_data::filter::keep_mask;
 use raster_data::PointTable;
 use raster_geom::{Point, SlabIndex};
-use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling, PointColumns};
-use raster_gpu::exec::timed;
-use raster_gpu::{BoundaryFbo, Device, ResidentCanvases};
+use raster_gpu::bin::PointColumns;
+use raster_gpu::{BoundaryFbo, Device, SpanSource};
 use raster_index::GridIndex;
 use std::ops::Range;
+use std::time::Duration;
 
 use crate::query::Query;
 use crate::stats::ExecStats;
 
-/// Rows classified between two blends. Bounds the staging buffers (8 bytes
-/// per surviving row) whatever the table size; 64 k and 128 k rows
-/// measured equal on the 2 M-row taxi table.
-const BLOCK_ROWS: usize = 128 * 1024;
+/// Rows classified between two absorbs of an in-memory table. Bounds the
+/// staging buffers (8 bytes per surviving row) whatever the table size;
+/// 64 k and 128 k rows measured equal on the 2 M-row taxi table.
+pub(crate) const BLOCK_ROWS: usize = 128 * 1024;
 
 /// What one worker's outline took off the canvas.
 #[derive(Default)]
@@ -59,12 +60,17 @@ impl Hits {
     }
 }
 
-/// The exact join's outline: which pixels an edge touches, and what
-/// resolves a point on one of them.
+/// The exact join's outline over its one canvas tile (§4.3 step 1):
+/// which pixels an edge touches, and the indexes that resolve a point on
+/// one of them.
 pub(crate) struct Outline<'a> {
-    pub(crate) boundary: &'a BoundaryFbo,
-    pub(crate) index: &'a GridIndex,
-    pub(crate) slabs: &'a SlabIndex<'a>,
+    pub(crate) boundary: BoundaryFbo,
+    pub(crate) index: GridIndex,
+    pub(crate) slabs: SlabIndex<'a>,
+    /// Grid and slab index build, reported as `ExecStats::index_build`.
+    pub(crate) index_build: Duration,
+    /// The conservative outline pass, charged once per query.
+    pub(crate) drawn: Duration,
 }
 
 impl Outline<'_> {
@@ -86,7 +92,18 @@ impl Outline<'_> {
     #[inline(never)]
     fn resolve(&self, hits: &mut Hits, p: Point, v: f32) {
         let Hits { hits, pip_tests } = hits;
-        *pip_tests += join_point(self.index, self.slabs, p, |slot| hits.push((slot, v)));
+        *pip_tests += join_point(&self.index, &self.slabs, p, |slot| hits.push((slot, v)));
+    }
+
+    /// What makes the paper's per-fragment discard of step 3 redundant:
+    /// no boundary pixel of `canvas` has received a point.
+    pub(crate) fn holds_nothing(&self, canvas: &impl SpanSource) -> bool {
+        let (w, h) = (self.boundary.width(), self.boundary.height());
+        (0..h).all(|y| {
+            (0..w).all(|x| {
+                !self.boundary.is_boundary(x, y) || canvas.span_totals(y, x, x + 1) == (0, 0.0)
+            })
+        })
     }
 }
 
@@ -105,40 +122,6 @@ pub(crate) fn columns<'a>(
     let keep =
         move |rel, mask: &mut [bool]| keep_mask(points, rows.start + rel, &query.predicates, mask);
     (PointColumns { xs, ys, values }, keep)
-}
-
-/// The point pass of an in-memory table onto `canvases`: block by block,
-/// binned on `workers` threads into one reused batch, then absorbed at
-/// that width. Returns every block's sides, in row order.
-pub(crate) fn bin_blocks<S, O>(
-    tiling: &CanvasTiling,
-    points: &PointTable,
-    query: &Query,
-    workers: usize,
-    outline: O,
-    canvases: &mut ResidentCanvases<'_>,
-    stats: &mut ExecStats,
-) -> Vec<S>
-where
-    S: Default + Send,
-    O: Fn(&mut S, u32, Point, f32) -> bool + Sync,
-{
-    let (mut binned, scratch) = (BinnedBatch::default(), &mut BinScratch::default());
-    let mut sides = Vec::new();
-    let (binning, binned_points) = (&mut stats.binning, &mut stats.binned_points);
-    timed(&mut stats.point_stage, || {
-        for start in (0..points.len()).step_by(BLOCK_ROWS) {
-            let rows = start..(start + BLOCK_ROWS).min(points.len());
-            let (cols, keep) = columns(points, rows, query);
-            let block = timed(binning, || {
-                bin_columns(&mut binned, scratch, tiling, cols, workers, keep, &outline)
-            });
-            sides.extend(block);
-            *binned_points += binned.len() as u64;
-            binned = canvases.absorb(std::mem::take(&mut binned), workers);
-        }
-    });
-    sides
 }
 
 /// Charge `stats` for a query's transfers and settle them: `points`

@@ -168,8 +168,7 @@ impl JoinOutput {
 }
 
 /// One chunk's point-stage product — what the *bin* piece of a prepared
-/// executor ([`crate::BoundedRasterJoin::bin`],
-/// [`crate::AccurateRasterJoin::bin`]) hands to the *absorb* piece
+/// join ([`crate::bounded::PreparedJoin::bin`]) hands to the *absorb* piece
 /// ([`raster_gpu::ResidentCanvases::absorb`]). Nothing in it refers to a
 /// canvas, so chunk-pool workers can produce these concurrently while one
 /// consumer applies them in chunk order.

@@ -19,16 +19,21 @@
 //! outline pixels whose center falls outside the polygon — exactly the
 //! conservative-minus-regular rasterization the paper computes with
 //! `GL_NV_conservative_raster` (§6.1).
+//!
+//! The value `A` is the bounded join's own, through the pieces of its
+//! prepared join: the in-memory block driver that every in-memory query
+//! runs, then one resolve; the corrections read the same canvases before
+//! they are released.
 
 use crate::bounded::BoundedRasterJoin;
 use crate::query::{Aggregate, Query};
+use crate::stats::ExecStats;
 use raster_data::PointTable;
 use raster_geom::clip::coverage_fraction;
 use raster_geom::Polygon;
 use raster_gpu::exec::{default_workers, parallel_dynamic};
 use raster_gpu::raster::rasterize_segment_conservative;
 use raster_gpu::{Device, SpanSource};
-use std::collections::HashSet;
 
 /// Per-polygon result interval for a COUNT query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +65,7 @@ impl ResultRange {
 
 /// Compute the bounded-join COUNT per polygon together with its result
 /// ranges. `value` is [`crate::bounded::BoundedRasterJoin`]'s own count —
-/// its bin, absorb and resolve pieces produce it — and the corrections
+/// its prepared join's point pass and resolve produce it — and the corrections
 /// read the canvases that count was resolved from, alive for the length
 /// of the call, a pixel at a time through `SpanSource` (runs or dense).
 pub fn estimate_count_ranges(
@@ -131,19 +136,17 @@ fn estimate_ranges_impl(
         return out;
     }
     // The value `A` and the canvas the corrections read are the bounded
-    // join's own, taken through the pieces of a streamed scan: bin once,
-    // absorb into canvases kept for the whole estimate, resolve.
-    let join = BoundedRasterJoin::new(workers);
+    // join's own, taken through its pieces: the in-memory point pass into
+    // canvases kept for the whole estimate, then the resolve.
     let query = Query {
         aggregate: attr.map_or(Aggregate::Count, Aggregate::Sum),
         ..query.clone()
     };
-    let prepared = join.prepare(polys, query.epsilon, device);
+    let prepared = BoundedRasterJoin::new(workers).prepare(polys, query.epsilon, device);
     let mut canvases = prepared.canvases(points.len(), &query, workers);
-    let (binned, scratch) = (Default::default(), &mut Default::default());
-    let deltas = join.bin(&prepared, points, &query, binned, scratch);
-    canvases.absorb(deltas.binned, workers);
-    let a = join.resolve(&prepared, &mut canvases, &query);
+    let stats = &mut ExecStats::default();
+    prepared.bin_blocks(points, &query, workers, &mut canvases, stats);
+    let a = prepared.resolve(&mut canvases, &query, workers);
 
     // Accumulators per polygon: ε⁺/ε⁻ worst, ε⁺/ε⁻ expected.
     let worst_plus = raster_gpu::AtomicF64Array::new(nslots);
@@ -157,19 +160,23 @@ fn estimate_ranges_impl(
         parallel_dynamic(polys.len(), workers, 2, |pi| {
             let poly = &polys[pi];
             let id = poly.id() as usize;
-            let mut seen: HashSet<(u32, u32)> = HashSet::new();
+            // Row-major and deduplicated, so the expected interval's f64
+            // sums add in one order on every run.
+            let mut seen: Vec<(u32, u32)> = Vec::new();
             for (ea, eb) in poly.all_edges() {
                 let sa = vp.to_screen(ea);
                 let sb = vp.to_screen(eb);
                 rasterize_segment_conservative(sa, sb, vp.width, vp.height, |x, y| {
-                    seen.insert((x, y));
+                    seen.push((y, x));
                 });
             }
+            seen.sort_unstable();
+            seen.dedup();
             let mut wp = 0.0f64; // worst ε⁺ (false positives → subtract)
             let mut wm = 0.0f64; // worst ε⁻ (false negatives → add)
             let mut ep = 0.0f64;
             let mut em = 0.0f64;
-            for (x, y) in seen {
+            for (y, x) in seen {
                 let cnt = match attr {
                     Some(_) => canvas.span_totals(y, x, x + 1).1,
                     None => canvas.span_count(y, x, x + 1) as f64,

@@ -7,9 +7,11 @@
 //! blocking reader: every chunk is read, then processed, then the next
 //! read starts. Its §5 batching rule blends every point batch into the
 //! FBO and runs the polygon pass once. [`StreamingRasterJoin`] does both
-//! across chunks: the prepared executors split into *bin* (a chunk →
-//! per-tile `(pixel, value)` deltas, [`ChunkDeltas`]), *absorb* (deltas →
-//! canvas) and *resolve* (canvas → polygon pass → [`JoinOutput`]); every
+//! across chunks on the one prepared join of both variants
+//! ([`PreparedJoin`], from [`Plan::prepare`]), in its three pieces: *bin*
+//! (a chunk → per-tile `(pixel, value)` deltas and, exact, PIP hits —
+//! [`ChunkDeltas`]), *absorb* (deltas → canvas) and *resolve* (canvas →
+//! polygon pass → [`JoinOutput`]); every
 //! chunk is binned, its deltas absorbed **in chunk order** into canvases
 //! acquired once and kept resident for the whole scan
 //! ([`raster_gpu::ResidentCanvases`]), and one resolve at the end draws
@@ -98,10 +100,10 @@
 //!    workload; the chosen plan's *batch size becomes the chunk size*
 //!    (replacing Fig. 13's hard-coded 250 k rows with the planner's
 //!    batch model);
-//! 3. the polygon side is prepared once
-//!    ([`crate::BoundedRasterJoin::prepare`] /
-//!    [`crate::AccurateRasterJoin::prepare`]), every chunk runs the
-//!    executor's `bin`, and the scan ends in one `resolve`;
+//! 3. the polygon side is prepared once, by the plan's executor
+//!    ([`Plan::prepare`]), every chunk runs [`PreparedJoin::bin`], and
+//!    the scan ends in one [`PreparedJoin::resolve`] — the preparation,
+//!    not the scan, knows which variant it is;
 //! 4. per-chunk partial results and stats fold through the shared
 //!    [`AggregateMerger`], the resolve's output last.
 //!
@@ -154,24 +156,24 @@
 //! plus the one result read-back — on top of it, never slept. Polygon
 //! preparation stays outside both, reported as
 //! `triangulation`/`index_build` as in §7.1 (the accurate outline pass
-//! counts as processing, once). Per-stage timers (`point_stage`,
-//! `binning`, …) stay cumulative *across* workers and can sum past
-//! `processing` when chunks overlap; `polygon_stage`, `spans`,
-//! `fragments` and `passes` come from the one resolve. The reader's own wall time is
-//! reported separately as [`StreamOutput::read_time`].
+//! counts as processing, once, charged by the preparation that drew it).
+//! Per-stage timers (`point_stage`, `binning`, …) stay cumulative
+//! *across* workers and can sum past `processing` when chunks overlap;
+//! `polygon_stage`, `spans`, `fragments` and `passes` come from the one
+//! resolve. The reader's own wall time is reported separately as
+//! [`StreamOutput::read_time`].
 
-use crate::accurate::{AccurateRasterJoin, PreparedAccurate};
-use crate::bounded::{BoundedRasterJoin, PreparedBounded};
+use crate::bounded::PreparedJoin;
 use crate::containment;
-use crate::optimizer::{cost, AutoRasterJoin, Plan, Variant, Workload};
-use crate::query::{result_slots, AggregateMerger, ChunkDeltas, JoinOutput, Query};
+use crate::optimizer::{cost, AutoRasterJoin, Plan, Workload};
+use crate::query::{AggregateMerger, ChunkDeltas, JoinOutput, Query};
 use crate::sql::{file_source, parse_query, ParseError};
 use raster_data::disk::{table_schema, ChunkedReader, ColumnIo, EncodedChunk, FaultRecovery};
 use raster_data::faults;
 use raster_data::PointTable;
 use raster_geom::Polygon;
 use raster_gpu::exec::{default_workers, timed};
-use raster_gpu::{BinScratch, BinnedBatch, Device, ResidentCanvases};
+use raster_gpu::{BinScratch, BinnedBatch, Device};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -544,79 +546,6 @@ struct ChunkDone {
     col_decode: Vec<Duration>,
 }
 
-/// The plan's executor with its polygon side prepared: the *bin* and
-/// *resolve* pieces the scan is built from (*absorb* is
-/// [`ResidentCanvases::absorb`]).
-enum Pieces<'a> {
-    Bounded(BoundedRasterJoin, PreparedBounded),
-    Accurate(AccurateRasterJoin, PreparedAccurate<'a>),
-}
-
-impl<'a> Pieces<'a> {
-    /// Prepare `plan`'s executor (the same plan→executor mapping as
-    /// `Plan::execute`) to resolve at `width` workers.
-    fn prepare(
-        plan: &Plan,
-        width: usize,
-        polys: &'a [Polygon],
-        query: &Query,
-        device: &Device,
-    ) -> Self {
-        match plan.variant {
-            Variant::Bounded => {
-                let mut exec = plan.bounded_executor(plan.batch_points);
-                exec.workers = width;
-                let prepared = exec.prepare(polys, query.epsilon, device);
-                Pieces::Bounded(exec, prepared)
-            }
-            Variant::Accurate => {
-                let mut exec = plan.accurate_executor(plan.batch_points);
-                exec.workers = width;
-                let prepared = exec.prepare(polys, device);
-                Pieces::Accurate(exec, prepared)
-            }
-        }
-    }
-
-    fn bin(
-        &self,
-        chunk: &PointTable,
-        query: &Query,
-        reuse: BinnedBatch,
-        scratch: &mut BinScratch,
-    ) -> ChunkDeltas {
-        match self {
-            Pieces::Bounded(exec, p) => exec.bin(p, chunk, query, reuse, scratch),
-            Pieces::Accurate(exec, p) => exec.bin(p, chunk, query, reuse, scratch),
-        }
-    }
-
-    fn canvases(&self, rows: u64, query: &Query) -> ResidentCanvases<'_> {
-        match self {
-            Pieces::Bounded(_, p) => p.canvases(rows as usize, query, 1),
-            Pieces::Accurate(_, p) => p.canvases(rows as usize, query, 1),
-        }
-    }
-
-    fn resolve(&self, canvases: &mut ResidentCanvases<'_>, query: &Query) -> JoinOutput {
-        #[cfg(test)]
-        drain_tests::RESOLVES.with(|n| n.set(n.get() + 1));
-        match self {
-            Pieces::Bounded(exec, p) => exec.resolve(p, canvases, query),
-            Pieces::Accurate(exec, p) => exec.resolve(p, canvases, query),
-        }
-    }
-
-    /// The accurate variant's one-off conservative outline pass, drawn
-    /// during preparation but counted as processing, once per query.
-    fn outline_time(&self) -> Duration {
-        match self {
-            Pieces::Bounded(..) => Duration::ZERO,
-            Pieces::Accurate(_, p) => p.outline_time(),
-        }
-    }
-}
-
 /// The streaming out-of-core operator (see module docs).
 pub struct StreamingRasterJoin {
     pub workers: usize,
@@ -830,9 +759,11 @@ impl StreamingRasterJoin {
         // Prepare the polygon side once, at the width the scan resolves
         // (and, when prefetching, pools) at.
         let prep0 = Instant::now();
-        let pieces = Pieces::prepare(&setup.plan, setup.width, polys, &setup.exec_query, device);
+        let prepared = setup
+            .plan
+            .prepare(polys, &setup.exec_query, device, setup.width);
         let preparation = prep0.elapsed();
-        let mut out = self.scan(setup, &pieces, result_slots(polys))?;
+        let mut out = self.scan(setup, &prepared)?;
         // `scan` reports the busy union; the rest of the wall clock —
         // opening, the sample read, starving for data — is `disk`, and
         // polygon preparation is in neither (see the module docs).
@@ -840,23 +771,19 @@ impl StreamingRasterJoin {
         stats.disk = wall0
             .elapsed()
             .saturating_sub(preparation + stats.processing);
-        if matches!(pieces, Pieces::Accurate(..)) {
-            stats.processing += pieces.outline_time();
-            stats.polygon_stage += pieces.outline_time();
-            stats.passes += 1;
-        }
+        prepared.charge_outline(stats);
         Ok(out)
     }
 
     /// The chunk loop over an opened, planned table and a prepared polygon
     /// side: bin every chunk, absorb the deltas in chunk order into
-    /// canvases held for the whole scan, resolve once. Every exit returns
-    /// the canvases to `pieces`' pool; only the success path resolves.
+    /// canvases held for the whole scan, resolve once at the scan's width.
+    /// Every exit returns the canvases to `prepared`'s pool; only the
+    /// success path resolves.
     fn scan(
         &self,
         setup: ScanSetup,
-        pieces: &Pieces<'_>,
-        nslots: usize,
+        prepared: &PreparedJoin<'_>,
     ) -> Result<StreamOutput, StreamError> {
         let ScanSetup {
             mut reader,
@@ -866,7 +793,7 @@ impl StreamingRasterJoin {
             planning,
             wl: _,
             plan,
-            width: _,
+            width,
             pool_workers,
             ring,
             chunk_rows,
@@ -877,6 +804,7 @@ impl StreamingRasterJoin {
         // addresses it (identical to the caller's when pruning is off).
         let query = &exec_query;
 
+        let nslots = prepared.nslots();
         let mut merger = AggregateMerger::new(nslots);
         let busy = BusyUnion::new();
         let mut read_time = sample_read;
@@ -896,7 +824,7 @@ impl StreamingRasterJoin {
         // across the pool.
         let bin_chunk = |chunk: &PointTable, scratch: &mut BinScratch| -> ChunkDeltas {
             let reuse = blended.lock().pop().unwrap_or_default();
-            let mut deltas = pieces.bin(chunk, query, reuse, scratch);
+            let mut deltas = prepared.bin(chunk, query, reuse, scratch);
             deltas.partial.stats.upload_bytes = (chunk.len() * point_bytes) as u64;
             deltas
         };
@@ -907,7 +835,7 @@ impl StreamingRasterJoin {
         if !sample.is_empty() {
             // One canvas per tile for the header's rows, held until this
             // block ends — by the resolve below or by any `?`/`return`.
-            let mut canvases = busy.track(|| pieces.canvases(rows, query));
+            let mut canvases = busy.track(|| prepared.canvases(rows as usize, query, 1));
             // *Absorb* one chunk's deltas + merger, always called in
             // ascending chunk order (the pool's reorder buffer guarantees
             // it) so every pixel's f32 sum and the merged partials are
@@ -1100,7 +1028,9 @@ impl StreamingRasterJoin {
             if let Some(kind) = faults::hit(faults::STREAM_RESOLVE) {
                 return Err(faults::io_error(kind).into());
             }
-            let mut resolved = busy.track(|| pieces.resolve(&mut canvases, query));
+            #[cfg(test)]
+            drain_tests::RESOLVES.with(|n| n.set(n.get() + 1));
+            let mut resolved = busy.track(|| prepared.resolve(&mut canvases, query, width));
             drop(canvases);
             resolved.stats.download_bytes = (nslots * 16) as u64;
             chunks = merger.chunks();
@@ -1334,7 +1264,9 @@ mod drain_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::Variant;
     use crate::query::Aggregate;
+    use crate::BoundedRasterJoin;
     use raster_data::disk::write_table;
     use raster_data::generators::{nyc_extent, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
@@ -1407,18 +1339,17 @@ mod tests {
             } else {
                 "canvas: dense"
             };
-            let pieces = Pieces::prepare(&setup.plan, setup.width, &polys, &setup.exec_query, &dev);
-            let Pieces::Bounded(_, prepared) = &pieces else {
-                unreachable!("a bounded plan")
-            };
-            let held = pieces.canvases(setup.rows, &setup.exec_query);
+            let prepared = setup
+                .plan
+                .prepare(&polys, &setup.exec_query, &dev, setup.width);
+            let held = prepared.canvases(setup.rows as usize, &setup.exec_query, 1);
             assert_eq!(
                 prepared.outstanding_canvases(),
                 usize::from(!runs),
                 "ε={eps}"
             );
             drop(held);
-            let s = stream.scan(setup, &pieces, result_slots(&polys)).unwrap();
+            let s = stream.scan(setup, &prepared).unwrap();
             assert!(s.chunks > 1, "ε={eps}");
             let stats = s.output.stats;
             assert_eq!(stats.passes, 1);

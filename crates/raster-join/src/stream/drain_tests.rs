@@ -10,6 +10,7 @@
 //! runs tiles and pooled dense ones.
 
 use super::*;
+use crate::optimizer::Variant;
 use raster_data::disk::{table_meta, write_table_compressed};
 use raster_data::generators::{nyc_extent, TaxiModel};
 use raster_data::polygons::synthetic_polygons;
@@ -19,13 +20,6 @@ use std::cell::Cell;
 thread_local! {
     /// Resolves run on this thread (a scan resolves on its caller's).
     pub(super) static RESOLVES: Cell<u32> = const { Cell::new(0) };
-}
-
-fn outstanding(pieces: &Pieces<'_>) -> usize {
-    match pieces {
-        Pieces::Bounded(_, p) => p.outstanding_canvases(),
-        Pieces::Accurate(_, p) => p.outstanding_canvases(),
-    }
 }
 
 #[test]
@@ -72,12 +66,14 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
                         setup.plan.variant = Variant::Accurate;
                     }
                     let pooled = !blocking;
-                    let pieces =
-                        Pieces::prepare(&setup.plan, setup.width, &polys, &setup.exec_query, &dev);
+                    let prepared = setup
+                        .plan
+                        .prepare(&polys, &setup.exec_query, &dev, setup.width);
                     let before = RESOLVES.with(Cell::get);
-                    let res = stream.scan(setup, &pieces, result_slots(&polys));
+                    let res = stream.scan(setup, &prepared);
                     let resolves = RESOLVES.with(Cell::get) - before;
-                    assert_eq!(outstanding(&pieces), 0, "{ctx}: canvases stranded");
+                    let stranded = prepared.outstanding_canvases();
+                    assert_eq!(stranded, 0, "{ctx}: canvases stranded");
                     match res {
                         Ok(out) => {
                             assert!(healthy, "{ctx}: a garbled block was swallowed");

@@ -47,10 +47,14 @@
 //! |                   | preparation ([`POLYGON_PREPARATION`]) — every pass  |
 //! |                   | folds the span tables prepared once per query       |
 //! | `one-resolve`     | nothing in `raster-join` names `draw_polygons`      |
-//! |                   | outside `polygon_pass.rs` and an executor's         |
+//! |                   | outside `polygon_pass.rs` and a                     |
 //! |                   | `fn resolve(` ([`POLYGON_FOLD`]) —                  |
 //! |                   | a query folds its polygons once, after its last     |
 //! |                   | batch or chunk, never per batch                     |
+//! | `stale-scope`     | every path or prefix of a path-scoped list          |
+//! |                   | ([`SCOPES`]) matches a scanned file — a rule        |
+//! |                   | scoped to a file that moved or went away would      |
+//! |                   | pass by checking nothing                            |
 //!
 //! `#[cfg(test)]` regions are exempt from the panic, clock,
 //! triangulation, device-ledger, row-filter, polygon-rescan and
@@ -156,10 +160,11 @@ pub const DEVICE_LEDGER_WORDS: &[&str] = &[
     concat!("reset", "_stats"),
 ];
 
-/// The point pipeline: the executors' point passes and every classifier
-/// in `raster-gpu` filter through `filter::keep_mask` inside
-/// `bin_columns`, never row at a time through `filter::passes`. Prefix
-/// matches like [`NO_CLOCK_PATHS`].
+/// The point pipeline: `PreparedJoin::bin` and the in-memory block
+/// driver (`bounded.rs`), the exact join's preparation, the point pass's
+/// parts, the streamed scan and every classifier in `raster-gpu` filter
+/// through `filter::keep_mask` inside `bin_columns`, never row at a time
+/// through `filter::passes`. Prefix matches like [`NO_CLOCK_PATHS`].
 pub const NO_ROW_FILTER_PATHS: &[&str] = &[
     "crates/raster-join/src/bounded.rs",
     "crates/raster-join/src/accurate.rs",
@@ -188,6 +193,22 @@ pub const POLYGON_PREPARATION: (&str, &str) =
 /// The polygon pass and the one function of the joins allowed to name it
 /// (`polygon_pass.rs`, which defines it, names it freely).
 pub const POLYGON_FOLD: (&str, &str) = ("draw_polygons", "fn resolve(");
+
+/// The path-scoped lists, by name: each entry must match at least one
+/// scanned file (rule `stale-scope`). The crate-root lists are held to
+/// the same by `missing-root`.
+pub const SCOPES: &[(&str, &[&str])] = &[
+    ("UNSAFE_ALLOWLIST", UNSAFE_ALLOWLIST),
+    ("NO_PANIC_PATHS", NO_PANIC_PATHS),
+    ("NO_CLOCK_PATHS", NO_CLOCK_PATHS),
+    ("CATCH_UNWIND_ALLOWLIST", CATCH_UNWIND_ALLOWLIST),
+    ("NO_JOIN_EXPECT_PATHS", NO_JOIN_EXPECT_PATHS),
+    ("NO_TRIANGULATE_PATHS", NO_TRIANGULATE_PATHS),
+    ("NO_DEVICE_LEDGER_PATHS", NO_DEVICE_LEDGER_PATHS),
+    ("NO_ROW_FILTER_PATHS", NO_ROW_FILTER_PATHS),
+    ("NO_POLYGON_RESCAN_PATHS", NO_POLYGON_RESCAN_PATHS),
+    ("POLYGON_PREPARATION", &[POLYGON_PREPARATION.0]),
+];
 
 /// How far above an `unsafe` token the contiguous `// SAFETY:` comment
 /// block may start.
@@ -718,6 +739,29 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
     out
 }
 
+/// Rule `stale-scope` over the workspace-relative paths of the scanned
+/// files: one violation per entry of a [`SCOPES`] list that matches none
+/// of them.
+pub fn stale_scopes(files: &[&str]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (list, entries) in SCOPES {
+        for entry in *entries {
+            if !files.iter().any(|rel| path_matches(rel, entry)) {
+                out.push(Violation {
+                    file: (*entry).into(),
+                    line: 0,
+                    rule: "stale-scope",
+                    message: format!(
+                        "{list} names a path no scanned file matches — update \
+                         the lint config in crates/xtask/src/lint.rs"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Does the nearest preceding line with real code end with `suffix`?
 /// (Catches rustfmt splitting `handle.join()\n    .expect(…)`.)
 fn prev_code_line_ends_with(lines: &[Line], idx: usize, suffix: &str) -> bool {
@@ -782,6 +826,7 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
 
     let mut out = Vec::new();
     let mut seen_roots: Vec<&str> = Vec::new();
+    let mut scanned = Vec::with_capacity(files.len());
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -797,7 +842,10 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
         }
         let text = fs::read_to_string(path)?;
         out.extend(lint_source(&rel, &text));
+        scanned.push(rel);
     }
+    let scanned: Vec<&str> = scanned.iter().map(String::as_str).collect();
+    out.extend(stale_scopes(&scanned));
 
     // A configured crate root that no longer exists is a silent coverage
     // hole — fail loudly so the allowlist tracks renames.
@@ -1127,6 +1175,60 @@ mod tests {
             lint_source("crates/raster-join/src/bounded.rs", prep).len(),
             1
         );
+    }
+
+    /// Every entry of every scoped list, as the tree would hold it.
+    fn every_scope_file() -> Vec<String> {
+        let entries = SCOPES.iter().flat_map(|(_, entries)| entries.iter());
+        entries
+            .map(|e| match e.strip_suffix('/') {
+                Some(dir) => format!("{dir}/lib.rs"),
+                None => (*e).to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_scope_matching_no_file_is_stale() {
+        let files = every_scope_file();
+        let moved = "crates/raster-join/src/point_pass.rs";
+        let kept: Vec<&str> = files
+            .iter()
+            .map(String::as_str)
+            .filter(|f| *f != moved)
+            .collect();
+        let v = stale_scopes(&kept);
+        // `point_pass.rs` is named by two lists.
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "stale-scope" && v.file == moved));
+        assert!(
+            v[0].message.starts_with("NO_CLOCK_PATHS"),
+            "{}",
+            v[0].message
+        );
+        assert!(v[1].message.starts_with("NO_ROW_FILTER_PATHS"));
+        // A prefix whose directory holds no file is stale too.
+        let no_index: Vec<&str> = kept
+            .iter()
+            .copied()
+            .filter(|f| !f.starts_with("crates/raster-index/"))
+            .collect();
+        let v = stale_scopes(&no_index);
+        assert!(v.iter().any(|v| v.file == "crates/raster-index/src/"));
+    }
+
+    #[test]
+    fn scopes_matching_a_file_each_are_fresh() {
+        let files = every_scope_file();
+        let files: Vec<&str> = files.iter().map(String::as_str).collect();
+        assert!(stale_scopes(&files).is_empty());
+        // A directory prefix is matched by any file under it.
+        let nested = files
+            .iter()
+            .map(|f| f.replace("/src/lib.rs", "/src/deep/mod.rs"))
+            .collect::<Vec<_>>();
+        let nested: Vec<&str> = nested.iter().map(String::as_str).collect();
+        assert!(stale_scopes(&nested).is_empty());
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn run_lint(root: &std::path::Path) -> ExitCode {
         }
     };
     if violations.is_empty() {
-        println!("xtask lint: clean ({} invariant rules)", 13);
+        println!("xtask lint: clean ({} invariant rules)", 14);
         return ExitCode::SUCCESS;
     }
     for v in &violations {

@@ -356,8 +356,8 @@ proptest! {
             let exec = BoundedRasterJoin::new(2);
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
             let mut canvases = prepared.canvases(pts.len(), &q, 1);
-            canvases.absorb(exec.bin(&prepared, &pts, &q, Default::default(), &mut Default::default()).binned, 1);
-            let streamed = exec.resolve(&prepared, &mut canvases, &q);
+            canvases.absorb(prepared.bin(&pts, &q, Default::default(), &mut Default::default()).binned, 1);
+            let streamed = prepared.resolve(&mut canvases, &q, exec.workers);
             prop_assert_eq!(&streamed.counts, &one.counts);
             prop_assert_eq!(&streamed.sums, &one.sums, "{} tiles", tiles);
         }
@@ -462,17 +462,12 @@ fn nan_coordinates_land_in_no_pixel() {
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
             let mut canvases = prepared.canvases(pts.len(), &q, 1);
             canvases.absorb(
-                exec.bin(
-                    &prepared,
-                    &pts,
-                    &q,
-                    Default::default(),
-                    &mut Default::default(),
-                )
-                .binned,
+                prepared
+                    .bin(&pts, &q, Default::default(), &mut Default::default())
+                    .binned,
                 1,
             );
-            let streamed = exec.resolve(&prepared, &mut canvases, &q);
+            let streamed = prepared.resolve(&mut canvases, &q, exec.workers);
             assert_eq!(
                 (&streamed.counts, &streamed.sums),
                 (&exact.counts, &exact.sums),
@@ -532,7 +527,7 @@ fn keep_mask_is_passes_row_by_row() {
     }
 }
 
-/// `BoundedRasterJoin::bin` — and `bin_columns` at several widths — emits
+/// `PreparedJoin::bin` — and `bin_columns` at several widths — emits
 /// exactly the entries of the row-at-a-time reference (`passes`, then
 /// `Viewport::pixel_of` on every tile, in row order, grouped by row band
 /// of `1 << BAND_SHIFT` rows), pixel indices and value bits alike, on one
@@ -642,14 +637,8 @@ fn bin_entries_are_the_row_at_a_time_reference() {
             assert_eq!(want_hits.is_empty(), tiles > 1);
             let exec = BoundedRasterJoin::new(1);
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let streamed = exec
-                .bin(
-                    &prepared,
-                    &pts,
-                    &q,
-                    Default::default(),
-                    &mut Default::default(),
-                )
+            let streamed = prepared
+                .bin(&pts, &q, Default::default(), &mut Default::default())
                 .binned;
             let cols = PointColumns {
                 xs: pts.xs(),

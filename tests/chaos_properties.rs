@@ -341,7 +341,7 @@ fn errored_scans_resolve_nothing() {
 
 /// Canvases drain on every path. In memory a pass acquires and releases
 /// per tile; a streamed scan checks the whole tiling out once
-/// (`PreparedBounded::canvases`), blends chunk after chunk into it and
+/// (`PreparedJoin::canvases`), blends chunk after chunk into it and
 /// gives it back when the set drops — after the resolve, on an early
 /// error return, or while a panic unwinds. (The scan itself is held to
 /// this against its own preparation in `raster-join`'s
@@ -376,19 +376,14 @@ fn canvas_pool_outstanding_drains_to_zero() {
     for start in (0..pts.len()).step_by(700) {
         let chunk = pts.slice(start, (start + 700).min(pts.len()));
         canvases.absorb(
-            join.bin(
-                &prepared,
-                &chunk,
-                &q,
-                Default::default(),
-                &mut Default::default(),
-            )
-            .binned,
+            prepared
+                .bin(&chunk, &q, Default::default(), &mut Default::default())
+                .binned,
             1,
         );
         assert_eq!(prepared.outstanding_canvases(), tiles, "held across chunks");
     }
-    let resolved = join.resolve(&prepared, &mut canvases, &q);
+    let resolved = prepared.resolve(&mut canvases, &q, join.workers);
     drop(canvases);
     assert_eq!(
         prepared.outstanding_canvases(),
@@ -402,14 +397,9 @@ fn canvas_pool_outstanding_drains_to_zero() {
     let failing_scan = || -> std::io::Result<()> {
         let mut canvases = prepared.canvases(pts.len(), &q, 1);
         canvases.absorb(
-            join.bin(
-                &prepared,
-                &pts,
-                &q,
-                Default::default(),
-                &mut Default::default(),
-            )
-            .binned,
+            prepared
+                .bin(&pts, &q, Default::default(), &mut Default::default())
+                .binned,
             1,
         );
         Err(std::io::Error::other("reader failed"))

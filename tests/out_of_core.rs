@@ -234,6 +234,8 @@ fn every_executor_counts_its_own_bytes_on_a_shared_device() {
             "minmax",
             Box::new(|| {
                 let o = MinMaxRasterJoin::new(2).execute(pts, polys, fare, &[], 200.0, dev);
+                let (passes, batches) = (o.stats.passes, o.stats.batches);
+                assert_eq!((passes, batches), (1, 3), "one tile, once, for 3 batches");
                 (o.stats, n * pb, slots * 8)
             }),
         ),
