@@ -52,12 +52,11 @@ fn span_rows(c: &mut Criterion, label: &str, polys: &[Polygon], epsilon: f64, po
         let q = q.with_epsilon(epsilon);
         // Announced as an unbounded scan, so every tile is dense, as the
         // memcpy ceiling below assumes.
-        let mut canvases = prepared.canvases(usize::MAX, &q, 1);
+        let mut canvases = prepared.canvases(usize::MAX);
         canvases.absorb(
             prepared
                 .bin(points, &q, Default::default(), &mut Default::default())
                 .binned,
-            1,
         );
         let fragments = prepared.resolve(&mut canvases, &q, w).stats.fragments;
         g.throughput(Throughput::Elements(fragments));

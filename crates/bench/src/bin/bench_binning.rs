@@ -13,16 +13,18 @@
 //! 8.4 M rows rather than 33.6 M; COUNT and SUM) and times one tile pass
 //! both ways over the same (tile × band) staging: `PixelRuns::build` +
 //! polygon fold against the executor's dense fill — the staging blended
-//! band by band (`PointFbo::blend_bands`) — + polygon fold, the dense
-//! canvas both fresh (`dense_cold_ms`: what a one-shot query pays) and
-//! recycled from a pool (`dense_warm_ms`). The two canvases are forced
-//! here, in the bench, through the two `SpanSource`s — the executor has
-//! no switch. `single_runs_ms` / `single_dense_ms` are the same
-//! comparison for a 1-tile canvas end to end, through the executor's
-//! point pass into a query's `ResidentCanvases` (`bin_columns` into one
-//! reused batch + `absorb` per [`POINT_BLOCK`] rows), each side forced by
-//! the rows it announces at acquire. `runs_crossover` names, per column, the lowest
-//! swept density at which dense is no slower. Results go to
+//! in row order by one thread (`PointFbo::blend_in_order`, as the chunk
+//! pool's consumer absorbs) — + polygon fold, the dense canvas both fresh
+//! (`dense_cold_ms`: what a one-shot query pays) and recycled from a pool
+//! (`dense_warm_ms`). The two canvases are forced here, in the bench,
+//! through the two `SpanSource`s — the executor has no switch.
+//! `single_runs_ms` / `single_dense_ms` are the same comparison for a
+//! 1-tile canvas end to end, through the executor's point pass into a
+//! query's `ResidentCanvases` on one thread (`bin_columns` into one
+//! reused batch + `absorb` per [`POINT_BLOCK`] rows; the executor's pool
+//! overlaps several blocks' bins with the absorbs), each side forced by
+//! the rows it announces at acquire. `runs_crossover` names, per column,
+//! the lowest swept density at which dense is no slower. Results go to
 //! `BENCH_binning.json`.
 
 use bench::arg_value;
@@ -44,7 +46,7 @@ use std::time::Instant;
 
 /// Rows per block of the executor's in-memory point pass
 /// (`raster-join/src/point_pass.rs`).
-const POINT_BLOCK: usize = 128 * 1024;
+const POINT_BLOCK: usize = 32 * 1024;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,7 +61,7 @@ fn main() {
     let polys = synthetic_polygons(64, &extent, 7);
     let workers = raster_gpu::exec::default_workers();
 
-    let densities = &DENSITIES[..if quick { 6 } else { DENSITIES.len() }];
+    let densities = &DENSITIES[..if quick { 7 } else { DENSITIES.len() }];
     let sweep = density_sweep(&polys, densities, reps, workers);
     let json = render_json(&sweep, quick, reps, workers);
     std::fs::write(&out_path, &json).expect("write BENCH_binning.json");
@@ -70,12 +72,13 @@ fn main() {
 const SWEEP_EPSILON: f64 = 20.0;
 
 /// Rows offered per pixel by [`density_sweep`]; `--quick` stops at 1/2.
-const DENSITIES: [f64; 8] = [
+const DENSITIES: [f64; 9] = [
     1.0 / 64.0,
     1.0 / 32.0,
     1.0 / 16.0,
     1.0 / 8.0,
     1.0 / 4.0,
+    3.0 / 8.0,
     1.0 / 2.0,
     1.0,
     2.0,
@@ -186,8 +189,7 @@ fn density_sweep(
             // then absorbed; the runs built once.
             let single = |announced: usize| {
                 let pool = FboPool::new();
-                let mut canvases =
-                    pool.acquire_resident(&tiling.tiles, announced, needs_sums, workers);
+                let mut canvases = pool.acquire_resident(&tiling.tiles, announced);
                 let (mut staged, mut scratch) = (BinnedBatch::default(), BinScratch::default());
                 for start in (0..n).step_by(POINT_BLOCK) {
                     let rows = start..(start + POINT_BLOCK).min(n);
@@ -198,8 +200,8 @@ fn density_sweep(
                     };
                     let keep_all = |_, mask: &mut [bool]| mask.fill(true);
                     let (into, scratch) = (&mut staged, &mut scratch);
-                    bin_columns(into, scratch, &tiling, cols, workers, keep_all, no_outline);
-                    staged = canvases.absorb(std::mem::take(&mut staged), workers);
+                    bin_columns(into, scratch, &tiling, cols, keep_all, no_outline);
+                    staged = canvases.absorb(std::mem::take(&mut staged));
                 }
                 canvases.build_runs(workers);
                 fold(polys, vp, canvases.tile(0), needs_sums, workers);
@@ -213,16 +215,17 @@ fn density_sweep(
                 via_runs = fold(polys, vp, &runs, needs_sums, workers);
             });
             let mut via_dense = (0, 0.0);
+            let (idx, values) = binned.tile(0);
             let dense_cold_ms = best_ms(reps, || {
-                let mut fbo = FboPool::new().acquire_touched(vp.width, vp.height, needs_sums);
-                fbo.blend_bands(&binned, 0, workers);
+                let mut fbo = FboPool::new().acquire(vp.width, vp.height);
+                fbo.blend_in_order(idx, values);
                 via_dense = fold(polys, vp, &fbo, needs_sums, workers);
             });
             // One more rep than asked: the first is the one that fills
             // the pool.
             let dense_warm_ms = best_ms(reps + 1, || {
-                let mut fbo = pool.acquire_touched(vp.width, vp.height, needs_sums);
-                fbo.blend_bands(&binned, 0, workers);
+                let mut fbo = pool.acquire(vp.width, vp.height);
+                fbo.blend_in_order(idx, values);
                 fold(polys, vp, &fbo, needs_sums, workers);
                 pool.release(fbo);
             });

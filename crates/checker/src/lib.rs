@@ -2,13 +2,14 @@
 //! Deterministic-schedule model checker for the repo's concurrency
 //! invariants.
 //!
-//! PR 6 rebuilt `StreamingRasterJoin` around a chunk-parallel pool whose
-//! **bitwise determinism** — counts identical, sums bitwise equal to the
-//! sequential scan at any worker count — is the foundation the query
-//! cache and the always-on server build on. That guarantee rests on three
-//! small protocols:
+//! Every query's point pass — a streamed scan's and an in-memory join's
+//! alike — runs on one chunk-parallel pool (`raster-join/src/pool.rs`)
+//! whose **bitwise determinism** — counts identical, sums bitwise equal
+//! to the sequential loop at any worker count — is the foundation the
+//! query cache and the always-on server build on. That guarantee rests on
+//! a few small protocols:
 //!
-//! 1. the **seq-tagged ring + reorder buffer** (no chunk lost, duplicated
+//! 1. the **seq-tagged ring + reorder buffer** (no item lost, duplicated
 //!    or folded out of order) — [`models::RingModel`];
 //! 2. the **shard merge** (accumulate races nothing, merge runs strictly
 //!    after the scope join) — [`models::ShardModel`]; no executor runs it

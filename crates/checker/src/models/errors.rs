@@ -1,9 +1,11 @@
-//! Model of the streaming pool's **first-error shutdown** protocol.
+//! Model of the chunk pool's **first-error shutdown** protocol.
 //!
-//! Mirrors the hardened error paths of the threaded scan of
-//! `StreamingRasterJoin::scan` (`stream.rs`), any width ≥ 1, on the ring
-//! of `workers + 1` — the tightest `max(DEFAULT_READAHEAD, workers + 1)`
-//! gets: the consumer checks the scan's canvases out once,
+//! Mirrors the hardened error paths of `pool::run`
+//! (`raster-join/src/pool.rs`), which every query's point pass runs —
+//! streamed (`StreamingRasterJoin::scan`) and in memory — at any width
+//! ≥ 1, on a ring and a result channel of `workers + 1` — the tightest
+//! `max(DEFAULT_READAHEAD, workers + 1)` gets: the consumer checks the
+//! scan's canvases out once,
 //! before the first chunk, and keeps them for the whole scan; the reader
 //! can fail (I/O error or contained panic) by enqueueing `(seq, Err)` and
 //! stopping; a worker — which only decodes and bins, and holds no canvas
@@ -135,7 +137,7 @@ pub struct ErrModel {
     /// Live handles on the shared ring receiver (workers + consumer);
     /// the ring closes for the reader when the last one drops.
     ring_handles: usize,
-    /// The unbounded result channel.
+    /// The bounded result channel, as deep as the ring.
     results: Chan<(u64, ChunkRes)>,
 
     next_fetch: u64,
@@ -199,7 +201,7 @@ impl ErrModel {
             bug,
             work: Chan::bounded(workers + 1, 1),
             ring_handles: workers + 1,
-            results: Chan::unbounded(workers),
+            results: Chan::bounded(workers + 1, workers),
             next_fetch: 1,
             next_seq: 1,
             reader_finished: false,
@@ -342,7 +344,8 @@ impl ErrModel {
                     self.worker_states[w] = WorkerState::Steal;
                     Step::Ran
                 }
-                TrySend::Full => unreachable!("result channel is unbounded"),
+                // The consumer is a ring behind: wait for it.
+                TrySend::Full => Step::Blocked,
                 TrySend::Closed => {
                     // Consumer already shut down: the deltas (and an
                     // in-flight error, when the consumer cancelled) are

@@ -1,26 +1,28 @@
-//! Model of the streaming pool's seq-tagged ring, reorder buffer and
+//! Model of the chunk pool's seq-tagged ring, reorder buffer and
 //! resident canvas.
 //!
-//! Mirrors the threaded scan of `StreamingRasterJoin::scan` (`stream.rs`),
-//! which every prefetching scan runs at any width ≥ 1:
+//! Mirrors `pool::run` (`raster-join/src/pool.rs`), the one runner of
+//! every query's point pass — a streamed scan's (`stream.rs`, its items
+//! chunks) and an in-memory join's (`PreparedJoin::bin_blocks`, its items
+//! row blocks) — at any width ≥ 1:
 //!
-//! * **reader** (thread 0) — fetches chunks `1..=chunks`, tagging each
-//!   with its sequence number, into a bounded work ring
+//! * **reader** (thread 0) — the feed: hands items `1..=chunks` out,
+//!   tagging each with its sequence number, into a bounded work ring
 //!   (`mpsc::sync_channel`), then drops its sender. The model's ring
 //!   holds `workers + 1`, the tightest production ever runs: production
 //!   sizes it `max(DEFAULT_READAHEAD, workers + 1)`, and a deeper ring
 //!   only lets the reader block later;
-//! * **workers** (threads `1..=workers`) — steal the next fetched chunk
-//!   off the shared ring, decode and *bin* it (one step) and send the
-//!   chunk's `(seq, deltas)` down the unbounded result channel. They hold
-//!   no canvas. On ring disconnect they drop their result sender and
-//!   finish;
-//! * **consumer** (last thread) — acquires the scan's canvas once, bins
-//!   and blends the sample chunk (seq 0) itself, exactly like the
-//!   production consumer, then drains the result channel through a
-//!   [`Reorder`] buffer, blending deltas into the canvas strictly in
-//!   ascending sequence order; when the channel closes it resolves the
-//!   canvas once and releases it.
+//! * **workers** (threads `1..=workers`) — steal the next item off the
+//!   shared ring, *bin* it (one step) and send its `(seq, deltas)` down
+//!   the result channel, bounded like the ring (a worker blocks while the
+//!   consumer is a ring behind). They hold no canvas. On ring disconnect
+//!   they drop their result sender and finish;
+//! * **consumer** (last thread) — acquires the query's canvas once, bins
+//!   and blends item 0 itself, exactly like the production consumer,
+//!   then drains the result channel through a [`Reorder`] buffer,
+//!   blending deltas into the canvas strictly in ascending sequence
+//!   order; when the channel closes it resolves the canvas once and
+//!   releases it.
 //!
 //! # Checked invariants
 //!
@@ -80,7 +82,7 @@ pub struct RingModel {
 
     /// The bounded work ring, `(seq, chunk id)` tagged.
     work: Chan<(u64, u64)>,
-    /// The unbounded result channel.
+    /// The bounded result channel, as deep as the ring.
     results: Chan<(u64, u64)>,
 
     /// Reader program counter: next chunk to fetch (`> chunks` ⇒ closing).
@@ -142,7 +144,7 @@ impl RingModel {
             chunks,
             bug,
             work: Chan::bounded(workers + 1, 1),
-            results: Chan::unbounded(workers),
+            results: Chan::bounded(workers + 1, workers),
             next_fetch: 1,
             next_seq: 1,
             reader_finished: false,
@@ -224,13 +226,21 @@ impl RingModel {
                 }
             },
             WorkerState::Send { seq, chunk } => {
-                if self.bug != RingBug::LoseChunk(chunk) {
-                    // Unbounded channel: never Full; a Closed result send
-                    // would mean the consumer bailed (it never does here).
-                    let _ = self.results.try_send((seq, chunk));
+                let sent = if self.bug == RingBug::LoseChunk(chunk) {
+                    TrySend::Sent
+                } else {
+                    self.results.try_send((seq, chunk))
+                };
+                match sent {
+                    // The consumer is a ring behind: wait for it.
+                    TrySend::Full => Step::Blocked,
+                    // A Closed result send would mean the consumer bailed
+                    // (it never does here).
+                    TrySend::Sent | TrySend::Closed => {
+                        self.worker_states[w] = WorkerState::Steal;
+                        Step::Ran
+                    }
                 }
-                self.worker_states[w] = WorkerState::Steal;
-                Step::Ran
             }
             WorkerState::Finished => Step::Done,
         }

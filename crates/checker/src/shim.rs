@@ -1,19 +1,20 @@
 //! Instrumented model shims for the synchronization primitives the
-//! streaming pool uses.
+//! chunk pool uses.
 //!
 //! Each shim is the *model-level* counterpart of a real primitive in
-//! `raster-join`'s chunk pool, with the same observable semantics but
-//! with every operation made a single explorable step:
+//! `raster-join`'s chunk pool (`pool.rs`), with the same observable
+//! semantics but with every operation made a single explorable step:
 //!
 //! | shim                | production primitive                               |
 //! |---------------------|----------------------------------------------------|
 //! | [`Chan::bounded`]   | `std::sync::mpsc::sync_channel` (the seq-tagged    |
-//! |                     | work ring, `max(DEFAULT_READAHEAD, workers+1)`)    |
-//! | [`Chan::unbounded`] | `std::sync::mpsc::channel` (the result channel)    |
+//! |                     | work ring and the result channel, both             |
+//! |                     | `max(DEFAULT_READAHEAD, workers+1)`)               |
+//! | [`Chan::unbounded`] | `std::sync::mpsc::channel` (no pool channel now)   |
 //! | [`Gate`]            | `crossbeam::thread::scope` join (workers must all  |
 //! |                     | arrive before the scope's tail code runs)          |
 //! | [`Reorder`]         | the consumer's `BTreeMap` reorder buffer           |
-//! |                     | (`stream.rs` `ReorderBuffer`)                      |
+//! |                     | (`pool.rs` `ReorderBuffer`)                        |
 //! | [`AtomicShim`]      | a `Relaxed` atomic counter cell                    |
 //!
 //! The shims are plain data (`Clone`), so the scheduler forks whole-system

@@ -158,6 +158,11 @@ impl<'a> SlabIndex<'a> {
         self.rings.push(slabs);
     }
 
+    /// The polygon set the index was built over.
+    pub fn polygons(&self) -> &'a [Polygon] {
+        self.polys
+    }
+
     /// [`crate::point_in_polygon`] of polygon `i` of the set: the same
     /// boolean for every `p`.
     #[inline]

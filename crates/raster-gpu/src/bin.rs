@@ -24,15 +24,16 @@
 //!   split tiles, so every tile receives exactly the points a per-tile
 //!   rescan would (property-tested). The exact join's outline test rides
 //!   along as a closure: a point on an outline pixel leaves the canvas
-//!   there, as a PIP hit in its worker's side state.
+//!   there, as a PIP hit in the call's side state. One call runs on one
+//!   thread; the executors' chunk pool bins several runs of rows at once.
 //! * **Staging** → [`BinnedBatch`]: the kept points bucketed by (tile,
 //!   row band of `1 << BAND_SHIFT` rows), CSR, each band in row order.
 //!   Every consumer — a query's resident canvases
-//!   ([`crate::ResidentCanvases::absorb`]) — reads it as it is: the band
-//!   blend ([`crate::PointFbo::blend_bands`], one thread per band) or a
-//!   runs tile's kept batches, built once ([`crate::PixelRuns`], one
-//!   task per band). A pixel lies in one band, so it takes its entries in
-//!   row order whatever the thread count.
+//!   ([`crate::ResidentCanvases::absorb`]) — reads it as it is: a dense
+//!   tile's blend in row order ([`crate::PointFbo::blend_in_order`] of
+//!   [`BinnedBatch::tile`]) or a runs tile's kept batches, built once
+//!   ([`crate::PixelRuns`], one task per band). A pixel lies in one band,
+//!   so it takes its entries in row order whatever the thread count.
 //! * **Multi-canvas rendering (Fig. 5)** → [`CanvasTiling`] owns the full
 //!   ε-derived canvas and its device-limit split, replacing the bare
 //!   `Vec<Viewport>` the join operators used to thread around.
@@ -96,7 +97,11 @@ const SHARD_MIN_DENSITY: f64 = 0.5;
 /// from 1/8 (30–32 vs 30–39) and a dense SUM wins from 1/4 (54–62 vs
 /// 81–85). The one-tile crossover thus lies between the sweep's 1/4 and
 /// 1/2; the gate stays at 1/4, where COUNT is even and the prepared loops
-/// over many tiles give up least.
+/// over many tiles give up least. With the dense tile blended by one
+/// absorbing thread (the sweep's dense sides do the same), three quick
+/// runs put the one-tile crossover at 1/4, 3/8 and 1/2 for COUNT and
+/// above 1/2 for SUM (runs 318–409 vs dense 353–424 ms at 1/2): the gate
+/// is now at or below it, not above.
 pub const RUNS_MAX_DENSITY: f64 = 0.25;
 
 impl RasterConfig {
@@ -156,9 +161,10 @@ impl CanvasTiling {
     }
 }
 
-/// The passes blend and build runs in bands of `1 << BAND_SHIFT` pixel
-/// rows: 64 bands on a 2048² canvas, enough that skewed data (one band
-/// holding a fifth of the points) still leaves every worker bands to take.
+/// The runs build and the polygon pass work in bands of `1 << BAND_SHIFT`
+/// pixel rows: 64 bands on a 2048² canvas, enough that skewed data (one
+/// band holding a fifth of the points) still leaves every worker bands to
+/// take.
 pub const BAND_SHIFT: u32 = 5;
 
 /// One batch of points binned by canvas tile and, within a tile, by row
@@ -168,7 +174,7 @@ pub const BAND_SHIFT: u32 = 5;
 /// aggregated attribute value when the query has one. A tile's bands are
 /// adjacent, so [`BinnedBatch::tile`] is one slice — in band order, and
 /// in row order for every pixel.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct BinnedBatch {
     /// Bands per tile: enough for the tallest tile of the tiling.
     bands: usize,
@@ -181,7 +187,7 @@ pub struct BinnedBatch {
     values: Vec<f32>,
 }
 
-/// The workers' staging buffers of a binning, kept from one
+/// The staging buffers of a binning thread, kept from one
 /// [`bin_columns`] to the next.
 #[derive(Default)]
 pub struct BinScratch(Vec<Slots>);
@@ -240,20 +246,20 @@ pub fn no_outline(_: &mut (), _: u32, _: Point, _: f32) -> bool {
     false
 }
 
-/// Classify the rows of `cols` into the (tile, band) slots of `tiling`, a
-/// column at a time, into `into` — its entries replaced, its buffers and
-/// `scratch`'s per-worker staging reused, so a run of blocks or chunks
-/// allocates only while they grow. Per block of [`BIN_BLOCK`] rows,
-/// `keep(start, mask)` writes the filter's verdict for rows `start..start
-/// + mask.len()`, then every kept row is placed from the `xs` / `ys`
-/// slices. Each band's entries are in row order at any `workers`.
+/// Classify the rows of `cols` into the (tile, band) slots of `tiling` on
+/// the calling thread, a column at a time, into `into` — its entries
+/// replaced, its buffers and `scratch`'s staging reused, so a run of
+/// blocks or chunks allocates only while they grow. Per block of
+/// [`BIN_BLOCK`] rows, `keep(start, mask)` writes the filter's verdict for
+/// rows `start..start + mask.len()`, then every kept row is placed from
+/// the `xs` / `ys` slices. Each band's entries are in row order.
 ///
 /// `outline(side, pixel, point, value)` sees every placed point first,
-/// with its tile's linear pixel index and the calling worker's private
-/// `side` state; when it returns `true` the point is taken off the canvas
-/// (the exact join resolves an outline-pixel point by PIP there) and no
-/// entry is staged. The sides come back in worker order, which is row
-/// order. [`no_outline`] stages every point.
+/// in row order, with its tile's linear pixel index and the call's
+/// `side` state, which it returns; when `outline` returns `true` the
+/// point is taken off the canvas (the exact join resolves an
+/// outline-pixel point by PIP there) and no entry is staged.
+/// [`no_outline`] stages every point.
 ///
 /// On a one-tile canvas a kept row's pixel is that tile's
 /// [`Viewport::pixel_of`]. On several tiles the assignment is
@@ -268,10 +274,9 @@ pub fn bin_columns<K, S, O>(
     scratch: &mut BinScratch,
     tiling: &CanvasTiling,
     cols: PointColumns<'_>,
-    workers: usize,
     keep: K,
     outline: O,
-) -> Vec<S>
+) -> S
 where
     K: Fn(usize, &mut [bool]) + Sync,
     S: Default + Send,
@@ -279,12 +284,12 @@ where
 {
     assert_eq!(cols.xs.len(), cols.ys.len(), "coordinate column lengths");
     let (len, with_values) = (cols.xs.len(), cols.values.is_some());
-    bin_with(
+    let mut sides = bin_with(
         into,
         scratch,
         tiling,
         len,
-        workers,
+        1,
         with_values,
         |binner, rows, staging| {
             let mut mask = [false; BIN_BLOCK];
@@ -301,7 +306,8 @@ where
                 }
             }
         },
-    )
+    );
+    sides.pop().unwrap_or_default()
 }
 
 /// Classify points `0..len` (relative indices; the accessor maps to

@@ -5,13 +5,14 @@
 //! attribute (§5), and the blend function is set to ADD — the
 //! 32-bit-per-channel layout of the hardware (§3). The hardware blends
 //! fragments in parallel with atomic adds; every executor here blends a
-//! canvas **band by band** instead ([`PointFbo::blend_bands`]): each run
-//! of pixel rows is owned by one thread, which adds its entries in row
-//! order with plain stores, so a pixel's f32 sum is the same bits at any
-//! thread count. The cells stay `AtomicU32` so the polygon pass can read a
-//! canvas through a shared reference.
+//! canvas on the one thread that owns it instead
+//! ([`PointFbo::blend_in_order`], called by [`ResidentCanvases::absorb`]),
+//! adding its entries in row order with plain stores, so a pixel's f32
+//! sum is the same bits at any width of the pool that bins them. The
+//! cells stay `AtomicU32` so the polygon pass can read a canvas through a
+//! shared reference.
 
-use crate::bin::{use_runs, BinnedBatch, BAND_SHIFT};
+use crate::bin::{use_runs, BinnedBatch};
 use crate::{PixelRuns, SpanSource};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -115,36 +116,6 @@ impl PointFbo {
         blend_owned(&mut self.counts, &mut self.sums, 0, idx, values);
     }
 
-    /// [`PointFbo::blend_in_order`] of tile `ti` of `binned` on `workers`
-    /// threads: the canvas is cut into the batch's bands of `1 <<
-    /// BAND_SHIFT` pixel rows, and each band is blended by whichever one
-    /// thread takes it off the queue, with plain adds on the rows it then
-    /// owns. No pixel is shared, so there is no atomic read-modify-write,
-    /// and every pixel's f32 sum accumulates in the band's (= row) order:
-    /// bitwise what one thread calling `blend_in_order` on the tile gives,
-    /// at any `workers`.
-    pub fn blend_bands(&mut self, binned: &BinnedBatch, ti: usize, workers: usize) {
-        let band_px = ((self.width as usize) << BAND_SHIFT).max(1);
-        let nbands = self.counts.len().div_ceil(band_px);
-        assert!(
-            nbands <= binned.bands(),
-            "entries binned for another banding"
-        );
-        let busy = (0..nbands)
-            .filter(|&b| !binned.band(ti, b).0.is_empty())
-            .count();
-        let bands = self
-            .counts
-            .chunks_mut(band_px)
-            .zip(self.sums.chunks_mut(band_px))
-            .enumerate();
-        let blend = |(b, (counts, sums)): (usize, (&mut [AtomicU32], &mut [AtomicU32]))| {
-            let (idx, values) = binned.band(ti, b);
-            blend_owned(counts, sums, (b * band_px) as u32, idx, values);
-        };
-        crate::exec::parallel_tasks(bands.collect(), workers.min(busy), blend);
-    }
-
     /// Count channel of one pixel.
     #[inline]
     pub fn count_at(&self, x: u32, y: u32) -> u32 {
@@ -214,19 +185,11 @@ impl PointFbo {
 
     /// Clear all channels (reusing the allocation across render passes).
     pub fn clear(&mut self) {
-        self.write_zeros(true);
-    }
-
-    /// Store zero to every cell of the count plane and, with `sums`, of
-    /// the sum plane, front to back.
-    fn write_zeros(&mut self, sums: bool) {
         for c in &mut self.counts {
             *c.get_mut() = 0;
         }
-        if sums {
-            for s in &mut self.sums {
-                *s.get_mut() = 0f32.to_bits();
-            }
+        for s in &mut self.sums {
+            *s.get_mut() = 0f32.to_bits();
         }
     }
 
@@ -273,12 +236,12 @@ fn blend_owned(
 /// Private per-worker count/sum accumulation buffers for one FBO-sized
 /// canvas, merged into the canonical [`PointFbo`] after the point scan.
 ///
-/// No executor blends through shards any more — the band-owned blend
-/// ([`PointFbo::blend_bands`]) took their place without a merge and with
-/// the same bits at any width. The set stays for the benchmark's replay
-/// (`benchmark/src/layers.rs`) and the checker's shard model, which still
-/// verifies its protocol; all three leave together in the benchmark
-/// re-cut (ROADMAP direction 1, step 2).
+/// No executor blends through shards any more — the one-thread blend in
+/// row order ([`PointFbo::blend_in_order`]) took their place without a
+/// merge and with the same bits at any width. The set stays for the
+/// benchmark's replay (`benchmark/src/layers.rs`) and the checker's shard
+/// model, which still verifies its protocol; all three leave together in
+/// the benchmark re-cut (ROADMAP direction 1, step 2).
 ///
 /// # Why shards
 ///
@@ -453,21 +416,6 @@ impl FboPool {
             .unwrap_or_else(|| PointFbo::new(width, height))
     }
 
-    /// [`FboPool::acquire`] for a pass whose blend is spread over threads
-    /// ([`PointFbo::blend_bands`]). A fresh canvas is lazily zeroed
-    /// memory, and threads faulting its pages in at random as they blend
-    /// took about five times as long as one front-to-back write of the
-    /// planes (32 MB, two workers; equal at one). So a fresh canvas gets
-    /// that write here — the count plane, and the sum plane with `sums` —
-    /// which is what `clear` gives a recycled one anyway.
-    pub fn acquire_touched(&self, width: u32, height: u32, sums: bool) -> PointFbo {
-        self.recycle(width, height).unwrap_or_else(|| {
-            let mut fbo = PointFbo::new(width, height);
-            fbo.write_zeros(sums);
-            fbo
-        })
-    }
-
     /// Check a released canvas of this shape out of the free list and
     /// clear it; count the acquisition either way.
     fn recycle(&self, width: u32, height: u32) -> Option<PointFbo> {
@@ -487,21 +435,11 @@ impl FboPool {
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// The canvases of a query over `tiles` that scans `rows` rows, with
-    /// `sums` or not, absorbed on `workers` threads: a dense canvas for
-    /// more than one is written first ([`FboPool::acquire_touched`]).
-    pub fn acquire_resident(
-        &self,
-        tiles: &[crate::Viewport],
-        rows: usize,
-        sums: bool,
-        workers: usize,
-    ) -> ResidentCanvases<'_> {
+    /// The canvases of a query over `tiles` that scans `rows` rows.
+    pub fn acquire_resident(&self, tiles: &[crate::Viewport], rows: usize) -> ResidentCanvases<'_> {
         let tiles = tiles.iter().enumerate().map(|(ti, vp)| {
             if use_runs(rows, vp.pixel_count()) {
                 Canvas::Runs(PixelRuns::new(vp.width, vp.height, ti))
-            } else if workers > 1 {
-                Canvas::Dense(self.acquire_touched(vp.width, vp.height, sums))
             } else {
                 Canvas::Dense(self.acquire(vp.width, vp.height))
             }
@@ -576,24 +514,31 @@ impl SpanSource for Canvas {
 }
 
 impl ResidentCanvases<'_> {
-    /// Take one batch's or chunk's entries, in row order: blended into a
-    /// dense tile band by band on `workers` threads, kept for a runs tile.
-    /// Returns a batch to bin the next entries into.
-    pub fn absorb(&mut self, deltas: BinnedBatch, workers: usize) -> BinnedBatch {
+    /// Take one batch's or chunk's entries, in row order, on this thread:
+    /// blended into a dense tile; for the runs tiles, copied once into an
+    /// allocation of this thread's, kept until the build. Returns `deltas`
+    /// to bin the next entries into: the binning threads' buffers are
+    /// recycled, never kept (kept in place, they stayed in those threads'
+    /// heaps — 2 M taxi rows on a runs canvas, two workers: peak RSS
+    /// 171 MB against 148 MB for the copy).
+    pub fn absorb(&mut self, deltas: BinnedBatch) -> BinnedBatch {
         let mut runs = Vec::new();
         for (ti, tile) in self.tiles.iter_mut().enumerate() {
             match tile {
-                Canvas::Dense(fbo) => fbo.blend_bands(&deltas, ti, workers),
+                Canvas::Dense(fbo) => {
+                    let (idx, values) = deltas.tile(ti);
+                    fbo.blend_in_order(idx, values);
+                }
                 Canvas::Runs(tile) => runs.push(tile),
             }
         }
         if runs.is_empty() {
             return deltas;
         }
-        let kept = Arc::new(deltas);
+        let kept = Arc::new(deltas.clone());
         runs.into_iter()
             .for_each(|tile| tile.append(Arc::clone(&kept)));
-        BinnedBatch::default()
+        deltas
     }
 
     /// Build the runs tiles after the last absorb; returns their number.
@@ -898,14 +843,14 @@ mod tests {
         )];
         // 8 pixels: 5 rows are dense, 1 row is runs.
         for (rows, dense) in [(5, true), (1, false)] {
-            let mut canvases = pool.acquire_resident(&tiles, rows, true, 2);
+            let mut canvases = pool.acquire_resident(&tiles, rows);
             assert_eq!(pool.outstanding(), usize::from(dense));
             // Two chunks' worth of deltas, in chunk order.
             let chunk = |r: std::ops::Range<usize>, workers| {
                 crate::bin::bin_pixels(4, 2, &idx[r.clone()], Some(&values[r]), workers)
             };
-            canvases.absorb(chunk(0..2, 1), 1);
-            canvases.absorb(chunk(2..5, 2), 2);
+            canvases.absorb(chunk(0..2, 1));
+            canvases.absorb(chunk(2..5, 2));
             assert_eq!(canvases.build_runs(2), u32::from(!dense));
             let got = canvases.tile(0);
             assert_eq!(matches!(got, Canvas::Dense(_)), dense);
@@ -918,88 +863,9 @@ mod tests {
             assert_eq!(pool.outstanding(), 0);
         }
         // COUNT-only deltas carry no values.
-        let mut canvases = pool.acquire_resident(&tiles, 5, false, 1);
-        canvases.absorb(crate::bin::bin_pixels(4, 2, &[0, 0], None, 1), 1);
+        let mut canvases = pool.acquire_resident(&tiles, 5);
+        canvases.absorb(crate::bin::bin_pixels(4, 2, &[0, 0], None, 1));
         assert_eq!(canvases.tile(0).span_count(0, 0, 1), 2);
-    }
-
-    /// Band-owned blending of a binned tile is `blend_in_order` of its
-    /// rows: every pixel bitwise, at any binning and blending width, on a
-    /// canvas whose last band is short, with a few hot pixels (one per
-    /// band, on band seams and the canvas's last) whose f32 sums depend on
-    /// the order they are added in — values or none.
-    #[test]
-    fn blend_bands_is_blend_in_order_at_any_width() {
-        let (w, h) = (19u32, 3 * (1 << BAND_SHIFT) + 5);
-        let band_rows = 1u32 << BAND_SHIFT;
-        let hot = [
-            3,
-            (band_rows - 1) * w + 4,
-            band_rows * w + 7,
-            (2 * band_rows - 1) * w,
-            (3 * band_rows) * w + 18,
-            w * h - 1,
-        ];
-        let mut state = 0x2545_F491u32;
-        let (mut idx, mut values) = (Vec::new(), Vec::new());
-        for k in 0..6_000 {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            // Two thirds on the hot pixels, the rest anywhere.
-            let pix = match (state >> 8) % 3 {
-                0 => (state >> 12) % (w * h),
-                _ => hot[(state >> 16) as usize % hot.len()],
-            };
-            idx.push(pix);
-            values.push([3e4f32, 1e-3, -3e4, 0.7][k % 4] * (1 + k % 5) as f32);
-        }
-        for values in [Some(&values[..]), None] {
-            let mut want = PointFbo::new(w, h);
-            want.blend_in_order(&idx, values);
-            for bin_workers in [1, 3] {
-                let binned = crate::bin::bin_pixels(w, h, &idx, values, bin_workers);
-                for workers in [1, 2, 3, 8] {
-                    let mut got = PointFbo::new(w, h);
-                    got.blend_bands(&binned, 0, workers);
-                    for y in 0..h {
-                        for x in 0..w {
-                            assert_eq!(got.count_at(x, y), want.count_at(x, y));
-                            assert_eq!(
-                                got.sum_at(x, y).to_bits(),
-                                want.sum_at(x, y).to_bits(),
-                                "({x}, {y}) binned on {bin_workers}, blended on {workers}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "another banding")]
-    fn blend_bands_rejects_entries_of_another_banding() {
-        // One band's worth of rows binned, two bands' worth of canvas.
-        let binned = crate::bin::bin_pixels(8, 8, &[3], None, 1);
-        PointFbo::new(8, 2 << BAND_SHIFT).blend_bands(&binned, 0, 1);
-    }
-
-    #[test]
-    fn acquire_touched_hands_out_zeroed_canvases_fresh_or_recycled() {
-        let pool = FboPool::new();
-        for sums in [false, true] {
-            let fresh = pool.acquire_touched(16, 8, sums);
-            assert_eq!(pool.outstanding(), 1);
-            assert_eq!(fresh.total_count(), 0);
-            fresh.blend_add(3, 2, 4.5);
-            pool.release(fresh);
-            // Recycled: both planes cleared whatever the next query needs.
-            let again = pool.acquire_touched(16, 8, false);
-            assert_eq!((again.count_at(3, 2), again.sum_at(3, 2)), (0, 0.0));
-            pool.release(again);
-            assert_eq!(pool.outstanding(), 0);
-            // Drain the free list so the next round starts fresh.
-            drop(pool.fbos.lock().pop());
-        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   batch into the (canvas tile, row band) that renders it, replacing the
 //!   O(points × tiles) per-tile rescans of the multi-canvas path (Fig. 5);
 //! * [`framebuffer`] — FBOs with additive blending (the paper's `Fpt`
-//!   count/sum FBO and the boundary FBO), filled band by band in row order
-//!   ([`framebuffer::PointFbo::blend_bands`]), and the
+//!   count/sum FBO and the boundary FBO), filled in row order by the one
+//!   thread that absorbs a query's entries
+//!   ([`framebuffer::ResidentCanvases::absorb`]), and the
 //!   allocation-recycling [`framebuffer::FboPool`]; the retired sharded
 //!   blend ([`framebuffer::ShardSet`]) stays only for the benchmark's
 //!   replay;

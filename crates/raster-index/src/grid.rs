@@ -4,8 +4,10 @@
 //! polygons, into a list of row spans; the paper's two passes (count →
 //! prefix sum → scatter) then read the stored lists, polygon by polygon
 //! in slice order. Nothing in the CSR depends on thread timing: every
-//! cell's candidate list is in slice order — ascending in polygon id for
-//! the id-ordered sets the joins index — at any worker count.
+//! cell's candidate list is the ascending positions of its polygons in
+//! the indexed slice, at any worker count. The index holds positions,
+//! not `Polygon::id`s: a caller reads `polys[candidate]` and maps to the
+//! id only where it writes a result slot.
 
 use raster_geom::{BBox, Point, Polygon};
 use raster_gpu::exec::{block_for, parallel_dynamic};
@@ -162,13 +164,13 @@ impl GridIndex {
             offsets[c + 1] += offsets[c];
         }
 
-        // Pass 2: scatter polygon IDs in slice order through per-cell
-        // cursors.
+        // Pass 2: scatter polygon positions in slice order through
+        // per-cell cursors.
         let mut cursors = offsets[..ncells].to_vec();
         let mut entries = vec![u32::MAX; offsets[ncells] as usize];
-        for (pi, poly) in polys.iter().enumerate() {
+        for pi in 0..polys.len() {
             for c in cells_of(pi) {
-                entries[cursors[c] as usize] = poly.id();
+                entries[cursors[c] as usize] = pi as u32;
                 cursors[c] += 1;
             }
         }
@@ -211,9 +213,9 @@ impl GridIndex {
         Some((cy * self.nx + cx) as usize)
     }
 
-    /// Candidate polygon IDs for a point: the contents of its grid cell
-    /// (`Ind.query(x, y)` in Procedure JoinPoint). Empty when the point is
-    /// outside the indexed extent.
+    /// Candidate polygons for a point, as positions in the indexed slice:
+    /// the contents of its grid cell (`Ind.query(x, y)` in Procedure
+    /// JoinPoint). Empty when the point is outside the indexed extent.
     #[inline]
     pub fn candidates(&self, p: Point) -> &[u32] {
         match self.cell_of(p) {

@@ -43,9 +43,12 @@ pub struct RTree {
 }
 
 impl RTree {
-    /// Bulk-load the tree over the polygons' bounding boxes.
+    /// Bulk-load the tree over the polygons' bounding boxes, each entry
+    /// its polygon's position in `polys` (not its `Polygon::id`).
     pub fn build(polys: &[Polygon]) -> Self {
-        let entries: Vec<(BBox, u32)> = polys.iter().map(|p| (p.bbox(), p.id())).collect();
+        let entries: Vec<(BBox, u32)> = (polys.iter().enumerate())
+            .map(|(i, p)| (p.bbox(), i as u32))
+            .collect();
         Self::from_entries(entries)
     }
 

@@ -17,8 +17,8 @@
 //!    the grid index + PIP (Procedure JoinPoint, the PIP through a y-slab
 //!    edge index) and added to their slots one by one in row order; all
 //!    other points are absorbed into the point canvas — runs or dense by
-//!    the bounded join's gate, a dense one blended row band by row band
-//!    by the one thread that owns each.
+//!    the bounded join's gate, either filled by the chunk pool's one
+//!    absorbing thread in row order.
 //! 3. **Draw polygons** (Procedure AccuratePolygons) — the bounded
 //!    join's polygon pass (`polygon_pass.rs`) over the same canvas. It is
 //!    exact without the paper's per-fragment boundary discard and without
@@ -179,7 +179,6 @@ impl AccurateRasterJoin {
 mod tests {
     use super::*;
     use crate::bounded::BoundedRasterJoin;
-    use crate::stats::ExecStats;
     use raster_data::generators::{nyc_extent, uniform_points, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
     use raster_geom::Point;
@@ -312,8 +311,9 @@ mod tests {
     }
 
     /// A canvas dense enough that every band takes entries from every
-    /// worker of every block: identical counts and PIP tests at any width,
-    /// and equal to brute force, boundary PIP handling included.
+    /// block, binned by whichever worker took it: identical counts and
+    /// PIP tests at any width, and equal to brute force, boundary PIP
+    /// handling included.
     #[test]
     fn band_owned_blend_stays_exact_on_a_dense_canvas() {
         let extent = nyc_extent();
@@ -449,10 +449,9 @@ mod tests {
             (&wide, pts.len(), 0),
             (&wide, 1, 1),
         ] {
-            let mut canvases = prepared.canvases(rows, &q, join.workers);
-            let mut stats = ExecStats::default();
-            prepared.bin_blocks(&pts, &q, join.workers, &mut canvases, &mut stats);
-            assert!(stats.pip_tests > 0);
+            let mut canvases = prepared.canvases(rows);
+            let merged = prepared.bin_blocks(&pts, &q, join.workers, &mut canvases);
+            assert!(merged.finish().stats.pip_tests > 0);
             assert_eq!(canvases.build_runs(join.workers), runs);
             let canvas = canvases.tile(0);
             assert!(total(canvas) > 0);
@@ -460,11 +459,11 @@ mod tests {
             assert!(outline.holds_nothing(canvas), "{ctx}");
         }
 
-        let mut canvases = prepared.canvases(pts.len(), &q, 1);
+        let mut canvases = prepared.canvases(pts.len());
         for start in (0..pts.len()).step_by(9_000) {
             let chunk = pts.slice(start, (start + 9_000).min(pts.len()));
             let deltas = prepared.bin(&chunk, &q, Default::default(), &mut Default::default());
-            canvases.absorb(deltas.binned, 1);
+            canvases.absorb(deltas.binned);
         }
         canvases.build_runs(1);
         assert!(total(canvases.tile(0)) > 0);

@@ -27,11 +27,11 @@
 //! per-tile `(pixel index, value)` deltas and, with an outline, row-ordered
 //! PIP hits ([`PreparedJoin::bin`]), *absorb* deltas into the query's
 //! canvases ([`ResidentCanvases::absorb`]), and *resolve* them through the
-//! polygon pass ([`PreparedJoin::resolve`]), once per query. An in-memory
-//! query bins and absorbs block by block on all its workers
-//! ([`BoundedRasterJoin::execute_prepared`]); the streaming scan
-//! (`raster-join::stream`) bins chunks on its pool and absorbs them in
-//! chunk order on one thread.
+//! polygon pass ([`PreparedJoin::resolve`]), once per query. Every query
+//! bins and absorbs on the one chunk pool (`pool.rs`): its workers bin,
+//! one thread absorbs in row order. An in-memory query feeds it blocks of
+//! its table (`PreparedJoin::bin_blocks`); the streaming scan
+//! (`raster-join::stream`) feeds it the chunks it reads.
 //!
 //! # The resident gate: runs or dense, once per query
 //!
@@ -45,10 +45,8 @@
 //!   band's entries sorted by pixel and collapsed once at resolve,
 //!   searched per polygon span. Costs per entry, never per pixel.
 //! * **dense** — a [`PointFbo`](raster_gpu::PointFbo) from the
-//!   preparation's pool, filled band by band: each run of pixel rows is
-//!   blended by the one thread that takes it, its entries in row order
-//!   ([`PointFbo::blend_bands`](raster_gpu::PointFbo::blend_bands)).
-//!   Costs per pixel.
+//!   preparation's pool, blended by the one absorbing thread, its entries
+//!   in row order. Costs per pixel.
 //!
 //! Both read the one classifier's (tile × 32-row band) staging as it is
 //! (`raster_gpu::bin_columns`, `point_pass.rs`). `ExecStats::runs_passes`
@@ -62,14 +60,16 @@
 
 use crate::point_pass::{columns, settle_transfers, Hits, Outline, BLOCK_ROWS};
 use crate::polygon_pass::{self, PolygonSide};
+use crate::pool;
 use crate::query::{result_slots, AggregateMerger, ChunkDeltas, JoinOutput, Query};
 use crate::stats::ExecStats;
 use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::{BBox, Polygon};
-use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling, PointColumns};
+use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{default_workers, timed};
 use raster_gpu::{no_outline, Device, FboPool, ResidentCanvases, Viewport};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The bounded (approximate) raster join operator.
@@ -167,57 +167,37 @@ impl<'a> PreparedJoin<'a> {
         self.nslots
     }
 
-    /// The canvases of a query that will scan `rows` rows, absorbed on
-    /// `workers` threads, in the tile order of [`ChunkDeltas::binned`], for
-    /// [`PreparedJoin::resolve`] (see [`ResidentCanvases`]). Empty without
-    /// polygons.
-    pub fn canvases(&self, rows: usize, query: &Query, workers: usize) -> ResidentCanvases<'_> {
-        let sums = query.aggregate.attr().is_some();
-        self.pool
-            .acquire_resident(self.tiles(), rows, sums, workers)
-    }
-
-    /// Classify `cols` into `binned` on `workers` threads: the one
-    /// classifier, handed the outline's test as its closure when there is
-    /// one. Returns the outline's hits in row order; PIP tests to `stats`.
-    fn classify<K>(
-        &self,
-        tiling: &CanvasTiling,
-        binned: &mut BinnedBatch,
-        scratch: &mut BinScratch,
-        (cols, keep): (PointColumns<'_>, K),
-        workers: usize,
-        stats: &mut ExecStats,
-    ) -> Vec<(u32, f32)>
-    where
-        K: Fn(usize, &mut [bool]) + Sync,
-    {
-        match &self.outline {
-            None => {
-                bin_columns(binned, scratch, tiling, cols, workers, keep, no_outline);
-                Vec::new()
-            }
-            Some(o) => {
-                let divert = |hits: &mut Hits, pix, p, v| o.divert(hits, pix, p, v);
-                let sides = bin_columns(binned, scratch, tiling, cols, workers, keep, divert);
-                Hits::concat(sides, stats)
-            }
-        }
+    /// The canvases of a query that will scan `rows` rows, in the tile
+    /// order of [`ChunkDeltas::binned`], for [`PreparedJoin::resolve`] (see
+    /// [`ResidentCanvases`]). Empty without polygons.
+    pub fn canvases(&self, rows: usize) -> ResidentCanvases<'_> {
+        self.pool.acquire_resident(self.tiles(), rows)
     }
 
     /// *Bin* one chunk on the calling thread: the filter a column at a
     /// time into a keep-mask per block of rows, then the pixel of every
     /// kept point, into (tile, band) deltas in row order — or, on an
     /// outline pixel, PIP-tested into the chunk's row-ordered hits. The
-    /// streaming scan's chunk-pool workers run this and nothing else of
-    /// the join, so the entry order — hence every pixel's f32 blend order
-    /// — is the table's row order at any pool width. The deltas reuse the
-    /// buffers of `binned` (an earlier chunk's, once absorbed) and the
-    /// calling thread's staging `scratch`; both may start as
-    /// `Default::default()`.
+    /// chunk pool's workers run this and nothing else of the join, so the
+    /// entry order — hence every pixel's f32 blend order — is the table's
+    /// row order at any pool width. The deltas reuse the buffers of
+    /// `binned` (an earlier chunk's, once absorbed) and the calling
+    /// thread's staging `scratch`; both may start as `Default::default()`.
     pub fn bin(
         &self,
         points: &PointTable,
+        query: &Query,
+        binned: BinnedBatch,
+        scratch: &mut BinScratch,
+    ) -> ChunkDeltas {
+        self.bin_rows(points, 0..points.len(), query, binned, scratch)
+    }
+
+    /// [`PreparedJoin::bin`] of the `rows` of `points`.
+    fn bin_rows(
+        &self,
+        points: &PointTable,
+        rows: Range<usize>,
         query: &Query,
         mut binned: BinnedBatch,
         scratch: &mut BinScratch,
@@ -229,8 +209,17 @@ impl<'a> PreparedJoin<'a> {
         };
         let mut hits = Vec::new();
         if let Some(tiling) = &self.tiling {
-            let cols = columns(points, 0..points.len(), query);
-            hits = self.classify(tiling, &mut binned, scratch, cols, 1, &mut stats);
+            let (cols, keep) = columns(points, rows, query);
+            let into = &mut binned;
+            // The one classifier, handed the outline's test as its
+            // closure when there is one.
+            if let Some(o) = &self.outline {
+                let divert = |hits: &mut Hits, pix, p, v| o.divert(hits, pix, p, v);
+                let side = bin_columns(into, scratch, tiling, cols, keep, divert);
+                (hits, stats.pip_tests) = (side.hits, side.pip_tests);
+            } else {
+                bin_columns(into, scratch, tiling, cols, keep, no_outline);
+            }
         }
         let dt = t0.elapsed();
         (stats.processing, stats.binning, stats.point_stage) = (dt, dt, dt);
@@ -247,39 +236,38 @@ impl<'a> PreparedJoin<'a> {
         }
     }
 
-    /// The point pass of an in-memory table onto `canvases`: block by
-    /// block, binned on `workers` threads into one reused batch, then
-    /// absorbed at that width. Returns every block's hits, in row order.
+    /// The point pass of an in-memory table onto `canvases`, on the chunk
+    /// pool at `workers`: the feed hands out [`BLOCK_ROWS`]-row ranges,
+    /// each binned whole by one thread — the first by this one, which
+    /// absorbs them all in row order. Returns the blocks' stats and hits,
+    /// merged. A panic on any of the pool's threads is raised here once
+    /// the pool has drained.
     pub(crate) fn bin_blocks(
         &self,
         points: &PointTable,
         query: &Query,
         workers: usize,
         canvases: &mut ResidentCanvases<'_>,
-        stats: &mut ExecStats,
-    ) -> Vec<(u32, f32)> {
-        let Some(tiling) = &self.tiling else {
-            return Vec::new();
-        };
-        let (mut binned, scratch) = (BinnedBatch::default(), &mut BinScratch::default());
-        let mut hits = Vec::new();
-        let mut point_stage = Duration::ZERO;
-        timed(&mut point_stage, || {
-            for start in (0..points.len()).step_by(BLOCK_ROWS) {
-                let rows = start..(start + BLOCK_ROWS).min(points.len());
-                let cols = columns(points, rows, query);
-                let mut binning = Duration::ZERO;
-                let block = timed(&mut binning, || {
-                    self.classify(tiling, &mut binned, scratch, cols, workers, stats)
-                });
-                hits.extend(block);
-                stats.binning += binning;
-                stats.binned_points += binned.len() as u64;
-                binned = canvases.absorb(std::mem::take(&mut binned), workers);
-            }
-        });
-        stats.point_stage += point_stage;
-        hits
+    ) -> AggregateMerger {
+        let mut merger = AggregateMerger::new(self.nslots);
+        let block = |start: usize| start..(start + BLOCK_ROWS).min(points.len());
+        let bin =
+            |rows, binned, scratch: &mut _| self.bin_rows(points, rows, query, binned, scratch);
+        let ran = pool::run(
+            workers,
+            // Every block after the first, until the pool stops listening.
+            |send| {
+                let mut blocks = (BLOCK_ROWS..points.len()).step_by(BLOCK_ROWS);
+                blocks.all(|start| send(Ok(block(start))));
+            },
+            |rows, binned, scratch| Ok(bin(rows, binned, scratch)),
+            |binned, scratch| bin(block(0), binned, scratch),
+            |deltas| pool::absorb(canvases, &mut merger, deltas),
+        );
+        if let Err(e) = ran {
+            panic!("{e}");
+        }
+        merger
     }
 
     /// *Resolve* the canvases every batch or chunk was absorbed into
@@ -316,8 +304,8 @@ impl<'a> PreparedJoin<'a> {
     }
 
     /// Run `query` over an in-memory table on `workers` threads: acquire
-    /// the canvases once, bin and absorb the table block by block, add
-    /// the hits, resolve once. The outline pass is *not* charged here; see
+    /// the canvases once, bin and absorb the table block by block with its
+    /// hits, resolve once. The outline pass is *not* charged here; see
     /// [`PreparedJoin::outline_time`].
     pub(crate) fn execute(
         &self,
@@ -335,15 +323,11 @@ impl<'a> PreparedJoin<'a> {
             };
         }
         let proc0 = Instant::now();
-        let mut stats = ExecStats::default();
-        let mut merged = AggregateMerger::new(self.nslots);
-        let mut canvases = self.canvases(points.len(), query, workers);
-        let hits = self.bin_blocks(points, query, workers, &mut canvases, &mut stats);
-        merged.add_hits(&hits);
+        let mut canvases = self.canvases(points.len());
+        let mut merged = self.bin_blocks(points, query, workers, &mut canvases);
         merged.fold(&self.resolve(&mut canvases, query, workers));
         drop(canvases);
         let mut out = merged.finish();
-        out.stats.fold(&stats);
         out.stats.triangulation = self.preparation;
         out.stats.index_build = self
             .outline
@@ -690,10 +674,10 @@ mod tests {
         assert_eq!(out.stats.triangulation, prepared.preparation);
         assert_eq!(out.counts, vec![1, 2, 3, 2]);
 
-        let mut canvases = prepared.canvases(pts.len(), &Query::sum(0), 1);
+        let mut canvases = prepared.canvases(pts.len());
         let q = Query::sum(0);
         let deltas = prepared.bin(&pts, &q, Default::default(), &mut Default::default());
-        canvases.absorb(deltas.binned, 1);
+        canvases.absorb(deltas.binned);
         let resolved = prepared.resolve(&mut canvases, &Query::sum(0), join.workers);
         assert_eq!((resolved.stats.spans, resolved.stats.passes), (spans, 2));
         assert_eq!((&resolved.counts, &resolved.sums), (&out.counts, &out.sums));

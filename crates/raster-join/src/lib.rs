@@ -22,13 +22,18 @@
 //!
 //!   Both prepare into the one [`bounded::PreparedJoin`] — canvas tiling,
 //!   span tables and, exact only, the outline — which holds the *bin*,
-//!   *absorb* and *resolve* pieces and the in-memory driver, written
-//!   once; [`Plan::prepare`] is the one plan→preparation mapping.
+//!   *absorb* and *resolve* pieces, written once; [`Plan::prepare`] is
+//!   the one plan→preparation mapping.
 //! * [`stream::StreamingRasterJoin`] — the §7.7 disk-resident scan as a
 //!   planner-driven streaming executor over a prepared join's *bin* /
 //!   *absorb* / *resolve* pieces: chunk sizes from the planner's batch
 //!   model, polygon side prepared once, disk reads overlapped with join
 //!   processing, one polygon pass at the end.
+//!
+//!   Every query's point pass, in memory and streamed, runs on the one
+//!   chunk pool (`pool.rs`): a feed on a reader thread (row blocks of an
+//!   in-memory table, or paced chunk reads), workers that bin, and one
+//!   thread that absorbs in row order.
 //! * [`minmax::MinMaxRasterJoin`] — MIN/MAX (§5): a different blend
 //!   operator, which no composition of sums expresses; the one operator
 //!   left with a point loop of its own, over the bounded join's
@@ -85,6 +90,7 @@ pub mod multi;
 pub mod optimizer;
 mod point_pass;
 mod polygon_pass;
+mod pool;
 pub mod quantize;
 pub mod query;
 pub mod ranges;

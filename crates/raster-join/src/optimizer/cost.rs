@@ -35,12 +35,13 @@
 //! # Streamed scans
 //!
 //! A streamed scan (`stored_row_bytes > 0`, see `stream.rs`) has the
-//! in-memory join's shape — [`W_FRAG`], [`W_CLEAR_PX`] and [`W_PASS`]
+//! in-memory join's shape: [`W_FRAG`], [`W_CLEAR_PX`] and [`W_PASS`]
 //! once per query however many chunks the table splits into (chunk count
 //! only moves [`W_BATCH`]), [`W_FRAG`] amortized over the resolve width
-//! (`plan.workers`) — with one difference: pool workers only *bin*
-//! chunks and one consumer absorbs the deltas in chunk order, so its
-//! [`W_BLEND`] does not amortize over the pool.
+//! (`plan.workers`). Both run the one chunk pool (`pool.rs`): its workers
+//! only *bin*, and one consumer absorbs the deltas in row order, so a
+//! dense canvas's [`W_BLEND`] does not amortize over the pool; a runs
+//! canvas's does — its sort runs at the resolve, on every worker.
 
 use super::{Plan, Variant};
 use crate::query::Query;
@@ -122,12 +123,6 @@ pub const SELECTIVITY_SAMPLE: usize = 1024;
 /// realize (scheduling overhead, memory-bandwidth sharing): a parallel
 /// feature is divided by `1 + PARALLEL_EFFICIENCY·(workers − 1)`.
 pub const PARALLEL_EFFICIENCY: f64 = 0.85;
-
-/// Does this workload stream off disk (its blend on one consumer) rather
-/// than join an in-memory table (its blend on every worker)?
-pub fn streamed(wl: &Workload) -> bool {
-    wl.stored_row_bytes > 0.0
-}
 
 /// Everything the cost model needs to know about one (points, polygons,
 /// query) triple, summarised so plan enumeration is O(plans) not
@@ -323,7 +318,6 @@ pub fn features_for(
     let n = wl.n_points as f64;
     let surv = n * wl.surviving;
     let batches = sh.batches as f64;
-    let streamed = streamed(wl);
     let mut f = [0.0; NWEIGHTS];
     f[W_BATCH] = batches;
     f[W_PASS] = sh.passes as f64;
@@ -387,8 +381,8 @@ pub fn features_for(
     // stages amortize over the pool, while fixed per-pass/per-batch
     // overheads plus the paced storage read stay serial. Uniform in
     // everything but `plan.workers`, so relative plan
-    // ranking at a fixed worker count is unchanged. A streamed scan's
-    // blend is the one consumer applying deltas in chunk order: serial.
+    // ranking at a fixed worker count is unchanged. A dense canvas's
+    // blend is the one consumer absorbing in row order: serial.
     let w = plan.workers.max(1) as f64;
     let amort = 1.0 + PARALLEL_EFFICIENCY * (w - 1.0);
     for slot in [
@@ -401,7 +395,7 @@ pub fn features_for(
         W_POINT_ACC,
         W_DECODE_VAL,
     ] {
-        if !(streamed && slot == W_BLEND) {
+        if sh.runs || slot != W_BLEND {
             f[slot] /= amort;
         }
     }
@@ -508,10 +502,28 @@ mod tests {
         let f4 = features(&plan_w(Variant::Bounded, usize::MAX, 4), &wl, &dev);
         let amort = 1.0 + PARALLEL_EFFICIENCY * 3.0;
         assert_eq!(f4[W_FILTER], f1[W_FILTER] / amort);
-        assert_eq!(f4[W_BLEND], f1[W_BLEND] / amort);
+        // A dense canvas is blended by the one absorbing thread.
+        assert!(!shape(&plan_w(Variant::Bounded, usize::MAX, 4), &wl, &dev).runs);
+        assert_eq!(f4[W_BLEND], f1[W_BLEND]);
         // Serial slots are untouched.
         assert_eq!(f4[W_PASS], f1[W_PASS]);
         assert_eq!(f4[W_BATCH], f1[W_BATCH]);
+        // A runs canvas's sort runs at the resolve, on every worker — in
+        // memory as streamed.
+        let sparse = Workload::assumed(50_000, &polys, &q);
+        let streamed = Workload {
+            stored_row_bytes: 20.0,
+            ..sparse
+        };
+        for wl in [sparse, streamed] {
+            let (p1, p4) = (
+                plan_w(Variant::Bounded, usize::MAX, 1),
+                plan_w(Variant::Bounded, usize::MAX, 4),
+            );
+            assert!(shape(&p4, &wl, &dev).runs);
+            let blend = |p: &Plan| features(p, &wl, &dev)[W_BLEND];
+            assert_eq!(blend(&p4), blend(&p1) / amort);
+        }
     }
 
     /// Every query draws its polygons once, so its polygon terms must not
@@ -584,7 +596,7 @@ mod tests {
                             decode_cols,
                             ..Workload::assumed(n, &polys, &Query::count().with_epsilon(eps))
                         };
-                        assert!(streamed(&wl));
+                        assert!(wl.stored_row_bytes > 0.0);
                         for variant in [Variant::Bounded, Variant::Accurate] {
                             for batch in [250_000, usize::MAX] {
                                 for workers in [1, 2, 4] {

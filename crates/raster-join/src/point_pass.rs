@@ -1,7 +1,8 @@
 //! The point pass of both raster joins: **bin**, then **absorb**.
 //! With an [`Outline`] it is the exact join's step 2 (Procedure
 //! AccuratePoints); without one it is Procedure DrawPoints. Its driver
-//! is `PreparedJoin` (`bounded.rs`); this module holds its parts.
+//! is the chunk pool (`pool.rs`), run by `PreparedJoin` (`bounded.rs`);
+//! this module holds its parts.
 //!
 //! *Bin* is the one point classifier, `raster_gpu::bin_columns`: the
 //! filter a column at a time into a keep-mask per block of rows
@@ -9,19 +10,19 @@
 //! hands it [`Outline::divert`] as its closure: a point on an outline
 //! pixel is resolved on the spot — grid candidates, then the slab index's
 //! PIP (Procedure JoinPoint) — into a `(slot, value)` [`Hits`] entry per
-//! containing polygon, in its worker's side state; any other point (every
-//! in-canvas point, without an outline) becomes a `(pixel, value)` entry
-//! in the staging of its (tile, row band). *Absorb* hands the staging to
-//! the query's resident canvases (`raster_gpu::ResidentCanvases::absorb`);
-//! the hits are added to the result slots one by one.
+//! containing polygon; any other point (every in-canvas point, without an
+//! outline) becomes a `(pixel, value)` entry in the staging of its (tile,
+//! row band). *Absorb* hands the staging to the query's resident canvases
+//! (`raster_gpu::ResidentCanvases::absorb`); the hits are added to the
+//! result slots one by one.
 //!
-//! An in-memory table is binned in blocks of [`BLOCK_ROWS`] on all
-//! workers, each absorbed before the next, so the staging is bounded by
-//! the block; a streamed chunk is binned whole, on the calling thread,
-//! into the buffers of a batch an earlier chunk's absorb handed back.
-//! Every list is in row order and is consumed in row order, so a pixel's
-//! f32 sum and a slot's f64 sum are bitwise the same at any width, batch,
-//! block or chunk size, in memory and streamed.
+//! An in-memory table is fed to the pool in blocks of [`BLOCK_ROWS`], so
+//! the staging in flight is bounded by a few blocks; a streamed chunk is
+//! one item. Either is binned whole by one thread, into the buffers of a
+//! batch an earlier absorb handed back, and absorbed by one thread in
+//! row order. Every list is in row order and is consumed in row order, so
+//! a pixel's f32 sum and a slot's f64 sum are bitwise the same at any
+//! width, batch, block or chunk size, in memory and streamed.
 
 use raster_data::filter::keep_mask;
 use raster_data::PointTable;
@@ -35,29 +36,22 @@ use std::time::Duration;
 use crate::query::Query;
 use crate::stats::ExecStats;
 
-/// Rows classified between two absorbs of an in-memory table. Bounds the
-/// staging buffers (8 bytes per surviving row) whatever the table size;
-/// 64 k and 128 k rows measured equal on the 2 M-row taxi table.
-pub(crate) const BLOCK_ROWS: usize = 128 * 1024;
+/// Rows of an in-memory table per item of the chunk pool. Bounds each
+/// item's staging (8 bytes per surviving row) whatever the table size:
+/// the pool holds a few items per thread, each thread's staging and
+/// batches its own. On the 2 M-row taxi table × the neighborhoods
+/// (2-core box, two workers), the exact join's peak RSS read 138 MB at
+/// 128 k rows, 127 MB at 64 k and 121 MB at 32 k (the block-parallel pass
+/// the pool replaced: 118 MB), its times level.
+pub(crate) const BLOCK_ROWS: usize = 32 * 1024;
 
-/// What one worker's outline took off the canvas.
+/// What one bin's outline took off the canvas.
 #[derive(Default)]
 pub(crate) struct Hits {
-    /// `(slot, value)` per polygon containing a boundary-pixel point.
-    hits: Vec<(u32, f32)>,
-    pip_tests: u64,
-}
-
-impl Hits {
-    /// The workers' `sides` as one row-ordered list; PIP tests to `stats`.
-    pub(crate) fn concat(sides: Vec<Hits>, stats: &mut ExecStats) -> Vec<(u32, f32)> {
-        let mut all = Vec::with_capacity(sides.iter().map(|s| s.hits.len()).sum());
-        for side in sides {
-            all.extend(side.hits);
-            stats.pip_tests += side.pip_tests;
-        }
-        all
-    }
+    /// `(slot, value)` per polygon containing a boundary-pixel point, in
+    /// row order.
+    pub(crate) hits: Vec<(u32, f32)>,
+    pub(crate) pip_tests: u64,
 }
 
 /// The exact join's outline over its one canvas tile (§4.3 step 1):
@@ -147,8 +141,9 @@ pub(crate) fn settle_transfers(
 }
 
 /// Procedure JoinPoint: index lookup + PIP tests for one point; `hit` is
-/// called with the slot of every polygon containing it, in candidate
-/// order. Returns the number of PIP tests performed.
+/// called with the slot — the polygon id — of every polygon containing
+/// it, in candidate order. Both indexes hold positions in the polygon
+/// set. Returns the number of PIP tests performed.
 #[inline]
 pub(crate) fn join_point(
     index: &GridIndex,
@@ -159,7 +154,7 @@ pub(crate) fn join_point(
     let candidates = index.candidates(p);
     for &cand in candidates {
         if slabs.contains(cand as usize, p) {
-            hit(cand);
+            hit(slabs.polygons()[cand as usize].id());
         }
     }
     candidates.len() as u64

@@ -249,7 +249,8 @@ mod tests {
         let tiling = CanvasTiling::single(vp);
         let binned = bin_points(&tiling, pts.len(), 1, true, |i| Some(pts[i]));
         let mut dense = PointFbo::new(96, 72);
-        dense.blend_bands(&binned, 0, 1);
+        let (idx, values) = binned.tile(0);
+        dense.blend_in_order(idx, values);
         let runs = PixelRuns::build(&binned, 0, 96, 72, 1);
 
         let dense_pixels = |s: Span| {

@@ -27,7 +27,6 @@
 
 use crate::bounded::BoundedRasterJoin;
 use crate::query::{Aggregate, Query};
-use crate::stats::ExecStats;
 use raster_data::PointTable;
 use raster_geom::clip::coverage_fraction;
 use raster_geom::Polygon;
@@ -143,9 +142,8 @@ fn estimate_ranges_impl(
         ..query.clone()
     };
     let prepared = BoundedRasterJoin::new(workers).prepare(polys, query.epsilon, device);
-    let mut canvases = prepared.canvases(points.len(), &query, workers);
-    let stats = &mut ExecStats::default();
-    prepared.bin_blocks(points, &query, workers, &mut canvases, stats);
+    let mut canvases = prepared.canvases(points.len());
+    prepared.bin_blocks(points, &query, workers, &mut canvases);
     let a = prepared.resolve(&mut canvases, &query, workers);
 
     // Accumulators per polygon: ε⁺/ε⁻ worst, ε⁺/ε⁻ expected.

@@ -139,8 +139,9 @@ impl SamplingJoin {
             let p = points.point(ri);
             for &cand in index.candidates(p) {
                 pip += 1;
-                if polys[cand as usize].contains(p) {
-                    let id = cand as usize;
+                let poly = &polys[cand as usize];
+                if poly.contains(p) {
+                    let id = poly.id() as usize;
                     let y = match agg_attr {
                         None => 1.0,
                         Some(a) => points.attr(a)[ri] as f64,

@@ -15,18 +15,21 @@
 //! chunk is binned, its deltas absorbed **in chunk order** into canvases
 //! acquired once and kept resident for the whole scan
 //! ([`raster_gpu::ResidentCanvases`]), and one resolve at the end draws
-//! the polygons. There are two arms: the blocking loop stays as the
-//! paper-faithful ablation (`prefetch: false`), and every other scan runs
-//! the chunk pool, at whatever width the planner chose — width 1 is the
-//! same reader → ring → worker → reorder-buffer protocol with one worker:
+//! the polygons. The blocking loop stays as the paper-faithful ablation
+//! (`prefetch: false`); every other scan runs on the chunk pool
+//! (`pool.rs`) — the one runner of every query's point pass, in memory
+//! too — at whatever width the planner chose, width 1 included. A scan
+//! gives the pool its two closures: the *feed*, paced chunk reads on the
+//! reader thread, and the *work*, decode + bin on each worker; both
+//! failpoints (`stream.reader`, `stream.worker`) live in them:
 //!
 //! ```text
 //! blocking (§7.7 arm):   [fetch+decode] → [bin, absorb] → [fetch+decode] → …
 //!
-//! pool (workers ≥ 1):    reader thread:  [paced fetch] → ring of
+//! pool (workers ≥ 1):    feed (reader):  [paced fetch] → ring of
 //!                                        encoded chunks (seq-tagged)
-//!                        W pool workers: steal next chunk →
-//!                                        [decode] → [bin] → deltas
+//!                        work (W pool    steal next chunk →
+//!                        workers):       [decode] → [bin] → deltas
 //!                        this thread:    [bin sample (seq 0)], then
 //!                                        reorder buffer → absorb deltas in
 //!                                        ascending seq into the resident
@@ -50,21 +53,22 @@
 //!
 //! Each chunk is binned by **one thread in row order**, and the one
 //! consumer absorbs the deltas **in ascending chunk order** (a reorder
-//! buffer holds early finishers) into canvases it owns exclusively, at
-//! width 1, each tile runs or dense by the in-memory joins' gate over the
-//! header's row count. Every pixel's f32 sum therefore accumulates in the
-//! table's row order — whatever the pool width, the arm, the file format
-//! **or the chunk size** — and the resolve adds per-polygon partials to
-//! the result slots in polygon order at any width. The accurate variant's
+//! buffer holds early finishers) into canvases it owns exclusively, each
+//! tile runs or dense by the in-memory joins' gate over the header's row
+//! count. Every pixel's f32 sum therefore accumulates in the table's row
+//! order — whatever the pool width, the arm, the file format **or the
+//! chunk size** — and the resolve adds per-polygon partials to the result
+//! slots in polygon order at any width. The accurate variant's
 //! boundary-pixel points skip the canvas: each chunk's hits are added to
 //! the [`AggregateMerger`] one by one, in row order, before the resolve's
-//! output. That is the in-memory joins' own lifecycle, so a streamed
-//! result, bounded or exact, is **bitwise** the in-memory join of the same
-//! plan for every batch count. The cost model encodes the same shape
-//! ([`cost::streamed`]): polygon terms once per query, a serial blend, and
-//! [`Plan`]'s `workers` as the pool and resolve width. The planner is a
-//! pure function of the file header and the sampled first chunk, so the
-//! same scan gets the same plan every time.
+//! output. That is the in-memory joins' own pipeline — the same pool,
+//! fed blocks of the table instead of chunks — so a streamed result,
+//! bounded or exact, is **bitwise** the in-memory join of the same plan
+//! for every batch count. The cost model encodes the same shape
+//! ([`cost`]): polygon terms once per query, a dense canvas's blend
+//! serial, and [`Plan`]'s `workers` as the pool and resolve width. The
+//! planner is a pure function of the file header and the sampled first
+//! chunk, so the same scan gets the same plan every time.
 //!
 //! The concurrency invariants behind this guarantee — every chunk's
 //! deltas applied exactly once, in ascending sequence order, at any
@@ -73,8 +77,8 @@
 //! `docs/INVARIANTS.md` and model-checked exhaustively by
 //! `crates/checker` (run
 //! `cargo run --release -p checker --bin modelcheck`), whose ring and
-//! error models are step-for-step small models of this reader → ring →
-//! workers → reorder-buffer → canvas pipeline.
+//! error models are step-for-step small models of the pool's reader →
+//! ring → workers → reorder-buffer → canvas pipeline.
 //!
 //! # Sizing: the ring and the workers
 //!
@@ -83,9 +87,11 @@
 //! fetched-but-unbinned chunks (one per worker plus a spare, so the ring
 //! can feed every worker, and never fewer than [`DEFAULT_READAHEAD`]),
 //! one more inside the reader, plus one chunk decoding or binning per
-//! worker, plus whatever early finishers' deltas (4–8 bytes a surviving
+//! worker, plus as many binned chunks again in the result channel —
+//! bounded like the ring, so workers wait for a consumer that falls
+//! behind — and whatever early finishers' deltas (4–8 bytes a surviving
 //! point) the reorder buffer holds while an older chunk is still in
-//! flight — and exactly one canvas per tile, whatever the width. The ring
+//! flight; and exactly one canvas per tile, whatever the width. The ring
 //! rides out per-chunk *read* jitter against the modelled disk; workers
 //! ride out per-chunk *decode and bin* jitter and buy genuine multi-core
 //! overlap.
@@ -166,19 +172,17 @@
 use crate::bounded::PreparedJoin;
 use crate::containment;
 use crate::optimizer::{cost, AutoRasterJoin, Plan, Workload};
+use crate::pool;
 use crate::query::{AggregateMerger, ChunkDeltas, JoinOutput, Query};
 use crate::sql::{file_source, parse_query, ParseError};
 use raster_data::disk::{table_schema, ChunkedReader, ColumnIo, EncodedChunk, FaultRecovery};
 use raster_data::faults;
 use raster_data::PointTable;
 use raster_geom::Polygon;
-use raster_gpu::exec::{default_workers, timed};
+use raster_gpu::exec::default_workers;
 use raster_gpu::{BinScratch, BinnedBatch, Device};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Rows of the first chunk, read synchronously to sample the workload
@@ -187,15 +191,7 @@ use std::time::{Duration, Instant};
 /// ≤1024-row selectivity sample inside to be representative.
 const SAMPLE_ROWS: usize = 4096;
 
-/// Least depth of the pool's ring of fetched, still encoded chunks the
-/// background reader may buffer ahead of the workers; a pool wider than
-/// this runs a ring of `workers + 1`, so every worker can be fed with one
-/// chunk to spare. One more chunk is always in flight inside the reader
-/// itself, so depth 3 keeps up to 4 pruned chunk reads ahead of
-/// processing — enough to ride out per-chunk processing jitter against
-/// the modelled disk without buffering an unbounded slice of the table in
-/// memory.
-pub const DEFAULT_READAHEAD: usize = 3;
+pub use crate::pool::DEFAULT_READAHEAD;
 
 /// One streamed query's result and provenance.
 #[derive(Debug, Clone)]
@@ -339,9 +335,6 @@ struct ScanSetup {
     /// loop. What `scan` runs, `explain` prints and
     /// [`StreamOutput::pool_workers`] reports.
     pool_workers: usize,
-    /// Depth of the pool's ring of fetched chunks; 0 for the blocking
-    /// loop, which reads nothing ahead.
-    ring: usize,
     chunk_rows: usize,
     /// The query with attribute indices remapped onto the projected
     /// table's column order (identical to the caller's query when
@@ -397,12 +390,13 @@ fn tally(reader: &ChunkedReader) -> ReaderTally {
     )
 }
 
-/// The pool's background reader loop: fetch one paced, still encoded chunk
-/// after another and `send` each — or the error that ends the loop — down
-/// the ring until the table ends or `send` reports that nobody listens any
-/// more. The loop runs contained: a panic inside it (or the
-/// `stream.reader` failpoint's panic kind) becomes one more error on the
-/// ring, taking the same first-error shutdown path as an I/O failure.
+/// The scan's feed, on the pool's reader thread: fetch one paced, still
+/// encoded chunk after another and `send` each — or the error that ends
+/// the loop — down the ring until the table ends or `send` reports that
+/// nobody listens any more. The loop runs contained: a panic inside it
+/// (or the `stream.reader` failpoint's panic kind) becomes one more error
+/// on the ring, taking the same first-error shutdown path as an I/O
+/// failure.
 fn read_ahead(
     mut reader: ChunkedReader,
     bandwidth: Option<f64>,
@@ -493,57 +487,6 @@ impl BusyUnion {
         }
         c
     }
-}
-
-/// The pool consumer's reorder buffer: binned chunks arrive in whatever
-/// order the workers complete them and leave strictly in ascending
-/// sequence order, so the serial blend (canvases + merger) sees the same
-/// chunk order as the sequential loop.
-///
-/// The release protocol — no chunk lost, duplicated, or applied out of
-/// order, at any worker interleaving — is model-checked exhaustively by
-/// `crates/checker`'s ring model (its `Reorder` shim mirrors this type
-/// step for step); see `docs/INVARIANTS.md`.
-struct ReorderBuffer<T> {
-    pending: BTreeMap<u64, T>,
-    next_seq: u64,
-}
-
-impl<T> ReorderBuffer<T> {
-    fn new(first_seq: u64) -> Self {
-        ReorderBuffer {
-            pending: BTreeMap::new(),
-            next_seq: first_seq,
-        }
-    }
-
-    /// Buffer a completed item until its turn. Sequence tags are unique
-    /// by construction (the reader allocates them monotonically), so a
-    /// stale or duplicate tag is a protocol bug, not a data condition.
-    fn insert(&mut self, seq: u64, v: T) {
-        debug_assert!(seq >= self.next_seq, "stale seq tag {seq}");
-        let prev = self.pending.insert(seq, v);
-        debug_assert!(prev.is_none(), "duplicate seq tag {seq}");
-    }
-
-    /// The next in-order item, if it has already arrived.
-    fn pop_next(&mut self) -> Option<T> {
-        let v = self.pending.remove(&self.next_seq)?;
-        self.next_seq += 1;
-        Some(v)
-    }
-}
-
-/// A pool worker's binned chunk, travelling back to the blending consumer
-/// tagged with its sequence number. It refers to no canvas: a worker that
-/// fails or is discarded by a shutdown has nothing to give back.
-struct ChunkDone {
-    deltas: ChunkDeltas,
-    /// The reader-side paced fetch time of this chunk.
-    fetch: Duration,
-    /// Worker-side decode wall time and its per-stored-column split.
-    decode: Duration,
-    col_decode: Vec<Duration>,
 }
 
 /// The streaming out-of-core operator (see module docs).
@@ -715,13 +658,7 @@ impl StreamingRasterJoin {
         let chunk_rows = self.chunk_size_for(&plan, &exec_query, device);
         reader.set_chunk_rows(chunk_rows);
         let width = plan.workers.min(self.workers.max(1));
-        // The ring must hold at least one fetched chunk per worker plus
-        // one spare, or it would starve the pool it is supposed to feed.
-        let (pool_workers, ring) = if self.prefetch {
-            (width, DEFAULT_READAHEAD.max(width + 1))
-        } else {
-            (1, 0)
-        };
+        let pool_workers = if self.prefetch { width } else { 1 };
         Ok(ScanSetup {
             reader,
             rows,
@@ -731,7 +668,6 @@ impl StreamingRasterJoin {
             wl,
             width,
             pool_workers,
-            ring,
             plan,
             chunk_rows,
             exec_query,
@@ -795,7 +731,6 @@ impl StreamingRasterJoin {
             plan,
             width,
             pool_workers,
-            ring,
             chunk_rows,
             exec_query,
             projection,
@@ -814,210 +749,86 @@ impl StreamingRasterJoin {
         let mut reader_tally = tally(&reader);
 
         let point_bytes = PointTable::point_bytes(query.attrs_uploaded());
-        // Deltas already blended, handed back so the next chunks bin into
-        // their buffers instead of fresh ones; as many as binning threads.
-        let blended: parking_lot::Mutex<Vec<BinnedBatch>> = Default::default();
-        let keep_blended = pool_workers.max(1) + 1;
         // *Bin* one chunk with the calling thread's staging, which uploads
         // its points once; its bytes travel in the chunk's partial stats.
         // Captures only `Sync` state and touches no canvas — safe to run
         // across the pool.
-        let bin_chunk = |chunk: &PointTable, scratch: &mut BinScratch| -> ChunkDeltas {
-            let reuse = blended.lock().pop().unwrap_or_default();
-            let mut deltas = prepared.bin(chunk, query, reuse, scratch);
+        let bin_chunk = |chunk: &PointTable, binned, scratch: &mut BinScratch| -> ChunkDeltas {
+            let mut deltas = prepared.bin(chunk, query, binned, scratch);
             deltas.partial.stats.upload_bytes = (chunk.len() * point_bytes) as u64;
             deltas
         };
-        let mut scratch = BinScratch::default();
 
         let mut chunks = 0;
 
         if !sample.is_empty() {
             // One canvas per tile for the header's rows, held until this
             // block ends — by the resolve below or by any `?`/`return`.
-            let mut canvases = busy.track(|| prepared.canvases(rows as usize, query, 1));
-            // *Absorb* one chunk's deltas + merger, always called in
-            // ascending chunk order (the pool's reorder buffer guarantees
-            // it) so every pixel's f32 sum and the merged partials are
-            // deterministic. One consumer thread: width 1.
-            let mut absorb = |mut deltas: ChunkDeltas| {
-                let reuse = busy.track(|| {
-                    let stats = &mut deltas.partial.stats;
-                    let mut blend = Duration::ZERO;
-                    let reuse = timed(&mut blend, || canvases.absorb(deltas.binned, 1));
-                    stats.point_stage += blend;
-                    stats.processing += blend;
-                    merger.fold(&deltas.partial);
-                    merger.add_hits(&deltas.hits);
-                    reuse
-                });
-                let mut blended = blended.lock();
-                if blended.len() < keep_blended {
-                    blended.push(reuse);
-                }
-            };
+            let mut canvases = busy.track(|| prepared.canvases(rows as usize));
+            // *Absorb* one chunk, always in ascending chunk order, so every
+            // pixel's f32 sum and the merged partials are deterministic.
+            let mut absorb =
+                |deltas| busy.track(|| pool::absorb(&mut canvases, &mut merger, deltas));
 
-            // The sample chunk's processing is deferred until after the
-            // reader thread is spawned, so the read of chunk #2 overlaps it.
             let bandwidth = self.disk_bandwidth;
             if self.prefetch {
-                // Chunk-parallel pool, at any width ≥ 1. Three stages:
-                //   reader thread — paced fetch of *encoded* chunks
-                //     (I/O only) into a bounded ring;
-                //   pool workers  — steal the next fetched chunk, decode
-                //     and bin it;
-                //   this thread   — bins the sample chunk (seq 0), then
-                //     blends binned chunks in ascending sequence.
-                type Fetched = (u64, io::Result<(EncodedChunk, Duration)>);
-                let (work_tx, work_rx) = mpsc::sync_channel::<Fetched>(ring);
-                let work_rx = Arc::new(parking_lot::Mutex::new(work_rx));
-                let (res_tx, res_rx) = mpsc::channel::<(u64, io::Result<ChunkDone>)>();
-                // The chunks' decode runs on the workers; the reader only
-                // saw the sample's.
-                let mut pool_decode = Duration::ZERO;
-                let mut pool_cols: Vec<Duration> = Vec::new();
-
-                let first_err = crossbeam::thread::scope(|s| {
-                    // Reader: fetch + pace only, tagging each chunk (or
-                    // the error that ends the scan) with the next seq;
-                    // the sample is seq 0.
-                    let reader_handle = s.spawn(move |_| {
-                        let mut seq = 1u64;
-                        read_ahead(reader, bandwidth, |fetched| {
-                            let tag = seq;
-                            seq += u64::from(fetched.is_ok());
-                            work_tx.send((tag, fetched)).is_ok()
-                        })
-                    });
-                    for _ in 0..pool_workers {
-                        let work_rx = Arc::clone(&work_rx);
-                        let res_tx = res_tx.clone();
-                        let (busy, bin_chunk) = (&busy, &bin_chunk);
-                        let mut scratch = BinScratch::default();
-                        s.spawn(move |_| loop {
-                            // Work stealing at chunk granularity:
-                            // whichever worker goes idle first takes the
-                            // next fetched chunk off the shared ring (a
-                            // blocking recv under a mutex — the queue
-                            // itself is the steal point).
-                            let Ok((seq, fetched)) = work_rx.lock().recv() else {
-                                break; // reader hung up, ring drained
-                            };
-                            // Contained decode+bin: a panicking worker
-                            // still sends *something* for its claimed seq
-                            // — otherwise the consumer's reorder buffer
-                            // would wait on that seq forever and the query
-                            // would either hang or resolve a silent
-                            // partial aggregate.
-                            let done = match containment::contained(|| {
-                                fetched.and_then(|(enc, fetch)| {
-                                    match faults::hit(faults::STREAM_WORKER) {
-                                        Some(faults::FaultKind::Panic) => {
-                                            panic!("injected fault: stream.worker")
-                                        }
-                                        Some(kind) => return Err(faults::io_error(kind)),
-                                        None => {}
-                                    }
-                                    busy.track(|| {
-                                        enc.decode().map(|dec| ChunkDone {
-                                            deltas: bin_chunk(&dec.table, &mut scratch),
-                                            fetch,
-                                            decode: dec.decode_time,
-                                            col_decode: dec.col_decode,
-                                        })
-                                    })
-                                })
-                            }) {
-                                Ok(done) => done,
-                                Err(msg) => Err(containment::panic_error(msg)),
-                            };
-                            if res_tx.send((seq, done)).is_err() {
-                                break; // consumer bailed
-                            }
-                        });
+                // The chunk pool, at any width ≥ 1: the reader fetches
+                // paced, still encoded chunks, the workers decode and bin
+                // them, this thread bins the sample (seq 0) and absorbs.
+                // The decode runs on the workers; the reader saw only the
+                // sample's. Sums of durations: the same in any order.
+                let pool_io = parking_lot::Mutex::new((Duration::ZERO, Duration::ZERO, Vec::new()));
+                let work = |(enc, fetch): (EncodedChunk, Duration), binned, scratch: &mut _| {
+                    match faults::hit(faults::STREAM_WORKER) {
+                        Some(faults::FaultKind::Panic) => panic!("injected fault: stream.worker"),
+                        Some(kind) => return Err(faults::io_error(kind)),
+                        None => {}
                     }
-                    drop(res_tx);
-
-                    // The sample is seq 0: binned and blended here while
-                    // the pool already fetches and bins chunks 1…R behind
-                    // it.
-                    absorb(busy.track(|| bin_chunk(&sample, &mut scratch)));
-
-                    // Ordered blend: the reorder buffer releases chunks in
-                    // ascending seq, so the canvases and error precedence
-                    // are identical to the sequential loop's.
-                    let mut pending: ReorderBuffer<io::Result<ChunkDone>> = ReorderBuffer::new(1);
-                    let mut first_err: Option<io::Error> = None;
-                    loop {
-                        while first_err.is_none() {
-                            match pending.pop_next() {
-                                Some(Ok(done)) => {
-                                    read_time += done.fetch;
-                                    pool_decode += done.decode;
-                                    for (ci, d) in done.col_decode.iter().enumerate() {
-                                        if pool_cols.len() <= ci {
-                                            pool_cols.resize(ci + 1, Duration::ZERO);
-                                        }
-                                        pool_cols[ci] += *d;
-                                    }
-                                    absorb(done.deltas);
-                                }
-                                Some(Err(e)) => first_err = Some(e),
-                                None => break,
+                    busy.track(|| {
+                        let dec = enc.decode()?;
+                        // The guard lives for this block only: the bin
+                        // below runs unlocked.
+                        {
+                            let (read, decode, cols) = &mut *pool_io.lock();
+                            *read += fetch;
+                            *decode += dec.decode_time;
+                            if cols.len() < dec.col_decode.len() {
+                                cols.resize(dec.col_decode.len(), Duration::ZERO);
                             }
+                            cols.iter_mut()
+                                .zip(&dec.col_decode)
+                                .for_each(|(c, d)| *c += *d);
                         }
-                        if first_err.is_some() {
-                            break;
-                        }
-                        match res_rx.recv() {
-                            Ok((seq, done)) => {
-                                pending.insert(seq, done);
-                            }
-                            Err(_) => break, // every worker finished
-                        }
-                    }
-                    // Unblock the pipeline before the scope joins:
-                    // dropping the receivers fails the workers' sends, the
-                    // workers exit and drop their ring handles, and the
-                    // reader's ring send then fails too.
-                    drop(res_rx);
-                    drop(work_rx);
-                    // The reader loop itself is contained, so a join error
-                    // here means the panic escaped it (e.g. inside the
-                    // tally). Fold it into the error slot instead of
-                    // aborting; the counters are unknowable.
-                    match reader_handle.join() {
-                        Ok((bytes, sample_decode, mut cols, rec)) => {
-                            for (c, d) in cols.iter_mut().zip(&pool_cols) {
-                                c.decode_time += *d;
-                            }
-                            reader_tally = (bytes, sample_decode + pool_decode, cols, rec);
-                        }
-                        Err(p) => {
-                            let msg = containment::panic_msg(p.as_ref());
-                            first_err.get_or_insert_with(|| containment::panic_error(msg));
-                        }
-                    }
-                    first_err
-                })
-                .map_err(|p| {
-                    // A pool worker's spawn closure unwound outside its
-                    // contained region; crossbeam re-raises it at scope
-                    // exit. Surface it typed.
-                    StreamError::WorkerPanicked(containment::panic_msg(p.as_ref()))
-                })?;
-                if let Some(e) = first_err {
-                    return Err(e.into());
+                        Ok(bin_chunk(&dec.table, binned, scratch))
+                    })
+                };
+                let (bytes, sample_decode, mut cols, rec) = pool::run(
+                    pool_workers,
+                    |send| read_ahead(reader, bandwidth, send),
+                    work,
+                    |binned, scratch| busy.track(|| bin_chunk(&sample, binned, scratch)),
+                    &mut absorb,
+                )?;
+                let (read, decode, pool_cols) = pool_io.into_inner();
+                read_time += read;
+                for (c, d) in cols.iter_mut().zip(&pool_cols) {
+                    c.decode_time += *d;
                 }
+                reader_tally = (bytes, sample_decode + decode, cols, rec);
             } else {
                 // Paper-faithful §7.7: read, then process, strictly
                 // alternating on one buffer.
-                absorb(busy.track(|| bin_chunk(&sample, &mut scratch)));
-                while let Some((chunk, dt)) =
-                    paced(&mut reader, bandwidth, ChunkedReader::next_chunk)?
-                {
-                    read_time += dt;
-                    absorb(busy.track(|| bin_chunk(&chunk, &mut scratch)));
+                let (mut spare, mut scratch) = (BinnedBatch::default(), BinScratch::default());
+                let mut chunk = Some(sample);
+                while let Some(table) = chunk {
+                    let deltas = busy.track(|| bin_chunk(&table, spare, &mut scratch));
+                    spare = absorb(deltas);
+                    chunk = paced(&mut reader, bandwidth, ChunkedReader::next_chunk)?.map(
+                        |(table, dt)| {
+                            read_time += dt;
+                            table
+                        },
+                    );
                 }
                 reader_tally = tally(&reader);
             }
@@ -1147,7 +958,11 @@ impl StreamingRasterJoin {
             out,
             "  chunk: {} row(s), readahead {} chunk(s) ({})",
             setup.chunk_rows,
-            setup.ring,
+            if self.prefetch {
+                pool::ring_depth(setup.pool_workers)
+            } else {
+                0
+            },
             if self.prefetch {
                 "prefetching reader"
             } else {
@@ -1342,7 +1157,7 @@ mod tests {
             let prepared = setup
                 .plan
                 .prepare(&polys, &setup.exec_query, &dev, setup.width);
-            let held = prepared.canvases(setup.rows as usize, &setup.exec_query, 1);
+            let held = prepared.canvases(setup.rows as usize);
             assert_eq!(
                 prepared.outstanding_canvases(),
                 usize::from(!runs),
@@ -1737,38 +1552,6 @@ mod tests {
             panic!("expected an I/O error, got {err:?}");
         };
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
-    }
-
-    #[test]
-    fn reorder_buffer_releases_worst_case_reverse_arrival_in_order() {
-        // Every chunk arrives before its predecessor — the worst case the
-        // reorder buffer exists for. Nothing releases until seq 0 lands,
-        // then the whole backlog drains in ascending order.
-        let mut buf = ReorderBuffer::new(0);
-        for seq in (1..8u64).rev() {
-            buf.insert(seq, seq);
-            assert_eq!(buf.pop_next(), None, "released before seq 0 arrived");
-        }
-        buf.insert(0, 0);
-        for want in 0..8u64 {
-            assert_eq!(buf.pop_next(), Some(want));
-        }
-        assert_eq!(buf.pop_next(), None);
-    }
-
-    #[test]
-    fn reorder_buffer_interleaves_arrivals_and_releases() {
-        let mut buf = ReorderBuffer::new(0);
-        buf.insert(1, "b");
-        buf.insert(0, "a");
-        assert_eq!(buf.pop_next(), Some("a"));
-        assert_eq!(buf.pop_next(), Some("b"));
-        assert_eq!(buf.pop_next(), None); // 2 not here yet
-        buf.insert(3, "d");
-        buf.insert(2, "c");
-        assert_eq!(buf.pop_next(), Some("c"));
-        assert_eq!(buf.pop_next(), Some("d"));
-        assert_eq!(buf.pop_next(), None);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl TwoStepJoin {
                 }
                 cand_buf.clear();
                 rtree.candidates_into(points.point(i), &mut cand_buf);
-                local.extend(cand_buf.iter().map(|&id| (i as u32, id)));
+                local.extend(cand_buf.iter().map(|&pos| (i as u32, pos)));
             }
             filtered.lock().push((s, local));
         });
@@ -180,13 +180,14 @@ fn refine_and_aggregate(
         return;
     }
 
-    // Step 2 — refine: exact PIP test per candidate pair, materializing
-    // the surviving join result.
+    // Step 2 — refine: exact PIP test per candidate pair (a polygon
+    // position), materializing the surviving join result (a polygon id).
     let mut result: Vec<Pair> = Vec::new();
-    for &(row, pid) in candidates {
+    for &(row, pos) in candidates {
         st.pip += 1;
-        if polys[pid as usize].contains(points.point(row as usize)) {
-            result.push((row, pid));
+        let poly = &polys[pos as usize];
+        if poly.contains(points.point(row as usize)) {
+            result.push((row, poly.id()));
         }
     }
     st.result_pairs += result.len() as u64;

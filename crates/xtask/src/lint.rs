@@ -55,10 +55,14 @@
 //! |                   | ([`SCOPES`]) matches a scanned file — a rule        |
 //! |                   | scoped to a file that moved or went away would      |
 //! |                   | pass by checking nothing                            |
+//! | `one-pool`        | nothing in `raster-join` ([`ONE_POOL`]) spawns a    |
+//! |                   | thread or names a channel ([`POOL_WORDS`]) outside  |
+//! |                   | the chunk pool's file — every query's point pass,   |
+//! |                   | in memory and streamed, runs the one pool           |
 //!
 //! `#[cfg(test)]` regions are exempt from the panic, clock,
-//! triangulation, device-ledger, row-filter, polygon-rescan and
-//! one-resolve rules (tests may time things, unwrap
+//! triangulation, device-ledger, row-filter, polygon-rescan,
+//! one-resolve and one-pool rules (tests may time things, unwrap
 //! freely and hold the joins against a triangulation) but **not** from
 //! the unsafe rules: unsafe test code still wants an audit trail.
 
@@ -161,14 +165,16 @@ pub const DEVICE_LEDGER_WORDS: &[&str] = &[
 ];
 
 /// The point pipeline: `PreparedJoin::bin` and the in-memory block
-/// driver (`bounded.rs`), the exact join's preparation, the point pass's
-/// parts, the streamed scan and every classifier in `raster-gpu` filter
-/// through `filter::keep_mask` inside `bin_columns`, never row at a time
-/// through `filter::passes`. Prefix matches like [`NO_CLOCK_PATHS`].
+/// feed (`bounded.rs`), the exact join's preparation, the point pass's
+/// parts, the chunk pool, the streamed scan and every classifier in
+/// `raster-gpu` filter through `filter::keep_mask` inside `bin_columns`,
+/// never row at a time through `filter::passes`. Prefix matches like
+/// [`NO_CLOCK_PATHS`].
 pub const NO_ROW_FILTER_PATHS: &[&str] = &[
     "crates/raster-join/src/bounded.rs",
     "crates/raster-join/src/accurate.rs",
     "crates/raster-join/src/point_pass.rs",
+    "crates/raster-join/src/pool.rs",
     "crates/raster-join/src/stream.rs",
     "crates/raster-gpu/src/",
 ];
@@ -194,6 +200,15 @@ pub const POLYGON_PREPARATION: (&str, &str) =
 /// (`polygon_pass.rs`, which defines it, names it freely).
 pub const POLYGON_FOLD: (&str, &str) = ("draw_polygons", "fn resolve(");
 
+/// The joins (a prefix) and the one file of them allowed to spawn
+/// threads and open channels: the chunk pool every query's point pass
+/// runs on.
+pub const ONE_POOL: (&str, &str) = ("crates/raster-join/src/", "crates/raster-join/src/pool.rs");
+
+/// What [`ONE_POOL`] keeps in the pool's file (substrings): scoped and
+/// spawned threads, channels.
+pub const POOL_WORDS: &[&str] = &["thread::scope", "thread::spawn", ".spawn(", "mpsc::"];
+
 /// The path-scoped lists, by name: each entry must match at least one
 /// scanned file (rule `stale-scope`). The crate-root lists are held to
 /// the same by `missing-root`.
@@ -208,6 +223,7 @@ pub const SCOPES: &[(&str, &[&str])] = &[
     ("NO_ROW_FILTER_PATHS", NO_ROW_FILTER_PATHS),
     ("NO_POLYGON_RESCAN_PATHS", NO_POLYGON_RESCAN_PATHS),
     ("POLYGON_PREPARATION", &[POLYGON_PREPARATION.0]),
+    ("ONE_POOL", &[ONE_POOL.0, ONE_POOL.1]),
 ];
 
 /// How far above an `unsafe` token the contiguous `// SAFETY:` comment
@@ -540,6 +556,7 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
     };
     let one_resolve = no_rescan && rel != POLYGON_PREPARATION.0;
     let resolve = fn_region(&lines, POLYGON_FOLD.1);
+    let one_pool = path_matches(rel, ONE_POOL.0) && rel != ONE_POOL.1;
     let needs_forbid = FORBID_UNSAFE_ROOTS.contains(&rel);
     let needs_deny_op = DENY_UNSAFE_OP_ROOTS.contains(&rel);
 
@@ -698,6 +715,21 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
                           the polygons once, in its executor's resolve"
                     .into(),
             });
+        }
+
+        if one_pool && !in_test[idx] {
+            if let Some(word) = POOL_WORDS.iter().find(|w| code.contains(*w)) {
+                out.push(Violation {
+                    file: rel.into(),
+                    line: lineno,
+                    rule: "one-pool",
+                    message: format!(
+                        "`{word}` in raster-join outside the chunk pool (pool.rs) — \
+                         every query's point pass runs on pool::run; give it a \
+                         feed and a work instead of threads of its own"
+                    ),
+                });
+            }
         }
 
         if no_ledger && !in_test[idx] {
@@ -1175,6 +1207,31 @@ mod tests {
             lint_source("crates/raster-join/src/bounded.rs", prep).len(),
             1
         );
+    }
+
+    #[test]
+    fn threads_outside_the_pool_fail() {
+        let src = "use std::sync::mpsc::channel;\nfn f() {\n    crossbeam::thread::scope(|s| {\n        s.spawn(|_| work());\n    });\n    std::thread::spawn(|| {});\n}\n";
+        for rel in [
+            "crates/raster-join/src/bounded.rs",
+            "crates/raster-join/src/stream.rs",
+            "crates/raster-join/src/optimizer/mod.rs",
+        ] {
+            let v = lint_source(rel, src);
+            assert_eq!(v.len(), 4, "{rel}: {v:?}");
+            assert!(v.iter().all(|v| v.rule == "one-pool"));
+            let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+            assert_eq!(lines, [1, 3, 4, 6]);
+        }
+    }
+
+    #[test]
+    fn threads_in_the_pool_tests_and_other_crates_are_fine() {
+        let src = "use std::sync::mpsc;\nfn run() {\n    crossbeam::thread::scope(|s| {\n        s.spawn(|_| work());\n    });\n}\n";
+        assert!(lint_source(ONE_POOL.1, src).is_empty());
+        assert!(lint_source("crates/raster-gpu/src/exec.rs", src).is_empty());
+        let tests = "// mpsc:: and .spawn( in prose are fine\nfn f() { std::thread::sleep(d); }\n#[cfg(test)]\nmod tests {\n    fn t() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n}\n";
+        assert!(lint_source("crates/raster-join/src/stream.rs", tests).is_empty());
     }
 
     /// Every entry of every scoped list, as the tree would hold it.

@@ -76,7 +76,7 @@ fn run_lint(root: &std::path::Path) -> ExitCode {
         }
     };
     if violations.is_empty() {
-        println!("xtask lint: clean ({} invariant rules)", 14);
+        println!("xtask lint: clean ({} invariant rules)", 15);
         return ExitCode::SUCCESS;
     }
     for v in &violations {

@@ -355,8 +355,8 @@ proptest! {
             }
             let exec = BoundedRasterJoin::new(2);
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let mut canvases = prepared.canvases(pts.len(), &q, 1);
-            canvases.absorb(prepared.bin(&pts, &q, Default::default(), &mut Default::default()).binned, 1);
+            let mut canvases = prepared.canvases(pts.len());
+            canvases.absorb(prepared.bin(&pts, &q, Default::default(), &mut Default::default()).binned);
             let streamed = prepared.resolve(&mut canvases, &q, exec.workers);
             prop_assert_eq!(&streamed.counts, &one.counts);
             prop_assert_eq!(&streamed.sums, &one.sums, "{} tiles", tiles);
@@ -460,12 +460,11 @@ fn nan_coordinates_land_in_no_pixel() {
                 "{ctx}"
             );
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let mut canvases = prepared.canvases(pts.len(), &q, 1);
+            let mut canvases = prepared.canvases(pts.len());
             canvases.absorb(
                 prepared
                     .bin(&pts, &q, Default::default(), &mut Default::default())
                     .binned,
-                1,
             );
             let streamed = prepared.resolve(&mut canvases, &q, exec.workers);
             assert_eq!(
@@ -527,15 +526,14 @@ fn keep_mask_is_passes_row_by_row() {
     }
 }
 
-/// `PreparedJoin::bin` — and `bin_columns` at several widths — emits
-/// exactly the entries of the row-at-a-time reference (`passes`, then
-/// `Viewport::pixel_of` on every tile, in row order, grouped by row band
-/// of `1 << BAND_SHIFT` rows), pixel indices and value bits alike, on one
-/// tile and on 3×3: over predicates that keep whole blocks, none of a
-/// block or part of one, and NaN coordinates. On one tile the exact
-/// join's outline closure is one more input: a row on a pixel of the
-/// conservative outline becomes a hit in its worker's side state, in row
-/// order, not an entry.
+/// `PreparedJoin::bin` — and `bin_columns` — emits exactly the entries
+/// of the row-at-a-time reference (`passes`, then `Viewport::pixel_of` on
+/// every tile, in row order, grouped by row band of `1 << BAND_SHIFT`
+/// rows), pixel indices and value bits alike, on one tile and on 3×3:
+/// over predicates that keep whole blocks, none of a block or part of
+/// one, and NaN coordinates. On one tile the exact join's outline closure
+/// is one more input: a row on a pixel of the conservative outline
+/// becomes a hit in the call's side state, in row order, not an entry.
 #[test]
 fn bin_entries_are_the_row_at_a_time_reference() {
     use raster_join_repro::data::filter::{keep_mask, passes};
@@ -653,41 +651,22 @@ fn bin_entries_are_the_row_at_a_time_reference() {
                 }
                 on
             };
-            for workers in [1, 2, 3] {
-                let (mut binned, mut outlined) = Default::default();
-                let scratch = &mut BinScratch::default();
-                bin_columns::<_, (), _>(
-                    &mut binned,
-                    scratch,
-                    &tiling,
-                    cols,
-                    workers,
-                    keep,
-                    no_outline,
-                );
-                let sides = bin_columns(
-                    &mut outlined,
-                    scratch,
-                    &tiling,
-                    cols,
-                    workers,
-                    keep,
-                    outline,
-                );
-                let ctx = format!("{tiles} tile(s), {workers} worker(s), {q:?}");
-                assert_eq!(sides.concat(), want_hits, "hits, {ctx}");
-                let cases = [
-                    (&streamed, &want_entries),
-                    (&binned, &want_entries),
-                    (&outlined, &want),
-                ];
-                for (got, want) in cases {
-                    for (ti, (idx, bits)) in want.iter().enumerate() {
-                        let (gi, gv) = got.tile(ti);
-                        let gbits: Vec<u32> =
-                            gv.into_iter().flatten().map(|v| v.to_bits()).collect();
-                        assert_eq!((gi, &gbits[..]), (&idx[..], &bits[..]), "tile {ti}, {ctx}");
-                    }
+            let (mut binned, mut outlined) = Default::default();
+            let scratch = &mut BinScratch::default();
+            bin_columns::<_, (), _>(&mut binned, scratch, &tiling, cols, keep, no_outline);
+            let side = bin_columns(&mut outlined, scratch, &tiling, cols, keep, outline);
+            let ctx = format!("{tiles} tile(s), {q:?}");
+            assert_eq!(side, want_hits, "hits, {ctx}");
+            let cases = [
+                (&streamed, &want_entries),
+                (&binned, &want_entries),
+                (&outlined, &want),
+            ];
+            for (got, want) in cases {
+                for (ti, (idx, bits)) in want.iter().enumerate() {
+                    let (gi, gv) = got.tile(ti);
+                    let gbits: Vec<u32> = gv.into_iter().flatten().map(|v| v.to_bits()).collect();
+                    assert_eq!((gi, &gbits[..]), (&idx[..], &bits[..]), "tile {ti}, {ctx}");
                 }
             }
         }
@@ -747,8 +726,11 @@ fn runs_from_band_staging_equal_the_dense_canvas_span_by_span() {
                     }
                     let mut want = PointFbo::new(vp.width, vp.height);
                     want.blend_in_order(&idx, with_values.then_some(&values[..]));
+                    // What a query's absorb does: the tile's band-ordered
+                    // entries blended in slice order by one thread.
                     let mut dense = PointFbo::new(vp.width, vp.height);
-                    dense.blend_bands(&binned, ti, workers);
+                    let (tile_idx, tile_values) = binned.tile(ti);
+                    dense.blend_in_order(tile_idx, tile_values);
                     let runs = PixelRuns::build(&binned, ti, vp.width, vp.height, workers);
                     for y in 0..vp.height {
                         let spans = (0..vp.width)

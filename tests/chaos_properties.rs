@@ -339,13 +339,12 @@ fn errored_scans_resolve_nothing() {
     }
 }
 
-/// Canvases drain on every path. In memory a pass acquires and releases
-/// per tile; a streamed scan checks the whole tiling out once
-/// (`PreparedJoin::canvases`), blends chunk after chunk into it and
-/// gives it back when the set drops — after the resolve, on an early
-/// error return, or while a panic unwinds. (The scan itself is held to
-/// this against its own preparation in `raster-join`'s
-/// `stream::drain_tests`.)
+/// Canvases drain on every path. Every query checks the whole tiling
+/// out once (`PreparedJoin::canvases`), absorbs block after block or
+/// chunk after chunk into it and gives it back when the set drops —
+/// after the resolve, on an early error return, or while a panic unwinds,
+/// in memory as streamed. (The scan itself is held to this against its
+/// own preparation in `raster-join`'s `stream::drain_tests`.)
 #[test]
 fn canvas_pool_outstanding_drains_to_zero() {
     let extent = nyc_extent();
@@ -370,7 +369,7 @@ fn canvas_pool_outstanding_drains_to_zero() {
 
     // The streamed shape: resident for the scan, resolved once.
     let whole = join.execute_prepared(&prepared, &pts, &q, &dev);
-    let mut canvases = prepared.canvases(pts.len(), &q, 1);
+    let mut canvases = prepared.canvases(pts.len());
     let tiles = prepared.outstanding_canvases();
     assert!(tiles > 1, "the fixture must tile");
     for start in (0..pts.len()).step_by(700) {
@@ -379,7 +378,6 @@ fn canvas_pool_outstanding_drains_to_zero() {
             prepared
                 .bin(&chunk, &q, Default::default(), &mut Default::default())
                 .binned,
-            1,
         );
         assert_eq!(prepared.outstanding_canvases(), tiles, "held across chunks");
     }
@@ -395,12 +393,11 @@ fn canvas_pool_outstanding_drains_to_zero() {
 
     // An error mid-scan: the early return drops the set.
     let failing_scan = || -> std::io::Result<()> {
-        let mut canvases = prepared.canvases(pts.len(), &q, 1);
+        let mut canvases = prepared.canvases(pts.len());
         canvases.absorb(
             prepared
                 .bin(&pts, &q, Default::default(), &mut Default::default())
                 .binned,
-            1,
         );
         Err(std::io::Error::other("reader failed"))
     };
@@ -416,12 +413,33 @@ fn canvas_pool_outstanding_drains_to_zero() {
     std::panic::set_hook(Box::new(|_| {}));
     let panicked = std::thread::scope(|s| {
         s.spawn(|| {
-            let _canvases = prepared.canvases(pts.len(), &q, 1);
+            let _canvases = prepared.canvases(pts.len());
             panic!("mid-scan");
         })
         .join()
     });
-    std::panic::set_hook(prev);
     assert!(panicked.is_err());
     assert_eq!(prepared.outstanding_canvases(), 0, "released by the unwind");
+
+    // A panic in an in-memory point pass — an attribute the table does
+    // not have — on the calling thread and the pool's workers alike: it
+    // reaches the caller once the pool has drained, and the unwind hands
+    // every canvas back.
+    let mut one_attr = PointTable::with_capacity(300_000, &["v"]);
+    for i in 0..300_000 {
+        one_attr.push(pts.point(i % pts.len()), &[1.0]);
+    }
+    let bad = Query::sum(99).with_epsilon(q.epsilon);
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        join.execute_prepared(&prepared, &one_attr, &bad, &dev)
+    }));
+    std::panic::set_hook(prev);
+    let msg = panicked.expect_err("the point pass must panic");
+    let msg = msg.downcast_ref::<String>().expect("a formatted panic");
+    assert!(msg.contains("out of bounds"), "{msg}");
+    assert_eq!(
+        prepared.outstanding_canvases(),
+        0,
+        "released after a pool panic"
+    );
 }

@@ -400,3 +400,86 @@ fn index_join_counts_are_the_plain_walks_on_the_stand_in_sets() {
         }
     }
 }
+
+/// Every exact executor keys its result slots by `Polygon::id`, whatever
+/// the ids' order or gaps: over 12 polygons whose ids run backwards and
+/// over 6 whose ids are the odd numbers 1…11 (12 slots, the even ones
+/// empty), the exact join in memory and streamed, the three `IndexJoin`
+/// modes, `TwoStepJoin` and `MaterializingJoin` each count what a
+/// brute-force walk over the polygons counts.
+#[test]
+fn exact_executors_key_results_by_polygon_id() {
+    use raster_join_repro::data::generators::{nyc_extent, uniform_points};
+    use raster_join_repro::data::polygons::synthetic_polygons;
+    use raster_join_repro::join::Variant;
+
+    let extent = nyc_extent();
+    let pts = uniform_points(20_000, &extent, 0x1D5);
+    let base = synthetic_polygons(12, &extent, 0x1D5);
+    let relabel = |polys: Vec<&Polygon>, id: fn(usize) -> u32| -> Vec<Polygon> {
+        let relabelled = polys.into_iter().enumerate().map(|(i, p)| {
+            let mut p = p.clone();
+            p.set_id(id(i));
+            p
+        });
+        relabelled.collect()
+    };
+    let layouts = [
+        (
+            "ids reversed",
+            relabel(base.iter().collect(), |i| 11 - i as u32),
+        ),
+        (
+            "odd ids",
+            relabel(base.iter().step_by(2).collect(), |i| 2 * i as u32 + 1),
+        ),
+    ];
+    let dev = Device::default();
+    let q = Query::count().with_epsilon(0.01);
+    let path = std::env::temp_dir().join(format!("rjr-polygon-ids-{}.bin", std::process::id()));
+    write_table(&path, &pts).unwrap();
+    for (name, polys) in &layouts {
+        let mut want = vec![0u64; 12];
+        for i in 0..pts.len() {
+            for poly in polys {
+                want[poly.id() as usize] += u64::from(poly.contains(pts.point(i)));
+            }
+        }
+        assert!(want.iter().sum::<u64>() > 5_000, "{name}: {want:?}");
+        let streamed = StreamingRasterJoin::new(2)
+            .execute(&path, polys, &q, &dev)
+            .unwrap();
+        assert_eq!(streamed.plan.variant, Variant::Accurate, "{name}");
+        let got = [
+            ("exact, streamed", streamed.output),
+            (
+                "exact",
+                AccurateRasterJoin::new(2).execute(&pts, polys, &q, &dev),
+            ),
+            (
+                "index gpu",
+                IndexJoin::gpu(2).execute(&pts, polys, &q, &dev),
+            ),
+            (
+                "index cpu_multi",
+                IndexJoin::cpu_multi(2).execute(&pts, polys, &q, &dev),
+            ),
+            (
+                "index cpu_single",
+                IndexJoin::cpu_single().execute(&pts, polys, &q, &dev),
+            ),
+            (
+                "two-step",
+                TwoStepJoin::new(2).execute(&pts, polys, &q, &dev),
+            ),
+            (
+                "materializing",
+                MaterializingJoin::new(2).execute(&pts, polys, &q, &dev),
+            ),
+        ];
+        for (executor, out) in got {
+            assert_eq!(out.counts, want, "{name}: {executor}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}

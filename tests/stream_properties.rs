@@ -66,15 +66,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Chunked + prefetched execution over a table file equals the
-    /// in-memory execution of the plan the stream ran, on a coarse or a
-    /// fine canvas, for arbitrary (odd) chunk sizes, empty tables and
-    /// predicate + AVG queries.
+    /// in-memory execution of the plan the stream ran — counts, sum bits
+    /// and the point pass's own counters (entries binned, PIP tests,
+    /// passes, runs passes) — at pool widths 1, 2 and 4, on a dense canvas
+    /// (ε = 3 km: 28² pixels) or a runs canvas (ε = 60 m: 1367²), for
+    /// arbitrary (odd) chunk sizes, empty tables and predicate + AVG
+    /// queries. Both run the one chunk pool.
     #[test]
     fn streaming_matches_in_memory_under_every_config(
         seed in any::<u64>(),
         npts in 0usize..5_000,
         chunk in 1usize..1_500,
-        coarse in any::<bool>(),
+        dense in any::<bool>(),
         with_pred in any::<bool>(),
     ) {
         let extent = nyc_extent();
@@ -82,7 +85,7 @@ proptest! {
         let pts = TaxiModel::default().generate(npts, seed ^ 0x5EED);
         let fare = pts.attr_index("fare").unwrap();
         let hour = pts.attr_index("hour").unwrap();
-        let mut q = Query::avg(fare).with_epsilon(if coarse { 400.0 } else { 60.0 });
+        let mut q = Query::avg(fare).with_epsilon(if dense { 3_000.0 } else { 60.0 });
         if with_pred {
             // hour < 84 passes ~half the uniform [0, 168) hours.
             q = q.with_predicates(vec![Predicate::new(hour, CmpOp::Lt, 84.0)]);
@@ -94,29 +97,40 @@ proptest! {
 
         let path = tmp(&format!("{seed:x}-{npts}-{chunk}"));
         write_table(&path, &pts).unwrap();
-        let mk = || StreamingRasterJoin::new(2).with_chunk_rows(chunk);
-        let s = mk().execute(&path, &polys, &q, &dev).unwrap();
+        for width in [1, 2, 4] {
+            let mk = || StreamingRasterJoin::new(width).with_chunk_rows(chunk);
+            let s = mk().execute(&path, &polys, &q, &dev).unwrap();
 
-        // In-memory reference: the plan the stream executed.
-        let reference = in_memory(&s, &pts, &polys, &q, &dev);
-        prop_assert_eq!(&s.output.counts, &reference.counts);
-        prop_assert_eq!(bits(&s.output.sums), bits(&reference.sums));
-        prop_assert_eq!(
-            bits(&s.output.values(Aggregate::Avg(fare))),
-            bits(&reference.values(Aggregate::Avg(fare)))
-        );
+            // In-memory reference: the plan the stream executed.
+            let reference = in_memory(&s, &pts, &polys, &q, &dev);
+            prop_assert_eq!(&s.output.counts, &reference.counts);
+            prop_assert_eq!(bits(&s.output.sums), bits(&reference.sums));
+            prop_assert_eq!(
+                bits(&s.output.values(Aggregate::Avg(fare))),
+                bits(&reference.values(Aggregate::Avg(fare)))
+            );
+            let counters = |o: &JoinOutput| {
+                let st = &o.stats;
+                (st.binned_points, st.pip_tests, st.passes, st.runs_passes)
+            };
+            prop_assert_eq!(counters(&s.output), counters(&reference), "width {}", width);
+            if is_bounded(&s) && npts >= 200 {
+                let runs = if dense { 0 } else { s.output.stats.passes };
+                prop_assert_eq!(s.output.stats.runs_passes, runs, "width {}", width);
+            }
 
-        // The blocking (paper-faithful) arm is result-identical.
-        let blocking = mk().blocking().execute(&path, &polys, &q, &dev).unwrap();
-        prop_assert_eq!(&blocking.output.counts, &reference.counts);
-        prop_assert_eq!(bits(&blocking.output.sums), bits(&s.output.sums));
+            // The blocking (paper-faithful) arm is result-identical.
+            let blocking = mk().blocking().execute(&path, &polys, &q, &dev).unwrap();
+            prop_assert_eq!(&blocking.output.counts, &reference.counts);
+            prop_assert_eq!(bits(&blocking.output.sums), bits(&s.output.sums));
 
-        // Every row was streamed, no matter how oddly the chunk size
-        // straddles the table.
-        prop_assert_eq!(s.rows as usize, npts);
-        if npts == 0 {
-            prop_assert_eq!(s.chunks, 0);
-            prop_assert_eq!(s.output.total_count(), 0);
+            // Every row was streamed, no matter how oddly the chunk size
+            // straddles the table.
+            prop_assert_eq!(s.rows as usize, npts);
+            if npts == 0 {
+                prop_assert_eq!(s.chunks, 0);
+                prop_assert_eq!(s.output.total_count(), 0);
+            }
         }
         std::fs::remove_file(&path).ok();
     }
