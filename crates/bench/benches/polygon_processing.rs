@@ -8,6 +8,13 @@
 //! plane (COUNT) or count + sum planes (AVG): the `ceiling/memcpy_*` rows
 //! copy those bytes for the fold's pixels and report Mpx/s too. The fold
 //! reads each covered pixel once, so it can at best match them.
+//!
+//! `runs_build` times the point side of a sparse tile: `PixelRuns::build`
+//! over 2 M taxi entries binned onto the ε = 20 m one-tile canvas, COUNT
+//! and SUM, at one worker and the default width, in Mentries/s. Its
+//! ceiling is a `memcpy` of the bytes the counting sort's two passes move
+//! (4 B an entry for COUNT, 8 B for SUM, read and written twice), reported
+//! in Mentries/s too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use raster_data::PointTable;
@@ -15,7 +22,7 @@ use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::triangulate::triangulate_all;
 use raster_geom::Polygon;
 use raster_gpu::exec::default_workers;
-use raster_gpu::{Device, SpanTable, Viewport};
+use raster_gpu::{bin_points, CanvasTiling, Device, PixelRuns, SpanTable, Viewport};
 use raster_index::{AssignMode, GridIndex};
 use raster_join::bounded::polygon_extent;
 use raster_join::{BoundedRasterJoin, Query};
@@ -113,5 +120,42 @@ fn bench(c: &mut Criterion) {
     span_rows(c, "nyc260_10m", nyc, 10.0, &taxi);
 }
 
-criterion_group!(benches, bench);
+/// The runs build rows (see the module docs).
+fn runs_build(c: &mut Criterion) {
+    let mut g = c.benchmark_group("runs_build");
+    g.sample_size(10);
+    let nyc = bench::workloads::neighborhoods();
+    let taxi = bench::workloads::taxi(2_000_000);
+    let fare = taxi.attr_index("fare").expect("taxi tables carry a fare");
+    let extent = polygon_extent(nyc);
+    let (width, height) = resolution_for_epsilon(&extent, 20.0);
+    let tiling = CanvasTiling::new(Viewport::new(extent, width, height), 8192);
+    assert_eq!(tiling.tile_count(), 1, "the build is timed on one tile");
+    let label = format!("taxi2m_{width}x{height}");
+    let w = default_workers();
+    for (name, sums, bytes) in [("count", false, 4), ("sum", true, 8)] {
+        let binned = bin_points(&tiling, taxi.len(), w, sums, |i| {
+            Some((taxi.point(i), taxi.attr(fare)[i]))
+        });
+        let entries = binned.tile(0).0.len();
+        g.throughput(Throughput::Elements(entries as u64));
+        for workers in [1, w] {
+            let id = BenchmarkId::new(format!("{name}_mentries/w{workers}"), &label);
+            g.bench_function(id, |b| {
+                b.iter(|| PixelRuns::build(&binned, 0, width, height, workers))
+            });
+        }
+        let (src, mut dst) = (
+            vec![1u8; 2 * bytes * entries],
+            vec![0u8; 2 * bytes * entries],
+        );
+        g.bench_function(
+            BenchmarkId::new(format!("ceiling/memcpy_{name}"), &label),
+            |b| b.iter(|| dst.copy_from_slice(&src)),
+        );
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench, runs_build);
 criterion_main!(benches);

@@ -82,26 +82,23 @@ const SHARD_MIN_DENSITY: f64 = 0.5;
 /// Placed by `bench_binning`'s density sweep (`BENCH_binning.json`,
 /// `density_sweep` / `runs_crossover`; one ε = 20 m tile of 4102², 2
 /// workers; ranges over three quick runs on a 2-core box, the committed
-/// file is the one whose crossovers are their medians). Both sides read
-/// the binner's (tile × band) staging as it is: the dense one blends it
-/// band by band into a canvas written front to back before, the runs one
-/// sorts it band by band. End to end on a one-tile canvas — the runs pay
-/// the whole-batch binning first, the dense canvas bins and blends block
-/// by block — runs win at 1/8 (COUNT 52–63 vs 79–99 ms, SUM 76–82 vs
-/// 161–179); at 1/4 COUNT is a tie (102–118 vs 103–124, runs ahead in
-/// two runs of three) and SUM still goes to runs (141–188 vs 209–218); at
-/// 1/2 the point pass wins both (COUNT 159–177 vs 200–222, SUM 272–355 vs
-/// 362–379). As one tile of many, both sides binned, a fresh dense COUNT
-/// ties at 1/4 (65–68 vs 63–66 ms) and a fresh SUM catches up at 1/2;
-/// against a canvas recycled by a prepared loop a dense COUNT is level
-/// from 1/8 (30–32 vs 30–39) and a dense SUM wins from 1/4 (54–62 vs
-/// 81–85). The one-tile crossover thus lies between the sweep's 1/4 and
-/// 1/2; the gate stays at 1/4, where COUNT is even and the prepared loops
-/// over many tiles give up least. With the dense tile blended by one
-/// absorbing thread (the sweep's dense sides do the same), three quick
-/// runs put the one-tile crossover at 1/4, 3/8 and 1/2 for COUNT and
-/// above 1/2 for SUM (runs 318–409 vs dense 353–424 ms at 1/2): the gate
-/// is now at or below it, not above.
+/// file is the one whose summed runs-side times are the median). Both
+/// sides read the binner's (tile × band) staging as it is: the dense one
+/// blends it in row order on one thread, the runs one builds it band by
+/// band with a counting sort. End to end on a one-tile canvas (bin,
+/// absorb, build or blend, fold) runs win across the whole quick sweep:
+/// at 1/8 COUNT 44–52 vs 95–102 ms and SUM 60–67 vs 178–231; at 1/4
+/// COUNT 76–99 vs 110–141 and SUM 87–124 vs 247–301; at 1/2 COUNT
+/// 139–180 vs 212–226 and SUM 244–279 vs 349–399 (one run of three tied
+/// COUNT at 3/8, 133 vs 132). As one tile of many, both sides binned,
+/// runs beat a fresh dense canvas at every density (at 1/4 COUNT 28–32 vs
+/// 59–64 ms, SUM 32–34 vs 152–182) and a canvas recycled by a prepared
+/// loop up to 1/4 (COUNT 28–32 vs 34–38, SUM 32–34 vs 59–66); at 1/2 a
+/// recycled dense COUNT is level (47–52 vs 44–54) and SUM still goes to
+/// runs (68–83 vs 80–88). So since the runs build became a counting sort
+/// the one-tile crossover lies above 1/2; with the comparison sort it lay
+/// between 1/4 and 1/2. The gate stays at 1/4, inside the runs' side,
+/// until a change of its own moves it.
 pub const RUNS_MAX_DENSITY: f64 = 0.25;
 
 impl RasterConfig {
@@ -120,6 +117,12 @@ pub fn use_runs(entries: usize, pixels: usize) -> bool {
     (entries as f64) < RUNS_MAX_DENSITY * pixels as f64
 }
 
+/// The widest and tallest a tile is split: a tile's pixels are addressed
+/// by a `u32` linear index (`y · width + x`, [`BinnedBatch`]), and
+/// 65 535² < 2³², so a device that allows larger canvases still gets
+/// tiles whose every index fits.
+pub const MAX_TILE_DIM: u32 = 65_535;
+
 /// The ε-derived canvas plus its split into device-sized tiles (Fig. 5),
 /// in the row-major order [`Viewport::split`] produces.
 #[derive(Debug, Clone)]
@@ -132,8 +135,11 @@ pub struct CanvasTiling {
 }
 
 impl CanvasTiling {
+    /// `full` split into tiles of at most `max_dim` (and [`MAX_TILE_DIM`])
+    /// pixels a side.
     pub fn new(full: Viewport, max_dim: u32) -> Self {
         assert!(max_dim > 0);
+        let max_dim = max_dim.min(MAX_TILE_DIM);
         let tiles = full.split(max_dim);
         CanvasTiling {
             tiles_x: full.width.div_ceil(max_dim),

@@ -26,8 +26,10 @@ pub fn default_workers() -> usize {
 }
 
 /// Run `f(start, end)` over disjoint chunks of `0..len` on `workers`
-/// threads. `f` must be safe to run concurrently on disjoint ranges — all
-/// shared state in this codebase is atomic (FBOs, SSBOs).
+/// threads. `f` is `Sync`, so whatever it shares the borrow checker has
+/// already made safe to share (atomics, a lock, read-only data); a task
+/// that owns what it writes wants [`parallel_ranges_with`] or
+/// [`parallel_tasks`].
 pub fn parallel_ranges<F>(len: usize, workers: usize, f: F)
 where
     F: Fn(usize, usize) + Sync,

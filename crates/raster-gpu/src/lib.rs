@@ -46,7 +46,7 @@ pub mod viewport;
 
 pub use bin::{
     bin_columns, bin_points, no_outline, use_runs, BinScratch, BinnedBatch, CanvasTiling,
-    PointColumns, RasterConfig, BAND_SHIFT, BIN_BLOCK, RUNS_MAX_DENSITY,
+    PointColumns, RasterConfig, BAND_SHIFT, BIN_BLOCK, MAX_TILE_DIM, RUNS_MAX_DENSITY,
 };
 pub use device::{Device, DeviceConfig};
 pub use framebuffer::{BoundaryFbo, Canvas, FboPool, PointFbo, ResidentCanvases, ShardSet};

@@ -646,6 +646,27 @@ mod tests {
         }
     }
 
+    /// A canvas of more pixels than a `u32` indexes, on a device that
+    /// allows it in one tile: the tiling splits it at 65 535 pixels a
+    /// side, so every tile's linear pixel index fits, and both points —
+    /// one far past row 61 356, where `y · 70 000` wraps — are counted.
+    #[test]
+    fn a_canvas_past_u32_pixels_splits_into_addressable_tiles() {
+        let square = vec![(0.0, 0.0), (70.0, 0.0), (70.0, 70.0), (0.0, 70.0)];
+        let polys = vec![Polygon::from_coords(0, square)];
+        let mut pts = PointTable::with_capacity(2, &["v"]);
+        pts.push(Point::new(1.5, 68.5), &[1.0]);
+        pts.push(Point::new(68.5, 1.5), &[2.0]);
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 100_000));
+        let view = Viewport::new(polygon_extent(&polys), 70_000, 70_000);
+        let join = BoundedRasterJoin::new(2);
+        let prepared = join.prepare_view(&polys, view, &dev);
+        assert_eq!(prepared.tiles().len(), 4);
+        let out = join.execute_prepared(&prepared, &pts, &Query::count(), &dev);
+        assert_eq!(out.counts, vec![2]);
+        assert_eq!(out.stats.runs_passes, out.stats.passes);
+    }
+
     /// The polygon side is prepared data, folded once per query: a
     /// 2-batch query over 2 tiles folds each tile's table once — however
     /// many batches it uploads in — and reports the one build as

@@ -49,7 +49,7 @@ use raster_data::filter::passes;
 use raster_data::PointTable;
 use raster_geom::hausdorff::{pixel_side_for_epsilon, resolution_for_epsilon};
 use raster_geom::{BBox, Polygon};
-use raster_gpu::{use_runs, Device};
+use raster_gpu::{use_runs, Device, MAX_TILE_DIM};
 
 /// Number of per-stage cost terms.
 pub const NWEIGHTS: usize = 13;
@@ -264,7 +264,9 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     match plan.variant {
         Variant::Bounded => {
             let (w, h) = resolution_for_epsilon(&wl.extent, wl.epsilon);
-            let tiles = w.div_ceil(max_dim) * h.div_ceil(max_dim);
+            // The tiling's split, clamped as `CanvasTiling::new` clamps it.
+            let split = max_dim.min(MAX_TILE_DIM);
+            let tiles = w.div_ceil(split) * h.div_ceil(split);
             let pixels = w as f64 * h as f64;
             PlanShape {
                 tiles,
@@ -295,9 +297,12 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
 /// What sorting and collapsing one surviving entry into pixel runs costs,
 /// in blends of one entry into a warm dense FBO ([`W_BLEND`] units) — the
 /// runs build stands where the blend stood. Measured on 2 M taxi entries
-/// over one 4102² / 8192² tile at 1 and 2 workers: 2.5–2.8 blends for
-/// COUNT entries, 1.15–1.3 with values (the f32 CAS makes the blend
-/// itself dearer).
+/// over one 4102² / 8192² tile, `PixelRuns::build` (the counting sort) at
+/// 2 workers against one thread's warm `blend_in_order`, three runs on a
+/// 2-core box: 2.2–2.5 blends per COUNT entry on the 4102² tile and
+/// 1.2–1.4 on the 8192² one, 1.0–1.3 with values. The comparison sort it
+/// replaced read 4.9–17 and 2.3–6.6 the same way. 2.0 stays: it lies in
+/// the COUNT range, and keeping it keeps every plan.
 pub const RUNS_SORT_BLENDS: f64 = 2.0;
 
 /// The feature vector of one plan over one workload: how many times each
@@ -648,8 +653,10 @@ mod tests {
         // ε = 10 m over NYC: 8203² pixels in 4 tiles; 2 M points = 0.03/px.
         // ε = 20 m: one 4102² tile, 0.12/px — or, at a 2048 limit, 9 tiles
         // of ≤ 2048², dense for the 2 M rows although each tile takes only
-        // ≈ 0.1 M survivors. ε = 100 m: 821², 3/px.
+        // ≈ 0.1 M survivors. ε = 100 m: 821², 3/px. ε = 1 m: ≈ 82 k² on a
+        // device allowing 100 k², split at `MAX_TILE_DIM` into 2 × 2.
         for (eps, max_fbo, tiles, runs) in [
+            (1.0, 100_000, 4, true),
             (10.0, 8192, 4, true),
             (20.0, 8192, 1, true),
             (20.0, 2048, 9, false),
