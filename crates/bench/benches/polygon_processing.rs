@@ -10,11 +10,18 @@
 //! reads each covered pixel once, so it can at best match them.
 //!
 //! `runs_build` times the point side of a sparse tile: `PixelRuns::build`
-//! over 2 M taxi entries binned onto the ε = 20 m one-tile canvas, COUNT
-//! and SUM, at one worker and the default width, in Mentries/s. Its
-//! ceiling is a `memcpy` of the bytes the counting sort's two passes move
-//! (4 B an entry for COUNT, 8 B for SUM, read and written twice), reported
-//! in Mentries/s too.
+//! over 2 M taxi entries binned onto one tile, COUNT and SUM, at one
+//! worker and the default width, in Mentries/s. Two tiles: the bounded
+//! join's ε = 20 m canvas (4102², 0.12 entries/px) and the exact join's
+//! 2048² canvas (0.48 entries/px, every in-canvas point binned; the exact
+//! join bins only those off its outline), which a one-shot exact query
+//! builds at its resolve. Its ceiling is a `memcpy` of the bytes the
+//! counting sort's two passes move (4 B an entry for COUNT, 8 B for SUM,
+//! read and written twice), reported in Mentries/s too.
+//!
+//! `cargo bench --bench polygon_processing -- runs_build` runs that group
+//! alone (the shim takes an id prefix), without building the other
+//! groups' inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use raster_data::PointTable;
@@ -25,7 +32,7 @@ use raster_gpu::exec::default_workers;
 use raster_gpu::{bin_points, CanvasTiling, Device, PixelRuns, SpanTable, Viewport};
 use raster_index::{AssignMode, GridIndex};
 use raster_join::bounded::polygon_extent;
-use raster_join::{BoundedRasterJoin, Query};
+use raster_join::{AccurateRasterJoin, BoundedRasterJoin, Query};
 
 /// The span-table build and fold rows for `polys` at `epsilon` with
 /// `points` blended into the canvas once.
@@ -85,6 +92,9 @@ fn span_rows(c: &mut Criterion, label: &str, polys: &[Polygon], epsilon: f64, po
 }
 
 fn bench(c: &mut Criterion) {
+    if !c.selects_group("table1_polygon_processing") {
+        return;
+    }
     let mut g = c.benchmark_group("table1_polygon_processing");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
@@ -106,7 +116,13 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.finish();
+}
 
+fn span_tables(c: &mut Criterion) {
+    if !c.selects_group("table1_span_tables") {
+        return;
+    }
+    let nyc = bench::workloads::neighborhoods();
     let tweets = bench::workloads::twitter(2_000_000);
     span_rows(
         c,
@@ -122,40 +138,46 @@ fn bench(c: &mut Criterion) {
 
 /// The runs build rows (see the module docs).
 fn runs_build(c: &mut Criterion) {
+    if !c.selects_group("runs_build") {
+        return;
+    }
     let mut g = c.benchmark_group("runs_build");
     g.sample_size(10);
     let nyc = bench::workloads::neighborhoods();
     let taxi = bench::workloads::taxi(2_000_000);
     let fare = taxi.attr_index("fare").expect("taxi tables carry a fare");
     let extent = polygon_extent(nyc);
-    let (width, height) = resolution_for_epsilon(&extent, 20.0);
-    let tiling = CanvasTiling::new(Viewport::new(extent, width, height), 8192);
-    assert_eq!(tiling.tile_count(), 1, "the build is timed on one tile");
-    let label = format!("taxi2m_{width}x{height}");
+    let bounded = resolution_for_epsilon(&extent, 20.0);
+    let exact = Viewport::canvas_for_extent(&extent, AccurateRasterJoin::default().canvas_dim);
     let w = default_workers();
-    for (name, sums, bytes) in [("count", false, 4), ("sum", true, 8)] {
-        let binned = bin_points(&tiling, taxi.len(), w, sums, |i| {
-            Some((taxi.point(i), taxi.attr(fare)[i]))
-        });
-        let entries = binned.tile(0).0.len();
-        g.throughput(Throughput::Elements(entries as u64));
-        for workers in [1, w] {
-            let id = BenchmarkId::new(format!("{name}_mentries/w{workers}"), &label);
-            g.bench_function(id, |b| {
-                b.iter(|| PixelRuns::build(&binned, 0, width, height, workers))
+    for (width, height) in [bounded, exact] {
+        let tiling = CanvasTiling::new(Viewport::new(extent, width, height), 8192);
+        assert_eq!(tiling.tile_count(), 1, "the build is timed on one tile");
+        let label = format!("taxi2m_{width}x{height}");
+        for (name, sums, bytes) in [("count", false, 4), ("sum", true, 8)] {
+            let binned = bin_points(&tiling, taxi.len(), w, sums, |i| {
+                Some((taxi.point(i), taxi.attr(fare)[i]))
             });
+            let entries = binned.tile(0).0.len();
+            g.throughput(Throughput::Elements(entries as u64));
+            for workers in [1, w] {
+                let id = BenchmarkId::new(format!("{name}_mentries/w{workers}"), &label);
+                g.bench_function(id, |b| {
+                    b.iter(|| PixelRuns::build(&binned, 0, width, height, workers))
+                });
+            }
+            let (src, mut dst) = (
+                vec![1u8; 2 * bytes * entries],
+                vec![0u8; 2 * bytes * entries],
+            );
+            g.bench_function(
+                BenchmarkId::new(format!("ceiling/memcpy_{name}"), &label),
+                |b| b.iter(|| dst.copy_from_slice(&src)),
+            );
         }
-        let (src, mut dst) = (
-            vec![1u8; 2 * bytes * entries],
-            vec![0u8; 2 * bytes * entries],
-        );
-        g.bench_function(
-            BenchmarkId::new(format!("ceiling/memcpy_{name}"), &label),
-            |b| b.iter(|| dst.copy_from_slice(&src)),
-        );
     }
     g.finish();
 }
 
-criterion_group!(benches, bench, runs_build);
+criterion_group!(benches, bench, span_tables, runs_build);
 criterion_main!(benches);

@@ -9,8 +9,9 @@
 //!
 //! On a one-tile ε = 20 m canvas (4102², each plane past the allocator's
 //! mmap threshold, so a fresh canvas is fresh pages) it sweeps the rows
-//! offered per pixel (1/64 … 2; `--quick` stops at 1/2, which needs
-//! 8.4 M rows rather than 33.6 M; COUNT and SUM) and times one tile pass
+//! offered per pixel (1/64 … 2; `--quick` stops at 1, past the gate,
+//! which needs 16.8 M rows rather than 33.6 M; COUNT and SUM) and times
+//! one tile pass
 //! both ways over the same (tile × band) staging: `PixelRuns::build` +
 //! polygon fold against the executor's dense fill — the staging blended
 //! in row order by one thread (`PointFbo::blend_in_order`, as the chunk
@@ -61,7 +62,11 @@ fn main() {
     let polys = synthetic_polygons(64, &extent, 7);
     let workers = raster_gpu::exec::default_workers();
 
-    let densities = &DENSITIES[..if quick { 7 } else { DENSITIES.len() }];
+    let densities = if quick {
+        &DENSITIES[..QUICK_DENSITIES]
+    } else {
+        &DENSITIES[..]
+    };
     let sweep = density_sweep(&polys, densities, reps, workers);
     let json = render_json(&sweep, quick, reps, workers);
     std::fs::write(&out_path, &json).expect("write BENCH_binning.json");
@@ -71,8 +76,9 @@ fn main() {
 /// ε of the density sweep's canvas: 4102² over the NYC-like extent.
 const SWEEP_EPSILON: f64 = 20.0;
 
-/// Rows offered per pixel by [`density_sweep`]; `--quick` stops at 1/2.
-const DENSITIES: [f64; 9] = [
+/// Rows offered per pixel by [`density_sweep`]; `--quick` stops at 1
+/// ([`QUICK_DENSITIES`]).
+const DENSITIES: [f64; 11] = [
     1.0 / 64.0,
     1.0 / 32.0,
     1.0 / 16.0,
@@ -80,9 +86,15 @@ const DENSITIES: [f64; 9] = [
     1.0 / 4.0,
     3.0 / 8.0,
     1.0 / 2.0,
+    3.0 / 4.0,
     1.0,
+    3.0 / 2.0,
     2.0,
 ];
+
+/// How many of [`DENSITIES`] `--quick` sweeps: up to 1 entry per pixel,
+/// past `RUNS_MAX_DENSITY`, so its crossovers bracket the gate.
+const QUICK_DENSITIES: usize = 9;
 
 /// One cell of the density sweep (times are best-of-`reps`).
 struct SweepRow {

@@ -79,27 +79,34 @@ const SHARD_MIN_DENSITY: f64 = 0.5;
 /// one search per polygon span — so the cheaper canvas flips with the
 /// density.
 ///
-/// Placed by `bench_binning`'s density sweep (`BENCH_binning.json`,
-/// `density_sweep` / `runs_crossover`; one ε = 20 m tile of 4102², 2
-/// workers; ranges over three quick runs on a 2-core box, the committed
-/// file is the one whose summed runs-side times are the median). Both
-/// sides read the binner's (tile × band) staging as it is: the dense one
-/// blends it in row order on one thread, the runs one builds it band by
-/// band with a counting sort. End to end on a one-tile canvas (bin,
-/// absorb, build or blend, fold) runs win across the whole quick sweep:
-/// at 1/8 COUNT 44–52 vs 95–102 ms and SUM 60–67 vs 178–231; at 1/4
-/// COUNT 76–99 vs 110–141 and SUM 87–124 vs 247–301; at 1/2 COUNT
-/// 139–180 vs 212–226 and SUM 244–279 vs 349–399 (one run of three tied
-/// COUNT at 3/8, 133 vs 132). As one tile of many, both sides binned,
-/// runs beat a fresh dense canvas at every density (at 1/4 COUNT 28–32 vs
-/// 59–64 ms, SUM 32–34 vs 152–182) and a canvas recycled by a prepared
-/// loop up to 1/4 (COUNT 28–32 vs 34–38, SUM 32–34 vs 59–66); at 1/2 a
-/// recycled dense COUNT is level (47–52 vs 44–54) and SUM still goes to
-/// runs (68–83 vs 80–88). So since the runs build became a counting sort
-/// the one-tile crossover lies above 1/2; with the comparison sort it lay
-/// between 1/4 and 1/2. The gate stays at 1/4, inside the runs' side,
-/// until a change of its own moves it.
-pub const RUNS_MAX_DENSITY: f64 = 0.25;
+/// Placed by `bench_binning`'s density sweep (`density_sweep` /
+/// `runs_crossover`; one ε = 20 m tile of 4102², 2 workers, best of 2;
+/// ranges over three full sweeps to 2 entries/px on a 2-core box; the
+/// committed `BENCH_binning.json` is the median of three quick sweeps,
+/// to 1 entry/px). Both sides read the binner's (tile × band) staging as
+/// it is: the dense one blends it in row order on one thread, the runs
+/// one builds it band by band with a counting sort.
+///
+/// The constant sits at the **one-shot** crossover (`single_*`: a
+/// one-tile canvas end to end — bin, absorb, build or blend, fold — the
+/// dense canvas fresh, as every query acquires it). COUNT crosses at 3/4
+/// in all three sweeps: runs 132–161 vs dense 179–198 ms at 1/2, then
+/// 255–282 vs 243–266 at 3/4 (a tie within the quick sweeps' spread,
+/// 242–246 vs 236–278) and 350–411 vs 303–342 at 1. SUM, whose
+/// fresh dense canvas faults in two planes, crosses at 2: runs 314–370
+/// vs 481–501 at 3/4, 452–526 vs 577–644 at 1, 706–785 vs 783–825 at
+/// 3/2. One gate serves both aggregates, so it takes the lower: below
+/// it runs are not slower at any swept density, COUNT or SUM.
+///
+/// A canvas **recycled** by a prepared loop (`tile_warm_*`: both sides
+/// binned, the dense canvas from a warm pool) crosses lower, at 3/8–3/4
+/// for COUNT (runs 35–46 vs 42–47 ms at 3/8, 50–75 vs 44–54 at 1/2) and
+/// 1/2–3/4 for SUM (80–93 vs 80–84 at 1/2, 102–117 vs 92–106 at 3/4).
+/// The gate follows the one-shot side, which every new preparation pays
+/// (a one-shot query, each streamed scan); a prepared loop recycling a
+/// canvas between that crossover and the gate would blend it a little
+/// faster dense.
+pub const RUNS_MAX_DENSITY: f64 = 0.75;
 
 impl RasterConfig {
     /// Does a tile of `pixels` pixels receiving `entries` entries justify
@@ -881,8 +888,9 @@ mod tests {
 
     #[test]
     fn runs_gate_is_strictly_below_the_density() {
-        assert!(use_runs(24, 100));
-        assert!(!use_runs(25, 100));
+        let at = (RUNS_MAX_DENSITY * 100.0).ceil() as usize;
+        assert!(use_runs(at - 1, 100));
+        assert!(!use_runs(at, 100));
         assert!(use_runs(0, 1));
     }
 

@@ -841,8 +841,9 @@ mod tests {
             4,
             2,
         )];
-        // 8 pixels: 5 rows are dense, 1 row is runs.
-        for (rows, dense) in [(5, true), (1, false)] {
+        // 8 pixels: the rows at the runs gate are dense, 1 row is runs.
+        let at_gate = (crate::RUNS_MAX_DENSITY * 8.0).ceil() as usize;
+        for (rows, dense) in [(at_gate, true), (1, false)] {
             let mut canvases = pool.acquire_resident(&tiles, rows);
             assert_eq!(pool.outstanding(), usize::from(dense));
             // Two chunks' worth of deltas, in chunk order.
@@ -863,7 +864,7 @@ mod tests {
             assert_eq!(pool.outstanding(), 0);
         }
         // COUNT-only deltas carry no values.
-        let mut canvases = pool.acquire_resident(&tiles, 5);
+        let mut canvases = pool.acquire_resident(&tiles, at_gate);
         canvases.absorb(crate::bin::bin_pixels(4, 2, &[0, 0], None, 1));
         assert_eq!(canvases.tile(0).span_count(0, 0, 1), 2);
     }

@@ -40,6 +40,12 @@
 //! tile is therefore held one of two ways for the whole query, picked at
 //! acquire ([`PreparedJoin::canvases`]) by `raster_gpu::use_runs` from
 //! the rows the query will scan (table length, or header rows streamed):
+//! runs below `raster_gpu::RUNS_MAX_DENSITY` = 3/4 row per pixel, the
+//! density at which a fresh dense COUNT canvas catches up end to end. So
+//! the exact join's 2048² canvas at 2 M taxi rows (0.48 per pixel) is runs,
+//! while at the same rows the 11-pixel slivers of the ε = 10 m canvas
+//! (≥ 22 per pixel), and 8 M tweets on a 1273 × 821 canvas (7.7), stay
+//! dense:
 //!
 //! * **runs** — `raster_gpu::PixelRuns`: the batches kept as binned, each
 //!   band's entries sorted by pixel and collapsed once at resolve,
@@ -608,10 +614,12 @@ mod tests {
     #[test]
     fn dense_single_tile_canvas_blends_by_band() {
         let polys = grid_polys();
-        // 57² pixels at ε = 0.5; 1024 rows sit above the runs gate.
-        let mut pts = PointTable::with_capacity(1024, &["v"]);
+        // 57² pixels at ε = 0.5; copies of the eight points up to the runs
+        // gate's rows.
+        let copies = (raster_gpu::RUNS_MAX_DENSITY * (57 * 57) as f64 / 8.0).ceil() as usize;
+        let mut pts = PointTable::with_capacity(8 * copies, &["v"]);
         let eight = points_in_quadrants();
-        for _ in 0..128 {
+        for _ in 0..copies {
             for i in 0..eight.len() {
                 pts.push(eight.point(i), &[eight.attr(0)[i]]);
             }
@@ -619,9 +627,10 @@ mod tests {
         let q = Query::count().with_epsilon(0.5);
         let out = BoundedRasterJoin::new(4).execute(&pts, &polys, &q, &Device::default());
         assert_eq!(out.stats.passes, 1, "canvas must be a single tile");
-        assert_eq!(out.counts, vec![128, 256, 384, 256]);
+        let c = copies as u64;
+        assert_eq!(out.counts, vec![c, 2 * c, 3 * c, 2 * c]);
         assert_eq!(out.stats.runs_passes, 0);
-        assert_eq!(out.stats.binned_points, 1024);
+        assert_eq!(out.stats.binned_points, 8 * copies as u64);
         assert!(out.stats.binning <= out.stats.point_stage);
     }
 

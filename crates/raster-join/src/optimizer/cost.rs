@@ -413,6 +413,7 @@ mod tests {
     use raster_data::filter::{CmpOp, Predicate};
     use raster_data::generators::{nyc_extent, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
+    use raster_gpu::RUNS_MAX_DENSITY;
 
     fn plan_w(variant: Variant, batch: usize, workers: usize) -> Plan {
         Plan {
@@ -569,11 +570,20 @@ mod tests {
     fn streamed_blend_is_serial_and_the_resolve_is_not() {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
+        // 16 tiles of ≤ 2048², each taking the runs gate's rows per pixel:
+        // a dense canvas.
+        let sh = shape(
+            &plan(Variant::Bounded, usize::MAX),
+            &Workload::assumed(1, &polys, &q),
+            &dev,
+        );
+        let tile_px = sh.pixels / sh.tiles as f64;
         let wl = Workload {
             stored_row_bytes: 20.0,
-            ..Workload::assumed(2_000_000, &polys, &q)
+            ..Workload::assumed((RUNS_MAX_DENSITY * tile_px).ceil() as usize, &polys, &q)
         };
-        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
+        assert!(!shape(&plan(Variant::Bounded, usize::MAX), &wl, &dev).runs);
         let f1 = features(&plan_w(Variant::Bounded, 250_000, 1), &wl, &dev);
         let f4 = features(&plan_w(Variant::Bounded, 250_000, 4), &wl, &dev);
         let amort = 1.0 + PARALLEL_EFFICIENCY * 3.0;
@@ -630,20 +640,24 @@ mod tests {
     /// is the parent commit's `streamed_feature_digest` over the same
     /// cells. The cells the gate holds as runs changed on purpose — they
     /// are costed as runs, as the scan runs them: bounded plans at 50 k
-    /// rows and ε ∈ {5, 12, 60} m on either limit and, on the 8192 limit,
-    /// at 2 M rows and ε ∈ {5, 12} m and 8 M at ε = 12 m; exact plans at
-    /// 50 k rows. A change that means to move dense streamed features
-    /// re-takes the digest.
+    /// rows and ε ∈ {5, 12, 60} m on either limit and at 2 M rows and
+    /// ε ∈ {5, 12} m on either limit, and 8 M at ε ∈ {5, 12} m on the 8192
+    /// one; exact plans at 50 k and 2 M rows. A change that means to move
+    /// dense streamed features re-takes the digest (last when the gate
+    /// moved from 1/4 to 3/4, which took out of the dense set the bounded
+    /// cells at 2 M rows and ε ∈ {5, 12} m on the 2048 limit and at 8 M
+    /// rows and ε = 5 m on the 8192 one, and the exact cells at 2 M rows).
     #[test]
     fn streamed_features_are_what_they_were_before_runs() {
         let dense = |p: &Plan, wl: &Workload, dev: &Device| !shape(p, wl, dev).runs;
         assert_eq!(streamed_feature_digest(dense), DENSE_DIGEST_AT_PARENT);
     }
-    const DENSE_DIGEST_AT_PARENT: u64 = 0x2c5b_e10e_3d4f_81c5;
+    const DENSE_DIGEST_AT_PARENT: u64 = 0x0c2d_5a08_334e_e309;
 
     /// The planner mirrors the executors' canvas gate, in memory as
-    /// streamed: a tile whose pixels outnumber four times the rows the
-    /// query scans — an upper bound on its entries, one tile or many — is
+    /// streamed: a tile whose pixels times `RUNS_MAX_DENSITY` outnumber the
+    /// rows the query scans — an upper bound on its entries, one tile or
+    /// many — is
     /// costed as pixel runs, with nothing charged per pixel and the sort
     /// charged per surviving point; a denser one is costed dense.
     #[test]
@@ -653,12 +667,14 @@ mod tests {
         // ε = 10 m over NYC: 8203² pixels in 4 tiles; 2 M points = 0.03/px.
         // ε = 20 m: one 4102² tile, 0.12/px — or, at a 2048 limit, 9 tiles
         // of ≤ 2048², dense for the 2 M rows although each tile takes only
-        // ≈ 0.1 M survivors. ε = 100 m: 821², 3/px. ε = 1 m: ≈ 82 k² on a
+        // ≈ 0.1 M survivors. ε = 40 m: one 2051² tile, 0.48/px, between
+        // 1/4 and the gate. ε = 100 m: 821², 3/px. ε = 1 m: ≈ 82 k² on a
         // device allowing 100 k², split at `MAX_TILE_DIM` into 2 × 2.
         for (eps, max_fbo, tiles, runs) in [
             (1.0, 100_000, 4, true),
             (10.0, 8192, 4, true),
             (20.0, 8192, 1, true),
+            (40.0, 8192, 1, true),
             (20.0, 2048, 9, false),
             (100.0, 8192, 1, false),
         ] {
@@ -702,6 +718,15 @@ mod tests {
                 assert_eq!(f, dense, "ε={eps}");
             }
         }
+        // The exact join's 2048² canvas at 2 M rows, 0.48/px: runs too.
+        let wl = Workload::assumed(2_000_000, &polys, &Query::count());
+        let exact = shape(
+            &plan_w(Variant::Accurate, usize::MAX, 1),
+            &wl,
+            &Device::default(),
+        );
+        assert_eq!((exact.pixels, exact.runs), ((2048 * 2048) as f64, true));
+        assert!(use_runs(2_000_000, 2048 * 2048));
     }
 
     #[test]

@@ -409,6 +409,14 @@ mod tests {
     /// selective predicate removes the point-side work where the bounded
     /// variant has the edge, leaving the resolution-bound raster costs —
     /// and those favour the accurate variant. The planner must flip.
+    ///
+    /// Those raster costs are a dense canvas's, so the table is sized for
+    /// both canvases to be dense: four times the runs gate's rows on the
+    /// exact join's 2048² canvas. (Where both are runs, neither clears or
+    /// folds per pixel, and the planner keeps the bounded plan with or
+    /// without the predicate; on a one-tile bounded canvas that is the
+    /// measured winner of `bench_planner`'s selective cells, ε = 50 and
+    /// 200 m.)
     #[test]
     fn selective_predicate_flips_the_decision() {
         let (polys, _) = setup();
@@ -417,21 +425,23 @@ mod tests {
         let hour = pts.attr_index("hour").unwrap();
         // hour < 0.17 passes ~0.1% of the uniform [0, 168) hours.
         let selective = vec![Predicate::new(hour, CmpOp::Lt, 0.17)];
+        let rows = (4.0 * raster_gpu::RUNS_MAX_DENSITY * (2048 * 2048) as f64) as usize;
 
         // Find an ε where the full-selectivity model says Bounded; the
         // flip must then appear at the same ε once selectivity is
         // sampled. Scanning a small band keeps the test robust to the
         // synthetic polygons' exact shape statistics.
         let mut flipped = false;
-        for eps in [4.0, 6.0, 8.0, 12.0, 16.0, 24.0] {
+        for eps in [4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0] {
             let q_raw = Query::count().with_epsilon(eps);
             let q_sel = q_raw.clone().with_predicates(selective.clone());
             // What the pre-fix planner saw: every row survives.
-            let blind = Workload::assumed(3_000_000, &polys, &q_sel);
-            // What the sampling planner sees for a 3M-row table with this
-            // predicate (rates sampled from the real generator output).
+            let blind = Workload::assumed(rows, &polys, &q_sel);
+            // What the sampling planner sees for a table of `rows` rows
+            // with this predicate (rates sampled from the real generator
+            // output).
             let sampled = Workload {
-                n_points: 3_000_000,
+                n_points: rows,
                 ..Workload::sample(&pts, &polys, &q_sel)
             };
             assert!(sampled.selectivity < 0.02, "predicate must be selective");

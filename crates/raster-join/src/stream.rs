@@ -1137,13 +1137,15 @@ mod tests {
     /// EXPLAIN names the canvas.
     #[test]
     fn streamed_sparse_scans_hold_runs() {
-        let pts = TaxiModel::default().generate(6_000, 311);
+        // ε = 40 m: one 2051² tile, ≈ 0.002 rows per pixel; ε = 1 km: 82²,
+        // twice the runs gate's rows per pixel.
+        let rows = (2.0 * raster_gpu::RUNS_MAX_DENSITY * (82 * 82) as f64) as usize;
+        let pts = TaxiModel::default().generate(rows, 311);
         let fare = pts.attr_index("fare").unwrap();
         let polys = synthetic_polygons(6, &nyc_extent(), 312);
         let dev = small_device(1_000, 1, 8192);
         let path = tmp("runs.bin");
         write_table(&path, &pts).unwrap();
-        // ε = 40 m: one 2051² tile, 0.001 rows per pixel; ε = 1 km: 82².
         for (eps, runs) in [(40.0, true), (1_000.0, false)] {
             let q = Query::sum(fare).with_epsilon(eps);
             let stream = StreamingRasterJoin::new(2);

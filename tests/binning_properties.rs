@@ -19,7 +19,9 @@ use proptest::prelude::*;
 use raster_join_repro::data::polygons::synthetic_polygons;
 use raster_join_repro::geom::hausdorff::resolution_for_epsilon;
 use raster_join_repro::gpu::raster::rasterize_polygon_spans;
-use raster_join_repro::gpu::{bin_points, CanvasTiling, PixelRuns, PointFbo, SpanSource};
+use raster_join_repro::gpu::{
+    bin_points, CanvasTiling, PixelRuns, PointFbo, SpanSource, RUNS_MAX_DENSITY,
+};
 use raster_join_repro::join::bounded::polygon_extent;
 use raster_join_repro::prelude::*;
 
@@ -330,15 +332,16 @@ proptest! {
     #[test]
     fn dense_tiles_are_width_independent_and_match_the_streamed_scan(
         seed in any::<u64>(),
-        npts in 2_000usize..4_000,
+        extra in 0usize..2_000,
         hot in 0usize..60,
         threshold in -100.0f64..0.0,
     ) {
         let extent = BBox::new(Point::new(0.0, 0.0), Point::new(600.0, 450.0));
         let polys = synthetic_polygons(6, &extent, seed);
+        // A 61 × 46 canvas: at least the runs gate's rows per pixel.
+        let npts = (RUNS_MAX_DENSITY * (61 * 46) as f64).ceil() as usize + extra;
         let mut pts = random_points(npts, &extent, seed ^ 0xde45e, 1.0);
         add_hot_rows(&mut pts, hot, seed ^ 0x0407);
-        // A 61 × 46 canvas: at least half the rows per pixel.
         let q = Query::sum(0)
             .with_epsilon(10.0 * std::f64::consts::SQRT_2)
             .with_predicates(vec![Predicate::new(0, CmpOp::Gt, threshold as f32)]);

@@ -19,6 +19,7 @@ use raster_join_repro::data::disk::{
 use raster_join_repro::data::faults;
 use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
 use raster_join_repro::data::polygons::synthetic_polygons;
+use raster_join_repro::gpu::RUNS_MAX_DENSITY;
 use raster_join_repro::join::{BoundedRasterJoin, Query, StreamError};
 use raster_join_repro::prelude::*;
 use std::path::PathBuf;
@@ -349,10 +350,12 @@ fn errored_scans_resolve_nothing() {
 fn canvas_pool_outstanding_drains_to_zero() {
     let extent = nyc_extent();
     let polys = synthetic_polygons(6, &extent, 0xC4A05);
-    let pts = TaxiModel::default().generate(2_000, 0xC4A05);
+    // ε = 600 m at a 64² limit: a 3×3-tile canvas, dense for the runs
+    // gate's rows on a full 64² tile (a sparser one is held as runs, which
+    // take nothing from the pool).
+    let rows = (RUNS_MAX_DENSITY * (64 * 64) as f64).ceil() as usize;
+    let pts = TaxiModel::default().generate(rows, 0xC4A05);
     let fare = pts.attr_index("fare").unwrap();
-    // ε = 600 m at a 64² limit: a 3×3-tile canvas, dense for 2 000 rows
-    // (a sparser one is held as runs, which take nothing from the pool).
     let q = Query::avg(fare).with_epsilon(600.0);
     let dev = Device::new(DeviceConfig::small(1_500 * PointTable::point_bytes(2), 64));
     let join = BoundedRasterJoin::new(2);
