@@ -10,14 +10,17 @@
 //! reads each covered pixel once, so it can at best match them.
 //!
 //! `runs_build` times the point side of a sparse tile: `PixelRuns::build`
-//! over 2 M taxi entries binned onto one tile, COUNT and SUM, at one
-//! worker and the default width, in Mentries/s. Two tiles: the bounded
-//! join's ε = 20 m canvas (4102², 0.12 entries/px) and the exact join's
-//! 2048² canvas (0.48 entries/px, every in-canvas point binned; the exact
-//! join bins only those off its outline), which a one-shot exact query
-//! builds at its resolve. Its ceiling is a `memcpy` of the bytes the
-//! counting sort's two passes move (4 B an entry for COUNT, 8 B for SUM,
-//! read and written twice), reported in Mentries/s too.
+//! over 2 M taxi rows binned onto one tile, COUNT and SUM, at one worker
+//! and the default width, in Mentries/s. Three tiles: the bounded join's
+//! ε = 20 m canvas (4102², 0.12 entries/px), the exact join's 2048²
+//! canvas (0.48 entries/px, every in-canvas point binned; the exact join
+//! bins only those off its outline), which a one-shot exact query builds
+//! at its resolve, and the 8192² first tile of the ε = 10 m canvas (0.03
+//! entries/px), the sparsest the benchmarks hold. Its ceiling is a
+//! `memcpy` moving the bytes the build must — each entry read once (4 B
+//! for COUNT, 8 B for SUM) and each run written once (a `u16` column and
+//! a count, 6 B; 10 B with its sum), half of them copied into the other
+//! half — reported in Mentries/s too.
 //!
 //! `cargo bench --bench polygon_processing -- runs_build` runs that group
 //! alone (the shim takes an id prefix), without building the other
@@ -147,14 +150,17 @@ fn runs_build(c: &mut Criterion) {
     let taxi = bench::workloads::taxi(2_000_000);
     let fare = taxi.attr_index("fare").expect("taxi tables carry a fare");
     let extent = polygon_extent(nyc);
-    let bounded = resolution_for_epsilon(&extent, 20.0);
-    let exact = Viewport::canvas_for_extent(&extent, AccurateRasterJoin::default().canvas_dim);
+    let (x20, y20) = resolution_for_epsilon(&extent, 20.0);
+    let (xe, ye) = Viewport::canvas_for_extent(&extent, AccurateRasterJoin::default().canvas_dim);
+    let (x10, y10) = resolution_for_epsilon(&extent, 10.0);
     let w = default_workers();
-    for (width, height) in [bounded, exact] {
+    for (width, height) in [(x20, y20), (xe, ye), (x10, y10)] {
         let tiling = CanvasTiling::new(Viewport::new(extent, width, height), 8192);
-        assert_eq!(tiling.tile_count(), 1, "the build is timed on one tile");
+        // The first tile: the whole canvas, or the 8192² corner of the
+        // ε = 10 m one.
+        let (width, height) = (tiling.tiles[0].width, tiling.tiles[0].height);
         let label = format!("taxi2m_{width}x{height}");
-        for (name, sums, bytes) in [("count", false, 4), ("sum", true, 8)] {
+        for (name, sums, (read, written)) in [("count", false, (4, 6)), ("sum", true, (8, 10))] {
             let binned = bin_points(&tiling, taxi.len(), w, sums, |i| {
                 Some((taxi.point(i), taxi.attr(fare)[i]))
             });
@@ -166,10 +172,9 @@ fn runs_build(c: &mut Criterion) {
                     b.iter(|| PixelRuns::build(&binned, 0, width, height, workers))
                 });
             }
-            let (src, mut dst) = (
-                vec![1u8; 2 * bytes * entries],
-                vec![0u8; 2 * bytes * entries],
-            );
+            let runs = PixelRuns::build(&binned, 0, width, height, w).run_count();
+            let half = (read * entries + written * runs).div_ceil(2);
+            let (src, mut dst) = (vec![1u8; half], vec![0u8; half]);
             g.bench_function(
                 BenchmarkId::new(format!("ceiling/memcpy_{name}"), &label),
                 |b| b.iter(|| dst.copy_from_slice(&src)),

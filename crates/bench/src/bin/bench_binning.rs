@@ -9,8 +9,9 @@
 //!
 //! On a one-tile ε = 20 m canvas (4102², each plane past the allocator's
 //! mmap threshold, so a fresh canvas is fresh pages) it sweeps the rows
-//! offered per pixel (1/64 … 2; `--quick` stops at 1, past the gate,
-//! which needs 16.8 M rows rather than 33.6 M; COUNT and SUM) and times
+//! offered per pixel (1/64 … 3; `--quick` stops at 2, where the one-shot
+//! COUNT crossover now lies, which needs 33.6 M rows rather than 50.5 M;
+//! COUNT and SUM) and times
 //! one tile pass
 //! both ways over the same (tile × band) staging: `PixelRuns::build` +
 //! polygon fold against the executor's dense fill — the staging blended
@@ -76,9 +77,9 @@ fn main() {
 /// ε of the density sweep's canvas: 4102² over the NYC-like extent.
 const SWEEP_EPSILON: f64 = 20.0;
 
-/// Rows offered per pixel by [`density_sweep`]; `--quick` stops at 1
+/// Rows offered per pixel by [`density_sweep`]; `--quick` stops at 2
 /// ([`QUICK_DENSITIES`]).
-const DENSITIES: [f64; 11] = [
+const DENSITIES: [f64; 12] = [
     1.0 / 64.0,
     1.0 / 32.0,
     1.0 / 16.0,
@@ -90,11 +91,13 @@ const DENSITIES: [f64; 11] = [
     1.0,
     3.0 / 2.0,
     2.0,
+    3.0,
 ];
 
-/// How many of [`DENSITIES`] `--quick` sweeps: up to 1 entry per pixel,
-/// past `RUNS_MAX_DENSITY`, so its crossovers bracket the gate.
-const QUICK_DENSITIES: usize = 9;
+/// How many of [`DENSITIES`] `--quick` sweeps: up to 2 entries per pixel,
+/// so it brackets the one-shot COUNT crossover (at 1.5–2 since the runs
+/// build blends each band into a one-band canvas; up to 1 it read null).
+const QUICK_DENSITIES: usize = 11;
 
 /// One cell of the density sweep (times are best-of-`reps`).
 struct SweepRow {

@@ -72,40 +72,40 @@ impl Default for RasterConfig {
 /// the benchmark's replay asks.)
 const SHARD_MIN_DENSITY: f64 = 0.5;
 
-/// Below this many entries per pixel a binned tile is held as sorted
-/// pixel runs ([`crate::PixelRuns`]) instead of a dense [`crate::PointFbo`].
-/// A dense tile costs per *pixel* — allocate, fault in or clear, fold
-/// every covered pixel — and a runs tile per *entry* — sort, collapse,
-/// one search per polygon span — so the cheaper canvas flips with the
-/// density.
+/// Below this many entries per pixel a binned tile is held as pixel runs
+/// ([`crate::PixelRuns`]) instead of a dense [`crate::PointFbo`]. A dense
+/// tile costs per *pixel* — allocate, fault in or clear, fold every
+/// covered pixel — and a runs tile per *entry* — blend into a one-band
+/// canvas, read off the occupied pixels, one search per polygon span — so
+/// the cheaper canvas flips with the density.
 ///
 /// Placed by `bench_binning`'s density sweep (`density_sweep` /
-/// `runs_crossover`; one ε = 20 m tile of 4102², 2 workers, best of 2;
-/// ranges over three full sweeps to 2 entries/px on a 2-core box; the
-/// committed `BENCH_binning.json` is the median of three quick sweeps,
-/// to 1 entry/px). Both sides read the binner's (tile × band) staging as
-/// it is: the dense one blends it in row order on one thread, the runs
-/// one builds it band by band with a counting sort.
+/// `runs_crossover`; one ε = 20 m tile of 4102², 2 workers, best of 2,
+/// on a 2-core box). Both sides read the binner's (tile × band) staging
+/// as it is: the dense one blends it in row order on one thread, the
+/// runs one builds it band by band, each band blended into a worker's
+/// reused one-band canvas and read off as runs.
 ///
-/// The constant sits at the **one-shot** crossover (`single_*`: a
-/// one-tile canvas end to end — bin, absorb, build or blend, fold — the
-/// dense canvas fresh, as every query acquires it). COUNT crosses at 3/4
-/// in all three sweeps: runs 132–161 vs dense 179–198 ms at 1/2, then
-/// 255–282 vs 243–266 at 3/4 (a tie within the quick sweeps' spread,
-/// 242–246 vs 236–278) and 350–411 vs 303–342 at 1. SUM, whose
-/// fresh dense canvas faults in two planes, crosses at 2: runs 314–370
-/// vs 481–501 at 3/4, 452–526 vs 577–644 at 1, 706–785 vs 783–825 at
-/// 3/2. One gate serves both aggregates, so it takes the lower: below
-/// it runs are not slower at any swept density, COUNT or SUM.
+/// The constant sits at what was the **one-shot** COUNT crossover
+/// (`single_*`: a one-tile canvas end to end — bin, absorb, build or
+/// blend, fold — the dense canvas fresh, as every query acquires it)
+/// while the runs build sorted its entries: three full sweeps crossed at
+/// 3/4 (runs 255–282 vs dense 243–266 ms), SUM only at 2, and one gate
+/// serving both aggregates took the lower.
 ///
-/// A canvas **recycled** by a prepared loop (`tile_warm_*`: both sides
-/// binned, the dense canvas from a warm pool) crosses lower, at 3/8–3/4
-/// for COUNT (runs 35–46 vs 42–47 ms at 3/8, 50–75 vs 44–54 at 1/2) and
-/// 1/2–3/4 for SUM (80–93 vs 80–84 at 1/2, 102–117 vs 92–106 at 3/4).
-/// The gate follows the one-shot side, which every new preparation pays
-/// (a one-shot query, each streamed scan); a prepared loop recycling a
-/// canvas between that crossover and the gate would blend it a little
-/// faster dense.
+/// The blended build moved every crossover up. Three quick sweeps (to 2
+/// entries/px; the committed `BENCH_binning.json` is their median) read
+/// the one-shot COUNT crossover null, null and 2 (runs 450–546 vs dense
+/// 454–702 ms at 2, 367–483 vs 401–524 at 3/2, 219–274 vs 263–380 at
+/// 1), and a full sweep to 3 read 2 — a near tie from 2 (565 vs 496) to
+/// 3 (945 vs 982). SUM does not cross by 3 (1 290 vs 1 571 ms). A canvas
+/// **recycled** by a prepared loop (`tile_warm_*`: both sides binned,
+/// the dense canvas from a warm pool) crosses at 3/2, null and 2 for
+/// COUNT in the quick sweeps and at 3 in the full one (runs 131 vs warm
+/// dense 127 ms), SUM not by 3. So below the gate runs are still never
+/// slower, but tiles from 3/4 to about 2 entries/px are now held dense
+/// where runs would be faster. Moving the gate flips canvases, so a
+/// change that moves it should show the gain on a workload.
 pub const RUNS_MAX_DENSITY: f64 = 0.75;
 
 impl RasterConfig {

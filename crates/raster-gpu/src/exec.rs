@@ -138,27 +138,33 @@ where
     .expect("worker thread panicked");
 }
 
-/// Run `f` on every task of `tasks` on up to `workers` threads, each
-/// task taken whole, in order, by the first idle worker — for tasks that
-/// own disjoint `&mut` slices of one output.
-pub fn parallel_tasks<T, F>(tasks: Vec<T>, workers: usize, f: F)
+/// Run `f(&mut states[w], task)` on every task of `tasks`, each task
+/// taken whole, in order, by the first idle worker, on one thread per
+/// state (at most one per task) — for tasks that own disjoint `&mut`
+/// slices of one output, each worker with the private state it keeps
+/// from task to task (a scratch buffer, or `()`).
+pub fn parallel_tasks<T, S, F>(tasks: Vec<T>, states: &mut [S], f: F)
 where
     T: Send,
-    F: Fn(T) + Sync,
+    S: Send,
+    F: Fn(&mut S, T) + Sync,
 {
-    let workers = workers.clamp(1, tasks.len().max(1));
+    assert!(!states.is_empty(), "one state per worker, one at least");
+    let workers = states.len().min(tasks.len().max(1));
     if workers == 1 {
-        tasks.into_iter().for_each(f);
+        let state = &mut states[0];
+        tasks.into_iter().for_each(|task| f(state, task));
         return;
     }
     let queue = parking_lot::Mutex::new(tasks.into_iter());
     crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
+        for state in &mut states[..workers] {
+            let (queue, f) = (&queue, &f);
+            s.spawn(move |_| loop {
                 // The guard drops before the task runs.
                 let next = queue.lock().next();
                 match next {
-                    Some(task) => f(task),
+                    Some(task) => f(state, task),
                     None => break,
                 }
             });
@@ -207,6 +213,19 @@ mod tests {
             let flat: Vec<usize> = seen.concat();
             let items: Vec<usize> = flat.into_iter().filter(|&i| i != usize::MAX).collect();
             assert_eq!(items, (0..len).collect::<Vec<_>>(), "{len} over {workers}");
+        }
+    }
+
+    #[test]
+    fn parallel_tasks_runs_every_task_once_on_one_state_per_worker() {
+        for (tasks, workers) in [(0, 3), (1, 4), (10, 1), (10, 3), (100, 2)] {
+            let mut states: Vec<Vec<usize>> = vec![Vec::new(); workers];
+            parallel_tasks((0..tasks).collect(), &mut states, |mine, t| mine.push(t));
+            // Each worker takes its tasks in queue order.
+            assert!(states.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
+            let mut all: Vec<usize> = states.concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..tasks).collect::<Vec<_>>(), "{tasks} on {workers}");
         }
     }
 

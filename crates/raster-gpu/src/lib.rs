@@ -18,7 +18,7 @@
 //!   blend ([`framebuffer::ShardSet`]) stays only for the benchmark's
 //!   replay;
 //! * [`runs`] — the sparse canvas representation: a tile's binned entries
-//!   as sorted pixel runs ([`runs::PixelRuns`]), read by the polygon pass
+//!   as pixel runs ([`runs::PixelRuns`]), read by the polygon pass
 //!   through the same [`runs::SpanSource`] calls as the dense FBO;
 //! * [`spans`] — the polygon side as prepared data: one
 //!   [`spans::SpanTable`] per canvas tile, built once per query by the

@@ -1,14 +1,13 @@
-//! Pixel runs: a sparse canvas tile held as sorted `(x, count, sum)` runs.
+//! Pixel runs: a sparse canvas tile held as `(x, count, sum)` runs.
 //!
 //! The canvas resolution is tied to ε (§4.2), so it grows as 1/ε² while
 //! the points do not: at ε = 10 m the taxi canvas holds 0.03 points per
 //! pixel, and a dense [`PointFbo`] spends its time allocating, faulting
 //! and folding pixels that hold nothing. [`PixelRuns`] is the second
 //! canvas representation: one tile's binned `(pixel index, value)`
-//! entries ([`crate::BinnedBatch::tile`]) stably sorted by pixel, equal
-//! pixels collapsed to one run, with a per-row offset table — GeoBlocks'
-//! "sort on the cell key, sum contiguous key ranges" at the ε grid. Its
-//! memory is sized by entries, never by pixels.
+//! entries ([`crate::BinnedBatch::tile`]) blended band by band, each
+//! non-empty pixel kept as one run in ascending pixel order, with a
+//! per-row offset table. Its memory is sized by entries, never by pixels.
 //!
 //! A query's resident canvases hold a sparse tile this way, in memory as
 //! streamed: each batch or chunk is kept as binned ([`PixelRuns::append`];
@@ -31,21 +30,21 @@
 //! # Building in parallel, without unsafe
 //!
 //! The binner already staged the tile by row band ([`BinnedBatch`], kept
-//! as it is by a resident tile), each band in entry order,
-//! so the build is one task per band, handed out dynamically (bands are
-//! as skewed as the data). Its worker keys each entry by its band-local
-//! pixel `pix − y0 · width` — below `32 · width`, so 2¹⁸ on an 8192-wide
-//! tile — and puts the band in key order by a stable LSD counting sort:
-//! one read counts every pass's 9-bit digits, then one scatter per
-//! digit, two on an 8192-wide tile. An aggregating entry is one `u64`,
-//! key above its value's f32 bits, so a pass moves one array and the run
-//! sums read their values in place. Equal keys, adjacent and in entry
-//! order, collapse into the band's block of runs, a slot the task owns;
-//! a run's row is its key over the width. No buffer is ever written by
-//! two threads, so there is nothing to audit; the blocks are kept as
-//! built rather than copied into one array.
+//! as it is by a resident tile), each band in entry order, so the build
+//! is one task per non-empty band, handed out dynamically (bands are as
+//! skewed as the data). Each worker owns one [`BandCanvas`]: a zeroed
+//! canvas one band tall, allocated at its first band and reused for the
+//! rest. The worker blends its band's entries into it in entry order,
+//! with `blend_in_order`'s arithmetic, marking each pixel it touches in
+//! an occupancy bitmap and each touched bitmap word in a summary bitmap.
+//! It then walks the set bits in ascending pixel order, one run per
+//! occupied pixel into the band's block of runs, a slot the task owns,
+//! zeroing each cell as it goes. A band costs its entries plus its
+//! occupied words, never its pixels. No buffer is ever written by two
+//! threads, so there is nothing to audit; the blocks are kept as built
+//! rather than copied into one array.
 
-use crate::bin::{BinnedBatch, BAND_SHIFT};
+use crate::bin::{BinnedBatch, BAND_SHIFT, MAX_TILE_DIM};
 use crate::exec::parallel_tasks;
 use crate::PointFbo;
 use std::sync::Arc;
@@ -77,15 +76,17 @@ impl SpanSource for PointFbo {
 #[derive(Default)]
 struct RunBlock {
     /// `row_start[r]..row_start[r + 1]` indexes the runs of the block's
-    /// `r`-th row; runs within a row ascend strictly in `x`.
+    /// `r`-th row; runs within a row ascend strictly in `x`. Empty for a
+    /// band that received no entry.
     row_start: Vec<u32>,
-    xs: Vec<u32>,
+    /// A tile is at most [`MAX_TILE_DIM`] wide, so a column fits a `u16`.
+    xs: Vec<u16>,
     counts: Vec<u32>,
     /// Per-run f32 sums; empty for COUNT-only tiles.
     sums: Vec<f32>,
 }
 
-/// A canvas tile as sorted pixel runs (see the module docs).
+/// A canvas tile as pixel runs (see the module docs).
 pub struct PixelRuns {
     width: u32,
     height: u32,
@@ -98,7 +99,7 @@ pub struct PixelRuns {
 }
 
 impl PixelRuns {
-    /// Sort and collapse tile `ti` of `binned` — a `width × height` tile —
+    /// Blend and collect tile `ti` of `binned` — a `width × height` tile —
     /// on up to `workers` threads, one band per task. The result is the
     /// same at any worker count.
     pub fn build(
@@ -117,8 +118,8 @@ impl PixelRuns {
     /// ([`PixelRuns::append`]) and is read once sealed.
     pub fn new(width: u32, height: u32, ti: usize) -> Self {
         assert!(
-            u64::from(width) * u64::from(height) <= u64::from(u32::MAX),
-            "a {width} × {height} tile has more pixels than a u32 indexes"
+            width <= MAX_TILE_DIM && u64::from(width) * u64::from(height) <= u64::from(u32::MAX),
+            "a {width} × {height} tile is wider than MAX_TILE_DIM or has more pixels than a u32 indexes"
         );
         PixelRuns {
             width,
@@ -158,11 +159,15 @@ impl PixelRuns {
         debug_assert!(self.staged.is_empty(), "runs read before they are sealed");
         let block = self.blocks.get((y >> BAND_SHIFT) as usize)?;
         let r = (y & ((1 << BAND_SHIFT) - 1)) as usize;
-        let (lo, hi) = (block.row_start[r] as usize, block.row_start[r + 1] as usize);
+        let lo = *block.row_start.get(r)? as usize;
+        let hi = block.row_start[r + 1] as usize;
         let row = &block.xs[lo..hi];
-        let first = lo + row.partition_point(|&x| x < x0);
-        let len = block.xs[first..hi].iter().take_while(|&&x| x < x1).count();
-        Some((block, first..first + len))
+        let first = row.partition_point(|&x| u32::from(x) < x0);
+        let len = row[first..]
+            .iter()
+            .take_while(|&&x| u32::from(x) < x1)
+            .count();
+        Some((block, lo + first..lo + first + len))
     }
 }
 
@@ -188,61 +193,135 @@ impl SpanSource for PixelRuns {
     }
 }
 
-impl RunBlock {
-    /// The block of a band of `rows` rows of a `width`-wide tile, from its
-    /// entries in ascending band-local key order, equal keys in entry
-    /// order — the key of pixel `(x, y0 + r)` is `r · width + x`. Equal
-    /// keys collapse without a branch on where a run ends (run lengths are
-    /// data, so such a branch mispredicts about once a run): each entry
-    /// writes its run's key, end and running sum at the run's index.
-    fn of_sorted<T: Keyed>(sorted: &[T], width: u32, rows: u32) -> Self {
-        let Some(first) = sorted.first() else {
-            return RunBlock {
-                row_start: vec![0; rows as usize + 1],
-                ..RunBlock::default()
-            };
+/// A worker's canvas one band tall: `counts` (and `sums` when the band
+/// aggregates) over the band's pixels, a bit per pixel in `occupied` set
+/// by every entry, and a bit per word of `occupied` in `summary`. Every
+/// cell is zero between bands: [`BandCanvas::blend`] zeroes what it set
+/// as it collects the runs.
+#[derive(Default)]
+struct BandCanvas {
+    counts: Vec<u32>,
+    sums: Vec<f32>,
+    occupied: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl BandCanvas {
+    /// The block of band `b` of a `width × height` tile from its entries,
+    /// batch after batch. Each pixel's count and sum take its entries in
+    /// entry order, the sum from `+0.0`, as `blend_in_order` does; the runs
+    /// are then read off in ascending pixel order, so a row's runs ascend
+    /// in `x`.
+    fn blend(
+        &mut self,
+        chunks: &[(&[u32], Option<&[f32]>)],
+        width: u32,
+        height: u32,
+        b: usize,
+    ) -> RunBlock {
+        let y0 = (b as u32) << BAND_SHIFT;
+        let rows = (height - y0).min(1 << BAND_SHIFT);
+        let pixels = (rows * width) as usize;
+        let valued = chunks.iter().any(|(_, values)| values.is_some());
+        self.fit(pixels, valued);
+        let base = y0 * width;
+        let mut runs = 0;
+        for &(idx, values) in chunks {
+            match values {
+                Some(values) => {
+                    for (&pix, &v) in idx.iter().zip(values) {
+                        let i = self.mark(pix - base, &mut runs);
+                        self.sums[i] += v;
+                    }
+                }
+                None => {
+                    for &pix in idx {
+                        self.mark(pix - base, &mut runs);
+                    }
+                }
+            }
+        }
+        self.collect(width as usize, rows as usize, runs, valued)
+    }
+
+    /// Room for a band of `pixels` pixels, with sums when `valued`. The
+    /// cells are all zero, so a buffer too small is replaced, not grown.
+    fn fit(&mut self, pixels: usize, valued: bool) {
+        let words = pixels.div_ceil(64);
+        if self.counts.len() < pixels {
+            self.counts = vec![0; pixels];
+        }
+        if valued && self.sums.len() < pixels {
+            self.sums = vec![0.0; pixels];
+        }
+        if self.occupied.len() < words {
+            self.occupied = vec![0; words];
+            self.summary = vec![0; words.div_ceil(64)];
+        }
+    }
+
+    /// Count one entry of band-local pixel `i`, counting the runs it
+    /// opens into `runs`, and mark the pixel occupied.
+    #[inline(always)]
+    fn mark(&mut self, i: u32, runs: &mut usize) -> usize {
+        let i = i as usize;
+        let count = &mut self.counts[i];
+        *runs += (*count == 0) as usize;
+        *count += 1;
+        self.occupied[i / 64] |= 1 << (i % 64);
+        self.summary[i / 4096] |= 1 << (i / 64 % 64);
+        i
+    }
+
+    /// The `runs` occupied pixels of a band of `rows` rows of a
+    /// `width`-wide tile, in ascending pixel order, each cell zeroed as it
+    /// is read.
+    fn collect(&mut self, width: usize, rows: usize, runs: usize, valued: bool) -> RunBlock {
+        let mut block = RunBlock {
+            row_start: Vec::with_capacity(rows + 1),
+            xs: Vec::with_capacity(runs),
+            counts: Vec::with_capacity(runs),
+            sums: Vec::with_capacity(if valued { runs } else { 0 }),
         };
-        let distinct = sorted.windows(2).filter(|p| p[0].key() != p[1].key());
-        let nruns = 1 + distinct.count();
-        let (mut xs, mut counts) = (vec![0u32; nruns], vec![0u32; nruns]);
-        let mut sums = vec![0f32; if T::VALUED { nruns } else { 0 }];
-        let (mut run, mut key, mut sum) = (0, first.key(), 0f32);
-        for (end, &e) in (1..).zip(sorted) {
-            let starts = e.key() != key;
-            run += starts as usize;
-            key = e.key();
-            xs[run] = key;
-            counts[run] = end;
-            if T::VALUED {
-                sum = if starts { 0.0 } else { sum } + e.value();
-                sums[run] = sum;
+        block.row_start.push(0);
+        let mut row_end = width;
+        let summaries = (rows * width).div_ceil(64 * 64);
+        for (s, summary) in self.summary[..summaries].iter_mut().enumerate() {
+            for w in set_bits(std::mem::take(summary)) {
+                let w = 64 * s + w;
+                for bit in set_bits(std::mem::take(&mut self.occupied[w])) {
+                    let i = 64 * w + bit;
+                    while i >= row_end {
+                        block.row_start.push(block.xs.len() as u32);
+                        row_end += width;
+                    }
+                    block.xs.push((i + width - row_end) as u16);
+                    block.counts.push(std::mem::take(&mut self.counts[i]));
+                    if valued {
+                        block.sums.push(std::mem::take(&mut self.sums[i]));
+                    }
+                }
             }
         }
-        // Keys to columns, run ends to counts, row by row.
-        let mut row_start = Vec::with_capacity(rows as usize + 1);
-        row_start.push(0);
-        let (mut row_end, mut prev_end) = (width, 0);
-        for (run, (x, count)) in (0..).zip(xs.iter_mut().zip(&mut counts)) {
-            while *x >= row_end {
-                row_start.push(run);
-                row_end += width;
-            }
-            *x -= row_end - width;
-            (*count, prev_end) = (*count - prev_end, *count);
-        }
-        row_start.resize(rows as usize + 1, nruns as u32);
-        RunBlock {
-            row_start,
-            xs,
-            counts,
-            sums,
-        }
+        block.row_start.resize(rows + 1, runs as u32);
+        block
     }
 }
 
+/// The positions of the set bits of `word`, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
+}
+
 /// The run blocks of tile `ti` of `batches`, a `width × height` tile: one
-/// task per band on up to `workers` threads, each band's entries taken
-/// from the batches in order. Empty when the tile received no entry.
+/// task per non-empty band on up to `workers` threads, each with its own
+/// [`BandCanvas`], each band's entries taken from the batches in order.
+/// Empty when the tile received no entry.
 fn collapse_bands(
     batches: &[&BinnedBatch],
     ti: usize,
@@ -259,138 +338,20 @@ fn collapse_bands(
         "entries binned for another banding"
     );
     let mut blocks: Vec<RunBlock> = (0..nbands).map(|_| RunBlock::default()).collect();
-    parallel_tasks(
-        blocks.iter_mut().enumerate().collect(),
-        workers,
-        |(b, block)| {
-            let y0 = (b as u32) << BAND_SHIFT;
-            let rows = (height - y0).min(1 << BAND_SHIFT);
+    let tasks: Vec<_> = (blocks.iter_mut().enumerate())
+        .map(|(b, block)| {
             let chunks: Vec<_> = batches.iter().map(|batch| batch.band(ti, b)).collect();
-            *block = collapse(&chunks, width, y0, rows);
-        },
-    );
+            (b, block, chunks)
+        })
+        .filter(|(_, _, chunks)| chunks.iter().any(|(idx, _)| !idx.is_empty()))
+        .collect();
+    // A canvas allocates at its first band, so one per worker costs
+    // nothing where there are fewer tasks.
+    let mut canvases: Vec<_> = (0..workers.max(1)).map(|_| BandCanvas::default()).collect();
+    parallel_tasks(tasks, &mut canvases, |canvas, (b, block, chunks)| {
+        *block = canvas.blend(&chunks, width, height, b);
+    });
     blocks
-}
-
-/// Bits of the band-local key sorted per counting pass: a 512-entry
-/// histogram stays in L1, and an 8192-wide tile's 32-row band (keys below
-/// 2¹⁸) takes two passes.
-const RADIX_BITS: u32 = 9;
-const RADIX: usize = 1 << RADIX_BITS;
-
-/// An entry of the runs build: its band-local key and, when `VALUED`,
-/// its value.
-trait Keyed: Copy + Default {
-    const VALUED: bool;
-    fn key(self) -> u32;
-    fn value(self) -> f32;
-}
-
-/// A COUNT entry is its key.
-impl Keyed for u32 {
-    const VALUED: bool = false;
-
-    #[inline(always)]
-    fn key(self) -> u32 {
-        self
-    }
-
-    #[inline(always)]
-    fn value(self) -> f32 {
-        0.0
-    }
-}
-
-/// An aggregating entry packs its key above its value's f32 bits, so a
-/// pass moves one array and the run sums need no gather.
-impl Keyed for u64 {
-    const VALUED: bool = true;
-
-    #[inline(always)]
-    fn key(self) -> u32 {
-        (self >> 32) as u32
-    }
-
-    #[inline(always)]
-    fn value(self) -> f32 {
-        f32::from_bits(self as u32)
-    }
-}
-
-/// One band from its entries, batch after batch, keyed `pix − y0·width`
-/// (below `rows · width`): a stable LSD counting sort on the key, then
-/// equal keys collapsed into runs. Stable, so each run's sum adds its
-/// values in entry order from `+0.0`, as `blend_in_order` does.
-fn collapse(chunks: &[(&[u32], Option<&[f32]>)], width: u32, y0: u32, rows: u32) -> RunBlock {
-    let n = chunks.iter().map(|(idx, _)| idx.len()).sum();
-    let base = y0 * width;
-    let key_bits = u32::BITS - (rows * width - 1).leading_zeros();
-    if chunks.iter().all(|(_, values)| values.is_none()) {
-        let keys = chunks
-            .iter()
-            .flat_map(|(idx, _)| idx.iter().map(move |&pix| pix - base));
-        return RunBlock::of_sorted(&counting_sort(n, keys, key_bits), width, rows);
-    }
-    let entries = chunks.iter().flat_map(|&(idx, values)| {
-        let values = values.unwrap_or(&[]);
-        let packed = idx.iter().zip(values);
-        packed.map(move |(&pix, &v)| ((pix - base) as u64) << 32 | v.to_bits() as u64)
-    });
-    RunBlock::of_sorted(&counting_sort(n, entries, key_bits), width, rows)
-}
-
-/// The `n` `entries` stably sorted by key (below `2^key_bits`): one read
-/// counts every pass's digits, then one scatter per [`RADIX_BITS`] of key,
-/// least significant first — the first straight from `entries`.
-fn counting_sort<T: Keyed>(
-    n: usize,
-    entries: impl Iterator<Item = T> + Clone,
-    key_bits: u32,
-) -> Vec<T> {
-    let passes = key_bits.div_ceil(RADIX_BITS).max(1);
-    let mut starts = vec![[0u32; RADIX]; passes as usize];
-    entries.clone().for_each(|e| {
-        for (pass, counts) in (0..).zip(starts.iter_mut()) {
-            counts[digit(e.key(), pass)] += 1;
-        }
-    });
-    for counts in &mut starts {
-        let mut at = 0;
-        for c in counts.iter_mut() {
-            (*c, at) = (at, at + *c);
-        }
-    }
-    let mut sorted = vec![T::default(); n];
-    let mut spare = vec![T::default(); if passes > 1 { n } else { 0 }];
-    let mut starts = (0..).zip(starts);
-    let (_, mut first) = starts.next().expect("one pass at least");
-    scatter(&mut sorted, entries, &mut first, 0);
-    for (pass, mut at) in starts {
-        std::mem::swap(&mut sorted, &mut spare);
-        scatter(&mut sorted, spare.iter().copied(), &mut at, pass);
-    }
-    sorted
-}
-
-/// Digit `pass` of `key`, [`RADIX_BITS`] wide.
-#[inline(always)]
-fn digit(key: u32, pass: u32) -> usize {
-    (key >> (pass * RADIX_BITS)) as usize & (RADIX - 1)
-}
-
-/// One counting pass: each entry of `from`, in order, to the next slot of
-/// its digit, `at` holding each digit's next slot.
-fn scatter<T: Keyed>(
-    into: &mut [T],
-    from: impl Iterator<Item = T>,
-    at: &mut [u32; RADIX],
-    pass: u32,
-) {
-    from.for_each(|e| {
-        let slot = &mut at[digit(e.key(), pass)];
-        into[*slot as usize] = e;
-        *slot += 1;
-    });
 }
 
 #[cfg(test)]
@@ -471,11 +432,11 @@ mod tests {
         (idx, values)
     }
 
-    /// The largest band-local key (a full 32-row band of an 8192-wide
-    /// tile: keys up to 2¹⁸ − 1, two counting passes), a last band of 5
-    /// rows, and a width that is no power of two.
+    /// A full 32-row band of an 8192-wide tile (band-local pixels up to
+    /// 2¹⁸ − 1), a last band of 5 rows, and a width that is no power of
+    /// two.
     #[test]
-    fn counting_sort_covers_the_key_range() {
+    fn band_canvas_covers_the_key_range() {
         const BAND_ROWS: u32 = 1 << BAND_SHIFT;
         for (w, h) in [
             (8192, BAND_ROWS),
@@ -534,6 +495,64 @@ mod tests {
             }
             runs.seal(workers);
             assert_same_pixels(&runs, &fbo);
+        }
+    }
+
+    /// Tile `w × h` built band by band on `canvas`, as one worker builds
+    /// the bands it takes.
+    fn build_on(canvas: &mut BandCanvas, binned: &BinnedBatch, w: u32, h: u32) -> PixelRuns {
+        let mut runs = PixelRuns::new(w, h, 0);
+        let bands = 0..(h as usize).div_ceil(1 << BAND_SHIFT);
+        runs.blocks = (bands.map(|b| canvas.blend(&[binned.band(0, b)], w, h, b))).collect();
+        runs
+    }
+
+    /// One canvas carried from a SUM tile to a narrower COUNT tile and on
+    /// to a wider SUM tile: each tile's band 0 holds a hot pixel whose
+    /// sum depends on the order, and band 1 holds nothing at the same
+    /// band-local index, so a cell left unreset would show there. Every
+    /// tile answers like `blend_in_order`, bitwise, and the canvas ends
+    /// all zero.
+    #[test]
+    fn one_canvas_carries_no_residue_across_tiles_and_aggregates() {
+        let mut canvas = BandCanvas::default();
+        for (w, h, valued) in [(37u32, 70u32, true), (23, 64, false), (61, 45, true)] {
+            let hot = 7 * w + 11;
+            let stride = (1 << BAND_SHIFT) * w;
+            let (mut idx, _) = scattered(w, h, 2_000);
+            idx.retain(|&pix| pix != hot + stride);
+            idx.extend(std::iter::repeat_n(hot, 500));
+            let values: Vec<f32> = (0..idx.len())
+                .map(|k| [1e8f32, 1.0, -1e8, 0.37][k % 4] * (1.0 + (k % 7) as f32))
+                .collect();
+            let values = valued.then_some(&values[..]);
+            let fbo = dense(&idx, values, w, h);
+            assert_eq!(fbo.count_at(11, 7 + (1 << BAND_SHIFT)), 0);
+            let binned = bin_pixels(w, h, &idx, values, 1);
+            assert_same_spans(&build_on(&mut canvas, &binned, w, h), &fbo);
+        }
+        let BandCanvas {
+            counts,
+            sums,
+            occupied,
+            summary,
+        } = &canvas;
+        assert!(counts.iter().all(|&c| c == 0));
+        assert!(sums.iter().all(|&s| s.to_bits() == 0));
+        assert!(occupied.iter().chain(summary).all(|&w| w == 0));
+    }
+
+    /// A sparse tile as wide as the widest a tiling cuts (a band of
+    /// 32 · 65 535 pixels, half a word past a multiple of 64), and a
+    /// narrow one whose band is no multiple of 64 either: entries on the
+    /// first and last pixel of the tile and of each band.
+    #[test]
+    fn sparse_bands_off_the_word_grid_build_like_dense() {
+        for (w, h) in [(MAX_TILE_DIM, (1 << BAND_SHIFT) + 1), (7, 75)] {
+            assert_ne!(((1 << BAND_SHIFT) * w) % 64, 0);
+            let (idx, values) = scattered(w, h, 40);
+            assert!(idx.contains(&0) && idx.contains(&(w * h - 1)));
+            assert_builds_like_dense(w, h, &idx, &values);
         }
     }
 

@@ -45,10 +45,11 @@ type CellSpan = (u32, u32);
 /// the boundary passes through it (found by conservative rasterization of
 /// every edge onto the cell grid) or it lies fully inside (its center is
 /// interior — found row by row from the even–odd crossings of the
-/// boundary with the row's center line). Both kinds are marked in one
-/// byte mask over the polygon's own cell box, whose runs are the spans.
-/// This is O(box cells + rows × vertices), versus O(MBR cells × vertices)
-/// for per-cell polygon clipping.
+/// boundary with the row's center line, each edge meeting only the lines
+/// its y-range spans). Both kinds are marked in one byte mask over the
+/// polygon's own cell box, whose runs are the spans. This is O(box
+/// cells, edges and crossings), versus O(MBR cells × vertices) for
+/// per-cell polygon clipping.
 fn cell_spans(poly: &Polygon, extent: &BBox, nx: u32, ny: u32, mode: AssignMode) -> Vec<CellSpan> {
     let cw = extent.width() / nx as f64;
     let ch = extent.height() / ny as f64;
@@ -79,23 +80,54 @@ fn cell_spans(poly: &Polygon, extent: &BBox, nx: u32, ny: u32, mode: AssignMode)
         });
     }
 
+    // Interior cells: even–odd crossings of the boundary with each row's
+    // center line give the inside intervals; cells whose centers fall
+    // inside are fully interior, or boundary cells already marked. Each
+    // edge meets only the center lines its y-range spans, so the
+    // crossings are found edge by edge and bucketed by row, each row's
+    // in edge order.
+    let line_y = |cy: u32| extent.min.y + (cy as f64 + 0.5) * ch;
+    let mut crossings: Vec<(u32, f64)> = Vec::new();
+    for &(p, q) in &edges {
+        let (lo, hi) = (p.y.min(q.y), p.y.max(q.y));
+        // A row's line crosses the edge iff `lo <= line_y < hi`, i.e. one
+        // endpoint lies above it. The line rises with the row, so start
+        // at the estimate, step back while the row below still reaches
+        // `lo`, and walk up until the line reaches `hi`.
+        let mut cy = cell((lo - extent.min.y) / ch - 0.5, ny).clamp(cy0, cy1);
+        while cy > cy0 && line_y(cy - 1) >= lo {
+            cy -= 1;
+        }
+        while cy <= cy1 && line_y(cy) < hi {
+            let y = line_y(cy);
+            if (p.y > y) != (q.y > y) {
+                let t = (y - p.y) / (q.y - p.y);
+                crossings.push((cy - cy0, p.x + t * (q.x - p.x)));
+            }
+            cy += 1;
+        }
+    }
+    let bh = (cy1 - cy0 + 1) as usize;
+    let mut row_start = vec![0usize; bh + 1];
+    for &(r, _) in &crossings {
+        row_start[r as usize + 1] += 1;
+    }
+    for r in 0..bh {
+        row_start[r + 1] += row_start[r];
+    }
+    let mut xs = vec![0f64; crossings.len()];
+    let mut at = row_start.clone();
+    for &(r, x) in &crossings {
+        xs[at[r as usize]] = x;
+        at[r as usize] += 1;
+    }
+
     let clamp_x = |v: f64| cell(v, nx).clamp(cx0, cx1);
     let mut spans = Vec::new();
-    let mut xs: Vec<f64> = Vec::new();
     for cy in cy0..=cy1 {
-        let row = &mut mask[(cy - cy0) as usize * bw..][..bw];
-        // Interior cells: even–odd crossings of the boundary with the
-        // row-center line give the inside intervals; cells whose centers
-        // fall inside are fully interior, or boundary cells already
-        // marked.
-        let line_y = extent.min.y + (cy as f64 + 0.5) * ch;
-        xs.clear();
-        for &(p, q) in &edges {
-            if (p.y > line_y) != (q.y > line_y) {
-                let t = (line_y - p.y) / (q.y - p.y);
-                xs.push(p.x + t * (q.x - p.x));
-            }
-        }
+        let r = (cy - cy0) as usize;
+        let row = &mut mask[r * bw..][..bw];
+        let xs = &mut xs[row_start[r]..row_start[r + 1]];
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         for pair in xs.chunks_exact(2) {
             // Cells whose center x ∈ (pair[0], pair[1]).
@@ -153,25 +185,27 @@ impl GridIndex {
                 .flat_map(|&(start, len)| start as usize..(start + len) as usize)
         };
 
-        // Pass 1: count entries per cell, then prefix sum → offsets.
+        // Pass 1: count entries per cell into `offsets[c + 1]`, then turn
+        // each count into its cell's start (an exclusive prefix sum).
         let mut offsets = vec![0u32; ncells + 1];
         for pi in 0..polys.len() {
             for c in cells_of(pi) {
                 offsets[c + 1] += 1;
             }
         }
-        for c in 0..ncells {
-            offsets[c + 1] += offsets[c];
+        let mut total = 0;
+        for slot in &mut offsets[1..] {
+            (*slot, total) = (total, total + *slot);
         }
 
-        // Pass 2: scatter polygon positions in slice order through
-        // per-cell cursors.
-        let mut cursors = offsets[..ncells].to_vec();
-        let mut entries = vec![u32::MAX; offsets[ncells] as usize];
+        // Pass 2: scatter polygon positions in slice order, `offsets[c + 1]`
+        // the cursor of cell `c`: it ends at the cell's end, the next
+        // cell's start.
+        let mut entries = vec![u32::MAX; total as usize];
         for pi in 0..polys.len() {
             for c in cells_of(pi) {
-                entries[cursors[c] as usize] = pi as u32;
-                cursors[c] += 1;
+                entries[offsets[c + 1] as usize] = pi as u32;
+                offsets[c + 1] += 1;
             }
         }
         GridIndex {

@@ -406,6 +406,55 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `words`, a byte at a time.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in words.into_iter().flat_map(u64::to_le_bytes) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The grid index over both stand-in polygon sets, and the PIP tests
+    /// the exact join runs through it, are pinned at what the row-by-row
+    /// enumeration built (every edge crossed with every row of its
+    /// polygon's cell box): the same entries, the same candidate list in
+    /// every cell, the same `pip_tests`.
+    #[test]
+    fn stand_in_indexes_and_pip_tests_are_pinned() {
+        use raster_data::generators::TwitterModel;
+        use raster_data::polygons::{nyc_neighborhoods, us_counties};
+        use raster_index::{AssignMode, GridIndex};
+        let dev = Device::default();
+        let cases = [
+            (
+                nyc_neighborhoods(),
+                TaxiModel::default().generate(100_000, 11),
+                (282_882, 0x5492_f331_ae54_dcb5, 4_360),
+            ),
+            (
+                us_counties(),
+                TwitterModel::default().generate(100_000, 12),
+                (350_421, 0xae9c_b7ba_0c00_8185, 21_556),
+            ),
+        ];
+        for (polys, pts, want) in cases {
+            let extent = crate::bounded::polygon_extent(&polys);
+            let dim = AccurateRasterJoin::default().index_dim;
+            let index = GridIndex::build(&polys, extent, dim, dim, AssignMode::Exact, 2);
+            let (cw, ch) = (extent.width() / dim as f64, extent.height() / dim as f64);
+            let lists = (0..dim * dim).flat_map(|c| {
+                let (cx, cy) = ((c % dim) as f64 + 0.5, (c / dim) as f64 + 0.5);
+                let center = Point::new(extent.min.x + cx * cw, extent.min.y + cy * ch);
+                let list = index.candidates(center);
+                std::iter::once(list.len() as u64).chain(list.iter().map(|&p| u64::from(p)))
+            });
+            let out = AccurateRasterJoin::new(2).execute(&pts, &polys, &Query::count(), &dev);
+            let got = (index.entry_count(), fnv(lists), out.stats.pip_tests);
+            assert_eq!(got, want, "{} polygons", polys.len());
+        }
+    }
+
     /// Why step 3 needs no per-fragment discard: whichever way step 2
     /// runs — in memory, block by block at any width onto a dense or a
     /// runs canvas, or `bin` per chunk then `ResidentCanvases::absorb` —

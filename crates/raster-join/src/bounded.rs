@@ -48,8 +48,10 @@
 //! dense:
 //!
 //! * **runs** — `raster_gpu::PixelRuns`: the batches kept as binned, each
-//!   band's entries sorted by pixel and collapsed once at resolve,
-//!   searched per polygon span. Costs per entry, never per pixel.
+//!   band's entries blended once at resolve into a worker's reused
+//!   one-band canvas and read off as one run per occupied pixel, searched
+//!   per polygon span. Costs per entry and occupied word, never per
+//!   pixel.
 //! * **dense** — a [`PointFbo`](raster_gpu::PointFbo) from the
 //!   preparation's pool, blended by the one absorbing thread, its entries
 //!   in row order. Costs per pixel.

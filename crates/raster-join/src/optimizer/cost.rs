@@ -16,9 +16,9 @@
 //! streamed, whatever its batch or chunk count — acquires its canvases
 //! once, absorbs its points into them and draws its polygons once. The
 //! canvas gate ([`raster_gpu::use_runs`] over the rows the query scans)
-//! decides whether a bounded plan holds its tiles as sorted pixel runs —
-//! then nothing is charged per pixel: no clear, no per-pixel fold, a sort
-//! per surviving point instead of a blend. Binning is charged to
+//! decides whether a bounded plan holds its tiles as pixel runs — then
+//! nothing is charged per pixel: no clear, no per-pixel fold, a runs
+//! build per surviving point instead of a blend. Binning is charged to
 //! multi-tile and runs canvases; a one-tile dense canvas's block staging
 //! is costed inside its blend, as it was measured. A dense canvas,
 //! bounded or accurate, is filled once, band by band: filter once, blend
@@ -294,16 +294,17 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     }
 }
 
-/// What sorting and collapsing one surviving entry into pixel runs costs,
-/// in blends of one entry into a warm dense FBO ([`W_BLEND`] units) — the
-/// runs build stands where the blend stood. Measured on 2 M taxi entries
-/// over one 4102² / 8192² tile, `PixelRuns::build` (the counting sort) at
-/// 2 workers against one thread's warm `blend_in_order`, three runs on a
-/// 2-core box: 2.2–2.5 blends per COUNT entry on the 4102² tile and
-/// 1.2–1.4 on the 8192² one, 1.0–1.3 with values. The comparison sort it
-/// replaced read 4.9–17 and 2.3–6.6 the same way. 2.0 stays: it lies in
-/// the COUNT range, and keeping it keeps every plan.
-pub const RUNS_SORT_BLENDS: f64 = 2.0;
+/// What building one surviving entry into pixel runs costs, in blends of
+/// one entry into a warm dense FBO ([`W_BLEND`] units) — the runs build
+/// stands where the blend stood. Measured on 2 M taxi entries over one
+/// 4102² / 8192² tile, `PixelRuns::build` (each band blended into a
+/// worker's one-band canvas and read off as runs) at 2 workers against
+/// one thread's warm `blend_in_order`, min of 11 builds, three runs on a
+/// 2-core box: 1.1–1.6 blends per COUNT entry on the 4102² tile and
+/// 1.0–1.3 on the 8192² one, 0.7–0.9 with values (on the exact join's
+/// 2048² canvas 0.7–1.1 and 0.6–0.7). 2.0 stays although it now lies
+/// above every measured value: keeping it keeps every plan.
+pub const RUNS_BUILD_BLENDS: f64 = 2.0;
 
 /// The feature vector of one plan over one workload: how many times each
 /// pipeline stage runs.
@@ -344,7 +345,7 @@ pub fn features_for(
     };
     if sh.runs {
         f[W_FRAG] = wl.perimeter / side;
-        f[W_BLEND] = surv * RUNS_SORT_BLENDS;
+        f[W_BLEND] = surv * RUNS_BUILD_BLENDS;
     } else {
         f[W_FRAG] = fragments(wl.area, wl.perimeter, side);
         f[W_CLEAR_PX] = sh.pixels;
@@ -708,7 +709,7 @@ mod tests {
                     f[W_BIN], 1_000_000.0,
                     "a runs canvas is binned at any tile count"
                 );
-                assert_eq!(f[W_BLEND], 1_000_000.0 * RUNS_SORT_BLENDS);
+                assert_eq!(f[W_BLEND], 1_000_000.0 * RUNS_BUILD_BLENDS);
                 assert!(f[W_FRAG] > 0.0 && f[W_FRAG] < dense[W_FRAG] / 10.0);
             } else {
                 // A dense one-tile canvas is not charged for binning.

@@ -132,8 +132,8 @@ fn evaluate<S: SpanSource>(
     }
     parallel_tasks(
         tasks,
-        workers,
-        |(runs, counts, sums): (&[Run], &mut [u64], &mut [f64])| {
+        &mut vec![(); workers.max(1)],
+        |(), (runs, counts, sums): (&[Run], &mut [u64], &mut [f64])| {
             let base = runs.first().map_or(0, |run| run.start as usize);
             for (run, count) in runs.iter().zip(counts) {
                 let range = run.start as usize..run.end as usize;

@@ -71,7 +71,7 @@ pub struct ExecStats {
     /// Rendering passes executed (Fig. 5): the canvas tiles, once per
     /// query however many batches or chunks it took.
     pub passes: u32,
-    /// Of `passes`, those whose canvas tile was held as sorted pixel runs
+    /// Of `passes`, those whose canvas tile was held as pixel runs
     /// (`raster_gpu::PixelRuns`) rather than a dense FBO — the density
     /// gate of `raster_gpu::ResidentCanvases` at work, in memory as
     /// streamed.
