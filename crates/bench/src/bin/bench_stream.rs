@@ -10,7 +10,7 @@
 //!    points ⋈ US counties, ε = 1 km, 250 k-point device budget): total
 //!    disk+processing time of the double-buffered prefetch reader against
 //!    the paper-faithful blocking reader, best of `--reps`.
-//! 2. **Compressed vs raw**: the same prefetched scan over the v2
+//! 2. **Compressed vs raw**: the same prefetched scan over the
 //!    compressed table — the modelled disk charges the compressed bytes,
 //!    so the arm shows how much of the bandwidth-bound read the codecs
 //!    buy back (and what the overlapped decode costs). Counts must be

@@ -142,14 +142,18 @@ fn io_exit_code(e: &std::io::Error) -> i32 {
 /// Print the one-line message and exit with the class code for a
 /// streaming-executor error.
 fn fail_stream(e: raster_join::StreamError) -> ! {
+    eprintln!("rjquery: {e}");
+    std::process::exit(stream_exit_code(&e));
+}
+
+/// The exit class of a streaming-executor error.
+fn stream_exit_code(e: &raster_join::StreamError) -> i32 {
     use raster_join::StreamError;
-    let code = match &e {
+    match e {
         StreamError::Parse(_) | StreamError::NoFileSource => EXIT_USAGE,
         StreamError::Io(io) => io_exit_code(io),
         StreamError::WorkerPanicked(_) => EXIT_PANIC,
-    };
-    eprintln!("rjquery: {e}");
-    std::process::exit(code);
+    }
 }
 
 fn load_points(args: &Args) -> Result<PointTable, (i32, String)> {
@@ -358,4 +362,33 @@ fn main() {
         out.stats.processing, out.stats.transfer, out.stats.pip_tests
     );
     print_results(&out.values(query.aggregate), args.top);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A table in a retired layout (a v1 file: raw contiguous columns) is
+    /// format damage, exit 4 — whether loaded whole or streamed from a
+    /// quoted FROM source — never an I/O failure.
+    #[test]
+    fn retired_format_versions_exit_as_format_damage() {
+        let path = std::env::temp_dir().join(format!("rjquery-v1-{}.bin", std::process::id()));
+        let mut bytes = b"10LBTPJR".to_vec(); // "RJPTBL01", little-endian
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 2 * 16]);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = raster_data::disk::read_table(&path).unwrap_err();
+        assert_eq!(io_exit_code(&err), EXIT_CORRUPT, "{err}");
+        let sql = format!(
+            "SELECT COUNT(*) FROM '{}', R WHERE P.loc INSIDE R.geometry GROUP BY R.id",
+            path.display()
+        );
+        let err = raster_join::StreamingRasterJoin::new(1)
+            .execute_sql(&sql, None, &[], &raster_gpu::Device::default())
+            .unwrap_err();
+        assert_eq!(stream_exit_code(&err), EXIT_CORRUPT, "{err}");
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -1,26 +1,25 @@
-//! Lossless per-chunk column codecs for the compressed on-disk format.
+//! Lossless per-chunk column codecs for the on-disk format.
 //!
 //! The §7.7 disk-resident experiment is bandwidth-bound: PR 3's prefetch
 //! reader already hides processing under the read, so the next win is
 //! shrinking the bytes read (CuRast streams billions of triangles by
 //! compressing geometry on SSD; GeoBlocks gets interactivity from compact
 //! block-level storage). This module provides the codecs; the file layout
-//! that embeds them is `disk.rs`'s format v2 (`write_table_compressed`).
+//! that embeds them is `disk.rs`'s, written compressed by
+//! `write_table_compressed` and all-[`CODEC_RAW`] by `write_table`.
 //!
-//! # On-disk format v2/v3 (header layout)
+//! # On-disk format v3 (header layout)
 //!
 //! All integers little-endian:
 //!
 //! ```text
-//! magic      u64   = 0x524a_5054_424c_3032 ("RJPTBL02")
-//!                  | 0x524a_5054_424c_3033 ("RJPTBL03")
+//! magic      u64   = 0x524a_5054_424c_3033 ("RJPTBL03")
 //! rows       u64
 //! ncols      u32
 //! per column: name_len u32, name bytes (UTF-8)
 //! chunk_rows u64         stored-chunk granularity (last chunk short)
 //! n_chunks   u32
-//! v2 directory: per chunk, block_len u64
-//! v3 directory: per chunk, per stored column, entry_len u32
+//! directory: per chunk, per stored column, entry_len u32
 //! then the chunk blocks back to back; each block holds, for every
 //! stored column in order (xs, ys, attr 0, attr 1, …), one *entry*:
 //!   codec    u8          one of the CODEC_* ids below
@@ -28,24 +27,19 @@
 //!   payload  enc_len bytes
 //! ```
 //!
-//! The v2 and v3 data sections are byte-identical; they differ only in
-//! the directory. v3's per-column entry lengths (`entry_len` = 5 +
-//! `enc_len`) make every column of every chunk independently addressable,
-//! which is what lets a pruned scan (`disk.rs`,
-//! `ChunkedReader::open_projected`) fetch *only* the columns a query
-//! touches with positioned reads — the pruned-read protocol. A v2 reader
-//! can only fetch whole blocks, so pruning there projects after decode.
-//!
-//! The v1 header differs only in the magic (`…3031`) and has no chunk
-//! directory — its data section is raw contiguous columns. Readers accept
-//! all three.
+//! The per-column entry lengths (`entry_len` = 5 + `enc_len`) make every
+//! column of every chunk independently addressable, which is what lets a
+//! pruned scan (`disk.rs`, `ChunkedReader::open_projected`) fetch *only*
+//! the columns a query touches with positioned reads — the pruned-read
+//! protocol — and, since a RAW payload is `rows × width` plain values,
+//! read a RAW entry by row range.
 //!
 //! **Forward-compat rule:** the trailing magic byte is the format
-//! version. A reader must accept any version ≤ its own and reject newer
-//! ones with [`FormatError::UnsupportedVersion`] (never attempt a decode);
-//! within a version, unknown codec ids are a hard
-//! [`FormatError::Corrupt`] error. Writers may only add codec ids — or
-//! change the directory layout, as v3 did — together with a version bump.
+//! version. v3 only: v1, v2 and newer versions are rejected, typed, with
+//! [`FormatError::UnsupportedVersion`] at open (never attempt a decode);
+//! within v3, unknown codec ids are a hard [`FormatError::Corrupt`]
+//! error. Writers may only add codec ids — or change the directory
+//! layout — together with a version bump.
 //!
 //! # Codecs
 //!
@@ -57,7 +51,9 @@
 //! recorded in the chunk block.
 //!
 //! * [`CODEC_RAW`] (0) — plain little-endian values, the fallback that
-//!   makes compression free to decline.
+//!   makes compression free to decline. Another codec replaces it only
+//!   when strictly smaller, so an entry of exactly `5 + rows × width`
+//!   bytes is RAW.
 //! * [`CODEC_FOR`] (1) — fixed-point frame-of-reference bit packing for
 //!   integer-valued columns (counts, hour-of-week timestamps, fares in
 //!   cents, coordinates on a sensor grid): probe the smallest `scale`
@@ -159,7 +155,7 @@ pub struct EncodedColumn {
 }
 
 /// A structural defect found while reading an encoded table: wrong or
-/// foreign magic, a version newer than this reader, a header that
+/// foreign magic, a format version other than 3, a header that
 /// disagrees with the file, or an undecodable payload. Wrapped in an
 /// [`std::io::Error`] of kind `InvalidData` by the disk reader; use
 /// [`FormatError::of`] to recover the typed value from one.
@@ -167,8 +163,9 @@ pub struct EncodedColumn {
 pub enum FormatError {
     /// The file does not start with any known table magic.
     BadMagic,
-    /// The magic is ours but the version byte is newer than this reader
-    /// understands (see the module-level forward-compat rule).
+    /// The magic is ours but the version digit is not 3: a v1 or v2 file
+    /// (layouts no longer read) or a newer one (see the module-level
+    /// forward-compat rule).
     UnsupportedVersion(u32),
     /// The header implies more bytes than the file holds.
     Truncated { expected: u64, actual: u64 },
@@ -181,7 +178,7 @@ impl fmt::Display for FormatError {
         match self {
             FormatError::BadMagic => write!(f, "not a columnar table file (bad magic)"),
             FormatError::UnsupportedVersion(v) => {
-                write!(f, "table format version {v} is newer than this reader")
+                write!(f, "table format version {v} is not read: only version 3 is")
             }
             FormatError::Truncated { expected, actual } => write!(
                 f,
@@ -284,13 +281,19 @@ pub fn encode_f32s(vals: &[f32]) -> EncodedColumn {
     encode(vals)
 }
 
+/// Store an f64 column as [`CODEC_RAW`], whatever would be smaller (what
+/// `disk::write_table` writes).
+pub fn encode_raw_f64s(vals: &[f64]) -> EncodedColumn {
+    encode_raw(vals)
+}
+
+/// Store an f32 column as [`CODEC_RAW`], whatever would be smaller.
+pub fn encode_raw_f32s(vals: &[f32]) -> EncodedColumn {
+    encode_raw(vals)
+}
+
 fn encode<T: Value>(vals: &[T]) -> EncodedColumn {
-    let raw_len = vals.len() * T::WIDTH;
-    let mut best = EncodedColumn {
-        codec: CODEC_RAW,
-        bytes: encode_raw(vals),
-    };
-    debug_assert_eq!(best.bytes.len(), raw_len);
+    let mut best = encode_raw(vals);
     if let Some(bytes) = encode_for(vals) {
         if bytes.len() < best.bytes.len() {
             best = EncodedColumn {
@@ -309,12 +312,15 @@ fn encode<T: Value>(vals: &[T]) -> EncodedColumn {
     best
 }
 
-fn encode_raw<T: Value>(vals: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * T::WIDTH);
+fn encode_raw<T: Value>(vals: &[T]) -> EncodedColumn {
+    let mut bytes = Vec::with_capacity(vals.len() * T::WIDTH);
     for v in vals {
-        out.extend_from_slice(&v.bits().to_le_bytes()[..T::WIDTH]);
+        bytes.extend_from_slice(&v.bits().to_le_bytes()[..T::WIDTH]);
     }
-    out
+    EncodedColumn {
+        codec: CODEC_RAW,
+        bytes,
+    }
 }
 
 /// Probe the smallest power-of-two scale at which every value is an

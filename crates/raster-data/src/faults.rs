@@ -47,19 +47,22 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
-/// Positioned data read in `disk.rs` (`ChunkedReader::read_at`): every
-/// column, block and directory fetch funnels through it. `interrupted`
+/// Positioned data read in `disk.rs` (`ChunkedReader::read_into`): every
+/// needed-entry run, RAW entry header and row range a scan fetches
+/// funnels through it. `interrupted`
 /// and `eof` here are absorbed by the reader's bounded retry.
 pub const DISK_READ_AT: usize = 0;
 /// Table open (`ChunkedReader::open_projected`), before the header read.
 pub const DISK_OPEN: usize = 1;
-/// A fetched v2/v3 chunk block, after a successful read: the `corrupt`
-/// kind flips a byte of the block's first entry header in the scratch
-/// buffer — a torn read the re-read fallback can recover from. Not
-/// hooked on v1 reads: raw columns carry no redundancy, so corruption
-/// there is undetectable by design.
+/// A fetched chunk block, after a successful read: the `corrupt` kind
+/// flips a byte of the block's first entry header in the scratch buffer
+/// — a torn read the re-read fallback can recover from. Not hooked on
+/// rows read by range out of all-RAW blocks (every `write_table` file):
+/// raw values carry no redundancy, so corruption there is undetectable
+/// by design.
 pub const DISK_BLOCK: usize = 2;
-/// Column codec decode (`codec::decode_f64s` / `decode_f32s`): the
+/// Column codec decode (`codec::decode_f64s` / `decode_f32s`), which
+/// every entry of a fetched block passes and rows read by range skip: the
 /// `corrupt` kind yields a typed [`FormatError::Corrupt`].
 pub const CODEC_DECODE: usize = 3;
 /// The streaming executor's reader thread, before each paced fetch.

@@ -7,9 +7,7 @@
 //! [`faults::install`] guard — including the ones that garble real files
 //! instead of injecting — which also serializes them against each other.
 
-use raster_data::disk::{
-    write_table, write_table_compressed, write_table_compressed_v2, ChunkedReader,
-};
+use raster_data::disk::{write_table, write_table_compressed, ChunkedReader};
 use raster_data::faults;
 use raster_data::table::PointTable;
 use raster_geom::Point;
@@ -95,31 +93,25 @@ fn open_fault_surfaces_as_its_io_kind() {
 
 #[test]
 fn corrupt_block_recovers_with_one_reread() {
-    for (name, v3) in [("reread-v3.bin", true), ("reread-v2.bin", false)] {
-        let path = tmp(name);
-        let t = sample(400);
-        if v3 {
-            write_table_compressed(&path, &t, 128).unwrap();
-        } else {
-            write_table_compressed_v2(&path, &t, 128).unwrap();
-        }
-        let _g = faults::install("disk.block@1=corrupt").unwrap();
-        let mut r = ChunkedReader::open(&path, 100).unwrap();
-        let mut whole = PointTable::with_capacity(0, &["a", "bb"]);
-        while let Some(c) = r.next_chunk().unwrap() {
-            whole.extend(&c);
-        }
-        assert_eq!(whole, t, "a torn-read recovery must stay bitwise identical");
-        assert_eq!(r.recovery().block_rereads, 1);
-        std::fs::remove_file(&path).ok();
+    let path = tmp("reread.bin");
+    let t = sample(400);
+    write_table_compressed(&path, &t, 128).unwrap();
+    let _g = faults::install("disk.block@1=corrupt").unwrap();
+    let mut r = ChunkedReader::open(&path, 100).unwrap();
+    let mut whole = PointTable::with_capacity(0, &["a", "bb"]);
+    while let Some(c) = r.next_chunk().unwrap() {
+        whole.extend(&c);
     }
+    assert_eq!(whole, t, "a torn-read recovery must stay bitwise identical");
+    assert_eq!(r.recovery().block_rereads, 1);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn persistent_block_corruption_is_a_typed_error() {
     let path = tmp("reread-fails.bin");
     let t = sample(400);
-    write_table_compressed_v2(&path, &t, 128).unwrap();
+    write_table_compressed(&path, &t, 128).unwrap();
     let _g = faults::install("disk.block%1=corrupt").unwrap();
     let err = scan_all(&path).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -132,7 +124,7 @@ fn decode_fault_recovers_via_block_reread() {
     // re-read path as structural block corruption.
     let path = tmp("decode-fault.bin");
     let t = sample(400);
-    write_table_compressed_v2(&path, &t, 512).unwrap();
+    write_table_compressed(&path, &t, 512).unwrap();
     let _g = faults::install("codec.decode@1=corrupt").unwrap();
     let mut r = ChunkedReader::open(&path, 100).unwrap();
     let mut whole = PointTable::with_capacity(0, &["a", "bb"]);
@@ -190,9 +182,10 @@ fn a_straddled_block_is_decoded_once() {
 
 #[test]
 fn v1_scans_ignore_the_block_failpoint() {
-    // v1 raw columns carry no redundancy, so corruption there would be
-    // undetectable; the block failpoint deliberately has no v1 hook and a
-    // v1 scan under it must stay clean rather than silently diverge.
+    // Rows read by range out of a raw (`write_table`) file carry no
+    // redundancy, so corruption there would be undetectable; the block
+    // failpoint deliberately has no hook on that path and a raw scan
+    // under it must stay clean rather than silently diverge.
     let path = tmp("v1-no-block-site.bin");
     let t = sample(300);
     write_table(&path, &t).unwrap();
@@ -203,7 +196,7 @@ fn v1_scans_ignore_the_block_failpoint() {
 }
 
 /// Header layout of the `sample` schema: 20 fixed bytes, names `a` (4+1)
-/// and `bb` (4+2), then `chunk_rows u64` + `n_chunks u32` = 12 — the v3
+/// and `bb` (4+2), then `chunk_rows u64` + `n_chunks u32` = 12 — the
 /// per-column directory starts at byte 43.
 const DIR_OFFSET: usize = 43;
 

@@ -118,25 +118,26 @@
 //! [`crate::sql::file_source`]) resolves its schema from the file header
 //! and streams via [`StreamingRasterJoin::execute_sql`].
 //!
-//! Compressed tables (`raster_data::disk::write_table_compressed`, format
-//! v2/v3) stream through the identical loop: stored chunk blocks are
-//! decoded transparently, the pool overlaps that decode with both the
-//! next read and the join processing, the modelled disk
-//! charges the *compressed* bytes (that is the whole win — the §7.7
-//! experiment is bandwidth-bound), and the planner's workload carries the
-//! storage profile ([`Workload`]'s `stored_row_bytes`/`decode_cols`) so
-//! plan costs reflect the decode-CPU-vs-bytes-saved trade.
+//! Raw and compressed tables (`raster_data::disk::write_table` and
+//! `write_table_compressed`, one format) stream through the identical
+//! loop: stored chunk blocks are decoded transparently, the pool overlaps
+//! that decode with both the next read and the join processing, the
+//! modelled disk charges the bytes stored — *compressed* bytes where the
+//! codecs shrank them (that is the whole win — the §7.7 experiment is
+//! bandwidth-bound) — and the planner's workload carries the storage
+//! profile ([`Workload`]'s `stored_row_bytes`/`decode_cols`, no decode
+//! where every scanned column is stored raw) so plan costs reflect the
+//! decode-CPU-vs-bytes-saved trade.
 //!
 //! # Projection pushdown (column pruning)
 //!
 //! The executor computes the set of attribute columns the query actually
 //! touches ([`Query::attr_columns`]: coordinates + aggregate attribute +
 //! predicate attributes) and opens the reader with exactly that
-//! projection (`ChunkedReader::open_projected`): v1 files skip the
-//! positioned reads of pruned columns, v3 files fetch only the needed
-//! column entries of each block via the per-column directory, and legacy
-//! v2 files fall back to full-block reads with a post-decode projection —
-//! behavior is uniform, only the bytes differ. The query's attribute
+//! projection (`ChunkedReader::open_projected`): the per-column directory
+//! lets every block be fetched as its needed column entries only — and
+//! a raw block as just the delivered rows of them — so the bytes of
+//! pruned columns never leave the disk. The query's attribute
 //! indices are remapped onto the pruned table
 //! ([`Query::project_attrs`]), the planner's `read_byte`/`decode_val`
 //! features are charged for the *pruned* storage profile, the modelled
@@ -218,16 +219,16 @@ pub struct StreamOutput {
     /// exceed the loop's `stats.disk` wait time — or the blocking loop's
     /// `next_chunk` calls, decode included.
     pub read_time: Duration,
-    /// Bytes actually fetched from storage: the raw columns for v1
-    /// files, the compressed blocks for v2, the needed column entries for
-    /// v3 (the §7.7 experiment is bandwidth-bound, so this is the
-    /// quantity compression and pruning shrink).
+    /// Bytes actually fetched from storage: the needed column entries of
+    /// each block — of a RAW block just the delivered rows' bytes plus
+    /// the entry headers (the §7.7 experiment is bandwidth-bound, so this
+    /// is the quantity compression and pruning shrink).
     pub read_bytes: u64,
     /// Time spent turning fetched bytes into column values — codec decode
-    /// for v2/v3, the bulk little-endian conversion for v1 — on the pool
-    /// workers (summed across them, overlapped with reads and with other
-    /// chunks' binning) or, in blocking mode and for the sample, on the
-    /// calling thread.
+    /// for fetched blocks, the bulk little-endian conversion for rows read
+    /// by range — on the pool workers (summed across them, overlapped
+    /// with reads and with other chunks' binning) or, in blocking mode
+    /// and for the sample, on the calling thread.
     pub decode_time: Duration,
     /// Attribute columns the scan materialized, ascending stored indices
     /// (`None` when pruning was off — every column was read).
@@ -626,13 +627,13 @@ impl StreamingRasterJoin {
         } else {
             0.0
         };
-        let decode_cols = if reader.meta().is_compressed() {
+        let decode_cols = if reader.reads_raw() {
+            0.0
+        } else {
             let mat = projection
                 .as_ref()
                 .map_or(reader.meta().attr_names.len(), Vec::len);
             (2 + mat) as f64
-        } else {
-            0.0
         };
 
         // Sample chunk: read synchronously (it doubles as chunk #1), then
@@ -947,11 +948,15 @@ impl StreamingRasterJoin {
         out.push_str("RasterJoin streaming scan\n");
         let _ = writeln!(
             out,
-            "  source: '{}' (format v{}, {} rows, {} attribute column(s))",
+            "  source: '{}' ({} rows, {} attribute column(s), scanned columns stored {})",
             path.display(),
-            meta.version(),
             meta.rows,
-            total_attrs
+            total_attrs,
+            if setup.reader.reads_raw() {
+                "raw"
+            } else {
+                "compressed"
+            }
         );
         let _ = writeln!(out, "  operator: {}", setup.plan.describe());
         let _ = writeln!(
@@ -1025,7 +1030,7 @@ impl StreamingRasterJoin {
             }
         );
         // Degradation already observed while opening + sampling: a scan
-        // that needed the v3 directory rebuilt or reads retried says so
+        // that needed the directory rebuilt or reads retried says so
         // up front rather than silently serving from the fallback path.
         let rec = setup.reader.recovery();
         if rec.any() {
@@ -1035,7 +1040,7 @@ impl StreamingRasterJoin {
                 rec.io_retries,
                 rec.block_rereads,
                 if rec.dir_rebuilt {
-                    ", column directory rebuilt — full-block reads"
+                    ", column directory rebuilt from the entry headers"
                 } else {
                     ""
                 }
@@ -1418,6 +1423,20 @@ mod tests {
         let text = stream.explain(&path, &polys, &q, &dev).unwrap();
         assert!(text.contains("streaming scan"), "{text}");
         assert!(text.contains("columns: x, y, fare"), "{text}");
+        // The source line says how the scanned columns are stored, from
+        // the directory: the same table written raw reads as raw.
+        assert!(
+            text.contains("6000 rows, 5 attribute column(s), scanned columns stored compressed"),
+            "{text}"
+        );
+        let raw = tmp("explain.bin");
+        write_table(&raw, &pts).unwrap();
+        let raw_text = stream.explain(&raw, &polys, &q, &dev).unwrap();
+        assert!(
+            raw_text.contains("scanned columns stored raw"),
+            "{raw_text}"
+        );
+        std::fs::remove_file(&raw).ok();
         assert!(text.contains("pruned 4 of 5 attribute column(s)"), "{text}");
         assert!(text.contains("readahead 3 chunk(s)"), "{text}");
         // The chosen chunk-pool width is part of the streaming plan, and

@@ -2,7 +2,8 @@
 //! injection (`raster_join_repro::data::faults`).
 //!
 //! The single invariant, swept across every failpoint site × pool width
-//! {1, 2, 4} × storage format {v1, v2, v3}: a faulted scan either
+//! {1, 2, 4} × writer {`write_table`, `write_table_compressed`}: a
+//! faulted scan either
 //! **recovers and is bitwise identical** to the healthy scan at the same
 //! width (counts equal, f64 sums bit-equal — the retry / re-read /
 //! directory-fallback machinery is invisible in results), or it returns
@@ -13,9 +14,7 @@
 //! guard serializes the process-global fault table across test threads),
 //! so tests cannot contaminate each other's schedules.
 
-use raster_join_repro::data::disk::{
-    write_table, write_table_compressed, write_table_compressed_v2,
-};
+use raster_join_repro::data::disk::{write_table, write_table_compressed};
 use raster_join_repro::data::faults;
 use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
 use raster_join_repro::data::polygons::synthetic_polygons;
@@ -44,7 +43,7 @@ impl Fixture {
     /// A deterministic table big enough that chunks flow through the
     /// ring after the 4096-row planning sample (6 000 rows, chunk 451
     /// → several in-flight chunks at every width).
-    fn new(fmt: u8, tag: &str) -> Fixture {
+    fn new(compressed: bool, tag: &str) -> Fixture {
         let extent = nyc_extent();
         let polys = synthetic_polygons(6, &extent, 0xC4A05);
         let pts = TaxiModel::default().generate(6_000, 0xC4A05);
@@ -54,11 +53,11 @@ impl Fixture {
             1_500 * PointTable::point_bytes(2),
             2048,
         ));
-        let path = tmp(&format!("{tag}-v{}", fmt + 1));
-        match fmt {
-            0 => write_table(&path, &pts).unwrap(),
-            1 => write_table_compressed_v2(&path, &pts, 700).unwrap(),
-            _ => write_table_compressed(&path, &pts, 700).unwrap(),
+        let path = tmp(&format!("{tag}-{}", writer(compressed)));
+        if compressed {
+            write_table_compressed(&path, &pts, 700).unwrap();
+        } else {
+            write_table(&path, &pts).unwrap();
         }
         Fixture {
             path,
@@ -85,6 +84,15 @@ impl Fixture {
 impl Drop for Fixture {
     fn drop(&mut self) {
         std::fs::remove_file(&self.path).ok();
+    }
+}
+
+/// The writer a fixture's file came from.
+fn writer(compressed: bool) -> &'static str {
+    if compressed {
+        "write_table_compressed"
+    } else {
+        "write_table"
     }
 }
 
@@ -121,8 +129,9 @@ enum Expect {
     Recovers,
     /// Non-transient: a typed error at every width and format.
     Fails,
-    /// Fails wherever the site fires; the raw v1 format never reaches
-    /// it (no compressed blocks / decodes), so v1 recovers trivially.
+    /// Fails wherever the site fires; a `write_table` file never reaches
+    /// it (its rows are read by range: no compressed blocks / decodes),
+    /// so it recovers trivially.
     FailsUnlessRaw,
 }
 
@@ -156,12 +165,12 @@ fn chaos_sweep_recovers_bitwise_or_fails_typed() {
         ("stream.resolve@1=panic", Expect::Fails),
     ];
 
-    for fmt in 0u8..3 {
-        let fx = Fixture::new(fmt, "sweep");
+    for compressed in [false, true] {
+        let fx = Fixture::new(compressed, "sweep");
         for &width in &WIDTHS {
             let healthy = fx.baseline(width);
             for &(spec, expect) in cases {
-                let ctx = format!("fmt=v{} width={width} spec={spec}", fmt + 1);
+                let ctx = format!("writer={} width={width} spec={spec}", writer(compressed));
                 let res = {
                     let _g = faults::install(spec).unwrap();
                     fx.run(width)
@@ -176,11 +185,14 @@ fn chaos_sweep_recovers_bitwise_or_fails_typed() {
                         panic!("{ctx}: injected hard fault was silently absorbed")
                     }
                     (Expect::FailsUnlessRaw, Err(e)) => {
-                        assert!(fmt != 0, "{ctx}: v1 never reaches this site, got: {e}");
+                        assert!(
+                            compressed,
+                            "{ctx}: raw files never reach this site, got: {e}"
+                        );
                         assert_typed(&e, &ctx);
                     }
                     (Expect::FailsUnlessRaw, Ok(out)) => {
-                        assert_eq!(fmt, 0, "{ctx}: v2/v3 must fail here");
+                        assert!(!compressed, "{ctx}: compressed files must fail here");
                         assert_bitwise(&out, &healthy, &ctx);
                     }
                 }
@@ -198,7 +210,7 @@ fn chaos_sweep_recovers_bitwise_or_fails_typed() {
 /// and hang the test), at widths 1, 2 and 4.
 #[test]
 fn reader_error_at_every_ring_occupancy_terminates_typed() {
-    let fx = Fixture::new(2, "ring-occupancy");
+    let fx = Fixture::new(true, "ring-occupancy");
     for &width in &WIDTHS {
         let healthy = {
             let _g = faults::install("").unwrap();
@@ -235,7 +247,7 @@ fn reader_error_at_every_ring_occupancy_terminates_typed() {
 /// `execute`'s boundary, at any width.
 #[test]
 fn injected_panics_are_contained_as_typed_errors() {
-    let fx = Fixture::new(2, "panics");
+    let fx = Fixture::new(true, "panics");
     // Silence the default panic hook's backtrace spew for the injected
     // (contained) panics; restored before any assertion can fire.
     let prev = std::panic::take_hook();
@@ -272,7 +284,7 @@ fn injected_panics_are_contained_as_typed_errors() {
 /// scan reports all-zero), and the result is still bitwise clean.
 #[test]
 fn recovery_counters_report_absorbed_faults() {
-    let fx = Fixture::new(2, "counters");
+    let fx = Fixture::new(true, "counters");
     let healthy = fx.baseline(2);
     assert!(
         !healthy.recovery.any(),
@@ -303,7 +315,7 @@ fn recovery_counters_report_absorbed_faults() {
 /// seq 1.
 #[test]
 fn errored_scans_resolve_nothing() {
-    let fx = Fixture::new(2, "no-resolve");
+    let fx = Fixture::new(true, "no-resolve");
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut results = Vec::new();

@@ -10,7 +10,9 @@ use raster_join_repro::data::codec::{
     decode_f32s, decode_f32s_into, decode_f64s, decode_f64s_into, encode_f32s, encode_f64s,
     CODEC_FOR, CODEC_RAW, CODEC_XOR,
 };
-use raster_join_repro::data::disk::{read_table, write_table_compressed, ChunkedReader};
+use raster_join_repro::data::disk::{
+    read_table, write_table, write_table_compressed, ChunkedReader,
+};
 use raster_join_repro::prelude::*;
 
 /// Deterministic 64-bit mixer for building column shapes from one seed.
@@ -392,6 +394,53 @@ fn golden_v3_file_decodes_to_its_table_and_is_rewritten_byte_for_byte() {
             whole.extend(&c);
         }
         assert_eq!(table_bits(&whole), table_bits(&table), "chunks of {chunk}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The layout `write_table` writes — one stored block of all-RAW
+/// entries, which the benchmark's `*.v1` queries read — pinned on the
+/// golden table's first 100 rows: today's writer reproduces the fixture
+/// byte for byte, and it reads back bitwise at delivery chunks of 1, 7
+/// and all rows, pruned and unpruned, fetching exactly the rows' bytes of
+/// the needed columns plus one 5-byte header per entry.
+#[test]
+fn golden_raw_v3_file_reads_back_bitwise_and_is_rewritten_byte_for_byte() {
+    let golden: &[u8] = include_bytes!("fixtures/golden_raw_v3.bin");
+    let table = golden_table().slice(0, 100);
+    let path = std::env::temp_dir().join(format!("rj-golden-raw-{}.bin", std::process::id()));
+    write_table(&path, &table).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == golden,
+        "the writer's bytes moved"
+    );
+    std::fs::write(&path, golden).unwrap();
+    let cols = table_bits(&table);
+    for attrs in [None, Some(&[0usize, 3][..])] {
+        let stored: Vec<usize> = match attrs {
+            None => (0..cols.len()).collect(),
+            Some(a) => [0, 1].into_iter().chain(a.iter().map(|c| c + 2)).collect(),
+        };
+        let want: Vec<Vec<u64>> = stored.iter().map(|&c| cols[c].clone()).collect();
+        let k = want.len() as u64 - 2;
+        for chunk in [1, 7, table.len()] {
+            let mut reader = ChunkedReader::open_projected(&path, chunk, attrs).unwrap();
+            assert!(reader.reads_raw());
+            let mut whole: Option<PointTable> = None;
+            while let Some(c) = reader.next_chunk().unwrap() {
+                match &mut whole {
+                    Some(w) => w.extend(&c),
+                    None => whole = Some(c),
+                }
+            }
+            let ctx = format!("chunks of {chunk}, projection {attrs:?}");
+            assert_eq!(table_bits(&whole.unwrap()), want, "{ctx}");
+            assert_eq!(
+                reader.bytes_read(),
+                100 * (16 + 4 * k) + 5 * (2 + k),
+                "{ctx}"
+            );
+        }
     }
     std::fs::remove_file(&path).ok();
 }

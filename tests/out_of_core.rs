@@ -311,8 +311,8 @@ fn every_executor_counts_its_own_bytes_on_a_shared_device() {
 
 /// Batches are upload accounting: a bounded SUM over one table comes out
 /// the same bits under device budgets that give 1, 3 and 8 batches, at
-/// widths 1 and 4, and equal to the streamed scan of the table as a v1 and
-/// a v3 file — on a one-tile runs canvas, a one-tile dense one and a
+/// widths 1 and 4, and equal to the streamed scan of the table written by
+/// `write_table` and by `write_table_compressed` — on a one-tile runs canvas, a one-tile dense one and a
 /// multi-tile one.
 #[test]
 fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
@@ -322,9 +322,9 @@ fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
     let polys = synthetic_polygons(10, &nyc_extent(), 412);
     let fare = pts.attr_index("fare").unwrap();
     let pb = PointTable::point_bytes(1);
-    let (v1, v3) = (tmp("bitwise.bin"), tmp("bitwise.binz"));
-    write_table(&v1, &pts).unwrap();
-    write_table_compressed(&v3, &pts, 4_096).unwrap();
+    let (raw, z) = (tmp("bitwise.bin"), tmp("bitwise.binz"));
+    write_table(&raw, &pts).unwrap();
+    write_table_compressed(&z, &pts, 4_096).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     // ε = 60 m: one 1367² tile, runs for 24 k rows; ε = 1 km: one 82²
     // tile, dense; ε = 300 m at a 128² limit: 3 × 3 dense tiles.
@@ -350,7 +350,7 @@ fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
                 assert!(got.0.iter().sum::<u64>() > 0, "{ctx}");
                 assert_eq!(want.get_or_insert_with(|| got.clone()), &got, "{ctx}");
             }
-            for path in [&v1, &v3] {
+            for path in [&raw, &z] {
                 let s = StreamingRasterJoin::new(2)
                     .execute(path, &polys, &q, &dev)
                     .unwrap();
@@ -366,6 +366,6 @@ fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
             }
         }
     }
-    std::fs::remove_file(&v1).ok();
-    std::fs::remove_file(&v3).ok();
+    std::fs::remove_file(&raw).ok();
+    std::fs::remove_file(&z).ok();
 }

@@ -402,11 +402,12 @@ fn index_join_counts_are_the_plain_walks_on_the_stand_in_sets() {
 }
 
 /// Every exact executor keys its result slots by `Polygon::id`, whatever
-/// the ids' order or gaps: over 12 polygons whose ids run backwards and
-/// over 6 whose ids are the odd numbers 1…11 (12 slots, the even ones
-/// empty), the exact join in memory and streamed, the three `IndexJoin`
-/// modes, `TwoStepJoin` and `MaterializingJoin` each count what a
-/// brute-force walk over the polygons counts.
+/// the ids' order or gaps: over 12 polygons whose ids run backwards, over
+/// 6 whose ids are the odd numbers 1…11 (12 slots, the even ones empty),
+/// and over a square with a square hole and a second square lying inside
+/// that hole (ids 7 and 11), the exact join in memory and streamed, the
+/// three `IndexJoin` modes, `TwoStepJoin` and `MaterializingJoin` each
+/// count what a brute-force walk over the polygons counts.
 #[test]
 fn exact_executors_key_results_by_polygon_id() {
     use raster_join_repro::data::generators::{nyc_extent, uniform_points};
@@ -424,7 +425,25 @@ fn exact_executors_key_results_by_polygon_id() {
         });
         relabelled.collect()
     };
+    // Squares centred on the extent, `f` of its width and height across.
+    let square = |f: f64| {
+        let (c, h) = (extent.center(), 0.5 * f);
+        let (w, d) = (h * extent.width(), h * extent.height());
+        Ring::new(vec![
+            Point::new(c.x - w, c.y - d),
+            Point::new(c.x + w, c.y - d),
+            Point::new(c.x + w, c.y + d),
+            Point::new(c.x - w, c.y + d),
+        ])
+    };
     let layouts = [
+        (
+            "island in a hole",
+            vec![
+                Polygon::with_holes(7, square(0.9), vec![square(0.5)]),
+                Polygon::new(11, square(0.2)),
+            ],
+        ),
         (
             "ids reversed",
             relabel(base.iter().collect(), |i| 11 - i as u32),

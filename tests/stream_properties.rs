@@ -13,9 +13,7 @@
 
 use proptest::prelude::*;
 use raster_join_repro::data::codec::FormatError;
-use raster_join_repro::data::disk::{
-    table_meta, write_table, write_table_compressed, write_table_compressed_v2,
-};
+use raster_join_repro::data::disk::{table_meta, write_table, write_table_compressed};
 use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
 use raster_join_repro::data::polygons::synthetic_polygons;
 use raster_join_repro::prelude::*;
@@ -140,8 +138,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// The chunk-parallel pool is a pure latency optimisation and chunk
-    /// size a pure memory/latency choice. For every storage format
-    /// (v1/v2/v3) and chunk size (odd, one row, larger
+    /// size a pure memory/latency choice. For both writers (`write_table`,
+    /// `write_table_compressed`) and every chunk size (odd, one row, larger
     /// than the table): at each pool width the prefetching pool and the
     /// paper-faithful blocking loop execute the *same* plan and must
     /// agree **bitwise** (counts and f64 sums — every chunk is binned in
@@ -155,7 +153,7 @@ proptest! {
         seed in any::<u64>(),
         npts in 4_500usize..7_000,
         chunk in 301usize..900,
-        fmt in 0u8..3,
+        compressed in any::<bool>(),
         with_pred in any::<bool>(),
     ) {
         let extent = nyc_extent();
@@ -174,10 +172,10 @@ proptest! {
             2048,
         ));
         let path = tmp(&format!("pool-{seed:x}-{npts}-{chunk}"));
-        match fmt {
-            0 => write_table(&path, &pts).unwrap(),
-            1 => write_table_compressed_v2(&path, &pts, 1_100).unwrap(),
-            _ => write_table_compressed(&path, &pts, 1_100).unwrap(),
+        if compressed {
+            write_table_compressed(&path, &pts, 1_100).unwrap();
+        } else {
+            write_table(&path, &pts).unwrap();
         }
         // What a bounded scan must equal bit for bit at any width, arm,
         // format and chunk size: the in-memory join on one worker, the
@@ -305,7 +303,7 @@ fn worker_matrix_is_deterministic_for_every_config() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The compressed (v2) table must stream to *exactly* the raw (v1)
+/// The compressed table must stream to *exactly* the raw (`write_table`)
 /// table's results: the planner picks the same chunk size for both
 /// files, the reader re-slices stored blocks to that delivery size, and
 /// decode is bit-exact — so not only counts but the f32 sum folds are
@@ -360,9 +358,8 @@ fn compressed_streaming_matches_raw_and_in_memory_for_all_configs() {
 }
 
 /// Projection pushdown must be invisible in results across the whole
-/// matrix: pruned scan ≡ full scan ≡ in-memory, over v1 (raw), v2
-/// (legacy compressed, full-block
-/// fallback) and v3 (per-column directory) files, at an odd chunk size,
+/// matrix: pruned scan ≡ full scan ≡ in-memory, over a `write_table`
+/// (raw) and a `write_table_compressed` file, at an odd chunk size,
 /// with a query whose predicate column is *not* its aggregate column.
 /// Counts bit-identical; sums *bitwise* equal (single worker + fixed
 /// chunking ⇒ identical fold order, and pruning must not perturb it).
@@ -384,15 +381,13 @@ fn pruned_scan_equals_full_scan_and_in_memory_for_all_configs_and_formats() {
         2048,
     ));
 
-    let v1 = tmp("prune-v1");
-    let v2 = tmp("prune-v2");
-    let v3 = tmp("prune-v3");
-    write_table(&v1, &pts).unwrap();
+    let raw = tmp("prune-raw");
+    let z = tmp("prune-z");
+    write_table(&raw, &pts).unwrap();
     // Stored chunks straddle the odd 997-row delivery chunks.
-    write_table_compressed_v2(&v2, &pts, 1_300).unwrap();
-    write_table_compressed(&v3, &pts, 1_300).unwrap();
+    write_table_compressed(&z, &pts, 1_300).unwrap();
 
-    for (path, fmt) in [(&v1, "v1"), (&v2, "v2"), (&v3, "v3")] {
+    for (path, fmt) in [(&raw, "write_table"), (&z, "write_table_compressed")] {
         let exec = |prune: bool| {
             StreamingRasterJoin::new(1)
                 .with_chunk_rows(997)
@@ -408,17 +403,13 @@ fn pruned_scan_equals_full_scan_and_in_memory_for_all_configs_and_formats() {
             pruned.output.sums, full.output.sums,
             "{fmt}: sums must be bitwise equal"
         );
-        // v1 and v3 prune bytes off the wire; v2 can only skip decode.
-        if fmt == "v2" {
-            assert_eq!(pruned.read_bytes, full.read_bytes, "{fmt}");
-        } else {
-            assert!(
-                pruned.read_bytes < full.read_bytes,
-                "{fmt}: {} vs {}",
-                pruned.read_bytes,
-                full.read_bytes
-            );
-        }
+        // Both prune bytes off the wire.
+        assert!(
+            pruned.read_bytes < full.read_bytes,
+            "{fmt}: {} vs {}",
+            pruned.read_bytes,
+            full.read_bytes
+        );
         // In-memory reference: the plan the stream executed, over the
         // unprojected table with the original query — bitwise too, the
         // in-memory join folding its rows in the scan's order.
@@ -426,9 +417,8 @@ fn pruned_scan_equals_full_scan_and_in_memory_for_all_configs_and_formats() {
         assert_eq!(pruned.output.counts, reference.counts, "{fmt}");
         assert_eq!(bits(&pruned.output.sums), bits(&reference.sums), "{fmt}");
     }
-    std::fs::remove_file(&v1).ok();
-    std::fs::remove_file(&v2).ok();
-    std::fs::remove_file(&v3).ok();
+    std::fs::remove_file(&raw).ok();
+    std::fs::remove_file(&z).ok();
 }
 
 /// Corrupt-file regression at the query level: a garbled block of a
