@@ -9,18 +9,19 @@
 //! copy those bytes for the fold's pixels and report Mpx/s too. The fold
 //! reads each covered pixel once, so it can at best match them.
 //!
-//! `runs_build` times the point side of a sparse tile: `PixelRuns::build`
-//! over 2 M taxi rows binned onto one tile, COUNT and SUM, at one worker
-//! and the default width, in Mentries/s. Three tiles: the bounded join's
-//! ε = 20 m canvas (4102², 0.12 entries/px), the exact join's 2048²
-//! canvas (0.48 entries/px, every in-canvas point binned; the exact join
-//! bins only those off its outline), which a one-shot exact query builds
-//! at its resolve, and the 8192² first tile of the ε = 10 m canvas (0.03
-//! entries/px), the sparsest the benchmarks hold. Its ceiling is a
-//! `memcpy` moving the bytes the build must — each entry read once (4 B
-//! for COUNT, 8 B for SUM) and each run written once (a `u16` column and
-//! a count, 6 B; 10 B with its sum), half of them copied into the other
-//! half — reported in Mentries/s too.
+//! `runs_build` times the band pass of a sparse (runs) tile — each band
+//! blended from the kept batch into a worker's one-band canvas, its spans
+//! folded straight off that canvas, the canvas zeroed — through the
+//! executor's resolve, over 2 M taxi rows binned onto one tile, COUNT and
+//! SUM, at one worker and the default width, in Mentries/s. Three tiles:
+//! the bounded join's ε = 20 m canvas (4102², 0.12 entries/px), the exact
+//! join's 2048² canvas (0.48 entries/px, every in-canvas point binned;
+//! the exact join bins only those off its outline), and the 8192² first
+//! tile of the ε = 10 m canvas (0.03 entries/px), the sparsest the
+//! benchmarks hold. Its ceiling is a `memcpy` moving the bytes the pass
+//! must — each entry read once (4 B for COUNT, 8 B for SUM), half of them
+//! copied into the other half — reported in Mentries/s too; the fold's
+//! reads of the occupied pixels and its span outputs come on top.
 //!
 //! `cargo bench --bench polygon_processing -- runs_build` runs that group
 //! alone (the shim takes an id prefix), without building the other
@@ -32,7 +33,7 @@ use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::triangulate::triangulate_all;
 use raster_geom::Polygon;
 use raster_gpu::exec::default_workers;
-use raster_gpu::{bin_points, CanvasTiling, Device, PixelRuns, SpanTable, Viewport};
+use raster_gpu::{CanvasTiling, Device, SpanTable, Viewport};
 use raster_index::{AssignMode, GridIndex};
 use raster_join::bounded::polygon_extent;
 use raster_join::{AccurateRasterJoin, BoundedRasterJoin, Query};
@@ -139,7 +140,7 @@ fn span_tables(c: &mut Criterion) {
     span_rows(c, "nyc260_10m", nyc, 10.0, &taxi);
 }
 
-/// The runs build rows (see the module docs).
+/// The runs tile's band pass rows (see the module docs).
 fn runs_build(c: &mut Criterion) {
     if !c.selects_group("runs_build") {
         return;
@@ -154,26 +155,28 @@ fn runs_build(c: &mut Criterion) {
     let (xe, ye) = Viewport::canvas_for_extent(&extent, AccurateRasterJoin::default().canvas_dim);
     let (x10, y10) = resolution_for_epsilon(&extent, 10.0);
     let w = default_workers();
+    let dev = Device::default();
     for (width, height) in [(x20, y20), (xe, ye), (x10, y10)] {
         let tiling = CanvasTiling::new(Viewport::new(extent, width, height), 8192);
         // The first tile: the whole canvas, or the 8192² corner of the
         // ε = 10 m one.
-        let (width, height) = (tiling.tiles[0].width, tiling.tiles[0].height);
-        let label = format!("taxi2m_{width}x{height}");
-        for (name, sums, (read, written)) in [("count", false, (4, 6)), ("sum", true, (8, 10))] {
-            let binned = bin_points(&tiling, taxi.len(), w, sums, |i| {
-                Some((taxi.point(i), taxi.attr(fare)[i]))
-            });
-            let entries = binned.tile(0).0.len();
+        let vp = tiling.tiles[0];
+        let label = format!("taxi2m_{}x{}", vp.width, vp.height);
+        let prepared = BoundedRasterJoin::new(w).prepare_view(nyc, vp, &dev);
+        for (name, q, read) in [("count", Query::count(), 4), ("sum", Query::sum(fare), 8)] {
+            // Announced as no rows, so the tile is runs.
+            let mut canvases = prepared.canvases(0);
+            let deltas = prepared.bin(&taxi, &q, Default::default(), &mut Default::default());
+            let entries = deltas.binned.len();
+            canvases.absorb(deltas.binned);
             g.throughput(Throughput::Elements(entries as u64));
             for workers in [1, w] {
                 let id = BenchmarkId::new(format!("{name}_mentries/w{workers}"), &label);
                 g.bench_function(id, |b| {
-                    b.iter(|| PixelRuns::build(&binned, 0, width, height, workers))
+                    b.iter(|| prepared.resolve(&mut canvases, &q, workers))
                 });
             }
-            let runs = PixelRuns::build(&binned, 0, width, height, w).run_count();
-            let half = (read * entries + written * runs).div_ceil(2);
+            let half = (read * entries).div_ceil(2);
             let (src, mut dst) = (vec![1u8; half], vec![0u8; half]);
             g.bench_function(
                 BenchmarkId::new(format!("ceiling/memcpy_{name}"), &label),

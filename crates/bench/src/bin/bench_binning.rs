@@ -11,22 +11,24 @@
 //! mmap threshold, so a fresh canvas is fresh pages) it sweeps the rows
 //! offered per pixel (1/64 … 3; `--quick` stops at 2, where the one-shot
 //! COUNT crossover now lies, which needs 33.6 M rows rather than 50.5 M;
-//! COUNT and SUM) and times
-//! one tile pass
-//! both ways over the same (tile × band) staging: `PixelRuns::build` +
-//! polygon fold against the executor's dense fill — the staging blended
-//! in row order by one thread (`PointFbo::blend_in_order`, as the chunk
-//! pool's consumer absorbs) — + polygon fold, the dense canvas both fresh
+//! COUNT and SUM) and times one tile pass both ways over the same
+//! (tile × band) staging, each through a query's `ResidentCanvases` and
+//! the executor's own resolve (`PreparedJoin::resolve`): a runs tile —
+//! the staging kept by `absorb`, each band blended and folded in the
+//! resolve's band pass — against the dense fill — the staging blended in
+//! row order by `absorb` (`PointFbo::blend_in_order`, as the chunk pool's
+//! consumer does) — and the same fold, the dense canvas both fresh
 //! (`dense_cold_ms`: what a one-shot query pays) and recycled from a pool
-//! (`dense_warm_ms`). The two canvases are forced here, in the bench,
-//! through the two `SpanSource`s — the executor has no switch.
+//! (`dense_warm_ms`). Both sides hand `absorb` a copy of the staging. The
+//! two canvases are forced here, in the bench, by the rows announced at
+//! acquire — the executor has no switch.
 //! `single_runs_ms` / `single_dense_ms` are the same comparison for a
 //! 1-tile canvas end to end, through the executor's point pass into a
 //! query's `ResidentCanvases` on one thread (`bin_columns` into one
 //! reused batch + `absorb` per [`POINT_BLOCK`] rows; the executor's pool
-//! overlaps several blocks' bins with the absorbs), each side forced by
-//! the rows it announces at acquire. `runs_crossover` names, per column,
-//! the lowest swept density at which dense is no slower. Results go to
+//! overlaps several blocks' bins with the absorbs), then the resolve.
+//! `runs_crossover` names, per column, the lowest swept density at which
+//! dense is no slower. Results go to
 //! `BENCH_binning.json`.
 
 use bench::arg_value;
@@ -35,15 +37,14 @@ use raster_data::polygons::synthetic_polygons;
 use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::Polygon;
-use raster_gpu::exec::{block_for, parallel_dynamic};
-use raster_gpu::raster::rasterize_polygon_spans;
 use raster_gpu::{
-    bin_columns, bin_points, no_outline, BinScratch, BinnedBatch, CanvasTiling, FboPool, PixelRuns,
-    PointColumns, SpanSource, Viewport, RUNS_MAX_DENSITY,
+    bin_columns, bin_points, no_outline, BinScratch, BinnedBatch, CanvasTiling, Device, FboPool,
+    PointColumns, ResidentCanvases, Viewport, RUNS_MAX_DENSITY,
 };
 use raster_join::bounded::polygon_extent;
+use raster_join::bounded::PreparedJoin;
+use raster_join::{BoundedRasterJoin, JoinOutput, Query};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Rows per block of the executor's in-memory point pass
@@ -122,50 +123,17 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The polygon pass of the bounded join over either canvas: per-polygon
-/// scanline spans folded through the two `SpanSource` calls. Returns the
-/// total count and sum folded.
-fn fold<S: SpanSource>(
-    polys: &[Polygon],
-    vp: &Viewport,
-    canvas: &S,
-    needs_sums: bool,
+/// One tile pass on `canvases`: `binned` absorbed (a copy: kept by a runs
+/// tile, blended into a dense one), then the executor's resolve.
+fn tile_pass(
+    prepared: &PreparedJoin<'_>,
+    mut canvases: ResidentCanvases<'_>,
+    binned: &BinnedBatch,
+    query: &Query,
     workers: usize,
-) -> (u64, f64) {
-    let total = AtomicU64::new(0);
-    let sum_bits = AtomicU64::new(0f64.to_bits());
-    parallel_dynamic(
-        polys.len(),
-        workers,
-        block_for(polys.len(), workers),
-        |pi| {
-            let rings: Vec<Vec<(f64, f64)>> = std::iter::once(polys[pi].outer())
-                .chain(polys[pi].holes())
-                .map(|r| r.points().iter().map(|&p| vp.to_screen(p)).collect())
-                .collect();
-            let refs: Vec<&[(f64, f64)]> = rings.iter().map(Vec::as_slice).collect();
-            let (mut cnt, mut sum) = (0u64, 0f64);
-            rasterize_polygon_spans(&refs, vp.width, vp.height, |y, x0, x1| {
-                if needs_sums {
-                    let (c, s) = canvas.span_totals(y, x0, x1);
-                    cnt += c;
-                    sum += s;
-                } else {
-                    cnt += canvas.span_count(y, x0, x1);
-                }
-            });
-            total.fetch_add(cnt, Ordering::Relaxed);
-            // Order-dependent across polygons, like any parallel f64
-            // fold: only held to a tolerance below.
-            let _ = sum_bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-                Some((f64::from_bits(b) + sum).to_bits())
-            });
-        },
-    );
-    (
-        total.load(Ordering::Relaxed),
-        f64::from_bits(sum_bits.load(Ordering::Relaxed)),
-    )
+) -> JoinOutput {
+    canvases.absorb(binned.clone());
+    prepared.resolve(&mut canvases, query, workers)
 }
 
 /// Runs against dense over one tile, across entry densities (see the
@@ -186,10 +154,18 @@ fn density_sweep(
     let pts: PointTable = TaxiModel::default().generate(max_n, 11);
     let fare = pts.attr_index("fare").expect("taxi tables carry a fare");
     let pool = FboPool::new();
+    let prepared =
+        BoundedRasterJoin::new(workers).prepare(polys, SWEEP_EPSILON, &Device::default());
 
     let mut rows = Vec::new();
     for agg in ["count", "sum"] {
         let needs_sums = agg == "sum";
+        let query = if needs_sums {
+            Query::sum(fare)
+        } else {
+            Query::count()
+        };
+        let query = query.with_epsilon(SWEEP_EPSILON);
         for &density in densities {
             // Rows offered; the entries are those inside the extent.
             let n = (density * pixels as f64) as usize;
@@ -201,7 +177,7 @@ fn density_sweep(
             // The executor's point pass into a query's resident canvas,
             // forced runs or dense by the rows announced: block by block,
             // the rows binned a column at a time into one reused batch,
-            // then absorbed; the runs built once.
+            // then absorbed; then resolved once.
             let single = |announced: usize| {
                 let pool = FboPool::new();
                 let mut canvases = pool.acquire_resident(&tiling.tiles, announced);
@@ -218,42 +194,51 @@ fn density_sweep(
                     bin_columns(into, scratch, &tiling, cols, keep_all, no_outline);
                     staged = canvases.absorb(std::mem::take(&mut staged));
                 }
-                canvases.build_runs(workers);
-                fold(polys, vp, canvases.tile(0), needs_sums, workers);
+                prepared.resolve(&mut canvases, &query, workers);
             };
             let binned = bin();
             let bin_ms = best_ms(reps, || drop(bin()));
 
-            let mut via_runs = (0, 0.0);
+            let mut via_runs = None;
             let runs_ms = best_ms(reps, || {
-                let runs = PixelRuns::build(&binned, 0, vp.width, vp.height, workers);
-                via_runs = fold(polys, vp, &runs, needs_sums, workers);
+                let runs = FboPool::new();
+                let canvases = runs.acquire_resident(&tiling.tiles, 0);
+                via_runs = Some(tile_pass(&prepared, canvases, &binned, &query, workers));
             });
-            let mut via_dense = (0, 0.0);
-            let (idx, values) = binned.tile(0);
+            let mut via_dense = None;
             let dense_cold_ms = best_ms(reps, || {
-                let mut fbo = FboPool::new().acquire(vp.width, vp.height);
-                fbo.blend_in_order(idx, values);
-                via_dense = fold(polys, vp, &fbo, needs_sums, workers);
+                let cold = FboPool::new();
+                let canvases = cold.acquire_resident(&tiling.tiles, usize::MAX);
+                via_dense = Some(tile_pass(&prepared, canvases, &binned, &query, workers));
             });
             // One more rep than asked: the first is the one that fills
             // the pool.
             let dense_warm_ms = best_ms(reps + 1, || {
-                let mut fbo = pool.acquire(vp.width, vp.height);
-                fbo.blend_in_order(idx, values);
-                fold(polys, vp, &fbo, needs_sums, workers);
-                pool.release(fbo);
+                let canvases = pool.acquire_resident(&tiling.tiles, usize::MAX);
+                tile_pass(&prepared, canvases, &binned, &query, workers);
             });
             let single_runs_ms = best_ms(reps, || single(0));
             let single_dense_ms = best_ms(reps, || single(usize::MAX));
-            assert_eq!(via_runs.0, via_dense.0, "runs and dense counts differ");
-            // Both canvases hold every pixel's row-ordered f32 sum; only
-            // the f64 fold across polygons is unordered.
-            assert!(
-                (via_runs.1 - via_dense.1).abs() <= 1e-6 * via_dense.1.abs().max(1.0),
-                "runs and dense sums differ: {} vs {}",
-                via_runs.1,
-                via_dense.1
+            let (via_runs, via_dense) = (via_runs.unwrap(), via_dense.unwrap());
+            assert_eq!(
+                via_runs.stats.runs_passes, 1,
+                "the runs side must take runs"
+            );
+            assert_eq!(
+                via_dense.stats.runs_passes, 0,
+                "the dense side must stay dense"
+            );
+            assert_eq!(
+                via_runs.counts, via_dense.counts,
+                "runs and dense counts differ"
+            );
+            // Both canvases hold every pixel's row-ordered f32 sum and the
+            // fold reduces in one order: the sums are the same bits.
+            let bits = |o: &JoinOutput| o.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&via_runs),
+                bits(&via_dense),
+                "runs and dense sums differ"
             );
             eprintln!(
                 "{density:>8.4}/px {agg:<5} {:>8} entries  bin {bin_ms:>6.1}  runs {runs_ms:>7.1}  \

@@ -1699,7 +1699,7 @@ mod tests {
     /// header per entry, at delivery chunks that undershoot, straddle and
     /// overshoot the blocks.
     #[test]
-    fn projected_v1_scan_skips_pruned_columns() {
+    fn projected_raw_scan_skips_pruned_columns() {
         let (raw, blocks) = (tmp("proj-v1.bin"), tmp("proj-raw-blocks.bin"));
         write_table(&raw, &sample(1_003)).unwrap();
         write_table_compressed(&blocks, &noise(1_003), 400).unwrap();
@@ -1835,7 +1835,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_tail_truncation_spares_pruned_scans() {
+    fn raw_tail_truncation_spares_pruned_scans() {
         // Chop into the last attribute column's entry of a raw file: a
         // scan that prunes it still works; an unprojected open reports
         // Truncated.
@@ -1971,7 +1971,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_scans_attribute_their_decode_time() {
+    fn raw_scans_attribute_their_decode_time() {
         // Rows read by range still pay a bulk LE conversion per chunk; it
         // must show up in the decode counters, not hide inside read time.
         let path = tmp("v1-decode-time.bin");

@@ -181,7 +181,7 @@ fn a_straddled_block_is_decoded_once() {
 }
 
 #[test]
-fn v1_scans_ignore_the_block_failpoint() {
+fn raw_scans_ignore_the_block_failpoint() {
     // Rows read by range out of a raw (`write_table`) file carry no
     // redundancy, so corruption there would be undetectable; the block
     // failpoint deliberately has no hook on that path and a raw scan

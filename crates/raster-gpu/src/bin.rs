@@ -31,9 +31,10 @@
 //!   Every consumer — a query's resident canvases
 //!   ([`crate::ResidentCanvases::absorb`]) — reads it as it is: a dense
 //!   tile's blend in row order ([`crate::PointFbo::blend_in_order`] of
-//!   [`BinnedBatch::tile`]) or a runs tile's kept batches, built once
-//!   ([`crate::PixelRuns`], one task per band). A pixel lies in one band,
-//!   so it takes its entries in row order whatever the thread count.
+//!   [`BinnedBatch::tile`]) or a runs tile's kept batches, each band
+//!   blended where the polygon pass reads it ([`crate::runs`], one task
+//!   per band). A pixel lies in one band, so it takes its entries in row
+//!   order whatever the thread count.
 //! * **Multi-canvas rendering (Fig. 5)** → [`CanvasTiling`] owns the full
 //!   ε-derived canvas and its device-limit split, replacing the bare
 //!   `Vec<Viewport>` the join operators used to thread around.
@@ -72,12 +73,13 @@ impl Default for RasterConfig {
 /// the benchmark's replay asks.)
 const SHARD_MIN_DENSITY: f64 = 0.5;
 
-/// Below this many entries per pixel a binned tile is held as pixel runs
-/// ([`crate::PixelRuns`]) instead of a dense [`crate::PointFbo`]. A dense
-/// tile costs per *pixel* — allocate, fault in or clear, fold every
-/// covered pixel — and a runs tile per *entry* — blend into a one-band
-/// canvas, read off the occupied pixels, one search per polygon span — so
-/// the cheaper canvas flips with the density.
+/// Below this many entries per pixel a binned tile is held as a runs tile
+/// ([`crate::runs`]: its kept batches) instead of a dense
+/// [`crate::PointFbo`]. A dense tile costs per *pixel* — allocate, fault
+/// in or clear, fold every covered pixel — and a runs tile per *entry* —
+/// each band a span touches blended into a one-band canvas at resolve and
+/// its spans folded off the occupied words — so the cheaper canvas flips
+/// with the density.
 ///
 /// Placed by `bench_binning`'s density sweep (`density_sweep` /
 /// `runs_crossover`; one ε = 20 m tile of 4102², 2 workers, best of 2,
@@ -174,7 +176,7 @@ impl CanvasTiling {
     }
 }
 
-/// The runs build and the polygon pass work in bands of `1 << BAND_SHIFT`
+/// The staging and the polygon pass's band pass work in bands of `1 << BAND_SHIFT`
 /// pixel rows: 64 bands on a 2048² canvas, enough that skewed data (one
 /// band holding a fifth of the points) still leaves every worker bands to
 /// take.

@@ -12,10 +12,10 @@
 //! cells stay `AtomicU32` so the polygon pass can read a canvas through a
 //! shared reference.
 
-use crate::bin::{use_runs, BinnedBatch};
-use crate::{PixelRuns, SpanSource};
+use crate::bin::{use_runs, BinnedBatch, MAX_TILE_DIM};
+use crate::exec::parallel_tasks;
+use crate::runs::{blend_bands, BandCanvas, BandView};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Allocate `n` zeroed atomics via the `vec![0u32; n]` calloc fast path —
 /// element-wise `resize_with(AtomicU32::new(0))` shows up hard in profiles
@@ -437,16 +437,23 @@ impl FboPool {
 
     /// The canvases of a query over `tiles` that scans `rows` rows.
     pub fn acquire_resident(&self, tiles: &[crate::Viewport], rows: usize) -> ResidentCanvases<'_> {
-        let tiles = tiles.iter().enumerate().map(|(ti, vp)| {
+        let tiles = tiles.iter().map(|vp| {
+            let (width, height) = (vp.width, vp.height);
             if use_runs(rows, vp.pixel_count()) {
-                Canvas::Runs(PixelRuns::new(vp.width, vp.height, ti))
+                assert!(
+                    width <= MAX_TILE_DIM && u64::from(width) * u64::from(height) <= u64::from(u32::MAX),
+                    "a {width} × {height} tile is wider than MAX_TILE_DIM or has more pixels than a u32 indexes"
+                );
+                Canvas::Runs { width, height }
             } else {
-                Canvas::Dense(self.acquire(vp.width, vp.height))
+                Canvas::Dense(self.acquire(width, height))
             }
         });
         ResidentCanvases {
             pool: self,
             tiles: tiles.collect(),
+            kept: Vec::new(),
+            bands: Vec::new(),
         }
     }
 
@@ -478,84 +485,94 @@ impl FboPool {
 
 /// The canvases of a whole tiling for the length of one query, in memory
 /// or streamed: every batch or chunk is absorbed into them and the
-/// polygon pass reads them once. Each tile is a dense [`PointFbo`] from
-/// the pool or [`PixelRuns`] for the whole query, by [`use_runs`] over the
-/// rows the query will scan (an upper bound on a tile's entries); either
-/// way a pixel takes its entries in row order, to the same bits. Dropping
-/// the set — on success, an error return or an unwind — hands every dense
-/// canvas back to the pool.
+/// polygon pass reads them in one band pass per tile
+/// ([`ResidentCanvases::band_pass`]). Each tile is a dense [`PointFbo`]
+/// from the pool or a runs tile for the whole query, by [`use_runs`] over
+/// the rows the query will scan (an upper bound on a tile's entries); a
+/// runs tile is the batches the set keeps, blended a band at a time where
+/// the band pass reads it ([`crate::runs`]). Either way a pixel takes its
+/// entries in row order, to the same bits. Dropping the set — on success,
+/// an error return or an unwind — hands every dense canvas back to the
+/// pool.
 pub struct ResidentCanvases<'p> {
     pool: &'p FboPool,
     tiles: Vec<Canvas>,
+    /// Every batch absorbed while the set holds a runs tile, in row order:
+    /// the runs tiles' entries, one copy for all of them.
+    kept: Vec<BinnedBatch>,
+    /// The band pass's worker canvases, kept from tile to tile.
+    bands: Vec<BandCanvas>,
 }
 
-/// One resident tile: a dense canvas or pixel runs.
-pub enum Canvas {
+/// One resident tile: a dense canvas, or a `width × height` runs tile
+/// whose entries are the set's kept batches.
+enum Canvas {
     Dense(PointFbo),
-    Runs(PixelRuns),
-}
-
-impl SpanSource for Canvas {
-    #[inline]
-    fn span_count(&self, y: u32, x0: u32, x1: u32) -> u64 {
-        match self {
-            Canvas::Dense(fbo) => fbo.span_count(y, x0, x1),
-            Canvas::Runs(runs) => runs.span_count(y, x0, x1),
-        }
-    }
-
-    #[inline]
-    fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64) {
-        match self {
-            Canvas::Dense(fbo) => fbo.span_totals(y, x0, x1),
-            Canvas::Runs(runs) => runs.span_totals(y, x0, x1),
-        }
-    }
+    Runs { width: u32, height: u32 },
 }
 
 impl ResidentCanvases<'_> {
     /// Take one batch's or chunk's entries, in row order, on this thread:
     /// blended into a dense tile; for the runs tiles, copied once into an
-    /// allocation of this thread's, kept until the build. Returns `deltas`
-    /// to bin the next entries into: the binning threads' buffers are
-    /// recycled, never kept (kept in place, they stayed in those threads'
-    /// heaps — 2 M taxi rows on a runs canvas, two workers: peak RSS
-    /// 171 MB against 148 MB for the copy).
+    /// allocation of this thread's, kept until the set drops. Returns
+    /// `deltas` to bin the next entries into: the binning threads' buffers
+    /// are recycled, never kept (kept in place, they stayed in those
+    /// threads' heaps — 2 M taxi rows on a runs canvas, two workers: peak
+    /// RSS 171 MB against 148 MB for the copy).
     pub fn absorb(&mut self, deltas: BinnedBatch) -> BinnedBatch {
-        let mut runs = Vec::new();
+        let mut runs = false;
         for (ti, tile) in self.tiles.iter_mut().enumerate() {
             match tile {
                 Canvas::Dense(fbo) => {
                     let (idx, values) = deltas.tile(ti);
                     fbo.blend_in_order(idx, values);
                 }
-                Canvas::Runs(tile) => runs.push(tile),
+                Canvas::Runs { .. } => runs = true,
             }
         }
-        if runs.is_empty() {
-            return deltas;
+        if runs {
+            self.kept.push(deltas.clone());
         }
-        let kept = Arc::new(deltas.clone());
-        runs.into_iter()
-            .for_each(|tile| tile.append(Arc::clone(&kept)));
         deltas
     }
 
-    /// Build the runs tiles after the last absorb; returns their number.
-    pub fn build_runs(&mut self, workers: usize) -> u32 {
-        let mut built = 0;
-        for tile in &mut self.tiles {
-            if let Canvas::Runs(runs) = tile {
-                runs.seal(workers);
-                built += 1;
-            }
-        }
-        built
+    /// The runs tiles among the set's.
+    pub fn runs_tiles(&self) -> u32 {
+        let runs = self
+            .tiles
+            .iter()
+            .filter(|t| matches!(t, Canvas::Runs { .. }));
+        runs.count() as u32
     }
 
-    /// The canvas of tile `ti`.
-    pub fn tile(&self, ti: usize) -> &Canvas {
-        &self.tiles[ti]
+    /// The band pass over tile `ti`: `visit(view, task)` for each
+    /// `(b, task)` of `tasks` — band `b` of the tile, at most one task a
+    /// band — on up to `workers` threads, one task at a time per thread. A
+    /// dense tile's view reads its rows. A runs tile's band is blended from
+    /// the kept batches into the thread's band canvas first and zeroed
+    /// after, and a task whose band holds no entry is dropped unvisited:
+    /// every span there reads zero. Counts and sums read the same bits on
+    /// either tile at any width.
+    pub fn band_pass<T: Send>(
+        &mut self,
+        ti: usize,
+        tasks: Vec<(usize, T)>,
+        workers: usize,
+        visit: impl Fn(&BandView<'_>, T) + Sync,
+    ) {
+        let workers = workers.max(1);
+        if self.bands.len() < workers {
+            self.bands.resize_with(workers, BandCanvas::default);
+        }
+        let canvases = &mut self.bands[..workers];
+        match &self.tiles[ti] {
+            Canvas::Dense(fbo) => parallel_tasks(tasks, canvases, |_, (_, task)| {
+                visit(&BandView::dense(fbo), task)
+            }),
+            &Canvas::Runs { width, height } => {
+                blend_bands(&self.kept, ti, (width, height), tasks, canvases, visit)
+            }
+        }
     }
 }
 
@@ -626,6 +643,17 @@ impl BoundaryFbo {
         let i = pix as usize;
         debug_assert!(i < self.width as usize * self.height as usize);
         self.bits[i / 32].load(Ordering::Relaxed) & (1u32 << (i % 32)) != 0
+    }
+
+    /// The marks of the 64 pixels from linear index `start` on (`y *
+    /// width + x`), bit `k` for pixel `start + k`; zero past the last
+    /// pixel.
+    pub fn bits64(&self, start: usize) -> u64 {
+        let word = |k: usize| {
+            let bits = self.bits.get(start / 32 + k);
+            u128::from(bits.map_or(0, |b| b.load(Ordering::Relaxed)))
+        };
+        ((word(0) | word(1) << 32 | word(2) << 64) >> (start % 32)) as u64
     }
 
     /// Number of marked pixels.
@@ -819,9 +847,9 @@ mod tests {
 
     /// The exclusive blend is the atomic blend from one thread, bit for
     /// bit — in an order where f32 addition does not reassociate — on a
-    /// dense tile and a runs tile alike; the gate picks the tile from the
-    /// rows announced at acquire, and only a dense tile leaves the pool,
-    /// returning when the set drops.
+    /// dense tile and a runs tile alike, read in the band pass; the gate
+    /// picks the tile from the rows announced at acquire, and only a dense
+    /// tile leaves the pool, returning when the set drops.
     #[test]
     fn resident_canvases_blend_in_entry_order_and_release_on_drop() {
         let idx = [5u32, 2, 5, 5, 2];
@@ -841,6 +869,18 @@ mod tests {
             4,
             2,
         )];
+        let pixels = [(1, 1), (2, 0), (0, 0)];
+        // `(count, sum)` of each of `pixels`, read in the band pass.
+        let read = |canvases: &mut ResidentCanvases<'_>| {
+            let mut got = [(0, 0.0); 3];
+            canvases.band_pass(0, vec![(0, &mut got)], 2, |band, got| {
+                for (&(x, y), got) in pixels.iter().zip(got.iter_mut()) {
+                    *got = band.span_totals(y, x, x + 1);
+                    assert_eq!(band.span_count(y, x, x + 1), got.0);
+                }
+            });
+            got
+        };
         // 8 pixels: the rows at the runs gate are dense, 1 row is runs.
         let at_gate = (crate::RUNS_MAX_DENSITY * 8.0).ceil() as usize;
         for (rows, dense) in [(at_gate, true), (1, false)] {
@@ -852,21 +892,23 @@ mod tests {
             };
             canvases.absorb(chunk(0..2, 1));
             canvases.absorb(chunk(2..5, 2));
-            assert_eq!(canvases.build_runs(2), u32::from(!dense));
-            let got = canvases.tile(0);
-            assert_eq!(matches!(got, Canvas::Dense(_)), dense);
-            for (x, y) in [(1, 1), (2, 0), (0, 0)] {
-                let (count, sum) = got.span_totals(y, x, x + 1);
-                assert_eq!(count, reference.count_at(x, y) as u64);
-                assert_eq!(sum.to_bits(), (reference.sum_at(x, y) as f64).to_bits());
+            assert_eq!(canvases.runs_tiles(), u32::from(!dense));
+            // A runs tile reads the same on a second pass.
+            for _ in 0..2 {
+                for (&(x, y), (count, sum)) in pixels.iter().zip(read(&mut canvases)) {
+                    assert_eq!(count, reference.count_at(x, y) as u64);
+                    assert_eq!(sum.to_bits(), (reference.sum_at(x, y) as f64).to_bits());
+                }
             }
             drop(canvases);
             assert_eq!(pool.outstanding(), 0);
         }
         // COUNT-only deltas carry no values.
-        let mut canvases = pool.acquire_resident(&tiles, at_gate);
-        canvases.absorb(crate::bin::bin_pixels(4, 2, &[0, 0], None, 1));
-        assert_eq!(canvases.tile(0).span_count(0, 0, 1), 2);
+        for rows in [at_gate, 1] {
+            let mut canvases = pool.acquire_resident(&tiles, rows);
+            canvases.absorb(crate::bin::bin_pixels(4, 2, &[0, 0], None, 1));
+            assert_eq!(read(&mut canvases)[2], (2, 0.0));
+        }
     }
 
     #[test]
@@ -894,6 +936,23 @@ mod tests {
         assert!(b.is_boundary(63, 1));
         assert!(!b.is_boundary(32, 1));
         assert_eq!(b.boundary_pixel_count(), 3);
+    }
+
+    /// `bits64` from any offset, across word seams and past the last
+    /// pixel, against `is_boundary_at`.
+    #[test]
+    fn boundary_bits64_reads_64_pixels_from_any_offset() {
+        let b = BoundaryFbo::new(13, 11);
+        for i in [0u32, 31, 32, 33, 63, 64, 65, 100, 127, 128, 140, 142] {
+            b.mark(i % 13, i / 13);
+        }
+        for start in 0..150 {
+            let want = (0..64).fold(0u64, |word, k| {
+                let on = start + k < 143 && b.is_boundary_at((start + k) as u32);
+                word | u64::from(on) << k
+            });
+            assert_eq!(b.bits64(start), want, "from {start}");
+        }
     }
 
     #[test]

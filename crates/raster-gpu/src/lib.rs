@@ -17,9 +17,10 @@
 //!   allocation-recycling [`framebuffer::FboPool`]; the retired sharded
 //!   blend ([`framebuffer::ShardSet`]) stays only for the benchmark's
 //!   replay;
-//! * [`runs`] — the sparse canvas representation: a tile's binned entries
-//!   as pixel runs ([`runs::PixelRuns`]), read by the polygon pass
-//!   through the same [`runs::SpanSource`] calls as the dense FBO;
+//! * [`runs`] — the sparse canvas representation: a tile held as the
+//!   batches it absorbed, each band blended into a worker's one-band
+//!   canvas where the polygon pass reads it, through the same
+//!   [`runs::BandView`] as a dense FBO's rows;
 //! * [`spans`] — the polygon side as prepared data: one
 //!   [`spans::SpanTable`] per canvas tile, built once per query by the
 //!   scan converter [`raster::EdgeTable`] and folded by every pass;
@@ -49,8 +50,8 @@ pub use bin::{
     PointColumns, RasterConfig, BAND_SHIFT, BIN_BLOCK, MAX_TILE_DIM, RUNS_MAX_DENSITY,
 };
 pub use device::{Device, DeviceConfig};
-pub use framebuffer::{BoundaryFbo, Canvas, FboPool, PointFbo, ResidentCanvases, ShardSet};
-pub use runs::{PixelRuns, SpanSource};
+pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
+pub use runs::BandView;
 pub use spans::{Run, Span, SpanTable};
 pub use ssbo::{AtomicF64Array, AtomicU64Array};
 pub use viewport::Viewport;

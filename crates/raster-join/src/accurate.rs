@@ -26,8 +26,9 @@
 //!    * step 2 never absorbs a point that lands on a boundary pixel — the
 //!      binner's outline closure sends it to `join_point`, in memory and
 //!      chunk by chunk alike — so the canvas holds nothing there and
-//!      folding those pixels adds zero (debug builds assert it, reading
-//!      the canvas through `SpanSource`);
+//!      folding those pixels adds zero (debug builds assert it in each
+//!      tile's band pass: the outline's words against the band's
+//!      occupancy words);
 //!    * the outline marks every pixel an edge touches, so any other pixel
 //!      is wholly inside or wholly outside each polygon, its center at
 //!      least half a pixel from every edge: even–odd scanline coverage of
@@ -182,7 +183,8 @@ mod tests {
     use raster_data::generators::{nyc_extent, uniform_points, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
     use raster_geom::Point;
-    use raster_gpu::SpanSource;
+    use raster_gpu::{bin_points, CanvasTiling, ResidentCanvases, BAND_SHIFT};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn simple_polys() -> Vec<Polygon> {
         vec![
@@ -488,8 +490,18 @@ mod tests {
             "the canvas must put points on outlines"
         );
         let (w, h) = (vp.width, vp.height);
-        let total =
-            |canvas: &dyn SpanSource| (0..h).map(|y| canvas.span_count(y, 0, w)).sum::<u64>();
+        // Every count on the canvas, read in its band pass.
+        let total = |canvases: &mut ResidentCanvases<'_>, workers| {
+            let sum = AtomicU64::new(0);
+            let bands = (h as usize).div_ceil(1 << BAND_SHIFT);
+            let tasks = (0..bands).map(|b| (b, b as u32)).collect();
+            canvases.band_pass(0, tasks, workers, |band, b| {
+                let rows = b << BAND_SHIFT..((b + 1) << BAND_SHIFT).min(h);
+                let n: u64 = rows.map(|y| band.span_count(y, 0, w)).sum();
+                sum.fetch_add(n, Ordering::Relaxed);
+            });
+            sum.into_inner()
+        };
 
         // The rows announced pick the canvas: dense for the table, runs
         // for one row.
@@ -501,11 +513,13 @@ mod tests {
             let mut canvases = prepared.canvases(rows);
             let merged = prepared.bin_blocks(&pts, &q, join.workers, &mut canvases);
             assert!(merged.finish().stats.pip_tests > 0);
-            assert_eq!(canvases.build_runs(join.workers), runs);
-            let canvas = canvases.tile(0);
-            assert!(total(canvas) > 0);
+            assert_eq!(canvases.runs_tiles(), runs);
+            assert!(total(&mut canvases, join.workers) > 0);
             let ctx = format!("{} workers, {rows} rows", join.workers);
-            assert!(outline.holds_nothing(canvas), "{ctx}");
+            assert!(
+                outline.holds_nothing(&mut canvases, 0, join.workers),
+                "{ctx}"
+            );
         }
 
         let mut canvases = prepared.canvases(pts.len());
@@ -514,18 +528,26 @@ mod tests {
             let deltas = prepared.bin(&chunk, &q, Default::default(), &mut Default::default());
             canvases.absorb(deltas.binned);
         }
-        canvases.build_runs(1);
-        assert!(total(canvases.tile(0)) > 0);
-        assert!(outline.holds_nothing(canvases.tile(0)));
+        assert!(total(&mut canvases, 1) > 0);
+        assert!(outline.holds_nothing(&mut canvases, 0, 1));
 
-        // The check is not vacuous: one point on an outline pixel fails it.
+        // The check is not vacuous: one point on an outline pixel fails
+        // it, on a dense and on a runs canvas, at either width.
         let (x, y) = (0..w)
             .flat_map(|x| (0..h).map(move |y| (x, y)))
             .find(|&(x, y)| outline.boundary.is_boundary(x, y))
             .unwrap();
-        let fbo = raster_gpu::PointFbo::new(w, h);
-        fbo.blend_add(x, y, 0.0);
-        assert!(!outline.holds_nothing(&fbo));
+        let tiling = CanvasTiling::single(vp);
+        let on_outline = bin_points(&tiling, 1, 1, false, |_| Some((vp.pixel_center(x, y), 0.0)));
+        for (rows, workers) in [(pts.len(), 1), (1, 1), (1, 4)] {
+            let mut canvases = prepared.canvases(rows);
+            canvases.absorb(on_outline.clone());
+            assert_eq!(total(&mut canvases, workers), 1);
+            assert!(
+                !outline.holds_nothing(&mut canvases, 0, workers),
+                "{rows} rows"
+            );
+        }
     }
 
     /// The exact join is the bounded pipeline plus an outline: on a table

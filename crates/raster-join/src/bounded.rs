@@ -47,11 +47,11 @@
 //! (≥ 22 per pixel), and 8 M tweets on a 1273 × 821 canvas (7.7), stay
 //! dense:
 //!
-//! * **runs** — `raster_gpu::PixelRuns`: the batches kept as binned, each
-//!   band's entries blended once at resolve into a worker's reused
-//!   one-band canvas and read off as one run per occupied pixel, searched
-//!   per polygon span. Costs per entry and occupied word, never per
-//!   pixel.
+//! * **runs** — the batches kept as binned, resolved in the band pass
+//!   (`raster_gpu::ResidentCanvases::band_pass`): each band a span
+//!   touches has its entries blended into a worker's reused one-band
+//!   canvas, its spans folded straight off that canvas, and the canvas
+//!   zeroed. Costs per entry, occupied word and span, never per pixel.
 //! * **dense** — a [`PointFbo`](raster_gpu::PointFbo) from the
 //!   preparation's pool, blended by the one absorbing thread, its entries
 //!   in row order. Costs per pixel.
@@ -75,7 +75,7 @@ use raster_data::PointTable;
 use raster_geom::hausdorff::resolution_for_epsilon;
 use raster_geom::{BBox, Polygon};
 use raster_gpu::bin::{bin_columns, BinScratch, BinnedBatch, CanvasTiling};
-use raster_gpu::exec::{default_workers, timed};
+use raster_gpu::exec::default_workers;
 use raster_gpu::{no_outline, Device, FboPool, ResidentCanvases, Viewport};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -279,10 +279,10 @@ impl<'a> PreparedJoin<'a> {
     }
 
     /// *Resolve* the canvases every batch or chunk was absorbed into
-    /// ([`PreparedJoin::canvases`]): build the runs tiles, then one
-    /// polygon pass per tile on `workers` threads (for the exact join,
-    /// step 3 — Procedure AccuratePolygons). Counts and sums come out the
-    /// same at any width.
+    /// ([`PreparedJoin::canvases`]): one polygon pass per tile on `workers`
+    /// threads, each in the tile's band pass, where a runs tile's bands
+    /// are blended (for the exact join, step 3 — Procedure
+    /// AccuratePolygons). Counts and sums come out the same at any width.
     pub fn resolve(
         &self,
         canvases: &mut ResidentCanvases<'_>,
@@ -295,17 +295,15 @@ impl<'a> PreparedJoin<'a> {
             stats: ExecStats::default(),
         };
         let needs_sums = query.aggregate.attr().is_some();
-        let stats = &mut out.stats;
-        stats.runs_passes = timed(&mut stats.point_stage, || canvases.build_runs(workers));
+        out.stats.runs_passes = canvases.runs_tiles();
         for ti in 0..self.tiles().len() {
-            let canvas = canvases.tile(ti);
             debug_assert!(
                 self.outline
                     .as_ref()
-                    .is_none_or(|o| o.holds_nothing(canvas)),
+                    .is_none_or(|o| o.holds_nothing(canvases, ti, workers)),
                 "the point pass absorbed a point on a boundary pixel"
             );
-            polygon_pass::draw_polygons(&self.side, ti, canvas, needs_sums, workers, &mut out);
+            polygon_pass::draw_polygons(&self.side, ti, canvases, needs_sums, workers, &mut out);
         }
         out.stats.processing = out.stats.point_stage + out.stats.polygon_stage;
         out

@@ -294,16 +294,21 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     }
 }
 
-/// What building one surviving entry into pixel runs costs, in blends of
-/// one entry into a warm dense FBO ([`W_BLEND`] units) — the runs build
+/// What resolving one surviving entry on a runs tile costs, in blends of
+/// one entry into a warm dense FBO ([`W_BLEND`] units) — the band pass
 /// stands where the blend stood. Measured on 2 M taxi entries over one
-/// 4102² / 8192² tile, `PixelRuns::build` (each band blended into a
-/// worker's one-band canvas and read off as runs) at 2 workers against
-/// one thread's warm `blend_in_order`, min of 11 builds, three runs on a
-/// 2-core box: 1.1–1.6 blends per COUNT entry on the 4102² tile and
-/// 1.0–1.3 on the 8192² one, 0.7–0.9 with values (on the exact join's
-/// 2048² canvas 0.7–1.1 and 0.6–0.7). 2.0 stays although it now lies
-/// above every measured value: keeping it keeps every plan.
+/// 4102² / 8192² tile, the runs tile's band pass (each band a span
+/// touches blended into a worker's one-band canvas, its spans folded off
+/// that canvas, the canvas zeroed; `PreparedJoin::resolve`) at 2 workers
+/// against one thread's warm `blend_in_order`, min of 11 passes, three
+/// runs on a 2-core box: 1.1–1.3 blends per COUNT entry on the 4102²
+/// tile and 1.1–1.6 on the 8192² one, 0.9–1.3 and 0.9–1.4 with values
+/// (on the exact join's 2048² canvas 0.8–1.4 and 0.9–1.3). The pass includes the fold
+/// of the spans over occupied words, which [`W_FRAG`] prices again per
+/// span. 2.0 stays, above every measured value: a lower constant makes
+/// every runs plan cheaper, and the planner already picks the bounded
+/// join's multi-tile runs canvas where the exact join is faster (ROADMAP
+/// direction 1, which re-fits the weights); keeping it keeps every plan.
 pub const RUNS_BUILD_BLENDS: f64 = 2.0;
 
 /// The feature vector of one plan over one workload: how many times each
@@ -332,10 +337,10 @@ pub fn features_for(
     f[W_READ_BYTE] = n * wl.stored_row_bytes;
     f[W_DECODE_VAL] = n * wl.decode_cols;
     // The canvas, acquired once per query and folded once, however many
-    // batches or chunks the points arrive in. Pixel runs: nothing to
-    // clear, one search per span (the outline band of `fragments`), a
-    // sort per surviving point instead of a blend. Dense: cleared per
-    // pixel, blended per point, folded per fragment.
+    // batches or chunks the points arrive in. A runs tile: nothing to
+    // clear, each span folded over occupied words (the outline band of
+    // `fragments`), the band pass per surviving point instead of a blend.
+    // Dense: cleared per pixel, blended per point, folded per fragment.
     let side = match plan.variant {
         Variant::Bounded => pixel_side_for_epsilon(wl.epsilon),
         Variant::Accurate => {

@@ -28,9 +28,10 @@ use raster_data::filter::keep_mask;
 use raster_data::PointTable;
 use raster_geom::{Point, SlabIndex};
 use raster_gpu::bin::PointColumns;
-use raster_gpu::{BoundaryFbo, Device, SpanSource};
+use raster_gpu::{BoundaryFbo, Device, ResidentCanvases, BAND_SHIFT};
 use raster_index::GridIndex;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use crate::query::Query;
@@ -90,14 +91,36 @@ impl Outline<'_> {
     }
 
     /// What makes the paper's per-fragment discard of step 3 redundant:
-    /// no boundary pixel of `canvas` has received a point.
-    pub(crate) fn holds_nothing(&self, canvas: &impl SpanSource) -> bool {
+    /// no boundary pixel of tile `ti` of `canvases` has received a point.
+    /// Read in the tile's band pass on `workers` threads, every band: the
+    /// outline's bits a word at a time, each marked pixel tested against
+    /// the band's occupancy.
+    pub(crate) fn holds_nothing(
+        &self,
+        canvases: &mut ResidentCanvases<'_>,
+        ti: usize,
+        workers: usize,
+    ) -> bool {
         let (w, h) = (self.boundary.width(), self.boundary.height());
-        (0..h).all(|y| {
-            (0..w).all(|x| {
-                !self.boundary.is_boundary(x, y) || canvas.span_totals(y, x, x + 1) == (0, 0.0)
-            })
-        })
+        let bands = h.div_ceil(1 << BAND_SHIFT);
+        let met = AtomicBool::new(false);
+        let tasks = (0..bands).map(|b| (b as usize, b)).collect();
+        canvases.band_pass(ti, tasks, workers, |band, b| {
+            let rows = b << BAND_SHIFT..((b + 1) << BAND_SHIFT).min(h);
+            let pixels = rows.start as usize * w as usize..rows.end as usize * w as usize;
+            for start in pixels.clone().step_by(64) {
+                let mut bits = self.boundary.bits64(start);
+                while bits != 0 {
+                    let i = start + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (x, y) = ((i % w as usize) as u32, (i / w as usize) as u32);
+                    if pixels.contains(&i) && band.span_count(y, x, x + 1) != 0 {
+                        met.store(true, Ordering::Relaxed);
+                    }
+                }
+            }
+        });
+        !met.into_inner()
     }
 }
 

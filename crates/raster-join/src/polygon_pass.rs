@@ -13,10 +13,13 @@
 //! each composition plane then folds the same table ([`draw_polygons`])
 //! per tile in two steps:
 //!
-//! 1. **Evaluate** the spans on the canvas — dense FBO or pixel runs — in
-//!    the table's row-major order by band of 32 rows, the bands spread
-//!    over the workers: each run's `Σ count` (one polygon's spans within
-//!    a band) and, when the query aggregates, each span's `Σ sum`, into a
+//! 1. **Evaluate** the spans on the canvas in the table's row-major order
+//!    by band of 32 rows, in the tile's band pass
+//!    (`raster_gpu::ResidentCanvases::band_pass`): the bands a span
+//!    touches spread over the workers, each read from a dense FBO's rows
+//!    or, on a runs tile, from the worker's band canvas it was just
+//!    blended into. Each run's `Σ count` (one polygon's spans within a
+//!    band) and, when the query aggregates, each span's `Σ sum` go into a
 //!    staging freed after the fold (8 bytes a run, and 8 a span with
 //!    sums).
 //! 2. **Reduce**: each polygon adds its runs' counts, and its spans' sums
@@ -32,8 +35,7 @@
 
 use crate::query::JoinOutput;
 use raster_geom::Polygon;
-use raster_gpu::exec::parallel_tasks;
-use raster_gpu::{Run, SpanSource, SpanTable, Viewport};
+use raster_gpu::{ResidentCanvases, Run, SpanTable, Viewport};
 use std::time::Instant;
 
 /// The polygon side of a join, prepared once per query: each polygon's
@@ -68,20 +70,20 @@ impl PolygonSide {
     }
 }
 
-/// Fold tile `ti`'s span table over its canvas — dense FBO or pixel runs —
-/// on `workers` threads onto `out`'s accumulators (see the module docs),
-/// charging the pass, its spans, fragments and time to `out.stats`.
-pub(crate) fn draw_polygons<S: SpanSource>(
+/// Fold tile `ti`'s span table over its canvas of `canvases` on `workers`
+/// threads onto `out`'s accumulators (see the module docs), charging the
+/// pass, its spans, fragments and time to `out.stats`.
+pub(crate) fn draw_polygons(
     side: &PolygonSide,
     ti: usize,
-    canvas: &S,
+    canvases: &mut ResidentCanvases<'_>,
     needs_sums: bool,
     workers: usize,
     out: &mut JoinOutput,
 ) {
     let t0 = Instant::now();
     let table = side.table(ti);
-    let (run_counts, span_sums) = evaluate(table, canvas, needs_sums, workers);
+    let (run_counts, span_sums) = evaluate(table, canvases, ti, needs_sums, workers);
     for p in 0..table.polygons() {
         let slot = side.id(p) as usize;
         let runs = table.polygon_runs(p);
@@ -104,12 +106,14 @@ pub(crate) fn draw_polygons<S: SpanSource>(
 }
 
 /// Every run's `Σ count` and, with `needs_sums`, every span's `Σ sum` on
-/// `canvas`, in the table's order, evaluated band by band on up to
-/// `workers` threads. A band's runs and spans are contiguous, so each
-/// task owns its slices of both outputs.
-fn evaluate<S: SpanSource>(
+/// tile `ti` of `canvases`, in the table's order, evaluated in the tile's
+/// band pass on up to `workers` threads, one task per band that holds a
+/// span. A band's runs and spans are contiguous, so each task owns its
+/// slices of both outputs; a band the pass leaves unvisited reads zero.
+fn evaluate(
     table: &SpanTable,
-    canvas: &S,
+    canvases: &mut ResidentCanvases<'_>,
+    ti: usize,
     needs_sums: bool,
     workers: usize,
 ) -> (Vec<u64>, Vec<f64>) {
@@ -127,13 +131,16 @@ fn evaluate<S: SpanSource>(
         let (c, more_c) = std::mem::take(&mut rest_c).split_at_mut(runs.len());
         let with_sums = if needs_sums { band_spans } else { 0 };
         let (s, more_s) = std::mem::take(&mut rest_s).split_at_mut(with_sums);
-        tasks.push((runs, c, s));
+        if !runs.is_empty() {
+            tasks.push((b, (runs, c, s)));
+        }
         (rest_c, rest_s) = (more_c, more_s);
     }
-    parallel_tasks(
+    canvases.band_pass(
+        ti,
         tasks,
-        &mut vec![(); workers.max(1)],
-        |(), (runs, counts, sums): (&[Run], &mut [u64], &mut [f64])| {
+        workers,
+        |canvas, (runs, counts, sums): (&[Run], &mut [u64], &mut [f64])| {
             let base = runs.first().map_or(0, |run| run.start as usize);
             for (run, count) in runs.iter().zip(counts) {
                 let range = run.start as usize..run.end as usize;
@@ -163,7 +170,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use raster_data::polygons::synthetic_polygons;
     use raster_geom::{BBox, Point};
-    use raster_gpu::{bin_points, CanvasTiling, PixelRuns, PointFbo, Span};
+    use raster_gpu::{bin_points, CanvasTiling, FboPool, PointFbo, Span};
 
     /// The fold as the scan-convert-and-fold pass did it: polygon by
     /// polygon, each span's totals as it comes in emission order — the
@@ -189,9 +196,9 @@ mod tests {
         (counts, sums)
     }
 
-    fn fold<S: SpanSource>(
+    fn fold(
         side: &PolygonSide,
-        canvas: &S,
+        canvases: &mut ResidentCanvases<'_>,
         sums: bool,
         workers: usize,
     ) -> JoinOutput {
@@ -200,12 +207,13 @@ mod tests {
             sums: vec![0.0; 9],
             stats: ExecStats::default(),
         };
-        draw_polygons(side, 0, canvas, sums, workers, &mut out);
+        draw_polygons(side, 0, canvases, sums, workers, &mut out);
         out
     }
 
-    /// Row-major fold ≡ polygon-order fold, by bits, on a dense and a runs
-    /// canvas at widths 1, 2, 3 and 8. Hot pixels carry `1e8, 1, −1e8`
+    /// Row-major fold ≡ polygon-order fold over the dense pixels, by bits,
+    /// in the band pass of a dense tile and of a runs tile holding the same
+    /// kept batch, at widths 1, 2, 3 and 8. Hot pixels carry `1e8, 1, −1e8`
     /// (order-sensitive in f32) and `−0.0`; one polygon covering the
     /// canvas meets `3e30`, `−3e30` and `1` in three rows, which sum to
     /// `1` in emission order and to `0` in any other; several polygons
@@ -251,7 +259,6 @@ mod tests {
         let mut dense = PointFbo::new(96, 72);
         let (idx, values) = binned.tile(0);
         dense.blend_in_order(idx, values);
-        let runs = PixelRuns::build(&binned, 0, 96, 72, 1);
 
         let dense_pixels = |s: Span| {
             let (mut c, mut sum) = (0, 0.0);
@@ -265,16 +272,17 @@ mod tests {
             (c, sum)
         };
         let want = polygon_order_fold(&side, dense_pixels, 9);
-        assert_eq!(
-            polygon_order_fold(&side, |s| runs.span_totals(s.row, s.x0, s.x1), 9),
-            want
-        );
+        let pool = FboPool::new();
+        let mut on_runs = pool.acquire_resident(&[vp], 0);
+        let mut on_dense = pool.acquire_resident(&[vp], usize::MAX);
+        assert_eq!((on_runs.runs_tiles(), on_dense.runs_tiles()), (1, 0));
+        on_runs.absorb(binned.clone());
+        on_dense.absorb(binned);
         let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         for workers in [1, 2, 3, 8] {
             for needs_sums in [true, false] {
-                let on_dense = fold(&side, &dense, needs_sums, workers);
-                let on_runs = fold(&side, &runs, needs_sums, workers);
-                for out in [&on_dense, &on_runs] {
+                for canvases in [&mut on_runs, &mut on_dense] {
+                    let out = fold(&side, canvases, needs_sums, workers);
                     assert_eq!(out.counts, want.0, "{workers} workers");
                     let sums = if needs_sums {
                         want.1.clone()

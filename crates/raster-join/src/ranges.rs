@@ -30,9 +30,9 @@ use crate::query::{Aggregate, Query};
 use raster_data::PointTable;
 use raster_geom::clip::coverage_fraction;
 use raster_geom::Polygon;
-use raster_gpu::exec::{default_workers, parallel_dynamic};
+use raster_gpu::exec::{default_workers, parallel_dynamic, parallel_tasks};
 use raster_gpu::raster::rasterize_segment_conservative;
-use raster_gpu::{Device, SpanSource};
+use raster_gpu::{Device, BAND_SHIFT};
 
 /// Per-polygon result interval for a COUNT query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,7 +66,8 @@ impl ResultRange {
 /// ranges. `value` is [`crate::bounded::BoundedRasterJoin`]'s own count —
 /// its prepared join's point pass and resolve produce it — and the corrections
 /// read the canvases that count was resolved from, alive for the length
-/// of the call, a pixel at a time through `SpanSource` (runs or dense).
+/// of the call, in each tile's band pass (runs or dense): the outline
+/// pixels bucketed by band, each polygon's reduced in row-major order.
 pub fn estimate_count_ranges(
     points: &PointTable,
     polys: &[Polygon],
@@ -153,32 +154,59 @@ fn estimate_ranges_impl(
     let exp_minus = raster_gpu::AtomicF64Array::new(nslots);
 
     for (ti, vp) in prepared.tiles().iter().enumerate() {
-        let canvas = canvases.tile(ti);
-        // Boundary-pixel corrections, polygon by polygon.
-        parallel_dynamic(polys.len(), workers, 2, |pi| {
-            let poly = &polys[pi];
-            let id = poly.id() as usize;
-            // Row-major and deduplicated, so the expected interval's f64
-            // sums add in one order on every run.
-            let mut seen: Vec<(u32, u32)> = Vec::new();
-            for (ea, eb) in poly.all_edges() {
-                let sa = vp.to_screen(ea);
-                let sb = vp.to_screen(eb);
+        // Each polygon's outline pixels, row-major and deduplicated, so
+        // the expected interval's f64 sums add in one order on every run.
+        let mut outlines = vec![Vec::new(); polys.len()];
+        let tasks = outlines.iter_mut().enumerate().collect();
+        parallel_tasks(tasks, &mut vec![(); workers], |(), (pi, seen)| {
+            for (ea, eb) in polys[pi].all_edges() {
+                let (sa, sb) = (vp.to_screen(ea), vp.to_screen(eb));
                 rasterize_segment_conservative(sa, sb, vp.width, vp.height, |x, y| {
                     seen.push((y, x));
                 });
             }
             seen.sort_unstable();
             seen.dedup();
+        });
+        // What the canvas holds at each of them, read in the tile's band
+        // pass: the pixels bucketed by band, each band's read into its own
+        // slots, then handed back to the polygons.
+        let nbands = (vp.height as usize).div_ceil(1 << BAND_SHIFT);
+        let mut by_band: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nbands];
+        for (pi, seen) in outlines.iter().enumerate() {
+            for (k, &(y, _)) in seen.iter().enumerate() {
+                by_band[(y >> BAND_SHIFT) as usize].push((pi, k));
+            }
+        }
+        let mut read: Vec<Vec<f64>> = by_band.iter().map(|e| vec![0.0; e.len()]).collect();
+        let tasks = (by_band.iter().zip(&mut read).enumerate())
+            .filter(|(_, (pixels, _))| !pixels.is_empty())
+            .collect();
+        canvases.band_pass(ti, tasks, workers, |band, (pixels, read)| {
+            for (&(pi, k), v) in pixels.iter().zip(read.iter_mut()) {
+                let (y, x) = outlines[pi][k];
+                *v = match attr {
+                    Some(_) => band.span_totals(y, x, x + 1).1,
+                    None => band.span_count(y, x, x + 1) as f64,
+                };
+            }
+        });
+        let mut held: Vec<Vec<f64>> = outlines.iter().map(|s| vec![0.0; s.len()]).collect();
+        for (pixels, read) in by_band.iter().zip(&read) {
+            for (&(pi, k), &v) in pixels.iter().zip(read) {
+                held[pi][k] = v;
+            }
+        }
+        // Boundary-pixel corrections, polygon by polygon, in row-major
+        // order.
+        parallel_dynamic(polys.len(), workers, 2, |pi| {
+            let poly = &polys[pi];
+            let id = poly.id() as usize;
             let mut wp = 0.0f64; // worst ε⁺ (false positives → subtract)
             let mut wm = 0.0f64; // worst ε⁻ (false negatives → add)
             let mut ep = 0.0f64;
             let mut em = 0.0f64;
-            for (y, x) in seen {
-                let cnt = match attr {
-                    Some(_) => canvas.span_totals(y, x, x + 1).1,
-                    None => canvas.span_count(y, x, x + 1) as f64,
-                };
+            for (&(y, x), &cnt) in outlines[pi].iter().zip(&held[pi]) {
                 if cnt == 0.0 {
                     continue;
                 }

@@ -71,10 +71,10 @@ pub struct ExecStats {
     /// Rendering passes executed (Fig. 5): the canvas tiles, once per
     /// query however many batches or chunks it took.
     pub passes: u32,
-    /// Of `passes`, those whose canvas tile was held as pixel runs
-    /// (`raster_gpu::PixelRuns`) rather than a dense FBO — the density
-    /// gate of `raster_gpu::ResidentCanvases` at work, in memory as
-    /// streamed.
+    /// Of `passes`, those whose canvas tile was a runs tile — its kept
+    /// batches, each band blended and folded in the resolve's band pass —
+    /// rather than a dense FBO: the density gate of
+    /// `raster_gpu::ResidentCanvases` at work, in memory as streamed.
     pub runs_passes: u32,
     /// Point-in-polygon tests performed (the cost the paper eliminates).
     pub pip_tests: u64,

@@ -11,16 +11,16 @@
 //! Counts must be **identical**; sums agree within 1e-12 relative, since
 //! both sides add every pixel's f32 values in row order.
 //!
-//! A runs tile must answer every span query with the bits of a dense
-//! canvas blended in entry order, and on either canvas the executor's
-//! sums must not depend on the worker count.
+//! A runs tile, read in its band pass, must answer every span query with
+//! the bits of a dense canvas blended in entry order, and on either
+//! canvas the executor's sums must not depend on the worker count.
 
 use proptest::prelude::*;
 use raster_join_repro::data::polygons::synthetic_polygons;
 use raster_join_repro::geom::hausdorff::resolution_for_epsilon;
 use raster_join_repro::gpu::raster::rasterize_polygon_spans;
 use raster_join_repro::gpu::{
-    bin_points, CanvasTiling, PixelRuns, PointFbo, SpanSource, RUNS_MAX_DENSITY,
+    bin_points, CanvasTiling, FboPool, PointFbo, ResidentCanvases, BAND_SHIFT, RUNS_MAX_DENSITY,
 };
 use raster_join_repro::join::bounded::polygon_extent;
 use raster_join_repro::prelude::*;
@@ -233,15 +233,54 @@ fn probe_spans(width: u32, rng: &mut impl rand::Rng) -> Vec<(u32, u32)> {
     spans
 }
 
+/// What a span query answers: `(Σ count, span_count, Σ sum bits)`.
+type Answer = (u64, u64, u64);
+
+/// Every span of `spans` — `(row, x0, x1)`, rows ascending — on tile `ti`
+/// of `canvases`, read in the tile's band pass at `workers`, one task per
+/// band that holds a span.
+fn band_fold(
+    canvases: &mut ResidentCanvases<'_>,
+    ti: usize,
+    spans: &[(u32, u32, u32)],
+    workers: usize,
+) -> Vec<Answer> {
+    let mut out = vec![(0, 0, 0); spans.len()];
+    let mut tasks = Vec::new();
+    let mut rest = &mut out[..];
+    for group in spans.chunk_by(|a, b| a.0 >> BAND_SHIFT == b.0 >> BAND_SHIFT) {
+        let (mine, more) = std::mem::take(&mut rest).split_at_mut(group.len());
+        tasks.push(((group[0].0 >> BAND_SHIFT) as usize, (group, mine)));
+        rest = more;
+    }
+    canvases.band_pass(ti, tasks, workers, |band, (group, mine)| {
+        for (&(y, x0, x1), answer) in group.iter().zip(mine) {
+            let (count, sum) = band.span_totals(y, x0, x1);
+            *answer = (count, band.span_count(y, x0, x1), sum.to_bits());
+        }
+    });
+    out
+}
+
+/// The same spans folded straight off a dense `fbo`.
+fn dense_fold(fbo: &PointFbo, spans: &[(u32, u32, u32)]) -> Vec<Answer> {
+    let answer = |&(y, x0, x1): &(u32, u32, u32)| {
+        let (count, sum) = fbo.span_totals(y, x0, x1);
+        (count, fbo.span_count(y, x0, x1), sum.to_bits())
+    };
+    spans.iter().map(answer).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Runs ≡ dense at the span level: for random extents, tile splits,
     /// predicates, clustered points (empty tiles and rows) and hot pixels
-    /// carrying values whose f32 sum depends on the order, the runs built
-    /// from `BinnedBatch::tile` — at any worker count — answer
-    /// `span_count` / `span_totals` exactly as a `PointFbo` filled by
-    /// `blend_in_order`, sums compared by bits.
+    /// carrying values whose f32 sum depends on the order, a runs tile
+    /// holding `bin_points`' batch — read in its band pass at any worker
+    /// count — answers `span_count` / `span_totals` exactly as a
+    /// `PointFbo` filled by `blend_in_order` and as the dense tile's band
+    /// pass, sums compared by bits.
     #[test]
     fn runs_answer_spans_like_a_dense_canvas(
         seed in any::<u64>(),
@@ -268,26 +307,25 @@ proptest! {
             let v = pts.attr(0)[i];
             (v as f64 > threshold || v.abs() >= 1e8).then(|| (pts.point(i), v))
         });
+        let pool = FboPool::new();
+        let mut runs = pool.acquire_resident(&tiling.tiles, 0);
+        let mut dense = pool.acquire_resident(&tiling.tiles, usize::MAX);
+        prop_assert_eq!(runs.runs_tiles() as usize, tiling.tile_count());
+        prop_assert_eq!(dense.runs_tiles(), 0);
+        runs.absorb(binned.clone());
+        dense.absorb(binned.clone());
         for (ti, vp) in tiling.tiles.iter().enumerate() {
             let (idx, vals) = binned.tile(ti);
-            let runs = PixelRuns::build(&binned, ti, vp.width, vp.height, workers);
             let mut fbo = PointFbo::new(vp.width, vp.height);
             fbo.blend_in_order(idx, vals);
-            let mut distinct = idx.to_vec();
-            distinct.sort_unstable();
-            distinct.dedup();
-            prop_assert_eq!(runs.run_count(), distinct.len());
-            for y in 0..vp.height {
-                for (a, b) in probe_spans(vp.width, &mut rng) {
-                    prop_assert_eq!(runs.span_count(y, a, b), fbo.span_count(y, a, b));
-                    let (rc, rs) = runs.span_totals(y, a, b);
-                    let (fc, fs) = fbo.span_totals(y, a, b);
-                    prop_assert_eq!(rc, fc, "tile {} row {} [{}, {})", ti, y, a, b);
-                    prop_assert_eq!(
-                        rs.to_bits(), fs.to_bits(),
-                        "tile {} row {} [{}, {}): {} vs {}", ti, y, a, b, rs, fs
-                    );
-                }
+            let spans: Vec<_> = (0..vp.height)
+                .flat_map(|y| probe_spans(vp.width, &mut rng).into_iter().map(move |(a, b)| (y, a, b)))
+                .collect();
+            let want = dense_fold(&fbo, &spans);
+            prop_assert_eq!(&band_fold(&mut dense, ti, &spans, workers), &want, "tile {}", ti);
+            let got = band_fold(&mut runs, ti, &spans, workers);
+            for ((span, got), want) in spans.iter().zip(&got).zip(&want) {
+                prop_assert_eq!(got, want, "tile {} span {:?}", ti, span);
             }
         }
     }
@@ -676,15 +714,15 @@ fn bin_entries_are_the_row_at_a_time_reference() {
     }
 }
 
-/// Runs built from the band staging answer like the dense canvas blended
-/// from it and like `blend_in_order` of the tile's rows, span by span,
-/// sums by bits: hot pixels on the band seams (tile rows 31/32 and 63/64)
-/// and in a short last band, values whose f32 sum depends on the order,
-/// on one tile and on 3×3, binned and built at widths {1, 2, 4}.
+/// A runs tile holding the band staging, read in its band pass, answers
+/// like the dense canvas blended from the staging and like
+/// `blend_in_order` of the tile's rows, span by span, sums by bits: hot
+/// pixels on the band seams (tile rows 31/32 and 63/64) and in a short
+/// last band, values whose f32 sum depends on the order, on one tile and
+/// on 3×3, binned and read at widths {1, 2, 4}.
 #[test]
 fn runs_from_band_staging_equal_the_dense_canvas_span_by_span() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use raster_join_repro::gpu::BAND_SHIFT;
     let band = 1u32 << BAND_SHIFT;
     // (canvas width, height, tile side): 103 rows leave one tile a last
     // band of 7; 3×3 tiles of 70² each end in a band of 6.
@@ -718,6 +756,9 @@ fn runs_from_band_staging_equal_the_dense_canvas_span_by_span() {
                 let binned = bin_points(&tiling, pts.len(), workers, with_values, |i| {
                     Some((pts.point(i), pts.attr(0)[i]))
                 });
+                let pool = FboPool::new();
+                let mut runs = pool.acquire_resident(&tiling.tiles, 0);
+                runs.absorb(binned.clone());
                 for (ti, vp) in tiling.tiles.iter().enumerate() {
                     // The tile's entries in row order.
                     let (mut idx, mut values) = (Vec::new(), Vec::new());
@@ -734,22 +775,24 @@ fn runs_from_band_staging_equal_the_dense_canvas_span_by_span() {
                     let mut dense = PointFbo::new(vp.width, vp.height);
                     let (tile_idx, tile_values) = binned.tile(ti);
                     dense.blend_in_order(tile_idx, tile_values);
-                    let runs = PixelRuns::build(&binned, ti, vp.width, vp.height, workers);
-                    for y in 0..vp.height {
-                        let spans = (0..vp.width)
-                            .map(|x| (x, x + 1))
-                            .chain([(0, vp.width), (3, vp.width - 2)]);
-                        for (x0, x1) in spans {
+                    let spans: Vec<_> = (0..vp.height)
+                        .flat_map(|y| {
+                            let x1 = vp.width;
+                            (0..x1)
+                                .map(|x| (x, x + 1))
+                                .chain([(0, x1), (3, x1 - 2)])
+                                .map(move |(a, b)| (y, a, b))
+                        })
+                        .collect();
+                    let want = dense_fold(&want, &spans);
+                    let from_runs = band_fold(&mut runs, ti, &spans, workers);
+                    for (got, what) in [(dense_fold(&dense, &spans), "dense"), (from_runs, "runs")]
+                    {
+                        for ((&(y, x0, x1), got), want) in spans.iter().zip(&got).zip(&want) {
                             let ctx = format!(
-                                "{w}×{h}/{max_dim} tile {ti} row {y} [{x0}, {x1}) w{workers}"
+                                "{w}×{h}/{max_dim} tile {ti} row {y} [{x0}, {x1}) w{workers} {what}"
                             );
-                            let (wc, ws) = want.span_totals(y, x0, x1);
-                            for (got_c, got_s) in
-                                [dense.span_totals(y, x0, x1), runs.span_totals(y, x0, x1)]
-                            {
-                                assert_eq!((got_c, got_s.to_bits()), (wc, ws.to_bits()), "{ctx}");
-                            }
-                            assert_eq!(runs.span_count(y, x0, x1), wc, "{ctx}");
+                            assert_eq!(got, want, "{ctx}");
                         }
                     }
                 }
