@@ -9,21 +9,26 @@
 //! copy those bytes for the fold's pixels and report Mpx/s too. The fold
 //! reads each covered pixel once, so it can at best match them.
 //!
-//! `runs_build` times the band pass of a sparse (runs) tile — each band
-//! blended from the kept batch into a worker's one-band canvas, its spans
-//! folded straight off that canvas, the canvas zeroed — through the
-//! executor's resolve, over 2 M taxi rows binned onto one tile, COUNT and
-//! SUM, at one worker and the default width, in Mentries/s. Three tiles:
-//! the bounded join's ε = 20 m canvas (4102², 0.12 entries/px), the exact
-//! join's 2048² canvas (0.48 entries/px, every in-canvas point binned;
-//! the exact join bins only those off its outline), and the 8192² first
+//! The fold rows resolve the canvas as a query holds it: a band the taxi
+//! rows outnumber is resident and folded pixel by pixel, the rest keep
+//! their entries and are blended at the resolve.
+//!
+//! `band_pass` times the resolve of a tile holding 2 M taxi rows — each
+//! band that keeps its entries blended into a worker's one-band canvas,
+//! its spans folded straight off that canvas, the canvas zeroed; each
+//! resident band folded where it lies — through the executor's resolve,
+//! COUNT and SUM, at one worker and the default width, in Mentries/s.
+//! Three tiles: the bounded join's ε = 20 m canvas (4102², 0.12
+//! entries/px, every band kept), the exact join's 2048² canvas (0.48
+//! entries/px, every in-canvas point binned — the exact join bins only
+//! those off its outline — its hot bands resident), and the 8192² first
 //! tile of the ε = 10 m canvas (0.03 entries/px), the sparsest the
 //! benchmarks hold. Its ceiling is a `memcpy` moving the bytes the pass
 //! must — each entry read once (4 B for COUNT, 8 B for SUM), half of them
 //! copied into the other half — reported in Mentries/s too; the fold's
 //! reads of the occupied pixels and its span outputs come on top.
 //!
-//! `cargo bench --bench polygon_processing -- runs_build` runs that group
+//! `cargo bench --bench polygon_processing -- band_pass` runs that group
 //! alone (the shim takes an id prefix), without building the other
 //! groups' inputs.
 
@@ -68,9 +73,7 @@ fn span_rows(c: &mut Criterion, label: &str, polys: &[Polygon], epsilon: f64, po
     let queries = [("count", Query::count()), ("avg", Query::avg(0))];
     for (name, q) in queries {
         let q = q.with_epsilon(epsilon);
-        // Announced as an unbounded scan, so every tile is dense, as the
-        // memcpy ceiling below assumes.
-        let mut canvases = prepared.canvases(usize::MAX);
+        let mut canvases = prepared.canvases();
         canvases.absorb(
             prepared
                 .bin(points, &q, Default::default(), &mut Default::default())
@@ -140,12 +143,12 @@ fn span_tables(c: &mut Criterion) {
     span_rows(c, "nyc260_10m", nyc, 10.0, &taxi);
 }
 
-/// The runs tile's band pass rows (see the module docs).
-fn runs_build(c: &mut Criterion) {
-    if !c.selects_group("runs_build") {
+/// The band pass rows (see the module docs).
+fn band_pass(c: &mut Criterion) {
+    if !c.selects_group("band_pass") {
         return;
     }
-    let mut g = c.benchmark_group("runs_build");
+    let mut g = c.benchmark_group("band_pass");
     g.sample_size(10);
     let nyc = bench::workloads::neighborhoods();
     let taxi = bench::workloads::taxi(2_000_000);
@@ -164,8 +167,7 @@ fn runs_build(c: &mut Criterion) {
         let label = format!("taxi2m_{}x{}", vp.width, vp.height);
         let prepared = BoundedRasterJoin::new(w).prepare_view(nyc, vp, &dev);
         for (name, q, read) in [("count", Query::count(), 4), ("sum", Query::sum(fare), 8)] {
-            // Announced as no rows, so the tile is runs.
-            let mut canvases = prepared.canvases(0);
+            let mut canvases = prepared.canvases();
             let deltas = prepared.bin(&taxi, &q, Default::default(), &mut Default::default());
             let entries = deltas.binned.len();
             canvases.absorb(deltas.binned);
@@ -187,5 +189,5 @@ fn runs_build(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench, span_tables, runs_build);
+criterion_group!(benches, bench, span_tables, band_pass);
 criterion_main!(benches);

@@ -28,13 +28,11 @@
 //!   thread; the executors' chunk pool bins several runs of rows at once.
 //! * **Staging** → [`BinnedBatch`]: the kept points bucketed by (tile,
 //!   row band of `1 << BAND_SHIFT` rows), CSR, each band in row order.
-//!   Every consumer — a query's resident canvases
-//!   ([`crate::ResidentCanvases::absorb`]) — reads it as it is: a dense
-//!   tile's blend in row order ([`crate::PointFbo::blend_in_order`] of
-//!   [`BinnedBatch::tile`]) or a runs tile's kept batches, each band
-//!   blended where the polygon pass reads it ([`crate::runs`], one task
-//!   per band). A pixel lies in one band, so it takes its entries in row
-//!   order whatever the thread count.
+//!   Its one consumer, a query's resident canvases
+//!   ([`crate::ResidentCanvases::absorb`]), reads it band by band as it
+//!   is: a band's entries kept, or blended into its pixels in row order
+//!   ([`crate::runs`]). A pixel lies in one band, so it takes its entries
+//!   in row order whatever the thread count.
 //! * **Multi-canvas rendering (Fig. 5)** → [`CanvasTiling`] owns the full
 //!   ε-derived canvas and its device-limit split, replacing the bare
 //!   `Vec<Viewport>` the join operators used to thread around.
@@ -73,57 +71,12 @@ impl Default for RasterConfig {
 /// the benchmark's replay asks.)
 const SHARD_MIN_DENSITY: f64 = 0.5;
 
-/// Below this many entries per pixel a binned tile is held as a runs tile
-/// ([`crate::runs`]: its kept batches) instead of a dense
-/// [`crate::PointFbo`]. A dense tile costs per *pixel* — allocate, fault
-/// in or clear, fold every covered pixel — and a runs tile per *entry* —
-/// each band a span touches blended into a one-band canvas at resolve and
-/// its spans folded off the occupied words — so the cheaper canvas flips
-/// with the density.
-///
-/// Placed by `bench_binning`'s density sweep (`density_sweep` /
-/// `runs_crossover`; one ε = 20 m tile of 4102², 2 workers, best of 2,
-/// on a 2-core box). Both sides read the binner's (tile × band) staging
-/// as it is: the dense one blends it in row order on one thread, the
-/// runs one builds it band by band, each band blended into a worker's
-/// reused one-band canvas and read off as runs.
-///
-/// The constant sits at what was the **one-shot** COUNT crossover
-/// (`single_*`: a one-tile canvas end to end — bin, absorb, build or
-/// blend, fold — the dense canvas fresh, as every query acquires it)
-/// while the runs build sorted its entries: three full sweeps crossed at
-/// 3/4 (runs 255–282 vs dense 243–266 ms), SUM only at 2, and one gate
-/// serving both aggregates took the lower.
-///
-/// The blended build moved every crossover up. Three quick sweeps (to 2
-/// entries/px; the committed `BENCH_binning.json` is their median) read
-/// the one-shot COUNT crossover null, null and 2 (runs 450–546 vs dense
-/// 454–702 ms at 2, 367–483 vs 401–524 at 3/2, 219–274 vs 263–380 at
-/// 1), and a full sweep to 3 read 2 — a near tie from 2 (565 vs 496) to
-/// 3 (945 vs 982). SUM does not cross by 3 (1 290 vs 1 571 ms). A canvas
-/// **recycled** by a prepared loop (`tile_warm_*`: both sides binned,
-/// the dense canvas from a warm pool) crosses at 3/2, null and 2 for
-/// COUNT in the quick sweeps and at 3 in the full one (runs 131 vs warm
-/// dense 127 ms), SUM not by 3. So below the gate runs are still never
-/// slower, but tiles from 3/4 to about 2 entries/px are now held dense
-/// where runs would be faster. Moving the gate flips canvases, so a
-/// change that moves it should show the gain on a workload.
-pub const RUNS_MAX_DENSITY: f64 = 0.75;
-
 impl RasterConfig {
     /// Does a tile of `pixels` pixels receiving `entries` entries justify
     /// the O(pixels × shards) merge at `workers` blending threads?
     pub fn use_shards(&self, entries: usize, pixels: usize, workers: usize) -> bool {
         self.sharding && workers > 1 && entries as f64 >= SHARD_MIN_DENSITY * pixels as f64
     }
-}
-
-/// The canvas-representation gate, shared by every query's resident
-/// canvases and the planner's cost model: is a tile of `pixels` pixels
-/// receiving at most `entries` entries sparse enough to be held as pixel
-/// runs (see [`RUNS_MAX_DENSITY`])?
-pub fn use_runs(entries: usize, pixels: usize) -> bool {
-    (entries as f64) < RUNS_MAX_DENSITY * pixels as f64
 }
 
 /// The widest and tallest a tile is split: a tile's pixels are addressed
@@ -886,14 +839,6 @@ mod tests {
         assert!(!cfg.use_shards(49, 100, 2));
         // Sharding disabled by config wins over everything.
         assert!(!RasterConfig { sharding: false }.use_shards(1_000, 10, 4));
-    }
-
-    #[test]
-    fn runs_gate_is_strictly_below_the_density() {
-        let at = (RUNS_MAX_DENSITY * 100.0).ceil() as usize;
-        assert!(use_runs(at - 1, 100));
-        assert!(!use_runs(at, 100));
-        assert!(use_runs(0, 1));
     }
 
     #[test]

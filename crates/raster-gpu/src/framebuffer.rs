@@ -4,17 +4,14 @@
 //! FBO (§4.1): the red channel counts points, the green channel sums an
 //! attribute (§5), and the blend function is set to ADD — the
 //! 32-bit-per-channel layout of the hardware (§3). The hardware blends
-//! fragments in parallel with atomic adds; every executor here blends a
-//! canvas on the one thread that owns it instead
-//! ([`PointFbo::blend_in_order`], called by [`ResidentCanvases::absorb`]),
-//! adding its entries in row order with plain stores, so a pixel's f32
-//! sum is the same bits at any width of the pool that bins them. The
-//! cells stay `AtomicU32` so the polygon pass can read a canvas through a
-//! shared reference.
+//! fragments in parallel with atomic adds; every executor here blends on
+//! the one thread that owns the pixels instead ([`ResidentCanvases`]), in
+//! row order with plain stores, so a pixel's f32 sum is the same bits at
+//! any width. The cells stay `AtomicU32` so the polygon pass can read the
+//! pixels through a shared reference.
 
-use crate::bin::{use_runs, BinnedBatch, MAX_TILE_DIM};
-use crate::exec::parallel_tasks;
-use crate::runs::{blend_bands, BandCanvas, BandView};
+use crate::bin::{BinnedBatch, MAX_TILE_DIM};
+use crate::runs::{band_pass, Band, BandCanvas, BandView, BAND_ROWS};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Allocate `n` zeroed atomics via the `vec![0u32; n]` calloc fast path —
@@ -53,12 +50,18 @@ pub struct PointFbo {
 impl PointFbo {
     /// Allocate a cleared FBO ("glClear"): all channels zero.
     pub fn new(width: u32, height: u32) -> Self {
+        PointFbo::with_sums(width, height, true)
+    }
+
+    /// A cleared FBO with a sum channel only when `valued`: a resident
+    /// band of a COUNT query holds counts alone ([`crate::runs`]).
+    fn with_sums(width: u32, height: u32, valued: bool) -> Self {
         let n = width as usize * height as usize;
         PointFbo {
             width,
             height,
             counts: zeroed_atomics(n),
-            sums: zeroed_atomics(n), // 0f32 is all-zero bits
+            sums: zeroed_atomics(if valued { n } else { 0 }), // 0f32 is all-zero bits
         }
     }
 
@@ -113,7 +116,28 @@ impl PointFbo {
     /// given. Bitwise-equal to calling [`PointFbo::blend_add_idx`] per
     /// entry from one thread.
     pub fn blend_in_order(&mut self, idx: &[u32], values: Option<&[f32]>) {
-        blend_owned(&mut self.counts, &mut self.sums, 0, idx, values);
+        self.blend_from(0, idx, values);
+    }
+
+    /// [`PointFbo::blend_in_order`] of entries whose pixel indices start
+    /// at `base`: a band of a taller tile.
+    pub(crate) fn blend_from(&mut self, base: u32, idx: &[u32], values: Option<&[f32]>) {
+        let (counts, sums) = (&mut self.counts, &mut self.sums);
+        match values {
+            Some(values) => {
+                for (&pix, &v) in idx.iter().zip(values) {
+                    let i = (pix - base) as usize;
+                    *counts[i].get_mut() += 1;
+                    let cell = sums[i].get_mut();
+                    *cell = (f32::from_bits(*cell) + v).to_bits();
+                }
+            }
+            None => {
+                for &pix in idx {
+                    *counts[(pix - base) as usize].get_mut() += 1;
+                }
+            }
+        }
     }
 
     /// Count channel of one pixel.
@@ -164,8 +188,9 @@ impl PointFbo {
 
     /// Fold the partial aggregates of the pixel span `[x0, x1) × {y}`:
     /// returns `(Σ count, Σ sum)`, the sums added in ascending `x` from
-    /// `+0.0`. Used when the query aggregates an attribute; COUNT-only
-    /// queries prefer [`PointFbo::span_count`].
+    /// `+0.0` (`+0.0` without a sum channel). Used when the query
+    /// aggregates an attribute; COUNT-only queries prefer
+    /// [`PointFbo::span_count`].
     ///
     /// Branch-free: an empty pixel adds its `+0.0`, which leaves every
     /// running sum's bits alone — a pixel is only ever written together
@@ -173,12 +198,12 @@ impl PointFbo {
     /// `-0.0` — so this is the fold over the non-empty pixels alone.
     #[inline]
     pub fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64) {
-        debug_assert!(x0 <= x1 && x1 <= self.width && y < self.height);
-        let (x0, x1) = (x0 as usize, x1 as usize);
-        let cnt = self.span_count(y, x0 as u32, x1 as u32);
+        let cnt = self.span_count(y, x0, x1);
         let mut sum = 0f64;
-        for s in &self.sum_row(y)[x0..x1] {
-            sum += f32::from_bits(s.load(Ordering::Relaxed)) as f64;
+        if !self.sums.is_empty() {
+            for s in &self.sum_row(y)[x0 as usize..x1 as usize] {
+                sum += f32::from_bits(s.load(Ordering::Relaxed)) as f64;
+            }
         }
         (cnt, sum)
     }
@@ -201,35 +226,9 @@ impl PointFbo {
             .sum()
     }
 
-    /// GPU memory footprint of this FBO in bytes (2 × 32-bit channels).
+    /// GPU memory footprint of this FBO in bytes (32-bit channels).
     pub fn byte_size(&self) -> usize {
-        self.counts.len() * 8
-    }
-}
-
-/// Blend entries, in slice order, into pixel cells the caller holds
-/// exclusively: `counts` / `sums` start at linear pixel index `base`.
-fn blend_owned(
-    counts: &mut [AtomicU32],
-    sums: &mut [AtomicU32],
-    base: u32,
-    idx: &[u32],
-    values: Option<&[f32]>,
-) {
-    match values {
-        Some(values) => {
-            for (&pix, &v) in idx.iter().zip(values) {
-                let i = (pix - base) as usize;
-                *counts[i].get_mut() += 1;
-                let cell = sums[i].get_mut();
-                *cell = (f32::from_bits(*cell) + v).to_bits();
-            }
-        }
-        None => {
-            for &pix in idx {
-                *counts[(pix - base) as usize].get_mut() += 1;
-            }
-        }
+        (self.counts.len() + self.sums.len()) * 4
     }
 }
 
@@ -369,30 +368,33 @@ impl ShardSet {
     }
 }
 
-/// Recycles FBO and shard allocations across tiles and batches.
+/// Recycles canvas allocations across the queries of one preparation.
 ///
-/// Allocating (and faulting in) two fresh 32-bit channels per tile per
-/// batch costs 0.5 GB of zeroed pages per pass at 8192². The pool hands back cleared buffers of matching shape
-/// instead, so steady-state execution performs no allocation at all —
-/// the software analog of a GL implementation reusing FBO attachments
-/// across `glClear` calls rather than reallocating textures.
+/// Allocating (and faulting in) fresh pixels per query costs what the
+/// pixels do: 0.5 GB of zeroed pages at 8192². The pool hands back
+/// cleared buffers of matching shape instead — the software analog of a
+/// GL implementation reusing FBO attachments across `glClear` calls
+/// rather than reallocating textures. A query's [`ResidentCanvases`] take
+/// their resident bands' planes and their band pass's worker canvases
+/// from it and give them back when they drop;
+/// whole-tile FBOs and shard sets are only the benchmark replay's.
 ///
-/// Both free lists sit behind `parking_lot` mutexes, so a prepared
+/// The free lists sit behind `parking_lot` mutexes, so a prepared
 /// executor shared across threads hands out buffers safely: whoever
-/// `acquire`s an FBO (or [`ShardSet`]) owns it exclusively until
-/// `release` — the locks guard only the free lists, never the pixels.
-/// A query checks its whole tiling out at once and keeps it until its
-/// polygon pass is done ([`FboPool::acquire_resident`]).
+/// acquires a buffer owns it exclusively until it is released — the
+/// locks guard only the free lists, never the pixels.
 #[derive(Default)]
 pub struct FboPool {
     fbos: parking_lot::Mutex<Vec<PointFbo>>,
     shards: parking_lot::Mutex<Vec<ShardSet>>,
-    /// Buffers handed out and not yet released (FBOs + shard sets
-    /// together). Error-path accounting: after a scan shuts down — on any
-    /// path — this must be zero. ([`ResidentCanvases`] releases in `Drop`,
-    /// so an error return or an unwind hands its canvases back; a bare
-    /// [`FboPool::acquire`] dropped by a panic mid-pass is memory-safe
-    /// but never recycled, and the counter then records the forfeit.)
+    canvases: parking_lot::Mutex<Vec<BandCanvas>>,
+    /// Buffers handed out and not yet released (FBOs, shard sets and band
+    /// canvases together). Error-path accounting: after a scan
+    /// shuts down — on any path — this must be zero. ([`ResidentCanvases`]
+    /// releases in `Drop`, so an error return or an unwind hands its
+    /// buffers back; a bare [`FboPool::acquire`] dropped by a panic
+    /// mid-pass is memory-safe but never recycled, and the counter then
+    /// records the forfeit.)
     outstanding: AtomicUsize,
 }
 
@@ -412,18 +414,23 @@ impl FboPool {
     /// A cleared `width × height` FBO, recycled when a matching one was
     /// released, freshly allocated otherwise.
     pub fn acquire(&self, width: u32, height: u32) -> PointFbo {
-        self.recycle(width, height)
-            .unwrap_or_else(|| PointFbo::new(width, height))
+        self.acquire_with(width, height, true)
+    }
+
+    /// [`FboPool::acquire`], with a sum channel only when `valued`: the
+    /// planes of a resident band.
+    pub(crate) fn acquire_with(&self, width: u32, height: u32, valued: bool) -> PointFbo {
+        self.recycle(width, height, valued)
+            .unwrap_or_else(|| PointFbo::with_sums(width, height, valued))
     }
 
     /// Check a released canvas of this shape out of the free list and
     /// clear it; count the acquisition either way.
-    fn recycle(&self, width: u32, height: u32) -> Option<PointFbo> {
+    fn recycle(&self, width: u32, height: u32, valued: bool) -> Option<PointFbo> {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
         let mut free = self.fbos.lock();
-        let pos = free
-            .iter()
-            .position(|f| f.width == width && f.height == height)?;
+        let pos = (free.iter())
+            .position(|f| (f.width, f.height, f.sums.is_empty()) == (width, height, !valued))?;
         let mut fbo = free.swap_remove(pos);
         drop(free);
         fbo.clear();
@@ -435,26 +442,41 @@ impl FboPool {
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// The canvases of a query over `tiles` that scans `rows` rows.
-    pub fn acquire_resident(&self, tiles: &[crate::Viewport], rows: usize) -> ResidentCanvases<'_> {
+    /// The canvases of a query over `tiles`: every band of every tile
+    /// keeping its entries, none yet absorbed.
+    pub fn acquire_resident(&self, tiles: &[crate::Viewport]) -> ResidentCanvases<'_> {
         let tiles = tiles.iter().map(|vp| {
             let (width, height) = (vp.width, vp.height);
-            if use_runs(rows, vp.pixel_count()) {
-                assert!(
-                    width <= MAX_TILE_DIM && u64::from(width) * u64::from(height) <= u64::from(u32::MAX),
-                    "a {width} × {height} tile is wider than MAX_TILE_DIM or has more pixels than a u32 indexes"
-                );
-                Canvas::Runs { width, height }
-            } else {
-                Canvas::Dense(self.acquire(width, height))
+            assert!(
+                width <= MAX_TILE_DIM && u64::from(width) * u64::from(height) <= u64::from(u32::MAX),
+                "a {width} × {height} tile is wider than MAX_TILE_DIM or has more pixels than a u32 indexes"
+            );
+            let bands = height.div_ceil(BAND_ROWS) as usize;
+            Tile {
+                width,
+                height,
+                bands: (0..bands).map(|_| Band::Kept(Vec::new())).collect(),
             }
         });
         ResidentCanvases {
             pool: self,
             tiles: tiles.collect(),
-            kept: Vec::new(),
-            bands: Vec::new(),
+            canvases: Vec::new(),
         }
+    }
+
+    /// A band canvas, all zero: a released one with the cells its last
+    /// band set cleared, or an empty one for the band pass to fit.
+    fn acquire_canvas(&self) -> BandCanvas {
+        self.outstanding.fetch_add(1, Ordering::AcqRel);
+        let mut canvas = self.canvases.lock().pop().unwrap_or_default();
+        canvas.reset();
+        canvas
+    }
+
+    fn release_canvas(&self, canvas: BandCanvas) {
+        self.canvases.lock().push(canvas);
+        self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// A cleared shard set covering `pixels`, with `shards` shards
@@ -486,73 +508,76 @@ impl FboPool {
 /// The canvases of a whole tiling for the length of one query, in memory
 /// or streamed: every batch or chunk is absorbed into them and the
 /// polygon pass reads them in one band pass per tile
-/// ([`ResidentCanvases::band_pass`]). Each tile is a dense [`PointFbo`]
-/// from the pool or a runs tile for the whole query, by [`use_runs`] over
-/// the rows the query will scan (an upper bound on a tile's entries); a
-/// runs tile is the batches the set keeps, blended a band at a time where
-/// the band pass reads it ([`crate::runs`]). Either way a pixel takes its
-/// entries in row order, to the same bits. Dropping the set — on success,
-/// an error return or an unwind — hands every dense canvas back to the
-/// pool.
+/// ([`ResidentCanvases::band_pass`]). Each tile is a stack of bands of
+/// 32 rows, and each band keeps its entries until they outnumber its
+/// pixels, then holds its pixels ([`crate::runs`]). Either way a pixel
+/// takes its entries in row order, to the same bits. Dropping the set — on
+/// success, an error return or an unwind — hands every plane and band
+/// canvas back to the pool.
 pub struct ResidentCanvases<'p> {
     pool: &'p FboPool,
-    tiles: Vec<Canvas>,
-    /// Every batch absorbed while the set holds a runs tile, in row order:
-    /// the runs tiles' entries, one copy for all of them.
-    kept: Vec<BinnedBatch>,
+    tiles: Vec<Tile>,
     /// The band pass's worker canvases, kept from tile to tile.
-    bands: Vec<BandCanvas>,
+    canvases: Vec<BandCanvas>,
 }
 
-/// One resident tile: a dense canvas, or a `width × height` runs tile
-/// whose entries are the set's kept batches.
-enum Canvas {
-    Dense(PointFbo),
-    Runs { width: u32, height: u32 },
+/// One resident `width × height` tile: its bands, top to bottom, the last
+/// one shorter when the height is no multiple of 32.
+struct Tile {
+    width: u32,
+    height: u32,
+    bands: Vec<Band>,
 }
 
 impl ResidentCanvases<'_> {
-    /// Take one batch's or chunk's entries, in row order, on this thread:
-    /// blended into a dense tile; for the runs tiles, copied once into an
-    /// allocation of this thread's, kept until the set drops. Returns
-    /// `deltas` to bin the next entries into: the binning threads' buffers
-    /// are recycled, never kept (kept in place, they stayed in those
-    /// threads' heaps — 2 M taxi rows on a runs canvas, two workers: peak
-    /// RSS 171 MB against 148 MB for the copy).
+    /// Take one batch's or chunk's entries, in row order, on this thread,
+    /// band by band ([`crate::runs`]): copied into the band's kept
+    /// entries, or blended into its planes. Returns `deltas` to bin the
+    /// next entries into: the binning threads' buffers are recycled,
+    /// never kept (kept in place, they stayed in those threads' heaps).
     pub fn absorb(&mut self, deltas: BinnedBatch) -> BinnedBatch {
-        let mut runs = false;
-        for (ti, tile) in self.tiles.iter_mut().enumerate() {
-            match tile {
-                Canvas::Dense(fbo) => {
-                    let (idx, values) = deltas.tile(ti);
-                    fbo.blend_in_order(idx, values);
-                }
-                Canvas::Runs { .. } => runs = true,
-            }
+        if deltas.is_empty() {
+            return deltas;
         }
-        if runs {
-            self.kept.push(deltas.clone());
+        for (ti, tile) in self.tiles.iter_mut().enumerate() {
+            assert!(
+                tile.bands.len() <= deltas.bands(),
+                "entries binned for another banding"
+            );
+            for (b, band) in tile.bands.iter_mut().enumerate() {
+                let (idx, values) = deltas.band(ti, b);
+                if !idx.is_empty() {
+                    let (y0, width) = (b as u32 * BAND_ROWS, tile.width);
+                    let rows = (tile.height - y0).min(BAND_ROWS);
+                    band.absorb(idx, values, (y0 * width, width, rows), self.pool);
+                }
+            }
         }
         deltas
     }
 
-    /// The runs tiles among the set's.
-    pub fn runs_tiles(&self) -> u32 {
-        let runs = self
-            .tiles
-            .iter()
-            .filter(|t| matches!(t, Canvas::Runs { .. }));
-        runs.count() as u32
+    /// The bands among the set's that hold their pixels.
+    pub fn resident_bands(&self) -> u32 {
+        let bands = self.tiles.iter().flat_map(|t| &t.bands);
+        bands.filter(|b| matches!(b, Band::Resident(_))).count() as u32
+    }
+
+    /// The bytes the tiles hold: every band's kept entries, by capacity,
+    /// or its planes. Never more than the dense canvas's, 8 B a pixel
+    /// with sums and 4 without.
+    pub fn held_bytes(&self) -> usize {
+        let bands = self.tiles.iter().flat_map(|t| &t.bands);
+        bands.map(Band::bytes).sum()
     }
 
     /// The band pass over tile `ti`: `visit(view, task)` for each
     /// `(b, task)` of `tasks` — band `b` of the tile, at most one task a
     /// band — on up to `workers` threads, one task at a time per thread. A
-    /// dense tile's view reads its rows. A runs tile's band is blended from
-    /// the kept batches into the thread's band canvas first and zeroed
-    /// after, and a task whose band holds no entry is dropped unvisited:
-    /// every span there reads zero. Counts and sums read the same bits on
-    /// either tile at any width.
+    /// resident band's view reads its planes. A band of kept entries is
+    /// blended into the thread's band canvas first and zeroed after, and a
+    /// task whose band holds nothing is dropped unvisited: every span
+    /// there reads zero. Counts and sums read the same bits either way at
+    /// any width.
     pub fn band_pass<T: Send>(
         &mut self,
         ti: usize,
@@ -561,27 +586,30 @@ impl ResidentCanvases<'_> {
         visit: impl Fn(&BandView<'_>, T) + Sync,
     ) {
         let workers = workers.max(1);
-        if self.bands.len() < workers {
-            self.bands.resize_with(workers, BandCanvas::default);
+        while self.canvases.len() < workers {
+            self.canvases.push(self.pool.acquire_canvas());
         }
-        let canvases = &mut self.bands[..workers];
-        match &self.tiles[ti] {
-            Canvas::Dense(fbo) => parallel_tasks(tasks, canvases, |_, (_, task)| {
-                visit(&BandView::dense(fbo), task)
-            }),
-            &Canvas::Runs { width, height } => {
-                blend_bands(&self.kept, ti, (width, height), tasks, canvases, visit)
-            }
-        }
+        let tile = &self.tiles[ti];
+        let canvases = &mut self.canvases[..workers];
+        band_pass(
+            &tile.bands,
+            (tile.width, tile.height),
+            tasks,
+            canvases,
+            visit,
+        );
     }
 }
 
 impl Drop for ResidentCanvases<'_> {
     fn drop(&mut self) {
-        for tile in self.tiles.drain(..) {
-            if let Canvas::Dense(fbo) = tile {
+        for band in self.tiles.drain(..).flat_map(|t| t.bands) {
+            if let Band::Resident(fbo) = band {
                 self.pool.release(fbo);
             }
+        }
+        for canvas in self.canvases.drain(..) {
+            self.pool.release_canvas(canvas);
         }
     }
 }
@@ -847,9 +875,10 @@ mod tests {
 
     /// The exclusive blend is the atomic blend from one thread, bit for
     /// bit — in an order where f32 addition does not reassociate — on a
-    /// dense tile and a runs tile alike, read in the band pass; the gate
-    /// picks the tile from the rows announced at acquire, and only a dense
-    /// tile leaves the pool, returning when the set drops.
+    /// band that keeps its entries and on one they turn resident, read in
+    /// the band pass; the entries fed decide the band's form, and only a
+    /// resident band's planes and the band pass's canvases leave the pool,
+    /// returning when the set drops.
     #[test]
     fn resident_canvases_blend_in_entry_order_and_release_on_drop() {
         let idx = [5u32, 2, 5, 5, 2];
@@ -881,19 +910,22 @@ mod tests {
             });
             got
         };
-        // 8 pixels: the rows at the runs gate are dense, 1 row is runs.
-        let at_gate = (crate::RUNS_MAX_DENSITY * 8.0).ceil() as usize;
-        for (rows, dense) in [(at_gate, true), (1, false)] {
-            let mut canvases = pool.acquire_resident(&tiles, rows);
-            assert_eq!(pool.outstanding(), usize::from(dense));
+        // 8 pixels: the five entries stay kept; four more on pixel (3, 0)
+        // outnumber the pixels and turn the band resident.
+        for (more, resident) in [(0, false), (4, true)] {
+            let mut canvases = pool.acquire_resident(&tiles);
+            assert_eq!(pool.outstanding(), 0);
             // Two chunks' worth of deltas, in chunk order.
             let chunk = |r: std::ops::Range<usize>, workers| {
                 crate::bin::bin_pixels(4, 2, &idx[r.clone()], Some(&values[r]), workers)
             };
             canvases.absorb(chunk(0..2, 1));
             canvases.absorb(chunk(2..5, 2));
-            assert_eq!(canvases.runs_tiles(), u32::from(!dense));
-            // A runs tile reads the same on a second pass.
+            let (pix, ones) = (vec![3; more], vec![1.0; more]);
+            canvases.absorb(crate::bin::bin_pixels(4, 2, &pix, Some(&ones), 1));
+            assert_eq!(canvases.resident_bands(), u32::from(resident));
+            assert_eq!(pool.outstanding(), usize::from(resident));
+            // Either band reads the same on a second pass.
             for _ in 0..2 {
                 for (&(x, y), (count, sum)) in pixels.iter().zip(read(&mut canvases)) {
                     assert_eq!(count, reference.count_at(x, y) as u64);
@@ -903,12 +935,200 @@ mod tests {
             drop(canvases);
             assert_eq!(pool.outstanding(), 0);
         }
-        // COUNT-only deltas carry no values.
-        for rows in [at_gate, 1] {
-            let mut canvases = pool.acquire_resident(&tiles, rows);
+        // COUNT-only deltas carry no values, kept or resident.
+        for more in [0, 7] {
+            let mut canvases = pool.acquire_resident(&tiles);
             canvases.absorb(crate::bin::bin_pixels(4, 2, &[0, 0], None, 1));
+            canvases.absorb(crate::bin::bin_pixels(4, 2, &vec![1; more], None, 1));
+            assert_eq!(canvases.resident_bands(), u32::from(more > 0));
             assert_eq!(read(&mut canvases)[2], (2, 0.0));
         }
+    }
+
+    /// A 5 × 70 tile: bands of 160, 160 and 30 pixels.
+    const TILE: (u32, u32) = (5, 70);
+
+    fn tile() -> [crate::Viewport; 1] {
+        let (w, h) = TILE;
+        let extent = raster_geom::BBox::new(
+            raster_geom::Point::new(0.0, 0.0),
+            raster_geom::Point::new(w as f64, h as f64),
+        );
+        [crate::Viewport::new(extent, w, h)]
+    }
+
+    /// `per_band[b]` entries in band `b` of [`TILE`], the bands
+    /// interleaved, values that do not associate, a hot pixel per band.
+    fn entries(per_band: [usize; 3]) -> (Vec<u32>, Vec<f32>) {
+        let (w, h) = TILE;
+        let mut state = 0x2545_f491u32;
+        let mut next = || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            state >> 8
+        };
+        let mut left = per_band;
+        let (mut idx, mut values) = (Vec::new(), Vec::new());
+        while left.iter().any(|&n| n > 0) {
+            let b = next() as usize % 3;
+            if left[b] == 0 {
+                continue;
+            }
+            left[b] -= 1;
+            let rows = BAND_ROWS.min(h - b as u32 * BAND_ROWS);
+            let base = b as u32 * BAND_ROWS * w;
+            let r = next();
+            idx.push(base + if r % 4 == 0 { 7 } else { r % (rows * w) });
+            values.push([1e8f32, 1.0, -1e8, 0.37][idx.len() % 4]);
+        }
+        (idx, values)
+    }
+
+    /// Whether each band of tile 0 of `canvases` is resident.
+    fn resident(canvases: &ResidentCanvases<'_>) -> Vec<bool> {
+        let bands = canvases.tiles[0].bands.iter();
+        bands.map(|b| matches!(b, Band::Resident(_))).collect()
+    }
+
+    /// `(count, sum bits)` of every pixel of tile 0 of `canvases`, read in
+    /// its band pass on two workers.
+    fn read_pixels(canvases: &mut ResidentCanvases<'_>) -> Vec<(u64, u64)> {
+        let (w, _) = TILE;
+        let mut out = vec![(0, 0); (TILE.0 * TILE.1) as usize];
+        let tasks = out.chunks_mut((BAND_ROWS * w) as usize).enumerate();
+        let tasks = tasks.map(|(b, mine)| (b, (b as u32, mine))).collect();
+        canvases.band_pass(0, tasks, 2, |band, (b, mine)| {
+            for (i, got) in mine.iter_mut().enumerate() {
+                let (x, y) = (i as u32 % w, b * BAND_ROWS + i as u32 / w);
+                let (count, sum) = band.span_totals(y, x, x + 1);
+                *got = (count, sum.to_bits());
+            }
+        });
+        out
+    }
+
+    /// A band turns resident on the absorb that first makes its entries
+    /// outnumber its pixels — 160 entries on 160 pixels stay kept, 161
+    /// and 31 on 30 do not — and the same bands do, to the same bits, at
+    /// widths {1, 2, 4} and in 1, 3 and 8 batches.
+    #[test]
+    fn a_band_turns_resident_when_its_entries_first_outnumber_its_pixels() {
+        let (w, h) = TILE;
+        let (idx, values) = entries([160, 161, 31]);
+        let mut dense = PointFbo::new(w, h);
+        dense.blend_in_order(&idx, Some(&values));
+        let want: Vec<_> = (0..w * h)
+            .map(|i| {
+                let (count, sum) = dense.span_totals(i / w, i % w, i % w + 1);
+                (count, sum.to_bits())
+            })
+            .collect();
+        let pixels = [160, 160, 30];
+        let pool = FboPool::new();
+        for workers in [1, 2, 4] {
+            for batches in [1, 3, 8] {
+                let mut canvases = pool.acquire_resident(&tile());
+                let mut seen = [0; 3];
+                for part in idx.chunks(idx.len().div_ceil(batches)) {
+                    let start = part.as_ptr() as usize - idx.as_ptr() as usize;
+                    let start = start / 4;
+                    let vals = &values[start..start + part.len()];
+                    canvases.absorb(crate::bin::bin_pixels(w, h, part, Some(vals), workers));
+                    for &pix in part {
+                        seen[(pix / (BAND_ROWS * w)) as usize] += 1;
+                    }
+                    let outnumbered: Vec<_> = (seen.iter().zip(pixels))
+                        .map(|(&n, px)| crate::turns_resident(n, px))
+                        .collect();
+                    assert_eq!(resident(&canvases), outnumbered, "{workers} / {batches}");
+                }
+                assert_eq!(resident(&canvases), [false, true, true]);
+                assert_eq!(read_pixels(&mut canvases), want, "{workers} / {batches}");
+            }
+        }
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// A band that keeps entries holds exactly its own, in entry order,
+    /// and none of a band that turned resident.
+    #[test]
+    fn a_band_that_keeps_entries_holds_none_of_a_resident_band() {
+        let (w, h) = TILE;
+        let (idx, values) = entries([100, 400, 20]);
+        let pool = FboPool::new();
+        let mut canvases = pool.acquire_resident(&tile());
+        for (i, v) in idx.chunks(64).zip(values.chunks(64)) {
+            canvases.absorb(crate::bin::bin_pixels(w, h, i, Some(v), 2));
+        }
+        assert_eq!(resident(&canvases), [false, true, false]);
+        for (b, band) in canvases.tiles[0].bands.iter().enumerate() {
+            let mine = |&(&pix, _): &(&u32, &f32)| pix / (BAND_ROWS * w) == b as u32;
+            let (want_idx, want_values): (Vec<u32>, Vec<f32>) =
+                idx.iter().zip(&values).filter(mine).unzip();
+            match band {
+                Band::Kept(kept) => {
+                    let (idx, values): (Vec<_>, Vec<_>) = kept.iter().cloned().unzip();
+                    assert_eq!(
+                        (idx.concat(), values.concat()),
+                        (want_idx, want_values),
+                        "band {b}"
+                    );
+                }
+                Band::Resident(fbo) => {
+                    assert_eq!(fbo.total_count(), want_idx.len() as u64, "band {b}");
+                }
+            }
+        }
+    }
+
+    /// A streamed scan of many small chunks, COUNT and SUM, never holds
+    /// more than its dense canvas — 8 B a pixel with sums, 4 without —
+    /// besides the chunk it is absorbing, whose deltas are the caller's.
+    #[test]
+    fn a_streamed_scan_holds_no_more_than_the_dense_canvas_plus_a_chunk() {
+        let (w, h) = TILE;
+        let (idx, values) = entries([150, 170, 90]);
+        let pool = FboPool::new();
+        for valued in [true, false] {
+            let dense = (w * h) as usize * if valued { 8 } else { 4 };
+            let mut canvases = pool.acquire_resident(&tile());
+            let mut most = 0;
+            for (i, v) in idx.chunks(7).zip(values.chunks(7)) {
+                let v = valued.then_some(v);
+                canvases.absorb(crate::bin::bin_pixels(w, h, i, v, 1));
+                most = most.max(canvases.held_bytes());
+                assert!(canvases.held_bytes() <= dense, "{valued}");
+            }
+            assert_eq!(resident(&canvases), [false, true, true]);
+            assert!(most > dense / 2, "{valued}: the bound is near");
+        }
+    }
+
+    /// A second query of one preparation takes its resident planes and
+    /// band canvases back from the pool — the same allocations, cleared —
+    /// and reads the same bits. (A canvas is sized by the worker that first
+    /// blends into it, so which ones the first query sized depends on the
+    /// schedule; each of them comes back.)
+    #[test]
+    fn a_second_query_recycles_planes_and_canvases() {
+        let (w, h) = TILE;
+        let (idx, values) = entries([60, 200, 40]);
+        let pool = FboPool::new();
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let mut canvases = pool.acquire_resident(&tile());
+            canvases.absorb(crate::bin::bin_pixels(w, h, &idx, Some(&values), 2));
+            let got = read_pixels(&mut canvases);
+            let Band::Resident(fbo) = &canvases.tiles[0].bands[1] else {
+                panic!("band 1 outnumbers its pixels")
+            };
+            let sized = canvases.canvases.iter().filter(|c| !c.counts.is_empty());
+            let sized: Vec<_> = sized.map(|c| c.counts.as_ptr()).collect();
+            runs.push((got, fbo.counts.as_ptr(), sized));
+        }
+        assert_eq!((&runs[0].0, runs[0].1), (&runs[1].0, runs[1].1));
+        assert!(!runs[0].2.is_empty());
+        assert!(runs[0].2.iter().all(|c| runs[1].2.contains(c)));
+        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   allocation-recycling [`framebuffer::FboPool`]; the retired sharded
 //!   blend ([`framebuffer::ShardSet`]) stays only for the benchmark's
 //!   replay;
-//! * [`runs`] — the sparse canvas representation: a tile held as the
-//!   batches it absorbed, each band blended into a worker's one-band
-//!   canvas where the polygon pass reads it, through the same
-//!   [`runs::BandView`] as a dense FBO's rows;
+//! * [`runs`] — a canvas tile as a stack of 32-row bands, each keeping
+//!   the entries it absorbed until they outnumber its pixels, then
+//!   holding its pixels ([`runs::turns_resident`]); the polygon pass
+//!   reads either through one [`runs::BandView`], a band of kept entries
+//!   blended into a worker's one-band canvas first;
 //! * [`spans`] — the polygon side as prepared data: one
 //!   [`spans::SpanTable`] per canvas tile, built once per query by the
 //!   scan converter [`raster::EdgeTable`] and folded by every pass;
@@ -46,12 +47,12 @@ pub mod ssbo;
 pub mod viewport;
 
 pub use bin::{
-    bin_columns, bin_points, no_outline, use_runs, BinScratch, BinnedBatch, CanvasTiling,
-    PointColumns, RasterConfig, BAND_SHIFT, BIN_BLOCK, MAX_TILE_DIM, RUNS_MAX_DENSITY,
+    bin_columns, bin_points, no_outline, BinScratch, BinnedBatch, CanvasTiling, PointColumns,
+    RasterConfig, BAND_SHIFT, BIN_BLOCK, MAX_TILE_DIM,
 };
 pub use device::{Device, DeviceConfig};
 pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ResidentCanvases, ShardSet};
-pub use runs::BandView;
+pub use runs::{turns_resident, BandView};
 pub use spans::{Run, Span, SpanTable};
 pub use ssbo::{AtomicF64Array, AtomicU64Array};
 pub use viewport::Viewport;

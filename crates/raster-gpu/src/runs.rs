@@ -1,108 +1,186 @@
-//! Runs tiles: a sparse canvas tile held as the batches it absorbed and
-//! resolved where it is blended, one band at a time.
+//! A canvas tile as a stack of bands of 32 rows, each holding what it
+//! absorbed in the smaller form: its entries, or its pixels.
 //!
-//! The canvas resolution is tied to ε (§4.2), so it grows as 1/ε² while
-//! the points do not: at ε = 10 m the taxi canvas holds 0.03 points per
-//! pixel, and a dense [`PointFbo`] spends its time allocating, faulting
-//! and folding pixels that hold nothing. A runs tile holds no pixels: a
-//! query's resident canvases keep each absorbed batch as binned (one copy,
-//! holding every tile's entries, shared by the canvas's runs tiles;
-//! [`crate::ResidentCanvases::absorb`]), and the polygon pass reads the
-//! tile in the band pass ([`crate::ResidentCanvases::band_pass`]). Each
-//! 32-row band that a span touches is blended into a worker's one-band
-//! canvas, its spans are folded straight from that canvas, and the canvas
-//! is zeroed again: the paper's DrawPoints then DrawPolygons over one
-//! framebuffer, materialised a band at a time.
+//! The canvas resolution follows ε (§4.2), so at ε = 10 m the taxi canvas
+//! holds 0.03 points per pixel, while a coarse canvas, or a hot spot of a
+//! fine one, holds many. So a band **keeps** its absorbed entries (pixel
+//! index, and value when the query aggregates), copied out of each batch
+//! as binned, until they first outnumber its pixels ([`turns_resident`]).
+//! Then they are blended, in entry order, into a [`PointFbo`] one band
+//! tall and dropped, and every later entry blends straight into it: the
+//! band is **resident**. A kept entry takes 4 B of index plus 4 B of value
+//! when there is one, a pixel 4 B of count plus 4 B of sum when there is
+//! one, so the rule is byte parity for COUNT and SUM alike: a tile never
+//! holds more than its dense canvas. The one absorbing thread applies it
+//! in row order, so the same bands turn resident at any width, batch split
+//! and chunk size.
+//!
+//! The polygon pass reads a tile in one band pass
+//! ([`crate::ResidentCanvases::band_pass`]), one task per band. A resident
+//! band is read where it lies, by the dense fold. A band of kept entries
+//! is blended into the worker's [`BandCanvas`] — one band tall, taken
+//! from the preparation's pool and handed back to it — with
+//! `blend_in_order`'s arithmetic, marking each pixel in an occupancy
+//! bitmap and each touched bitmap word in a summary bitmap, so a span over
+//! an empty stretch costs a word test; its spans are folded straight off
+//! the canvas, which then zeroes exactly the cells it set. Such a band
+//! costs its entries, occupied words and spans, never its pixels: the
+//! paper's DrawPoints then DrawPolygons over one framebuffer, materialised
+//! a band at a time. No buffer is ever written by two threads.
 //!
 //! # Equivalence contract
 //!
-//! A blended band holds in each pixel its entry count and the f32 sum of
-//! its values **in entry order**, starting from `+0.0` — exactly what
-//! [`PointFbo::blend_in_order`] leaves in that pixel. [`BandView`] then
-//! visits a span's non-empty pixels in ascending `x` and adds their sums
-//! from `+0.0`, as the dense fold does, so a runs tile answers every span
-//! with the bits of the dense tile (property-tested in
-//! `tests/binning_properties.rs`). Entry order is the table's row order
-//! at any worker count, so a runs tile's sums do not depend on the width
-//! that resolves it.
-//!
-//! # In parallel, without unsafe
-//!
-//! The binner already staged the tile by row band ([`BinnedBatch`], kept
-//! as it is), each band in entry order, so the band pass is one task per
-//! band, handed out dynamically (bands are as skewed as the data). Each
-//! worker owns one [`BandCanvas`]: a zeroed canvas one band tall,
-//! allocated at its first band and reused for the rest of the query. The
-//! worker blends its band's entries into it batch after batch, with
-//! `blend_in_order`'s arithmetic, marking each pixel it touches in an
-//! occupancy bitmap and each touched bitmap word in a summary bitmap, so a
-//! span over an empty stretch costs a word test, not a pixel read. After
-//! the band's spans it zeroes exactly the cells it set. A band costs its
-//! entries, its occupied words and its spans, never its pixels, and no
-//! buffer is ever written by two threads.
+//! Either way a band holds in each pixel its entry count and the f32 sum
+//! of its values **in entry order** from `+0.0` — what
+//! [`PointFbo::blend_in_order`] leaves there — and [`BandView`] adds a
+//! span's sums in ascending `x` from `+0.0`, as the dense fold does (a
+//! blended band skips the empty pixels, whose `+0.0` changes no bit). So
+//! every span reads the dense tile's bits (property-tested in
+//! `tests/binning_properties.rs`), and, entry order being row order, at
+//! any worker count.
 
-use crate::bin::{BinnedBatch, BAND_SHIFT};
+use crate::bin::BAND_SHIFT;
 use crate::exec::parallel_tasks;
-use crate::PointFbo;
+use crate::{FboPool, PointFbo};
 
 /// Rows in a band.
-const BAND_ROWS: u32 = 1 << BAND_SHIFT;
+pub(crate) const BAND_ROWS: u32 = 1 << BAND_SHIFT;
 
-/// One band of a canvas tile as the polygon pass reads it: the rows of a
-/// dense [`PointFbo`], or a runs band blended into a worker's
+/// The one rule of a band's form: a band that has absorbed `entries`
+/// entries holds them as its `pixels` pixels once they outnumber them. A
+/// query's resident canvases apply it to every band at absorb; the
+/// planner predicts a tile with it, its rows spread evenly (a band of a
+/// tile gets its share of the rows, so it outnumbers its pixels when the
+/// rows outnumber the tile's).
+pub fn turns_resident(entries: usize, pixels: usize) -> bool {
+    entries > pixels
+}
+
+/// One band of a resident tile.
+pub(crate) enum Band {
+    /// The entries absorbed so far, in entry order, in segments of pixel
+    /// indices and — when the query aggregates — values, each filled and
+    /// never grown, a new one as large as all before it: never more than
+    /// the band's pixels, capacity included, and no entry moved once kept.
+    Kept(Vec<(Vec<u32>, Vec<f32>)>),
+    /// The band's pixels, every entry blended in entry order: a
+    /// [`PointFbo`] one band tall, with sums when the query aggregates.
+    Resident(PointFbo),
+}
+
+impl Band {
+    /// Take a batch's entries of this band, `rows` rows of a `width`-wide
+    /// tile from linear pixel index `base` on: kept, or — once the band's
+    /// entries outnumber its pixels — blended into a band of pixels from
+    /// `pool`, the kept ones first.
+    pub(crate) fn absorb(
+        &mut self,
+        idx: &[u32],
+        values: Option<&[f32]>,
+        (base, width, rows): (u32, u32, u32),
+        pool: &FboPool,
+    ) {
+        let pixels = (width * rows) as usize;
+        let kept = match self {
+            Band::Resident(fbo) => return fbo.blend_from(base, idx, values),
+            Band::Kept(kept) => kept,
+        };
+        let entries: usize = kept.iter().map(|s| s.0.len()).sum();
+        if turns_resident(entries + idx.len(), pixels) {
+            let mut fbo = pool.acquire_with(width, rows, values.is_some());
+            for (i, v) in kept.iter() {
+                fbo.blend_from(base, i, values.map(|_| &v[..]));
+            }
+            fbo.blend_from(base, idx, values);
+            return *self = Band::Resident(fbo);
+        }
+        // Fill the last segment, then start one as large as all before it.
+        let values = values.unwrap_or_default();
+        let room = kept
+            .last()
+            .map_or(0, |s| s.0.capacity() - s.0.len())
+            .min(idx.len());
+        let valued = room.min(values.len());
+        if let Some((i, v)) = kept.last_mut() {
+            i.extend_from_slice(&idx[..room]);
+            v.extend_from_slice(&values[..valued]);
+        }
+        if room < idx.len() {
+            let held: usize = kept.iter().map(|s| s.0.capacity()).sum();
+            let len = (idx.len() - room).max(held).min(pixels - held);
+            kept.push((segment(&idx[room..], len), segment(&values[valued..], len)));
+        }
+    }
+
+    /// Whether the band holds nothing: no kept entry, no pixels.
+    pub(crate) fn is_empty(&self) -> bool {
+        matches!(self, Band::Kept(kept) if kept.is_empty())
+    }
+
+    /// The bytes the band holds: its kept segments, or its pixels.
+    pub(crate) fn bytes(&self) -> usize {
+        match self {
+            Band::Kept(kept) => kept
+                .iter()
+                .map(|s| 4 * (s.0.capacity() + s.1.capacity()))
+                .sum(),
+            Band::Resident(fbo) => fbo.byte_size(),
+        }
+    }
+}
+
+/// `items` in a buffer of `len`, or none when there are no items.
+fn segment<T: Copy>(items: &[T], len: usize) -> Vec<T> {
+    let mut segment = Vec::with_capacity(if items.is_empty() { 0 } else { len });
+    segment.extend_from_slice(items);
+    segment
+}
+
+/// One band of a canvas tile as the polygon pass reads it: a resident
+/// band's pixels, or a band of kept entries blended into a worker's
 /// [`BandCanvas`]. Rows and columns are the tile's.
 pub struct BandView<'a>(View<'a>);
 
 enum View<'a> {
-    Dense(&'a PointFbo),
+    Resident {
+        fbo: &'a PointFbo,
+        y0: u32,
+    },
     Blended {
         canvas: &'a BandCanvas,
         y0: u32,
         width: u32,
-        pixels: usize,
         valued: bool,
     },
 }
 
-impl<'a> BandView<'a> {
-    /// A band of a dense tile: its rows.
-    pub(crate) fn dense(fbo: &'a PointFbo) -> Self {
-        BandView(View::Dense(fbo))
-    }
-
+impl BandView<'_> {
     /// Σ count over the pixel span `[x0, x1) × {y}`.
     #[inline]
     pub fn span_count(&self, y: u32, x0: u32, x1: u32) -> u64 {
         match self.0 {
-            View::Dense(fbo) => fbo.span_count(y, x0, x1),
-            View::Blended {
-                canvas, y0, width, ..
-            } => {
-                let mut count = 0;
-                canvas.occupied_words(local(y0, width, y, x0, x1), |w, word| {
-                    count += canvas.count_word(w, word);
-                });
-                count
-            }
+            View::Resident { fbo, y0 } => fbo.span_count(y - y0, x0, x1),
+            View::Blended { .. } => self.span_totals(y, x0, x1).0,
         }
     }
 
     /// `(Σ count, Σ sum)` over the pixel span `[x0, x1) × {y}`: the sums
-    /// of its non-empty pixels added in ascending `x` from `+0.0`, the
-    /// bits of [`PointFbo::span_totals`].
+    /// of its pixels added in ascending `x` from `+0.0`, the bits of
+    /// [`crate::PointFbo::span_totals`].
     #[inline]
     pub fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64) {
         match self.0 {
-            View::Dense(fbo) => fbo.span_totals(y, x0, x1),
+            View::Resident { fbo, y0 } => fbo.span_totals(y - y0, x0, x1),
             View::Blended {
                 canvas,
                 y0,
                 width,
                 valued,
-                ..
             } => {
+                debug_assert!(x0 <= x1 && x1 <= width && (y0..y0 + BAND_ROWS).contains(&y));
+                let row = ((y - y0) * width) as usize;
                 let (mut count, mut sum) = (0, 0f64);
-                canvas.occupied_words(local(y0, width, y, x0, x1), |w, word| {
+                canvas.occupied_words(row + x0 as usize..row + x1 as usize, |w, word| {
                     count += canvas.count_word(w, word);
                     if valued {
                         for bit in set_bits(word) {
@@ -116,15 +194,6 @@ impl<'a> BandView<'a> {
     }
 }
 
-/// The pixels of the span `[x0, x1) × {y}` local to a band of a
-/// `width`-wide tile that starts at row `y0`.
-#[inline]
-fn local(y0: u32, width: u32, y: u32, x0: u32, x1: u32) -> std::ops::Range<usize> {
-    debug_assert!(x0 <= x1 && x1 <= width && (y0..y0 + BAND_ROWS).contains(&y));
-    let row = ((y - y0) * width) as usize;
-    row + x0 as usize..row + x1 as usize
-}
-
 /// A worker's canvas one band tall: `counts` (and `sums` when the band
 /// aggregates) over the band's pixels, a bit per pixel in `occupied` set
 /// by every entry, and a bit per word of `occupied` in `summary`. Every
@@ -132,41 +201,36 @@ fn local(y0: u32, width: u32, y: u32, x0: u32, x1: u32) -> std::ops::Range<usize
 /// [`BandCanvas::blend`] set.
 #[derive(Default)]
 pub(crate) struct BandCanvas {
-    counts: Vec<u32>,
+    pub(crate) counts: Vec<u32>,
     sums: Vec<f32>,
     occupied: Vec<u64>,
     summary: Vec<u64>,
 }
 
 impl BandCanvas {
-    /// Blend band `b` of a `width × height` tile from its entries, batch
-    /// after batch: each pixel's count and sum take its entries in entry
-    /// order, the sum from `+0.0`, as `blend_in_order` does. Returns the
-    /// band's view.
+    /// Blend the kept entries of the `pixels` pixels of a `width`-wide
+    /// tile from row `y0` on: each pixel's count and sum take its entries
+    /// in entry order, the sum from `+0.0`, as `blend_in_order` does.
+    /// Returns the band's view.
     fn blend(
         &mut self,
-        chunks: &[(&[u32], Option<&[f32]>)],
+        kept: &[(Vec<u32>, Vec<f32>)],
+        y0: u32,
         width: u32,
-        height: u32,
-        b: usize,
+        pixels: usize,
     ) -> BandView<'_> {
-        let y0 = (b as u32) << BAND_SHIFT;
-        let pixels = ((height - y0).min(BAND_ROWS) * width) as usize;
-        let valued = chunks.iter().any(|(_, values)| values.is_some());
+        let valued = kept.iter().any(|(_, v)| !v.is_empty());
         self.fit(pixels, valued);
         let base = y0 * width;
-        for &(idx, values) in chunks {
-            match values {
-                Some(values) => {
-                    for (&pix, &v) in idx.iter().zip(values) {
-                        let i = self.mark(pix - base);
-                        self.sums[i] += v;
-                    }
+        for (idx, values) in kept {
+            if valued {
+                for (&pix, &v) in idx.iter().zip(values) {
+                    let i = self.mark(pix - base);
+                    self.sums[i] += v;
                 }
-                None => {
-                    for &pix in idx {
-                        self.mark(pix - base);
-                    }
+            } else {
+                for &pix in idx {
+                    self.mark(pix - base);
                 }
             }
         }
@@ -174,7 +238,6 @@ impl BandCanvas {
             canvas: self,
             y0,
             width,
-            pixels,
             valued,
         })
     }
@@ -193,6 +256,12 @@ impl BandCanvas {
             self.occupied = vec![0; words];
             self.summary = vec![0; words.div_ceil(64)];
         }
+    }
+
+    /// Zero every cell set since the last [`BandCanvas::zero`], whatever
+    /// band set it: what a panic between a blend and its zero leaves.
+    pub(crate) fn reset(&mut self) {
+        self.zero(64 * 64 * self.summary.len(), !self.sums.is_empty());
     }
 
     /// Count one entry of band-local pixel `i` and mark it occupied.
@@ -278,56 +347,69 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// The band pass over runs tile `ti` of `kept`, a `width × height` tile:
-/// for each `(b, task)` of `tasks`, band `b`'s entries taken from the
-/// batches in order and blended into a worker's canvas of `canvases`,
-/// `visit(view, task)`, and the canvas zeroed, one task at a time per
-/// worker. A task whose band holds no entry is dropped unvisited: every
-/// span there reads zero.
-pub(crate) fn blend_bands<T: Send>(
-    kept: &[BinnedBatch],
-    ti: usize,
+/// The band pass over a `width × height` tile of `bands`: for each
+/// `(b, task)` of `tasks`, `visit(view, task)` on band `b`, one task at a
+/// time per worker of `canvases`. A resident band is read where it lies;
+/// a band of kept entries is blended into the worker's canvas first and
+/// zeroed after; a task whose band holds nothing is dropped unvisited:
+/// every span there reads zero.
+pub(crate) fn band_pass<T: Send>(
+    bands: &[Band],
     (width, height): (u32, u32),
     tasks: Vec<(usize, T)>,
     canvases: &mut [BandCanvas],
     visit: impl Fn(&BandView<'_>, T) + Sync,
 ) {
-    let nbands = (height as usize).div_ceil(BAND_ROWS as usize);
-    assert!(
-        kept.iter().all(|batch| nbands <= batch.bands()),
-        "entries binned for another banding"
-    );
     let tasks: Vec<_> = (tasks.into_iter())
-        .filter_map(|(b, task)| {
-            debug_assert!(b < nbands);
-            let chunks: Vec<_> = (kept.iter().map(|batch| batch.band(ti, b)))
-                .filter(|(idx, _)| !idx.is_empty())
-                .collect();
-            (!chunks.is_empty()).then_some((b, chunks, task))
-        })
+        .filter(|&(b, _)| !bands[b].is_empty())
         .collect();
-    parallel_tasks(tasks, canvases, |canvas, (b, chunks, task)| {
-        let view = canvas.blend(&chunks, width, height, b);
-        let View::Blended { pixels, valued, .. } = view.0 else {
-            unreachable!("a blended band")
-        };
-        visit(&view, task);
-        canvas.zero(pixels, valued);
+    parallel_tasks(tasks, canvases, |canvas, (b, task)| {
+        let y0 = (b as u32) << BAND_SHIFT;
+        match &bands[b] {
+            Band::Resident(fbo) => visit(&BandView(View::Resident { fbo, y0 }), task),
+            Band::Kept(kept) => {
+                let pixels = ((height - y0).min(BAND_ROWS) * width) as usize;
+                let view = canvas.blend(kept, y0, width, pixels);
+                let View::Blended { valued, .. } = view.0 else {
+                    unreachable!("a blended band")
+                };
+                visit(&view, task);
+                canvas.zero(pixels, valued);
+            }
+        }
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bin::{bin_pixels, MAX_TILE_DIM};
+    use crate::bin::{bin_pixels, BinnedBatch, MAX_TILE_DIM};
+    use crate::PointFbo;
 
     /// What a span query answers: `(Σ count, span_count, Σ sum bits)`.
     type Answer = (u64, u64, u64);
 
+    /// The bands of tile 0 of `kept`, a tile `h` rows tall, each keeping
+    /// its entries batch after batch, however many: the bands a blend
+    /// reads.
+    fn kept_bands(kept: &[BinnedBatch], h: u32) -> Vec<Band> {
+        let nbands = h.div_ceil(BAND_ROWS) as usize;
+        let band = |b| {
+            let segments = kept.iter().map(|batch| batch.band(0, b));
+            let segments = segments.filter(|(i, _)| !i.is_empty());
+            Band::Kept(
+                segments
+                    .map(|(i, v)| (i.to_vec(), v.unwrap_or_default().to_vec()))
+                    .collect(),
+            )
+        };
+        (0..nbands).map(band).collect()
+    }
+
     /// Every span of `spans` — `(row, x0, x1)`, rows ascending — answered by
-    /// the band pass over the runs tile of `kept`, a `w × h` tile 0, on
+    /// the band pass over the kept bands of `kept`, a `w × h` tile 0, on
     /// `canvases`, one task per band that holds a span.
-    fn band_pass(
+    fn fold_spans(
         kept: &[BinnedBatch],
         (w, h): (u32, u32),
         spans: &[(u32, u32, u32)],
@@ -341,7 +423,8 @@ mod tests {
             tasks.push(((group[0].0 >> BAND_SHIFT) as usize, (group, mine)));
             rest = more;
         }
-        blend_bands(kept, 0, (w, h), tasks, canvases, |band, (group, mine)| {
+        let bands = kept_bands(kept, h);
+        band_pass(&bands, (w, h), tasks, canvases, |band, (group, mine)| {
             for (&(y, x0, x1), answer) in group.iter().zip(mine) {
                 let (count, sum) = band.span_totals(y, x0, x1);
                 *answer = (count, band.span_count(y, x0, x1), sum.to_bits());
@@ -408,7 +491,7 @@ mod tests {
             for workers in [1, 2, 4] {
                 let kept = [bin_pixels(w, h, idx, values, workers)];
                 let mut canvases: Vec<_> = (0..workers).map(|_| BandCanvas::default()).collect();
-                let got = band_pass(&kept, (w, h), spans, &mut canvases);
+                let got = fold_spans(&kept, (w, h), spans, &mut canvases);
                 assert_eq!(got, want, "{w} × {h}, {workers} workers");
                 assert_all_zero(&canvases);
             }
@@ -490,7 +573,7 @@ mod tests {
         );
         let kept = [bin_pixels(w, h, &idx, Some(&values), 2)];
         let mut canvases = [BandCanvas::default(), BandCanvas::default()];
-        let hot_span = band_pass(&kept, (w, h), &[(33, 20, 21)], &mut canvases);
+        let hot_span = fold_spans(&kept, (w, h), &[(33, 20, 21)], &mut canvases);
         assert_eq!(hot_span[0].0, 70_000);
         assert_eq!(hot_span[0].2, f64::from(forward).to_bits());
         assert_folds_like_dense(w, h, &idx, &values, &pixel_spans(w, h));
@@ -513,7 +596,7 @@ mod tests {
                 })
                 .collect();
             let mut canvases: Vec<_> = (0..workers).map(|_| BandCanvas::default()).collect();
-            assert_eq!(band_pass(&kept, (w, h), &spans, &mut canvases), want);
+            assert_eq!(fold_spans(&kept, (w, h), &spans, &mut canvases), want);
         }
     }
 
@@ -539,7 +622,7 @@ mod tests {
             let spans = every_span(w, h);
             let want = dense_fold(&idx, values, (w, h), &spans);
             let kept = [bin_pixels(w, h, &idx, values, 1)];
-            let got = band_pass(&kept, (w, h), &spans, &mut canvas);
+            let got = fold_spans(&kept, (w, h), &spans, &mut canvas);
             let unreset = spans.iter().position(|&s| s == (7 + BAND_ROWS, 11, 12));
             assert_eq!(want[unreset.unwrap()].0, 0);
             assert_eq!(got, want, "{w} × {h}");
@@ -565,10 +648,10 @@ mod tests {
     fn empty_tile_answers_zero_everywhere() {
         let kept = [bin_pixels(7, 3, &[], None, 1)];
         let mut canvases: Vec<_> = (0..4).map(|_| BandCanvas::default()).collect();
-        let got = band_pass(&kept, (7, 3), &[(2, 0, 7), (0, 3, 3)], &mut canvases);
+        let got = fold_spans(&kept, (7, 3), &[(2, 0, 7), (0, 3, 3)], &mut canvases);
         assert_eq!(got, [(0, 0, 0), (0, 0, 0)]);
         assert_eq!(
-            band_pass(&[], (7, 3), &[(1, 0, 7)], &mut canvases),
+            fold_spans(&[], (7, 3), &[(1, 0, 7)], &mut canvases),
             [(0, 0, 0)]
         );
         assert!(
@@ -597,7 +680,7 @@ mod tests {
             for workers in [1, 2, 3, 8] {
                 let kept = [bin_pixels(w, h, &idx, values, workers)];
                 let mut canvases: Vec<_> = (0..workers).map(|_| BandCanvas::default()).collect();
-                assert_eq!(band_pass(&kept, (w, h), &spans, &mut canvases), want);
+                assert_eq!(fold_spans(&kept, (w, h), &spans, &mut canvases), want);
             }
         }
     }
@@ -642,7 +725,8 @@ mod tests {
         let mut visited = std::sync::Mutex::new(Vec::new());
         let tasks = [1, 2, 3].map(|b| (b, b)).to_vec();
         let mut canvases = [BandCanvas::default(), BandCanvas::default()];
-        blend_bands(&kept, 0, (w, h), tasks, &mut canvases, |_, b| {
+        let bands = kept_bands(&kept, h);
+        band_pass(&bands, (w, h), tasks, &mut canvases, |_, b| {
             visited.lock().unwrap().push(b)
         });
         assert_eq!(
@@ -650,7 +734,7 @@ mod tests {
             [2],
             "only band 2 holds entries and spans"
         );
-        let got = band_pass(&kept, (w, h), &spans, &mut canvases);
+        let got = fold_spans(&kept, (w, h), &spans, &mut canvases);
         assert_eq!(got, want);
         let in_band = |band: u32| {
             spans

@@ -16,9 +16,9 @@
 //!    closure: points landing on boundary pixels are resolved exactly via
 //!    the grid index + PIP (Procedure JoinPoint, the PIP through a y-slab
 //!    edge index) and added to their slots one by one in row order; all
-//!    other points are absorbed into the point canvas — runs or dense by
-//!    the bounded join's gate, either filled by the chunk pool's one
-//!    absorbing thread in row order.
+//!    other points are absorbed into the point canvas — each band keeping
+//!    its entries or resident by the bounded join's rule, either way
+//!    filled by the chunk pool's one absorbing thread in row order.
 //! 3. **Draw polygons** (Procedure AccuratePolygons) — the bounded
 //!    join's polygon pass (`polygon_pass.rs`) over the same canvas. It is
 //!    exact without the paper's per-fragment boundary discard and without
@@ -458,9 +458,9 @@ mod tests {
     }
 
     /// Why step 3 needs no per-fragment discard: whichever way step 2
-    /// runs — in memory, block by block at any width onto a dense or a
-    /// runs canvas, or `bin` per chunk then `ResidentCanvases::absorb` —
-    /// no boundary pixel receives a point.
+    /// runs — in memory, block by block at any width onto bands that turn
+    /// resident or bands that keep their entries, or `bin` per chunk then
+    /// `ResidentCanvases::absorb` — no boundary pixel receives a point.
     #[test]
     fn boundary_pixels_hold_nothing_after_every_point_pass() {
         let extent = nyc_extent();
@@ -503,17 +503,19 @@ mod tests {
             sum.into_inner()
         };
 
-        // The rows announced pick the canvas: dense for the table, runs
-        // for one row.
-        for (join, rows, runs) in [
-            (&narrow, pts.len(), 0),
-            (&wide, pts.len(), 0),
-            (&wide, 1, 1),
+        // The rows fed decide the bands: the table turns some resident,
+        // its first 2 000 rows leave every band of 32 × 128 pixels with its
+        // entries.
+        for (join, rows, resident) in [
+            (&narrow, pts.len(), true),
+            (&wide, pts.len(), true),
+            (&wide, 2_000, false),
         ] {
-            let mut canvases = prepared.canvases(rows);
+            let mut canvases = prepared.canvases();
+            let pts = pts.slice(0, rows);
             let merged = prepared.bin_blocks(&pts, &q, join.workers, &mut canvases);
             assert!(merged.finish().stats.pip_tests > 0);
-            assert_eq!(canvases.runs_tiles(), runs);
+            assert_eq!(canvases.resident_bands() > 0, resident);
             assert!(total(&mut canvases, join.workers) > 0);
             let ctx = format!("{} workers, {rows} rows", join.workers);
             assert!(
@@ -522,7 +524,7 @@ mod tests {
             );
         }
 
-        let mut canvases = prepared.canvases(pts.len());
+        let mut canvases = prepared.canvases();
         for start in (0..pts.len()).step_by(9_000) {
             let chunk = pts.slice(start, (start + 9_000).min(pts.len()));
             let deltas = prepared.bin(&chunk, &q, Default::default(), &mut Default::default());
@@ -531,21 +533,24 @@ mod tests {
         assert!(total(&mut canvases, 1) > 0);
         assert!(outline.holds_nothing(&mut canvases, 0, 1));
 
-        // The check is not vacuous: one point on an outline pixel fails
-        // it, on a dense and on a runs canvas, at either width.
+        // The check is not vacuous: a point on an outline pixel fails it,
+        // kept in its band or — copied past the band's pixels, at most
+        // 32 × 128 — resident, at either width.
         let (x, y) = (0..w)
             .flat_map(|x| (0..h).map(move |y| (x, y)))
             .find(|&(x, y)| outline.boundary.is_boundary(x, y))
             .unwrap();
         let tiling = CanvasTiling::single(vp);
-        let on_outline = bin_points(&tiling, 1, 1, false, |_| Some((vp.pixel_center(x, y), 0.0)));
-        for (rows, workers) in [(pts.len(), 1), (1, 1), (1, 4)] {
-            let mut canvases = prepared.canvases(rows);
-            canvases.absorb(on_outline.clone());
-            assert_eq!(total(&mut canvases, workers), 1);
+        for (copies, workers) in [(32 * 128 + 1, 1), (1, 1), (1, 4)] {
+            let center = Some((vp.pixel_center(x, y), 0.0));
+            let on_outline = bin_points(&tiling, copies, 1, false, |_| center);
+            let mut canvases = prepared.canvases();
+            canvases.absorb(on_outline);
+            assert_eq!(canvases.resident_bands(), u32::from(copies > 1));
+            assert_eq!(total(&mut canvases, workers), copies as u64);
             assert!(
                 !outline.holds_nothing(&mut canvases, 0, workers),
-                "{rows} rows"
+                "{copies} copies"
             );
         }
     }

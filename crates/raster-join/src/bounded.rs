@@ -33,35 +33,36 @@
 //! its table (`PreparedJoin::bin_blocks`); the streaming scan
 //! (`raster-join::stream`) feeds it the chunks it reads.
 //!
-//! # The resident gate: runs or dense, once per query
+//! # One canvas: bands that keep entries or pixels, by what arrived
 //!
 //! The canvas resolution follows ε (§4.2), so a fine ε leaves most pixels
-//! empty: the taxi canvas at ε = 10 m holds 0.03 points per pixel. Each
-//! tile is therefore held one of two ways for the whole query, picked at
-//! acquire ([`PreparedJoin::canvases`]) by `raster_gpu::use_runs` from
-//! the rows the query will scan (table length, or header rows streamed):
-//! runs below `raster_gpu::RUNS_MAX_DENSITY` = 3/4 row per pixel, the
-//! density at which a fresh dense COUNT canvas catches up end to end. So
-//! the exact join's 2048² canvas at 2 M taxi rows (0.48 per pixel) is runs,
-//! while at the same rows the 11-pixel slivers of the ε = 10 m canvas
-//! (≥ 22 per pixel), and 8 M tweets on a 1273 × 821 canvas (7.7), stay
-//! dense:
+//! empty — the taxi canvas at ε = 10 m holds 0.03 points per pixel —
+//! while a coarse one, or a hot spot of a fine one, holds many points per
+//! pixel. So every tile of a query's canvases
+//! ([`PreparedJoin::canvases`]) is a stack of 32-row bands, each held by
+//! what it absorbed (`raster_gpu::runs`):
 //!
-//! * **runs** — the batches kept as binned, resolved in the band pass
-//!   (`raster_gpu::ResidentCanvases::band_pass`): each band a span
-//!   touches has its entries blended into a worker's reused one-band
-//!   canvas, its spans folded straight off that canvas, and the canvas
-//!   zeroed. Costs per entry, occupied word and span, never per pixel.
-//! * **dense** — a [`PointFbo`](raster_gpu::PointFbo) from the
-//!   preparation's pool, blended by the one absorbing thread, its entries
-//!   in row order. Costs per pixel.
+//! * a band **keeps** its entries, copied out of each batch as binned,
+//!   and is blended at the resolve, in the band pass
+//!   (`raster_gpu::ResidentCanvases::band_pass`): its entries into a
+//!   worker's reused one-band canvas, its spans folded straight off that
+//!   canvas, the canvas zeroed. Costs per entry, occupied word and span,
+//!   never per pixel;
+//! * once its entries outnumber its pixels (`raster_gpu::turns_resident`)
+//!   a band turns **resident**: its kept entries are blended into count
+//!   (and sum) planes one band tall from the preparation's pool and
+//!   dropped, every later entry blends into them on the one absorbing
+//!   thread, and the band pass folds them where they lie. Costs per pixel.
 //!
-//! Both read the one classifier's (tile × 32-row band) staging as it is
-//! (`raster_gpu::bin_columns`, `point_pass.rs`). `ExecStats::runs_passes`
-//! says how many tiles took runs. There is no option: the planner
-//! mirrors the same gate (`optimizer::cost::shape`).
+//! A kept entry and a pixel take the same bytes, so a tile never holds
+//! more than its dense canvas. Both read the one classifier's (tile ×
+//! 32-row band) staging as it is (`raster_gpu::bin_columns`,
+//! `point_pass.rs`), and the rule is applied in row order, so the same
+//! bands turn resident at any width, batch count and chunk size
+//! (`ExecStats::resident_bands`). There is no option: the planner
+//! predicts the bands by the same rule (`optimizer::cost::shape`).
 //!
-//! Every pixel's f32 sum accumulates in row order on either canvas, and
+//! Every pixel's f32 sum accumulates in row order in either form, and
 //! every hit is added to its slot in row order before the resolve's
 //! partials, so counts and sums are the same bits at any worker count
 //! and batch count, and the streamed scan's at any chunk size.
@@ -175,11 +176,11 @@ impl<'a> PreparedJoin<'a> {
         self.nslots
     }
 
-    /// The canvases of a query that will scan `rows` rows, in the tile
-    /// order of [`ChunkDeltas::binned`], for [`PreparedJoin::resolve`] (see
+    /// The canvases of a query, in the tile order of
+    /// [`ChunkDeltas::binned`], for [`PreparedJoin::resolve`] (see
     /// [`ResidentCanvases`]). Empty without polygons.
-    pub fn canvases(&self, rows: usize) -> ResidentCanvases<'_> {
-        self.pool.acquire_resident(self.tiles(), rows)
+    pub fn canvases(&self) -> ResidentCanvases<'_> {
+        self.pool.acquire_resident(self.tiles())
     }
 
     /// *Bin* one chunk on the calling thread: the filter a column at a
@@ -280,8 +281,8 @@ impl<'a> PreparedJoin<'a> {
 
     /// *Resolve* the canvases every batch or chunk was absorbed into
     /// ([`PreparedJoin::canvases`]): one polygon pass per tile on `workers`
-    /// threads, each in the tile's band pass, where a runs tile's bands
-    /// are blended (for the exact join, step 3 — Procedure
+    /// threads, each in the tile's band pass, where the bands that kept
+    /// their entries are blended (for the exact join, step 3 — Procedure
     /// AccuratePolygons). Counts and sums come out the same at any width.
     pub fn resolve(
         &self,
@@ -295,7 +296,7 @@ impl<'a> PreparedJoin<'a> {
             stats: ExecStats::default(),
         };
         let needs_sums = query.aggregate.attr().is_some();
-        out.stats.runs_passes = canvases.runs_tiles();
+        out.stats.resident_bands = canvases.resident_bands();
         for ti in 0..self.tiles().len() {
             debug_assert!(
                 self.outline
@@ -329,7 +330,7 @@ impl<'a> PreparedJoin<'a> {
             };
         }
         let proc0 = Instant::now();
-        let mut canvases = self.canvases(points.len());
+        let mut canvases = self.canvases();
         let mut merged = self.bin_blocks(points, query, workers, &mut canvases);
         merged.fold(&self.resolve(&mut canvases, query, workers));
         drop(canvases);
@@ -608,15 +609,16 @@ mod tests {
         assert_eq!(a.counts, b.counts);
     }
 
-    /// A single-tile canvas dense enough to stay an FBO for the table's
-    /// rows takes them block by block through the one binner, band by
-    /// band, and none of it is held as runs.
+    /// A single-tile canvas whose bands the table's rows outnumber takes
+    /// them block by block through the one binner, band by band, and both
+    /// its bands turn resident.
     #[test]
     fn dense_single_tile_canvas_blends_by_band() {
         let polys = grid_polys();
-        // 57² pixels at ε = 0.5; copies of the eight points up to the runs
-        // gate's rows.
-        let copies = (raster_gpu::RUNS_MAX_DENSITY * (57 * 57) as f64 / 8.0).ceil() as usize;
+        // 57² pixels at ε = 0.5, bands of 32 × 57 and 25 × 57: as many
+        // copies of the eight points as the taller band has pixels, and
+        // three of them fall in it, five in the other.
+        let copies = 32 * 57;
         let mut pts = PointTable::with_capacity(8 * copies, &["v"]);
         let eight = points_in_quadrants();
         for _ in 0..copies {
@@ -629,14 +631,14 @@ mod tests {
         assert_eq!(out.stats.passes, 1, "canvas must be a single tile");
         let c = copies as u64;
         assert_eq!(out.counts, vec![c, 2 * c, 3 * c, 2 * c]);
-        assert_eq!(out.stats.runs_passes, 0);
+        assert_eq!(out.stats.resident_bands, 2);
         assert_eq!(out.stats.binned_points, 8 * copies as u64);
         assert!(out.stats.binning <= out.stats.point_stage);
     }
 
-    /// The canvas gate: a sparse tile is binned and held as pixel runs —
-    /// one tile or many — with the exact counts and sums, the same bits at
-    /// any worker count.
+    /// A sparse tile is binned and every band keeps its entries — one
+    /// tile or many — with the exact counts and sums, the same bits at any
+    /// worker count.
     #[test]
     fn sparse_tiles_are_held_as_runs() {
         let polys = grid_polys();
@@ -645,12 +647,12 @@ mod tests {
             let q = Query::sum(0).with_epsilon(eps);
             let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, max_dim));
             let one = BoundedRasterJoin::new(1).execute(&pts, &polys, &q, &dev);
-            assert_eq!(one.stats.runs_passes, one.stats.passes, "ε={eps}");
+            assert_eq!(one.stats.resident_bands, 0, "ε={eps}");
             assert_eq!(one.stats.binned_points, 8);
             assert_eq!(one.counts, vec![1, 2, 3, 2]);
             assert_eq!(one.sums, vec![1.0, 5.0, 15.0, 15.0]);
             let four = BoundedRasterJoin::new(4).execute(&pts, &polys, &q, &dev);
-            assert_eq!(four.stats.runs_passes, four.stats.passes);
+            assert_eq!(four.stats.resident_bands, 0);
             assert_eq!((&four.counts, &four.sums), (&one.counts, &one.sums));
         }
     }
@@ -673,7 +675,7 @@ mod tests {
         assert_eq!(prepared.tiles().len(), 4);
         let out = join.execute_prepared(&prepared, &pts, &Query::count(), &dev);
         assert_eq!(out.counts, vec![2]);
-        assert_eq!(out.stats.runs_passes, out.stats.passes);
+        assert_eq!(out.stats.resident_bands, 0);
     }
 
     /// The polygon side is prepared data, folded once per query: a
@@ -704,7 +706,7 @@ mod tests {
         assert_eq!(out.stats.triangulation, prepared.preparation);
         assert_eq!(out.counts, vec![1, 2, 3, 2]);
 
-        let mut canvases = prepared.canvases(pts.len());
+        let mut canvases = prepared.canvases();
         let q = Query::sum(0);
         let deltas = prepared.bin(&pts, &q, Default::default(), &mut Default::default());
         canvases.absorb(deltas.binned);

@@ -12,13 +12,15 @@
 //! [`crate::ExecStats`] by the calibration pass (`bench_planner`).
 //!
 //! The features mirror the one pipeline the planner's executors run by
-//! evaluating the executors' own gate. Every query — in memory or
+//! evaluating the executors' own rule. Every query — in memory or
 //! streamed, whatever its batch or chunk count — acquires its canvases
-//! once, absorbs its points into them and draws its polygons once. The
-//! canvas gate ([`raster_gpu::use_runs`] over the rows the query scans)
-//! decides whether a bounded plan holds its tiles as pixel runs — then
-//! nothing is charged per pixel: no clear, no per-pixel fold, a runs
-//! build per surviving point instead of a blend. Binning is charged to
+//! once, absorbs its points into them and draws its polygons once. Each
+//! band of a canvas keeps its entries until they outnumber its pixels,
+//! then holds its pixels ([`raster_gpu::turns_resident`]); the planner
+//! predicts a tile's bands by that rule over the rows the query scans,
+//! spread evenly. Bands that keep their entries are costed as runs:
+//! nothing charged per pixel — no clear, no per-pixel fold — and the band
+//! pass per surviving point instead of a blend. Binning is charged to
 //! multi-tile and runs canvases; a one-tile dense canvas's block staging
 //! is costed inside its blend, as it was measured. A dense canvas,
 //! bounded or accurate, is filled once, band by band: filter once, blend
@@ -41,7 +43,7 @@
 //! (`plan.workers`). Both run the one chunk pool (`pool.rs`): its workers
 //! only *bin*, and one consumer absorbs the deltas in row order, so a
 //! dense canvas's [`W_BLEND`] does not amortize over the pool; a runs
-//! canvas's does — its sort runs at the resolve, on every worker.
+//! canvas's does — its bands are blended at the resolve, on every worker.
 
 use super::{Plan, Variant};
 use crate::query::Query;
@@ -49,7 +51,7 @@ use raster_data::filter::passes;
 use raster_data::PointTable;
 use raster_geom::hausdorff::{pixel_side_for_epsilon, resolution_for_epsilon};
 use raster_geom::{BBox, Polygon};
-use raster_gpu::{use_runs, Device, MAX_TILE_DIM};
+use raster_gpu::{turns_resident, Device, MAX_TILE_DIM};
 
 /// Number of per-stage cost terms.
 pub const NWEIGHTS: usize = 13;
@@ -241,8 +243,9 @@ pub struct PlanShape {
     pub passes: u32,
     /// Total canvas pixels (all tiles).
     pub pixels: f64,
-    /// Whether the canvas gate is predicted to hold the tiles as pixel
-    /// runs (see `raster_gpu::ResidentCanvases`).
+    /// Whether the tiles' bands are predicted to keep their entries to
+    /// the resolve rather than turn resident (see
+    /// `raster_gpu::ResidentCanvases`).
     pub runs: bool,
 }
 
@@ -257,10 +260,11 @@ fn fragments(area: f64, perimeter: f64, pixel_side: f64) -> f64 {
 pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     let batches = wl.n_points.div_ceil(plan.batch_points.max(1)).max(1) as u32;
     let max_dim = device.config().max_fbo_dim;
-    // Mirrors the executors' canvas gate, through the function it calls:
-    // the rows the query scans — in memory as streamed — against a tile's
-    // pixels.
-    let runs = |tile_px: f64| use_runs(wl.n_points, tile_px as usize);
+    // Mirrors the canvases' band rule, through the function they call: the
+    // rows the query scans — in memory as streamed — spread evenly, so a
+    // band's entries outnumber its pixels when the rows outnumber the
+    // tile's.
+    let runs = |tile_px: f64| !turns_resident(wl.n_points, tile_px as usize);
     match plan.variant {
         Variant::Bounded => {
             let (w, h) = resolution_for_epsilon(&wl.extent, wl.epsilon);
@@ -294,21 +298,13 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
     }
 }
 
-/// What resolving one surviving entry on a runs tile costs, in blends of
-/// one entry into a warm dense FBO ([`W_BLEND`] units) — the band pass
-/// stands where the blend stood. Measured on 2 M taxi entries over one
-/// 4102² / 8192² tile, the runs tile's band pass (each band a span
-/// touches blended into a worker's one-band canvas, its spans folded off
-/// that canvas, the canvas zeroed; `PreparedJoin::resolve`) at 2 workers
-/// against one thread's warm `blend_in_order`, min of 11 passes, three
-/// runs on a 2-core box: 1.1–1.3 blends per COUNT entry on the 4102²
-/// tile and 1.1–1.6 on the 8192² one, 0.9–1.3 and 0.9–1.4 with values
-/// (on the exact join's 2048² canvas 0.8–1.4 and 0.9–1.3). The pass includes the fold
-/// of the spans over occupied words, which [`W_FRAG`] prices again per
-/// span. 2.0 stays, above every measured value: a lower constant makes
-/// every runs plan cheaper, and the planner already picks the bounded
-/// join's multi-tile runs canvas where the exact join is faster (ROADMAP
-/// direction 1, which re-fits the weights); keeping it keeps every plan.
+/// What resolving one surviving entry of a band that kept its entries
+/// costs, in blends of one entry into a warm dense FBO ([`W_BLEND`]
+/// units): the band pass stands where the blend stood. Measured at
+/// 0.8–1.6 on 2 M taxi entries over the 2048², 4102² and 8192² tiles at
+/// 2 workers on a 2-core box, fold included; 2.0 stays above every
+/// measured value until ROADMAP direction 1 re-fits the weights, so that
+/// no plan moves.
 pub const RUNS_BUILD_BLENDS: f64 = 2.0;
 
 /// The feature vector of one plan over one workload: how many times each
@@ -337,10 +333,11 @@ pub fn features_for(
     f[W_READ_BYTE] = n * wl.stored_row_bytes;
     f[W_DECODE_VAL] = n * wl.decode_cols;
     // The canvas, acquired once per query and folded once, however many
-    // batches or chunks the points arrive in. A runs tile: nothing to
-    // clear, each span folded over occupied words (the outline band of
-    // `fragments`), the band pass per surviving point instead of a blend.
-    // Dense: cleared per pixel, blended per point, folded per fragment.
+    // batches or chunks the points arrive in. Bands that keep their
+    // entries: nothing to clear, each span folded over occupied words (the
+    // outline band of `fragments`), the band pass per surviving point
+    // instead of a blend. Resident: cleared per pixel, blended per point,
+    // folded per fragment.
     let side = match plan.variant {
         Variant::Bounded => pixel_side_for_epsilon(wl.epsilon),
         Variant::Accurate => {
@@ -419,7 +416,6 @@ mod tests {
     use raster_data::filter::{CmpOp, Predicate};
     use raster_data::generators::{nyc_extent, TaxiModel};
     use raster_data::polygons::synthetic_polygons;
-    use raster_gpu::RUNS_MAX_DENSITY;
 
     fn plan_w(variant: Variant, batch: usize, workers: usize) -> Plan {
         Plan {
@@ -464,7 +460,8 @@ mod tests {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
         // 50 M points over the 6836² canvas: ≈ 1 per pixel, a dense canvas
-        // (a sparse one is held as runs — `runs_gate_mirrors_the_executor`).
+        // (a sparse one keeps its entries —
+        // `planner_predicts_bands_by_the_canvas_rule`).
         let wl = Workload {
             surviving: 0.5,
             ..Workload::assumed(50_000_000, &polys, &q)
@@ -520,8 +517,8 @@ mod tests {
         // Serial slots are untouched.
         assert_eq!(f4[W_PASS], f1[W_PASS]);
         assert_eq!(f4[W_BATCH], f1[W_BATCH]);
-        // A runs canvas's sort runs at the resolve, on every worker — in
-        // memory as streamed.
+        // A runs canvas's bands are blended at the resolve, on every worker
+        // — in memory as streamed.
         let sparse = Workload::assumed(50_000, &polys, &q);
         let streamed = Workload {
             stored_row_bytes: 20.0,
@@ -577,8 +574,8 @@ mod tests {
         let polys = synthetic_polygons(8, &nyc_extent(), 3);
         let q = Query::count().with_epsilon(12.0);
         let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 2048));
-        // 16 tiles of ≤ 2048², each taking the runs gate's rows per pixel:
-        // a dense canvas.
+        // 16 tiles of ≤ 2048², each taking a row more than its pixels: a
+        // dense canvas.
         let sh = shape(
             &plan(Variant::Bounded, usize::MAX),
             &Workload::assumed(1, &polys, &q),
@@ -587,7 +584,7 @@ mod tests {
         let tile_px = sh.pixels / sh.tiles as f64;
         let wl = Workload {
             stored_row_bytes: 20.0,
-            ..Workload::assumed((RUNS_MAX_DENSITY * tile_px).ceil() as usize, &polys, &q)
+            ..Workload::assumed(tile_px as usize + 1, &polys, &q)
         };
         assert!(!shape(&plan(Variant::Bounded, usize::MAX), &wl, &dev).runs);
         let f1 = features(&plan_w(Variant::Bounded, 250_000, 1), &wl, &dev);
@@ -640,11 +637,13 @@ mod tests {
         h
     }
 
-    /// A streamed scan holds a tile as runs by the same gate as the
-    /// in-memory join, and a dense canvas is costed as before runs reached
-    /// the scan: the digest over every streamed cell the gate leaves dense
-    /// is the parent commit's `streamed_feature_digest` over the same
-    /// cells. The cells the gate holds as runs changed on purpose — they
+    /// A streamed scan's bands follow the same rule as the in-memory
+    /// join's, and a canvas predicted resident is costed as a dense one was
+    /// before runs reached the scan: the digest over every streamed cell
+    /// predicted resident is the parent commit's `streamed_feature_digest`
+    /// over the same cells (unmoved when the runs/dense gate at 3/4 row a
+    /// pixel gave way to the band rule at 1, no cell of the grid lying
+    /// between). The cells the gate holds as runs changed on purpose — they
     /// are costed as runs, as the scan runs them: bounded plans at 50 k
     /// rows and ε ∈ {5, 12, 60} m on either limit and at 2 M rows and
     /// ε ∈ {5, 12} m on either limit, and 8 M at ε ∈ {5, 12} m on the 8192
@@ -660,42 +659,60 @@ mod tests {
     }
     const DENSE_DIGEST_AT_PARENT: u64 = 0x0c2d_5a08_334e_e309;
 
-    /// The planner mirrors the executors' canvas gate, in memory as
-    /// streamed: a tile whose pixels times `RUNS_MAX_DENSITY` outnumber the
-    /// rows the query scans — an upper bound on its entries, one tile or
-    /// many — is
-    /// costed as pixel runs, with nothing charged per pixel and the sort
-    /// charged per surviving point; a denser one is costed dense.
+    /// The planner predicts a canvas's bands by the rule the canvas applies
+    /// at absorb, `raster_gpu::turns_resident`, over the rows the query
+    /// scans spread evenly over a tile — on the four benchmark workloads'
+    /// canvases: the bounded taxi join's at ε = 20 m (one 4102² tile) and
+    /// ε = 10 m (8203² in 4 tiles), the exact join's 2048², the counties
+    /// canvas at ε = 3 km and 2 M tweets (2122 × 1368), and the 16-polygon
+    /// one at ε = 5 km and 8 M tweets (1273 × 821, ≈ 7.7 rows a pixel);
+    /// and on ≈ 82 k² on a device allowing 100 k², split at `MAX_TILE_DIM`
+    /// into 2 × 2. Bands that keep their entries are costed with nothing
+    /// per pixel and the band pass per surviving point, resident ones
+    /// dense, in memory as streamed.
     #[test]
-    fn runs_gate_mirrors_the_executor() {
-        let polys = synthetic_polygons(8, &nyc_extent(), 3);
-        let p = plan_w(Variant::Bounded, usize::MAX, 1);
-        // ε = 10 m over NYC: 8203² pixels in 4 tiles; 2 M points = 0.03/px.
-        // ε = 20 m: one 4102² tile, 0.12/px — or, at a 2048 limit, 9 tiles
-        // of ≤ 2048², dense for the 2 M rows although each tile takes only
-        // ≈ 0.1 M survivors. ε = 40 m: one 2051² tile, 0.48/px, between
-        // 1/4 and the gate. ε = 100 m: 821², 3/px. ε = 1 m: ≈ 82 k² on a
-        // device allowing 100 k², split at `MAX_TILE_DIM` into 2 × 2.
-        for (eps, max_fbo, tiles, runs) in [
-            (1.0, 100_000, 4, true),
-            (10.0, 8192, 4, true),
-            (20.0, 8192, 1, true),
-            (40.0, 8192, 1, true),
-            (20.0, 2048, 9, false),
-            (100.0, 8192, 1, false),
+    fn planner_predicts_bands_by_the_canvas_rule() {
+        use raster_data::generators::us_extent;
+        use raster_data::polygons::{nyc_neighborhoods, us_counties};
+        let (nyc, counties) = (nyc_neighborhoods(), us_counties());
+        let tweets16 = synthetic_polygons(16, &us_extent(), 1);
+        let taxi = 2_000_000;
+        for (polys, rows, variant, eps, max_fbo, tiles, runs) in [
+            (&nyc, taxi, Variant::Bounded, 20.0, 8192, 1, true),
+            (&nyc, taxi, Variant::Bounded, 10.0, 8192, 4, true),
+            (&nyc, taxi, Variant::Accurate, 20.0, 8192, 1, true),
+            (
+                &counties,
+                2_000_000,
+                Variant::Bounded,
+                3_000.0,
+                8192,
+                1,
+                true,
+            ),
+            (
+                &tweets16,
+                8_000_000,
+                Variant::Bounded,
+                5_000.0,
+                8192,
+                1,
+                false,
+            ),
+            (&nyc, taxi, Variant::Bounded, 1.0, 100_000, 4, true),
         ] {
+            let ctx = format!("{variant:?} ε={eps}");
+            let p = plan_w(variant, usize::MAX, 1);
             let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, max_fbo));
             let q = Query::count().with_epsilon(eps);
             let wl = Workload {
                 surviving: 0.5,
-                ..Workload::assumed(2_000_000, &polys, &q)
+                ..Workload::assumed(rows, polys, &q)
             };
             let sh = shape(&p, &wl, &dev);
-            assert_eq!((sh.tiles, sh.runs), (tiles, runs), "ε={eps}");
-            assert_eq!(
-                runs,
-                use_runs(2_000_000, sh.pixels as usize / tiles as usize)
-            );
+            assert_eq!((sh.tiles, sh.runs), (tiles, runs), "{ctx}");
+            let tile_px = sh.pixels as usize / tiles as usize;
+            assert_eq!(runs, !turns_resident(rows, tile_px), "{ctx}");
             // The same plan streamed: the same canvas, the same costing.
             let on_disk = Workload {
                 stored_row_bytes: 20.0,
@@ -704,35 +721,25 @@ mod tests {
             assert_eq!(shape(&p, &on_disk, &dev), sh);
             let (f, streamed) = (features(&p, &wl, &dev), features(&p, &on_disk, &dev));
             for slot in [W_FILTER, W_BIN, W_BLEND, W_CLEAR_PX, W_FRAG, W_PASS] {
-                assert_eq!(f[slot], streamed[slot], "ε={eps} {}", WEIGHT_NAMES[slot]);
+                assert_eq!(f[slot], streamed[slot], "{ctx} {}", WEIGHT_NAMES[slot]);
             }
+            let half = rows as f64 / 2.0;
             let dense = features_for(&p, &wl, &dev, &PlanShape { runs: false, ..sh });
-            assert!(dense[W_CLEAR_PX] > 0.0 && dense[W_BLEND] == 1_000_000.0);
+            assert!(dense[W_CLEAR_PX] > 0.0 && dense[W_BLEND] == half);
             if runs {
-                assert_eq!(f[W_CLEAR_PX], 0.0, "ε={eps}");
-                assert_eq!(
-                    f[W_BIN], 1_000_000.0,
-                    "a runs canvas is binned at any tile count"
-                );
-                assert_eq!(f[W_BLEND], 1_000_000.0 * RUNS_BUILD_BLENDS);
-                assert!(f[W_FRAG] > 0.0 && f[W_FRAG] < dense[W_FRAG] / 10.0);
+                assert_eq!(f[W_CLEAR_PX], 0.0, "{ctx}");
+                assert_eq!(f[W_BLEND], half * RUNS_BUILD_BLENDS);
+                assert!(f[W_FRAG] > 0.0 && f[W_FRAG] < dense[W_FRAG], "{ctx}");
+                if variant == Variant::Bounded {
+                    assert_eq!(f[W_BIN], half, "a runs canvas is binned at any tile count");
+                }
             } else {
                 // A dense one-tile canvas is not charged for binning.
-                let bin = if tiles > 1 { 1_000_000.0 } else { 0.0 };
-                assert_eq!(f[W_BIN], bin, "ε={eps}");
-                assert_eq!(f[W_FILTER], 2_000_000.0, "ε={eps}");
-                assert_eq!(f, dense, "ε={eps}");
+                assert_eq!(f[W_BIN], 0.0, "{ctx}");
+                assert_eq!(f[W_FILTER], rows as f64, "{ctx}");
+                assert_eq!(f, dense, "{ctx}");
             }
         }
-        // The exact join's 2048² canvas at 2 M rows, 0.48/px: runs too.
-        let wl = Workload::assumed(2_000_000, &polys, &Query::count());
-        let exact = shape(
-            &plan_w(Variant::Accurate, usize::MAX, 1),
-            &wl,
-            &Device::default(),
-        );
-        assert_eq!((exact.pixels, exact.runs), ((2048 * 2048) as f64, true));
-        assert!(use_runs(2_000_000, 2048 * 2048));
     }
 
     #[test]

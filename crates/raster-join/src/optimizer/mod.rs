@@ -22,11 +22,12 @@
 //! device-capacity fill plus a half-capacity alternative when the workload
 //! is out-of-core; worker counts are the halving steps from the available
 //! pool down to 1, costed with the amortization/contention scaling in
-//! [`cost`]. How an executor holds its canvas — dense FBO or pixel runs
-//! — is not a plan dimension: every query holds each tile one way,
-//! chosen once from the rows it scans (`raster_gpu::use_runs`), and
-//! [`cost::shape`] evaluates the same gate to cost the pipeline that will
-//! run. Every dense canvas, bounded or exact, has one band-owned blend.
+//! [`cost`]. How an executor holds its canvas is not a plan dimension:
+//! every band of every tile keeps its entries until they outnumber its
+//! pixels, then holds its pixels (`raster_gpu::turns_resident`), and
+//! [`cost::shape`] predicts the bands by the same rule to cost the
+//! pipeline that will run. Every resident band, bounded or exact, is
+//! blended by the one absorbing thread.
 //! The batch size is a memory/latency choice only: every query draws its
 //! polygons once, in memory as streamed, so the polygon side costs the
 //! same at any batch or chunk count. For streaming scans the chosen
@@ -411,7 +412,7 @@ mod tests {
     /// and those favour the accurate variant. The planner must flip.
     ///
     /// Those raster costs are a dense canvas's, so the table is sized for
-    /// both canvases to be dense: four times the runs gate's rows on the
+    /// both canvases' bands to turn resident: three rows a pixel of the
     /// exact join's 2048² canvas. (Where both are runs, neither clears or
     /// folds per pixel, and the planner keeps the bounded plan with or
     /// without the predicate; on a one-tile bounded canvas that is the
@@ -425,7 +426,7 @@ mod tests {
         let hour = pts.attr_index("hour").unwrap();
         // hour < 0.17 passes ~0.1% of the uniform [0, 168) hours.
         let selective = vec![Predicate::new(hour, CmpOp::Lt, 0.17)];
-        let rows = (4.0 * raster_gpu::RUNS_MAX_DENSITY * (2048 * 2048) as f64) as usize;
+        let rows = 3 * 2048 * 2048;
 
         // Find an ε where the full-selectivity model says Bounded; the
         // flip must then appear at the same ε once selectivity is

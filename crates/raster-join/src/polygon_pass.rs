@@ -16,9 +16,9 @@
 //! 1. **Evaluate** the spans on the canvas in the table's row-major order
 //!    by band of 32 rows, in the tile's band pass
 //!    (`raster_gpu::ResidentCanvases::band_pass`): the bands a span
-//!    touches spread over the workers, each read from a dense FBO's rows
-//!    or, on a runs tile, from the worker's band canvas it was just
-//!    blended into. Each run's `Σ count` (one polygon's spans within a
+//!    touches spread over the workers, each read from a resident band's
+//!    planes or, on a band that kept its entries, from the worker's band
+//!    canvas it was just blended into. Each run's `Σ count` (one polygon's spans within a
 //!    band) and, when the query aggregates, each span's `Σ sum` go into a
 //!    staging freed after the fold (8 bytes a run, and 8 a span with
 //!    sums).
@@ -212,9 +212,10 @@ mod tests {
     }
 
     /// Row-major fold ≡ polygon-order fold over the dense pixels, by bits,
-    /// in the band pass of a dense tile and of a runs tile holding the same
-    /// kept batch, at widths 1, 2, 3 and 8. Hot pixels carry `1e8, 1, −1e8`
-    /// (order-sensitive in f32) and `−0.0`; one polygon covering the
+    /// in the band pass of a tile whose first band turned resident and
+    /// whose other two kept their entries, at widths 1, 2, 3 and 8. Hot
+    /// pixels carry `1e8, 1, −1e8` (order-sensitive in f32) and `−0.0`, in
+    /// the resident band and in a kept one; one polygon covering the
     /// canvas meets `3e30`, `−3e30` and `1` in three rows, which sum to
     /// `1` in emission order and to `0` in any other; several polygons
     /// share a slot.
@@ -237,6 +238,11 @@ mod tests {
                 (p, rng.gen_range(-50.0..50.0f32))
             })
             .collect();
+        // 4 000 more in the first band's 32 × 96 pixels.
+        for _ in 0..4000 {
+            let p = Point::new(rng.gen_range(0.0..96.0), rng.gen_range(0.0..32.0));
+            pts.push((p, rng.gen_range(-50.0..50.0f32)));
+        }
         for (x, y, v) in [
             (40.5, 30.5, 1e8f32),
             (40.5, 30.5, 1.0),
@@ -273,26 +279,22 @@ mod tests {
         };
         let want = polygon_order_fold(&side, dense_pixels, 9);
         let pool = FboPool::new();
-        let mut on_runs = pool.acquire_resident(&[vp], 0);
-        let mut on_dense = pool.acquire_resident(&[vp], usize::MAX);
-        assert_eq!((on_runs.runs_tiles(), on_dense.runs_tiles()), (1, 0));
-        on_runs.absorb(binned.clone());
-        on_dense.absorb(binned);
+        let mut canvases = pool.acquire_resident(&[vp]);
+        canvases.absorb(binned);
+        assert_eq!(canvases.resident_bands(), 1);
         let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         for workers in [1, 2, 3, 8] {
             for needs_sums in [true, false] {
-                for canvases in [&mut on_runs, &mut on_dense] {
-                    let out = fold(&side, canvases, needs_sums, workers);
-                    assert_eq!(out.counts, want.0, "{workers} workers");
-                    let sums = if needs_sums {
-                        want.1.clone()
-                    } else {
-                        vec![0.0; 9]
-                    };
-                    assert_eq!(bits(&out.sums), bits(&sums), "{workers} workers");
-                    assert_eq!(out.stats.spans, spans);
-                    assert_eq!(out.stats.passes, 1);
-                }
+                let out = fold(&side, &mut canvases, needs_sums, workers);
+                assert_eq!(out.counts, want.0, "{workers} workers");
+                let sums = if needs_sums {
+                    want.1.clone()
+                } else {
+                    vec![0.0; 9]
+                };
+                assert_eq!(bits(&out.sums), bits(&sums), "{workers} workers");
+                assert_eq!(out.stats.spans, spans);
+                assert_eq!(out.stats.passes, 1);
             }
         }
     }

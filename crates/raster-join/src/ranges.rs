@@ -143,7 +143,7 @@ fn estimate_ranges_impl(
         ..query.clone()
     };
     let prepared = BoundedRasterJoin::new(workers).prepare(polys, query.epsilon, device);
-    let mut canvases = prepared.canvases(points.len());
+    let mut canvases = prepared.canvases();
     prepared.bin_blocks(points, &query, workers, &mut canvases);
     let a = prepared.resolve(&mut canvases, &query, workers);
 

@@ -599,9 +599,10 @@ mod tests {
         .is_ok());
     }
 
-    /// In-memory EXPLAIN names the canvas the executor's gate will pick:
-    /// 1 M points over the ε = 10 m canvas (8203² in 4 tiles, 0.015 per
-    /// pixel) are held as pixel runs, 200 M (3 per pixel) as dense FBOs.
+    /// In-memory EXPLAIN names the canvas the planner predicts by the
+    /// canvas's band rule: 1 M points over the ε = 10 m canvas (8203² in 4
+    /// tiles, 0.015 per pixel) keep their entries (runs), 200 M (3 per
+    /// pixel) turn the bands resident (dense).
     /// Two workers whatever the host.
     #[test]
     fn explain_names_the_canvas() {
@@ -650,8 +651,8 @@ mod tests {
         .unwrap();
         assert!(plan.contains("selectivity: 0.1"), "{plan}");
         assert!(plan.contains("sampled"), "{plan}");
-        // The survivors leave the ε = 10 m canvas nearly empty, so it is
-        // held as pixel runs and costs nothing per pixel: the selective
+        // The survivors leave the ε = 10 m canvas nearly empty, so its
+        // bands keep their entries and cost nothing per pixel: the selective
         // predicate shrinks the bounded plan with the points it drops.
         assert!(plan.contains("BOUNDED raster join [batch="), "{plan}");
         assert!(plan.contains("canvas: runs"), "{plan}");

@@ -53,9 +53,9 @@ pub struct ExecStats {
     /// Entries the binner staged for the canvas (points kept, on the
     /// canvas and — in the exact join — off its outline).
     pub binned_points: u64,
-    /// Wall-clock time of the point stage — binning points, blending them
-    /// into dense canvases or staging them for runs tiles and building
-    /// those runs, including binning time (subset of `processing`;
+    /// Wall-clock time of the point stage — binning points, keeping them
+    /// in their canvas bands or blending them into resident ones, and
+    /// blending the kept bands at the resolve, including binning time (subset of `processing`;
     /// recorded per run by the planner's calibration bench as a sanity
     /// check on the fitted stage weights).
     pub point_stage: Duration,
@@ -71,11 +71,11 @@ pub struct ExecStats {
     /// Rendering passes executed (Fig. 5): the canvas tiles, once per
     /// query however many batches or chunks it took.
     pub passes: u32,
-    /// Of `passes`, those whose canvas tile was a runs tile — its kept
-    /// batches, each band blended and folded in the resolve's band pass —
-    /// rather than a dense FBO: the density gate of
-    /// `raster_gpu::ResidentCanvases` at work, in memory as streamed.
-    pub runs_passes: u32,
+    /// Canvas bands of 32 rows that held their pixels at resolve, their
+    /// entries having outnumbered them (`raster_gpu::turns_resident`); the
+    /// rest kept their entries, blended in the resolve's band pass. The
+    /// same bands at any width, batch count and chunk size.
+    pub resident_bands: u32,
     /// Point-in-polygon tests performed (the cost the paper eliminates).
     pub pip_tests: u64,
     /// Polygon fragments processed by the fragment shader: pixels of the
@@ -125,7 +125,7 @@ impl ExecStats {
         self.polygon_stage += o.polygon_stage;
         self.batches += o.batches;
         self.passes += o.passes;
-        self.runs_passes += o.runs_passes;
+        self.resident_bands += o.resident_bands;
         self.pip_tests += o.pip_tests;
         self.fragments += o.fragments;
         self.spans += o.spans;

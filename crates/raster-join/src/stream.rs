@@ -54,8 +54,7 @@
 //! Each chunk is binned by **one thread in row order**, and the one
 //! consumer absorbs the deltas **in ascending chunk order** (a reorder
 //! buffer holds early finishers) into canvases it owns exclusively, each
-//! tile runs or dense by the in-memory joins' gate over the header's row
-//! count. Every pixel's f32 sum therefore accumulates in the table's row
+//! band turning resident by the in-memory joins' rule, in chunk order. Every pixel's f32 sum therefore accumulates in the table's row
 //! order — whatever the pool width, the arm, the file format **or the
 //! chunk size** — and the resolve adds per-polygon partials to the result
 //! slots in polygon order at any width. The accurate variant's
@@ -763,9 +762,9 @@ impl StreamingRasterJoin {
         let mut chunks = 0;
 
         if !sample.is_empty() {
-            // One canvas per tile for the header's rows, held until this
-            // block ends — by the resolve below or by any `?`/`return`.
-            let mut canvases = busy.track(|| prepared.canvases(rows as usize));
+            // The canvases, held until this block ends — by the resolve
+            // below or by any `?`/`return`.
+            let mut canvases = busy.track(|| prepared.canvases());
             // *Absorb* one chunk, always in ascending chunk order, so every
             // pixel's f32 sum and the merged partials are deterministic.
             let mut absorb =
@@ -1135,16 +1134,16 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The scan holds each tile by the gate over the header's rows, as the
-    /// in-memory join holds it over the table's: a sparse tile is runs —
-    /// reported in `runs_passes` and taking no canvas from the pool — a
-    /// dense one a pooled canvas, and both are bitwise the in-memory join.
-    /// EXPLAIN names the canvas.
+    /// The scan turns a band resident by the entries it absorbs, as the
+    /// in-memory join does: a sparse tile's bands all keep their entries —
+    /// taking nothing from the pool — and a dense tile turns the same
+    /// bands resident as the in-memory join, both bitwise the in-memory
+    /// join. EXPLAIN names the canvas the planner predicts.
     #[test]
     fn streamed_sparse_scans_hold_runs() {
         // ε = 40 m: one 2051² tile, ≈ 0.002 rows per pixel; ε = 1 km: 82²,
-        // twice the runs gate's rows per pixel.
-        let rows = (2.0 * raster_gpu::RUNS_MAX_DENSITY * (82 * 82) as f64) as usize;
+        // 1.5 rows per pixel.
+        let rows = 3 * 82 * 82 / 2;
         let pts = TaxiModel::default().generate(rows, 311);
         let fare = pts.attr_index("fare").unwrap();
         let polys = synthetic_polygons(6, &nyc_extent(), 312);
@@ -1164,21 +1163,17 @@ mod tests {
             let prepared = setup
                 .plan
                 .prepare(&polys, &setup.exec_query, &dev, setup.width);
-            let held = prepared.canvases(setup.rows as usize);
-            assert_eq!(
-                prepared.outstanding_canvases(),
-                usize::from(!runs),
-                "ε={eps}"
-            );
+            let held = prepared.canvases();
+            assert_eq!(prepared.outstanding_canvases(), 0, "ε={eps}");
             drop(held);
             let s = stream.scan(setup, &prepared).unwrap();
             assert!(s.chunks > 1, "ε={eps}");
             let stats = s.output.stats;
             assert_eq!(stats.passes, 1);
-            assert_eq!(stats.runs_passes, u32::from(runs), "ε={eps}");
+            assert_eq!(stats.resident_bands == 0, runs, "ε={eps}");
             assert_eq!(prepared.outstanding_canvases(), 0);
             let in_memory = BoundedRasterJoin::new(2).execute(&pts, &polys, &q, &dev);
-            assert_eq!(in_memory.stats.runs_passes, stats.runs_passes);
+            assert_eq!(in_memory.stats.resident_bands, stats.resident_bands);
             assert_eq!(s.output.counts, in_memory.counts, "ε={eps}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&s.output.sums), bits(&in_memory.sums), "ε={eps}");

@@ -7,7 +7,8 @@
 //! failpoint table, so the other unit tests' scans never see them: the
 //! blocking arm meets the block in its reader (which re-reads it once,
 //! to no avail), the pool meets it on a worker, at every width — over
-//! runs tiles and pooled dense ones.
+//! canvases whose bands keep their entries and canvases with resident
+//! bands, whose planes come from the pool.
 
 use super::*;
 use crate::optimizer::Variant;
@@ -46,10 +47,12 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
     std::fs::write(&garbled, &bytes).unwrap();
 
     // Failures met on a pool worker / in the blocking arm's reader, and
-    // healthy bounded scans over runs tiles / dense ones.
+    // healthy bounded scans whose bands all kept their entries / some of
+    // whose bands turned resident.
     let (mut on_worker, mut in_reader) = (0, 0);
     let (mut over_runs, mut over_dense) = (0, 0);
-    // ε = 150 m: one 547² tile, runs for 6 000 rows; ε = 1.5 km: dense.
+    // ε = 150 m: one 547² tile, every band keeping its share of 6 000
+    // rows; ε = 1.5 km: bands the rows outnumber.
     for (eps, exact) in [(150.0, false), (1_500.0, false), (150.0, true)] {
         let q = Query::avg(fare).with_epsilon(eps);
         for width in [1usize, 2, 4] {
@@ -80,8 +83,8 @@ fn every_exit_returns_the_canvases_and_only_success_resolves() {
                             assert_eq!(resolves, 1, "{ctx}: a scan resolves exactly once");
                             assert_eq!(out.rows, 6_000, "{ctx}");
                             if !exact {
-                                let runs = out.output.stats.runs_passes;
-                                *(if runs > 0 {
+                                let resident = out.output.stats.resident_bands;
+                                *(if resident == 0 {
                                     &mut over_runs
                                 } else {
                                     &mut over_dense

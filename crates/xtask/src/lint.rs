@@ -86,7 +86,6 @@ pub const FORBID_UNSAFE_ROOTS: &[&str] = &[
     "crates/raster-index/src/lib.rs",
     "crates/raster-join/src/lib.rs",
     "crates/bench/src/lib.rs",
-    "crates/bench/src/bin/bench_binning.rs",
     "crates/bench/src/bin/bench_check.rs",
     "crates/bench/src/bin/bench_planner.rs",
     "crates/bench/src/bin/bench_stream.rs",

@@ -1,6 +1,6 @@
-//! Property tests for the bounded join's two canvases — sorted pixel
-//! runs and the dense canvas filled band by band — against a test-only
-//! reference.
+//! Property tests for the bounded join's canvas — bands of 32 rows that
+//! keep their entries or, once the entries outnumber their pixels, hold
+//! their pixels — against a test-only reference.
 //!
 //! The reference ([`reference`]) is the literal pipeline over the whole
 //! table, however many batches the executor uploads it in: per canvas
@@ -11,16 +11,17 @@
 //! Counts must be **identical**; sums agree within 1e-12 relative, since
 //! both sides add every pixel's f32 values in row order.
 //!
-//! A runs tile, read in its band pass, must answer every span query with
-//! the bits of a dense canvas blended in entry order, and on either
-//! canvas the executor's sums must not depend on the worker count.
+//! A tile read in its band pass — its bands kept or resident — must
+//! answer every span query with the bits of a dense canvas blended in
+//! entry order, and the executor's sums must not depend on the worker
+//! count.
 
 use proptest::prelude::*;
 use raster_join_repro::data::polygons::synthetic_polygons;
 use raster_join_repro::geom::hausdorff::resolution_for_epsilon;
 use raster_join_repro::gpu::raster::rasterize_polygon_spans;
 use raster_join_repro::gpu::{
-    bin_points, CanvasTiling, FboPool, PointFbo, ResidentCanvases, BAND_SHIFT, RUNS_MAX_DENSITY,
+    bin_points, CanvasTiling, FboPool, PointFbo, ResidentCanvases, BAND_SHIFT,
 };
 use raster_join_repro::join::bounded::polygon_extent;
 use raster_join_repro::prelude::*;
@@ -274,13 +275,15 @@ fn dense_fold(fbo: &PointFbo, spans: &[(u32, u32, u32)]) -> Vec<Answer> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Runs ≡ dense at the span level: for random extents, tile splits,
-    /// predicates, clustered points (empty tiles and rows) and hot pixels
-    /// carrying values whose f32 sum depends on the order, a runs tile
-    /// holding `bin_points`' batch — read in its band pass at any worker
-    /// count — answers `span_count` / `span_totals` exactly as a
-    /// `PointFbo` filled by `blend_in_order` and as the dense tile's band
-    /// pass, sums compared by bits.
+    /// Kept ≡ resident ≡ dense at the span level: for random extents, tile
+    /// splits, predicates, clustered points (empty tiles and rows) and hot
+    /// pixels carrying values whose f32 sum depends on the order, a canvas
+    /// holding `bin_points`' batch — each band kept, or resident where the
+    /// entries outnumber its pixels — and a canvas holding the batch plus
+    /// every pixel of the canvas twice, every band resident, read in their
+    /// band pass at any worker count, answer `span_count` / `span_totals`
+    /// exactly as a `PointFbo` filled by `blend_in_order` from the same
+    /// entries, sums compared by bits.
     #[test]
     fn runs_answer_spans_like_a_dense_canvas(
         seed in any::<u64>(),
@@ -307,13 +310,20 @@ proptest! {
             let v = pts.attr(0)[i];
             (v as f64 > threshold || v.abs() >= 1e8).then(|| (pts.point(i), v))
         });
+        // Every pixel of the canvas twice, in pixel order.
+        let (full, pixels) = (tiling.full, tiling.full.pixel_count());
+        let flood = bin_points(&tiling, 2 * pixels, workers, with_values, |i| {
+            let pix = (i % pixels) as u32;
+            Some((full.pixel_center(pix % full.width, pix / full.width), 0.25))
+        });
         let pool = FboPool::new();
-        let mut runs = pool.acquire_resident(&tiling.tiles, 0);
-        let mut dense = pool.acquire_resident(&tiling.tiles, usize::MAX);
-        prop_assert_eq!(runs.runs_tiles() as usize, tiling.tile_count());
-        prop_assert_eq!(dense.runs_tiles(), 0);
+        let mut runs = pool.acquire_resident(&tiling.tiles);
+        let mut dense = pool.acquire_resident(&tiling.tiles);
         runs.absorb(binned.clone());
         dense.absorb(binned.clone());
+        dense.absorb(flood.clone());
+        let bands = tiling.tiles.iter().map(|vp| vp.height.div_ceil(1 << BAND_SHIFT));
+        prop_assert_eq!(dense.resident_bands(), bands.sum::<u32>());
         for (ti, vp) in tiling.tiles.iter().enumerate() {
             let (idx, vals) = binned.tile(ti);
             let mut fbo = PointFbo::new(vp.width, vp.height);
@@ -322,17 +332,20 @@ proptest! {
                 .flat_map(|y| probe_spans(vp.width, &mut rng).into_iter().map(move |(a, b)| (y, a, b)))
                 .collect();
             let want = dense_fold(&fbo, &spans);
-            prop_assert_eq!(&band_fold(&mut dense, ti, &spans, workers), &want, "tile {}", ti);
             let got = band_fold(&mut runs, ti, &spans, workers);
             for ((span, got), want) in spans.iter().zip(&got).zip(&want) {
                 prop_assert_eq!(got, want, "tile {} span {:?}", ti, span);
             }
+            let (idx, vals) = flood.tile(ti);
+            fbo.blend_in_order(idx, vals);
+            let want = dense_fold(&fbo, &spans);
+            prop_assert_eq!(&band_fold(&mut dense, ti, &spans, workers), &want, "tile {}", ti);
         }
     }
 
-    /// Runs at the executor level, on a canvas sparse enough to take them
-    /// (a short edge tile may still go dense): results match the
-    /// reference, and the sums are the same bits at workers {1, 2, 4}.
+    /// Kept bands at the executor level, on a canvas sparse enough that
+    /// every band keeps its entries: results match the reference, and the
+    /// sums are the same bits at workers {1, 2, 4}.
     #[test]
     fn runs_tiles_are_width_independent_and_match_the_rescan(
         seed in any::<u64>(),
@@ -344,18 +357,18 @@ proptest! {
         let extent = BBox::new(Point::new(-300.0, 50.0), Point::new(900.0, 1000.0));
         let polys = synthetic_polygons(6, &extent, seed);
         let pts = random_points(npts, &extent, seed ^ 0xabc, spread);
-        // ≈ 340 × 270 pixels in tiles of at least 80² = 6400: at most 1500
-        // rows stay below the gate of every full-size tile.
+        // ≈ 340 × 270 pixels in tiles of at least 80²: a full band holds at
+        // least 80 × 32 = 2560 pixels, more than the 1500 rows at most, so
+        // only a short edge band can turn resident.
         let q = Query::sum(0)
             .with_epsilon(5.0)
             .with_predicates(vec![Predicate::new(0, CmpOp::Gt, threshold as f32)]);
         let dev = Device::new(DeviceConfig::small(3 << 30, max_dim));
         let one = BoundedRasterJoin::new(1).execute(&pts, &polys, &q, &dev);
-        prop_assert!(one.stats.runs_passes > 0, "the sparse canvas must take runs");
         assert_matches_reference(&one, &pts, &polys, &q, &dev)?;
         for workers in [2, 4] {
             let wide = BoundedRasterJoin::new(workers).execute(&pts, &polys, &q, &dev);
-            prop_assert_eq!(wide.stats.runs_passes, one.stats.runs_passes);
+            prop_assert_eq!(wide.stats.resident_bands, one.stats.resident_bands);
             prop_assert_eq!(&wide.counts, &one.counts);
             prop_assert_eq!(&wide.sums, &one.sums, "workers={}", workers);
         }
@@ -376,17 +389,19 @@ proptest! {
     ) {
         let extent = BBox::new(Point::new(0.0, 0.0), Point::new(600.0, 450.0));
         let polys = synthetic_polygons(6, &extent, seed);
-        // A 61 × 46 canvas: at least the runs gate's rows per pixel.
-        let npts = (RUNS_MAX_DENSITY * (61 * 46) as f64).ceil() as usize + extra;
+        // A 61 × 46 canvas: four rows a pixel, so that every band's
+        // entries outnumber its pixels however many the predicate drops.
+        let npts = 4 * 61 * 46 + extra;
         let mut pts = random_points(npts, &extent, seed ^ 0xde45e, 1.0);
         add_hot_rows(&mut pts, hot, seed ^ 0x0407);
         let q = Query::sum(0)
             .with_epsilon(10.0 * std::f64::consts::SQRT_2)
             .with_predicates(vec![Predicate::new(0, CmpOp::Gt, threshold as f32)]);
-        for (max_dim, tiles) in [(8192, 1), (21, 9)] {
+        // One tile of two bands, or 3×3 tiles of one band each.
+        for (max_dim, tiles, bands) in [(8192, 1, 2), (21, 9, 9)] {
             let dev = Device::new(DeviceConfig::small(3 << 30, max_dim));
             let one = BoundedRasterJoin::new(1).execute(&pts, &polys, &q, &dev);
-            prop_assert_eq!((one.stats.passes, one.stats.runs_passes), (tiles, 0));
+            prop_assert_eq!((one.stats.passes, one.stats.resident_bands), (tiles, bands));
             prop_assert_eq!(one.stats.batches, 1);
             assert_matches_reference(&one, &pts, &polys, &q, &dev)?;
             for workers in [2, 4] {
@@ -396,7 +411,7 @@ proptest! {
             }
             let exec = BoundedRasterJoin::new(2);
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let mut canvases = prepared.canvases(pts.len());
+            let mut canvases = prepared.canvases();
             canvases.absorb(prepared.bin(&pts, &q, Default::default(), &mut Default::default()).binned);
             let streamed = prepared.resolve(&mut canvases, &q, exec.workers);
             prop_assert_eq!(&streamed.counts, &one.counts);
@@ -501,7 +516,7 @@ fn nan_coordinates_land_in_no_pixel() {
                 "{ctx}"
             );
             let prepared = exec.prepare(&polys, q.epsilon, &dev);
-            let mut canvases = prepared.canvases(pts.len());
+            let mut canvases = prepared.canvases();
             canvases.absorb(
                 prepared
                     .bin(&pts, &q, Default::default(), &mut Default::default())
@@ -714,7 +729,8 @@ fn bin_entries_are_the_row_at_a_time_reference() {
     }
 }
 
-/// A runs tile holding the band staging, read in its band pass, answers
+/// A canvas holding the band staging — its bands resident or keeping
+/// their entries as the entries fall — read in its band pass, answers
 /// like the dense canvas blended from the staging and like
 /// `blend_in_order` of the tile's rows, span by span, sums by bits: hot
 /// pixels on the band seams (tile rows 31/32 and 63/64) and in a short
@@ -757,7 +773,7 @@ fn runs_from_band_staging_equal_the_dense_canvas_span_by_span() {
                     Some((pts.point(i), pts.attr(0)[i]))
                 });
                 let pool = FboPool::new();
-                let mut runs = pool.acquire_resident(&tiling.tiles, 0);
+                let mut runs = pool.acquire_resident(&tiling.tiles);
                 runs.absorb(binned.clone());
                 for (ti, vp) in tiling.tiles.iter().enumerate() {
                     // The tile's entries in row order.

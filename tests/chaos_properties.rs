@@ -18,7 +18,6 @@ use raster_join_repro::data::disk::{write_table, write_table_compressed};
 use raster_join_repro::data::faults;
 use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
 use raster_join_repro::data::polygons::synthetic_polygons;
-use raster_join_repro::gpu::RUNS_MAX_DENSITY;
 use raster_join_repro::join::{BoundedRasterJoin, Query, StreamError};
 use raster_join_repro::prelude::*;
 use std::path::PathBuf;
@@ -354,18 +353,19 @@ fn errored_scans_resolve_nothing() {
 
 /// Canvases drain on every path. Every query checks the whole tiling
 /// out once (`PreparedJoin::canvases`), absorbs block after block or
-/// chunk after chunk into it and gives it back when the set drops —
-/// after the resolve, on an early error return, or while a panic unwinds,
-/// in memory as streamed. (The scan itself is held to this against its
+/// chunk after chunk into it — each band that turns resident taking its
+/// planes from the pool, the band pass its canvases — and gives all of
+/// it back when the set drops — after the resolve, on an early error
+/// return, or while a panic unwinds, in memory as streamed. (The scan itself is held to this against its
 /// own preparation in `raster-join`'s `stream::drain_tests`.)
 #[test]
 fn canvas_pool_outstanding_drains_to_zero() {
     let extent = nyc_extent();
     let polys = synthetic_polygons(6, &extent, 0xC4A05);
-    // ε = 600 m at a 64² limit: a 3×3-tile canvas, dense for the runs
-    // gate's rows on a full 64² tile (a sparser one is held as runs, which
-    // take nothing from the pool).
-    let rows = (RUNS_MAX_DENSITY * (64 * 64) as f64).ceil() as usize;
+    // ε = 600 m at a 64² limit: a 3×3-tile canvas, four rows a pixel of a
+    // full 64² tile, so that some of its bands turn resident and take
+    // planes from the pool.
+    let rows = 4 * 64 * 64;
     let pts = TaxiModel::default().generate(rows, 0xC4A05);
     let fare = pts.attr_index("fare").unwrap();
     let q = Query::avg(fare).with_epsilon(600.0);
@@ -384,9 +384,10 @@ fn canvas_pool_outstanding_drains_to_zero() {
 
     // The streamed shape: resident for the scan, resolved once.
     let whole = join.execute_prepared(&prepared, &pts, &q, &dev);
-    let mut canvases = prepared.canvases(pts.len());
-    let tiles = prepared.outstanding_canvases();
+    let mut canvases = prepared.canvases();
+    let tiles = whole.stats.passes as usize;
     assert!(tiles > 1, "the fixture must tile");
+    assert_eq!(prepared.outstanding_canvases(), 0);
     for start in (0..pts.len()).step_by(700) {
         let chunk = pts.slice(start, (start + 700).min(pts.len()));
         canvases.absorb(
@@ -394,8 +395,17 @@ fn canvas_pool_outstanding_drains_to_zero() {
                 .bin(&chunk, &q, Default::default(), &mut Default::default())
                 .binned,
         );
-        assert_eq!(prepared.outstanding_canvases(), tiles, "held across chunks");
+        let resident = canvases.resident_bands() as usize;
+        assert_eq!(
+            prepared.outstanding_canvases(),
+            resident,
+            "held across chunks"
+        );
     }
+    assert!(
+        canvases.resident_bands() > 1,
+        "the fixture must turn bands resident"
+    );
     let resolved = prepared.resolve(&mut canvases, &q, join.workers);
     drop(canvases);
     assert_eq!(
@@ -408,7 +418,7 @@ fn canvas_pool_outstanding_drains_to_zero() {
 
     // An error mid-scan: the early return drops the set.
     let failing_scan = || -> std::io::Result<()> {
-        let mut canvases = prepared.canvases(pts.len());
+        let mut canvases = prepared.canvases();
         canvases.absorb(
             prepared
                 .bin(&pts, &q, Default::default(), &mut Default::default())
@@ -428,7 +438,7 @@ fn canvas_pool_outstanding_drains_to_zero() {
     std::panic::set_hook(Box::new(|_| {}));
     let panicked = std::thread::scope(|s| {
         s.spawn(|| {
-            let _canvases = prepared.canvases(pts.len());
+            let _canvases = prepared.canvases();
             panic!("mid-scan");
         })
         .join()

@@ -191,10 +191,14 @@ fn lod_and_prepare_view_are_the_bounded_join_on_its_own_canvas() {
             assert_eq!(got.counts, want.counts);
             assert_eq!(bits(&got.sums), bits(&want.sums));
             assert_eq!(
-                (got.stats.passes, got.stats.runs_passes, got.stats.fragments),
+                (
+                    got.stats.passes,
+                    got.stats.resident_bands,
+                    got.stats.fragments
+                ),
                 (
                     want.stats.passes,
-                    want.stats.runs_passes,
+                    want.stats.resident_bands,
                     want.stats.fragments
                 )
             );

@@ -312,8 +312,10 @@ fn every_executor_counts_its_own_bytes_on_a_shared_device() {
 /// Batches are upload accounting: a bounded SUM over one table comes out
 /// the same bits under device budgets that give 1, 3 and 8 batches, at
 /// widths 1 and 4, and equal to the streamed scan of the table written by
-/// `write_table` and by `write_table_compressed` — on a one-tile runs canvas, a one-tile dense one and a
-/// multi-tile one.
+/// `write_table` and by `write_table_compressed` — on a one-tile canvas
+/// whose bands keep their entries, a one-tile one whose rows turn bands
+/// resident and a multi-tile one — with the same bands resident in every
+/// run.
 #[test]
 fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
     use raster_join_repro::data::disk::write_table_compressed;
@@ -326,24 +328,27 @@ fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
     write_table(&raw, &pts).unwrap();
     write_table_compressed(&z, &pts, 4_096).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    // ε = 60 m: one 1367² tile, runs for 24 k rows; ε = 1 km: one 82²
-    // tile, dense; ε = 300 m at a 128² limit: 3 × 3 dense tiles.
-    for (eps, max_fbo, tiles, runs) in [
-        (60.0, 8192, 1, 1),
-        (1_000.0, 8192, 1, 0),
-        (300.0, 128, 9, 0),
+    // ε = 60 m: one 1367² tile, every band keeping its share of 24 k rows;
+    // ε = 1 km: one 82² tile, bands the rows outnumber; ε = 300 m at a
+    // 128² limit: 3 × 3 tiles, some of their bands outnumbered.
+    for (eps, max_fbo, tiles, kept) in [
+        (60.0, 8192, 1, true),
+        (1_000.0, 8192, 1, false),
+        (300.0, 128, 9, false),
     ] {
         let q = Query::sum(fare).with_epsilon(eps);
-        let mut want = None;
+        let (mut want, mut resident) = (None, None);
         for batches in [1, 3, 8] {
             let dev = Device::new(DeviceConfig::small(n.div_ceil(batches) * pb, max_fbo));
             for workers in [1, 4] {
                 let ctx = format!("ε={eps}, {batches} batch(es), {workers} worker(s)");
                 let o = BoundedRasterJoin::new(workers).execute(&pts, &polys, &q, &dev);
                 assert_eq!(o.stats.batches as usize, batches, "{ctx}");
+                assert_eq!(o.stats.passes, tiles, "{ctx}");
+                let bands = o.stats.resident_bands;
                 assert_eq!(
-                    (o.stats.passes, o.stats.runs_passes),
-                    (tiles, runs),
+                    (bands == 0, *resident.get_or_insert(bands)),
+                    (kept, bands),
                     "{ctx}"
                 );
                 let got = (o.counts, bits(&o.sums));
@@ -360,7 +365,7 @@ fn bounded_sums_are_bitwise_at_every_batch_count_and_streamed() {
                     raster_join_repro::join::Variant::Bounded,
                     "{ctx}"
                 );
-                assert_eq!(s.output.stats.runs_passes, runs, "{ctx}");
+                assert_eq!(Some(s.output.stats.resident_bands), resident, "{ctx}");
                 let got = (s.output.counts, bits(&s.output.sums));
                 assert_eq!(want.as_ref(), Some(&got), "{ctx}");
             }

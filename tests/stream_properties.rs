@@ -66,8 +66,9 @@ proptest! {
     /// Chunked + prefetched execution over a table file equals the
     /// in-memory execution of the plan the stream ran — counts, sum bits
     /// and the point pass's own counters (entries binned, PIP tests,
-    /// passes, runs passes) — at pool widths 1, 2 and 4, on a dense canvas
-    /// (ε = 3 km: 28² pixels) or a runs canvas (ε = 60 m: 1367²), for
+    /// passes, resident bands) — at pool widths 1, 2 and 4, on a canvas
+    /// whose one band the rows outnumber (ε = 3 km: 28² pixels) or whose
+    /// bands all keep their entries (ε = 60 m: 1367²), for
     /// arbitrary (odd) chunk sizes, empty tables and predicate + AVG
     /// queries. Both run the one chunk pool.
     #[test]
@@ -109,12 +110,12 @@ proptest! {
             );
             let counters = |o: &JoinOutput| {
                 let st = &o.stats;
-                (st.binned_points, st.pip_tests, st.passes, st.runs_passes)
+                (st.binned_points, st.pip_tests, st.passes, st.resident_bands)
             };
             prop_assert_eq!(counters(&s.output), counters(&reference), "width {}", width);
-            if is_bounded(&s) && npts >= 200 {
-                let runs = if dense { 0 } else { s.output.stats.passes };
-                prop_assert_eq!(s.output.stats.runs_passes, runs, "width {}", width);
+            if is_bounded(&s) && (!dense || npts >= 4_000) {
+                let kept = s.output.stats.resident_bands == 0;
+                prop_assert_eq!(kept, !dense, "width {}", width);
             }
 
             // The blocking (paper-faithful) arm is result-identical.
@@ -229,8 +230,8 @@ proptest! {
 /// bitwise at every cell; across widths whenever the chosen operator
 /// agrees; and every bounded cell equals the in-memory join — so bounded
 /// results are the same bits at every chunk size. The canvases here are
-/// sparse (6 000 points over ≈ 1366² pixels), so both the in-memory join
-/// and the streamed scan hold their tiles as pixel runs, and the runs join
+/// sparse (6 000 points over ≈ 1366² pixels), so in both the in-memory
+/// join and the streamed scan every band keeps its entries, and that join
 /// itself is the same bits at widths {1, 2, 4}. (Dense in-memory canvases
 /// against the streamed pieces: `tests/binning_properties.rs`.)
 #[test]
@@ -255,12 +256,12 @@ fn worker_matrix_is_deterministic_for_every_config() {
         // The in-memory 1-worker join, and its width independence.
         let one = BoundedRasterJoin::new(1).execute(&pts, &polys, &q, &dev);
         assert_eq!(one.stats.batches, 1, "the reference must be one batch");
-        if one.stats.runs_passes == one.stats.passes {
+        if one.stats.resident_bands == 0 {
             runs_cells += 1;
         }
         for w in [2, 4] {
             let wide = BoundedRasterJoin::new(w).execute(&pts, &polys, &q, &dev);
-            assert_eq!(wide.stats.runs_passes, one.stats.runs_passes);
+            assert_eq!(wide.stats.resident_bands, one.stats.resident_bands);
             assert_eq!(wide.counts, one.counts, "fbo={max_fbo} w={w}");
             assert_eq!(wide.sums, one.sums, "fbo={max_fbo} w={w}");
         }
@@ -299,7 +300,7 @@ fn worker_matrix_is_deterministic_for_every_config() {
         }
     }
     assert!(bounded_cells > 0, "the matrix never ran the bounded join");
-    assert_eq!(runs_cells, 2, "both canvases take runs");
+    assert_eq!(runs_cells, 2, "both canvases keep their entries");
     std::fs::remove_file(&path).ok();
 }
 
